@@ -243,18 +243,13 @@ def test_escale_process_backend_scaleout():
         assert speedup >= 1.8, f"1->4 DC-process speedup {speedup:.2f}x < 1.8x"
 
 
-def test_evloop_flat_threads_and_shm_speedup():
-    """E-EVLOOP — event-loop servers and shared-memory rings (§18).
+def test_evloop_flat_threads():
+    """E-EVLOOP — event-loop servers (§18).
 
-    Two measurements, one results file.  First the tentpole invariant:
-    a DC server's thread count, reported in its own StatsReply, must stay
-    *flat* as the client count grows 1 -> 4 -> 8 (connections are Peers in
-    one selector loop, not threads) — asserted on every machine.  Then the
-    co-located data-plane race: the same single-DC commit workload over
-    ``transport="process"`` (pipe) versus ``transport="shm"`` (rings).
-    The >= 1.5x shm speedup is asserted only on >= 4-core machines; a
-    single-core runner timeshares producer and consumer, so the spin side
-    of spin-then-park burns the very quantum the peer needs.
+    The tentpole invariant: a DC server's thread count, reported in its
+    own StatsReply, must stay *flat* as the client count grows
+    1 -> 4 -> 8 (connections are Peers in one selector loop, not
+    threads) — asserted on every machine.
     """
     import tempfile
 
@@ -291,59 +286,10 @@ def test_evloop_flat_threads_and_shm_speedup():
     assert len(thread_counts) == 1, (
         f"server thread count varied with client count: {flat_rows}"
     )
-
-    txns = int(os.environ.get("REPRO_BENCH_EVLOOP_TXNS", "80"))
-    payload_value = "x" * 64
-    lane_rows = {}
-    for transport in ("process", "shm"):
-        config = KernelConfig(
-            dc=DcConfig(page_size=2048),
-            tc=TcConfig.optimized(lock_timeout=30.0),
-            channel=ChannelConfig(transport=transport, request_timeout_s=30.0),
-        )
-        with UnbundledKernel(config, dc_count=1) as kernel:
-            kernel.create_table("t0")
-            seed_region_boundaries(kernel, "t0")
-            begin = time.perf_counter()
-            for index in range(txns):
-                with kernel.begin() as txn:
-                    start = index * 8
-                    for op in range(8):
-                        txn.insert("t0", start + op, payload_value)
-            elapsed = time.perf_counter() - begin
-            ops = txns * 8
-            lane_rows[transport] = {
-                "transport": transport,
-                "txns": txns,
-                "elapsed_s": round(elapsed, 3),
-                "txns_per_s": round(txns / elapsed, 1),
-                "ops_per_s": round(ops / elapsed, 1),
-                "shm_attached": kernel.metrics.get("remote_dc.shm_attached"),
-            }
-            series("E-EVLOOP co-located lane", **lane_rows[transport])
-    speedup = (
-        lane_rows["shm"]["ops_per_s"] / lane_rows["process"]["ops_per_s"]
-    )
-    cores = os.cpu_count() or 1
     write_results(
         "evloop",
-        {
-            "flat_threads": flat_rows,
-            "lanes": [lane_rows["process"], lane_rows["shm"]],
-            "speedup_shm_over_pipe": round(speedup, 2),
-            "cpu_count": cores,
-        },
+        {"flat_threads": flat_rows, "cpu_count": os.cpu_count() or 1},
     )
-    series(
-        "E-EVLOOP summary",
-        speedup_shm_over_pipe=round(speedup, 2),
-        cpu_count=cores,
-    )
-    assert lane_rows["shm"]["shm_attached"] == 1  # the rings really carried it
-    if cores >= 4:
-        assert speedup >= 1.5, (
-            f"co-located shm vs pipe speedup {speedup:.2f}x < 1.5x"
-        )
 
 
 def test_escale_lock_striping_contention():

@@ -14,8 +14,7 @@ Commands:
 - ``chaos``       — seeded invariant-checking chaos run (``--process``
   for real DC processes and ``kill -9`` faults; ``--tc-process`` /
   ``--kill-tc-every`` put the TC in its own process and kill it too;
-  ``--tcp`` runs the TC↔DC data plane over loopback TCP; ``--shm``
-  moves co-located links onto shared-memory rings)
+  ``--tcp`` runs the TC↔DC data plane over loopback TCP)
 - ``serve-tc``    — run one TC server process on a Unix socket against an
   already-running DC pool (the TC service tier's standalone mode)
 """
@@ -260,10 +259,6 @@ def _chaos(args: list[str]) -> int:
                         help="process mode: TC↔DC traffic over loopback "
                         "TCP (ephemeral ports, TCP_NODELAY) instead of "
                         "Unix sockets; implies --tc-process")
-    parser.add_argument("--shm", action="store_true",
-                        help="process mode: co-located links carry frames "
-                        "over shared-memory rings (transport='shm'); "
-                        "incompatible with --tcp")
     parser.add_argument("--cc", default="2pl", choices=("2pl", "occ", "mvcc"),
                         help="concurrency-control policy under chaos")
     parser.add_argument("--increment-rate", type=float, default=0.0,
@@ -271,8 +266,6 @@ def _chaos(args: list[str]) -> int:
                         "on the reserved slot (0 disables)")
     opts = parser.parse_args(args)
 
-    if opts.shm and opts.tcp:
-        parser.error("--shm is single-machine; it cannot combine with --tcp")
     kwargs: dict[str, object] = {"seed": opts.seed, "txns": opts.txns}
     if opts.cc != "2pl":
         from repro.common.config import TcConfig
@@ -282,16 +275,16 @@ def _chaos(args: list[str]) -> int:
         kwargs["increment_rate"] = opts.increment_rate
     if opts.process:
         kwargs["channel_config"] = ChannelConfig(
-            transport="shm" if opts.shm else "process",
+            transport="process",
             listen_host="127.0.0.1" if opts.tcp else "",
         )
         kwargs["kill_every"] = opts.kill_every or 25
         if opts.tc_process or opts.kill_tc_every or opts.tcp:
             kwargs["tc_processes"] = 1
             kwargs["kill_tc_every"] = opts.kill_tc_every
-    elif opts.tc_process or opts.kill_tc_every or opts.tcp or opts.shm:
+    elif opts.tc_process or opts.kill_tc_every or opts.tcp:
         parser.error(
-            "--tc-process/--kill-tc-every/--tcp/--shm require --process"
+            "--tc-process/--kill-tc-every/--tcp require --process"
         )
     runner = ChaosRunner(**kwargs)
     try:

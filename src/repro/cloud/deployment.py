@@ -84,17 +84,13 @@ class CloudDeployment:
         config: Optional[DcConfig] = None,
         start_method: str = "",
         request_timeout_s: float = 30.0,
-        shm_ring_bytes: int = 0,
-        shm_spin: int = 0,
-        shm_park_ms: float = 0.0,
     ):
         """A DC running as its own OS process (docs/architecture.md §10).
 
         Mixes freely with in-process DCs declared via :meth:`add_dc`:
         :meth:`build` picks the channel implementation per endpoint.  The
         deployment-wide fault injector cannot reach a remote DC — kill its
-        process instead.  ``shm_ring_bytes > 0`` attaches a shared-memory
-        ring pair to this link (``transport="shm"`` semantics, §18).
+        process instead.
         """
         if name in self.dcs:
             raise ReproError(f"DC {name!r} already declared")
@@ -112,17 +108,10 @@ class CloudDeployment:
             journal_path=journal_path,
             start_method=start_method,
             request_timeout_s=request_timeout_s,
-            shm_ring_bytes=shm_ring_bytes,
-            shm_spin=shm_spin,
-            shm_park_ms=shm_park_ms,
         )
         self.dcs[name] = dc
         self._channel_configs[name] = ChannelConfig(
-            transport="shm" if shm_ring_bytes else "process",
-            request_timeout_s=request_timeout_s,
-            shm_ring_bytes=shm_ring_bytes or (1 << 20),
-            shm_spin=shm_spin or 200,
-            shm_park_ms=shm_park_ms or 5.0,
+            transport="process", request_timeout_s=request_timeout_s
         )
         return dc
 

@@ -42,10 +42,7 @@ class RangeLockProtocol(enum.Enum):
 
 #: Vocabulary the typed config validation below accepts.  Kept as module
 #: constants so error messages and tests quote one source of truth.
-TRANSPORTS = ("inproc", "process", "shm")
-#: Transports whose DCs/TCs are real OS processes (``"shm"`` is the
-#: process transport plus shared-memory rings on co-located links).
-PROCESS_TRANSPORTS = ("process", "shm")
+TRANSPORTS = ("inproc", "process")
 START_METHODS = ("", "fork", "spawn", "forkserver")
 SHARING_MODES = ("read_committed", "dirty")
 CC_POLICIES = ("2pl", "occ", "mvcc")
@@ -261,11 +258,7 @@ class ChannelConfig:
     reorder_window: int = 0
     #: Seed for the channel's private RNG (determinism).
     seed: int = 0
-    #: ``"inproc"`` (default), ``"process"``, or ``"shm"`` — where DCs
-    #: live.  ``"shm"`` is the process transport with a shared-memory ring
-    #: pair attached per co-located link (net/shm.py): small frames become
-    #: a cross-process memcpy, oversized frames and liveness stay on the
-    #: pipe.  Incompatible with ``listen_host`` (rings need one machine).
+    #: ``"inproc"`` (default) or ``"process"`` — where DCs live.
     transport: str = "inproc"
     #: Process transport: real-time bound one request waits for its reply
     #: before the TC treats it as lost and its resend policy takes over.
@@ -282,21 +275,6 @@ class ChannelConfig:
     #: after the first Hello, TCP_NODELAY) instead of Unix sockets, so the
     #: tiers can live on other hosts.  "" keeps Unix-domain sockets.
     listen_host: str = ""
-    #: ``transport="shm"``: requested bytes per ring direction (rounded
-    #: down to a power of two; two rings per link).  Frames above a
-    #: quarter of the ring take the pipe.
-    shm_ring_bytes: int = 1 << 20
-    #: ``transport="shm"``: bounded busy-poll iterations before a consumer
-    #: parks (and a full producer falls back to the pipe).
-    shm_spin: int = 200
-    #: ``transport="shm"``: parked consumer's pipe-poll backstop timeout.
-    #: Doorbell frames are the real wakeup; this only closes races.
-    shm_park_ms: float = 5.0
-
-    @property
-    def process_family(self) -> bool:
-        """True for every transport whose components are OS processes."""
-        return self.transport in PROCESS_TRANSPORTS
 
     def __post_init__(self) -> None:
         if self.transport not in TRANSPORTS:
@@ -307,23 +285,6 @@ class ChannelConfig:
                 self.process_start_method,
                 START_METHODS,
             )
-        if self.transport == "shm":
-            if self.listen_host:
-                raise ConfigError(
-                    "ChannelConfig.listen_host",
-                    self.listen_host,
-                    ('transport="shm" is single-machine; use ""',),
-                )
-            if self.shm_ring_bytes < 4096:
-                raise ConfigError(
-                    "ChannelConfig.shm_ring_bytes",
-                    self.shm_ring_bytes,
-                    ("at least 4096",),
-                )
-        if self.shm_spin < 0:
-            raise ConfigError("ChannelConfig.shm_spin", self.shm_spin)
-        if self.shm_park_ms < 0:
-            raise ConfigError("ChannelConfig.shm_park_ms", self.shm_park_ms)
 
 
 @dataclass
@@ -353,9 +314,9 @@ class KernelConfig:
             raise ConfigError("KernelConfig.tc_processes", self.tc_processes)
         if self.router_partitions < 0:
             raise ConfigError("KernelConfig.router_partitions", self.router_partitions)
-        if self.tc_processes and not self.channel.process_family:
+        if self.tc_processes and self.channel.transport != "process":
             raise ConfigError(
                 "KernelConfig.tc_processes",
                 self.tc_processes,
-                ('requires channel.transport "process" or "shm"',),
+                ('requires channel.transport "process"',),
             )

@@ -45,8 +45,7 @@ class UnbundledKernel:
         self.dcs: dict[str, DataComponent] = {}
         self._data_dir: Optional[str] = None
         self._owns_data_dir = False
-        process_mode = self.config.channel.process_family
-        shm_mode = self.config.channel.transport == "shm"
+        process_mode = self.config.channel.transport == "process"
         tc_process_mode = self.config.tc_processes >= 1
         if process_mode and faults is not None:
             raise ReproError(
@@ -99,11 +98,6 @@ class UnbundledKernel:
                     request_timeout_s=self.config.channel.request_timeout_s,
                     listen_path=listen,
                     fast_codec=self.config.channel.fast_codec,
-                    shm_ring_bytes=(
-                        self.config.channel.shm_ring_bytes if shm_mode else 0
-                    ),
-                    shm_spin=self.config.channel.shm_spin,
-                    shm_park_ms=self.config.channel.shm_park_ms,
                 )
             else:
                 dc = DataComponent(
@@ -130,11 +124,6 @@ class UnbundledKernel:
                 start_method=self.config.channel.process_start_method,
                 request_timeout_s=self.config.channel.request_timeout_s,
                 fast_codec=self.config.channel.fast_codec,
-                shm_ring_bytes=(
-                    self.config.channel.shm_ring_bytes if shm_mode else 0
-                ),
-                shm_spin=self.config.channel.shm_spin,
-                shm_park_ms=self.config.channel.shm_park_ms,
             )
             for dc in self.dcs.values():
                 dc.restart_listeners.append(self._notify_tc_of_dc_restart)

@@ -10,24 +10,22 @@ through one :class:`~repro.net.eventloop.EventLoop`:
   EOSL/LWM/checkpoint/restart traffic) dispatch to ``dc.handle`` exactly
   as the in-process transport would;
 - the small control plane of :mod:`repro.net.rpc` (register, catalog,
-  stats, shm attach, shutdown) is served here;
+  stats, shutdown) is served here;
 - the **causality gate** is bridged: when a DC system transaction needs
   the TC log forced (Section 4.2.2), the server sends a
   ``SERVER_REQUEST`` ``ForceLogRequest`` on the connection that
   registered that TC and *pumps the event loop* until the matching
   ``CLIENT_REPLY`` arrives — request frames that land meanwhile (on any
-  connection) backlog in arrival order, while reads, writes, accepts and
-  ring traffic on every other connection keep flowing.
+  connection) backlog in arrival order, while reads, writes and accepts
+  on every other connection keep flowing.
 
 **Connections.**  The parent pipe is always served.  With ``listen_path``
 set, the server additionally binds a Unix-domain or TCP listener and
 serves every accepted connection through the same loop — this is how TC
 *server* processes (docs/architecture.md §16) share one DC process as a
-pool.  A client may also attach a shared-memory ring pair
-(:class:`~repro.net.rpc.AttachShm`, :mod:`repro.net.shm`) and ride small
-frames on a cross-process memcpy instead of the pipe.  One DC, many TCs,
-one event loop — Section 6's multi-TC sharing made out-of-process, with
-the server's thread count O(1) in the number of clients.
+pool.  One DC, many TCs, one event loop — Section 6's multi-TC sharing
+made out-of-process, with the server's thread count O(1) in the number
+of clients.
 
 Single-threadedness is deliberate: one DC process is one core's worth of
 DC work (the scale-out unit is the *process*), and it keeps the server's
@@ -61,7 +59,6 @@ from repro.net import rpc, wire
 from repro.net.eventloop import EventLoop, Peer
 from repro.net.journal import JournalStorage
 from repro.net.rpc import (
-    AttachShm,
     CheckpointDcLog,
     CheckpointDcLogReply,
     CreateTable,
@@ -78,7 +75,6 @@ from repro.net.rpc import (
     TableList,
     TableListReply,
 )
-from repro.net.shm import ShmLink
 
 
 def bind_unix_listener(path: str) -> socket.socket:
@@ -299,12 +295,6 @@ class _DcServer:
             if self._fast_ok:
                 self._fast[peer] = wire.negotiate(message.vocab)
             return ControlAck(tc_id=message.tc_id)
-        if isinstance(message, AttachShm):
-            link = ShmLink.attach(message.c2s_name, message.s2c_name)
-            self._loop.attach_shm(
-                peer, link, message.spin, message.park_ms / 1000.0
-            )
-            return ControlAck(tc_id=message.tc_id)
         if isinstance(message, RegisterTc):
             self._tc_peers[message.tc_id] = peer
             self._dc.register_tc(
@@ -363,8 +353,6 @@ class _DcServer:
             self._dc.metrics.incr("dcserver.bad_frames")
             self._loop.close_peer(peer)
             return
-        if kind == rpc.DOORBELL:
-            return  # the pipe write itself was the wakeup
         if kind == rpc.CLIENT_REPLY:
             box = self._force_boxes.get(seq)
             if box is not None:

@@ -1,14 +1,13 @@
 """A single-threaded ``selectors`` event loop for the DC/TC servers.
 
-One loop owns every connection a server process serves: the parent pipe,
-accepted listener sockets, and any shared-memory rings clients attach
-(:mod:`repro.net.shm`).  Reads are non-blocking and drain whole bursts
-into per-connection reassembly buffers (frames are the same 4-byte
-network-order length prefix ``multiprocessing.connection`` writes, so
-coalesced blobs from the PR 8 transport parse unchanged); writes go
-through per-connection out-buffers with write-interest toggling, so a
-slow reader defers frames instead of blocking the server and the loop
-never busy-spins on a clogged socket.
+One loop owns every connection a server process serves: the parent pipe
+and accepted listener sockets.  Reads are non-blocking and drain whole
+bursts into per-connection reassembly buffers (frames are the same
+4-byte network-order length prefix ``multiprocessing.connection``
+writes, so coalesced blobs from the client transport parse unchanged);
+writes go through per-connection out-buffers with write-interest
+toggling, so a slow reader defers frames instead of blocking the server
+and the loop never busy-spins on a clogged socket.
 
 Server thread count is thereby O(1) in the number of clients — the loop
 *is* the server.  The §4.2.2 force-log bridge, which previously parked
@@ -24,7 +23,7 @@ Observability (the ``eventloop.*`` counter family, surfaced in
 - ``eventloop.connections_open`` — currently adopted connections;
 - ``eventloop.frames_deferred`` — sends that could not fully drain and
   parked bytes in an out-buffer (write interest engaged);
-- ``eventloop.wakeups`` — selector returns (doorbells, readiness, parks).
+- ``eventloop.wakeups`` — selector returns.
 """
 
 from __future__ import annotations
@@ -37,32 +36,16 @@ import time
 from collections import deque
 from typing import Callable, Optional
 
-from repro.net import rpc
 from repro.sim.metrics import Metrics
 
 _FRAME_LEN = struct.Struct("!i")
 _READ_CHUNK = 1 << 18
 #: Reassembly sanity bound; anything bigger is a corrupt length prefix.
 _MAX_FRAME = 1 << 28
-#: Backstop select timeout while shm rings are attached: doorbells are the
-#: wakeup path, this only closes memory-ordering races (see net/shm.py).
-_DEFAULT_PARK_S = 0.005
-_DEFAULT_SPIN = 100
-
-_doorbell_cache: Optional[bytes] = None
-
-
-def doorbell_frame() -> bytes:
-    """The prebuilt DOORBELL frame producers send down the pipe to wake a
-    parked ring consumer (receivers discard it by kind)."""
-    global _doorbell_cache
-    if _doorbell_cache is None:
-        _doorbell_cache = rpc.pack_frame(rpc.DOORBELL, 0, None)
-    return _doorbell_cache
 
 
 class Peer:
-    """One adopted connection: fd, reassembly buffer, out-buffer, rings."""
+    """One adopted connection: fd, reassembly buffer, out-buffer."""
 
     __slots__ = (
         "loop",
@@ -71,7 +54,6 @@ class Peer:
         "on_frame",
         "on_close",
         "closed",
-        "shm",
         "_in",
         "_out",
         "_out_off",
@@ -86,7 +68,6 @@ class Peer:
         self.on_frame = on_frame
         self.on_close = on_close
         self.closed = False
-        self.shm = None  # ShmLink: server consumes .c2s, produces .s2c
         self._in = bytearray()
         self._out = bytearray()
         self._out_off = 0
@@ -96,26 +77,11 @@ class Peer:
     def send_frame(self, data: bytes) -> None:
         """Queue one frame toward this peer; never blocks.
 
-        With rings attached, frames that fit take the ring (plus a pipe
-        doorbell iff the consumer parked); ring-borne frames may overtake
-        fd-buffered ones, which the §4.2.1 contracts absorb — replies and
-        CLIENT_REPLYs correlate by seq, pushes are order-free.  On a
-        closed peer this raises ``BrokenPipeError`` so callers hit the
-        same drop path a blocking send gave them.
+        On a closed peer this raises ``BrokenPipeError`` so callers hit
+        the same drop path a blocking send gave them.
         """
         if self.closed:
             raise BrokenPipeError(f"peer fd {self.fd} is closed")
-        link = self.shm
-        if link is not None and len(data) <= link.s2c.max_frame:
-            if link.s2c.try_send(data):
-                if link.s2c.take_parked():
-                    self._queue(doorbell_frame())
-                return
-            # Ring full (slow consumer): fall through to the fd, which has
-            # real backpressure via the out-buffer + write interest.
-        self._queue(data)
-
-    def _queue(self, data: bytes) -> None:
         self._out += _FRAME_LEN.pack(len(data))
         self._out += data
         self.flush()
@@ -155,12 +121,9 @@ class EventLoop:
         self.metrics = metrics or Metrics()
         self._sel = selectors.DefaultSelector()
         self._peers: dict[int, Peer] = {}
-        self._shm_peers: dict[int, Peer] = {}
         self._listeners: dict[int, socket.socket] = {}
         self._callbacks: deque = deque()
         self._stopped = False
-        self._spin = _DEFAULT_SPIN
-        self._park_s = _DEFAULT_PARK_S
         self._wakeups = self.metrics.counter("eventloop.wakeups")
         self._frames_deferred = self.metrics.counter("eventloop.frames_deferred")
         # Self-pipe: lets call_soon wake a blocked select from any thread.
@@ -196,16 +159,6 @@ class EventLoop:
         self._listeners[fd] = listener
         self._sel.register(fd, selectors.EVENT_READ, ("listener", on_accept))
 
-    def attach_shm(self, peer: Peer, link, spin: int = 0, park_s: float = 0.0) -> None:
-        """Serve a client's ring pair alongside its fd (AttachShm path)."""
-        peer.shm = link
-        self._shm_peers[peer.fd] = peer
-        if spin > 0:
-            self._spin = spin
-        if park_s > 0:
-            self._park_s = park_s
-        self.metrics.incr("eventloop.shm_links")
-
     def call_soon(self, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` on the loop (thread-safe; wakes a blocked select)."""
         self._callbacks.append(fn)
@@ -223,14 +176,10 @@ class EventLoop:
             return
         peer.closed = True
         self._peers.pop(peer.fd, None)
-        self._shm_peers.pop(peer.fd, None)
         try:
             self._sel.unregister(peer.fd)
         except (KeyError, ValueError):
             pass
-        if peer.shm is not None:
-            peer.shm.close()
-            peer.shm = None
         try:
             peer.owner.close()
         except OSError:
@@ -285,8 +234,8 @@ class EventLoop:
         """Nested pump: keep the whole loop serviced until ``predicate``
         holds (True) or the timeout/stop wins (False).  This is what the
         §4.2.2 force-log bridge parks on — dispatch of *new* requests is
-        the caller's concern (they backlog), but reads, writes, accepts
-        and ring traffic on every other connection keep flowing.
+        the caller's concern (they backlog), but reads, writes and
+        accepts on every other connection keep flowing.
         """
         deadline = time.monotonic() + timeout_s if timeout_s is not None else None
         while not self._stopped:
@@ -304,29 +253,7 @@ class EventLoop:
     def _run_once(self, timeout: Optional[float]) -> None:
         while self._callbacks:
             self._callbacks.popleft()()
-        parked = False
-        if self._poll_shm():
-            timeout = 0.0
-        elif self._shm_peers:
-            if self._spin_shm():
-                timeout = 0.0
-            else:
-                for peer in self._shm_peers.values():
-                    peer.shm.c2s.park()
-                parked = True
-                if any(
-                    peer.shm.c2s.readable() for peer in self._shm_peers.values()
-                ):
-                    timeout = 0.0  # a producer raced the park; don't sleep
-                elif timeout is None or timeout > self._park_s:
-                    timeout = self._park_s
-        try:
-            events = self._sel.select(timeout)
-        finally:
-            if parked:
-                for peer in self._shm_peers.values():
-                    if peer.shm is not None:
-                        peer.shm.c2s.unpark()
+        events = self._sel.select(timeout)
         self._wakeups.incr()
         for key, mask in events:
             tag, payload = key.data
@@ -361,37 +288,6 @@ class EventLoop:
             if client.family == socket.AF_INET:
                 client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             on_accept(client)
-
-    # -- shm -----------------------------------------------------------------
-
-    def _poll_shm(self) -> bool:
-        """Drain every attached ring; True if any frame was delivered."""
-        worked = False
-        for peer in list(self._shm_peers.values()):
-            while not peer.closed and peer.shm is not None:
-                try:
-                    frame = peer.shm.c2s.try_recv()
-                except Exception:
-                    # Corrupt ring (stale segment): the fd path still
-                    # works, so drop only the rings, keep the connection.
-                    self.metrics.incr("eventloop.shm_errors")
-                    self._shm_peers.pop(peer.fd, None)
-                    peer.shm.close()
-                    peer.shm = None
-                    break
-                if frame is None:
-                    break
-                worked = True
-                self.metrics.incr("eventloop.shm_frames")
-                peer.on_frame(peer, frame)
-        return worked
-
-    def _spin_shm(self) -> bool:
-        for _ in range(self._spin):
-            for peer in self._shm_peers.values():
-                if peer.shm.c2s.readable():
-                    return self._poll_shm()
-        return False
 
     # -- fd plumbing ---------------------------------------------------------
 

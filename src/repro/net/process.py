@@ -33,6 +33,7 @@ import multiprocessing as mp
 import os
 import struct
 import threading
+import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from queue import SimpleQueue
@@ -42,11 +43,9 @@ from repro.common.api import Message
 from repro.common.config import ChannelConfig, DcConfig
 from repro.common.errors import ReproError
 from repro.dc.recovery import TableDescriptor
-from repro.net import dcserver, rpc, shm, wire
+from repro.net import dcserver, rpc, wire
 from repro.net.channel import MessageChannel
-from repro.net.eventloop import doorbell_frame
 from repro.net.rpc import (
-    AttachShm,
     CheckpointDcLog,
     CreateTable,
     ForceLogReply,
@@ -61,6 +60,39 @@ from repro.net.rpc import (
     TableList,
 )
 from repro.sim.metrics import Metrics
+
+
+def wait_hello(
+    conn, hello_type: type, who: str, timeout: float = 30.0, process=None
+) -> Message:
+    """Read a server's first frame, which must be its ``hello_type`` push.
+
+    The one wait-for-hello of the process transport: a spawned child's
+    pipe (``process`` = its :class:`DcProcess` / ``TcProcess``) and a
+    freshly connected listener socket go through the same four steps.
+    Anything but a well-formed hello — timeout, EOF (``poll`` reports a
+    dead child as *readable*), a socket error, an undecodable or
+    wrong-typed frame — closes ``conn``, kills the child if there is
+    one, and raises :class:`ReproError`.  Closing here is safe because no
+    transport receiver thread reads ``conn`` yet.
+    """
+    try:
+        if not conn.poll(timeout):
+            problem = "no hello in time"
+        else:
+            kind, _seq, payload = rpc.unpack_frame(conn.recv_bytes())
+            if kind == rpc.PUSH and isinstance(payload, hello_type):
+                return payload
+            problem = f"unexpected first frame: {payload!r}"
+    except (EOFError, OSError, wire.WireError) as exc:
+        problem = f"no hello ({type(exc).__name__}: {exc})"
+    if process is not None:
+        process.kill()
+    try:
+        conn.close()
+    except OSError:
+        pass
+    raise ReproError(f"{who}: {problem}")
 
 
 def default_start_method() -> str:
@@ -95,18 +127,6 @@ class DcProcess:
         # would never read as EOF.
         child_conn.close()
 
-    def wait_hello(self, timeout: float = 30.0) -> Hello:
-        if not self.conn.poll(timeout):
-            self.kill()
-            self.close_conn()
-            raise ReproError("DC server did not say hello in time")
-        kind, _seq, payload = rpc.unpack_frame(self.conn.recv_bytes())
-        if kind != rpc.PUSH or not isinstance(payload, Hello):
-            self.kill()
-            self.close_conn()
-            raise ReproError(f"unexpected first frame from DC server: {payload!r}")
-        return payload
-
     @property
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -129,14 +149,6 @@ class DcProcess:
         if self.process.is_alive():
             self.process.kill()
         self.process.join()
-
-    def close_conn(self) -> None:
-        """Close the pipe fd directly — only safe before a transport's
-        receiver thread has started reading it (startup failures)."""
-        try:
-            self.conn.close()
-        except OSError:
-            pass
 
     def join(self, timeout: Optional[float] = None) -> None:
         self.process.join(timeout)
@@ -181,26 +193,12 @@ class _Transport:
         on_push: Callable[[Message], None],
         on_down: Callable[[], None],
         fast: Optional[dict] = None,
-        shm_link: Optional[shm.ShmLink] = None,
-        shm_spin: int = 200,
-        shm_park_s: float = 0.005,
     ) -> None:
         self._conn = conn
         self._on_server_request = on_server_request
         self._on_push = on_push
         self._on_down = on_down
         self.fast: dict = fast or {}
-        #: Optional ring pair (net/shm.py).  The receive leg is live from
-        #: the start — the server's replies may ride the ring the moment
-        #: it attaches — but the transmit leg stays off until the AttachShm
-        #: ack proves the server attached (:meth:`enable_shm_tx`).
-        self._shm = shm_link
-        self._shm_tx = False
-        #: A link abandoned mid-flight (corrupt ring) is parked here so the
-        #: final close() can still release and unlink its segments.
-        self._shm_stale: Optional[shm.ShmLink] = None
-        self._shm_spin = max(int(shm_spin), 1)
-        self._shm_park_s = shm_park_s if shm_park_s > 0 else 0.005
         self._futures: dict[int, Future] = {}
         self._flock = threading.Lock()
         self._wlock = threading.Lock()
@@ -219,12 +217,6 @@ class _Transport:
         )
         self._recv_thread.start()
         self._ctrl_thread.start()
-
-    def enable_shm_tx(self) -> None:
-        """Turn the client->server ring on (after the server's AttachShm
-        ack); until then every frame takes the pipe."""
-        with self._wlock:
-            self._shm_tx = True
 
     def submit(self, message: Message, defer: bool = False) -> Future:
         """Send one request; the returned future resolves to the reply
@@ -265,58 +257,13 @@ class _Transport:
                 self._pending.append(data)
                 self._flush_locked()
                 return
-            if self._ring_send_locked(data):
-                self._doorbell_locked()
-                return
             self._conn.send_bytes(data)
-
-    def _ring_send_locked(self, data: bytes) -> bool:
-        """Try the client->server ring (wlock held).  False = take the pipe
-        (tx leg off, frame oversized, or ring full past a bounded spin).
-        Ring frames may overtake concurrently pipe-buffered ones; the
-        §4.2.1 contracts absorb that — in-flight requests are independent
-        (unique ids, replies correlate by seq) and callers drain pending
-        futures before order-sensitive points (commit, sync, collect)."""
-        link = self._shm
-        if not self._shm_tx or link is None:
-            return False
-        ring = link.c2s
-        if len(data) > ring.max_frame:
-            return False
-        if ring.try_send(data):
-            return True
-        # Ring full: the consumer is mid-drain, which at memcpy speed is
-        # shorter than a pipe syscall — spin briefly before giving up.
-        for _ in range(self._shm_spin):
-            if self._down:
-                return False
-            if ring.try_send(data):
-                return True
-        return False
-
-    def _doorbell_locked(self) -> None:
-        """Wake a parked server-side consumer (wlock held): read-and-clear
-        the parked flag, and iff it was set, a pipe write is owed."""
-        link = self._shm
-        if link is not None and link.c2s.take_parked():
-            try:
-                self._conn.send_bytes(doorbell_frame())
-            except (OSError, ValueError):
-                pass  # death is detected by the receiver's EOF, not here
 
     def _flush_locked(self) -> None:
         frames, self._pending = self._pending, []
         self._pending_bytes = 0
         if not frames:
             return
-        if self._shm_tx and self._shm is not None:
-            # Ring-first per frame; whatever does not fit stays on the
-            # pipe in its original relative order.
-            rest = [f for f in frames if not self._ring_send_locked(f)]
-            self._doorbell_locked()
-            frames = rest
-            if not frames:
-                return
         if len(frames) == 1:
             self._conn.send_bytes(frames[0])
             return
@@ -350,92 +297,24 @@ class _Transport:
                 future.set_result(payload)
         elif kind in (rpc.SERVER_REQUEST, rpc.PUSH):
             self._ctrl.put((kind, seq, payload))
-        # DOORBELL (and anything else) carries nothing: the wakeup already
-        # happened by virtue of the pipe read.
-
-    def _recv_pipe(self) -> Optional[bytes]:
-        """One blocking pipe read; None = EOF/closed (the down path)."""
-        try:
-            return self._conn.recv_bytes()
-        except (EOFError, OSError):
-            return None
-        except (TypeError, ValueError):
-            # A connection closed concurrently with an in-flight
-            # ``recv_bytes`` surfaces as ``TypeError`` (the handle is
-            # ``None`` mid-read) rather than ``OSError``.  Treat it
-            # like EOF so the cleanup below still strands futures and
-            # fires ``on_down`` instead of killing this thread.
-            return None
-
-    def _drain_ring(self, ring) -> bool:
-        """Deliver every frame currently in the server->client ring."""
-        worked = False
-        while True:
-            try:
-                frame = ring.try_recv()
-            except shm.ShmError:
-                # Corrupt ring (a kill -9 can land between a length write
-                # and its payload): abandon the rings, keep the pipe.
-                self._shm_tx = False
-                self._shm_stale, self._shm = self._shm, None
-                return worked
-            if frame is None:
-                return worked
-            worked = True
-            try:
-                self._handle_frame(frame)
-            except wire.WireError:
-                self._shm_tx = False
-                self._shm_stale, self._shm = self._shm, None
-                return worked
 
     def _recv_loop(self) -> None:
-        link = self._shm
         while True:
-            if link is not None and self._shm is not None:
-                ring = self._shm.s2c
-                if self._drain_ring(ring):
-                    continue
-                # Spin-then-park (net/shm.py): bounded spin on the ring,
-                # then set the parked flag, re-check (closing the race
-                # with a producer that wrote just before the flag), and
-                # sleep in a short pipe poll — the producer's DOORBELL
-                # write is the wakeup; the timeout is only a backstop.
-                for _ in range(self._shm_spin):
-                    if ring.readable():
-                        break
-                else:
-                    ring.park()
-                    try:
-                        if ring.readable():
-                            continue  # a producer raced the park; drain
-                        try:
-                            if not self._conn.poll(self._shm_park_s):
-                                continue  # backstop timeout; re-check ring
-                        except (OSError, ValueError):
-                            break
-                    finally:
-                        ring.unpark()
-                    # poll() said readable, so this read cannot block.
-                    data = self._recv_pipe()
-                    if data is None:
-                        break
-                    try:
-                        self._handle_frame(data)
-                    except wire.WireError:
-                        break
-                continue
-            data = self._recv_pipe()
-            if data is None:
+            try:
+                data = self._conn.recv_bytes()
+            except (EOFError, OSError):
+                break
+            except (TypeError, ValueError):
+                # A connection closed concurrently with an in-flight
+                # ``recv_bytes`` surfaces as ``TypeError`` (the handle is
+                # ``None`` mid-read) rather than ``OSError``.  Treat it
+                # like EOF so the cleanup below still strands futures and
+                # fires ``on_down`` instead of killing this thread.
                 break
             try:
                 self._handle_frame(data)
             except wire.WireError:
                 break
-        if self._shm is not None:
-            # EOF leftovers: frames the server ring-wrote before dying or
-            # closing still complete their futures (they are real replies).
-            self._drain_ring(self._shm.s2c)
         with self._flock:
             self._down = True
             stranded = list(self._futures.values())
@@ -469,7 +348,7 @@ class _Transport:
         return self._down
 
     def close(self) -> None:
-        """Join the receiver, then close the fd and rings (idempotent —
+        """Join the receiver, then close the fd (idempotent —
         proxy close paths and the down path may both land here, and a
         loop-managed fd must never be double-closed).
 
@@ -489,12 +368,6 @@ class _Transport:
             self._conn.close()
         except OSError:
             pass
-        self._shm_tx = False
-        for link_attr in ("_shm", "_shm_stale"):
-            link = getattr(self, link_attr)
-            setattr(self, link_attr, None)
-            if link is not None:
-                link.close()  # creator side unlinks its pinned segments
 
 
 class _RemoteTableHandle:
@@ -520,10 +393,6 @@ class RemoteDc:
         request_timeout_s: float = 30.0,
         listen_path: str = "",
         fast_codec: bool = True,
-        shm_ring_bytes: int = 0,
-        shm_tag: str = "",
-        shm_spin: int = 0,
-        shm_park_ms: float = 0.0,
     ) -> None:
         self.name = name
         self.config = config
@@ -531,14 +400,6 @@ class RemoteDc:
         self.journal_path = journal_path
         self.start_method = start_method
         self.request_timeout_s = request_timeout_s
-        #: Shared-memory ring sizing (0 = pipe only).  The ring pair is
-        #: created client-side under names pinned to ``shm_tag`` (default:
-        #: the journal path — the DC's durable identity), so respawns
-        #: re-create the same names and stale segments get replaced.
-        self.shm_ring_bytes = shm_ring_bytes
-        self.shm_tag = shm_tag
-        self.shm_spin = shm_spin
-        self.shm_park_ms = shm_park_ms
         #: Listener address the server additionally binds ("" = parent
         #: pipe only): a Unix socket path, or ``tcp://host:port`` for the
         #: TCP data plane (port 0 = ephemeral; the resolved address is
@@ -581,7 +442,9 @@ class RemoteDc:
             self.listen_path,
             self.fast_codec,
         )
-        hello = self._process.wait_hello()
+        hello = wait_hello(
+            self._process.conn, Hello, f"DC {self.name}", process=self._process
+        )
         self.last_pid = hello.pid
         if hello.listen_addr:
             # Pin the resolved listener address: a tcp://host:0 request
@@ -592,66 +455,17 @@ class RemoteDc:
         self._prime_tables(hello.tables)
         self._down_handled = False
         fast = wire.negotiate(hello.fast_codec) if self.fast_codec else {}
-        link = self._create_shm_link()
         self._transport = _Transport(
             self._process.conn,
             on_server_request=self._serve_force,
             on_push=self._serve_push,
             on_down=self._note_down,
             fast=fast,
-            shm_link=link,
-            shm_spin=self.shm_spin or 200,
-            shm_park_s=(self.shm_park_ms or 5.0) / 1000.0,
         )
         if fast:
             # Enable the server->client leg too.  Runs after every
             # (re)start, so a respawned server re-negotiates from scratch.
             self.control(NegotiateCodec(tc_id=0, vocab=wire.fast_vocabulary()))
-        self._attach_shm(link)
-
-    def _shm_link_tag(self) -> str:
-        return self.shm_tag or self.journal_path
-
-    def _create_shm_link(self) -> Optional[shm.ShmLink]:
-        """Create the pinned ring pair before the transport starts, so the
-        receive leg is ring-aware from the first frame the server could
-        possibly ring-write.  Failure (no /dev/shm, exhausted quota) falls
-        back to the pipe silently — shm is an optimization, never a
-        requirement."""
-        if not self.shm_ring_bytes:
-            return None
-        tag = self._shm_link_tag()
-        if not tag:
-            return None
-        try:
-            return shm.ShmLink.create(tag, self.shm_ring_bytes)
-        except (shm.ShmError, OSError):
-            self.metrics.incr("remote_dc.shm_create_failures")
-            return None
-
-    def _attach_shm(self, link: Optional[shm.ShmLink]) -> None:
-        """The AttachShm handshake: only the server's ack enables our
-        transmit leg (frames are self-describing, so its replies may ride
-        the ring even before the ack reaches us)."""
-        if link is None:
-            return
-        try:
-            self.control(
-                AttachShm(
-                    tc_id=0,
-                    c2s_name=link.c2s.name,
-                    s2c_name=link.s2c.name,
-                    spin=self.shm_spin or 200,
-                    park_ms=self.shm_park_ms or 5.0,
-                )
-            )
-        except ReproError:
-            # Server could not attach: stay on the pipe (the armed receive
-            # leg is harmless — its ring just stays empty).
-            self.metrics.incr("remote_dc.shm_attach_failures")
-            return
-        self._transport.enable_shm_tx()
-        self.metrics.incr("remote_dc.shm_attached")
 
     def _prime_tables(self, tables: tuple) -> None:
         with self._lock:
@@ -895,10 +709,6 @@ class DcClient(RemoteDc):
         request_timeout_s: float = 30.0,
         connect_retry_s: float = 10.0,
         fast_codec: bool = True,
-        shm_ring_bytes: int = 0,
-        shm_tag: str = "",
-        shm_spin: int = 0,
-        shm_park_ms: float = 0.0,
     ) -> None:
         self.socket_path = socket_path
         self.connect_retry_s = connect_retry_s
@@ -909,22 +719,11 @@ class DcClient(RemoteDc):
             journal_path="",  # the server owns the volume, not this client
             request_timeout_s=request_timeout_s,
             fast_codec=fast_codec,
-            shm_ring_bytes=shm_ring_bytes,
-            # No default tag here: many clients share one DC socket, and a
-            # guessed tag colliding across clients would let one unlink
-            # the other's live segments.  Callers that want rings must
-            # pass a tag that is unique per *client* (the TC server passes
-            # its own journal path + the DC name).
-            shm_tag=shm_tag,
-            shm_spin=shm_spin,
-            shm_park_ms=shm_park_ms,
         )
 
     # -- lifecycle ----------------------------------------------------------
 
     def _start(self) -> None:
-        import time
-
         deadline = time.monotonic() + self.connect_retry_s
         while True:
             try:
@@ -936,35 +735,26 @@ class DcClient(RemoteDc):
                         f"DC {self.name}: cannot connect to {self.socket_path}"
                     )
                 time.sleep(0.05)
-        if not conn.poll(self.request_timeout_s):
-            conn.close()
-            raise ReproError(f"DC {self.name}: no hello on {self.socket_path}")
-        kind, _seq, payload = rpc.unpack_frame(conn.recv_bytes())
-        if kind != rpc.PUSH or not isinstance(payload, Hello):
-            conn.close()
-            raise ReproError(f"unexpected first frame from DC server: {payload!r}")
+        payload = wait_hello(
+            conn,
+            Hello,
+            f"DC {self.name} on {self.socket_path}",
+            self.request_timeout_s,
+        )
         self._conn = conn
         self.last_pid = payload.pid
         self._prime_tables(payload.tables)
         self._down_handled = False
         fast = wire.negotiate(payload.fast_codec) if self.fast_codec else {}
-        link = self._create_shm_link()
         self._transport = _Transport(
             conn,
             on_server_request=self._serve_force,
             on_push=self._serve_push,
             on_down=self._note_down,
             fast=fast,
-            shm_link=link,
-            shm_spin=self.shm_spin or 200,
-            shm_park_s=(self.shm_park_ms or 5.0) / 1000.0,
         )
         if fast:
             self.control(NegotiateCodec(tc_id=0, vocab=wire.fast_vocabulary()))
-        self._attach_shm(link)
-
-    def _shm_link_tag(self) -> str:
-        return self.shm_tag  # never guessed — see __init__
 
     @property
     def crashed(self) -> bool:

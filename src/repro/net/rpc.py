@@ -34,10 +34,6 @@ REPLY = 1
 SERVER_REQUEST = 2
 CLIENT_REPLY = 3
 PUSH = 4
-#: A wakeup for a parked shared-memory ring consumer (net/shm.py): the
-#: pipe write is the doorbell, the frame itself carries nothing and is
-#: discarded by kind on receipt.
-DOORBELL = 5
 
 
 def pack_frame(
@@ -140,25 +136,6 @@ class NegotiateCodec(Message):
     ordering race — each direction upgrades independently."""
 
     vocab: tuple = ()
-
-
-@dataclass(frozen=True)
-class AttachShm(Message):
-    """Attach the client's shared-memory ring pair to this connection.
-
-    Sent over the pipe after Hello/negotiation by a client that created
-    a :class:`~repro.net.shm.ShmLink`; the server attaches by name and
-    from the ack onward both sides may ride small frames on the rings
-    (each side's producer leg enables independently — frames are
-    self-describing, so mixed pipe/ring traffic is always valid).
-    ``spin``/``park_ms`` share the client's spin-then-park tuning with
-    the server loop so both ends agree on the wakeup discipline.
-    """
-
-    c2s_name: str = ""
-    s2c_name: str = ""
-    spin: int = 0
-    park_ms: float = 0.0
 
 
 @dataclass(frozen=True)

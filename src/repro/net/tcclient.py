@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import threading
+import time
 from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Callable, Optional
 
@@ -45,10 +46,9 @@ from repro.common.errors import (
     TransactionAborted,
 )
 from repro.common.ops import ReadFlavor
-from repro.net import dcserver, rpc, shm, tcserver, wire
-from repro.net.process import _Transport, default_start_method
+from repro.net import dcserver, tcserver, wire
+from repro.net.process import _Transport, default_start_method, wait_hello
 from repro.net.rpc import (
-    AttachShm,
     NegotiateCodec,
     RemoteError,
     Shutdown,
@@ -93,9 +93,6 @@ class TcProcess:
         start_method: str = "",
         request_timeout_s: float = 30.0,
         fast_codec: bool = True,
-        shm_ring_bytes: int = 0,
-        shm_spin: int = 0,
-        shm_park_ms: float = 0.0,
     ) -> None:
         method = start_method or default_start_method()
         ctx = mp.get_context(method)
@@ -113,27 +110,12 @@ class TcProcess:
                 sharing_mode,
                 request_timeout_s,
                 fast_codec,
-                shm_ring_bytes,
-                shm_spin,
-                shm_park_ms,
             ),
             name=f"repro-tc-{name}",
             daemon=True,
         )
         self.process.start()
         child_conn.close()
-
-    def wait_hello(self, timeout: float = 30.0) -> TcHello:
-        if not self.conn.poll(timeout):
-            self.kill()
-            self.close_conn()
-            raise ReproError("TC server did not say hello in time")
-        kind, _seq, payload = rpc.unpack_frame(self.conn.recv_bytes())
-        if kind != rpc.PUSH or not isinstance(payload, TcHello):
-            self.kill()
-            self.close_conn()
-            raise ReproError(f"unexpected first frame from TC server: {payload!r}")
-        return payload
 
     @property
     def alive(self) -> bool:
@@ -150,12 +132,6 @@ class TcProcess:
         if self.process.is_alive():
             self.process.kill()
         self.process.join()
-
-    def close_conn(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:
-            pass
 
     def join(self, timeout: Optional[float] = None) -> None:
         self.process.join(timeout)
@@ -392,21 +368,9 @@ class RemoteTc:
         request_timeout_s: float = 30.0,
         socket_path: str = "",
         fast_codec: bool = True,
-        shm_ring_bytes: int = 0,
-        shm_tag: str = "",
-        shm_spin: int = 0,
-        shm_park_ms: float = 0.0,
     ) -> None:
         self.name = name
         self.tc_id = tc_id
-        #: Shared-memory ring sizing for the client<->TC link (0 = pipe
-        #: only).  The same knobs travel to the server for its own
-        #: DcClient legs, so ``transport="shm"`` rides rings on *both*
-        #: hops of a transaction's round trip.
-        self.shm_ring_bytes = shm_ring_bytes
-        self.shm_tag = shm_tag
-        self.shm_spin = shm_spin
-        self.shm_park_ms = shm_park_ms
         #: Negotiate the fast-path codec with the server (False simulates
         #: a tagged-only client; the wire stays interoperable either way).
         self.fast_codec = fast_codec
@@ -452,12 +416,11 @@ class RemoteTc:
             self.start_method,
             self.request_timeout_s,
             self.fast_codec,
-            self.shm_ring_bytes,
-            self.shm_spin,
-            self.shm_park_ms,
         )
         try:
-            hello = self._process.wait_hello()
+            hello = wait_hello(
+                self._process.conn, TcHello, f"TC {self.name}", process=self._process
+            )
         except ReproError:
             # The child either never came up or died inside §5.3.2 restart
             # (e.g. a DC it must redo against is also down).  Mark crashed
@@ -467,8 +430,6 @@ class RemoteTc:
         self._adopt_hello(hello, self._process.conn)
 
     def _connect(self) -> None:
-        import time
-
         deadline = time.monotonic() + self.request_timeout_s
         while True:
             try:
@@ -480,14 +441,13 @@ class RemoteTc:
                         f"TC {self.name}: cannot connect to {self.socket_path}"
                     )
                 time.sleep(0.05)
-        if not conn.poll(self.request_timeout_s):
-            conn.close()
-            raise ReproError(f"TC {self.name}: no hello on {self.socket_path}")
-        kind, _seq, payload = rpc.unpack_frame(conn.recv_bytes())
-        if kind != rpc.PUSH or not isinstance(payload, TcHello):
-            conn.close()
-            raise ReproError(f"unexpected first frame from TC server: {payload!r}")
-        self._adopt_hello(payload, conn)
+        hello = wait_hello(
+            conn,
+            TcHello,
+            f"TC {self.name} on {self.socket_path}",
+            self.request_timeout_s,
+        )
+        self._adopt_hello(hello, conn)
 
     def _adopt_hello(self, hello: TcHello, conn) -> None:
         self.last_pid = hello.pid
@@ -495,58 +455,18 @@ class RemoteTc:
         self._conn = conn
         self._down_handled = False
         fast = wire.negotiate(hello.fast_codec) if self.fast_codec else {}
-        link = self._create_shm_link()
         self._transport = _Transport(
             conn,
             on_server_request=self._reject_server_request,
             on_push=lambda _message: None,
             on_down=self._note_down,
             fast=fast,
-            shm_link=link,
-            shm_spin=self.shm_spin or 200,
-            shm_park_s=(self.shm_park_ms or 5.0) / 1000.0,
         )
         if fast:
             # Enable the server->client leg; re-negotiated from scratch
             # after every restart/reconnect, so a respawned tagged-only
             # server (version skew) degrades the wire instead of breaking.
             self.control(NegotiateCodec(tc_id=self.tc_id, vocab=wire.fast_vocabulary()))
-        self._attach_shm(link)
-
-    def _create_shm_link(self) -> Optional[shm.ShmLink]:
-        """The client<->TC ring pair, pinned to this TC's journal path (its
-        durable identity).  Connect-mode clients must pass an explicit
-        ``shm_tag`` — many of them may share one socket, and a guessed tag
-        colliding across clients would unlink live segments."""
-        if not self.shm_ring_bytes:
-            return None
-        tag = self.shm_tag or ("" if self.socket_path else self.journal_path)
-        if not tag:
-            return None
-        try:
-            return shm.ShmLink.create(tag, self.shm_ring_bytes)
-        except (shm.ShmError, OSError):
-            self.metrics.incr("remote_tc.shm_create_failures")
-            return None
-
-    def _attach_shm(self, link: Optional[shm.ShmLink]) -> None:
-        if link is None:
-            return
-        try:
-            self.control(
-                AttachShm(
-                    tc_id=self.tc_id,
-                    c2s_name=link.c2s.name,
-                    s2c_name=link.s2c.name,
-                    spin=self.shm_spin or 200,
-                    park_ms=self.shm_park_ms or 5.0,
-                )
-            )
-        except ReproError:
-            self.metrics.incr("remote_tc.shm_attach_failures")
-            return
-        self._transport.enable_shm_tx()
-        self.metrics.incr("remote_tc.shm_attached")
 
     def _reject_server_request(self, message: Message) -> Message:
         raise ReproError(f"unexpected server request from TC: {message!r}")
@@ -634,13 +554,6 @@ class RemoteTc:
             self._process.join(5.0)
             self._process.kill()
             self._transport.close()
-            if self.shm_ring_bytes:
-                # The child's own DcClient legs pin segments under
-                # journal:dc tags; a child that had to be SIGKILLed (hung
-                # shutdown) never unlinked them, and this TC is terminal —
-                # no future incarnation will replace them.  Best-effort.
-                for dc_name in self.dcs:
-                    shm.unlink_by_tag(f"{self.journal_path}:{dc_name}")
         else:
             try:
                 self._conn.close()

@@ -55,14 +55,12 @@ from repro.cloud.partitioning import stable_key_hash
 from repro.net import rpc, wire
 from repro.net.eventloop import EventLoop, Peer
 from repro.net.rpc import (
-    AttachShm,
     NegotiateCodec,
     RemoteError,
     Shutdown,
     StatsReply,
     StatsRequest,
 )
-from repro.net.shm import ShmLink
 from repro.net.tcrpc import (
     AttachDc,
     DcRestarted,
@@ -230,11 +228,11 @@ class _TcServer:
     """Event-loop server for one TC process, serving any number of clients.
 
     One :class:`~repro.net.eventloop.EventLoop` owns the spawning parent's
-    pipe (if any), every connection a socket listener accepts, and any
-    shared-memory rings clients attach — so the TC tier scales clients
-    without growing threads (server thread count stays O(#DCs): the
-    DcClient transports keep their receiver/control threads so force-log
-    bridges and pipelined batches proceed while a dispatch is running).
+    pipe (if any) and every connection a socket listener accepts — so the
+    TC tier scales clients without growing threads (server thread count
+    stays O(#DCs): the DcClient transports keep their receiver/control
+    threads so force-log bridges and pipelined batches proceed while a
+    dispatch is running).
     Dispatch itself stays single-threaded: requests are served strictly in
     arrival order, which is what keeps the server's view of transaction
     order simple.
@@ -257,9 +255,6 @@ class _TcServer:
         sharing_mode: str = "",
         request_timeout_s: float = 30.0,
         fast_codec: bool = True,
-        shm_ring_bytes: int = 0,
-        shm_spin: int = 0,
-        shm_park_ms: float = 0.0,
     ) -> None:
         from repro.net.process import DcClient
 
@@ -270,10 +265,6 @@ class _TcServer:
         #: Per-connection negotiated encode maps ({} until that client
         #: sends NegotiateCodec — replies before that stay tagged).
         self._fast: dict[Peer, dict] = {}
-        #: Ring sizing/tuning for our own DcClient legs (0 = pipe only).
-        self._shm_ring_bytes = shm_ring_bytes
-        self._shm_spin = shm_spin
-        self._shm_park_ms = shm_park_ms
         self._scratch = bytearray()
         self._metrics = Metrics()
         self._journal = _RecordJournal(journal_path)
@@ -339,10 +330,6 @@ class _TcServer:
             # The link tag is this TC's durable identity plus the DC's
             # name, so a respawned TC re-creates (and a stale SIGKILLed
             # incarnation's segments get replaced under) the same names.
-            shm_ring_bytes=self._shm_ring_bytes,
-            shm_tag=f"{self._journal.path}:{dc_name}",
-            shm_spin=self._shm_spin,
-            shm_park_ms=self._shm_park_ms,
         )
         self._clients[dc_name] = client
         self._tc.attach_dc(client, self._channel_config)
@@ -395,12 +382,6 @@ class _TcServer:
         if isinstance(message, NegotiateCodec):
             if self._fast_ok:
                 self._fast[peer] = wire.negotiate(message.vocab)
-            return ControlAck(tc_id=message.tc_id)
-        if isinstance(message, AttachShm):
-            link = ShmLink.attach(message.c2s_name, message.s2c_name)
-            self._loop.attach_shm(
-                peer, link, message.spin, message.park_ms / 1000.0
-            )
             return ControlAck(tc_id=message.tc_id)
         if isinstance(message, TxnWrite):
             owner = self._misroute_owner(message.table, message.key)
@@ -641,8 +622,6 @@ class _TcServer:
             self._metrics.incr("tcserver.bad_frames")
             self._loop.close_peer(peer)
             return
-        if kind in (rpc.DOORBELL, rpc.CLIENT_REPLY):
-            return  # doorbells carry nothing; no SERVER_REQUESTs originate here
         self._backlog.append((peer, kind, seq, message))
         self._drain_backlog()
 
@@ -663,7 +642,7 @@ class _TcServer:
 
     def _serve_frame(self, peer: Peer, kind: int, seq: int, message) -> bool:
         if kind != rpc.REQUEST:
-            return True
+            return True  # stray frame; no SERVER_REQUESTs originate here
         try:
             reply = self._dispatch(peer, message)
         except ComponentUnavailableError as exc:
@@ -725,9 +704,6 @@ def serve(
     sharing_mode: str = "",
     request_timeout_s: float = 30.0,
     fast_codec: bool = True,
-    shm_ring_bytes: int = 0,
-    shm_spin: int = 0,
-    shm_park_ms: float = 0.0,
 ) -> None:
     """Child-process entry point (target of ``multiprocessing.Process``)."""
     _TcServer(
@@ -741,9 +717,6 @@ def serve(
         sharing_mode,
         request_timeout_s,
         fast_codec,
-        shm_ring_bytes,
-        shm_spin,
-        shm_park_ms,
     ).run()
 
 
@@ -759,9 +732,6 @@ def serve_socket(
     request_timeout_s: float = 30.0,
     max_sessions: int = 0,
     fast_codec: bool = True,
-    shm_ring_bytes: int = 0,
-    shm_spin: int = 0,
-    shm_park_ms: float = 0.0,
 ) -> None:
     """Standalone service mode (``python -m repro serve-tc``).
 
@@ -787,9 +757,6 @@ def serve_socket(
         sharing_mode,
         request_timeout_s,
         fast_codec,
-        shm_ring_bytes,
-        shm_spin,
-        shm_park_ms,
     )
     server._max_sessions = max_sessions
     server._loop.add_listener(listener, server._on_accept)

@@ -152,10 +152,9 @@ class ChaosRunner:
         #: trace next to the benchmark results (see :meth:`_fail`).
         self.tracer = tracer
         process_mode = (
-            channel_config is not None and channel_config.process_family
+            channel_config is not None and channel_config.transport == "process"
         )
         self._process_mode = process_mode
-        self._shm = process_mode and channel_config.transport == "shm"
         self._tcp = process_mode and bool(channel_config.listen_host)
         if channel_config is not None and channel_config.seed == 0:
             # One top-level seed reproduces everything — workload, fault
@@ -290,8 +289,7 @@ class ChaosRunner:
             f"seed={self.seed} kill_every={self.kill_every} "
             f"kill_tc_every={self.kill_tc_every} "
             f"tc_processes={int(self._tc_process_mode)} "
-            f"channel_config=ChannelConfig(transport="
-            f"'{'shm' if self._shm else 'process'}'"
+            f"channel_config=ChannelConfig(transport='process'"
             f"{', listen_host=<loopback>' if self._tcp else ''}) "
             f"(kills fired: {self.kills}, of which TC: {self.tc_kills})"
         )
@@ -316,8 +314,6 @@ class ChaosRunner:
                 parts.append(f"--kill-tc-every {self.kill_tc_every}")
             if self._tcp:
                 parts.append("--tcp")
-            if self._shm:
-                parts.append("--shm")
         return " ".join(parts)
 
     def _kill_one(self, rng: random.Random) -> None:

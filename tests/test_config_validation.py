@@ -33,6 +33,13 @@ class TestChannelConfig:
         for transport in TRANSPORTS:
             assert repr(transport) in str(err.value)
 
+    def test_removed_shm_lane_is_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            ChannelConfig(transport="shm")
+        assert err.value.allowed == ("inproc", "process")
+        with pytest.raises(TypeError):
+            ChannelConfig(shm_ring_bytes=1 << 20)
+
     def test_known_start_methods_accepted(self):
         for method in START_METHODS:
             config = ChannelConfig(process_start_method=method)

@@ -25,10 +25,12 @@ import pytest
 
 pytestmark = pytest.mark.process
 
-from repro.net import rpc
+from repro.net import dcserver, rpc
 from repro.net.eventloop import EventLoop
-from repro.net.process import DcClient, RemoteDc
+from repro.net.process import DcClient, RemoteDc, wait_hello
+from repro.net.rpc import Hello, StatsReply, StatsRequest
 from repro.net.tcclient import RemoteTc
+from repro.net.tcrpc import TcHello
 from repro.sim.metrics import Metrics
 
 _LEN = struct.Struct("!i")
@@ -128,22 +130,22 @@ class TestEventLoopBare:
         finally:
             h.shutdown()
 
-    def test_doorbell_frames_are_consumed_silently(self):
-        from repro.net.eventloop import doorbell_frame
-
-        h = _LoopHarness()
-        try:
-            h.client.sendall(_frame(doorbell_frame()) + _frame(b"real"))
-            h.wait(lambda: h.frames)
-            # The doorbell *is* delivered as a frame — consuming it is the
-            # server's business; nothing else was lost around it.
-            kinds = [rpc.unpack_frame(f)[0] for f in h.frames[:1]]
-            assert kinds == [rpc.DOORBELL]
-        finally:
-            h.shutdown()
-
 
 # -- real servers: flat thread count ------------------------------------------
+
+
+def _reply_after_unknown_kind(address: str, hello_type: type) -> tuple:
+    """A raw client: take the hello, send a frame of a kind no server
+    knows, then a real request; return the frame that comes back."""
+    conn = dcserver.connect_any(address)
+    try:
+        wait_hello(conn, hello_type, address, timeout=10.0)
+        conn.send_bytes(rpc.pack_frame(99, 0, None))
+        conn.send_bytes(rpc.pack_frame(rpc.REQUEST, 7, StatsRequest(tc_id=1)))
+        assert conn.poll(10.0)
+        return rpc.unpack_frame(conn.recv_bytes())
+    finally:
+        conn.close()
 
 
 class TestDcServerScaling:
@@ -168,6 +170,20 @@ class TestDcServerScaling:
         finally:
             for client in clients:
                 client.close()
+            dc.shutdown()
+
+    def test_unknown_frame_kind_is_ignored(self, tmp_path):
+        dc = RemoteDc(
+            "dcu",
+            journal_path=str(tmp_path / "dcu.journal"),
+            listen_path=str(tmp_path / "dcu.sock"),
+        )
+        try:
+            kind, seq, reply = _reply_after_unknown_kind(dc.listen_path, Hello)
+            assert (kind, seq) == (rpc.REPLY, 7)
+            assert isinstance(reply, StatsReply)
+            assert dc.stats()["counters"].get("dcserver.bad_frames", 0) == 0
+        finally:
             dc.shutdown()
 
     def test_interleaved_clients_stay_correct(self, tmp_path):
@@ -227,6 +243,15 @@ class TestTcServerScaling:
         finally:
             for client in clients:
                 client.shutdown()
+            assert proc.wait(timeout=15) == 0
+
+    def test_unknown_frame_kind_is_ignored(self, tmp_path):
+        proc, sock = self._spawn(tmp_path, None, max_sessions=1)
+        try:
+            kind, seq, reply = _reply_after_unknown_kind(sock, TcHello)
+            assert (kind, seq) == (rpc.REPLY, 7)
+            assert isinstance(reply, StatsReply)
+        finally:
             assert proc.wait(timeout=15) == 0
 
     def test_concurrent_sessions_share_one_live_tc(self, tmp_path):

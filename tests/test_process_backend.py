@@ -14,8 +14,11 @@ shows up as a wrong sum, not a silently plausible value.
 
 from __future__ import annotations
 
+import gc
+import multiprocessing as mp
 import os
 import signal
+import struct
 import threading
 import time
 
@@ -25,9 +28,11 @@ pytestmark = pytest.mark.process
 
 from repro.cloud.deployment import CloudDeployment
 from repro.common.config import ChannelConfig, KernelConfig, TcConfig
-from repro.common.errors import ReproError
+from repro.common.errors import CrashedError, ReproError
 from repro.kernel.unbundled import UnbundledKernel
-from repro.net.process import ProcessChannel, RemoteDc
+from repro.net.dcserver import bind_unix_listener
+from repro.net.process import DcClient, ProcessChannel, RemoteDc
+from repro.net.tcclient import RemoteTc
 from repro.sim.faults import FaultInjector
 from repro.sim.supervisor import Supervisor
 
@@ -208,6 +213,80 @@ class TestKillAndRecover:
             txn = kernel.begin()
             assert txn.read("t", 1) == "durable"
             txn.commit()
+
+
+def _leftovers() -> tuple:
+    """(live child processes, threads, open fds) of this test process."""
+    return (
+        set(mp.active_children()),
+        threading.active_count(),
+        len(os.listdir("/proc/self/fd")),
+    )
+
+
+def _assert_nothing_left_since(before: tuple) -> None:
+    children, threads, fds = _leftovers()
+    assert children <= before[0]
+    assert threads <= before[1]
+    assert fds <= before[2]
+
+
+class TestStartupFailures:
+    """A server that never produces a well-formed hello is a ``ReproError``
+    (never a bare ``EOFError``) and leaves no process, thread or fd behind."""
+
+    def test_dc_child_dying_before_hello_is_a_repro_error(self, tmp_path):
+        gc.collect()  # earlier tests' garbage must not close fds mid-test
+        before = _leftovers()
+        with pytest.raises(ReproError):
+            RemoteDc("dc1", journal_path=str(tmp_path / "missing" / "x.journal"))
+        _assert_nothing_left_since(before)
+
+    def test_tc_child_dying_before_hello_is_a_crashed_error(self, tmp_path):
+        """``CrashedError`` is what the supervisor's heal-retry keys on
+        when a TC dies inside its §5.3.2 restart."""
+        gc.collect()
+        before = _leftovers()
+        with pytest.raises(CrashedError):
+            RemoteTc(
+                "tc1", tc_id=1, journal_path=str(tmp_path / "missing" / "x.journal")
+            )
+        _assert_nothing_left_since(before)
+
+    @pytest.mark.parametrize(
+        "connect",
+        [
+            lambda path: DcClient("dcg", socket_path=path, request_timeout_s=5.0),
+            lambda path: RemoteTc(
+                "tcg", tc_id=1, socket_path=path, request_timeout_s=5.0
+            ),
+        ],
+        ids=["DcClient", "RemoteTc"],
+    )
+    def test_garbage_first_frame_closes_the_client_fd(self, tmp_path, connect):
+        path = str(tmp_path / "garbage.sock")
+        listener = bind_unix_listener(path)
+        saw_eof = threading.Event()
+
+        def serve_garbage() -> None:
+            peer, _addr = listener.accept()
+            with peer:
+                junk = b"\xff not a frame"
+                peer.sendall(struct.pack("!i", len(junk)) + junk)
+                peer.settimeout(5.0)
+                if peer.recv(1) == b"":
+                    saw_eof.set()  # the client closed its end
+
+        server = threading.Thread(target=serve_garbage, daemon=True)
+        server.start()
+        try:
+            with pytest.raises(ReproError):
+                connect(path)
+            assert saw_eof.wait(5.0)
+        finally:
+            server.join(timeout=5.0)
+            listener.close()
+        assert not server.is_alive()
 
 
 class TestChannelAndDeployment:
