@@ -76,57 +76,63 @@ class UnbundledKernel:
             )
             self._owns_data_dir = self.config.data_dir is None
             os.makedirs(self._data_dir, exist_ok=True)
-        for index in range(dc_count):
-            name = f"dc{index + 1}" if dc_count > 1 else "dc"
-            if process_mode:
-                # With a TC process in play the DC must also listen on a
-                # socket — the TC server connects there, not via our pipe.
-                # listen_host selects the TCP data plane (ephemeral port,
-                # pinned from the Hello) over Unix-domain sockets.
-                listen = ""
-                if tc_process_mode:
-                    if self.config.channel.listen_host:
-                        listen = f"tcp://{self.config.channel.listen_host}:0"
-                    else:
-                        listen = os.path.join(self._data_dir, f"{name}.sock")
-                dc = RemoteDc(
-                    name,
-                    config=self.config.dc,
+        try:
+            for index in range(dc_count):
+                name = f"dc{index + 1}" if dc_count > 1 else "dc"
+                if process_mode:
+                    # With a TC process in play the DC must also listen on a
+                    # socket — the TC server connects there, not via our pipe.
+                    # listen_host selects the TCP data plane (ephemeral port,
+                    # pinned from the Hello) over Unix-domain sockets.
+                    listen = ""
+                    if tc_process_mode:
+                        if self.config.channel.listen_host:
+                            listen = f"tcp://{self.config.channel.listen_host}:0"
+                        else:
+                            listen = os.path.join(self._data_dir, f"{name}.sock")
+                    dc = RemoteDc(
+                        name,
+                        config=self.config.dc,
+                        metrics=self.metrics,
+                        journal_path=os.path.join(self._data_dir, f"{name}.journal"),
+                        start_method=self.config.channel.process_start_method,
+                        request_timeout_s=self.config.channel.request_timeout_s,
+                        listen_path=listen,
+                        fast_codec=self.config.channel.fast_codec,
+                    )
+                else:
+                    dc = DataComponent(
+                        name,
+                        config=self.config.dc,
+                        metrics=self.metrics,
+                        faults=faults,
+                        tracer=self.tracer,
+                    )
+                self.dcs[name] = dc
+                if self.tc is not None:
+                    self.tc.attach_dc(dc, self.config.channel)
+            if tc_process_mode:
+                from repro.net.tcclient import RemoteTc
+
+                self.tc = RemoteTc(
+                    "tc1",
+                    tc_id=1,
+                    journal_path=os.path.join(self._data_dir, "tc1.journal"),
+                    dcs={dc.name: dc.listen_path for dc in self.dcs.values()},
+                    config=self.config.tc,
                     metrics=self.metrics,
-                    journal_path=os.path.join(self._data_dir, f"{name}.journal"),
+                    sharing_mode=self.config.tc.sharing_mode,
                     start_method=self.config.channel.process_start_method,
                     request_timeout_s=self.config.channel.request_timeout_s,
-                    listen_path=listen,
                     fast_codec=self.config.channel.fast_codec,
                 )
-            else:
-                dc = DataComponent(
-                    name,
-                    config=self.config.dc,
-                    metrics=self.metrics,
-                    faults=faults,
-                    tracer=self.tracer,
-                )
-            self.dcs[name] = dc
-            if self.tc is not None:
-                self.tc.attach_dc(dc, self.config.channel)
-        if tc_process_mode:
-            from repro.net.tcclient import RemoteTc
-
-            self.tc = RemoteTc(
-                "tc1",
-                tc_id=1,
-                journal_path=os.path.join(self._data_dir, "tc1.journal"),
-                dcs={dc.name: dc.listen_path for dc in self.dcs.values()},
-                config=self.config.tc,
-                metrics=self.metrics,
-                sharing_mode=self.config.tc.sharing_mode,
-                start_method=self.config.channel.process_start_method,
-                request_timeout_s=self.config.channel.request_timeout_s,
-                fast_codec=self.config.channel.fast_codec,
-            )
-            for dc in self.dcs.values():
-                dc.restart_listeners.append(self._notify_tc_of_dc_restart)
+                for dc in self.dcs.values():
+                    dc.restart_listeners.append(self._notify_tc_of_dc_restart)
+        except BaseException:
+            # Servers spawned so far (and their pipes and transport
+            # threads) must not outlive a construction that failed.
+            self.close()
+            raise
 
     def _notify_tc_of_dc_restart(self, dc) -> None:
         """§5.2.1 prompt forwarding for the fully unbundled topology: the

@@ -38,8 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 class MessageChannel:
     """One ordered-by-default channel between a TC and a DC."""
 
-    #: Channels that can pipeline (send now, complete the reply future out
-    #: of order) advertise True and implement ``request_async`` /
+    #: Channels that can pipeline (send now, collect the reply out of
+    #: order) advertise True and implement ``request_async`` /
     #: ``finish_async`` — see :class:`repro.net.process.ProcessChannel`.
     supports_async = False
 

@@ -117,7 +117,11 @@ def bind_listener(address: str) -> tuple[socket.socket, str]:
 def connect_unix(path: str) -> Connection:
     """Connect to a server socket, framed like a ``multiprocessing`` pipe."""
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.connect(path)
+    try:
+        sock.connect(path)
+    except OSError:
+        sock.close()  # callers retry; do not leave the fd to the collector
+        raise
     return Connection(sock.detach())
 
 
@@ -131,8 +135,12 @@ def connect_any(address: str) -> Connection:
     if address.startswith("tcp://"):
         host, _, port = address[len("tcp://"):].rpartition(":")
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.connect((host or "127.0.0.1", int(port)))
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            sock.connect((host or "127.0.0.1", int(port)))
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            sock.close()
+            raise
         return Connection(sock.detach())
     return connect_unix(address)
 

@@ -7,18 +7,18 @@ Three layers, bottom up:
   ``SIGKILL`` it, join it.  The journal path outlives the process, which
   is what makes kill-and-restart a *recovery* event rather than data loss.
 - :class:`RemoteDc` — a proxy implementing the surface the TC, kernel and
-  supervisor already use on an in-process ``DataComponent`` (``handle``
-  via futures, ``register_tc``, catalog lookups, ``crashed`` /
+  supervisor already use on an in-process ``DataComponent`` (``handle``,
+  ``register_tc``, catalog lookups, ``crashed`` /
   ``crash()`` / ``recover()`` / ``prompt_redo()``), so the rest of the
   system is oblivious to where the DC lives.  One proxy multiplexes any
   number of TCs over a single connection.
 - :class:`ProcessChannel` — the :class:`~repro.net.channel.MessageChannel`
   request/post/pump surface over that proxy, plus the **pipelined async**
   path (:meth:`request_async` / :meth:`finish_async`): requests carry
-  transport sequence numbers, a receiver thread completes futures as
-  replies arrive — out of order is fine, because §4.2.1's unique request
-  ids and DC-side idempotence were designed for exactly that delivery
-  model.
+  transport sequence numbers and replies fill their slots as whichever
+  caller is waiting reads them — out of order is fine, because §4.2.1's
+  unique request ids and DC-side idempotence were designed for exactly
+  that delivery model.
 
 The simulated-misbehavior knobs (loss/duplication/reordering, fault
 injection) are **local-only**: this transport is a real pipe that
@@ -31,12 +31,10 @@ from __future__ import annotations
 import itertools
 import multiprocessing as mp
 import os
-import struct
+import select
 import threading
 import time
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeout
-from queue import SimpleQueue
+from queue import Empty, SimpleQueue
 from typing import Callable, Optional
 
 from repro.common.api import Message
@@ -45,6 +43,7 @@ from repro.common.errors import ReproError
 from repro.dc.recovery import TableDescriptor
 from repro.net import dcserver, rpc, wire
 from repro.net.channel import MessageChannel
+from repro.net.eventloop import _FRAME_LEN, _MAX_FRAME, _READ_CHUNK
 from repro.net.rpc import (
     CheckpointDcLog,
     CreateTable,
@@ -74,7 +73,7 @@ def wait_hello(
     dead child as *readable*), a socket error, an undecodable or
     wrong-typed frame — closes ``conn``, kills the child if there is
     one, and raises :class:`ReproError`.  Closing here is safe because no
-    transport receiver thread reads ``conn`` yet.
+    transport reads ``conn`` yet.
     """
     try:
         if not conn.poll(timeout):
@@ -93,6 +92,20 @@ def wait_hello(
     except OSError:
         pass
     raise ReproError(f"{who}: {problem}")
+
+
+def connect_with_retry(address: str, who: str, timeout: float):
+    """Connect to a server's listener, retrying while it is still coming
+    up (a freshly spawned or just-healed server binds a moment after its
+    process exists); :class:`ReproError` once ``timeout`` has passed."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            return dcserver.connect_any(address)
+        except OSError:
+            if time.monotonic() >= deadline:
+                raise ReproError(f"{who}: cannot connect to {address}")
+            time.sleep(0.05)
 
 
 def default_start_method() -> str:
@@ -138,13 +151,12 @@ class DcProcess:
     def kill(self) -> None:
         """SIGKILL — the real process death the chaos tests rely on.
 
-        Deliberately does *not* close ``self.conn``: once a transport's
-        receiver thread reads this connection, closing the fd out from
-        under it frees the fd number for immediate reuse by the *next*
-        kernel's pipe, and the stale thread then steals frames from that
-        connection (lost replies, corrupted framing).  The process death
-        delivers EOF to the receiver, which drains and exits; the
-        transport closes the fd only after joining it
+        Deliberately does *not* close ``self.conn``: closing the fd under
+        a thread that is reading it frees the fd number for immediate
+        reuse by the *next* kernel's pipe, and the stale reader then
+        steals frames from that connection (lost replies, corrupted
+        framing).  The process death delivers EOF to whoever reads; the
+        transport closes the fd only once nobody does
         (:meth:`_Transport.close`)."""
         if self.process.is_alive():
             self.process.kill()
@@ -154,35 +166,91 @@ class DcProcess:
         self.process.join(timeout)
 
 
-#: ``multiprocessing.Connection`` frames small payloads as a network-order
-#: 4-byte length followed by the bytes (``_send_bytes``); concatenating
-#: several such header+payload blocks into one buffer is therefore parse-
-#: compatible with the peer's ``recv_bytes`` loop — which is what lets a
-#: coalesced flush land many frames in a single write.
-_FRAME_LEN = struct.Struct("!i")
+#: Framing is the event loop's (``_FRAME_LEN``: the network-order 4-byte
+#: length prefix ``multiprocessing.Connection`` also writes) in both
+#: directions — a run of header+payload blocks is one write, and one read
+#: may return any number of whole or partial frames.
 
 #: Deferred bytes auto-flush threshold; keeps a pathological pipeline from
 #: buffering unboundedly while still batching every realistic burst.
 _COALESCE_BYTES = 64 * 1024
 
+#: How long a connection must see neither a caller nor a server-initiated
+#: frame before its background thread starts watching the fd itself, and
+#: the longest that thread stays parked on the fd once a caller wants it.
+_IDLE_WATCH_S = 0.05
+
+
+class ReplyTimeout(Exception):
+    """No reply within the caller's timeout (the only thing a
+    :class:`_Slot` raises; the proxies' ``collect`` turns it into the
+    ``None`` = lost reply their callers' resend contracts absorb)."""
+
+
+def _time_left(deadline: Optional[float]) -> Optional[float]:
+    """Seconds until ``deadline`` (``None`` = unbounded);
+    :class:`ReplyTimeout` once it has passed."""
+    if deadline is None:
+        return None
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise ReplyTimeout()
+    return left
+
+
+class _Slot:
+    """Where one request's reply lands; filled by whichever thread is
+    reading the connection, ``None`` if the connection died first."""
+
+    __slots__ = ("_transport", "seq", "_filled", "_reply")
+
+    def __init__(self, transport: "_Transport", seq: int) -> None:
+        self._transport = transport
+        self.seq = seq
+        self._filled = False
+        self._reply: object = None
+
+    def done(self) -> bool:
+        return self._filled
+
+    def result(self, timeout: Optional[float] = None) -> object:
+        """The reply (``None`` = connection died); reads the connection
+        on this thread if nobody else is.  Raises :class:`ReplyTimeout`."""
+        if not self._filled:
+            self._transport._await(self, timeout)
+        return self._reply
+
 
 class _Transport:
     """Framed, multiplexed, bidirectional traffic over one connection.
 
-    A receiver thread completes request futures by sequence number (out
-    of order), forwards server-initiated traffic (force-log requests,
-    RSSP-hint pushes) to a control thread — so a long TC log force never
-    stalls reply delivery — and on EOF fails every outstanding future
-    with ``None`` (the "lost reply" the resend contracts absorb).
+    **Caller-driven receive.**  There is no receiver thread: the thread
+    that waits for a reply reads the fd and decodes frames itself.  One
+    thread reads at a time (``_reading``); a caller that finds the fd
+    taken waits on the condition variable and is woken when its slot
+    fills or the reader leaves.  Replies land in :class:`_Slot`s by
+    sequence number, so out-of-order completion and any number of
+    requests in flight work as before; on EOF every outstanding slot
+    resolves to ``None`` (the "lost reply" the resend contracts absorb)
+    and ``on_down`` fires once, with no transport lock held.
+
+    **One background thread** serves server-initiated traffic
+    (force-log requests, RSSP-hint pushes) that a reader hands it — the
+    §4.2.2 force bridge never runs on, or waits behind, a caller — and
+    watches the fd while the connection is *idle* (no caller for
+    ``_IDLE_WATCH_S``), so a ``ForceLogRequest`` or an EOF on a
+    connection nobody is calling on is still noticed.  A caller that
+    arrives while it watches gets that one reply handed over, after
+    which the thread stands back until the connection idles again.
 
     **Coalescing** (docs/architecture.md §17): a ``submit(..., defer=True)``
     only buffers the frame; :meth:`flush` (or the next non-deferred send,
     which must not overtake buffered frames) writes the whole run as one
-    vectored write — one syscall for a pipelined burst instead of one per
-    frame.  Latency-sensitive ops never park: every synchronous send
-    flushes first, and callers flush explicitly at sync/commit/collect
-    points.  ``fast`` is the negotiated fast-codec encode map (empty =
-    tagged); ``_scratch`` is the per-connection reusable encode buffer.
+    write — one syscall for a pipelined burst instead of one per frame.
+    Latency-sensitive ops never park: every synchronous send flushes
+    first, and waiting on a slot flushes whatever is still buffered.
+    ``fast`` is the negotiated fast-codec encode map (empty = tagged);
+    ``_scratch`` is the per-connection reusable encode buffer.
     """
 
     def __init__(
@@ -195,12 +263,20 @@ class _Transport:
         fast: Optional[dict] = None,
     ) -> None:
         self._conn = conn
+        self._fd = conn.fileno()
         self._on_server_request = on_server_request
         self._on_push = on_push
         self._on_down = on_down
         self.fast: dict = fast or {}
-        self._futures: dict[int, Future] = {}
-        self._flock = threading.Lock()
+        self._slots: dict[int, _Slot] = {}
+        #: Guards ``_slots``/``_down``/``_reading``; followers wait on it.
+        self._cond = threading.Condition(threading.Lock())
+        self._reading = False
+        #: Bumped by every waiting caller; the idle watch compares it.
+        self._activity = 0
+        self._poll = select.poll()
+        self._poll.register(self._fd, select.POLLIN)
+        self._in = bytearray()
         self._wlock = threading.Lock()
         self._scratch = bytearray()
         self._pending: list[bytes] = []
@@ -208,162 +284,242 @@ class _Transport:
         self._seq = itertools.count(1)
         self._down = False
         self._closed = False
+        #: Server-initiated frames for the background thread; ``None``
+        #: (from :meth:`_fail` or :meth:`close`) tells it to exit.
         self._ctrl: SimpleQueue = SimpleQueue()
-        self._recv_thread = threading.Thread(
-            target=self._recv_loop, name="dc-transport-recv", daemon=True
+        self._thread = threading.Thread(
+            target=self._background, name="dc-transport", daemon=True
         )
-        self._ctrl_thread = threading.Thread(
-            target=self._ctrl_loop, name="dc-transport-ctrl", daemon=True
-        )
-        self._recv_thread.start()
-        self._ctrl_thread.start()
+        self._thread.start()
 
-    def submit(self, message: Message, defer: bool = False) -> Future:
-        """Send one request; the returned future resolves to the reply
+    # -- sending --------------------------------------------------------------
+
+    def submit(self, message: Message, defer: bool = False) -> _Slot:
+        """Send one request; the returned slot resolves to the reply
         message, or ``None`` if the connection died first.
 
         With ``defer=True`` the frame is only buffered; it reaches the
-        wire at the next :meth:`flush` or non-deferred send.  The future
-        still resolves normally once the reply comes back.
+        wire at the next :meth:`flush`, non-deferred send, or wait on a
+        slot.  The slot still resolves normally once the reply is read.
         """
-        future: Future = Future()
-        seq = next(self._seq)
-        with self._flock:
+        slot = _Slot(self, next(self._seq))
+        with self._cond:
             if self._down:
-                future.set_result(None)
-                return future
-            self._futures[seq] = future
+                slot._filled = True
+                return slot
+            self._slots[slot.seq] = slot
         try:
-            self._send(rpc.REQUEST, seq, message, defer=defer)
+            self._send(rpc.REQUEST, slot.seq, message, defer=defer)
         except (OSError, ValueError):
-            with self._flock:
-                self._futures.pop(seq, None)
-            if not future.done():
-                future.set_result(None)
-        return future
+            # The write side died first; EOF on the read side strands
+            # the rest — this slot just resolves to "lost" right away.
+            with self._cond:
+                self._slots.pop(slot.seq, None)
+            slot._filled = True
+        return slot
 
-    def _send(self, kind: int, seq: int, payload: object, defer: bool = False) -> None:
+    def _send(
+        self, kind: int, seq: int, payload: object, defer: bool = False
+    ) -> None:
         with self._wlock:
             data = rpc.pack_frame(kind, seq, payload, self.fast, self._scratch)
-            if defer:
-                self._pending.append(data)
-                self._pending_bytes += len(data)
-                if self._pending_bytes >= _COALESCE_BYTES:
-                    self._flush_locked()
-                return
-            if self._pending:
-                # A non-deferred frame must not overtake buffered ones:
-                # join it to the run and flush everything in order.
-                self._pending.append(data)
+            # A non-deferred frame must not overtake buffered ones: it
+            # joins the run and the whole run is written in order.
+            self._pending.append(data)
+            self._pending_bytes += len(data)
+            if not defer or self._pending_bytes >= _COALESCE_BYTES:
                 self._flush_locked()
-                return
-            self._conn.send_bytes(data)
 
     def _flush_locked(self) -> None:
         frames, self._pending = self._pending, []
         self._pending_bytes = 0
         if not frames:
             return
-        if len(frames) == 1:
-            self._conn.send_bytes(frames[0])
-            return
-        blob = b"".join(
-            _FRAME_LEN.pack(len(frame)) + frame for frame in frames
+        # One write for the whole run.  Blocking fds can still write
+        # partially (sockets, large runs), so loop the memoryview; a
+        # failure mid-run means the connection died — EOF on the read
+        # side strands the affected slots exactly like any lost reply.
+        view = memoryview(
+            b"".join(_FRAME_LEN.pack(len(frame)) + frame for frame in frames)
         )
-        # One vectored write for the whole run.  Blocking fds can still
-        # write partially (sockets, large runs), so loop the memoryview;
-        # a failure mid-run means the connection died — the receiver's
-        # EOF strands the affected futures exactly like any lost reply.
-        view = memoryview(blob)
-        fd = self._conn.fileno()
         while view:
-            view = view[os.write(fd, view):]
+            view = view[os.write(self._fd, view):]
 
     def flush(self) -> None:
         """Write out deferred frames now; quiet on a dead connection
-        (the stranded-future path already covers the loss)."""
+        (the stranded-slot path already covers the loss)."""
         try:
             with self._wlock:
                 self._flush_locked()
         except (OSError, ValueError):
             pass
 
-    def _handle_frame(self, data: bytes) -> None:
+    # -- receiving ------------------------------------------------------------
+
+    def _await(self, slot: _Slot, timeout: Optional[float]) -> None:
+        """Block until ``slot`` fills: read the fd if nobody else is,
+        else follow the thread that does.  :class:`ReplyTimeout` forgets
+        the slot, so its late reply is dropped on arrival."""
+        if self._pending:
+            self.flush()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        try:
+            with self._cond:
+                self._activity += 1
+                while self._reading and not slot._filled:
+                    self._cond.wait(_time_left(deadline))
+                if slot._filled:
+                    return
+                self._reading = True
+            try:
+                while not slot._filled:
+                    self._read_burst(_time_left(deadline))
+            finally:
+                self._stop_reading()
+        except ReplyTimeout:
+            with self._cond:
+                self._slots.pop(slot.seq, None)
+            raise
+
+    def _stop_reading(self) -> None:
+        with self._cond:
+            self._reading = False
+            self._cond.notify_all()  # a follower takes over the fd
+
+    def _read_burst(self, timeout: Optional[float]) -> bool:
+        """As the reader: wait up to ``timeout`` for bytes, take what one
+        ``read`` returns and deliver every complete frame in it.  False
+        when the wait timed out; EOF and garbage take the connection down
+        (and count as progress, so callers re-check their slot)."""
+        if not self._poll.poll(None if timeout is None else timeout * 1000.0):
+            return False
+        try:
+            chunk = os.read(self._fd, _READ_CHUNK)
+        except OSError:
+            chunk = b""
+        if not chunk:
+            self._fail()
+            return True
+        held = self._in
+        if held:
+            held += chunk
+            data = held
+        else:
+            data = chunk  # the common case: whole frames, nothing held over
+        pos, end = 0, len(data)
+        try:
+            while end - pos >= 4:
+                (length,) = _FRAME_LEN.unpack_from(data, pos)
+                if not 0 <= length <= _MAX_FRAME:
+                    raise wire.WireDecodeError(f"frame length {length}")
+                if pos + 4 + length > end:
+                    break
+                self._deliver(bytes(data[pos + 4 : pos + 4 + length]))
+                pos += 4 + length
+        except wire.WireError:
+            self._fail()
+            return True
+        if data is held:
+            del held[:pos]
+        elif pos < end:
+            held += chunk[pos:]
+        return True
+
+    def _deliver(self, data: bytes) -> None:
         kind, seq, payload = rpc.unpack_frame(data)
         if kind == rpc.REPLY:
-            with self._flock:
-                future = self._futures.pop(seq, None)
-            if future is not None and not future.done():
-                future.set_result(payload)
+            with self._cond:
+                slot = self._slots.pop(seq, None)
+                if slot is not None:  # None: its caller timed out and left
+                    slot._reply = payload
+                    slot._filled = True
+                    self._cond.notify_all()
         elif kind in (rpc.SERVER_REQUEST, rpc.PUSH):
             self._ctrl.put((kind, seq, payload))
 
-    def _recv_loop(self) -> None:
-        while True:
-            try:
-                data = self._conn.recv_bytes()
-            except (EOFError, OSError):
-                break
-            except (TypeError, ValueError):
-                # A connection closed concurrently with an in-flight
-                # ``recv_bytes`` surfaces as ``TypeError`` (the handle is
-                # ``None`` mid-read) rather than ``OSError``.  Treat it
-                # like EOF so the cleanup below still strands futures and
-                # fires ``on_down`` instead of killing this thread.
-                break
-            try:
-                self._handle_frame(data)
-            except wire.WireError:
-                break
-        with self._flock:
+    def _fail(self) -> None:
+        """The connection is gone: strand every outstanding slot with
+        ``None``, stop the background thread, tell the owner — once."""
+        with self._cond:
+            if self._down:
+                return
             self._down = True
-            stranded = list(self._futures.values())
-            self._futures.clear()
-        for future in stranded:
-            if not future.done():
-                future.set_result(None)
+            for slot in self._slots.values():
+                slot._filled = True
+            self._slots.clear()
+            self._cond.notify_all()
         self._ctrl.put(None)
         self._on_down()
 
-    def _ctrl_loop(self) -> None:
+    # -- the background thread -------------------------------------------------
+
+    def _background(self) -> None:
+        seen = -1
         while True:
-            item = self._ctrl.get()
+            try:
+                item = self._ctrl.get(timeout=_IDLE_WATCH_S)
+            except Empty:
+                if seen == self._activity:
+                    self._watch_idle()
+                seen = self._activity
+                continue
             if item is None:
                 return
-            kind, seq, payload = item
-            if kind == rpc.SERVER_REQUEST:
-                try:
-                    reply = self._on_server_request(payload)
-                except ReproError as exc:
-                    reply = RemoteError(tc_id=0, kind=type(exc).__name__, text=str(exc))
-                try:
-                    self._send(rpc.CLIENT_REPLY, seq, reply)
-                except (OSError, ValueError):
-                    pass
-            else:
-                self._on_push(payload)
+            self._serve(*item)
 
-    @property
-    def down(self) -> bool:
-        return self._down
+    def _watch_idle(self) -> None:
+        """Nobody has called for a whole interval: read the fd here, so
+        server-initiated frames and EOF are seen on an idle connection.
+        Leaves as soon as something arrived or a caller showed up."""
+        with self._cond:
+            if self._reading or self._down or self._closed:
+                return
+            self._reading = True
+            seen = self._activity
+        try:
+            while (
+                not self._read_burst(_IDLE_WATCH_S)
+                and seen == self._activity
+                and not self._closed
+            ):
+                pass
+        finally:
+            self._stop_reading()
+
+    def _serve(self, kind: int, seq: int, payload: object) -> None:
+        if kind == rpc.SERVER_REQUEST:
+            try:
+                reply = self._on_server_request(payload)
+            except ReproError as exc:
+                reply = RemoteError(tc_id=0, kind=type(exc).__name__, text=str(exc))
+            try:
+                self._send(rpc.CLIENT_REPLY, seq, reply)
+            except (OSError, ValueError):
+                pass
+        else:
+            self._on_push(payload)
 
     def close(self) -> None:
-        """Join the receiver, then close the fd (idempotent —
-        proxy close paths and the down path may both land here, and a
-        loop-managed fd must never be double-closed).
+        """Stop the background thread, then close the fd (idempotent —
+        proxy close paths and the down path may both land here).
 
-        Every caller kills (or joins) the server process first, so the
-        receiver is guaranteed an EOF and drains on its own.  Joining
-        *before* closing matters: closing the fd while the receiver is
-        still parked on it frees the fd number for immediate reuse by
-        the next kernel's pipe, and the stale thread would then steal
-        frames (e.g. a ``RegisterTc`` reply) from that new connection.
+        The fd is closed only once no thread can be parked on it:
+        closing it under a reader would free the fd number for immediate
+        reuse by the next kernel's pipe, and the stale reader would then
+        steal frames (e.g. a ``RegisterTc`` reply) from that connection.
+        The background thread is woken by a sentinel, not waited out; a
+        caller still reading (every close path kills or says goodbye to
+        the server first, so it is about to see EOF) is given that chance.
         """
         if self._closed:
             return
         self._closed = True
-        if threading.current_thread() is not self._recv_thread:
-            self._recv_thread.join(timeout=10.0)
+        self._ctrl.put(None)
+        if threading.current_thread() is not self._thread:
+            self._thread.join(timeout=10.0)
+            with self._cond:
+                self._cond.wait_for(lambda: not self._reading, timeout=10.0)
+        self._fail()  # no EOF seen (server still up): strand what is left
         try:
             self._conn.close()
         except OSError:
@@ -490,7 +646,7 @@ class RemoteDc:
     @property
     def crashed(self) -> bool:
         if not self._crashed and not self._closing and not self._process.alive:
-            # Poll fallback: the receiver thread may not have seen EOF yet.
+            # Poll fallback: nobody may have read the EOF yet.
             self._note_down()
         return self._crashed
 
@@ -552,24 +708,28 @@ class RemoteDc:
 
     # -- messaging ----------------------------------------------------------
 
-    def submit(self, message: Message, defer: bool = False) -> Future:
+    def submit(self, message: Message, defer: bool = False) -> _Slot:
         return self._transport.submit(message, defer=defer)
 
     def flush(self) -> None:
         """Push any coalesced (deferred) frames onto the wire now."""
         self._transport.flush()
 
-    def call(self, message: Message, timeout: Optional[float] = None) -> object:
-        """Send and wait; ``None`` on timeout or a dead connection (the
-        caller's resend machinery takes over, as for any lost reply)."""
-        future = self._transport.submit(message)
+    def collect(self, slot: _Slot, timeout: Optional[float] = None) -> object:
+        """Await one submitted request; ``None`` on timeout or a dead
+        connection (the caller's resend machinery takes over, as for any
+        lost reply)."""
         try:
-            return future.result(
+            return slot.result(
                 timeout if timeout is not None else self.request_timeout_s
             )
-        except FutureTimeout:
+        except ReplyTimeout:
             self.metrics.incr("remote_dc.request_timeouts")
             return None
+
+    def call(self, message: Message, timeout: Optional[float] = None) -> object:
+        """Send and wait (:meth:`submit` + :meth:`collect`)."""
+        return self.collect(self._transport.submit(message), timeout)
 
     def control(self, message: Message, timeout: Optional[float] = None) -> Message:
         """A call that must succeed: raises on loss, death or RemoteError."""
@@ -724,17 +884,9 @@ class DcClient(RemoteDc):
     # -- lifecycle ----------------------------------------------------------
 
     def _start(self) -> None:
-        deadline = time.monotonic() + self.connect_retry_s
-        while True:
-            try:
-                conn = dcserver.connect_any(self.socket_path)
-                break
-            except OSError:
-                if time.monotonic() >= deadline:
-                    raise ReproError(
-                        f"DC {self.name}: cannot connect to {self.socket_path}"
-                    )
-                time.sleep(0.05)
+        conn = connect_with_retry(
+            self.socket_path, f"DC {self.name}", self.connect_retry_s
+        )
         payload = wait_hello(
             conn,
             Hello,
@@ -787,12 +939,9 @@ class DcClient(RemoteDc):
     def close(self) -> None:
         """Terminal: drop the connection (the server keeps serving others).
 
-        Saying goodbye matters: a bare ``fd.close()`` does not wake our
-        receiver (the blocked read keeps the socket referenced, so no FIN
-        is even sent) and the join would burn its full timeout.  The
-        Shutdown round-trip makes the *server* close the connection, which
-        lands a real EOF in the receiver; the transport then joins it in
-        microseconds.
+        Saying goodbye makes the *server* close the connection, so the
+        server's end-of-session bookkeeping runs now and whoever is
+        reading our end sees a real EOF before the transport closes the fd.
         """
         self._closing = True
         try:
@@ -812,11 +961,11 @@ class DcClient(RemoteDc):
 class ProcessChannel(MessageChannel):
     """The MessageChannel surface over a :class:`RemoteDc`, plus pipelining.
 
-    ``request`` is synchronous (send, await the future).  ``post``/``pump``
+    ``request`` is synchronous (send, await the reply).  ``post``/``pump``
     and :meth:`request_async`/:meth:`finish_async` expose the pipelined
-    path: many requests in flight at once, futures completed out of order
-    by the transport's receiver thread.  The §4.2.1 contracts make that
-    safe — every request carries its unique id, replies correlate by id,
+    path: many requests in flight at once, reply slots filled out of
+    order by whichever caller is reading the connection.  The §4.2.1
+    contracts make that safe — every request carries its unique id, replies correlate by id,
     and resends are absorbed by DC-side idempotence.
     """
 
@@ -845,7 +994,7 @@ class ProcessChannel(MessageChannel):
             )
         super().__init__(dc, config, metrics, name=name, tracer=tracer)
         self._timeout_s = config.request_timeout_s
-        self._in_flight: list[Future] = []
+        self._in_flight: list[_Slot] = []
 
     # -- synchronous --------------------------------------------------------
 
@@ -865,8 +1014,8 @@ class ProcessChannel(MessageChannel):
 
     # -- pipelined ----------------------------------------------------------
 
-    def request_async(self, message: Message, defer: bool = False) -> Future:
-        """Send now, return the reply future (completed out of order).
+    def request_async(self, message: Message, defer: bool = False) -> _Slot:
+        """Send now, return the reply slot (filled out of order).
 
         ``defer=True`` coalesces: the frame is buffered transport-side and
         written (with the rest of the run, as one vectored write) at the
@@ -876,15 +1025,10 @@ class ProcessChannel(MessageChannel):
         self._charge_latency()
         return self.dc.submit(message, defer=defer)
 
-    def finish_async(self, future: Future) -> Optional[Message]:
+    def finish_async(self, slot: _Slot) -> Optional[Message]:
         """Await one pipelined reply; ``None`` = lost (resend applies)."""
         self.dc.flush()
-        try:
-            reply = future.result(self._timeout_s)
-        except FutureTimeout:
-            self.metrics.incr("remote_dc.request_timeouts")
-            return None
-        return self._accept(reply)
+        return self._accept(self.dc.collect(slot, self._timeout_s))
 
     def flush(self) -> None:
         """Push deferred frames to the wire without awaiting replies."""
@@ -899,10 +1043,10 @@ class ProcessChannel(MessageChannel):
 
     def pump(self) -> list[Message]:
         self.dc.flush()
-        futures, self._in_flight = self._in_flight, []
+        slots, self._in_flight = self._in_flight, []
         replies: list[Message] = []
-        for future in futures:
-            reply = self.finish_async(future)
+        for slot in slots:
+            reply = self.finish_async(slot)
             if reply is not None:
                 replies.append(reply)
         return replies

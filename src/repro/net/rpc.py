@@ -11,7 +11,7 @@ Frames on the pipe are ``wire.encode((kind, seq, payload))``:
 
 - ``REQUEST``/``REPLY`` — client RPC, correlated by ``seq``.  Requests
   are pipelined: the client may have many in flight and the server's
-  replies complete client-side futures out of order, which is exactly
+  replies fill client-side reply slots out of order, which is exactly
   the delivery model the §4.2.1 unique-id/idempotence contracts assume.
 - ``SERVER_REQUEST``/``CLIENT_REPLY`` — the reverse direction, used for
   the causality gate: a DC system transaction that must not outrun the

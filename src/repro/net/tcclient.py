@@ -31,10 +31,9 @@ router's retry contract.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
 import threading
-import time
-from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Callable, Optional
 
 from repro.common.api import Message
@@ -46,8 +45,15 @@ from repro.common.errors import (
     TransactionAborted,
 )
 from repro.common.ops import ReadFlavor
-from repro.net import dcserver, tcserver, wire
-from repro.net.process import _Transport, default_start_method, wait_hello
+from repro.net import tcserver, wire
+from repro.net.process import (
+    ReplyTimeout,
+    _Slot,
+    _Transport,
+    connect_with_retry,
+    default_start_method,
+    wait_hello,
+)
 from repro.net.rpc import (
     NegotiateCodec,
     RemoteError,
@@ -66,8 +72,6 @@ from repro.net.tcrpc import (
     TcHello,
     TcRetryPending,
     TxnAbort,
-    TxnBegin,
-    TxnBeginReply,
     TxnCommit,
     TxnRead,
     TxnScan,
@@ -126,8 +130,8 @@ class TcProcess:
         return self.process.pid
 
     def kill(self) -> None:
-        """SIGKILL; the fd stays open until the transport joins its
-        receiver (same fd-reuse hazard as :class:`~repro.net.process.
+        """SIGKILL; the fd stays open until the transport closes it
+        (same fd-reuse hazard as :class:`~repro.net.process.
         DcProcess.kill`)."""
         if self.process.is_alive():
             self.process.kill()
@@ -143,26 +147,56 @@ class RemoteTransaction:
     Mirrors :class:`~repro.tc.transactional_component.Transaction`:
     the same method surface, the same terminal-state discipline, the same
     abort-on-error context manager — workloads cannot tell them apart.
+
+    **Opening costs no round trip** (docs/architecture.md §16): the
+    server opens the transaction when its first request arrives.  That
+    request — and any pipelined behind it — names the transaction by a
+    handle this client chose (a negative number, local to the
+    connection); the first reply carries the server's id and
+    :attr:`txn_id` switches to it.  Whatever happens to that first
+    request (typed error, redirect, lost reply), :meth:`abort` can still
+    name the transaction.
     """
 
     #: Deferred-write acks in flight before a forced drain — bounds both
     #: client memory and the size of one coalesced burst.
     _MAX_PENDING = 64
 
-    def __init__(self, tc: "RemoteTc", txn_id: int) -> None:
+    def __init__(self, tc: "RemoteTc") -> None:
         self._tc = tc
-        self.txn_id = txn_id
+        #: 0 = nothing sent yet; negative = the client-chosen handle;
+        #: positive = the server's transaction id.
+        self.txn_id = 0
+        #: The connection the handle was chosen on.  Handles mean nothing
+        #: on any other: the server incarnation that held the
+        #: transaction is gone, and its restart undid it.
+        self._link: Optional[_Transport] = None
         self.state = TransactionState.ACTIVE
         #: A non-commit reply was lost: the server-side transaction may
         #: still be open (locks held, writes applied), so the abort must
         #: still be delivered even though this handle is done.
         self._reply_lost = False
-        #: Reply futures of pipelined (deferred) writes: sent coalesced,
+        #: Reply slots of pipelined (deferred) writes: sent coalesced,
         #: drained before any dependent operation so errors (aborts,
         #: redirects) surface no later than the §4.2.1 contracts allow.
         self._pending: list = []
 
     # -- plumbing -----------------------------------------------------------
+
+    def _orphaned(self) -> bool:
+        return self.txn_id < 0 and self._link is not self._tc._transport
+
+    def _check_active(self) -> None:
+        """Refuse a finished handle; before the first request, choose
+        the handle that names the transaction until the server's id is
+        known."""
+        if self._orphaned():
+            self.state = TransactionState.ABORTED
+        if self.state is not TransactionState.ACTIVE:
+            raise TransactionAborted(self.txn_id, f"transaction is {self.state.value}")
+        if self.txn_id == 0:
+            self._link = self._tc._transport
+            self.txn_id = -next(self._tc._handles)
 
     def _call(self, message: Message, commit_stage: bool = False) -> Message:
         return self._accept(self._tc.call(message), commit_stage)
@@ -183,6 +217,8 @@ class RemoteTransaction:
                 self.state = TransactionState.ABORTED
                 raise TransactionAborted(self.txn_id, reply.text)
             raise ReproError(f"TC {self._tc.name}: {reply.kind}: {reply.text}")
+        if self.txn_id < 0 and reply.txn_id > 0:
+            self.txn_id = reply.txn_id  # the first reply: the server's id
         return reply
 
     def _drain(self, lenient: bool = False) -> None:
@@ -192,31 +228,23 @@ class RemoteTransaction:
         write), so a deferred write's failure — server-side abort,
         Section 6 redirect, lost reply — surfaces at the first point
         whose outcome could depend on it.  ``lenient`` (abort path)
-        only reaps the futures: the abort itself is the answer.
+        only reaps the slots: the abort itself is the answer.
         """
         if not self._pending:
             return
-        futures, self._pending = self._pending, []
+        slots, self._pending = self._pending, []
         self._tc.flush()
         failure: Optional[BaseException] = None
-        for future in futures:
-            try:
-                reply = future.result(self._tc.request_timeout_s)
-            except FutureTimeout:
-                self._tc.metrics.incr("remote_tc.request_timeouts")
-                reply = None
+        for slot in slots:
+            reply = self._tc.collect(slot)
             if lenient or failure is not None:
-                continue  # keep reaping so no future is left un-awaited
+                continue  # keep reaping so no slot is left un-awaited
             try:
                 self._accept(reply)
             except ReproError as exc:
                 failure = exc
         if failure is not None:
             raise failure
-
-    def _check_active(self) -> None:
-        if self.state is not TransactionState.ACTIVE:
-            raise TransactionAborted(self.txn_id, f"transaction is {self.state.value}")
 
     def _write(
         self,
@@ -228,6 +256,8 @@ class RemoteTransaction:
         deferred: bool = False,
     ) -> None:
         self._check_active()
+        if not deferred:
+            self._drain()
         message = TxnWrite(
             tc_id=self._tc.tc_id,
             txn_id=self.txn_id,
@@ -240,15 +270,14 @@ class RemoteTransaction:
         )
         if deferred:
             # Client-side pipelining: buffer the frame (coalesced into one
-            # vectored write with its neighbors) and keep going; the ack
-            # is collected at the next drain point.  The server applies
+            # write with its neighbors) and keep going; the ack is
+            # collected at the next drain point.  The server applies
             # its own deferred/batched path to the op, so both hops of
             # the §4.2.1 round trip shrink.
             self._pending.append(self._tc.submit(message, defer=True))
             if len(self._pending) >= self._MAX_PENDING:
                 self._drain()
             return
-        self._drain()
         self._call(message)
 
     # -- operations ---------------------------------------------------------
@@ -304,8 +333,14 @@ class RemoteTransaction:
     def abort(self) -> None:
         if self.state is not TransactionState.ACTIVE and not self._reply_lost:
             return
+        self._reply_lost = False
+        if self.txn_id == 0 or self._orphaned():
+            # Nothing was sent, or the server that held it is gone (its
+            # restart undid the transaction): nothing to deliver.
+            self.state = TransactionState.ABORTED
+            return
         # Pipelined writes no longer matter individually — the abort is
-        # the answer — but their futures must still be reaped (and the
+        # the answer — but their slots must still be reaped (and the
         # coalescing buffer flushed so the server sees the ops this abort
         # is about to undo in order before the TxnAbort itself).
         try:
@@ -315,7 +350,6 @@ class RemoteTransaction:
         # After a lost reply the server's transaction may still be open;
         # the server treats an abort of an unknown transaction as already
         # aborted (presumed abort), so delivering it is always safe.
-        self._reply_lost = False
         self._call(TxnAbort(tc_id=self._tc.tc_id, txn_id=self.txn_id))
         self.state = TransactionState.ABORTED
 
@@ -430,17 +464,9 @@ class RemoteTc:
         self._adopt_hello(hello, self._process.conn)
 
     def _connect(self) -> None:
-        deadline = time.monotonic() + self.request_timeout_s
-        while True:
-            try:
-                conn = dcserver.connect_any(self.socket_path)
-                break
-            except OSError:
-                if time.monotonic() >= deadline:
-                    raise ReproError(
-                        f"TC {self.name}: cannot connect to {self.socket_path}"
-                    )
-                time.sleep(0.05)
+        conn = connect_with_retry(
+            self.socket_path, f"TC {self.name}", self.request_timeout_s
+        )
         hello = wait_hello(
             conn,
             TcHello,
@@ -455,6 +481,9 @@ class RemoteTc:
         self._conn = conn
         self._down_handled = False
         fast = wire.negotiate(hello.fast_codec) if self.fast_codec else {}
+        #: Transaction handles are local to one connection (and so to
+        #: one server incarnation): a new connection counts from 1 again.
+        self._handles = itertools.count(1)
         self._transport = _Transport(
             conn,
             on_server_request=self._reject_server_request,
@@ -566,7 +595,7 @@ class RemoteTc:
 
     # -- messaging ----------------------------------------------------------
 
-    def submit(self, message: Message, defer: bool = False):
+    def submit(self, message: Message, defer: bool = False) -> _Slot:
         """Pipelined send; ``defer=True`` coalesces (see ``_Transport``)."""
         return self._transport.submit(message, defer=defer)
 
@@ -574,15 +603,19 @@ class RemoteTc:
         """Push any coalesced (deferred) frames onto the wire now."""
         self._transport.flush()
 
-    def call(self, message: Message, timeout: Optional[float] = None) -> object:
-        future = self._transport.submit(message)
+    def collect(self, slot: _Slot, timeout: Optional[float] = None) -> object:
+        """Await one submitted request; ``None`` = lost (timeout or a
+        dead connection)."""
         try:
-            return future.result(
+            return slot.result(
                 timeout if timeout is not None else self.request_timeout_s
             )
-        except FutureTimeout:
+        except ReplyTimeout:
             self.metrics.incr("remote_tc.request_timeouts")
             return None
+
+    def call(self, message: Message, timeout: Optional[float] = None) -> object:
+        return self.collect(self._transport.submit(message), timeout)
 
     def control(self, message: Message, timeout: Optional[float] = None) -> Message:
         reply = self.call(message, timeout)
@@ -597,10 +630,9 @@ class RemoteTc:
     # -- the TransactionalComponent app surface ------------------------------
 
     def begin(self) -> RemoteTransaction:
-        reply = self.control(TxnBegin(tc_id=self.tc_id))
-        if not isinstance(reply, TxnBeginReply):
-            raise ReproError(f"TC {self.name}: unexpected begin reply {reply!r}")
-        return RemoteTransaction(self, reply.txn_id)
+        """A transaction handle; nothing is sent — the server opens the
+        transaction when its first request arrives."""
+        return RemoteTransaction(self)
 
     def read_other(self, table: str, key, flavor=ReadFlavor.READ_COMMITTED):
         reply = self.control(

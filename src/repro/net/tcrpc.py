@@ -19,9 +19,14 @@ Three message families:
   :class:`SharingMode` (cross-TC read flavor), :class:`DcRestarted` (the
   supervisor's prompt that a shared DC was healed — the TC server
   reconnects and resends its redo stream), :class:`TcRetryPending`.
-- **Transactions** — ``TxnBegin .. TxnCommit/TxnAbort`` mirror the
-  :class:`~repro.tc.transactional_component.Transaction` surface 1:1;
+- **Transactions** — ``TxnWrite .. TxnCommit/TxnAbort`` mirror the
+  :class:`~repro.tc.transactional_component.Transaction` surface;
   ``txn_id`` correlates every op with its server-side transaction.
+  Opening one is not a message: a request whose ``txn_id`` is a
+  *negative*, client-chosen, connection-local handle the connection has
+  not used before opens the transaction it names, every reply carries
+  the server's (positive) id, and the handle stays valid for that
+  transaction until it ends (docs/architecture.md §16).
   Writes collapse to one :class:`TxnWrite` with a ``verb`` so the
   vocabulary stays small while covering insert/update/delete/increment.
 - **Sharing** — :class:`ReadOther` / :class:`ScanOther` are Section 6.2's
@@ -130,11 +135,16 @@ class TcRetryPending(Message):
 
 @dataclass(frozen=True)
 class TxnBegin(Message):
-    """Open a server-side transaction; answered by :class:`TxnBeginReply`."""
+    """Retired: nothing sends it and the server no longer serves it (a
+    transaction is opened by its first request).  The class and its
+    reply stay because fast-codec ids are positional and append-only
+    (``wire._FAST_NAMES``); removing wire vocabulary is its own change."""
 
 
 @dataclass(frozen=True)
 class TxnBeginReply(Message):
+    """Retired with :class:`TxnBegin`."""
+
     txn_id: int = 0
 
 

@@ -76,8 +76,6 @@ from repro.net.tcrpc import (
     TcRetryPending,
     TxnAbort,
     TxnAck,
-    TxnBegin,
-    TxnBeginReply,
     TxnCommit,
     TxnRead,
     TxnReadReply,
@@ -224,20 +222,56 @@ def _logical(table: str) -> str:
     return table.split("@", 1)[0]
 
 
+class _Session:
+    """One client connection's transaction handles (see :class:`_TcServer`)."""
+
+    __slots__ = ("floor", "above", "open")
+
+    def __init__(self) -> None:
+        #: Every handle number up to here has been used ...
+        self.floor = 0
+        #: ... and so have these beyond it: two threads of one client may
+        #: send their first requests out of handle order.
+        self.above: set[int] = set()
+        #: handle -> txn_id, while that transaction is open.
+        self.open: dict[int, int] = {}
+
+    def claim(self, number: int) -> bool:
+        """Mark handle ``number`` used; False if it already was."""
+        if number <= self.floor or number in self.above:
+            return False
+        self.above.add(number)
+        while self.floor + 1 in self.above:
+            self.floor += 1
+            self.above.discard(self.floor)
+        return True
+
+
 class _TcServer:
     """Event-loop server for one TC process, serving any number of clients.
 
     One :class:`~repro.net.eventloop.EventLoop` owns the spawning parent's
     pipe (if any) and every connection a socket listener accepts — so the
     TC tier scales clients without growing threads (server thread count
-    stays O(#DCs): the DcClient transports keep their receiver/control
-    threads so force-log bridges and pipelined batches proceed while a
-    dispatch is running).
+    stays O(#DCs): each DcClient connection keeps one background thread,
+    so a DC's force-log request is served while a dispatch is running;
+    replies from the DCs are read by the dispatching thread itself).
     Dispatch itself stays single-threaded: requests are served strictly in
     arrival order, which is what keeps the server's view of transaction
     order simple.
 
-    Each client owns the transactions it begins; a client that disconnects
+    **Who opens a transaction.**  There is no begin request: a client
+    names a new transaction by a negative ``txn_id`` of its own choosing
+    (a *handle*, local to its connection, counting 1, 2, 3, … downwards),
+    and the first ``TxnWrite``/``TxnRead``/``TxnScan``/``TxnSync``/
+    ``TxnCommit`` carrying a handle this connection has not used opens
+    it.  Every reply carries the server's id; the handle keeps naming the
+    transaction (for requests pipelined behind the first, and for the
+    abort after a first request that failed or whose reply was lost)
+    until it ends.  A handle is used once (:class:`_Session` remembers):
+    naming an ended one is an unknown transaction, never a new one.
+
+    Each client owns the transactions it opens; a client that disconnects
     mid-transaction gets its ACTIVE transactions aborted (presumed abort —
     the same outcome its crash would force at restart, taken eagerly so
     its locks don't outlive it).
@@ -300,8 +334,12 @@ class _TcServer:
             self._tc.restart()
             self._recovered = True
         self._loop = EventLoop(self._metrics)
-        #: txn_id -> owning client connection (abort-on-disconnect).
-        self._txn_peers: dict[int, Peer] = {}
+        #: Client connection -> its handles (abort-on-disconnect walks
+        #: the open ones).
+        self._sessions: dict[Peer, _Session] = {}
+        #: txn_id -> (connection, handle) that opened it, to drop the
+        #: handle when the transaction ends.
+        self._txn_origin: dict[int, tuple[Peer, int]] = {}
         #: Frames decoded but not yet dispatched (see dcserver.py: frames
         #: that land while a dispatch is on the stack are served after it,
         #: strictly in arrival order).
@@ -327,9 +365,6 @@ class _TcServer:
             metrics=self._metrics,
             request_timeout_s=self._request_timeout_s,
             fast_codec=self._fast_ok,
-            # The link tag is this TC's durable identity plus the DC's
-            # name, so a respawned TC re-creates (and a stale SIGKILLed
-            # incarnation's segments get replaced under) the same names.
         )
         self._clients[dc_name] = client
         self._tc.attach_dc(client, self._channel_config)
@@ -362,17 +397,31 @@ class _TcServer:
 
     # -- dispatch -----------------------------------------------------------
 
-    def _txn(self, txn_id: int):
+    def _txn(self, peer: Peer, named: int):
+        """The transaction a request names, opening it if ``named`` is a
+        handle this connection has not used before."""
+        txn_id = named
+        if named < 0:
+            session = self._sessions.get(peer)
+            if session is None:
+                session = self._sessions[peer] = _Session()
+            txn_id = session.open.get(named, 0)
+            if not txn_id and session.claim(-named):
+                txn = self._tc.begin()
+                txn_id = session.open[named] = txn.txn_id
+                self._txns[txn_id] = txn
+                self._txn_origin[txn_id] = (peer, named)
         txn = self._txns.get(txn_id)
         if txn is None:
-            raise ReproError(f"TC {self._name}: unknown transaction {txn_id}")
+            raise ReproError(f"TC {self._name}: unknown transaction {named}")
         return txn
 
-    def _reap(self, txn_id: int) -> None:
-        txn = self._txns.get(txn_id)
-        if txn is not None and txn.state is not TransactionState.ACTIVE:
-            del self._txns[txn_id]
-            self._txn_peers.pop(txn_id, None)
+    def _reap(self, txn) -> None:
+        if txn.state is TransactionState.ACTIVE:
+            return
+        if self._txns.pop(txn.txn_id, None) is not None:
+            peer, handle = self._txn_origin.pop(txn.txn_id)
+            del self._sessions[peer].open[handle]
 
     def _flavor(self, flavor: object) -> ReadFlavor:
         return flavor if isinstance(flavor, ReadFlavor) else self._default_flavor
@@ -384,8 +433,12 @@ class _TcServer:
                 self._fast[peer] = wire.negotiate(message.vocab)
             return ControlAck(tc_id=message.tc_id)
         if isinstance(message, TxnWrite):
+            txn = self._txn(peer, message.txn_id)
             owner = self._misroute_owner(message.table, message.key)
             if owner is not None:
+                # Bounced before the mutation path.  A transaction this
+                # write opened stays open (and empty) until the client's
+                # abort, as when opening was a request of its own.
                 self._metrics.incr("tcserver.redirects")
                 return Redirect(
                     tc_id=message.tc_id,
@@ -393,7 +446,6 @@ class _TcServer:
                     key=message.key,
                     owner=owner,
                 )
-            txn = self._txn(message.txn_id)
             try:
                 if message.verb == "insert":
                     txn.insert(
@@ -421,62 +473,61 @@ class _TcServer:
                 else:
                     raise ReproError(f"unknown write verb {message.verb!r}")
             finally:
-                self._reap(message.txn_id)
-            return TxnAck(tc_id=message.tc_id, txn_id=message.txn_id)
+                self._reap(txn)
+            return TxnAck(tc_id=message.tc_id, txn_id=txn.txn_id)
         if isinstance(message, TxnRead):
-            txn = self._txn(message.txn_id)
+            txn = self._txn(peer, message.txn_id)
             try:
                 value = txn.read(message.table, message.key)
             finally:
-                self._reap(message.txn_id)
+                self._reap(txn)
             return TxnReadReply(
                 tc_id=message.tc_id,
-                txn_id=message.txn_id,
+                txn_id=txn.txn_id,
                 found=value is not None,
                 value=value,
             )
         if isinstance(message, TxnScan):
-            txn = self._txn(message.txn_id)
+            txn = self._txn(peer, message.txn_id)
             try:
                 rows = txn.scan(
                     message.table, message.low, message.high, message.limit or None
                 )
             finally:
-                self._reap(message.txn_id)
+                self._reap(txn)
             return TxnScanReply(
                 tc_id=message.tc_id,
-                txn_id=message.txn_id,
+                txn_id=txn.txn_id,
                 rows=tuple(tuple(row) for row in rows),
             )
         if isinstance(message, TxnSync):
-            txn = self._txn(message.txn_id)
+            txn = self._txn(peer, message.txn_id)
             try:
                 txn.sync()
             finally:
-                self._reap(message.txn_id)
-            return TxnAck(tc_id=message.tc_id, txn_id=message.txn_id)
-        if isinstance(message, TxnBegin):
-            txn = tc.begin()
-            self._txns[txn.txn_id] = txn
-            self._txn_peers[txn.txn_id] = peer
-            return TxnBeginReply(tc_id=message.tc_id, txn_id=txn.txn_id)
+                self._reap(txn)
+            return TxnAck(tc_id=message.tc_id, txn_id=txn.txn_id)
         if isinstance(message, TxnCommit):
-            txn = self._txn(message.txn_id)
+            txn = self._txn(peer, message.txn_id)
             try:
                 txn.commit()
             finally:
-                self._reap(message.txn_id)
-            return TxnAck(tc_id=message.tc_id, txn_id=message.txn_id)
+                self._reap(txn)
+            return TxnAck(tc_id=message.tc_id, txn_id=txn.txn_id)
         if isinstance(message, TxnAbort):
             # Presumed abort: a retried abort after a lost reply (or a
             # server restart that already undid the loser) finds no
             # transaction — that *is* the aborted outcome, acknowledge it.
-            txn = self._txns.get(message.txn_id)
+            # An abort never opens: a handle names only what is open.
+            txn_id = message.txn_id
+            if txn_id < 0 and peer in self._sessions:
+                txn_id = self._sessions[peer].open.get(txn_id, 0)
+            txn = self._txns.get(txn_id)
             if txn is not None:
                 try:
                     txn.abort()
                 finally:
-                    self._reap(message.txn_id)
+                    self._reap(txn)
             return TxnAck(tc_id=message.tc_id, txn_id=message.txn_id)
         if isinstance(message, ReadOther):
             value = tc.read_other(
@@ -573,12 +624,11 @@ class _TcServer:
 
     def _abort_for(self, peer: Peer) -> None:
         """Presumed abort for a disconnected client's open transactions."""
-        for txn_id, owner in list(self._txn_peers.items()):
-            if owner is not peer:
-                continue
-            self._txn_peers.pop(txn_id, None)
-            txn = self._txns.pop(txn_id, None)
-            if txn is not None and txn.state is TransactionState.ACTIVE:
+        session = self._sessions.pop(peer, None)
+        for txn_id in session.open.values() if session else ():
+            del self._txn_origin[txn_id]
+            txn = self._txns.pop(txn_id)
+            if txn.state is TransactionState.ACTIVE:
                 try:
                     txn.abort()
                 except ReproError:

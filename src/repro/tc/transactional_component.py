@@ -1725,7 +1725,7 @@ class TransactionalComponent:
         marker tells restart redo to skip it, and the failure surfaces.
 
         ``presend`` is an already-dispatched first attempt (a pipelined
-        reply future from :meth:`sync_pipeline`'s concurrent flush); the
+        reply slot from :meth:`sync_pipeline`'s concurrent flush); the
         first loop iteration awaits it instead of sending again.
         """
         self._await_redo_quiesce(dc_name)

@@ -253,6 +253,28 @@ class TestStartupFailures:
             )
         _assert_nothing_left_since(before)
 
+    def test_kernel_failing_part_way_closes_what_it_spawned(self, tmp_path):
+        """The first DC is up when attaching it raises (the process
+        transport refuses simulated loss); in TC-process mode both DCs
+        are up when the TC child dies on an unopenable journal."""
+        gc.collect()
+        before = _leftovers()
+        lossy = KernelConfig(
+            channel=ChannelConfig(transport="process", loss_rate=0.1)
+        )
+        with pytest.raises(ReproError):
+            UnbundledKernel(config=lossy, dc_count=2)
+        (tmp_path / "tc1.journal").mkdir()  # open() will fail in the child
+        tc_less = KernelConfig(
+            channel=ChannelConfig(transport="process"),
+            tc_processes=1,
+            data_dir=str(tmp_path),
+        )
+        with pytest.raises(CrashedError):
+            UnbundledKernel(config=tc_less, dc_count=2)
+        gc.collect()
+        _assert_nothing_left_since(before)
+
     @pytest.mark.parametrize(
         "connect",
         [

@@ -18,6 +18,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -29,7 +30,9 @@ from repro.cloud.router import TcServiceDeployment, TcServiceRouter
 from repro.common.config import ChannelConfig, KernelConfig, TcConfig
 from repro.common.errors import CrashedError, ReproError, TcRedirect
 from repro.kernel.unbundled import UnbundledKernel
+from repro.net.rpc import RemoteError
 from repro.net.tcclient import RemoteTc
+from repro.net.tcrpc import TxnAbort, TxnAck, TxnCommit, TxnWrite
 from repro.sim.supervisor import Supervisor
 
 
@@ -322,8 +325,6 @@ class TestDownstreamDcFailure:
     def test_abort_is_idempotent_after_loss(self):
         """Presumed abort: re-delivering an abort for a transaction the
         server no longer knows is acknowledged, not an error."""
-        from repro.net.tcrpc import TxnAbort, TxnAck
-
         with TcServiceDeployment(tc_count=1, dc_count=1, partitions=2) as dep:
             dep.create_table("t")
             tc = dep.tcs["tc1"]
@@ -334,6 +335,176 @@ class TestDownstreamDcFailure:
                 TxnAbort(tc_id=tc.tc_id, txn_id=txn.txn_id)
             )
             assert isinstance(reply, TxnAck)
+
+
+class TestOpenedByFirstRequest:
+    """``begin()`` is local; the transaction's first request opens it
+    server-side under a handle the client chose (architecture §16)."""
+
+    @staticmethod
+    def _count_calls(tc: RemoteTc) -> list:
+        sent: list = []
+        real = tc.call
+
+        def counting(message, *args, **kwargs):
+            sent.append(type(message).__name__)
+            return real(message, *args, **kwargs)
+
+        tc.call = counting  # instance attribute shadows the method
+        return sent
+
+    def test_request_counts(self, deployment):
+        owner = deployment.router.owner_of("k")
+        sent = self._count_calls(owner)
+        with owner.begin() as txn:
+            txn.insert("t", "k", 1)
+        assert sent == ["TxnWrite", "TxnCommit"]  # a 1-op txn: 2 requests
+        del sent[:]
+        txn = owner.begin()
+        assert txn.txn_id == 0
+        txn.abort()
+        assert sent == []  # nothing was opened: nothing to abort
+        txn = owner.begin()
+        txn.commit()  # an empty transaction still commits
+        assert sent == ["TxnCommit"] and txn.txn_id > 0
+        assert owner.stats()["open_transactions"] == 0
+
+    def test_first_reply_teaches_the_server_id(self, deployment):
+        owner = deployment.router.owner_of("k")
+        txn = owner.begin()
+        txn.insert("t", "k", 1, deferred=True)
+        handle = txn.txn_id
+        assert handle < 0  # sent (buffered) under the client's handle
+        txn.update("t", "k", 2, deferred=True)  # pipelined behind it, same name
+        assert txn.read("t", "k") == 2
+        assert txn.txn_id > 0
+        txn.commit()
+        assert owner.read_other("t", "k") == 2
+
+    def test_first_request_into_dead_dc_stays_abortable(self):
+        from repro.common.ops import ReadFlavor
+
+        with TcServiceDeployment(tc_count=1, dc_count=2, partitions=4) as dep:
+            dep.create_table("live", dc_name="dc1")
+            dep.create_table("doomed", dc_name="dc2")
+            tc = dep.tcs["tc1"]
+            dep.dcs["dc2"].crash()
+            txn = tc.begin()
+            with pytest.raises(ReproError) as err:
+                txn.insert("doomed", 1, "x")  # opens the txn, then fails
+            assert "dc2" in str(err.value)
+            assert txn.txn_id < 0  # no reply taught the id; the handle names it
+            assert tc.stats()["open_transactions"] == 1
+            txn.abort()
+            assert tc.stats()["open_transactions"] == 0
+            # and a second transaction is not behind anything it left
+            with tc.begin() as txn:
+                txn.insert("live", 1, "base")
+            assert tc.read_other("live", 1, flavor=ReadFlavor.DIRTY) == "base"
+
+    def test_misrouted_first_write_leaves_nothing_open(self, deployment):
+        owner = deployment.router.owner_of("hot")
+        wrong = next(tc for tc in deployment.tcs.values() if tc is not owner)
+        with pytest.raises(TcRedirect):
+            with wrong.begin() as txn:
+                txn.insert("t", "hot", 1)
+        assert wrong.stats()["open_transactions"] == 0
+        assert owner.read_other("t", "hot") is None
+
+    def test_ended_transaction_is_never_reopened(self, deployment):
+        owner = deployment.router.owner_of("k")
+        handle = -next(owner._handles)
+        commit = TxnCommit(tc_id=owner.tc_id, txn_id=handle)
+        first = owner.call(commit)
+        assert isinstance(first, TxnAck) and first.txn_id > 0
+        for stale in (commit, TxnCommit(tc_id=owner.tc_id, txn_id=first.txn_id)):
+            again = owner.call(stale)
+            assert isinstance(again, RemoteError)
+            assert "unknown transaction" in again.text
+        late_write = owner.call(
+            TxnWrite(tc_id=owner.tc_id, txn_id=handle, verb="insert", table="t",
+                     key="k", value=1)
+        )
+        assert isinstance(late_write, RemoteError)
+        assert owner.stats()["open_transactions"] == 0
+        assert owner.read_other("t", "k") is None
+        # an abort of it is still the presumed-abort acknowledgement
+        assert isinstance(owner.call(TxnAbort(tc_id=owner.tc_id, txn_id=handle)), TxnAck)
+
+    def test_first_requests_out_of_handle_order(self, deployment):
+        """Two threads choose handles 1 and 2; thread 2's first request
+        reaches the server first.  Each binds to its own transaction."""
+        owner = deployment.router.owner_of("k")
+        one, two = -next(owner._handles), -next(owner._handles)
+        keys = [k for k in range(200) if deployment.router.owner_of(k) is owner][:2]
+        with owner.begin() as txn:
+            for key in keys:
+                txn.insert("t", key, 0)
+
+        def write(handle, key):
+            return owner.call(
+                TxnWrite(tc_id=owner.tc_id, txn_id=handle, verb="update",
+                         table="t", key=key, value=handle)
+            )
+
+        ack_two, ack_one = write(two, keys[1]), write(one, keys[0])
+        assert isinstance(ack_one, TxnAck) and isinstance(ack_two, TxnAck)
+        assert ack_one.txn_id != ack_two.txn_id
+        assert owner.stats()["open_transactions"] == 2
+        assert isinstance(owner.call(TxnAbort(tc_id=owner.tc_id, txn_id=one)), TxnAck)
+        assert isinstance(owner.call(TxnCommit(tc_id=owner.tc_id, txn_id=two)), TxnAck)
+        assert owner.read_other("t", keys[0]) == 0
+        assert owner.read_other("t", keys[1]) == two
+
+    def test_two_threads_share_one_connection(self, deployment):
+        owner = deployment.router.owner_of("k")
+        mine = [k for k in range(2000) if deployment.router.owner_of(k) is owner]
+        with owner.begin() as txn:
+            for key in mine[:80]:
+                txn.insert("t", key, -1)
+        barrier = threading.Barrier(2)
+        failures: list = []
+
+        def worker(index: int) -> None:
+            barrier.wait(timeout=10)
+            try:
+                # Record locks on disjoint keys only: the server runs one
+                # request at a time, so a lock wait could never be released.
+                for key in mine[index:80:2]:
+                    with owner.begin() as txn:
+                        txn.update("t", key, index)
+                        assert txn.read("t", key) == index
+            except BaseException as exc:  # reported below, on the main thread
+                failures.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert failures == []
+        assert owner.stats()["open_transactions"] == 0
+        for index in range(2):
+            for key in mine[index:80:2]:
+                assert owner.read_other("t", key) == index
+
+    def test_handle_dies_with_its_connection(self, deployment):
+        """A handle chosen on one connection names nothing on the next:
+        after the TC is killed and healed, the old handle neither opens
+        a transaction on the new server nor needs an abort delivered."""
+        owner = deployment.router.owner_of("k")
+        supervisor = Supervisor()
+        supervisor.watch_deployment(deployment)
+        txn = owner.begin()
+        txn.insert("t", "k", 1, deferred=True)  # named, never acknowledged
+        kill_tc(owner)
+        supervisor.heal()
+        with pytest.raises(ReproError):
+            txn.update("t", "k", 2)
+        txn.abort()
+        assert owner.stats()["open_transactions"] == 0
+        assert owner.read_other("t", "k") is None
 
 
 class TestChaosGauntlet:
@@ -388,15 +559,24 @@ class TestServeTcCli:
                     "--dc",
                     f"dc1={tmp_path / 'dc1.sock'}",
                     "--max-sessions",
-                    "1",
+                    "2",
                 ],
                 env={**os.environ, "PYTHONPATH": "src"},
             )
+            gone = RemoteTc("tc1", tc_id=1, socket_path=sock)
             tc = RemoteTc("tc1", tc_id=1, socket_path=sock)
             try:
+                # A connection that goes away mid-transaction: the server
+                # aborts what it opened (by handle or not) and frees its locks.
+                abandoned = gone.begin()
+                abandoned.insert("t", "cli", -1)
+                gone.shutdown()
                 with tc.begin() as txn:
                     txn.insert("t", "cli", 5)
                 assert tc.read_other("t", "cli") == 5
+                stats = tc.stats()
+                assert stats["counters"]["tcserver.disconnect_aborts"] == 1
+                assert stats["open_transactions"] == 0
                 # lifecycle is refused on an externally managed server
                 with pytest.raises(ReproError):
                     tc.crash()
