@@ -211,6 +211,12 @@ class OpResult:
     ``prior`` carries the overwritten value for updates/deletes so the TC
     can build undo information; ``records`` carries range-read results and
     ``keys`` carries probe results.
+
+    Every update / delete / increment reply carries ``prior`` today, and no
+    TC code reads it yet: the TC learns before-images through its own
+    ``_known_value`` read-through *before* it logs and sends.  Filling undo
+    from the reply instead (ROADMAP 4(a)) needs a log-force barrier, since
+    the value would arrive after the operation's log record was written.
     """
 
     status: OpStatus = OpStatus.OK

@@ -262,14 +262,17 @@ class VersionedRecord:
         return size
 
     def clone(self) -> "VersionedRecord":
+        # Positional, in field order: every page build and snapshot clones
+        # each record, and keyword binding doubles the cost of the call.
+        history = self.history
         return VersionedRecord(
-            key=self.key,
-            committed=self.committed,
-            pending=self.pending,
-            has_pending=self.has_pending,
-            owner_tc=self.owner_tc,
-            commit_seq=self.commit_seq,
-            history=list(self.history),
+            self.key,
+            self.committed,
+            self.pending,
+            self.has_pending,
+            self.owner_tc,
+            self.commit_seq,
+            list(history) if history else [],
         )
 
 

@@ -894,6 +894,15 @@ class DataComponent:
         """Flush everything and truncate the DC log; False if blocked."""
         self._check_up()
         with self._admin_lock, self.buffer.operation():
+            # The cache marks a page dirty when an operation changes it, not
+            # when the loader rebuilt it from DC-log records after a restart
+            # or a TC-crash reset: such a page is "clean" yet differs from
+            # its disk image (or has none), and may not be cached at all.
+            # It must reach disk before the records that define it go.
+            for page_id in self.storage.pages_behind_dc_log():
+                page = self.buffer.fetch(page_id)
+                if page is not None:
+                    page.dirty = True
             self.buffer.flush_all()
             if self.buffer.dirty_count() > 0:
                 return False

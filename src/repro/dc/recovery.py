@@ -40,25 +40,33 @@ from repro.storage.page import LeafPage, PageImage
 def stable_page_state(storage: StableStorage, page_id: int) -> Optional[PageImage]:
     """The page as the stable state (disk + stable DC log) defines it.
 
-    Starts from the disk image (if any) and applies every stable DC-log
-    record for this page with a higher dLSN, in log order.  Returns ``None``
-    when the page does not exist in stable state (never created, or freed).
+    A page the stable DC log does not name *is* its disk image, and that
+    stored (immutable) image is returned as it stands — the common case,
+    and the whole cost of a buffer miss.  Otherwise replay starts from the
+    disk image (if any) and applies every stable DC-log record for this
+    page with a higher dLSN, in log order: a split's never-flushed new
+    page, a pre-split page with keys removed, a consolidated page, a freed
+    page.  Which records name the page is answered by the index the
+    storage keeps beside the log (:meth:`StableStorage.dc_log_for_page`).
+    Returns ``None`` when the page does not exist in stable state (never
+    created, or freed).
     """
     disk = storage.read_page(page_id)
+    records = storage.dc_log_for_page(page_id)
+    if not records:
+        return disk
     live = disk.materialize() if disk is not None else None
-    for record in storage.dc_log_entries():
-        if not isinstance(record, DcLogRecord):
-            continue
-        if isinstance(record, PageImageRecord) and record.page_id == page_id:
+    for record in records:
+        if isinstance(record, PageImageRecord):
             if live is None or live.dlsn < record.dlsn:
                 assert record.image is not None
                 live = record.image.materialize()
-        elif isinstance(record, KeysRemovedRecord) and record.page_id == page_id:
+        elif isinstance(record, KeysRemovedRecord):
             if live is not None and live.dlsn < record.dlsn:
                 assert isinstance(live, LeafPage)
                 live.extract_from(record.split_key)
                 live.dlsn = record.dlsn
-        elif isinstance(record, PageFreeRecord) and record.page_id == page_id:
+        elif isinstance(record, PageFreeRecord):
             live = None
     return live.snapshot() if live is not None else None
 

@@ -36,7 +36,7 @@ import struct
 import zlib
 from typing import Optional
 
-from repro.common.lsn import Lsn, NULL_LSN
+from repro.common.lsn import Lsn
 from repro.sim.metrics import Metrics
 from repro.storage.disk import StableStorage
 from repro.storage.page import PageImage
@@ -119,13 +119,9 @@ class JournalStorage(StableStorage):
             key, value = payload
             self._metadata[key] = value
         elif tag == _TAG_LOG:
-            self._dc_log.extend(payload)
+            self._extend_dc_log(payload)
         elif tag == _TAG_TRUNC:
-            self._dc_log = [
-                entry
-                for entry in self._dc_log
-                if getattr(entry, "dlsn", NULL_LSN) >= payload
-            ]
+            self._truncate_dc_log(payload)
         elif tag == _TAG_ALLOC:
             if payload >= self._next_page_id:
                 self._next_page_id = payload + 1
@@ -173,17 +169,13 @@ class JournalStorage(StableStorage):
 
             self.faults.hit(FaultPoint.DISK_LOG_FORCE, self.owner)
         with self._lock:
-            self._dc_log.extend(entries)
+            self._extend_dc_log(entries)
             self._journal(_TAG_LOG, list(entries))
             self.metrics.incr("disk.dclog_forces")
 
     def truncate_dc_log(self, keep_from_dlsn: Lsn) -> None:
         with self._lock:
-            self._dc_log = [
-                entry
-                for entry in self._dc_log
-                if getattr(entry, "dlsn", NULL_LSN) >= keep_from_dlsn
-            ]
+            self._truncate_dc_log(keep_from_dlsn)
             self._journal(_TAG_TRUNC, keep_from_dlsn)
 
     # -- compaction ---------------------------------------------------------

@@ -32,7 +32,7 @@ from repro.dc.system_txn import StabilityProvider, SystemTransaction
 from repro.sim.metrics import Metrics
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import StableStorage
-from repro.storage.page import InnerPage, LeafPage, Page, PageKind
+from repro.storage.page import InnerPage, LeafPage, Page, PageImage, PageKind
 
 
 class BTree:
@@ -397,38 +397,45 @@ class BTree:
 
     # -- introspection (tests / experiments) ------------------------------------------
 
-    def leaf_ids(self) -> list[int]:
-        with self.latch:
-            ids: list[int] = []
-            self._collect_leaves(self.root_id, ids)
-            return ids
+    # These three answer by *peeking* (live page if cached, else the stable
+    # image, never admitted): a stats request on a table larger than the
+    # pool must not evict the working set to count it.
 
-    def _collect_leaves(self, page_id: int, out: list[int]) -> None:
-        page = self._fetch(page_id)
-        if isinstance(page, LeafPage):
-            out.append(page_id)
-            return
-        assert isinstance(page, InnerPage)
-        for child in page.children:
-            self._collect_leaves(child, out)
+    def _peek(self, page_id: int) -> Page | PageImage:
+        page = self._buffer.peek(page_id)
+        if page is None:
+            raise ReproError(
+                f"btree {self.name!r}: page {page_id} missing from cache and disk"
+            )
+        return page
+
+    def leaf_ids(self) -> list[int]:
+        """Leaves left to right.  Every leaf of a B+-tree sits at the same
+        depth, so only inner pages are looked at."""
+        with self.latch:
+            level = [self.root_id]
+            for _ in range(self.depth() - 1):
+                level = [
+                    child
+                    for page_id in level
+                    for child in self._peek(page_id).children
+                ]
+            return level
 
     def depth(self) -> int:
         with self.latch:
             depth = 1
-            page = self._fetch(self.root_id)
-            while isinstance(page, InnerPage):
+            page = self._peek(self.root_id)
+            while page.kind is PageKind.INNER:
                 depth += 1
-                page = self._fetch(page.children[0])
+                page = self._peek(page.children[0])
             return depth
 
     def record_count(self) -> int:
         with self.latch:
-            total = 0
-            for leaf_id in self.leaf_ids():
-                page = self._fetch(leaf_id)
-                assert isinstance(page, LeafPage)
-                total += page.record_count()
-            return total
+            return sum(
+                self._peek(leaf_id).record_count() for leaf_id in self.leaf_ids()
+            )
 
     def validate(self) -> None:
         """Assert structural well-formedness; raises ReproError on damage.

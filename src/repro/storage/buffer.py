@@ -123,6 +123,17 @@ class BufferPool:
         self._admit(page)
         return page
 
+    def peek(self, page_id: int) -> Optional[Page | PageImage]:
+        """The live page when cached, else the stable image — admitting
+        nothing, evicting nothing and leaving the LRU order alone.
+
+        For introspection that must not disturb the working set
+        (``stats()``).  Both answers carry ``kind``, ``children`` and
+        ``record_count()``; the image is immutable and must stay so.
+        """
+        page = self._pages.get(page_id)
+        return page if page is not None else self._loader(page_id)
+
     def register(self, page: Page) -> None:
         """Admit a newly created page (from a split or a fresh table)."""
         page.dirty = True

@@ -35,6 +35,12 @@ class StableStorage:
         self._pages: dict[int, PageImage] = {}
         self._metadata: dict[str, object] = {}
         self._dc_log: list[object] = []
+        #: page id -> the stable DC-log records naming it, in log order.
+        #: Kept by the only two code paths that change the log
+        #: (:meth:`_extend_dc_log`, :meth:`_truncate_dc_log`), so the page
+        #: loader never scans, or copies, the log to learn that a page is
+        #: not in it.
+        self._dc_log_by_page: dict[int, list[object]] = {}
         self._next_page_id = 1
         self._lock = threading.Lock()
         self.metrics = metrics or Metrics()
@@ -138,21 +144,61 @@ class StableStorage:
 
             self.faults.hit(FaultPoint.DISK_LOG_FORCE, self.owner)
         with self._lock:
-            self._dc_log.extend(entries)
+            self._extend_dc_log(entries)
             self.metrics.incr("disk.dclog_forces")
+
+    def _extend_dc_log(self, entries: list[object]) -> None:
+        # Caller holds self._lock (or is replaying before the volume opens).
+        self._dc_log.extend(entries)
+        by_page = self._dc_log_by_page
+        for entry in entries:
+            page_id = getattr(entry, "page_id", None)
+            if page_id is not None:
+                by_page.setdefault(page_id, []).append(entry)
+
+    def _truncate_dc_log(self, keep_from_dlsn: Lsn) -> None:
+        # Caller holds self._lock (or is replaying before the volume opens).
+        kept = [
+            entry
+            for entry in self._dc_log
+            if getattr(entry, "dlsn", NULL_LSN) >= keep_from_dlsn
+        ]
+        self._dc_log = []
+        self._dc_log_by_page = {}
+        self._extend_dc_log(kept)
 
     def dc_log_entries(self) -> list[object]:
         with self._lock:
             return list(self._dc_log)
 
+    def dc_log_for_page(self, page_id: int) -> tuple[object, ...]:
+        """The stable DC-log records naming ``page_id``, in log order —
+        empty for a page whose stable state is its disk image alone."""
+        with self._lock:
+            return tuple(self._dc_log_by_page.get(page_id, ()))
+
+    def pages_behind_dc_log(self) -> list[int]:
+        """Pages whose stable state still *depends* on the DC log: named by
+        a record newer than their disk image (or with no disk image).
+
+        Truncating the log under such a page loses it — a split's new page
+        that a restart rebuilt from its log image and evicted clean, a
+        pre-split disk image that would get its moved keys back — so the
+        DC flushes these before it truncates.  Freed pages are listed too
+        (their last record is the free); the loader answers ``None``.
+        """
+        with self._lock:
+            behind = []
+            for page_id, records in self._dc_log_by_page.items():
+                disk = self._pages.get(page_id)
+                if disk is None or disk.dlsn < getattr(records[-1], "dlsn", NULL_LSN):
+                    behind.append(page_id)
+            return behind
+
     def truncate_dc_log(self, keep_from_dlsn: Lsn) -> None:
         """Discard DC-log records below a checkpointed dLSN."""
         with self._lock:
-            self._dc_log = [
-                entry
-                for entry in self._dc_log
-                if getattr(entry, "dlsn", NULL_LSN) >= keep_from_dlsn
-            ]
+            self._truncate_dc_log(keep_from_dlsn)
 
     def dc_log_length(self) -> int:
         with self._lock:

@@ -142,13 +142,12 @@ class HashedHeap:
         return list(self.bucket_ids)
 
     def record_count(self) -> int:
+        # Peeked, not fetched: counting must not evict the working set.
         with self.latch:
-            total = 0
-            for bucket_id in self.bucket_ids:
-                page = self._buffer.fetch(bucket_id)
-                assert isinstance(page, LeafPage)
-                total += page.record_count()
-            return total
+            return sum(
+                self._buffer.peek(bucket_id).record_count()
+                for bucket_id in self.bucket_ids
+            )
 
     def validate(self) -> None:
         with self.latch:

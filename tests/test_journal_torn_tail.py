@@ -10,6 +10,12 @@ the cuts a real SIGKILL can produce mid-``write()``:
 - a zero-length tail record (header present, empty frame);
 - a partial header (fewer bytes than the frame header itself);
 - a frame ending exactly at the file boundary (must replay whole).
+
+The page-frame classes at the end repeat the torn and corrupted cuts on
+page frames (records and abLSNs framed as field tuples), round-trip every
+field through close -> reopen, and check that the loader's page-id index
+over the stable DC log comes back from replay and from compaction as the
+appends built it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,14 @@ import zlib
 
 import pytest
 
+from repro.common.records import TOMBSTONE, VersionedRecord
+from repro.dc.dclog import DcLog
+from repro.dc.recovery import stable_page_state
+from repro.dc.system_txn import SystemTransaction
 from repro.net.journal import _HEADER, JournalStorage
+from repro.storage.buffer import BufferPool
+from repro.storage.page import InnerPage, LeafPage
+from tests.conftest import image_fields
 
 
 def _make_journal(path, entries):
@@ -165,3 +178,182 @@ class TestTornTail:
         for i in range(10):
             assert storage.read_metadata(f"k{i}") == i
         storage.close()
+
+
+# -- page frames (ISSUE 17: records and abLSNs framed as field tuples) ---------
+
+
+def _busy_leaf(page_id, keys):
+    """Pending versions (a tombstone among them), snapshot history, two
+    TCs' abLSNs with pending {LSNin}."""
+    leaf = LeafPage(page_id)
+    for key in keys:
+        record = VersionedRecord(
+            key=key, committed={"v": key}, owner_tc=1 + key % 2, commit_seq=key
+        )
+        if key % 2:
+            record.set_pending(TOMBSTONE if key % 3 == 0 else f"pending-{key}")
+        if key % 4 == 0:
+            record.history = [(1, "first"), (3, TOMBSTONE)]
+        leaf.put(record)
+    leaf.ablsn_for(1).advance_low_water(40)
+    for lsn in (47, 43, 51):
+        leaf.ablsn_for(1).include(lsn)
+    leaf.ablsn_for(2).include(9)
+    leaf.dlsn = 5
+    leaf.page_lsn = 2
+    return leaf
+
+
+def _inner(page_id, separators, children):
+    inner = InnerPage(page_id)
+    inner.separators = list(separators)
+    inner.children = list(children)
+    inner.dlsn = 6
+    return inner
+
+
+class TestPageFrames:
+    def test_page_images_round_trip_through_the_journal(self, tmp_path):
+        path = tmp_path / "j.bin"
+        written = [
+            _busy_leaf(1, range(12)).snapshot(),
+            _inner(2, [("k", 5), ("k", 9)], [1, 3, 4]).snapshot(),
+            LeafPage(3).snapshot(),
+        ]
+        storage = JournalStorage(str(path))
+        for image in written:
+            storage.write_page(image)
+        storage.close()
+
+        reopened = JournalStorage(str(path))
+        for image in written:
+            stored = reopened.read_page(image.page_id)
+            assert stored is not image
+            assert image_fields(stored) == image_fields(image)
+            rebuilt = stored.materialize()
+            assert image_fields(rebuilt.snapshot()) == image_fields(image)
+        # TOMBSTONE stays the singleton the DC compares by identity.
+        pendings = [r.pending for r in reopened.read_page(1).records if r.has_pending]
+        assert any(p is TOMBSTONE for p in pendings)
+        assert reopened.read_page(1).records[0].history[1][1] is TOMBSTONE
+        reopened.close()
+
+    def test_a_page_frame_holds_tuples_not_object_state(self, tmp_path):
+        """The frame names no record class and no attribute: a later change
+        that quietly goes back to pickling dataclass state fails here (and
+        on net.journal.bytes_per_txn in CI)."""
+        path = tmp_path / "j.bin"
+        storage = JournalStorage(str(path))
+        storage.write_page(_busy_leaf(1, range(12)).snapshot())
+        storage.close()
+        (_pos, _length, _crc, payload), = _frames(path)
+        assert b"VersionedRecord" not in payload
+        assert b"AbstractLsn" not in payload
+        assert b"has_pending" not in payload and b"_included" not in payload
+
+    def test_torn_page_frame_is_dropped_and_earlier_pages_survive(self, tmp_path):
+        path = tmp_path / "j.bin"
+        storage = JournalStorage(str(path))
+        first = _busy_leaf(1, range(8)).snapshot()
+        storage.write_page(first)
+        storage.write_page(_busy_leaf(2, range(20, 30)).snapshot())
+        storage.close()
+        frames = _frames(path)
+        last_start, length, _crc, _payload = frames[-1]
+        data = path.read_bytes()
+        path.write_bytes(data[: last_start + _HEADER.size + length // 2])
+
+        reopened = JournalStorage(str(path))
+        assert image_fields(reopened.read_page(1)) == image_fields(first)
+        assert reopened.read_page(2) is None  # torn -> no write
+        assert path.stat().st_size == last_start
+        reopened.write_page(_busy_leaf(2, range(3)).snapshot())
+        reopened.close()
+        again = JournalStorage(str(path))
+        assert len(again.read_page(2).records) == 3
+        again.close()
+
+    def test_crc_rejects_a_page_frame_with_a_flipped_byte(self, tmp_path):
+        path = tmp_path / "j.bin"
+        storage = JournalStorage(str(path))
+        storage.write_page(_busy_leaf(1, range(8)).snapshot())
+        storage.write_page(_busy_leaf(2, range(8)).snapshot())
+        storage.close()
+        last_start, length, _crc, _payload = _frames(path)[-1]
+        data = bytearray(path.read_bytes())
+        data[last_start + _HEADER.size + length // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+
+        reopened = JournalStorage(str(path))
+        assert reopened.read_page(1) is not None
+        assert reopened.read_page(2) is None
+        assert reopened.metrics.get("journal.crc_rejected") == 1
+        reopened.close()
+
+
+class TestPageIndexAcrossRestart:
+    """The loader's page-id index over the stable DC log is rebuilt by
+    journal replay and by compaction exactly as appends built it."""
+
+    def _volume(self, path):
+        storage = JournalStorage(str(path))
+        dclog = DcLog(storage, storage.metrics)
+        gate = lambda needed: True  # noqa: E731
+        old = _busy_leaf(1, range(10))
+        old.dlsn = 0
+        storage.write_page(old.snapshot())
+        storage.write_page(_busy_leaf(9, range(90, 95)).snapshot())  # unnamed
+        first = SystemTransaction("split", dclog, storage.metrics, gate)
+        first.log_page_image(_busy_leaf(7, range(70, 73)))
+        first.commit()
+        cut = dclog.last_dlsn + 1
+        split = SystemTransaction("split", dclog, storage.metrics, gate)
+        split.log_page_image(_busy_leaf(2, range(5, 10)))  # never flushed
+        split.log_keys_removed(old, split_key=5)
+        split.log_page_image(_inner(3, [5], [1, 2]))
+        split.log_page_free(7)
+        split.commit()
+        storage.truncate_dc_log(cut)  # drops page 7's image, keeps its free
+        return storage
+
+    @staticmethod
+    def _index(storage):
+        return {
+            page_id: [(type(r).__name__, r.dlsn) for r in records]
+            for page_id, records in storage._dc_log_by_page.items()
+        }
+
+    @staticmethod
+    def _states(storage):
+        return {
+            page_id: image_fields(stable_page_state(storage, page_id))
+            for page_id in (1, 2, 3, 7, 9, 11)
+        }
+
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_index_after_replay_and_after_compaction(self, tmp_path, compact):
+        path = tmp_path / "j.bin"
+        storage = self._volume(path)
+        index, states = self._index(storage), self._states(storage)
+        assert set(index) == {1, 2, 3, 7}
+        assert [r.key for r in stable_page_state(storage, 2).records] == list(range(5, 10))
+        assert [r.key for r in stable_page_state(storage, 1).records] == list(range(5))
+        assert states[7] is None and states[11] is None
+        if compact:
+            assert storage.compact() > 0
+            assert self._index(storage) == index
+        storage.close()
+
+        reopened = JournalStorage(str(path))
+        assert self._index(reopened) == index
+        assert self._states(reopened) == states
+        assert stable_page_state(reopened, 9) is reopened.read_page(9)
+        # A page named only by a DC-log image is fetchable after restart.
+        pool = BufferPool(
+            reopened, loader=lambda page_id: stable_page_state(reopened, page_id)
+        )
+        page = pool.fetch(2)
+        assert isinstance(page, LeafPage) and page.keys() == list(range(5, 10))
+        assert pool.fetch(7) is None
+        reopened.close()

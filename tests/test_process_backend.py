@@ -27,7 +27,7 @@ import pytest
 pytestmark = pytest.mark.process
 
 from repro.cloud.deployment import CloudDeployment
-from repro.common.config import ChannelConfig, KernelConfig, TcConfig
+from repro.common.config import ChannelConfig, DcConfig, KernelConfig, TcConfig
 from repro.common.errors import CrashedError, ReproError
 from repro.kernel.unbundled import UnbundledKernel
 from repro.net.dcserver import bind_unix_listener
@@ -213,6 +213,58 @@ class TestKillAndRecover:
             txn = kernel.begin()
             assert txn.read("t", 1) == "durable"
             txn.commit()
+
+
+    def test_sigkill_on_a_table_larger_than_the_pool_loses_no_commit(self):
+        """Every page but a handful lives only as a journal page frame or
+        a DC-log image when the kill lands; restart rebuilds each from its
+        frame (and the split pages never flushed from the log's page-id
+        index), before and after a compaction rewrote all of them."""
+        config = process_config()
+        config.dc = DcConfig(page_size=512, buffer_capacity=6)
+        with UnbundledKernel(config=config, dc_count=1) as kernel:
+            kernel.create_table("t")
+            supervisor = Supervisor(metrics=kernel.metrics)
+            supervisor.watch_kernel(kernel)
+            committed: dict[int, str] = {}
+
+            def run(keys, value):
+                for start in range(0, len(keys), 20):
+                    txn = kernel.begin()
+                    for key in keys[start : start + 20]:
+                        if key in committed:
+                            txn.update("t", key, value(key))
+                        else:
+                            txn.insert("t", key, value(key))
+                    txn.commit()
+                    committed.update(
+                        (key, value(key)) for key in keys[start : start + 20]
+                    )
+
+            def read_back():
+                for start in range(0, 600, 100):
+                    txn = kernel.begin()
+                    for key in range(start, start + 100):
+                        assert txn.read("t", key) == committed.get(key), key
+                    txn.commit()
+
+            run(list(range(0, 600, 2)), lambda key: f"first-{key:05d}")
+            counters = kernel.dc.stats()["counters"]
+            assert counters["buffer.evictions"] > 0
+            assert counters["btree.leaf_splits"] > 0
+            assert kernel.dc.stats()["dc"]["stable_pages"] >= 5 * 6
+            kill_dc(kernel.dc)
+            assert supervisor.heal().dc_restarts == 1
+            read_back()
+
+            run(list(range(0, 600, 3)), lambda key: f"second-{key:05d}")
+            assert kernel.checkpoint()
+            assert kernel.dc.checkpoint_dc_log()  # compacts: every page re-framed
+            run(list(range(1, 600, 7)), lambda key: f"third-{key:05d}")
+            kill_dc(kernel.dc)
+            assert supervisor.heal().dc_restarts == 1
+            read_back()
+            assert kernel.dc.stats()["dc"]["tables"]["t"]["records"] == len(committed)
 
 
 def _leftovers() -> tuple:
