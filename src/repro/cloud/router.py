@@ -118,7 +118,6 @@ class TcServiceDeployment:
         start_method: str = "",
         request_timeout_s: float = 30.0,
         listen_host: str = "",
-        fast_codec: bool = True,
     ) -> None:
         if tc_count < 1 or dc_count < 1:
             raise ReproError("deployment needs at least one TC and one DC")
@@ -145,7 +144,6 @@ class TcServiceDeployment:
                         if listen_host
                         else os.path.join(self.data_dir, f"{name}.sock")
                     ),
-                    fast_codec=fast_codec,
                 )
             dc_socks = {dc.name: dc.listen_path for dc in self.dcs.values()}
             for index in range(tc_count):
@@ -159,7 +157,6 @@ class TcServiceDeployment:
                     sharing_mode=sharing_mode,
                     start_method=start_method,
                     request_timeout_s=request_timeout_s,
-                    fast_codec=fast_codec,
                 )
             for dc in self.dcs.values():
                 dc.restart_listeners.append(self._forward_dc_restart)

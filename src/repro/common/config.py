@@ -89,8 +89,6 @@ class TcConfig:
     phantom_protection: bool = True
     #: Give up after this many resend attempts of one operation.
     max_resend_attempts: int = 1000
-    #: Number of partitions for the RANGE_PARTITION protocol.
-    range_partitions: int = 64
     #: Group commit: up to this many concurrently-committing transactions
     #: share one log force.  Durability is never relaxed — a commit is
     #: acknowledged only once its record's LSN is at or below EOSL; the
@@ -117,8 +115,6 @@ class TcConfig:
     undo_cache_size: int = 4096
     #: Send LWM/EOSL to DCs every this-many log appends.
     lwm_interval: int = 8
-    #: Operations re-sent after this many ticks without a reply.
-    resend_timeout: float = 0.5
     #: Base simulated backoff between resend attempts (doubles per retry).
     resend_backoff_ms: float = 0.1
     #: Ceiling for the exponential backoff.
@@ -266,10 +262,6 @@ class ChannelConfig:
     #: Process transport start method: "" = auto (fork where available,
     #: else spawn), or an explicit multiprocessing start method name.
     process_start_method: str = ""
-    #: Negotiate the fast-path binary codec at Hello time
-    #: (docs/architecture.md §17).  False forces the tagged codec on every
-    #: connection — the mixed-version / tagged-only peer simulation.
-    fast_codec: bool = True
     #: TCP data plane: when set (e.g. ``"127.0.0.1"``), DC and TC
     #: listeners bind ``tcp://<listen_host>:0`` (ephemeral port, pinned
     #: after the first Hello, TCP_NODELAY) instead of Unix sockets, so the

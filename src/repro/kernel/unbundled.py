@@ -98,7 +98,6 @@ class UnbundledKernel:
                         start_method=self.config.channel.process_start_method,
                         request_timeout_s=self.config.channel.request_timeout_s,
                         listen_path=listen,
-                        fast_codec=self.config.channel.fast_codec,
                     )
                 else:
                     dc = DataComponent(
@@ -124,7 +123,6 @@ class UnbundledKernel:
                     sharing_mode=self.config.tc.sharing_mode,
                     start_method=self.config.channel.process_start_method,
                     request_timeout_s=self.config.channel.request_timeout_s,
-                    fast_codec=self.config.channel.fast_codec,
                 )
                 for dc in self.dcs.values():
                     dc.restart_listeners.append(self._notify_tc_of_dc_restart)

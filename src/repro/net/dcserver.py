@@ -2,15 +2,16 @@
 
 :func:`serve` is the child-process entry point.  It opens (and replays)
 the DC's journal volume, builds an ordinary
-:class:`~repro.dc.data_component.DataComponent` on top, announces itself
-with a :class:`~repro.net.rpc.Hello` push, then serves every connection
-through one :class:`~repro.net.eventloop.EventLoop`:
+:class:`~repro.dc.data_component.DataComponent` on top, and serves it
+through the shared :class:`~repro.net.server.Server` loop (connections,
+framing, ordering, negotiation, stats envelope, shutdown).  What is the
+DC's own:
 
 - §4.2.1 data/control messages (``PerformOperation``, ``BatchedPerform``,
-  EOSL/LWM/checkpoint/restart traffic) dispatch to ``dc.handle`` exactly
-  as the in-process transport would;
+  EOSL/LWM/checkpoint/restart traffic) are the dispatch *default*: they
+  go to ``dc.handle`` exactly as the in-process transport would;
 - the small control plane of :mod:`repro.net.rpc` (register, catalog,
-  stats, shutdown) is served here;
+  DC-log checkpoint) is the handler table;
 - the **causality gate** is bridged: when a DC system transaction needs
   the TC log forced (Section 4.2.2), the server sends a
   ``SERVER_REQUEST`` ``ForceLogRequest`` on the connection that
@@ -19,44 +20,28 @@ through one :class:`~repro.net.eventloop.EventLoop`:
   connection) backlog in arrival order, while reads, writes and accepts
   on every other connection keep flowing.
 
-**Connections.**  The parent pipe is always served.  With ``listen_path``
-set, the server additionally binds a Unix-domain or TCP listener and
-serves every accepted connection through the same loop — this is how TC
-*server* processes (docs/architecture.md §16) share one DC process as a
-pool.  One DC, many TCs, one event loop — Section 6's multi-TC sharing
-made out-of-process, with the server's thread count O(1) in the number
-of clients.
+With ``listen_path`` set, the server additionally binds a Unix-domain or
+TCP listener — this is how TC *server* processes (docs/architecture.md
+§16) share one DC process as a pool.  One DC, many TCs, one event loop —
+Section 6's multi-TC sharing made out-of-process.
 
-Single-threadedness is deliberate: one DC process is one core's worth of
-DC work (the scale-out unit is the *process*), and it keeps the server's
-view of request order identical to arrival order.  Parallelism comes from
-running many DC processes, which is the point of the deployment mode.
-
-If the parent dies (EOF on the pipe), the server exits; EOF on an
-accepted connection just drops that client (a kill -9'd TC must not take
-the shared DC down with it).  A malformed frame likewise drops only the
-connection that sent it.  If the parent SIGKILLs the server, the
-journal's flushed frames survive in the OS page cache and the next
-:func:`serve` on the same path replays them — the real-death analogue of
-the in-memory store's crash separation.
+If the parent SIGKILLs the server, the journal's flushed frames survive
+in the OS page cache and the next :func:`serve` on the same path replays
+them — the real-death analogue of the in-memory store's crash separation.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import socket
-import threading
-from collections import deque
-from multiprocessing.connection import Connection
 from typing import Optional
 
-from repro.common.api import ControlAck, Message
+from repro.common.api import ControlAck
 from repro.common.config import DcConfig
-from repro.common.errors import CrashedError, ReproError
+from repro.common.errors import CrashedError
 from repro.dc.data_component import DataComponent
 from repro.net import rpc, wire
-from repro.net.eventloop import EventLoop, Peer
+from repro.net.eventloop import Peer
 from repro.net.journal import JournalStorage
 from repro.net.rpc import (
     CheckpointDcLog,
@@ -65,87 +50,17 @@ from repro.net.rpc import (
     ForceLogReply,
     ForceLogRequest,
     Hello,
-    NegotiateCodec,
     RegisterTc,
-    RemoteError,
     RsspHint,
-    Shutdown,
-    StatsReply,
-    StatsRequest,
     TableList,
     TableListReply,
 )
+from repro.net.server import Server
 
 
-def bind_unix_listener(path: str) -> socket.socket:
-    """Bind a Unix-domain listener, replacing any stale socket file.
+class _DcServer(Server):
+    role = "dcserver"
 
-    A kill -9'd server leaves its socket path behind; the respawned server
-    must be able to re-bind the same address so clients reconnect without
-    renegotiating paths.
-    """
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    listener.bind(path)
-    listener.listen(16)
-    return listener
-
-
-def bind_listener(address: str) -> tuple[socket.socket, str]:
-    """Bind a listener for ``tcp://host:port`` or a Unix socket path.
-
-    Returns ``(listener, resolved_address)``: a TCP bind on port 0 picks
-    an ephemeral port, and the resolved address (quoted back to clients
-    in the Hello) carries the concrete one.  ``SO_REUSEADDR`` lets a
-    respawned server re-bind the same port after a kill -9, the same
-    contract :func:`bind_unix_listener` gives via unlink-and-rebind.
-    """
-    if address.startswith("tcp://"):
-        host, _, port = address[len("tcp://"):].rpartition(":")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host or "127.0.0.1", int(port)))
-        listener.listen(16)
-        bound_host, bound_port = listener.getsockname()[:2]
-        return listener, f"tcp://{bound_host}:{bound_port}"
-    return bind_unix_listener(address), address
-
-
-def connect_unix(path: str) -> Connection:
-    """Connect to a server socket, framed like a ``multiprocessing`` pipe."""
-    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    try:
-        sock.connect(path)
-    except OSError:
-        sock.close()  # callers retry; do not leave the fd to the collector
-        raise
-    return Connection(sock.detach())
-
-
-def connect_any(address: str) -> Connection:
-    """Connect to ``tcp://host:port`` or a Unix socket path.
-
-    TCP connections set ``TCP_NODELAY``: the transport already coalesces
-    frames application-side, so Nagle buying latency for nothing is the
-    wrong trade on this data plane.
-    """
-    if address.startswith("tcp://"):
-        host, _, port = address[len("tcp://"):].rpartition(":")
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.connect((host or "127.0.0.1", int(port)))
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            sock.close()
-            raise
-        return Connection(sock.detach())
-    return connect_unix(address)
-
-
-class _DcServer:
     def __init__(
         self,
         conn,
@@ -153,56 +68,33 @@ class _DcServer:
         config: Optional[DcConfig],
         journal_path: str,
         listen_path: str = "",
-        fast_codec: bool = True,
     ):
-        self._parent_conn = conn
-        #: Advertise (and accept) the fast-path codec.  Off simulates a
-        #: tagged-only peer: the server then encodes tagged and never
-        #: enables fast replies, but still *decodes* fast frames — the
-        #: decoder is version-bound, not knob-bound.
-        self._fast_ok = fast_codec
-        #: Per-connection negotiated encode maps (empty until that client
-        #: sends NegotiateCodec); replies to a tagged-only client stay
-        #: tagged forever.
-        self._fast: dict[Peer, dict] = {}
-        self._scratch = bytearray()
         self._storage = JournalStorage(journal_path)
         self._dc = DataComponent(
             name, config=config, metrics=self._storage.metrics, storage=self._storage
         )
-        self._recovered = False
         if self._storage.replayed:
             # A previous incarnation wrote this volume: rebuild structures
             # from the stable catalog before accepting any traffic.  The
             # TC-side redo prompt is driven by the client after reconnect.
             self._dc.recover(notify_tcs=False)
-            self._recovered = True
-        self._loop = EventLoop(self._dc.metrics)
         #: Which peer registered each TC (the force-log bridge target).
         self._tc_peers: dict[int, Peer] = {}
         #: seq -> reply box for force bridges pumping inside the loop.
         self._force_boxes: dict[int, list] = {}
-        #: Frames decoded but not yet dispatched: everything delivered
-        #: while a dispatch (or a force bridge pumping inside one) is on
-        #: the stack lands here and is served strictly in arrival order.
-        self._backlog: deque = deque()
-        self._dispatching = False
-        self._listener: Optional[socket.socket] = None
-        self.listen_addr = ""
-        if listen_path:
-            self._listener, self.listen_addr = bind_listener(listen_path)
         self._sreq_seq = itertools.count(1)
-        self._parent_peer = self._loop.adopt(
-            conn, self._on_frame, self._on_parent_close
-        )
-        if self._listener is not None:
-            self._loop.add_listener(self._listener, self._on_accept)
-
-    # -- framing ------------------------------------------------------------
-
-    def _send(self, peer: Peer, kind: int, seq: int, payload: object) -> None:
-        peer.send_frame(
-            rpc.pack_frame(kind, seq, payload, self._fast.get(peer), self._scratch)
+        super().__init__(
+            conn,
+            listen_path,
+            self._dc.metrics,
+            recovered=self._storage.replayed,
+            handlers={
+                RegisterTc: self._register_tc,
+                CreateTable: self._create_table,
+                TableList: self._table_list,
+                CheckpointDcLog: self._checkpoint_dc_log,
+            },
+            default=self._dc.handle,
         )
 
     # -- the causality-gate bridge -----------------------------------------
@@ -242,6 +134,11 @@ class _DcServer:
 
         return force
 
+    def _on_client_reply(self, seq: int, message: object) -> None:
+        box = self._force_boxes.get(seq)
+        if box is not None:  # None = stale reply from a dropped bridge
+            box.append(message)
+
     def _push_hint(self, dc_name: str, lsn: int) -> None:
         # Spontaneous-stability hints go to every connection that holds a
         # registration (the parent, if none do) — each client fans the
@@ -257,26 +154,12 @@ class _DcServer:
             except (BrokenPipeError, OSError):
                 self._loop.close_peer(peer)
 
-    # -- connection lifecycle ----------------------------------------------
-
-    def _on_accept(self, sock: socket.socket) -> None:
-        peer = self._loop.adopt(sock, self._on_frame, self._on_peer_close)
-        try:
-            self._send(peer, rpc.PUSH, 0, self._hello())
-        except (BrokenPipeError, OSError):
-            self._loop.close_peer(peer)
-
-    def _on_peer_close(self, peer: Peer) -> None:
-        self._fast.pop(peer, None)
+    def _peer_gone(self, peer: Peer) -> None:
         for tc_id, owner in list(self._tc_peers.items()):
             if owner is peer:
                 del self._tc_peers[tc_id]
 
-    def _on_parent_close(self, peer: Peer) -> None:
-        self._on_peer_close(peer)
-        self._loop.stop()  # parent is gone; nothing to serve
-
-    # -- dispatch -----------------------------------------------------------
+    # -- the control plane --------------------------------------------------
 
     def _catalog(self) -> tuple:
         tables = []
@@ -294,141 +177,54 @@ class _DcServer:
             pid=os.getpid(),
             recovered=self._recovered,
             tables=self._catalog(),
-            fast_codec=wire.fast_vocabulary() if self._fast_ok else (),
+            fast_codec=wire.fast_vocabulary(),
             listen_addr=self.listen_addr,
         )
 
-    def _dispatch(self, peer: Peer, message: Message) -> Optional[Message]:
-        if isinstance(message, NegotiateCodec):
-            if self._fast_ok:
-                self._fast[peer] = wire.negotiate(message.vocab)
-            return ControlAck(tc_id=message.tc_id)
-        if isinstance(message, RegisterTc):
-            self._tc_peers[message.tc_id] = peer
-            self._dc.register_tc(
-                message.tc_id,
-                force_log=self._force_bridge(message.tc_id),
-                on_rssp_hint=self._push_hint,
-            )
-            return ControlAck(tc_id=message.tc_id)
-        if isinstance(message, CreateTable):
-            self._dc.create_table(
-                message.name,
-                kind=message.kind,
-                versioned=message.versioned,
-                bucket_count=message.bucket_count,
-            )
-            return ControlAck(tc_id=message.tc_id)
-        if isinstance(message, TableList):
-            return TableListReply(tc_id=message.tc_id, tables=self._catalog())
-        if isinstance(message, StatsRequest):
-            return StatsReply(
-                tc_id=message.tc_id,
-                payload={
-                    "dc": self._dc.stats(),
-                    "counters": self._dc.metrics.counters(),
-                    "pid": os.getpid(),
-                    "recovered": self._recovered,
-                    "journal_bytes": self._storage.journal_bytes(),
-                    "connections": len(self._loop._peers),
-                    # The many-clients scaling claim, measurable from the
-                    # outside: the loop serves every client, so this stays
-                    # flat as connections grow.
-                    "threads": threading.active_count(),
-                },
-            )
-        if isinstance(message, CheckpointDcLog):
-            advanced = self._dc.checkpoint_dc_log()
-            if advanced:
-                # Everything below the new truncation point is reflected
-                # in flushed pages, so the journal's history frames are
-                # dead weight: rewrite it as live state.  A kill -9'd DC
-                # now replays only the live tail, not its whole past.
-                self._storage.compact()
-            return CheckpointDcLogReply(tc_id=message.tc_id, advanced=advanced)
-        if isinstance(message, Shutdown):
-            return ControlAck(tc_id=message.tc_id)
-        return self._dc.handle(message)
+    def _stats(self) -> dict:
+        return {
+            "dc": self._dc.stats(),
+            "journal_bytes": self._storage.journal_bytes(),
+        }
 
-    # -- frame plumbing ------------------------------------------------------
+    def _register_tc(self, peer: Peer, message: RegisterTc) -> ControlAck:
+        self._tc_peers[message.tc_id] = peer
+        self._dc.register_tc(
+            message.tc_id,
+            force_log=self._force_bridge(message.tc_id),
+            on_rssp_hint=self._push_hint,
+        )
+        return ControlAck(tc_id=message.tc_id)
 
-    def _on_frame(self, peer: Peer, data: bytes) -> None:
-        try:
-            kind, seq, message = rpc.unpack_frame(data)
-        except wire.WireError:
-            # One client speaking garbage must not take the server (or
-            # anyone else's connection) down with it.
-            self._dc.metrics.incr("dcserver.bad_frames")
-            self._loop.close_peer(peer)
-            return
-        if kind == rpc.CLIENT_REPLY:
-            box = self._force_boxes.get(seq)
-            if box is not None:
-                box.append(message)
-            return  # unmatched = stale reply from a dropped bridge
-        self._backlog.append((peer, kind, seq, message))
-        self._drain_backlog()
+    def _create_table(self, peer: Peer, message: CreateTable) -> ControlAck:
+        self._dc.create_table(
+            message.name,
+            kind=message.kind,
+            versioned=message.versioned,
+            bucket_count=message.bucket_count,
+        )
+        return ControlAck(tc_id=message.tc_id)
 
-    def _drain_backlog(self) -> None:
-        if self._dispatching:
-            return  # the frame arrived inside a dispatch; served after it
-        self._dispatching = True
-        try:
-            while self._backlog:
-                peer, kind, seq, message = self._backlog.popleft()
-                if peer.closed:
-                    continue
-                if not self._serve_frame(peer, kind, seq, message):
-                    self._loop.stop()
-                    return
-        finally:
-            self._dispatching = False
+    def _table_list(self, peer: Peer, message: TableList) -> TableListReply:
+        return TableListReply(tc_id=message.tc_id, tables=self._catalog())
 
-    def _serve_frame(self, peer: Peer, kind: int, seq: int, message) -> bool:
-        """Serve one frame; returns False when the server should exit."""
-        if kind != rpc.REQUEST:
-            return True  # stray frame (e.g. a stale SERVER_REQUEST echo)
-        try:
-            reply = self._dispatch(peer, message)
-        except CrashedError:
-            # The in-process transport maps a crashed component to a lost
-            # message; mirror that so the client's resend policy engages.
-            reply = None
-        except ReproError as exc:
-            reply = RemoteError(
-                tc_id=getattr(message, "tc_id", 0),
-                kind=type(exc).__name__,
-                text=str(exc),
-            )
-        try:
-            self._send(peer, rpc.REPLY, seq, reply)
-        except (BrokenPipeError, OSError):
-            self._loop.close_peer(peer)
-            return peer is not self._parent_peer
-        if isinstance(message, Shutdown):
-            if peer is self._parent_peer:
-                return False
-            self._loop.close_peer(peer)  # a client said goodbye; keep serving
-        return True
+    def _checkpoint_dc_log(
+        self, peer: Peer, message: CheckpointDcLog
+    ) -> CheckpointDcLogReply:
+        advanced = self._dc.checkpoint_dc_log()
+        if advanced:
+            # Everything below the new truncation point is reflected
+            # in flushed pages, so the journal's history frames are
+            # dead weight: rewrite it as live state.  A kill -9'd DC
+            # now replays only the live tail, not its whole past.
+            self._storage.compact()
+        return CheckpointDcLogReply(tc_id=message.tc_id, advanced=advanced)
 
-    # -- main loop ----------------------------------------------------------
-
-    def run(self) -> None:
-        try:
-            self._send(self._parent_peer, rpc.PUSH, 0, self._hello())
-            self._loop.run()
-        finally:
-            self._storage.close()
-            self._loop.close()
+    def _close(self) -> None:
+        self._storage.close()
 
 
-def serve(
-    conn,
-    name: str,
-    config: Optional[DcConfig],
-    journal_path: str,
-    listen_path: str = "",
-    fast_codec: bool = True,
-) -> None:
-    """Child-process entry point (target of ``multiprocessing.Process``)."""
-    _DcServer(conn, name, config, journal_path, listen_path, fast_codec).run()
+def serve(conn, *args) -> None:
+    """Child-process entry point (target of ``multiprocessing.Process``);
+    the arguments are :class:`_DcServer`'s."""
+    _DcServer(conn, *args).run()

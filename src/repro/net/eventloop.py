@@ -159,6 +159,10 @@ class EventLoop:
         self._listeners[fd] = listener
         self._sel.register(fd, selectors.EVENT_READ, ("listener", on_accept))
 
+    def peer_count(self) -> int:
+        """Connections currently adopted (what ``StatsReply`` reports)."""
+        return len(self._peers)
+
     def call_soon(self, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` on the loop (thread-safe; wakes a blocked select)."""
         self._callbacks.append(fn)

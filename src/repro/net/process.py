@@ -1,11 +1,14 @@
 """Client side of the process deployment mode: proxy, transport, channel.
 
-Three layers, bottom up:
+Bottom up:
 
-- :class:`DcProcess` — the OS-process lifecycle: spawn a
-  :func:`repro.net.dcserver.serve` child over a ``multiprocessing`` pipe,
-  ``SIGKILL`` it, join it.  The journal path outlives the process, which
-  is what makes kill-and-restart a *recovery* event rather than data loss.
+- :class:`ServerProcess` — the OS-process lifecycle: spawn a server
+  child over a ``multiprocessing`` pipe, ``SIGKILL`` it, join it.  The
+  journal path outlives the process, which is what makes
+  kill-and-restart a *recovery* event rather than data loss.
+- :class:`ServerProxy` — the client end of one server connection over a
+  :class:`_Transport`, shared by every proxy (the TC tier's
+  :class:`~repro.net.tcclient.RemoteTc` included).
 - :class:`RemoteDc` — a proxy implementing the surface the TC, kernel and
   supervisor already use on an in-process ``DataComponent`` (``handle``,
   ``register_tc``, catalog lookups, ``crashed`` /
@@ -58,6 +61,7 @@ from repro.net.rpc import (
     StatsRequest,
     TableList,
 )
+from repro.net.server import connect_any
 from repro.sim.metrics import Metrics
 
 
@@ -67,7 +71,7 @@ def wait_hello(
     """Read a server's first frame, which must be its ``hello_type`` push.
 
     The one wait-for-hello of the process transport: a spawned child's
-    pipe (``process`` = its :class:`DcProcess` / ``TcProcess``) and a
+    pipe (``process`` = its :class:`ServerProcess`) and a
     freshly connected listener socket go through the same four steps.
     Anything but a well-formed hello — timeout, EOF (``poll`` reports a
     dead child as *readable*), a socket error, an undecodable or
@@ -101,7 +105,7 @@ def connect_with_retry(address: str, who: str, timeout: float):
     deadline = time.monotonic() + timeout
     while True:
         try:
-            return dcserver.connect_any(address)
+            return connect_any(address)
         except OSError:
             if time.monotonic() >= deadline:
                 raise ReproError(f"{who}: cannot connect to {address}")
@@ -114,26 +118,17 @@ def default_start_method() -> str:
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-class DcProcess:
-    """One spawned DC server process and its pipe."""
+class ServerProcess:
+    """One spawned server process (``target(child_conn, *args)``) and the
+    parent's end of its pipe."""
 
     def __init__(
-        self,
-        name: str,
-        config: Optional[DcConfig],
-        journal_path: str,
-        start_method: str = "",
-        listen_path: str = "",
-        fast_codec: bool = True,
+        self, target: Callable, args: tuple, name: str, start_method: str = ""
     ) -> None:
-        method = start_method or default_start_method()
-        ctx = mp.get_context(method)
+        ctx = mp.get_context(start_method or default_start_method())
         self.conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
-            target=dcserver.serve,
-            args=(child_conn, name, config, journal_path, listen_path, fast_codec),
-            name=f"repro-dc-{name}",
-            daemon=True,
+            target=target, args=(child_conn, *args), name=name, daemon=True
         )
         self.process.start()
         # The parent must drop its copy of the child end, or a dead child
@@ -526,109 +521,103 @@ class _Transport:
             pass
 
 
-class _RemoteTableHandle:
-    """Catalog-only stand-in for ``TableHandle`` (no structure object —
-    record access goes through messages, as §4.2.1 intends)."""
+class ServerProxy:
+    """Client end of one server connection: what :class:`RemoteDc`,
+    :class:`DcClient` and :class:`~repro.net.tcclient.RemoteTc` share.
 
-    __slots__ = ("descriptor",)
+    Opening is one sequence whoever the server is — spawn a child or
+    connect to ``socket_path``, read the hello, negotiate the codec from
+    it, start the :class:`_Transport`, enable the server→client fast leg
+    — and runs from scratch on every restart or reconnect, so a respawned
+    server of another version degrades the wire instead of breaking it.
+    Down-detection (EOF seen by the transport, or the ``crashed`` poll
+    finding a dead child) fires ``on_crash`` once per incarnation.
 
-    def __init__(self, descriptor: TableDescriptor) -> None:
-        self.descriptor = descriptor
+    A subclass sets its own attributes *before* calling this
+    ``__init__``, which opens the first connection.
+    """
 
-
-class RemoteDc:
-    """Proxy for a DC server process; drop-in for the TC/kernel surface."""
+    #: ``"dc"`` / ``"tc"``: the ``on_crash`` listener kind, the counter
+    #: family (``remote_<kind>.*``) and the prefix of error texts.
+    kind = ""
+    hello_type: type = Message
+    #: The counter that follows ``restarts``.
+    reopen_counter = ""
+    #: Stamped on the proxy's own control messages.
+    tc_id = 0
+    #: Listener to connect to; "" = spawn (and own) the server process.
+    socket_path = ""
+    #: How long connecting keeps retrying while the listener comes up.
+    connect_retry_s = 10.0
 
     def __init__(
-        self,
-        name: str,
-        config: Optional[DcConfig] = None,
-        metrics: Optional[Metrics] = None,
-        journal_path: str = "",
-        start_method: str = "",
-        request_timeout_s: float = 30.0,
-        listen_path: str = "",
-        fast_codec: bool = True,
+        self, name: str, metrics: Optional[Metrics], request_timeout_s: float
     ) -> None:
         self.name = name
-        self.config = config
         self.metrics = metrics or Metrics()
-        self.journal_path = journal_path
-        self.start_method = start_method
         self.request_timeout_s = request_timeout_s
-        #: Listener address the server additionally binds ("" = parent
-        #: pipe only): a Unix socket path, or ``tcp://host:port`` for the
-        #: TCP data plane (port 0 = ephemeral; the resolved address is
-        #: pinned back here from the Hello).  TC server processes connect
-        #: here via :class:`DcClient` — the TC service tier (§16) shares
-        #: one DC process among many TC processes this way.
-        self.listen_path = listen_path
-        #: Negotiate the fast-path codec with the server (False simulates
-        #: a tagged-only peer; the wire stays interoperable either way).
-        self.fast_codec = fast_codec
         #: Crash listeners ``fn(name, kind)`` — the supervisor subscribes.
         self.on_crash: list[Callable[[str, str], None]] = []
-        #: Restart listeners ``fn(dc)``, fired by :meth:`prompt_redo` after
-        #: the per-registration prompts.  The TC service deployment hooks
-        #: these to forward the §5.2.1 redo prompt to its TC *processes*
-        #: (which hold their own connections to the restarted server).
-        self.restart_listeners: list[Callable[["RemoteDc"], None]] = []
-        #: tc_id -> callbacks, kept client-side and re-installed (via
-        #: :class:`RegisterTc`) on every restart of the server process.
-        self._registrations: dict[int, dict] = {}
-        self._tables: dict[str, _RemoteTableHandle] = {}
         self._lock = threading.Lock()
         self._crashed = False
         self._down_handled = False
         self._closing = False
         self.restarts = 0
         self.last_pid: Optional[int] = None
-        self._start()
+        self._process: Optional[ServerProcess] = None
+        self._open()
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _start(self) -> None:
-        if not self.journal_path:
-            raise ReproError("RemoteDc needs a journal_path (the DC's volume)")
-        self._process = DcProcess(
-            self.name,
-            self.config,
-            self.journal_path,
-            self.start_method,
-            self.listen_path,
-            self.fast_codec,
-        )
-        hello = wait_hello(
-            self._process.conn, Hello, f"DC {self.name}", process=self._process
-        )
+    def _who(self) -> str:
+        return f"{self.kind.upper()} {self.name}"
+
+    def _open(self) -> None:
+        who = self._who()
+        if self.socket_path:
+            who += f" on {self.socket_path}"
+            conn = connect_with_retry(self.socket_path, who, self.connect_retry_s)
+            hello_timeout = self.request_timeout_s
+        else:
+            self._process = self._spawn()
+            conn = self._process.conn
+            hello_timeout = 30.0
+        try:
+            hello = wait_hello(
+                conn, self.hello_type, who, hello_timeout, self._process
+            )
+        except ReproError as exc:
+            raise self._no_hello(exc)
         self.last_pid = hello.pid
-        if hello.listen_addr:
-            # Pin the resolved listener address: a tcp://host:0 request
-            # binds an ephemeral port, and respawns after a crash must
-            # rebind the *same* concrete port or DC-pool clients could
-            # never reconnect across a heal.
-            self.listen_path = hello.listen_addr
-        self._prime_tables(hello.tables)
+        self._adopt_hello(hello)
         self._down_handled = False
-        fast = wire.negotiate(hello.fast_codec) if self.fast_codec else {}
+        fast = wire.negotiate(hello.fast_codec)
         self._transport = _Transport(
-            self._process.conn,
-            on_server_request=self._serve_force,
+            conn,
+            on_server_request=self._serve_request,
             on_push=self._serve_push,
             on_down=self._note_down,
             fast=fast,
         )
         if fast:
-            # Enable the server->client leg too.  Runs after every
-            # (re)start, so a respawned server re-negotiates from scratch.
-            self.control(NegotiateCodec(tc_id=0, vocab=wire.fast_vocabulary()))
+            # Enable the server->client leg too.
+            self.control(NegotiateCodec(tc_id=self.tc_id, vocab=wire.fast_vocabulary()))
 
-    def _prime_tables(self, tables: tuple) -> None:
-        with self._lock:
-            for name, kind, versioned in tables:
-                self._tables[name] = _RemoteTableHandle(
-                    TableDescriptor(name=name, kind=kind, versioned=versioned)
-                )
+    def _owned(self, verb: str) -> ServerProcess:
+        if self._process is None:
+            raise ReproError(f"{self._who()} is externally managed; cannot {verb} it")
+        return self._process
+
+    def _reopen(self) -> None:
+        """Connect to a new server incarnation (spawned here, or healed
+        by whoever owns the server)."""
+        if self._process is not None:
+            self._process.kill()
+        self._transport.close()
+        self._open()
+        self._crashed = False
+        self.restarts += 1
+        self.metrics.incr(self.reopen_counter)
 
     def _note_down(self) -> None:
         fire = False
@@ -639,41 +628,200 @@ class RemoteDc:
                     self._crashed = True
                     fire = True
         if fire:
-            self.metrics.incr("remote_dc.process_deaths")
+            self.metrics.incr(f"remote_{self.kind}.process_deaths")
             for listener in list(self.on_crash):
-                listener(self.name, "dc")
+                listener(self.name, self.kind)
 
     @property
     def crashed(self) -> bool:
-        if not self._crashed and not self._closing and not self._process.alive:
+        if (
+            not self._crashed
+            and not self._closing
+            and self._process is not None
+            and not self._process.alive
+        ):
             # Poll fallback: nobody may have read the EOF yet.
             self._note_down()
         return self._crashed
 
     @property
     def pid(self) -> Optional[int]:
-        return self._process.pid
+        return self._process.pid if self._process is not None else self.last_pid
 
     def crash(self) -> None:
         """SIGKILL the server process — a *real* fail-stop, not a flag."""
-        self._process.kill()
+        self._owned("crash").kill()
         self._note_down()
 
+    def shutdown(self) -> None:
+        """Graceful stop.  A server that is only connected to closes the
+        connection on ``Shutdown`` (its end-of-session bookkeeping runs
+        now, and whoever reads our end sees a real EOF); one this proxy
+        owns is made sure to have exited.  The fd is closed by the
+        transport alone, after its thread has left."""
+        self._closing = True
+        self.call(Shutdown(tc_id=self.tc_id), timeout=5.0)
+        if self._process is not None:
+            self._process.join(5.0)
+            self._process.kill()
+        self._transport.close()
+
+    def close(self) -> None:
+        self.shutdown()
+
+    # -- messaging ----------------------------------------------------------
+
+    def submit(self, message: Message, defer: bool = False) -> _Slot:
+        """Pipelined send; ``defer=True`` coalesces (see ``_Transport``)."""
+        return self._transport.submit(message, defer=defer)
+
+    def flush(self) -> None:
+        """Push any coalesced (deferred) frames onto the wire now."""
+        self._transport.flush()
+
+    def collect(self, slot: _Slot, timeout: Optional[float] = None) -> object:
+        """Await one submitted request; ``None`` on timeout or a dead
+        connection (the caller's resend machinery takes over, as for any
+        lost reply)."""
+        try:
+            return slot.result(
+                timeout if timeout is not None else self.request_timeout_s
+            )
+        except ReplyTimeout:
+            self.metrics.incr(f"remote_{self.kind}.request_timeouts")
+            return None
+
+    def call(self, message: Message, timeout: Optional[float] = None) -> object:
+        """Send and wait (:meth:`submit` + :meth:`collect`)."""
+        return self.collect(self._transport.submit(message), timeout)
+
+    def control(self, message: Message, timeout: Optional[float] = None) -> Message:
+        """A call that must succeed: raises on loss, death or RemoteError."""
+        reply = self.call(message, timeout)
+        if reply is None:
+            raise self._lost(message)
+        if isinstance(reply, RemoteError):
+            raise self._remote_error(reply)
+        return reply
+
+    def stats(self) -> dict[str, object]:
+        return self.control(StatsRequest(tc_id=self.tc_id)).payload
+
+    # -- what a subclass fills in ----------------------------------------------
+
+    def _spawn(self) -> ServerProcess:
+        """Start the server child (spawn mode only)."""
+        raise NotImplementedError
+
+    def _adopt_hello(self, hello: Message) -> None:
+        """Keep what this kind of proxy takes from a connection's hello."""
+
+    def _no_hello(self, exc: ReproError) -> ReproError:
+        """What a server that never said hello raises."""
+        return exc
+
+    def _lost(self, message: Message) -> ReproError:
+        """What :meth:`control` raises when no reply came."""
+        raise NotImplementedError
+
+    def _remote_error(self, reply: RemoteError) -> ReproError:
+        """What a server-side exception becomes on this side."""
+        return ReproError(f"{self._who()}: {reply.kind}: {reply.text}")
+
+    def _serve_request(self, message: Message) -> Message:
+        """Answer a ``SERVER_REQUEST`` (on the transport's own thread)."""
+        raise ReproError(f"unexpected server request: {message!r}")
+
+    def _serve_push(self, message: Message) -> None:
+        """Take a one-way push that arrives after the hello."""
+
+
+class _RemoteTableHandle:
+    """Catalog-only stand-in for ``TableHandle`` (no structure object —
+    record access goes through messages, as §4.2.1 intends)."""
+
+    __slots__ = ("descriptor",)
+
+    def __init__(self, descriptor: TableDescriptor) -> None:
+        self.descriptor = descriptor
+
+
+class RemoteDc(ServerProxy):
+    """Proxy for a DC server process; drop-in for the TC/kernel surface."""
+
+    kind = "dc"
+    hello_type = Hello
+    reopen_counter = "remote_dc.restarts"
+
+    def __init__(
+        self,
+        name: str,
+        config: Optional[DcConfig] = None,
+        metrics: Optional[Metrics] = None,
+        journal_path: str = "",
+        start_method: str = "",
+        request_timeout_s: float = 30.0,
+        listen_path: str = "",
+    ) -> None:
+        self.config = config
+        self.journal_path = journal_path
+        self.start_method = start_method
+        #: Listener address the server additionally binds ("" = parent
+        #: pipe only): a Unix socket path, or ``tcp://host:port`` for the
+        #: TCP data plane (port 0 = ephemeral; the resolved address is
+        #: pinned back here from the Hello).  TC server processes connect
+        #: here via :class:`DcClient` — the TC service tier (§16) shares
+        #: one DC process among many TC processes this way.
+        self.listen_path = listen_path
+        #: Restart listeners ``fn(dc)``, fired by :meth:`prompt_redo` after
+        #: the per-registration prompts.  The TC service deployment hooks
+        #: these to forward the §5.2.1 redo prompt to its TC *processes*
+        #: (which hold their own connections to the restarted server).
+        self.restart_listeners: list[Callable[["RemoteDc"], None]] = []
+        #: tc_id -> callbacks, kept client-side and re-installed (via
+        #: :class:`RegisterTc`) on every restart of the server process.
+        self._registrations: dict[int, dict] = {}
+        self._tables: dict[str, _RemoteTableHandle] = {}
+        super().__init__(name, metrics, request_timeout_s)
+
+    # -- lifecycle ----------------------------------------------------------
+
+    def _spawn(self) -> ServerProcess:
+        if not self.journal_path:
+            raise ReproError("RemoteDc needs a journal_path (the DC's volume)")
+        return ServerProcess(
+            dcserver.serve,
+            (self.name, self.config, self.journal_path, self.listen_path),
+            f"repro-dc-{self.name}",
+            self.start_method,
+        )
+
+    def _adopt_hello(self, hello: Hello) -> None:
+        if hello.listen_addr:
+            # Pin the resolved listener address: a tcp://host:0 request
+            # binds an ephemeral port, and respawns after a crash must
+            # rebind the *same* concrete port or DC-pool clients could
+            # never reconnect across a heal.
+            self.listen_path = hello.listen_addr
+        self._prime_tables(hello.tables)
+
+    def _prime_tables(self, tables: tuple) -> None:
+        with self._lock:
+            for name, kind, versioned in tables:
+                self._tables[name] = _RemoteTableHandle(
+                    TableDescriptor(name=name, kind=kind, versioned=versioned)
+                )
+
     def recover(self, notify_tcs: bool = True) -> dict[str, object]:
-        """Restart the server on the same journal; re-register every TC.
+        """Restart the server on the same journal (a :class:`DcClient`:
+        reconnect to the server its owner healed); re-register every TC.
 
         The new process replays the journal and runs DC-local recovery
         before saying hello; with ``notify_tcs`` the §5.2.1 redo prompt
         then runs client-side so the TC resends its redo stream over the
         new connection.
         """
-        if self._process.alive:
-            self._process.kill()
-        self._transport.close()
-        self._start()
-        self._crashed = False
-        self.restarts += 1
-        self.metrics.incr("remote_dc.restarts")
+        self._reopen()
         with self._lock:
             tc_ids = list(self._registrations)
         for tc_id in tc_ids:
@@ -695,67 +843,27 @@ class RemoteDc:
         for listener in list(self.restart_listeners):
             listener(self)
 
-    def shutdown(self) -> None:
-        """Graceful stop: ask the server to exit, then make sure it did."""
-        self._closing = True
-        try:
-            self.call(Shutdown(tc_id=0), timeout=5.0)
-        except ReproError:
-            pass
-        self._process.join(5.0)
-        self._process.kill()
-        self._transport.close()
-
     # -- messaging ----------------------------------------------------------
 
-    def submit(self, message: Message, defer: bool = False) -> _Slot:
-        return self._transport.submit(message, defer=defer)
-
-    def flush(self) -> None:
-        """Push any coalesced (deferred) frames onto the wire now."""
-        self._transport.flush()
-
-    def collect(self, slot: _Slot, timeout: Optional[float] = None) -> object:
-        """Await one submitted request; ``None`` on timeout or a dead
-        connection (the caller's resend machinery takes over, as for any
-        lost reply)."""
-        try:
-            return slot.result(
-                timeout if timeout is not None else self.request_timeout_s
-            )
-        except ReplyTimeout:
-            self.metrics.incr("remote_dc.request_timeouts")
-            return None
-
-    def call(self, message: Message, timeout: Optional[float] = None) -> object:
-        """Send and wait (:meth:`submit` + :meth:`collect`)."""
-        return self.collect(self._transport.submit(message), timeout)
-
-    def control(self, message: Message, timeout: Optional[float] = None) -> Message:
-        """A call that must succeed: raises on loss, death or RemoteError."""
-        reply = self.call(message, timeout)
-        if reply is None:
-            raise ReproError(
-                f"DC {self.name}: no reply to {type(message).__name__}"
-                + (" (process down)" if self.crashed else "")
-            )
-        if isinstance(reply, RemoteError):
-            raise ReproError(f"DC {self.name}: {reply.kind}: {reply.text}")
-        return reply
+    def _lost(self, message: Message) -> ReproError:
+        return ReproError(
+            f"DC {self.name}: no reply to {type(message).__name__}"
+            + (" (process down)" if self.crashed else "")
+        )
 
     def handle(self, message: Message) -> Optional[Message]:
         """In-process-compatible synchronous dispatch (used by tests and
         the base channel); the TC's hot path goes through ProcessChannel."""
         reply = self.call(message)
         if isinstance(reply, RemoteError):
-            raise ReproError(f"DC {self.name}: {reply.kind}: {reply.text}")
+            raise self._remote_error(reply)
         return reply
 
     # -- the server-initiated legs ------------------------------------------
 
-    def _serve_force(self, message: Message) -> Message:
+    def _serve_request(self, message: Message) -> Message:
         if not isinstance(message, ForceLogRequest):
-            raise ReproError(f"unexpected server request: {message!r}")
+            return super()._serve_request(message)
         with self._lock:
             registration = self._registrations.get(message.tc_id)
         force = registration.get("force_log") if registration else None
@@ -810,10 +918,7 @@ class RemoteDc:
                 bucket_count=bucket_count,
             )
         )
-        with self._lock:
-            self._tables[name] = _RemoteTableHandle(
-                TableDescriptor(name=name, kind=kind, versioned=versioned)
-            )
+        self._prime_tables(((name, kind, versioned),))
 
     def table_names(self) -> list[str]:
         with self._lock:
@@ -838,27 +943,26 @@ class RemoteDc:
         reply = self.control(CheckpointDcLog(tc_id=0))
         return reply.advanced
 
-    def stats(self) -> dict[str, object]:
-        reply = self.control(StatsRequest(tc_id=0))
-        return reply.payload
-
 
 class DcClient(RemoteDc):
     """A socket-connected proxy to an *already running* DC server.
 
     Same wire protocol, same proxy surface as :class:`RemoteDc`, but no
     process lifecycle: the server was spawned by someone else (the TC
-    service deployment) and exposed a Unix socket (``RemoteDc
-    listen_path`` / ``dcserver.bind_unix_listener``).  TC server processes
-    use this to share one DC process as a pool — each TC process holds its
-    own connection and registers its own tc_id, and the DC's force-log
-    bridge aims at whichever connection registered that TC.
+    service deployment) and exposed a listener (``RemoteDc
+    listen_path``).  TC server processes use this to share one DC process
+    as a pool — each TC process holds its own connection and registers
+    its own tc_id, and the DC's force-log bridge aims at whichever
+    connection registered that TC.
 
     ``crash()`` is refused (a client must not kill a shared server);
     ``recover()`` reconnects over the (re-bound) socket after the *owner*
     healed the process, then re-registers and optionally re-drives the
     redo prompt — which is how a TC server rejoins a kill -9'd DC.
+    ``close()`` drops the connection; the server keeps serving others.
     """
+
+    reopen_counter = "dc_client.reconnects"
 
     def __init__(
         self,
@@ -868,94 +972,12 @@ class DcClient(RemoteDc):
         metrics: Optional[Metrics] = None,
         request_timeout_s: float = 30.0,
         connect_retry_s: float = 10.0,
-        fast_codec: bool = True,
     ) -> None:
         self.socket_path = socket_path
         self.connect_retry_s = connect_retry_s
         super().__init__(
-            name,
-            config=config,
-            metrics=metrics,
-            journal_path="",  # the server owns the volume, not this client
-            request_timeout_s=request_timeout_s,
-            fast_codec=fast_codec,
+            name, config=config, metrics=metrics, request_timeout_s=request_timeout_s
         )
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def _start(self) -> None:
-        conn = connect_with_retry(
-            self.socket_path, f"DC {self.name}", self.connect_retry_s
-        )
-        payload = wait_hello(
-            conn,
-            Hello,
-            f"DC {self.name} on {self.socket_path}",
-            self.request_timeout_s,
-        )
-        self._conn = conn
-        self.last_pid = payload.pid
-        self._prime_tables(payload.tables)
-        self._down_handled = False
-        fast = wire.negotiate(payload.fast_codec) if self.fast_codec else {}
-        self._transport = _Transport(
-            conn,
-            on_server_request=self._serve_force,
-            on_push=self._serve_push,
-            on_down=self._note_down,
-            fast=fast,
-        )
-        if fast:
-            self.control(NegotiateCodec(tc_id=0, vocab=wire.fast_vocabulary()))
-
-    @property
-    def crashed(self) -> bool:
-        return self._crashed
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self.last_pid
-
-    def crash(self) -> None:
-        raise ReproError(
-            f"DC {self.name} is shared; only its owning deployment may kill it"
-        )
-
-    def recover(self, notify_tcs: bool = True) -> dict[str, object]:
-        """Reconnect to the healed server and re-register this client's TCs."""
-        self._transport.close()
-        self._start()
-        self._crashed = False
-        self.restarts += 1
-        self.metrics.incr("dc_client.reconnects")
-        with self._lock:
-            tc_ids = list(self._registrations)
-        for tc_id in tc_ids:
-            self.control(RegisterTc(tc_id=tc_id))
-        if notify_tcs:
-            self.prompt_redo()
-        return {"restarted": True, "pid": self.last_pid, "restarts": self.restarts}
-
-    def close(self) -> None:
-        """Terminal: drop the connection (the server keeps serving others).
-
-        Saying goodbye makes the *server* close the connection, so the
-        server's end-of-session bookkeeping runs now and whoever is
-        reading our end sees a real EOF before the transport closes the fd.
-        """
-        self._closing = True
-        try:
-            self.control(Shutdown(tc_id=0), timeout=5.0)
-        except ReproError:
-            pass  # server already gone — EOF has been delivered anyway
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-        self._transport.close()
-
-    def shutdown(self) -> None:
-        self.close()
 
 
 class ProcessChannel(MessageChannel):
@@ -1008,7 +1030,7 @@ class ProcessChannel(MessageChannel):
         if reply is None:
             return None
         if isinstance(reply, RemoteError):
-            raise ReproError(f"DC {self.dc.name}: {reply.kind}: {reply.text}")
+            raise self.dc._remote_error(reply)
         self._charge_latency()
         return reply
 

@@ -1,11 +1,9 @@
-"""Client side of the TC service tier: proxy, transaction handle, process.
+"""Client side of the TC service tier: proxy and transaction handle.
 
-The mirror image of :mod:`repro.net.process`, one layer up the stack:
+One layer up the stack from :mod:`repro.net.process`, whose
+:class:`~repro.net.process.ServerProxy` carries the connection (spawn or
+connect, hello, codec negotiation, down-detection, messaging, close):
 
-- :class:`TcProcess` — the OS-process lifecycle for a
-  :func:`repro.net.tcserver.serve` child.  The TC's *log journal* path
-  outlives the process, which is what turns ``kill -9`` into a §5.3.2
-  recovery event instead of lost commits.
 - :class:`RemoteTc` — a proxy exposing the application-facing surface of
   :class:`~repro.tc.transactional_component.TransactionalComponent`
   (``begin`` / ``read_other`` / ``scan_other`` / ``checkpoint`` /
@@ -32,9 +30,7 @@ router's retry contract.
 from __future__ import annotations
 
 import itertools
-import multiprocessing as mp
-import threading
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.common.api import Message
 from repro.common.config import TcConfig
@@ -45,21 +41,9 @@ from repro.common.errors import (
     TransactionAborted,
 )
 from repro.common.ops import ReadFlavor
-from repro.net import tcserver, wire
-from repro.net.process import (
-    ReplyTimeout,
-    _Slot,
-    _Transport,
-    connect_with_retry,
-    default_start_method,
-    wait_hello,
-)
-from repro.net.rpc import (
-    NegotiateCodec,
-    RemoteError,
-    Shutdown,
-    StatsRequest,
-)
+from repro.net import tcserver
+from repro.net.process import ServerProcess, ServerProxy, _Transport
+from repro.net.rpc import RemoteError, StatsRequest
 from repro.net.tcrpc import (
     DcRestarted,
     GrantOwnership,
@@ -80,65 +64,6 @@ from repro.net.tcrpc import (
 )
 from repro.sim.metrics import Metrics
 from repro.tc.transactional_component import TransactionState
-
-
-class TcProcess:
-    """One spawned TC server process and its pipe."""
-
-    def __init__(
-        self,
-        name: str,
-        tc_id: int,
-        tc_config: Optional[TcConfig],
-        journal_path: str,
-        dc_socks: dict[str, str],
-        grants: Optional[list] = None,
-        sharing_mode: str = "",
-        start_method: str = "",
-        request_timeout_s: float = 30.0,
-        fast_codec: bool = True,
-    ) -> None:
-        method = start_method or default_start_method()
-        ctx = mp.get_context(method)
-        self.conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(
-            target=tcserver.serve,
-            args=(
-                child_conn,
-                name,
-                tc_id,
-                tc_config,
-                journal_path,
-                dict(dc_socks),
-                list(grants or []),
-                sharing_mode,
-                request_timeout_s,
-                fast_codec,
-            ),
-            name=f"repro-tc-{name}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self.process.pid
-
-    def kill(self) -> None:
-        """SIGKILL; the fd stays open until the transport closes it
-        (same fd-reuse hazard as :class:`~repro.net.process.
-        DcProcess.kill`)."""
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join()
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        self.process.join(timeout)
 
 
 class RemoteTransaction:
@@ -374,7 +299,7 @@ class RemoteTransaction:
                 pass
 
 
-class RemoteTc:
+class RemoteTc(ServerProxy):
     """Proxy for a TC server process; drop-in for the TC's app surface.
 
     Two modes:
@@ -382,11 +307,17 @@ class RemoteTc:
     - **spawn mode** (default): this proxy owns the child process —
       ``crash()`` SIGKILLs it and ``restart()`` respawns it on the same
       journal with the current DC map and ownership grants, running the
-      §5.3.2 record/page-reset protocol server-side before hello.
+      §5.3.2 record/page-reset protocol server-side before hello.  The
+      TC's *log journal* outlives the process, which is what turns
+      ``kill -9`` into a recovery event instead of lost commits.
     - **connect mode** (``socket_path`` set): attach to an externally
       managed ``python -m repro serve-tc`` server; lifecycle calls are
       refused, everything else is identical.
     """
+
+    kind = "tc"
+    hello_type = TcHello
+    reopen_counter = "remote_tc.restarts"
 
     def __init__(
         self,
@@ -401,140 +332,61 @@ class RemoteTc:
         start_method: str = "",
         request_timeout_s: float = 30.0,
         socket_path: str = "",
-        fast_codec: bool = True,
     ) -> None:
-        self.name = name
         self.tc_id = tc_id
-        #: Negotiate the fast-path codec with the server (False simulates
-        #: a tagged-only client; the wire stays interoperable either way).
-        self.fast_codec = fast_codec
         self.journal_path = journal_path
         self.dcs = dict(dcs or {})
         self.config = config
-        self.metrics = metrics or Metrics()
         #: Ownership grants, kept client-side so a respawn re-installs the
         #: exact partition map the router is still using.
         self.grants: list = list(grants or [])
         self.sharing_mode = sharing_mode
         self.start_method = start_method
-        self.request_timeout_s = request_timeout_s
         self.socket_path = socket_path
-        #: Crash listeners ``fn(name, kind)`` — the supervisor subscribes.
-        self.on_crash: list[Callable[[str, str], None]] = []
-        self._lock = threading.Lock()
-        self._crashed = False
-        self._down_handled = False
-        self._closing = False
-        self.restarts = 0
-        self.last_pid: Optional[int] = None
+        self.connect_retry_s = request_timeout_s
         self.last_recovered = False
-        self._process: Optional[TcProcess] = None
-        self._start()
+        super().__init__(name, metrics, request_timeout_s)
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _start(self) -> None:
-        if self.socket_path:
-            self._connect()
-            return
+    def _spawn(self) -> ServerProcess:
         if not self.journal_path:
             raise ReproError("RemoteTc needs a journal_path (the TC's log volume)")
-        self._process = TcProcess(
-            self.name,
-            self.tc_id,
-            self.config,
-            self.journal_path,
-            self.dcs,
-            self.grants,
-            self.sharing_mode,
+        return ServerProcess(
+            tcserver.serve,
+            (
+                self.name,
+                self.tc_id,
+                self.config,
+                self.journal_path,
+                dict(self.dcs),
+                list(self.grants),
+                self.sharing_mode,
+                self.request_timeout_s,
+            ),
+            f"repro-tc-{self.name}",
             self.start_method,
-            self.request_timeout_s,
-            self.fast_codec,
         )
-        try:
-            hello = wait_hello(
-                self._process.conn, TcHello, f"TC {self.name}", process=self._process
-            )
-        except ReproError:
-            # The child either never came up or died inside §5.3.2 restart
-            # (e.g. a DC it must redo against is also down).  Mark crashed
-            # so the supervisor's heal loop retries after the DCs heal.
-            self._mark_crashed_for_failed_start()
-            raise CrashedError(f"TC {self.name} (restart failed)")
-        self._adopt_hello(hello, self._process.conn)
 
-    def _connect(self) -> None:
-        conn = connect_with_retry(
-            self.socket_path, f"TC {self.name}", self.request_timeout_s
-        )
-        hello = wait_hello(
-            conn,
-            TcHello,
-            f"TC {self.name} on {self.socket_path}",
-            self.request_timeout_s,
-        )
-        self._adopt_hello(hello, conn)
-
-    def _adopt_hello(self, hello: TcHello, conn) -> None:
-        self.last_pid = hello.pid
-        self.last_recovered = hello.recovered
-        self._conn = conn
-        self._down_handled = False
-        fast = wire.negotiate(hello.fast_codec) if self.fast_codec else {}
-        #: Transaction handles are local to one connection (and so to
-        #: one server incarnation): a new connection counts from 1 again.
-        self._handles = itertools.count(1)
-        self._transport = _Transport(
-            conn,
-            on_server_request=self._reject_server_request,
-            on_push=lambda _message: None,
-            on_down=self._note_down,
-            fast=fast,
-        )
-        if fast:
-            # Enable the server->client leg; re-negotiated from scratch
-            # after every restart/reconnect, so a respawned tagged-only
-            # server (version skew) degrades the wire instead of breaking.
-            self.control(NegotiateCodec(tc_id=self.tc_id, vocab=wire.fast_vocabulary()))
-
-    def _reject_server_request(self, message: Message) -> Message:
-        raise ReproError(f"unexpected server request from TC: {message!r}")
-
-    def _mark_crashed_for_failed_start(self) -> None:
+    def _no_hello(self, exc: ReproError) -> ReproError:
+        if self._process is None:
+            return exc
+        # The child either never came up or died inside §5.3.2 restart
+        # (e.g. a DC it must redo against is also down).  Mark crashed
+        # so the supervisor's heal loop retries after the DCs heal.
         with self._lock:
             already = self._crashed
             self._crashed = True
             self._down_handled = True
         if not already:
             self.metrics.incr("remote_tc.failed_restarts")
+        return CrashedError(f"TC {self.name} (restart failed)")
 
-    def _note_down(self) -> None:
-        fire = False
-        with self._lock:
-            if not self._down_handled:
-                self._down_handled = True
-                if not self._closing:
-                    self._crashed = True
-                    fire = True
-        if fire:
-            self.metrics.incr("remote_tc.process_deaths")
-            for listener in list(self.on_crash):
-                listener(self.name, "tc")
-
-    @property
-    def crashed(self) -> bool:
-        if (
-            not self._crashed
-            and not self._closing
-            and self._process is not None
-            and not self._process.alive
-        ):
-            self._note_down()
-        return self._crashed
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self._process.pid if self._process is not None else self.last_pid
+    def _adopt_hello(self, hello: TcHello) -> None:
+        self.last_recovered = hello.recovered
+        #: Transaction handles are local to one connection (and so to
+        #: one server incarnation): a new connection counts from 1 again.
+        self._handles = itertools.count(1)
 
     def crash(self) -> int:
         """SIGKILL the server process — a real fail-stop.
@@ -544,10 +396,7 @@ class RemoteTc:
         lost — that is the :class:`~repro.net.tcserver.DurableTcLog`
         contract — and the unacknowledged tail has no client-side count.
         """
-        if self._process is None:
-            raise ReproError(f"TC {self.name} is externally managed; cannot crash it")
-        self._process.kill()
-        self._note_down()
+        super().crash()
         return 0
 
     def restart(self, reset_mode: object = None) -> dict[str, object]:
@@ -557,15 +406,8 @@ class RemoteTc:
         ``restart(reset_mode)``; the server always record-resets (the
         tier's DCs are shared, so page-granularity reset is never safe).
         """
-        if self._process is None:
-            raise ReproError(f"TC {self.name} is externally managed; cannot restart it")
-        if self._process.alive:
-            self._process.kill()
-        self._transport.close()
-        self._start()
-        self._crashed = False
-        self.restarts += 1
-        self.metrics.incr("remote_tc.restarts")
+        self._owned("restart")
+        self._reopen()
         return {
             "restarted": True,
             "pid": self.last_pid,
@@ -573,59 +415,15 @@ class RemoteTc:
             "restarts": self.restarts,
         }
 
-    def shutdown(self) -> None:
-        self._closing = True
-        try:
-            self.call(Shutdown(tc_id=self.tc_id), timeout=5.0)
-        except ReproError:
-            pass
-        if self._process is not None:
-            self._process.join(5.0)
-            self._process.kill()
-            self._transport.close()
-        else:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._transport.close()
-
-    def close(self) -> None:
-        self.shutdown()
-
     # -- messaging ----------------------------------------------------------
 
-    def submit(self, message: Message, defer: bool = False) -> _Slot:
-        """Pipelined send; ``defer=True`` coalesces (see ``_Transport``)."""
-        return self._transport.submit(message, defer=defer)
+    def _lost(self, message: Message) -> ReproError:
+        return CrashedError(f"TC {self.name}")
 
-    def flush(self) -> None:
-        """Push any coalesced (deferred) frames onto the wire now."""
-        self._transport.flush()
-
-    def collect(self, slot: _Slot, timeout: Optional[float] = None) -> object:
-        """Await one submitted request; ``None`` = lost (timeout or a
-        dead connection)."""
-        try:
-            return slot.result(
-                timeout if timeout is not None else self.request_timeout_s
-            )
-        except ReplyTimeout:
-            self.metrics.incr("remote_tc.request_timeouts")
-            return None
-
-    def call(self, message: Message, timeout: Optional[float] = None) -> object:
-        return self.collect(self._transport.submit(message), timeout)
-
-    def control(self, message: Message, timeout: Optional[float] = None) -> Message:
-        reply = self.call(message, timeout)
-        if reply is None:
-            raise CrashedError(f"TC {self.name}")
-        if isinstance(reply, RemoteError):
-            if reply.kind in ("CrashedError", "ComponentUnavailableError"):
-                raise CrashedError(f"TC {self.name}: {reply.text}")
-            raise ReproError(f"TC {self.name}: {reply.kind}: {reply.text}")
-        return reply
+    def _remote_error(self, reply: RemoteError) -> ReproError:
+        if reply.kind in ("CrashedError", "ComponentUnavailableError"):
+            return CrashedError(f"TC {self.name}: {reply.text}")
+        return super()._remote_error(reply)
 
     # -- the TransactionalComponent app surface ------------------------------
 
@@ -662,9 +460,6 @@ class RemoteTc:
 
     def checkpoint(self) -> bool:
         return self.control(TcCheckpoint(tc_id=self.tc_id)).advanced
-
-    def stats(self) -> dict[str, object]:
-        return self.control(StatsRequest(tc_id=self.tc_id)).payload
 
     def pending_zombies(self) -> int:
         """Supervisor surface; 0 while the process is down (nothing can be

@@ -4,7 +4,7 @@ This is the paper's unbundling completed end-to-end (docs/architecture.md
 §16): DCs became processes in the process deployment mode; here the TC —
 the last component still living in the client's address space — becomes
 one too.  :func:`serve` is the child entry point behind
-:class:`~repro.net.tcclient.TcProcess`; :func:`serve_socket` backs the
+:class:`~repro.net.tcclient.RemoteTc`; :func:`serve_socket` backs the
 standalone ``python -m repro serve-tc`` CLI.
 
 The server builds an ordinary
@@ -37,30 +37,19 @@ from __future__ import annotations
 import os
 import pickle
 import struct
-import threading
 import zlib
-from collections import deque
 from typing import Optional
 
 from repro.common.api import ControlAck, Message
 from repro.common.config import ChannelConfig, TcConfig
-from repro.common.errors import (
-    ComponentUnavailableError,
-    CrashedError,
-    ReproError,
-)
+from repro.common.errors import ComponentUnavailableError, ReproError
 from repro.common.lsn import Lsn, NULL_LSN
 from repro.common.ops import ReadFlavor
 from repro.cloud.partitioning import stable_key_hash
-from repro.net import rpc, wire
-from repro.net.eventloop import EventLoop, Peer
-from repro.net.rpc import (
-    NegotiateCodec,
-    RemoteError,
-    Shutdown,
-    StatsReply,
-    StatsRequest,
-)
+from repro.net import wire
+from repro.net.eventloop import Peer
+from repro.net.process import DcClient
+from repro.net.server import Server
 from repro.net.tcrpc import (
     AttachDc,
     DcRestarted,
@@ -247,18 +236,15 @@ class _Session:
         return True
 
 
-class _TcServer:
-    """Event-loop server for one TC process, serving any number of clients.
+class _TcServer(Server):
+    """The TC's share of its server process (connections, framing,
+    ordering and shutdown are :class:`~repro.net.server.Server`'s).
 
-    One :class:`~repro.net.eventloop.EventLoop` owns the spawning parent's
-    pipe (if any) and every connection a socket listener accepts — so the
-    TC tier scales clients without growing threads (server thread count
-    stays O(#DCs): each DcClient connection keeps one background thread,
-    so a DC's force-log request is served while a dispatch is running;
-    replies from the DCs are read by the dispatching thread itself).
-    Dispatch itself stays single-threaded: requests are served strictly in
-    arrival order, which is what keeps the server's view of transaction
-    order simple.
+    The TC tier scales clients without growing threads: server thread
+    count stays O(#DCs) — each DcClient connection keeps one background
+    thread, so a DC's force-log request is served while a dispatch is
+    running; replies from the DCs are read by the dispatching thread
+    itself.
 
     **Who opens a transaction.**  There is no begin request: a client
     names a new transaction by a negative ``txn_id`` of its own choosing
@@ -277,6 +263,13 @@ class _TcServer:
     its locks don't outlive it).
     """
 
+    role = "tcserver"
+    #: A *downstream* DC is dead, not this TC: the client's transaction
+    #: is still open and abortable here, so the failure must travel as
+    #: an error, never as silence — a lost-reply ABORTED client handle
+    #: would strand the open transaction (and its applied writes) forever.
+    reported_crashes = (ComponentUnavailableError,)
+
     def __init__(
         self,
         conn,
@@ -288,26 +281,17 @@ class _TcServer:
         grants: Optional[list] = None,
         sharing_mode: str = "",
         request_timeout_s: float = 30.0,
-        fast_codec: bool = True,
+        listen_path: str = "",
+        max_sessions: int = 0,
     ) -> None:
-        from repro.net.process import DcClient
-
         self._name = name
-        #: Advertise/accept fast-codec negotiation for the client leg and
-        #: our own DcClient legs (False = tagged-only peer simulation).
-        self._fast_ok = fast_codec
-        #: Per-connection negotiated encode maps ({} until that client
-        #: sends NegotiateCodec — replies before that stay tagged).
-        self._fast: dict[Peer, dict] = {}
-        self._scratch = bytearray()
-        self._metrics = Metrics()
+        metrics = Metrics()
         self._journal = _RecordJournal(journal_path)
-        log = DurableTcLog(self._journal, self._metrics)
+        log = DurableTcLog(self._journal, metrics)
         config = tc_config or TcConfig.optimized()
         self._tc = TransactionalComponent(
-            tc_id=tc_id, config=config, metrics=self._metrics, log=log
+            tc_id=tc_id, config=config, metrics=metrics, log=log
         )
-        self._request_timeout_s = request_timeout_s
         self._channel_config = ChannelConfig(
             transport="process", request_timeout_s=request_timeout_s
         )
@@ -318,12 +302,8 @@ class _TcServer:
         self._ownership: dict[str, tuple[int, frozenset, tuple]] = {}
         for grant in grants or []:
             self._install_grant(*grant)
-        mode = sharing_mode or config.sharing_mode
-        self._default_flavor = (
-            ReadFlavor.DIRTY if mode == "dirty" else ReadFlavor.READ_COMMITTED
-        )
+        self._set_sharing_mode(sharing_mode or config.sharing_mode)
         self._txns: dict[int, object] = {}
-        self._recovered = False
         if log.replayed:
             # §5.3.2 TC failure, against a real journal: mark the TC
             # crashed (the log tail is already exactly the stable prefix)
@@ -332,48 +312,68 @@ class _TcServer:
             # client never sees a half-recovered server.
             self._tc.crash()
             self._tc.restart()
-            self._recovered = True
-        self._loop = EventLoop(self._metrics)
         #: Client connection -> its handles (abort-on-disconnect walks
         #: the open ones).
         self._sessions: dict[Peer, _Session] = {}
         #: txn_id -> (connection, handle) that opened it, to drop the
         #: handle when the transaction ends.
         self._txn_origin: dict[int, tuple[Peer, int]] = {}
-        #: Frames decoded but not yet dispatched (see dcserver.py: frames
-        #: that land while a dispatch is on the stack are served after it,
-        #: strictly in arrival order).
-        self._backlog: deque = deque()
-        self._dispatching = False
-        #: Socket-mode session accounting (serve_socket's max_sessions).
+        #: Stop once this many socket sessions have ended (0 = never).
+        self._max_sessions = max_sessions
         self._sessions_ended = 0
-        self._max_sessions = 0
-        self._parent_peer: Optional[Peer] = None
-        if conn is not None:
-            self._parent_peer = self._loop.adopt(
-                conn, self._on_frame, self._on_parent_close
-            )
+        super().__init__(
+            conn,
+            listen_path,
+            metrics,
+            recovered=log.replayed,
+            handlers={
+                TxnWrite: self._txn_write,
+                TxnRead: self._txn_read,
+                TxnScan: self._txn_scan,
+                TxnSync: self._txn_sync,
+                TxnCommit: self._txn_commit,
+                TxnAbort: self._txn_abort,
+                ReadOther: self._read_other,
+                ScanOther: self._scan_other,
+                TcCheckpoint: self._checkpoint,
+                DcRestarted: self._dc_restarted,
+                RefreshRoutes: self._refresh_routes,
+                AttachDc: self._attach_dc,
+                GrantOwnership: self._grant_ownership,
+                SharingMode: self._sharing_mode,
+                TcRetryPending: self._retry_pending,
+            },
+            default=self._unhandled,
+        )
 
     # -- wiring -------------------------------------------------------------
 
     def _attach(self, dc_name: str, socket_path: str) -> None:
-        from repro.net.process import DcClient
-
         client = DcClient(
             dc_name,
             socket_path,
-            metrics=self._metrics,
-            request_timeout_s=self._request_timeout_s,
-            fast_codec=self._fast_ok,
+            metrics=self._tc.metrics,
+            request_timeout_s=self._channel_config.request_timeout_s,
         )
         self._clients[dc_name] = client
         self._tc.attach_dc(client, self._channel_config)
+
+    def _client(self, dc_name: str) -> DcClient:
+        client = self._clients.get(dc_name)
+        if client is None:
+            raise ReproError(f"TC {self._name}: unknown DC {dc_name!r}")
+        return client
 
     def _install_grant(
         self, table: str, modulus: int, residues: tuple, owners: tuple
     ) -> None:
         self._ownership[table] = (max(int(modulus), 1), frozenset(residues), tuple(owners))
         self._tc.ownership_guard = self._guard
+
+    def _set_sharing_mode(self, mode: str) -> None:
+        self._default_flavor = (
+            ReadFlavor.DIRTY if mode == "dirty" else ReadFlavor.READ_COMMITTED
+        )
 
     def _guard(self, table: str, key: object) -> bool:
         rule = self._ownership.get(_logical(table))
@@ -395,7 +395,7 @@ class _TcServer:
             return None
         return owners[partition] if partition < len(owners) else ""
 
-    # -- dispatch -----------------------------------------------------------
+    # -- sessions -------------------------------------------------------------
 
     def _txn(self, peer: Peer, named: int):
         """The transaction a request names, opening it if ``named`` is a
@@ -423,207 +423,9 @@ class _TcServer:
             peer, handle = self._txn_origin.pop(txn.txn_id)
             del self._sessions[peer].open[handle]
 
-    def _flavor(self, flavor: object) -> ReadFlavor:
-        return flavor if isinstance(flavor, ReadFlavor) else self._default_flavor
-
-    def _dispatch(self, peer: Peer, message: Message) -> Optional[Message]:
-        tc = self._tc
-        if isinstance(message, NegotiateCodec):
-            if self._fast_ok:
-                self._fast[peer] = wire.negotiate(message.vocab)
-            return ControlAck(tc_id=message.tc_id)
-        if isinstance(message, TxnWrite):
-            txn = self._txn(peer, message.txn_id)
-            owner = self._misroute_owner(message.table, message.key)
-            if owner is not None:
-                # Bounced before the mutation path.  A transaction this
-                # write opened stays open (and empty) until the client's
-                # abort, as when opening was a request of its own.
-                self._metrics.incr("tcserver.redirects")
-                return Redirect(
-                    tc_id=message.tc_id,
-                    table=message.table,
-                    key=message.key,
-                    owner=owner,
-                )
-            try:
-                if message.verb == "insert":
-                    txn.insert(
-                        message.table,
-                        message.key,
-                        message.value,
-                        deferred=message.deferred,
-                    )
-                elif message.verb == "update":
-                    txn.update(
-                        message.table,
-                        message.key,
-                        message.value,
-                        deferred=message.deferred,
-                    )
-                elif message.verb == "delete":
-                    txn.delete(message.table, message.key, deferred=message.deferred)
-                elif message.verb == "increment":
-                    txn.increment(
-                        message.table,
-                        message.key,
-                        message.delta,
-                        deferred=message.deferred,
-                    )
-                else:
-                    raise ReproError(f"unknown write verb {message.verb!r}")
-            finally:
-                self._reap(txn)
-            return TxnAck(tc_id=message.tc_id, txn_id=txn.txn_id)
-        if isinstance(message, TxnRead):
-            txn = self._txn(peer, message.txn_id)
-            try:
-                value = txn.read(message.table, message.key)
-            finally:
-                self._reap(txn)
-            return TxnReadReply(
-                tc_id=message.tc_id,
-                txn_id=txn.txn_id,
-                found=value is not None,
-                value=value,
-            )
-        if isinstance(message, TxnScan):
-            txn = self._txn(peer, message.txn_id)
-            try:
-                rows = txn.scan(
-                    message.table, message.low, message.high, message.limit or None
-                )
-            finally:
-                self._reap(txn)
-            return TxnScanReply(
-                tc_id=message.tc_id,
-                txn_id=txn.txn_id,
-                rows=tuple(tuple(row) for row in rows),
-            )
-        if isinstance(message, TxnSync):
-            txn = self._txn(peer, message.txn_id)
-            try:
-                txn.sync()
-            finally:
-                self._reap(txn)
-            return TxnAck(tc_id=message.tc_id, txn_id=txn.txn_id)
-        if isinstance(message, TxnCommit):
-            txn = self._txn(peer, message.txn_id)
-            try:
-                txn.commit()
-            finally:
-                self._reap(txn)
-            return TxnAck(tc_id=message.tc_id, txn_id=txn.txn_id)
-        if isinstance(message, TxnAbort):
-            # Presumed abort: a retried abort after a lost reply (or a
-            # server restart that already undid the loser) finds no
-            # transaction — that *is* the aborted outcome, acknowledge it.
-            # An abort never opens: a handle names only what is open.
-            txn_id = message.txn_id
-            if txn_id < 0 and peer in self._sessions:
-                txn_id = self._sessions[peer].open.get(txn_id, 0)
-            txn = self._txns.get(txn_id)
-            if txn is not None:
-                try:
-                    txn.abort()
-                finally:
-                    self._reap(txn)
-            return TxnAck(tc_id=message.tc_id, txn_id=message.txn_id)
-        if isinstance(message, ReadOther):
-            value = tc.read_other(
-                message.table, message.key, self._flavor(message.flavor)
-            )
-            return TxnReadReply(
-                tc_id=message.tc_id, found=value is not None, value=value
-            )
-        if isinstance(message, ScanOther):
-            rows = tc.scan_other(
-                message.table,
-                message.low,
-                message.high,
-                message.limit or None,
-                self._flavor(message.flavor),
-            )
-            return TxnScanReply(
-                tc_id=message.tc_id, rows=tuple(tuple(row) for row in rows)
-            )
-        if isinstance(message, TcCheckpoint):
-            advanced = tc.checkpoint()
-            return TcCheckpointReply(
-                tc_id=message.tc_id,
-                advanced=advanced,
-                rssp=tc.stats()["rssp"],
-            )
-        if isinstance(message, StatsRequest):
-            return StatsReply(
-                tc_id=message.tc_id,
-                payload={
-                    **tc.stats(),
-                    "name": self._name,
-                    "pid": os.getpid(),
-                    "recovered": self._recovered,
-                    "pending_zombies": tc.pending_zombies(),
-                    "open_transactions": len(self._txns),
-                    "journal_bytes": self._journal.size(),
-                    "counters": self._metrics.counters(),
-                    "connections": len(self._loop._peers),
-                    # O(#DCs), not O(#clients): the loop serves every
-                    # client; only DcClient legs own threads.
-                    "threads": threading.active_count(),
-                },
-            )
-        if isinstance(message, DcRestarted):
-            client = self._clients.get(message.dc_name)
-            if client is None:
-                raise ReproError(f"TC {self._name}: unknown DC {message.dc_name!r}")
-            # Reconnect over the (re-bound) socket, re-register, then let
-            # prompt_redo drive tc._on_dc_restart: force + EOSL, redo
-            # stream resend, RedoComplete, zombie retries — §5.2.1 across
-            # two real process boundaries.  A redo the DC already saw is
-            # absorbed by abLSN idempotence.
-            client.recover(notify_tcs=True)
-            return ControlAck(tc_id=message.tc_id)
-        if isinstance(message, RefreshRoutes):
-            client = self._clients.get(message.dc_name)
-            if client is None:
-                raise ReproError(f"TC {self._name}: unknown DC {message.dc_name!r}")
-            client.refresh_catalog()
-            tc.refresh_routes(client)
-            return ControlAck(tc_id=message.tc_id)
-        if isinstance(message, AttachDc):
-            if message.dc_name not in self._clients:
-                self._attach(message.dc_name, message.socket_path)
-            return ControlAck(tc_id=message.tc_id)
-        if isinstance(message, GrantOwnership):
-            self._install_grant(
-                message.table, message.modulus, message.residues, message.owners
-            )
-            return ControlAck(tc_id=message.tc_id)
-        if isinstance(message, SharingMode):
-            self._default_flavor = (
-                ReadFlavor.DIRTY
-                if message.mode == "dirty"
-                else ReadFlavor.READ_COMMITTED
-            )
-            return ControlAck(tc_id=message.tc_id)
-        if isinstance(message, TcRetryPending):
-            tc.retry_pending()
-            return ControlAck(tc_id=message.tc_id)
-        if isinstance(message, Shutdown):
-            return ControlAck(tc_id=message.tc_id)
-        raise ReproError(f"TC {self._name}: unhandled message {type(message).__name__}")
-
-    # -- connection lifecycle ------------------------------------------------
-
-    def _on_accept(self, sock) -> None:
-        peer = self._loop.adopt(sock, self._on_frame, self._on_peer_close)
-        try:
-            self._send(peer, rpc.PUSH, 0, self.hello())
-        except (BrokenPipeError, OSError):
-            self._loop.close_peer(peer)
-
-    def _abort_for(self, peer: Peer) -> None:
-        """Presumed abort for a disconnected client's open transactions."""
+    def _peer_gone(self, peer: Peer) -> None:
+        """Presumed abort for a disconnected client's open transactions;
+        a socket session that ends counts against ``max_sessions``."""
         session = self._sessions.pop(peer, None)
         for txn_id in session.open.values() if session else ():
             del self._txn_origin[txn_id]
@@ -634,140 +436,205 @@ class _TcServer:
                 except ReproError:
                     pass  # restart/zombie machinery owns what abort cannot
                 self._metrics.incr("tcserver.disconnect_aborts")
-
-    def _on_peer_close(self, peer: Peer) -> None:
-        self._fast.pop(peer, None)
-        self._abort_for(peer)
         if peer is not self._parent_peer:
             self._sessions_ended += 1
             if self._max_sessions and self._sessions_ended >= self._max_sessions:
                 self._loop.stop()
 
-    def _on_parent_close(self, peer: Peer) -> None:
-        self._fast.pop(peer, None)
-        self._abort_for(peer)
-        self._loop.stop()  # spawning client is gone; nothing to serve
+    # -- transactions ---------------------------------------------------------
 
-    # -- main loop ----------------------------------------------------------
+    def _txn_write(self, peer: Peer, message: TxnWrite) -> Message:
+        txn = self._txn(peer, message.txn_id)
+        owner = self._misroute_owner(message.table, message.key)
+        if owner is not None:
+            # Bounced before the mutation path.  A transaction this
+            # write opened stays open (and empty) until the client's
+            # abort, as when opening was a request of its own.
+            self._metrics.incr("tcserver.redirects")
+            return Redirect(
+                tc_id=message.tc_id,
+                table=message.table,
+                key=message.key,
+                owner=owner,
+            )
+        verb = message.verb
+        if verb in ("insert", "update"):
+            operand = (message.value,)
+        elif verb == "increment":
+            operand = (message.delta,)
+        elif verb == "delete":
+            operand = ()
+        else:
+            raise ReproError(f"unknown write verb {verb!r}")
+        try:
+            # The verb is the Transaction method's name.
+            getattr(txn, verb)(
+                message.table, message.key, *operand, deferred=message.deferred
+            )
+        finally:
+            self._reap(txn)
+        return TxnAck(tc_id=message.tc_id, txn_id=txn.txn_id)
 
-    def _send(self, peer: Peer, kind: int, seq: int, payload: object) -> None:
-        peer.send_frame(
-            rpc.pack_frame(kind, seq, payload, self._fast.get(peer), self._scratch)
+    def _txn_read(self, peer: Peer, message: TxnRead) -> TxnReadReply:
+        txn = self._txn(peer, message.txn_id)
+        try:
+            value = txn.read(message.table, message.key)
+        finally:
+            self._reap(txn)
+        return TxnReadReply(
+            tc_id=message.tc_id,
+            txn_id=txn.txn_id,
+            found=value is not None,
+            value=value,
         )
 
-    def hello(self) -> TcHello:
+    def _txn_scan(self, peer: Peer, message: TxnScan) -> TxnScanReply:
+        txn = self._txn(peer, message.txn_id)
+        try:
+            rows = txn.scan(
+                message.table, message.low, message.high, message.limit or None
+            )
+        finally:
+            self._reap(txn)
+        return TxnScanReply(
+            tc_id=message.tc_id,
+            txn_id=txn.txn_id,
+            rows=tuple(tuple(row) for row in rows),
+        )
+
+    def _txn_sync(self, peer: Peer, message: TxnSync) -> TxnAck:
+        txn = self._txn(peer, message.txn_id)
+        try:
+            txn.sync()
+        finally:
+            self._reap(txn)
+        return TxnAck(tc_id=message.tc_id, txn_id=txn.txn_id)
+
+    def _txn_commit(self, peer: Peer, message: TxnCommit) -> TxnAck:
+        txn = self._txn(peer, message.txn_id)
+        try:
+            txn.commit()
+        finally:
+            self._reap(txn)
+        return TxnAck(tc_id=message.tc_id, txn_id=txn.txn_id)
+
+    def _txn_abort(self, peer: Peer, message: TxnAbort) -> TxnAck:
+        # Presumed abort: a retried abort after a lost reply (or a
+        # server restart that already undid the loser) finds no
+        # transaction — that *is* the aborted outcome, acknowledge it.
+        # An abort never opens: a handle names only what is open.
+        txn_id = message.txn_id
+        if txn_id < 0 and peer in self._sessions:
+            txn_id = self._sessions[peer].open.get(txn_id, 0)
+        txn = self._txns.get(txn_id)
+        if txn is not None:
+            try:
+                txn.abort()
+            finally:
+                self._reap(txn)
+        return TxnAck(tc_id=message.tc_id, txn_id=message.txn_id)
+
+    # -- cross-TC sharing (Section 6.2) ------------------------------------------
+
+    def _flavor(self, flavor: object) -> ReadFlavor:
+        return flavor if isinstance(flavor, ReadFlavor) else self._default_flavor
+
+    def _read_other(self, peer: Peer, message: ReadOther) -> TxnReadReply:
+        value = self._tc.read_other(
+            message.table, message.key, self._flavor(message.flavor)
+        )
+        return TxnReadReply(tc_id=message.tc_id, found=value is not None, value=value)
+
+    def _scan_other(self, peer: Peer, message: ScanOther) -> TxnScanReply:
+        rows = self._tc.scan_other(
+            message.table,
+            message.low,
+            message.high,
+            message.limit or None,
+            self._flavor(message.flavor),
+        )
+        return TxnScanReply(
+            tc_id=message.tc_id, rows=tuple(tuple(row) for row in rows)
+        )
+
+    # -- maintenance and the deployment control plane -------------------------------
+
+    def _checkpoint(self, peer: Peer, message: TcCheckpoint) -> TcCheckpointReply:
+        advanced = self._tc.checkpoint()
+        return TcCheckpointReply(
+            tc_id=message.tc_id, advanced=advanced, rssp=self._tc.stats()["rssp"]
+        )
+
+    def _dc_restarted(self, peer: Peer, message: DcRestarted) -> ControlAck:
+        # Reconnect over the (re-bound) socket, re-register, then let
+        # prompt_redo drive tc._on_dc_restart: force + EOSL, redo
+        # stream resend, RedoComplete, zombie retries — §5.2.1 across
+        # two real process boundaries.  A redo the DC already saw is
+        # absorbed by abLSN idempotence.
+        self._client(message.dc_name).recover(notify_tcs=True)
+        return ControlAck(tc_id=message.tc_id)
+
+    def _refresh_routes(self, peer: Peer, message: RefreshRoutes) -> ControlAck:
+        client = self._client(message.dc_name)
+        client.refresh_catalog()
+        self._tc.refresh_routes(client)
+        return ControlAck(tc_id=message.tc_id)
+
+    def _attach_dc(self, peer: Peer, message: AttachDc) -> ControlAck:
+        if message.dc_name not in self._clients:
+            self._attach(message.dc_name, message.socket_path)
+        return ControlAck(tc_id=message.tc_id)
+
+    def _grant_ownership(self, peer: Peer, message: GrantOwnership) -> ControlAck:
+        self._install_grant(
+            message.table, message.modulus, message.residues, message.owners
+        )
+        return ControlAck(tc_id=message.tc_id)
+
+    def _sharing_mode(self, peer: Peer, message: SharingMode) -> ControlAck:
+        self._set_sharing_mode(message.mode)
+        return ControlAck(tc_id=message.tc_id)
+
+    def _retry_pending(self, peer: Peer, message: TcRetryPending) -> ControlAck:
+        self._tc.retry_pending()
+        return ControlAck(tc_id=message.tc_id)
+
+    def _unhandled(self, message: Message) -> None:
+        raise ReproError(f"TC {self._name}: unhandled message {type(message).__name__}")
+
+    # -- what the server loop asks of the TC ----------------------------------------
+
+    def _hello(self) -> TcHello:
         return TcHello(
             tc_id=self._tc.tc_id,
             tc_name=self._name,
             pid=os.getpid(),
             recovered=self._recovered,
             replayed_records=len(self._journal.records),
-            fast_codec=wire.fast_vocabulary() if self._fast_ok else (),
+            fast_codec=wire.fast_vocabulary(),
         )
 
-    def _on_frame(self, peer: Peer, data: bytes) -> None:
-        try:
-            kind, seq, message = rpc.unpack_frame(data)
-        except wire.WireError:
-            self._metrics.incr("tcserver.bad_frames")
-            self._loop.close_peer(peer)
-            return
-        self._backlog.append((peer, kind, seq, message))
-        self._drain_backlog()
+    def _stats(self) -> dict:
+        # "threads" in the envelope is O(#DCs), not O(#clients): the loop
+        # serves every client; only DcClient legs own threads.
+        return {
+            **self._tc.stats(),
+            "name": self._name,
+            "pending_zombies": self._tc.pending_zombies(),
+            "open_transactions": len(self._txns),
+            "journal_bytes": self._journal.size(),
+        }
 
-    def _drain_backlog(self) -> None:
-        if self._dispatching:
-            return
-        self._dispatching = True
-        try:
-            while self._backlog:
-                peer, kind, seq, message = self._backlog.popleft()
-                if peer.closed:
-                    continue
-                if not self._serve_frame(peer, kind, seq, message):
-                    self._loop.stop()
-                    return
-        finally:
-            self._dispatching = False
-
-    def _serve_frame(self, peer: Peer, kind: int, seq: int, message) -> bool:
-        if kind != rpc.REQUEST:
-            return True  # stray frame; no SERVER_REQUESTs originate here
-        try:
-            reply = self._dispatch(peer, message)
-        except ComponentUnavailableError as exc:
-            # A *downstream* DC is dead, not this TC: the client's
-            # transaction is still open and abortable here, so the
-            # failure must travel as an error, never as silence —
-            # a lost-reply ABORTED client handle would strand the
-            # open transaction (and its applied writes) forever.
-            reply = RemoteError(
-                tc_id=getattr(message, "tc_id", 0),
-                kind=type(exc).__name__,
-                text=str(exc),
-            )
-        except CrashedError:
-            # Mirror the in-process convention: a crashed component
-            # answers with silence and the caller's retry policy
-            # decides (should not normally occur server-side).
-            reply = None
-        except ReproError as exc:
-            reply = RemoteError(
-                tc_id=getattr(message, "tc_id", 0),
-                kind=type(exc).__name__,
-                text=str(exc),
-            )
-        try:
-            self._send(peer, rpc.REPLY, seq, reply)
-        except (BrokenPipeError, OSError):
-            self._loop.close_peer(peer)
-            return peer is not self._parent_peer
-        if isinstance(message, Shutdown):
-            if peer is self._parent_peer:
-                return False
-            # A socket client said goodbye: end its session (counted
-            # against max_sessions), keep serving everyone else.
-            self._loop.close_peer(peer)
-        return True
-
-    def run(self, close_journal: bool = True) -> None:
-        try:
-            if self._parent_peer is not None:
-                self._send(self._parent_peer, rpc.PUSH, 0, self.hello())
-            self._loop.run()
-        finally:
-            for client in self._clients.values():
-                client.close()
-            if close_journal:
-                self._journal.close()
-            self._loop.close()
+    def _close(self) -> None:
+        for client in self._clients.values():
+            client.close()
+        self._journal.close()
 
 
-def serve(
-    conn,
-    name: str,
-    tc_id: int,
-    tc_config: Optional[TcConfig],
-    journal_path: str,
-    dc_socks: dict[str, str],
-    grants: Optional[list] = None,
-    sharing_mode: str = "",
-    request_timeout_s: float = 30.0,
-    fast_codec: bool = True,
-) -> None:
-    """Child-process entry point (target of ``multiprocessing.Process``)."""
-    _TcServer(
-        conn,
-        name,
-        tc_id,
-        tc_config,
-        journal_path,
-        dc_socks,
-        grants,
-        sharing_mode,
-        request_timeout_s,
-        fast_codec,
-    ).run()
+def serve(conn, *args) -> None:
+    """Child-process entry point (target of ``multiprocessing.Process``);
+    the arguments are :class:`_TcServer`'s."""
+    _TcServer(conn, *args).run()
 
 
 def serve_socket(
@@ -781,7 +648,6 @@ def serve_socket(
     sharing_mode: str = "",
     request_timeout_s: float = 30.0,
     max_sessions: int = 0,
-    fast_codec: bool = True,
 ) -> None:
     """Standalone service mode (``python -m repro serve-tc``).
 
@@ -793,25 +659,20 @@ def serve_socket(
     the same TC.  ``max_sessions`` stops the server once that many client
     sessions have ended (tests use it as a bound); 0 serves forever.
     """
-    from repro.net.dcserver import bind_listener
-
-    listener, _resolved = bind_listener(listen_path)
-    server = _TcServer(
-        None,
-        name,
-        tc_id,
-        tc_config,
-        journal_path,
-        dc_socks,
-        grants,
-        sharing_mode,
-        request_timeout_s,
-        fast_codec,
-    )
-    server._max_sessions = max_sessions
-    server._loop.add_listener(listener, server._on_accept)
     try:
-        server.run()
+        _TcServer(
+            None,
+            name,
+            tc_id,
+            tc_config,
+            journal_path,
+            dc_socks,
+            grants,
+            sharing_mode,
+            request_timeout_s,
+            listen_path,
+            max_sessions,
+        ).run()
     finally:
         if not listen_path.startswith("tcp://"):
             try:

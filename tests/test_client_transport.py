@@ -27,9 +27,9 @@ from repro.common.api import ControlAck
 from repro.common.config import ChannelConfig, DcConfig, KernelConfig, TcConfig
 from repro.kernel.unbundled import UnbundledKernel
 from repro.net import rpc
-from repro.net.dcserver import bind_unix_listener
 from repro.net.process import DcClient, RemoteDc
 from repro.net.rpc import Hello, Shutdown, StatsReply, StatsRequest, TableList
+from repro.net.server import bind_unix_listener
 from repro.net.tcclient import RemoteTc
 from repro.net.tcrpc import TcHello
 from repro.tc.transactional_component import TransactionalComponent
@@ -158,7 +158,7 @@ class TestSharedConnection:
     def test_wire_order_is_submission_order(self, tmp_path):
         """Deferred frames are never overtaken by a later direct send."""
         server = _ScriptedServer(tmp_path, Hello(tc_id=0, dc_name="dcs"))
-        client = DcClient("dcs", server.path, request_timeout_s=5.0, fast_codec=False)
+        client = DcClient("dcs", server.path, request_timeout_s=5.0)
         try:
             first = client.submit(StatsRequest(tc_id=1), defer=True)
             second = client.submit(StatsRequest(tc_id=2), defer=True)
@@ -229,16 +229,13 @@ class TestTimeouts:
         "connect, hello, counter",
         [
             (
-                lambda path: DcClient(
-                    "dcs", path, request_timeout_s=5.0, fast_codec=False
-                ),
+                lambda path: DcClient("dcs", path, request_timeout_s=5.0),
                 Hello(tc_id=0, dc_name="dcs"),
                 "remote_dc.request_timeouts",
             ),
             (
                 lambda path: RemoteTc(
-                    "tcs", tc_id=1, socket_path=path, request_timeout_s=5.0,
-                    fast_codec=False,
+                    "tcs", tc_id=1, socket_path=path, request_timeout_s=5.0
                 ),
                 TcHello(tc_id=1, tc_name="tcs"),
                 "remote_tc.request_timeouts",
@@ -330,6 +327,38 @@ class TestFootprint:
         del txn, tc, client, dc  # a Process object keeps its sentinel fds
         gc.collect()
         _assert_nothing_left_since(before)
+
+    @pytest.mark.parametrize("which", ["DcClient", "RemoteTc-spawn", "RemoteTc-connect"])
+    def test_fd_is_closed_once_after_the_thread_has_left(self, dc, tmp_path, which):
+        """Closing the fd under the connection's own thread frees the fd
+        number for the next connection, whose frames an idle watcher
+        still parked in ``poll()`` would steal: every close path closes
+        it in one place, after that thread is gone and nobody reads."""
+        server = None
+        if which == "DcClient":
+            proxy = DcClient("dc1", dc.listen_path)
+        elif which == "RemoteTc-spawn":
+            proxy = RemoteTc("tc1", tc_id=1, journal_path=str(tmp_path / "tc1.journal"))
+        else:
+            server = _ScriptedServer(tmp_path, TcHello(tc_id=1, tc_name="tcs"))
+            proxy = RemoteTc("tcs", tc_id=1, socket_path=server.path)
+        transport = proxy._transport
+        conn = transport._conn
+        real_close = conn.close
+        seen: list = []
+
+        def recording_close():
+            seen.append((transport._thread.is_alive(), transport._reading))
+            real_close()
+
+        conn.close = recording_close
+        time.sleep(0.2)  # the idle watcher is parked on the fd
+        try:
+            proxy.close()
+        finally:
+            if server is not None:
+                server.stop()
+        assert seen == [(False, False)]
 
     def test_close_does_not_wait_out_a_tick(self, dc):
         """Closing wakes the background thread; it is not waited out."""

@@ -6,6 +6,8 @@ the dataclass is built, not surface minutes later as a hang or a
 mysterious attribute error inside a server process.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.common.config import (
@@ -40,6 +42,13 @@ class TestChannelConfig:
         with pytest.raises(TypeError):
             ChannelConfig(shm_ring_bytes=1 << 20)
 
+    def test_removed_codec_switch_is_rejected(self):
+        """Codec choice is negotiated per connection from the Hello; a
+        tagged-only peer is one that never sends ``NegotiateCodec``."""
+        with pytest.raises(TypeError):
+            ChannelConfig(fast_codec=False)
+        assert len(dataclasses.fields(ChannelConfig)) == 9
+
     def test_known_start_methods_accepted(self):
         for method in START_METHODS:
             config = ChannelConfig(process_start_method=method)
@@ -70,6 +79,13 @@ class TestTcConfig:
         assert err.value.field == "TcConfig.sharing_mode"
         assert err.value.value == "nope"
         assert err.value.allowed == SHARING_MODES
+
+
+    def test_fields_nothing_reads_are_gone(self):
+        for removed in ("range_partitions", "resend_timeout"):
+            with pytest.raises(TypeError):
+                TcConfig(**{removed: 1})
+        assert len(dataclasses.fields(TcConfig)) == 25
 
 
 class TestKernelConfig:

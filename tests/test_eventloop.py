@@ -25,10 +25,11 @@ import pytest
 
 pytestmark = pytest.mark.process
 
-from repro.net import dcserver, rpc
+from repro.net import rpc
 from repro.net.eventloop import EventLoop
 from repro.net.process import DcClient, RemoteDc, wait_hello
 from repro.net.rpc import Hello, StatsReply, StatsRequest
+from repro.net.server import connect_any
 from repro.net.tcclient import RemoteTc
 from repro.net.tcrpc import TcHello
 from repro.sim.metrics import Metrics
@@ -137,7 +138,7 @@ class TestEventLoopBare:
 def _reply_after_unknown_kind(address: str, hello_type: type) -> tuple:
     """A raw client: take the hello, send a frame of a kind no server
     knows, then a real request; return the frame that comes back."""
-    conn = dcserver.connect_any(address)
+    conn = connect_any(address)
     try:
         wait_hello(conn, hello_type, address, timeout=10.0)
         conn.send_bytes(rpc.pack_frame(99, 0, None))

@@ -30,7 +30,7 @@ from repro.cloud.deployment import CloudDeployment
 from repro.common.config import ChannelConfig, DcConfig, KernelConfig, TcConfig
 from repro.common.errors import CrashedError, ReproError
 from repro.kernel.unbundled import UnbundledKernel
-from repro.net.dcserver import bind_unix_listener
+from repro.net.server import bind_unix_listener
 from repro.net.process import DcClient, ProcessChannel, RemoteDc
 from repro.net.tcclient import RemoteTc
 from repro.sim.faults import FaultInjector

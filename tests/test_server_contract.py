@@ -1,0 +1,390 @@
+"""What both servers promise a connection (docs/architecture.md §18).
+
+The DC server and the TC server are one :class:`repro.net.server.Server`
+loop under two handler tables, so every promise here is checked against
+*both*, through raw connections that speak the frame protocol by hand:
+a bad frame costs its sender's connection and nobody else's, the codec
+upgrades per connection, ``Shutdown`` means "goodbye" from a socket and
+"stop" from the parent pipe, requests are answered in arrival order even
+when they land inside a dispatch, every request class has exactly one
+handler, and exceptions map to replies the way the clients rely on.
+
+The servers run on threads of the test process (they are built exactly
+as :func:`dcserver.serve` / :func:`tcserver.serve` build them), so a
+test can read counters and plant a handler without another protocol.
+"""
+
+from __future__ import annotations
+
+import multiprocessing as mp
+import os
+import threading
+
+import pytest
+
+pytestmark = pytest.mark.process
+
+import repro.common.api as api
+from repro.common.api import ControlAck, EndOfStableLog, Message
+from repro.common.errors import (
+    ComponentUnavailableError,
+    CrashedError,
+    LockTimeoutError,
+    ReproError,
+)
+from repro.net import rpc, tcrpc, wire
+from repro.net.dcserver import _DcServer
+from repro.net.process import wait_hello
+from repro.net.rpc import (
+    NegotiateCodec,
+    RemoteError,
+    Shutdown,
+    StatsReply,
+    StatsRequest,
+    TableList,
+)
+from repro.net.server import connect_any
+from repro.net.tcserver import _TcServer
+
+#: Server → client, or retired: everything else in the two vocabularies
+#: is a request some client sends.
+_NOT_REQUESTS = {
+    rpc.Hello, rpc.ForceLogRequest, rpc.ForceLogReply, rpc.RsspHint,
+    rpc.RemoteError, rpc.TableListReply, rpc.StatsReply,
+    rpc.CheckpointDcLogReply,
+    tcrpc.TcHello, tcrpc.TxnBegin, tcrpc.TxnBeginReply, tcrpc.TxnAck,
+    tcrpc.TxnReadReply, tcrpc.TxnScanReply, tcrpc.Redirect,
+    tcrpc.TcCheckpointReply,
+}  # fmt: skip
+
+
+def _messages_of(module) -> set:
+    return {
+        cls
+        for cls in vars(module).values()
+        if isinstance(cls, type)
+        and issubclass(cls, Message)
+        and cls.__module__ == module.__name__
+    }
+
+
+class _Running:
+    """One real server on a thread: parent pipe plus a Unix listener."""
+
+    def __init__(self, role: str, tmp_path) -> None:
+        self.role = role
+        self.parent, child = mp.Pipe()
+        listen = str(tmp_path / f"{role}.sock")
+        if role == "dcserver":
+            self.server = _DcServer(
+                child, "dcx", None, str(tmp_path / "dcx.journal"), listen
+            )
+            self.hello_type = rpc.Hello
+        else:
+            self.server = _TcServer(
+                child, "tcx", 1, None, str(tmp_path / "tcx.journal"), {},
+                listen_path=listen,
+            )  # fmt: skip
+            self.hello_type = tcrpc.TcHello
+        self.address = self.server.listen_addr
+        self.thread = threading.Thread(target=self.server.run, daemon=True)
+        self._connections: list = []
+
+    def start(self) -> "_Running":
+        self.thread.start()
+        wait_hello(self.parent, self.hello_type, self.role, timeout=10.0)
+        return self
+
+    def connect(self):
+        conn = connect_any(self.address)
+        wait_hello(conn, self.hello_type, self.address, timeout=10.0)
+        self._connections.append(conn)
+        return conn
+
+    def counter(self, name: str) -> int:
+        return self.server._metrics.counters().get(name, 0)
+
+    def stop(self) -> None:
+        if self.thread.is_alive():
+            self.parent.send_bytes(rpc.pack_frame(rpc.REQUEST, 1, Shutdown(tc_id=0)))
+            self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+        for conn in self._connections:
+            conn.close()
+
+
+@pytest.fixture(params=["dcserver", "tcserver"])
+def built(request, tmp_path):
+    """A server that is built but not yet running (handlers may still be
+    planted); ``start()`` it."""
+    running = _Running(request.param, tmp_path)
+    yield running
+    if running.thread.ident is None:  # never started
+        running.start()
+    running.stop()
+
+
+@pytest.fixture
+def running(built):
+    return built.start()
+
+
+def _ask(conn, seq: int, message: Message, fast: dict | None = None) -> None:
+    conn.send_bytes(rpc.pack_frame(rpc.REQUEST, seq, message, fast))
+
+
+def _answer(conn) -> tuple:
+    """``(first byte, kind, seq, payload)`` of the next frame."""
+    assert conn.poll(10.0)
+    data = conn.recv_bytes()
+    return (data[0], *rpc.unpack_frame(data))
+
+
+def _gone(conn) -> bool:
+    """True once the server has closed ``conn``."""
+    if not conn.poll(10.0):
+        return False
+    try:
+        conn.recv_bytes()
+    except (EOFError, OSError):
+        return True
+    return False
+
+
+class TestBadFrames:
+    def test_garbage_frame_drops_only_its_connection(self, running):
+        bad, good = running.connect(), running.connect()
+        bad.send_bytes(b"\x7fthis is not a frame")
+        assert _gone(bad)
+        assert running.counter(f"{running.role}.bad_frames") == 1
+        _ask(good, 5, StatsRequest(tc_id=3))
+        _first, kind, seq, reply = _answer(good)
+        assert (kind, seq) == (rpc.REPLY, 5)
+        assert isinstance(reply, StatsReply) and reply.tc_id == 3
+        # The dropped connection is no longer counted; the parent pipe is.
+        assert reply.payload["connections"] == 2
+
+    def test_oversized_length_prefix_drops_only_its_connection(self, running):
+        bad, good = running.connect(), running.connect()
+        # A length no frame may have: rejected before any payload is read.
+        os.write(bad.fileno(), b"\x7f\xff\xff\xff" + b"x" * 16)
+        assert _gone(bad)
+        assert running.counter("eventloop.protocol_errors") == 1
+        _ask(good, 6, StatsRequest(tc_id=0))
+        assert isinstance(_answer(good)[3], StatsReply)
+
+    def test_truncated_fast_frame_is_a_bad_frame(self, running):
+        bad, good = running.connect(), running.connect()
+        fast = wire.negotiate(wire.fast_vocabulary())
+        whole = rpc.pack_frame(rpc.REQUEST, 1, StatsRequest(tc_id=0), fast)
+        bad.send_bytes(whole[:-2])  # CRC no longer matches
+        assert _gone(bad)
+        assert running.counter(f"{running.role}.bad_frames") == 1
+        _ask(good, 7, StatsRequest(tc_id=0))
+        assert isinstance(_answer(good)[3], StatsReply)
+
+
+class TestCodecPerConnection:
+    def test_tagged_until_negotiated(self, running):
+        """Replaces the ``fast_codec=False`` knob: a peer that never
+        negotiates *is* the tagged-only peer, and it interoperates with
+        a server that is speaking fast frames to somebody else."""
+        tagged, upgraded = running.connect(), running.connect()
+        vocab = wire.fast_vocabulary()
+        fast = wire.negotiate(vocab)
+        _ask(upgraded, 1, NegotiateCodec(tc_id=0, vocab=vocab))
+        first, _kind, seq, reply = _answer(upgraded)
+        assert seq == 1 and isinstance(reply, ControlAck)
+        assert first == wire.FAST_MAGIC  # on from the acknowledgement on
+        for conn, magic in ((tagged, False), (upgraded, True), (tagged, False)):
+            # Requests may come in either form whatever was negotiated.
+            _ask(conn, 9, StatsRequest(tc_id=4), fast if magic else None)
+            first, kind, seq, reply = _answer(conn)
+            assert (kind, seq) == (rpc.REPLY, 9)
+            assert isinstance(reply, StatsReply) and reply.tc_id == 4
+            assert (first == wire.FAST_MAGIC) is magic
+
+    def test_empty_vocabulary_negotiates_nothing(self, running):
+        conn = running.connect()
+        _ask(conn, 1, NegotiateCodec(tc_id=0, vocab=()))
+        assert _answer(conn)[0] != wire.FAST_MAGIC
+        _ask(conn, 2, StatsRequest(tc_id=0))
+        assert _answer(conn)[0] != wire.FAST_MAGIC
+
+
+class TestShutdown:
+    def test_from_a_socket_client_closes_that_connection_only(self, running):
+        leaving, staying = running.connect(), running.connect()
+        _ask(leaving, 1, Shutdown(tc_id=0))
+        _first, kind, seq, reply = _answer(leaving)
+        assert (kind, seq) == (rpc.REPLY, 1) and isinstance(reply, ControlAck)
+        assert _gone(leaving)
+        assert running.thread.is_alive()
+        _ask(staying, 2, StatsRequest(tc_id=0))
+        assert _answer(staying)[3].payload["connections"] == 2
+
+    def test_from_the_parent_pipe_stops_the_server(self, running):
+        client = running.connect()
+        _ask(running.parent, 1, Shutdown(tc_id=0))
+        _first, kind, seq, reply = _answer(running.parent)
+        assert (kind, seq) == (rpc.REPLY, 1) and isinstance(reply, ControlAck)
+        running.thread.join(timeout=10)
+        assert not running.thread.is_alive()
+        assert _gone(client)
+
+    def test_parent_eof_stops_the_server(self, running):
+        running.parent.close()
+        running.thread.join(timeout=10)
+        assert not running.thread.is_alive()
+
+
+class TestArrivalOrder:
+    def test_frames_landing_inside_a_dispatch_are_served_in_order(self, built):
+        """The first request's handler pumps the loop (as the DC's force
+        bridge does) until the other connection's two requests have
+        arrived behind it; its own connection's next request arrives
+        too, in the backlog or still in the reassembly buffer."""
+        server = built.server
+        arrived: list = []
+        served: list = []
+        stats = server._handlers[StatsRequest]
+
+        def pumping(peer, message):
+            assert server._loop.pump_until(
+                lambda: {m.tc_id for _p, _s, m in server._backlog} >= {2, 4},
+                timeout_s=10.0,
+            )
+            arrived.extend(m.tc_id for _peer, _seq, m in server._backlog)
+            served.append(message.tc_id)
+            return ControlAck(tc_id=message.tc_id)
+
+        def recording(peer, message):
+            served.append(message.tc_id)
+            return stats(peer, message)
+
+        server._handlers[TableList] = pumping
+        server._handlers[StatsRequest] = recording
+        running = built.start()
+        first, second = running.connect(), running.connect()
+        _ask(first, 1, TableList(tc_id=1))
+        _ask(first, 3, StatsRequest(tc_id=3))
+        _ask(second, 2, StatsRequest(tc_id=2))
+        _ask(second, 4, StatsRequest(tc_id=4))
+        replies = [_answer(first), _answer(first), _answer(second), _answer(second)]
+        assert [(seq, reply.tc_id) for _f, _k, seq, reply in replies] == [
+            (1, 1), (3, 3), (2, 2), (4, 4),
+        ]  # fmt: skip
+        # Nothing was served inside the dispatch it arrived under; then
+        # the backlog was served exactly as it had filled, each
+        # connection's frames in their own order.
+        assert arrived.index(2) < arrived.index(4)
+        assert served[0] == 1 and served[1 : 1 + len(arrived)] == arrived
+        assert sorted(served) == [1, 2, 3, 4]
+
+    def test_a_burst_in_one_write_is_answered_in_order(self, running):
+        conn = running.connect()
+        burst = b"".join(
+            len(frame).to_bytes(4, "big") + frame
+            for frame in (
+                rpc.pack_frame(rpc.REQUEST, seq, StatsRequest(tc_id=seq))
+                for seq in range(1, 9)
+            )
+        )
+        os.write(conn.fileno(), burst)
+        assert [_answer(conn)[2] for _ in range(8)] == list(range(1, 9))
+
+
+class TestHandlerTables:
+    def test_every_request_class_has_exactly_one_handler(self, built):
+        handlers = built.server._handlers
+        base = {NegotiateCodec, StatsRequest, Shutdown}
+        if built.role == "dcserver":
+            expected = _messages_of(rpc) - _NOT_REQUESTS
+        else:
+            expected = (_messages_of(tcrpc) - _NOT_REQUESTS) | base
+        assert set(handlers) == expected
+        assert base <= set(handlers)
+        assert all(callable(handler) for handler in handlers.values())
+
+    def test_exact_type_lookup_equals_isinstance(self, built):
+        """No handler key has a registered subclass, so ``type(m)`` finds
+        what an ``isinstance`` walk would."""
+        wire.registered_types()  # every Message subclass is imported
+        for cls in built.server._handlers:
+            assert cls.__subclasses__() == [], cls
+
+    def test_everything_else_goes_to_the_default(self, built):
+        server = built.server
+        contract = _messages_of(api) - {Message}
+        assert contract and not contract & set(server._handlers)
+        if built.role == "dcserver":
+            assert server._default == server._dc.handle
+            running = built.start()
+            conn = running.connect()
+            _ask(conn, 1, EndOfStableLog(tc_id=7, eosl=0))
+            reply = _answer(conn)[3]
+            assert isinstance(reply, ControlAck) and reply.tc_id == 7
+        else:
+            running = built.start()
+            conn = running.connect()
+            for seq, message in enumerate(
+                (EndOfStableLog(tc_id=7, eosl=0), tcrpc.TxnBegin(tc_id=7)), 1
+            ):
+                _ask(conn, seq, message)
+                reply = _answer(conn)[3]
+                assert isinstance(reply, RemoteError) and reply.tc_id == 7
+                assert reply.kind == "ReproError"
+                assert type(message).__name__ in reply.text
+
+
+class TestErrorsBecomeReplies:
+    @staticmethod
+    def _plant(server, exc: Exception) -> None:
+        def raising(peer, message):
+            raise exc
+
+        server._handlers[TableList] = raising
+
+    @pytest.mark.parametrize(
+        "exc, silent_on",
+        [
+            (CrashedError("x"), {"dcserver", "tcserver"}),
+            (ComponentUnavailableError("dc1"), {"dcserver"}),
+            (LockTimeoutError(4, "k"), set()),
+            (ReproError("boom"), set()),
+        ],
+        ids=lambda value: type(value).__name__ if isinstance(value, Exception) else "",
+    )
+    def test_mapping(self, built, exc, silent_on):
+        self._plant(built.server, exc)
+        running = built.start()
+        conn = running.connect()
+        _ask(conn, 3, TableList(tc_id=9))
+        _first, kind, seq, reply = _answer(conn)
+        assert (kind, seq) == (rpc.REPLY, 3)
+        if built.role in silent_on:
+            assert reply is None  # silence: the caller's resend policy decides
+        else:
+            assert isinstance(reply, RemoteError) and reply.tc_id == 9
+            assert reply.kind == type(exc).__name__
+            assert reply.text == str(exc)
+        # Either way the connection and the server carry on.
+        _ask(conn, 4, StatsRequest(tc_id=0))
+        assert isinstance(_answer(conn)[3], StatsReply)
+
+    def test_a_bug_in_a_handler_is_not_swallowed(self, built):
+        """Only the library's own errors are reflected; anything else
+        ends the server loudly rather than answering wrongly."""
+        self._plant(built.server, KeyError("bug"))
+        caught: list = []
+        hook = threading.excepthook
+        threading.excepthook = lambda args: caught.append(args.exc_type)
+        try:
+            running = built.start()
+            conn = running.connect()
+            _ask(conn, 1, TableList(tc_id=0))
+            running.thread.join(timeout=10)
+        finally:
+            threading.excepthook = hook
+        assert not running.thread.is_alive() and caught == [KeyError]
+        assert _gone(conn)

@@ -84,27 +84,6 @@ class TestTcpListener:
                 client.close()
             dc.shutdown()
 
-    def test_tagged_only_peers_still_interoperate(self, tmp_path):
-        """Mixed-version deployments: with the knob off on either side the
-        vocabulary never negotiates, and everything still works tagged."""
-        dc = RemoteDc(
-            "dcx",
-            journal_path=str(tmp_path / "dcx.journal"),
-            listen_path="tcp://127.0.0.1:0",
-            fast_codec=False,
-        )
-        client = None
-        try:
-            assert dc._transport.fast == {}
-            dc.create_table("t")
-            client = DcClient("dcx", socket_path=dc.listen_path, fast_codec=False)
-            assert client._transport.fast == {}
-            assert "t" in client.stats()["dc"]["tables"]
-        finally:
-            if client is not None:
-                client.close()
-            dc.shutdown()
-
 
 class TestTcpKernel:
     def test_commit_and_read_over_tcp(self):
