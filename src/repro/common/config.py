@@ -111,7 +111,7 @@ class TcConfig:
     #: learned from operation replies are kept under the covering lock so
     #: the read-before-write undo-information round trip usually vanishes.
     undo_cache: bool = False
-    #: Cap on cached undo-info entries (FIFO eviction).
+    #: Cap on cached undo-info entries (least-recently-used eviction).
     undo_cache_size: int = 4096
     #: Send LWM/EOSL to DCs every this-many log appends.
     lwm_interval: int = 8

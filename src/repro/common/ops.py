@@ -215,8 +215,13 @@ class OpResult:
     Every update / delete / increment reply carries ``prior`` today, and no
     TC code reads it yet: the TC learns before-images through its own
     ``_known_value`` read-through *before* it logs and sends.  Filling undo
-    from the reply instead (ROADMAP 4(a)) needs a log-force barrier, since
-    the value would arrive after the operation's log record was written.
+    from the reply instead (ROADMAP 4(a)) is blocked twice over.  A resend
+    of an operation the DC already executed is answered with a bare
+    ``okay()`` that carries no ``prior`` (``DataComponent._apply_mutation``'s
+    exactly-once branch), so a lost first reply would lose the undo image
+    for good.  And the value arrives after the operation's log record was
+    written, so that record must be held back from EOSL until the reply
+    fills it in — a hold-back the DC's own force prompt can deadlock on.
     """
 
     status: OpStatus = OpStatus.OK

@@ -92,9 +92,10 @@ class RemoteTransaction:
         #: 0 = nothing sent yet; negative = the client-chosen handle;
         #: positive = the server's transaction id.
         self.txn_id = 0
-        #: The connection the handle was chosen on.  Handles mean nothing
-        #: on any other: the server incarnation that held the
-        #: transaction is gone, and its restart undid it.
+        #: The connection the handle was chosen on.  Neither the handle
+        #: nor the server's id means anything on any other: the server
+        #: incarnation that held the transaction is gone, its restart
+        #: undid it, and the next incarnation may hand the same id out.
         self._link: Optional[_Transport] = None
         self.state = TransactionState.ACTIVE
         #: A non-commit reply was lost: the server-side transaction may
@@ -109,7 +110,7 @@ class RemoteTransaction:
     # -- plumbing -----------------------------------------------------------
 
     def _orphaned(self) -> bool:
-        return self.txn_id < 0 and self._link is not self._tc._transport
+        return self.txn_id != 0 and self._link is not self._tc._transport
 
     def _check_active(self) -> None:
         """Refuse a finished handle; before the first request, choose
@@ -248,6 +249,10 @@ class RemoteTransaction:
         self._call(TxnSync(tc_id=self._tc.tc_id, txn_id=self.txn_id))
 
     def commit(self) -> None:
+        if self.txn_id == 0 and self.state is TransactionState.ACTIVE:
+            # Nothing was sent: there is no server transaction to commit.
+            self.state = TransactionState.COMMITTED
+            return
         self._check_active()
         self._drain()
         self._call(

@@ -255,7 +255,9 @@ class _TcServer(Server):
     transaction (for requests pipelined behind the first, and for the
     abort after a first request that failed or whose reply was lost)
     until it ends.  A handle is used once (:class:`_Session` remembers):
-    naming an ended one is an unknown transaction, never a new one.
+    naming an ended one is an unknown transaction, never a new one.  The
+    server's id, too, names the transaction only on the connection that
+    opened it; from any other it is an unknown transaction.
 
     Each client owns the transactions it opens; a client that disconnects
     mid-transaction gets its ACTIVE transactions aborted (presumed abort —
@@ -411,10 +413,21 @@ class _TcServer(Server):
                 txn_id = session.open[named] = txn.txn_id
                 self._txns[txn_id] = txn
                 self._txn_origin[txn_id] = (peer, named)
-        txn = self._txns.get(txn_id)
+        txn = self._opened_by(peer, txn_id)
         if txn is None:
             raise ReproError(f"TC {self._name}: unknown transaction {named}")
         return txn
+
+    def _opened_by(self, peer: Peer, txn_id: int):
+        """The open transaction ``txn_id``, if ``peer`` opened it.  The
+        server's id names a transaction on that connection only: ids
+        restart low in a new incarnation (a read-only transaction leaves
+        none in the log to bump past), so a stale or foreign id may well
+        be somebody else's."""
+        txn = self._txns.get(txn_id)
+        if txn is not None and self._txn_origin[txn_id][0] is peer:
+            return txn
+        return None
 
     def _reap(self, txn) -> None:
         if txn.state is TransactionState.ACTIVE:
@@ -526,7 +539,7 @@ class _TcServer(Server):
         txn_id = message.txn_id
         if txn_id < 0 and peer in self._sessions:
             txn_id = self._sessions[peer].open.get(txn_id, 0)
-        txn = self._txns.get(txn_id)
+        txn = self._opened_by(peer, txn_id)
         if txn is not None:
             try:
                 txn.abort()

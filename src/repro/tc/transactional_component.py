@@ -132,6 +132,14 @@ class Transaction:
             self.span = NULL_SPAN
         #: Forward op records, in order (the undo chain).
         self.op_records: list[OpRecord] = []
+        #: True once the TC log holds a record under this id; commit and
+        #: abort of a transaction that logged nothing append and force
+        #: nothing.  Not ``bool(op_records)``: a rejected operation leaves
+        #: the undo chain but its record and cancel marker stay logged.
+        #: Set by ``_run_mutation``, which appends every transaction's
+        #: first record — cancel markers, compensation and version-cleanup
+        #: records only ever follow an ``OpRecord`` of the same id.
+        self.logged = False
         #: Values known under our locks: (table, key) -> value | ABSENT.
         self.known: dict[tuple[str, Key], object] = {}
         #: Table-intent lock memo, table -> granted mode.  Strict 2PL never
@@ -576,6 +584,13 @@ class TransactionalComponent:
         transactions share the force (see
         :class:`~repro.tc.log.GroupCommitCoalescer`).
 
+        A transaction that logged nothing (``txn.logged`` is False: it
+        only read) has nothing to make durable and nothing restart could
+        redo or undo, so it is validated and settled without a commit or
+        end record, without entering the coalescer and without a force.
+        Everything it read was already stable: a writer's locks and CC
+        registry entries are released only after its own commit force.
+
         If a DC outage interrupts the *post-commit* cleanup, the commit
         decision stands: the commit record is forced, locks are released
         and the commit is acknowledged, while the cleanup is parked as a
@@ -585,13 +600,17 @@ class TransactionalComponent:
             self._check_up()
         if txn.state is not TransactionState.ACTIVE:
             txn._check_active()
+        if not txn.logged:
+            self._validate_or_abort(txn)
+            self._settle_commit(txn)
+            return
         self._group_commit.enter()
         try:
-            self._commit_inner(txn)
+            self._commit_logged(txn)
         finally:
             self._group_commit.exit()
 
-    def _commit_inner(self, txn: Transaction) -> None:
+    def _validate_or_abort(self, txn: Transaction) -> None:
         try:
             self.sync_pipeline(txn)
             # Commit-time CC gate (OCC/MVCC read validation; a no-op for
@@ -610,6 +629,9 @@ class TransactionalComponent:
             raise TransactionAborted(
                 txn.txn_id, f"commit abandoned: {exc}"
             ) from exc
+
+    def _commit_logged(self, txn: Transaction) -> None:
+        self._validate_or_abort(txn)
         record = self.log.append(
             lambda lsn: CommitRecord(lsn=lsn, txn_id=txn.txn_id)
         )
@@ -622,25 +644,25 @@ class TransactionalComponent:
                     self._send_version_cleanup(txn.txn_id, table, keys, promote=True)
         except (CrashedError, ResendExhaustedError):
             self.force_log()
-            self._cache_committed(txn)
-            # The commit decision stands (zombie completion only parks the
-            # version cleanup): settle CC registry state with the locks.
-            self.cc.on_committed(txn)
-            self.locks.release_all(txn.txn_id)
-            txn.state = TransactionState.COMMITTED
-            with self._admin:
-                self._active.pop(txn.txn_id, None)
-                self._zombie_completions.append(txn)
+            # The commit decision stands; only the version cleanup parks.
+            self._settle_commit(txn, parked=True)
             self.metrics.incr("tc.zombie_completions")
-            self._commits_slot.value += 1
             return
         self.log.append(lambda lsn: TxnEndRecord(lsn=lsn, txn_id=txn.txn_id))
+        self._settle_commit(txn)
+
+    def _settle_commit(self, txn: Transaction, parked: bool = False) -> None:
+        """The commit decision is made (and, if anything was logged,
+        durable): publish what the transaction learned, settle CC
+        registry state with the locks, retire the handle."""
         self._cache_committed(txn)
         self.cc.on_committed(txn)
         self.locks.release_all(txn.txn_id)
         txn.state = TransactionState.COMMITTED
         with self._admin:
             self._active.pop(txn.txn_id, None)
+            if parked:
+                self._zombie_completions.append(txn)
         self._commits_slot.value += 1
 
     def abort(self, txn: Transaction) -> None:
@@ -660,23 +682,27 @@ class TransactionalComponent:
         # observed or wrote may be about to change under compensation — or
         # already be ambiguous at the DC.
         self._uncache_txn(txn)
-        self.log.append(lambda lsn: AbortRecord(lsn=lsn, txn_id=txn.txn_id))
-        try:
-            self._drive_rollback(txn)
-        except (CrashedError, ResendExhaustedError):
-            # Zombie: the DC still holds uncommitted bytes for this txn's
-            # keys, so its CC registry entries must OUTLIVE the lock
-            # release — readers keep conflicting/seeing before-images
-            # until _retry_zombie_rollbacks settles the keys.
-            self.locks.release_all(txn.txn_id)
-            txn.state = TransactionState.ABORTED
-            with self._admin:
-                self._active.pop(txn.txn_id, None)
-                self._zombie_rollbacks.append(txn)
-            self.metrics.incr("tc.zombie_rollbacks")
-            self.metrics.incr("tc.aborts")
-            return
-        self.log.append(lambda lsn: TxnEndRecord(lsn=lsn, txn_id=txn.txn_id))
+        if txn.logged:
+            self.log.append(lambda lsn: AbortRecord(lsn=lsn, txn_id=txn.txn_id))
+            try:
+                self._drive_rollback(txn)
+            except (CrashedError, ResendExhaustedError):
+                # Zombie: the DC still holds uncommitted bytes for this
+                # txn's keys, so its CC registry entries must OUTLIVE the
+                # lock release — readers keep conflicting/seeing
+                # before-images until _retry_zombie_rollbacks settles the
+                # keys.
+                self.locks.release_all(txn.txn_id)
+                txn.state = TransactionState.ABORTED
+                with self._admin:
+                    self._active.pop(txn.txn_id, None)
+                    self._zombie_rollbacks.append(txn)
+                self.metrics.incr("tc.zombie_rollbacks")
+                self.metrics.incr("tc.aborts")
+                return
+            self.log.append(lambda lsn: TxnEndRecord(lsn=lsn, txn_id=txn.txn_id))
+        # else: nothing is logged under this id, so there is nothing to
+        # roll back and nothing a restart could mistake for a loser.
         self.cc.on_abort_settled(txn)
         self.locks.release_all(txn.txn_id)
         txn.state = TransactionState.ABORTED
@@ -1245,9 +1271,8 @@ class TransactionalComponent:
             known = txn.known.get((table, key))
             if known is not None:
                 return known
-            hit = self._undo_cache.get((table, key), None)
+            hit = self._cache_lookup((table, key))
             if hit is not None:
-                self._cache_hits_slot.value += 1
                 txn.known[(table, key)] = hit
                 return hit
             return ABSENT
@@ -1266,11 +1291,9 @@ class TransactionalComponent:
         cached = txn.known.get((table, key))
         if cached is not None:
             return cached
-        cache = self._undo_cache
-        if cache is not None:
-            hit = cache.get((table, key), None)
+        if self._undo_cache is not None:
+            hit = self._cache_lookup((table, key))
             if hit is not None:
-                self._cache_hits_slot.value += 1
                 txn.known[(table, key)] = hit
                 return hit
             self._cache_misses_slot.value += 1
@@ -1309,19 +1332,35 @@ class TransactionalComponent:
 
     # -- the undo-info cache (docs/architecture.md §9.2) -------------------------------------
 
+    def _cache_lookup(self, slot: tuple[str, Key]) -> object:
+        """Probe the undo-info cache (caller checked it is on); a hit
+        becomes the youngest entry.  None on a miss."""
+        cache = self._undo_cache
+        hit = cache.get(slot)
+        if hit is not None:
+            try:
+                cache.move_to_end(slot)
+            except KeyError:
+                pass  # evicted by another thread's store since the get
+            self._cache_hits_slot.value += 1
+        return hit
+
     def _cache_store(self, table: str, key: Key, value: object) -> None:
         """Remember a value this TC learned under a lock it held.
 
         Only keys this TC owns are cached (with an ownership guard
         installed, a foreign TC may mutate unowned keys behind our back).
-        FIFO eviction at ``undo_cache_size``.
+        The stored entry becomes the youngest; past ``undo_cache_size``
+        the least recently used one is evicted.
         """
         cache = self._undo_cache
         if cache is None:
             return
         if self.ownership_guard is not None and not self.ownership_guard(table, key):
             return
-        cache[(table, key)] = value
+        slot = (table, key)
+        cache.pop(slot, None)  # re-inserted at the young end
+        cache[slot] = value
         if len(cache) > self.config.undo_cache_size:
             cache.popitem(last=False)
 
@@ -1372,6 +1411,7 @@ class TransactionalComponent:
         undo: Optional[LogicalOperation],
         deferred: bool = False,
     ) -> None:
+        txn.logged = True
         record = self.log.append(
             lambda lsn: OpRecord(
                 lsn=lsn, txn_id=txn.txn_id, op=op, undo=undo, dc_name=route.dc_name

@@ -99,16 +99,21 @@ class TestGroupCommitDurability:
             UnbundledKernel(KernelConfig(tc=TcConfig(group_commit_size=0)))
 
     def test_concurrent_committers_share_forces(self):
-        """With real concurrency, parked committers ride a leader's force:
-        fewer forces than commits, yet every commit durable."""
-        import sys
+        """Parked committers ride a leader's force: one force per wave of
+        committers, yet every commit durable.
 
+        The overlap is arranged through the coalescer itself, not the
+        GIL: no committer of a wave proceeds past ``enter()`` until all
+        have entered, so the election rule (``waiting >= size``) can only
+        fire for the last one to park — the other three ride."""
+        threads, rounds = 4, 8
         config = KernelConfig(
-            tc=TcConfig(group_commit_size=4, group_commit_deadline_ms=200.0)
+            # The deadline is the one timing-dependent election rule;
+            # put it out of reach so only the counting rules fire.
+            tc=TcConfig(group_commit_size=threads, group_commit_deadline_ms=60_000.0)
         )
         kernel = UnbundledKernel(config)
         kernel.create_table("t")
-        threads, rounds = 4, 8
         # Pre-populate so workers update disjoint keys: updates take only
         # record locks (concurrent tail inserts would serialize on the
         # TABLE_END gap lock and defeat the point of the test).
@@ -117,40 +122,38 @@ class TestGroupCommitDurability:
                 with kernel.begin() as txn:
                     txn.insert("t", worker_id * 100 + round_no, "seed")
         seed_commits = kernel.metrics.get("tc.commits")
-        barrier = threading.Barrier(threads)
+        seed_forces = kernel.metrics.get("tclog.forces")
+        coalescer = kernel.tc._group_commit
+        all_entered = threading.Barrier(threads)
+        real_enter = coalescer.enter
+
+        def enter_together():
+            real_enter()
+            all_entered.wait(timeout=30)
+
+        coalescer.enter = enter_together  # instance attribute shadows the method
         errors = []
 
         def worker(worker_id):
             try:
                 for round_no in range(rounds):
-                    txn = kernel.begin()
-                    txn.update("t", worker_id * 100 + round_no, "v")
-                    barrier.wait(timeout=30)  # commit in lockstep waves
-                    txn.commit()
+                    with kernel.begin() as txn:
+                        txn.update("t", worker_id * 100 + round_no, "v")
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 
-        # Commits are microseconds of pure Python: under the default 5ms
-        # GIL slice they would serialize and never overlap.  Aggressive
-        # switching makes committers genuinely concurrent.
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [
-                threading.Thread(target=worker, args=(n,)) for n in range(threads)
-            ]
-            for thread in workers:
-                thread.start()
-            for thread in workers:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old_interval)
+        workers = [
+            threading.Thread(target=worker, args=(n,)) for n in range(threads)
+        ]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         assert not errors
-        commits = kernel.metrics.get("tc.commits") - seed_commits
-        forces = kernel.metrics.get("tclog.forces")
-        assert commits == threads * rounds
-        assert forces <= kernel.metrics.get("tc.commits")
-        assert kernel.metrics.get("tclog.group_commit_riders") > 0  # shares happened
+        assert kernel.metrics.get("tc.commits") - seed_commits == threads * rounds
+        assert kernel.metrics.get("tclog.forces") - seed_forces == rounds
+        assert kernel.metrics.get("tclog.group_commit_riders") == (threads - 1) * rounds
         kernel.crash_tc()
         kernel.recover_tc()
         with kernel.begin() as txn:

@@ -388,3 +388,36 @@ class TestErrorsBecomeReplies:
             threading.excepthook = hook
         assert not running.thread.is_alive() and caught == [KeyError]
         assert _gone(conn)
+
+
+class TestTransactionNamesAreConnectionLocal:
+    """TC server only: the server's transaction id, like the client's
+    handle, names a transaction on the connection that opened it and on
+    no other."""
+
+    def test_foreign_id_is_an_unknown_transaction(self, tmp_path):
+        running = _Running("tcserver", tmp_path).start()
+        try:
+            mine, theirs = running.connect(), running.connect()
+            _ask(mine, 1, tcrpc.TxnSync(tc_id=1, txn_id=-1))  # opens it
+            opened = _answer(mine)[3]
+            assert isinstance(opened, tcrpc.TxnAck) and opened.txn_id > 0
+            for seq, request in enumerate((tcrpc.TxnCommit, tcrpc.TxnSync), 1):
+                _ask(theirs, seq, request(tc_id=1, txn_id=opened.txn_id))
+                refused = _answer(theirs)[3]
+                assert isinstance(refused, RemoteError)
+                assert "unknown transaction" in refused.text
+            # An abort of a name that means nothing here is the usual
+            # presumed-abort acknowledgement — and aborts nothing.
+            _ask(theirs, 3, tcrpc.TxnAbort(tc_id=1, txn_id=opened.txn_id))
+            assert isinstance(_answer(theirs)[3], tcrpc.TxnAck)
+            _ask(theirs, 4, StatsRequest(tc_id=1))
+            assert _answer(theirs)[3].payload["open_transactions"] == 1
+            # The owner's transaction is untouched: its own id still works.
+            _ask(mine, 2, tcrpc.TxnCommit(tc_id=1, txn_id=opened.txn_id))
+            done = _answer(mine)[3]
+            assert isinstance(done, tcrpc.TxnAck) and done.txn_id == opened.txn_id
+            assert running.counter("tc.commits") == 1
+            assert running.counter("tc.aborts") == 0
+        finally:
+            running.stop()

@@ -28,12 +28,18 @@ pytestmark = pytest.mark.process
 from repro.cloud.partitioning import stable_key_hash
 from repro.cloud.router import TcServiceDeployment, TcServiceRouter
 from repro.common.config import ChannelConfig, KernelConfig, TcConfig
-from repro.common.errors import CrashedError, ReproError, TcRedirect
+from repro.common.errors import (
+    CrashedError,
+    ReproError,
+    TcRedirect,
+    TransactionAborted,
+)
 from repro.kernel.unbundled import UnbundledKernel
 from repro.net.rpc import RemoteError
 from repro.net.tcclient import RemoteTc
 from repro.net.tcrpc import TxnAbort, TxnAck, TxnCommit, TxnWrite
 from repro.sim.supervisor import Supervisor
+from repro.tc.transactional_component import TransactionState
 
 
 def kill_tc(tc: RemoteTc) -> None:
@@ -365,8 +371,12 @@ class TestOpenedByFirstRequest:
         txn.abort()
         assert sent == []  # nothing was opened: nothing to abort
         txn = owner.begin()
-        txn.commit()  # an empty transaction still commits
-        assert sent == ["TxnCommit"] and txn.txn_id > 0
+        txn.commit()  # nothing was opened: nothing to commit, either
+        assert sent == [] and txn.txn_id == 0
+        assert txn.state is TransactionState.COMMITTED
+        with pytest.raises(TransactionAborted):
+            txn.read("t", "k")  # a finished handle stays finished
+        assert sent == []
         assert owner.stats()["open_transactions"] == 0
 
     def test_first_reply_teaches_the_server_id(self, deployment):
@@ -505,6 +515,29 @@ class TestOpenedByFirstRequest:
         txn.abort()
         assert owner.stats()["open_transactions"] == 0
         assert owner.read_other("t", "k") is None
+
+    def test_stale_id_cannot_name_the_next_incarnations_transaction(self, deployment):
+        """A read-only transaction leaves no id in the TC log for restart
+        to bump past, so the respawned server hands the same id out
+        again; the old handle must not reach the new transaction."""
+        owner = deployment.router.owner_of("k")
+        supervisor = Supervisor()
+        supervisor.watch_deployment(deployment)
+        stale = owner.begin()
+        assert stale.read("t", "k") is None
+        old_id = stale.txn_id
+        assert old_id > 0
+        kill_tc(owner)
+        supervisor.heal()
+        fresh = owner.begin()
+        fresh.insert("t", "k", 1)
+        assert fresh.txn_id == old_id  # reused: the case under test
+        with pytest.raises(TransactionAborted):
+            stale.commit()
+        stale.abort()  # local: nothing of it exists on this connection
+        assert owner.stats()["open_transactions"] == 1
+        fresh.commit()
+        assert owner.read_other("t", "k") == 1
 
 
 class TestChaosGauntlet:

@@ -107,6 +107,90 @@ class TestCacheHits:
             )
 
 
+class TestRecency:
+    """Eviction is least-recently-used: a hit or a store makes the entry
+    the youngest, so the keys a workload keeps coming back to outlive any
+    stream of keys it touches once."""
+
+    @staticmethod
+    def _order(kernel) -> list:
+        return [key for _table, key in kernel.tc._undo_cache]
+
+    def test_hot_key_survives_twice_the_cache_in_fresh_inserts(self):
+        size = 8
+        kernel = cached_kernel(undo_cache_size=size)
+        with kernel.begin() as txn:
+            txn.insert("t", -1, 0)
+        reads_for_hot = 0
+        for fresh in range(2 * size):
+            with kernel.begin() as txn:
+                txn.insert("t", fresh, fresh)
+            before = undo_reads(kernel)
+            with kernel.begin() as txn:
+                assert txn.read("t", -1) == 0  # a hit: no message, and young again
+            reads_for_hot += undo_reads(kernel) - before
+        assert reads_for_hot == 0
+        assert len(kernel.tc._undo_cache) == size
+        before = undo_reads(kernel)
+        with kernel.begin() as txn:
+            txn.update("t", -1, 1)  # undo info still served by the cache
+        assert undo_reads(kernel) == before
+        assert kernel.metrics.get("tc.undo_cache_hits") == 2 * size + 1
+
+    def test_eviction_takes_the_least_recently_used(self):
+        kernel = cached_kernel(undo_cache_size=3)
+        for key in (1, 2, 3):
+            with kernel.begin() as txn:
+                txn.insert("t", key, "v")
+        assert self._order(kernel) == [1, 2, 3]
+        with kernel.begin() as txn:
+            assert txn.read("t", 1) == "v"  # hit
+        assert self._order(kernel) == [2, 3, 1]
+        with kernel.begin() as txn:
+            txn.update("t", 2, "w")  # hit, then the commit's store
+        assert self._order(kernel) == [3, 1, 2]
+        with kernel.begin() as txn:
+            txn.insert("t", 4, "v")  # evicts 3, the oldest — not 1, the first in
+        assert self._order(kernel) == [1, 2, 4]
+
+    def test_insert_fast_path_hit_counts_as_use(self):
+        kernel = UnbundledKernel(
+            KernelConfig(tc=TcConfig.optimized(undo_cache_size=3))
+        )
+        kernel.create_table("t")
+        for key in (1, 2, 3):
+            with kernel.begin() as txn:
+                txn.insert("t", key, "v")
+        from repro.common.errors import DuplicateKeyError
+
+        txn = kernel.begin()
+        with pytest.raises(DuplicateKeyError):
+            txn.insert("t", 1, "again")  # answered by the cache, synchronously
+        assert self._order(kernel) == [2, 3, 1]
+        txn.abort()
+
+    def test_invalidation_is_not_softened_by_recency(self):
+        """The youngest entry is dropped like any other when its writer
+        aborts or its DC resets; a key the ownership guard refuses neither
+        enters the cache nor pushes anything out of it."""
+        kernel = cached_kernel(undo_cache_size=2)
+        for key in (1, 2):
+            with kernel.begin() as txn:
+                txn.insert("t", key, "v")
+        txn = kernel.begin()
+        txn.update("t", 2, "w")  # 2 is the youngest entry
+        txn.abort()
+        assert self._order(kernel) == [1]
+        kernel.tc.ownership_guard = lambda table, key: key != 7
+        with kernel.begin() as txn:
+            assert txn.read("t", 7) is None
+            assert txn.read("t", 2) == "v"
+        assert self._order(kernel) == [1, 2]
+        kernel.crash_dc()
+        kernel.recover_dc()
+        assert self._order(kernel) == []
+
+
 class TestInvalidation:
     def test_abort_invalidates_touched_keys(self):
         kernel = cached_kernel()
