@@ -29,7 +29,7 @@ OPS = 300
 def fresh_dc(page_size=2048) -> DataComponent:
     dc = DataComponent("dc", config=DcConfig(page_size=page_size))
     dc.create_table("t")
-    dc.register_tc(1, force_log=lambda lsn: lsn)
+    dc.register_tc(1, force_log=lambda lsn, images: lsn)
     return dc
 
 

@@ -172,6 +172,9 @@ def _explore(args: list[str]) -> int:
     parser.add_argument("--mvcc-read-newest", action="store_true",
                         help="negative control: mvcc reads newest bytes "
                         "instead of the snapshot")
+    parser.add_argument("--optimized", action="store_true",
+                        help="run under TcConfig.optimized(undo_cache_size"
+                        "=2): batched envelopes, reply-carried undo images")
     parser.add_argument("--txns", type=int, default=3)
     parser.add_argument("--ops", type=int, default=3)
     parser.add_argument("--keyspace", type=int, default=4)
@@ -200,6 +203,7 @@ def _explore(args: list[str]) -> int:
         cc_policy=policies[0] if policies else "2pl",
         skip_validation=opts.skip_validation,
         mvcc_read_newest=opts.mvcc_read_newest,
+        optimized=opts.optimized,
     )
     strategies = tuple(s.strip() for s in opts.strategy.split(",") if s.strip())
     crash_modes = (False, True) if opts.crash else (False,)

@@ -73,6 +73,12 @@ class PerformOperation(Message):
     #: 5.2.2 — an operation validated against not-yet-redone state would
     #: read committed records as absent).
     redo: bool = False
+    #: "Send me the image": the TC logged this update / delete with its
+    #: undo image *owed* and fills it from this reply.  The DC returns the
+    #: overwritten value in ``OpResult.prior`` and keeps it until the TC's
+    #: low-water mark passes ``op_id``, so a resend answered from the
+    #: idempotence test still carries it.
+    want_prior: bool = False
 
 
 @dataclass(frozen=True)

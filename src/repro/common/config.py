@@ -110,6 +110,8 @@ class TcConfig:
     #: TC-side undo-info cache (fast path, off by default): record values
     #: learned from operation replies are kept under the covering lock so
     #: the read-before-write undo-information round trip usually vanishes.
+    #: With ``batch_ops`` also on a miss costs no read either: the write's
+    #: own reply brings the before-image back (docs/architecture.md §9.2).
     undo_cache: bool = False
     #: Cap on cached undo-info entries (least-recently-used eviction).
     undo_cache_size: int = 4096

@@ -67,6 +67,20 @@ class ComponentUnavailableError(CrashedError):
         self.waited_ms = waited_ms
 
 
+class UndoImageLostError(CrashedError):
+    """A DC acknowledged a write without the before-image the TC asked for.
+
+    The TC had logged the operation with its undo image *owed* (to be
+    filled from this reply) and will not guess one: it fail-stops.  The
+    owed record was never stable, so restart loses it from the log and —
+    through the Section 5.3.2 reset — from the DC together.
+    """
+
+    def __init__(self, component: str, op_id: object) -> None:
+        CrashedError.__init__(self, component)
+        self.op_id = op_id
+
+
 class ResendExhaustedError(ReproError):
     """An operation's resend policy ran out of attempts or timeout budget.
 
@@ -154,11 +168,17 @@ class SnapshotTooOldError(ReproError):
 
 
 class WriteAheadViolation(ReproError):
-    """The buffer manager was asked to flush a page ahead of the stable log.
+    """A page (or a system transaction's page image) would become stable
+    ahead of the stable TC log.
 
     Causality (Section 4.2) forbids making a page stable while it reflects
-    operations that could still be lost by a TC crash.
+    operations that could still be lost by a TC crash.  ``needed`` maps
+    each TC whose log fell short to the LSN it had to be stable through.
     """
+
+    def __init__(self, message: str = "", needed: dict[int, int] | None = None) -> None:
+        super().__init__(message)
+        self.needed = needed or {}
 
 
 class UnknownTableError(ReproError):

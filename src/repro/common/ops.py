@@ -7,8 +7,9 @@ knowledge whatsoever.  The DC maps these to pages privately.
 Update operations have *inverses* (:func:`inverse_of`) so the TC can roll a
 transaction back by submitting inverse operations in reverse chronological
 order (Section 4.1.1 item 2b).  Computing an inverse may require the value
-the operation overwrote; the DC returns that in the operation reply and the
-TC stores it as undo information in its log.
+the operation overwrote; the TC either knows it already (it read or wrote
+the record under its lock) or asks the DC to return it in the operation's
+reply, and stores it as undo information in its log.
 
 For versioned tables (Section 6.2.2) the mutating operations create
 *pending* versions and the two cleanup operations —
@@ -202,26 +203,29 @@ class OpStatus(enum.Enum):
     NOT_FOUND = "not_found"
     DUPLICATE = "duplicate"
     ERROR = "error"
+    #: Not executed: the operation needed a structure change whose page
+    #: image would embed operations the TC log does not hold stably yet,
+    #: and the log-force prompt could not get them there (a record below
+    #: still owes its before-image).  Nothing changed; the TC resends the
+    #: operation once ``value`` — the LSN its log must be stable through —
+    #: can be reached.
+    UNSTABLE = "unstable"
 
 
 @dataclass(frozen=True)
 class OpResult:
     """Reply payload for a logical operation.
 
-    ``prior`` carries the overwritten value for updates/deletes so the TC
-    can build undo information; ``records`` carries range-read results and
-    ``keys`` carries probe results.
+    ``records`` carries range-read results, ``keys`` probe results and
+    ``value`` a read's (or an increment's resulting) value.
 
-    Every update / delete / increment reply carries ``prior`` today, and no
-    TC code reads it yet: the TC learns before-images through its own
-    ``_known_value`` read-through *before* it logs and sends.  Filling undo
-    from the reply instead (ROADMAP 4(a)) is blocked twice over.  A resend
-    of an operation the DC already executed is answered with a bare
-    ``okay()`` that carries no ``prior`` (``DataComponent._apply_mutation``'s
-    exactly-once branch), so a lost first reply would lose the undo image
-    for good.  And the value arrives after the operation's log record was
-    written, so that record must be held back from EOSL until the reply
-    fills it in — a hold-back the DC's own force prompt can deadlock on.
+    ``prior`` is the value an update / delete overwrote, sent only when
+    the request asked for it (``PerformOperation.want_prior``): the TC
+    then logged the operation with its undo image *owed* and completes
+    the log record from this field (docs/architecture.md §9.2).  The DC
+    keeps every image it was asked for until the asking TC's low-water
+    mark passes the operation, so the exactly-once answer to a resend
+    carries the same image as the first reply did.
     """
 
     status: OpStatus = OpStatus.OK
@@ -252,6 +256,10 @@ class OpResult:
     @staticmethod
     def error(message: str) -> "OpResult":
         return OpResult(status=OpStatus.ERROR, message=message)
+
+    @staticmethod
+    def unstable(needed: int, message: str) -> "OpResult":
+        return OpResult(status=OpStatus.UNSTABLE, value=needed, message=message)
 
 
 _OKAY = OpResult(status=OpStatus.OK)

@@ -11,11 +11,16 @@ its unique id; before applying, the DC tests ``op LSN <= page abLSN`` with
 the generalized containment test, so resends and redo-time replays execute
 exactly once even under out-of-order delivery.
 
-Mutations sent by a correct TC always succeed: the TC validates existence
-under its own locks before logging and sending (see
-:mod:`repro.tc.transactional_component`), which is what makes logged undo
-information complete — a requirement for sound crash rollback.  The DC
-still reports duplicate/not-found statuses defensively.
+Mutations sent by a TC that validated existence under its own locks always
+succeed.  A TC on its composed fast path skips that read-before-write and
+lets the DC's own duplicate / not-found verdict stand in for it; for an
+update or delete it then also asks for the overwritten value
+(``PerformOperation.want_prior``), which is what completes its logged undo
+information — a requirement for sound crash rollback.  The DC keeps every
+before-image it was asked for (:attr:`DataComponent._priors`) until the
+TC's low-water mark says the reply arrived, so an exactly-once answer to a
+resend still carries it, and a log-force prompt brings along those the TC
+may still be missing.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from repro.common.errors import (
     PageOverflowError,
     ReproError,
     UnknownTableError,
+    WriteAheadViolation,
 )
 from repro.common.lsn import Lsn, NULL_LSN
 from repro.common.ops import (
@@ -143,7 +149,13 @@ class DataComponent:
         self._version_clock = 0
         #: Per-TC callbacks for the causality gate (force the TC log
         #: through a given LSN) and the out-of-band restart prompt.
-        self._force_log: dict[int, Callable[[Lsn], Lsn]] = {}
+        self._force_log: dict[int, Callable[[Lsn, dict], Lsn]] = {}
+        #: Before-images TCs asked for (``want_prior``), per TC by
+        #: operation id: in memory only — a crash or TC reset that loses
+        #: them loses the operations' effects too, and a resend then
+        #: executes afresh.  Pruned as the TC's low-water mark passes.
+        self._priors: dict[int, dict[Lsn, object]] = {}
+        self._priors_lock = threading.Lock()
         self._restart_prompt: dict[int, Callable[["DataComponent"], None]] = {}
         #: Spontaneous contract termination (Section 4.2.1: the DC "could
         #: spontaneously inform TC that the RSSP can advance").
@@ -174,7 +186,7 @@ class DataComponent:
     def register_tc(
         self,
         tc_id: int,
-        force_log: Optional[Callable[[Lsn], Lsn]] = None,
+        force_log: Optional[Callable[[Lsn, dict], Lsn]] = None,
         on_dc_restart: Optional[Callable[["DataComponent"], None]] = None,
         on_rssp_hint: Optional[Callable[[str, Lsn], None]] = None,
     ) -> None:
@@ -197,16 +209,26 @@ class DataComponent:
 
         For each TC whose operations a staged page image embeds, make sure
         the TC's stable log covers them — prompting the TC to force its log
-        when it does not.
+        when it does not.  The prompt brings the before-images this DC
+        keeps for that TC's operations between its EOSL and ``lsn``: a log
+        record still waiting for one of them holds the TC's stable
+        boundary back, and its reply may be stuck behind this very prompt.
         """
         for tc_id, lsn in needed.items():
-            if self.buffer.eosl_for(tc_id) >= lsn:
+            eosl = self.buffer.eosl_for(tc_id)
+            if eosl >= lsn:
                 continue
             force = self._force_log.get(tc_id)
             if force is None:
                 return False
             self.metrics.incr("dc.log_force_prompts")
-            eosl = force(lsn)
+            with self._priors_lock:
+                images = {
+                    op_id: prior
+                    for op_id, prior in self._priors.get(tc_id, {}).items()
+                    if eosl < op_id <= lsn
+                }
+            eosl = force(lsn, images)
             self.buffer.note_eosl(tc_id, eosl)
             if eosl < lsn:
                 return False
@@ -345,7 +367,11 @@ class DataComponent:
             if message.eosl:
                 self.buffer.note_eosl(message.tc_id, message.eosl)
             result = self.perform_operation(
-                message.tc_id, message.op_id, message.op, resend=message.resend
+                message.tc_id,
+                message.op_id,
+                message.op,
+                resend=message.resend,
+                want_prior=message.want_prior,
             )
             return OperationReply(
                 tc_id=message.tc_id, op_id=message.op_id, result=result
@@ -404,7 +430,11 @@ class DataComponent:
                     tc_id=sub.tc_id,
                     op_id=sub.op_id,
                     result=self.perform_operation(
-                        sub.tc_id, sub.op_id, sub.op, resend=sub.resend
+                        sub.tc_id,
+                        sub.op_id,
+                        sub.op,
+                        resend=sub.resend,
+                        want_prior=sub.want_prior,
                     ),
                 )
                 for sub in message.ops
@@ -455,12 +485,14 @@ class DataComponent:
                     try:
                         if sub.op.MUTATES:
                             result = self._apply_mutation(
-                                handle, sub.tc_id, sub.op_id, sub.op
+                                handle, sub.tc_id, sub.op_id, sub.op, sub.want_prior
                             )
                         else:
                             result = self._execute_read(handle, sub.tc_id, sub.op)
                     except CrashedError:
                         raise
+                    except WriteAheadViolation as exc:
+                        result = self._gate_refusal(exc, sub.tc_id)
                     except (PageOverflowError, ReproError) as exc:
                         result = OpResult.error(str(exc))
                     replies.append(
@@ -474,7 +506,12 @@ class DataComponent:
     # -- perform_operation ---------------------------------------------------------------
 
     def perform_operation(
-        self, tc_id: int, op_id: Lsn, op: LogicalOperation, resend: bool = False
+        self,
+        tc_id: int,
+        op_id: Lsn,
+        op: LogicalOperation,
+        resend: bool = False,
+        want_prior: bool = False,
     ) -> OpResult:
         with self.tracer.span(
             "dc.execute",
@@ -484,10 +521,15 @@ class DataComponent:
             op_id=op_id,
             resend=resend,
         ):
-            return self._perform_operation(tc_id, op_id, op, resend)
+            return self._perform_operation(tc_id, op_id, op, resend, want_prior)
 
     def _perform_operation(
-        self, tc_id: int, op_id: Lsn, op: LogicalOperation, resend: bool = False
+        self,
+        tc_id: int,
+        op_id: Lsn,
+        op: LogicalOperation,
+        resend: bool = False,
+        want_prior: bool = False,
     ) -> OpResult:
         self._check_up()
         incarnation = self._incarnation
@@ -515,21 +557,35 @@ class DataComponent:
         with self.buffer.operation(), structure.latch:
             try:
                 if op.MUTATES:
-                    return self._apply_mutation(handle, tc_id, op_id, op)
+                    return self._apply_mutation(handle, tc_id, op_id, op, want_prior)
                 return self._execute_read(handle, tc_id, op)
             except CrashedError:
                 # an injected fault crashed a component mid-operation; the
                 # channel surfaces it as a lost message, never as a result
                 raise
-            except PageOverflowError as exc:
-                return OpResult.error(str(exc))
+            except WriteAheadViolation as exc:
+                return self._gate_refusal(exc, tc_id)
             except ReproError as exc:
                 return OpResult.error(str(exc))
+
+    @staticmethod
+    def _gate_refusal(exc: WriteAheadViolation, tc_id: int) -> OpResult:
+        """The causality gate refused a structure change before it touched
+        a page: nothing executed.  When a TC's log fell short (rather than
+        no stability provider being installed) the sender may resend."""
+        if not exc.needed:
+            return OpResult.error(str(exc))
+        return OpResult.unstable(exc.needed.get(tc_id, NULL_LSN), str(exc))
 
     # -- mutations ---------------------------------------------------------------------------
 
     def _apply_mutation(
-        self, handle: TableHandle, tc_id: int, op_id: Lsn, op: LogicalOperation
+        self,
+        handle: TableHandle,
+        tc_id: int,
+        op_id: Lsn,
+        op: LogicalOperation,
+        want_prior: bool = False,
     ) -> OpResult:
         if _sched.ACTIVE is not None:
             _sched.note_event(
@@ -545,7 +601,12 @@ class DataComponent:
         leaf = structure.find_leaf(op.key)  # type: ignore[union-attr]
         if op_id and leaf.ablsn_for(tc_id).contains(op_id):
             # Exactly-once: already reflected (a resend or a redo replay).
+            # The before-image the first execution was asked for is still
+            # here unless that reply demonstrably arrived (LWM passed it).
             self.metrics.incr("dc.duplicate_ops")
+            if want_prior:
+                with self._priors_lock:
+                    return OpResult.okay(prior=self._priors.get(tc_id, {}).get(op_id))
             return OpResult.okay()
         versioned = handle.descriptor.versioned or getattr(op, "versioned", False)
         if isinstance(op, InsertOp):
@@ -554,11 +615,11 @@ class DataComponent:
             )
         elif isinstance(op, UpdateOp):
             result, final_leaf = self._apply_update(
-                handle, tc_id, op, versioned, leaf, op_id
+                handle, tc_id, op, versioned, leaf, op_id, want_prior
             )
         elif isinstance(op, DeleteOp):
             result, final_leaf = self._apply_delete(
-                handle, tc_id, op, versioned, leaf, op_id
+                handle, tc_id, op, versioned, leaf, op_id, want_prior
             )
         elif isinstance(op, IncrementOp):
             result, final_leaf = self._apply_increment(
@@ -566,6 +627,9 @@ class DataComponent:
             )
         else:
             return OpResult.error(f"unknown mutation {type(op).__name__}")
+        if result.prior is not None:
+            with self._priors_lock:
+                self._priors.setdefault(tc_id, {})[op_id] = result.prior
         if result.ok and isinstance(op, DeleteOp) and not versioned:
             structure.maybe_consolidate(op.key)
         return result
@@ -652,6 +716,7 @@ class DataComponent:
         self, handle: TableHandle, tc_id: int, op: UpdateOp, versioned: bool,
         leaf: Optional[LeafPage] = None,
         op_id: Lsn = 0,
+        want_prior: bool = False,
     ) -> tuple[OpResult, LeafPage]:
         outcome: dict[str, OpResult] = {}
 
@@ -661,7 +726,7 @@ class DataComponent:
                     f"no record {op.key!r} in {op.table!r}"
                 )
                 return old
-            prior = old.visible_value(read_committed=False)
+            prior = old.visible_value(read_committed=False) if want_prior else None
             if versioned:
                 old.set_pending(op.value)
             else:
@@ -679,6 +744,7 @@ class DataComponent:
         self, handle: TableHandle, tc_id: int, op: DeleteOp, versioned: bool,
         leaf: Optional[LeafPage] = None,
         op_id: Lsn = 0,
+        want_prior: bool = False,
     ) -> tuple[OpResult, LeafPage]:
         outcome: dict[str, OpResult] = {}
 
@@ -688,7 +754,7 @@ class DataComponent:
                     f"no record {op.key!r} in {op.table!r}"
                 )
                 return old
-            prior = old.visible_value(read_committed=False)
+            prior = old.visible_value(read_committed=False) if want_prior else None
             outcome["result"] = OpResult.okay(prior=prior)
             if versioned:
                 old.set_pending(TOMBSTONE)
@@ -726,7 +792,7 @@ class DataComponent:
             else:
                 old.committed = updated
             old.owner_tc = tc_id
-            outcome["result"] = OpResult.okay(value=updated, prior=current)
+            outcome["result"] = OpResult.okay(value=updated)
             return old
 
         _record, leaf = self._mutate_record(
@@ -854,6 +920,13 @@ class DataComponent:
         self._check_up()
         with self.buffer.operation():
             self.buffer.note_lwm(tc_id, lwm)
+        with self._priors_lock:
+            priors = self._priors.get(tc_id)
+            if priors:
+                # The TC has every reply at or below LWM: those images arrived.
+                self._priors[tc_id] = {
+                    op_id: prior for op_id, prior in priors.items() if op_id > lwm
+                }
 
     def checkpoint(self, tc_id: int, new_rssp: Lsn) -> Lsn:
         """Make stable all pages with operations below ``new_rssp``.
@@ -876,6 +949,9 @@ class DataComponent:
         """TC-crash reset (Section 5.3.2 / 6.1.2): shed lost-operation state."""
         self._check_up()
         self.metrics.incr("dc.tc_restarts")
+        # Whatever still waited for an image was not stable, so it is lost.
+        with self._priors_lock:
+            self._priors.pop(tc_id, None)
         with self.buffer.operation():
             return self.buffer.reset_after_tc_crash(tc_id, stable_lsn, mode)
 
@@ -948,6 +1024,8 @@ class DataComponent:
         self._incarnation += 1
         self.buffer.crash()
         self._tables.clear()
+        with self._priors_lock:
+            self._priors.clear()
         self.metrics.incr("dc.crashes")
         for listener in list(self.on_crash):
             listener(self.name, "dc")

@@ -17,6 +17,12 @@ prompt* to the TC (the paper explicitly allows the DC to "spontaneously
 convey information to TC", Section 4.2.1).  The number of forced syncs is a
 measured cost of unbundling (experiment E-SMO).
 
+A structure modification asks the gate *before* it changes any page
+(:meth:`SystemTransaction.gate`, from the source pages' abLSNs — exactly the
+operations its staged images will embed): a refusal then leaves the
+structure as found and fails only the operation that needed the change.
+The check at commit stays as the backstop for whatever was staged.
+
 The gate only applies to images of pages carrying TC data; the pre-split
 page is logged *logically* (split key only) precisely so its possibly
 TC-unstable content never enters the DC log — the paper's design choice,
@@ -68,6 +74,9 @@ class SystemTransaction:
         self._tracer = getattr(dclog, "tracer", NULL_TRACER)
         self._ensure_stable = ensure_stable
         self._records: list[DcLogRecord] = []
+        #: What the gate has already granted, per TC: asked once, not
+        #: again at commit.
+        self._granted: dict[int, Lsn] = {}
         self._committed = False
 
     # -- staging -----------------------------------------------------------
@@ -113,7 +122,24 @@ class SystemTransaction:
         self._records.append(CatalogRecord(dlsn=dlsn, descriptor=descriptor_meta))
         return dlsn
 
-    # -- commit -------------------------------------------------------------
+    # -- the causality gate --------------------------------------------------
+
+    def gate(self, *sources: Page) -> None:
+        """Demand stability for the operations ``sources`` reflect — the
+        leaves whose records the staged images are about to embed — before
+        the caller changes any of them.  Raises
+        :class:`WriteAheadViolation` on refusal."""
+        needed: dict[int, Lsn] = {}
+        for page in sources:
+            self._note_requirements(needed, page.ablsns)
+        self._demand(needed)
+
+    @staticmethod
+    def _note_requirements(needed: dict[int, Lsn], ablsns: dict) -> None:
+        for tc_id, ablsn in ablsns.items():
+            top = ablsn.max_lsn()
+            if top > needed.get(tc_id, NULL_LSN):
+                needed[tc_id] = top
 
     def _stability_requirements(self) -> dict[int, Lsn]:
         """Per-TC max operation LSN embedded in staged leaf images."""
@@ -124,11 +150,32 @@ class SystemTransaction:
             image = record.image
             if image is None or image.kind is not PageKind.LEAF:
                 continue
-            for tc_id, ablsn in image.ablsns.items():
-                top = ablsn.max_lsn()
-                if top > needed.get(tc_id, NULL_LSN):
-                    needed[tc_id] = top
+            self._note_requirements(needed, image.ablsns)
         return needed
+
+    def _demand(self, needed: dict[int, Lsn]) -> None:
+        needed = {
+            tc_id: lsn
+            for tc_id, lsn in needed.items()
+            if lsn > self._granted.get(tc_id, NULL_LSN)
+        }
+        if not needed:
+            return
+        if self._ensure_stable is None:
+            raise WriteAheadViolation(
+                f"system transaction {self.kind!r} embeds TC operations "
+                f"{needed} but no stability provider is installed"
+            )
+        self._metrics.incr("systxn.stability_checks")
+        if not self._ensure_stable(needed):
+            raise WriteAheadViolation(
+                f"system transaction {self.kind!r} could not make TC "
+                f"operations stable: {needed}",
+                needed,
+            )
+        self._granted.update(needed)
+
+    # -- commit -------------------------------------------------------------
 
     def commit(self) -> None:
         """Gate on causality, then force the batch to the stable DC log."""
@@ -149,19 +196,7 @@ class SystemTransaction:
             _sched.maybe_yield(
                 YieldPoint.DC_SYSTXN, self.kind, records=len(self._records)
             )
-        needed = self._stability_requirements()
-        if needed:
-            if self._ensure_stable is None:
-                raise WriteAheadViolation(
-                    f"system transaction {self.kind!r} embeds TC operations "
-                    f"{needed} but no stability provider is installed"
-                )
-            self._metrics.incr("systxn.stability_checks")
-            if not self._ensure_stable(needed):
-                raise WriteAheadViolation(
-                    f"system transaction {self.kind!r} could not make TC "
-                    f"operations stable: {needed}"
-                )
+        self._demand(self._stability_requirements())
         self._dclog.commit(self.kind, self._records)
         self._metrics.incr(f"systxn.{self.kind}")
         self._committed = True

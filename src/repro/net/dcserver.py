@@ -100,7 +100,7 @@ class _DcServer(Server):
     # -- the causality-gate bridge -----------------------------------------
 
     def _force_bridge(self, tc_id: int):
-        def force(lsn):
+        def force(lsn, images):
             # Looked up at call time: a re-registered TC (respawned
             # process, new connection) re-aims the bridge automatically.
             peer = self._tc_peers.get(tc_id)
@@ -115,7 +115,7 @@ class _DcServer(Server):
                         peer,
                         rpc.SERVER_REQUEST,
                         seq,
-                        ForceLogRequest(tc_id=tc_id, lsn=lsn),
+                        ForceLogRequest(tc_id=tc_id, lsn=lsn, images=images),
                     )
                 except (BrokenPipeError, OSError):
                     raise CrashedError(f"TC {tc_id} force-log channel")

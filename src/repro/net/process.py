@@ -867,7 +867,9 @@ class RemoteDc(ServerProxy):
         with self._lock:
             registration = self._registrations.get(message.tc_id)
         force = registration.get("force_log") if registration else None
-        eosl = force(message.lsn) if force is not None else message.lsn
+        eosl = (
+            force(message.lsn, message.images) if force is not None else message.lsn
+        )
         return ForceLogReply(tc_id=message.tc_id, eosl=eosl)
 
     def _serve_push(self, message: Message) -> None:

@@ -97,9 +97,15 @@ class Hello(Message):
 @dataclass(frozen=True)
 class ForceLogRequest(Message):
     """Causality gate: block this DC system transaction until the TC log
-    is stable through ``lsn`` (carried on a SERVER_REQUEST frame)."""
+    is stable through ``lsn`` (carried on a SERVER_REQUEST frame).
+
+    ``images`` maps operation ids to the before-images the DC keeps for
+    this TC up to ``lsn``: a log record still waiting for one of them
+    holds the TC's stable boundary back, and the reply that would bring it
+    may be queued behind this very request."""
 
     lsn: int = 0
+    images: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -254,7 +254,25 @@ class RemoteTransaction:
             self.state = TransactionState.COMMITTED
             return
         self._check_active()
-        self._drain()
+        try:
+            self._drain()
+        except (TransactionAborted, CrashedError):
+            raise  # the server already ended it / died holding it
+        except ReproError as exc:
+            # A pipelined write failed and no commit was sent, so the
+            # outcome is determinate: roll back what the server still
+            # holds open (as the TC's own ``commit`` does when its sync
+            # fails) rather than leave the caller a half-applied
+            # transaction it cannot tell from an indeterminate commit.
+            try:
+                self.abort()
+            except ReproError:
+                pass  # the server's disconnect / restart path owns it now
+            if isinstance(exc, TcRedirect):
+                raise  # routing information: the caller retries elsewhere
+            raise TransactionAborted(
+                self.txn_id, f"commit abandoned: {exc}"
+            ) from exc
         self._call(
             TxnCommit(tc_id=self._tc.tc_id, txn_id=self.txn_id), commit_stage=True
         )

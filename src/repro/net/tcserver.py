@@ -169,7 +169,9 @@ class DurableTcLog(TcLog):
     Both happen under the log mutex, so a group-commit rider polling
     ``eosl`` can never observe a commit record as stable before its frame
     is on the journal — acknowledge-after-force survives ``kill -9``
-    between any two instructions.
+    between any two instructions.  How far a force reaches is the base
+    class's decision (never past a record whose before-image is still
+    owed); this class only supplies the journal write (:meth:`_harden`).
 
     Checkpoint truncation (:meth:`truncate_below`) rewrites the journal as
     live state and persists ``truncated_upto`` in a meta frame.  That meta
@@ -188,14 +190,9 @@ class DurableTcLog(TcLog):
             self._truncated_upto = journal.truncated_upto
             self.recover_lsn_generator()
 
-    def _force(self) -> Lsn:
-        with self._mutex:
-            if self._stable_count < len(self._records):
-                self._journal.append_records(self._records[self._stable_count :])
-                self._stable_count = len(self._records)
-                self.metrics.incr("tclog.forces")
-                self.metrics.incr("tclog.journal_forces")
-            return self._eosl_locked()
+    def _harden(self, records: list) -> None:
+        self._journal.append_records(records)
+        self.metrics.incr("tclog.journal_forces")
 
     def truncate_below(self, point: Lsn) -> int:
         dropped = super().truncate_below(point)
@@ -347,6 +344,10 @@ class _TcServer(Server):
             },
             default=self._unhandled,
         )
+        # A TC that fail-stops at run time (``UndoImageLostError``) takes
+        # its server with it: the journal is its stable log, and whoever
+        # respawns the process gets the §5.3.2 restart above.
+        self._tc.on_crash.append(lambda _name, _kind: self._loop.stop())
 
     # -- wiring -------------------------------------------------------------
 

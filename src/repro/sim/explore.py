@@ -76,6 +76,13 @@ class ExploreConfig:
     skip_validation: bool = False
     #: Negative control for mvcc: read newest bytes, not the snapshot.
     mvcc_read_newest: bool = False
+    #: Run under ``TcConfig.optimized(undo_cache_size=2)`` instead of the
+    #: unbatched default: operations queue and are logged when their
+    #: envelope is flushed, and with two cache slots over the keyspace
+    #: most writes log their undo image *owed* and fill it from the reply
+    #: — the hold-back, the fill and a committer's wait behind another
+    #: task's owed record all become schedulable.
+    optimized: bool = False
     max_steps: int = 2000
     table: str = "t"
 
@@ -131,7 +138,7 @@ def run_schedule(
 ) -> ScheduleOutcome:
     """Run one schedule: build a kernel, interleave, judge the history."""
     config = config or ExploreConfig()
-    tc_config = TcConfig(
+    tc_settings = dict(
         # Real-time lock timeouts would fire spuriously under step-paced
         # scheduling; deadlock detection (which the scheduler guarantees a
         # chance to run) is the liveness mechanism instead.
@@ -141,6 +148,10 @@ def run_schedule(
         unsafe_skip_validation=config.skip_validation,
         unsafe_mvcc_read_newest=config.mvcc_read_newest,
     )
+    if config.optimized:
+        tc_config = TcConfig.optimized(undo_cache_size=2, **tc_settings)
+    else:
+        tc_config = TcConfig(**tc_settings)
     injector = None
     if fault_rules is not None:
         from repro.sim.faults import FaultInjector
@@ -192,8 +203,10 @@ def run_schedule(
             # value-aware MVSG is their judge.  Negative controls run
             # under the same mode as their honest policy: an anomaly
             # only counts as caught if the honest policy sweeps clean
-            # under the identical judge.
-            multiversion=config.cc_policy in ("occ", "mvcc"),
+            # under the identical judge.  A batching TC applies its
+            # writes when the envelope is flushed, after the operation
+            # returned — again not event order.
+            multiversion=config.cc_policy in ("occ", "mvcc") or config.optimized,
         )
         commits = sum(
             1 for e in scheduler.events if e["point"] == "txn.commit"

@@ -22,6 +22,8 @@ yield point         site
 ``buffer.latch``    DC operation entry, before the buffer/latch bracket
 ``dc.systxn``       :meth:`SystemTransaction._commit` entry
 ``dc.redo_wait``    TC dispatch stalled on a DC's redo window
+``tc.owed_wait``    a committer stalled behind another task's log record
+                    whose before-image is still owed (:meth:`TcLog.await_fill`)
 ==================  ====================================================
 
 Every site pays only a module-global ``is None`` check when no scheduler
@@ -66,6 +68,7 @@ class YieldPoint:
     BUFFER_LATCH = "buffer.latch"
     DC_SYSTXN = "dc.systxn"
     DC_REDO_WAIT = "dc.redo_wait"
+    TC_OWED_WAIT = "tc.owed_wait"
     CC_VALIDATE = "cc.validate"
     CC_INSTALL = "cc.install"
 
@@ -379,7 +382,11 @@ class DeterministicScheduler:
         self._record(point, target, task, detail)
         if task is None or task.interrupted:
             return  # setup/teardown threads and unwinding tasks never park
-        if point in (YieldPoint.LOCK_BLOCKED, YieldPoint.DC_REDO_WAIT):
+        if point in (
+            YieldPoint.LOCK_BLOCKED,
+            YieldPoint.DC_REDO_WAIT,
+            YieldPoint.TC_OWED_WAIT,
+        ):
             task.blocked_on = detail.get("resource")
         elif point == YieldPoint.LOCK_RELEASE:
             # A release may make any blocked task grantable; wake them all

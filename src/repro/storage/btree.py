@@ -12,6 +12,9 @@ growth/collapse) run as system transactions (Section 5.2.2):
 - parent/root updates are logged physically (inner pages carry no TC data,
   so their images need no causality gate).
 
+Splits and consolidations ask the causality gate before they touch a page
+(``SystemTransaction.gate``), so a refused gate leaves the tree as found.
+
 The tree is protected by a per-tree latch; page latches are still taken
 around record-level work so latch acquisition counts stay comparable with
 the monolithic baseline (DESIGN.md discusses this coarsening).
@@ -24,7 +27,7 @@ import threading
 from typing import Iterator, Optional
 
 from repro.common.config import DcConfig
-from repro.common.errors import PageOverflowError, ReproError
+from repro.common.errors import PageOverflowError, ReproError, WriteAheadViolation
 from repro.common.lsn import AbstractLsn
 from repro.common.records import Key, VersionedRecord
 from repro.dc.dclog import DcLog
@@ -231,6 +234,7 @@ class BTree:
     def _split_leaf(self, leaf: LeafPage, path: list[InnerPage]) -> None:
         """Split ``leaf``; one system transaction (Section 5.2.2, Page Splits)."""
         txn = self._new_systxn("split")
+        txn.gate(leaf)  # before any page changes: a refusal splits nothing
         split_key = leaf.choose_split_key()
         new_leaf = LeafPage(self._storage.allocate_page_id())
         new_leaf.absorb(record.clone() for record in leaf.extract_from(split_key))
@@ -337,7 +341,14 @@ class BTree:
                 # re-equalizes horizons and merges resume.
                 self.metrics.incr("btree.consolidation_skipped_horizon")
                 return False
-            self._merge_leaves(target, victim, path)
+            try:
+                self._merge_leaves(target, victim, path)
+            except WriteAheadViolation:
+                # The causality gate refused before anything changed.  A
+                # merge is housekeeping the delete that prompted it does
+                # not depend on: leave the leaves apart for a later one.
+                self.metrics.incr("btree.consolidation_skipped_unstable")
+                return False
             return True
 
     @staticmethod
@@ -364,6 +375,7 @@ class BTree:
         self, target: LeafPage, victim: LeafPage, path: list[InnerPage]
     ) -> None:
         txn = self._new_systxn("consolidate")
+        txn.gate(target, victim)  # before any page changes
         target.absorb(record.clone() for record in victim.records_in_order())
         merged: dict[int, AbstractLsn] = dict(target.ablsns)
         for tc_id, ablsn in victim.ablsns.items():

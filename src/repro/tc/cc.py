@@ -100,11 +100,12 @@ class ConcurrencyControl:
     """
 
     name = "cc"
-    #: True when inserts must learn an authoritative prior under the X
-    #: lock even on the composed fast path (MVCC registers it as the
-    #: before-image; an optimistic ABSENT guess would serve phantom
-    #: absences to concurrent readers).
-    needs_insert_prior = False
+    #: True when every write must learn its authoritative prior under the
+    #: X lock, at write time, even on the composed fast path — where an
+    #: insert otherwise guesses ABSENT and an update / delete lets its own
+    #: reply bring the before-image back (MVCC serves the prior to
+    #: concurrent readers from the moment the write is registered).
+    needs_write_prior = False
 
     def __init__(self, tc: "TransactionalComponent") -> None:
         self.tc = tc
@@ -147,7 +148,9 @@ class ConcurrencyControl:
         structural: bool,
     ) -> None:
         """Called with the write's before-image (learned under the X
-        lock) before the mutation is logged or shipped."""
+        lock; the TC's ``OWED`` sentinel when the write's reply will
+        bring it and :attr:`needs_write_prior` is off) before the
+        mutation is queued, logged or shipped."""
 
     # -- commit / abort lifecycle -----------------------------------------
 

@@ -42,10 +42,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 class MvccSnapshotCc(ValidatingCc):
     name = "mvcc"
-    #: Inserts must learn a real prior under the X lock: the optimistic
-    #: fast-path ABSENT guess would be registered as a before-image and
-    #: served to concurrent readers as a phantom absence.
-    needs_insert_prior = True
+    #: Writes must learn a real prior under the X lock: it is registered
+    #: as the before-image and served to concurrent readers at once — an
+    #: insert's optimistic ABSENT guess would be a phantom absence, and an
+    #: image still on its way back with the write's reply is no image.
+    needs_write_prior = True
 
     def read(self, txn: "Transaction", table: str, key: Key) -> object:
         tc = self.tc

@@ -27,10 +27,12 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
+from repro.common.errors import CrashedError
 from repro.common.lsn import Lsn, LsnGenerator, NULL_LSN
-from repro.common.ops import LogicalOperation
+from repro.common.ops import LogicalOperation, OpResult, inverse_of
+from repro.common.records import Value
 from repro.obs.tracing import NULL_TRACER
 from repro.sim import schedule as _sched
 from repro.sim.metrics import Metrics
@@ -50,14 +52,29 @@ class TcLogRecord:
 class OpRecord(TcLogRecord):
     """A forward logical operation, with the undo info needed to invert it.
 
-    The inverse is complete at append time (the TC validates existence and
-    learns prior values under its own locks before logging), so a stable
-    OpRecord can always be rolled back — even after a crash.
+    A *stable* OpRecord can always be rolled back, even after a crash: its
+    inverse is complete before it may become stable.  Usually the TC knows
+    the before-image when it appends (it read or wrote the record under its
+    lock).  When it does not, the record is appended ``owed``: the image
+    comes back on the operation's own reply (or on a DC force prompt, or a
+    redo reply) and :meth:`TcLog.fill` completes ``undo`` from it.  While
+    owed, the record holds the stable boundary back (``TcLog._force`` stops
+    before it), so EOSL never reaches it, the causality gate keeps its
+    effect off the DC's disk, and a TC crash loses record and effect
+    together.  Nothing may read ``undo`` of an owed record.
     """
 
     op: Optional[LogicalOperation] = None
     undo: Optional[LogicalOperation] = None
     dc_name: str = ""
+    owed: bool = False
+
+    def _settle(self, undo: Optional[LogicalOperation]) -> None:
+        # The one write after construction, made by TcLog.fill under the
+        # log mutex: every holder of the record (log, undo chain, pending
+        # envelope) sees the completed inverse.
+        object.__setattr__(self, "undo", undo)
+        object.__setattr__(self, "owed", False)
 
     def encoded_size(self) -> int:
         size = super().encoded_size()
@@ -173,6 +190,12 @@ class GroupCommitCoalescer:
     Waits are bounded (condition timeouts), so a leader whose force raises
     (injected TC crash) never strands the group: each waiter times out,
     elects itself, and observes the same failure.
+
+    One force makes everything stable unless a record at or below the
+    commit LSN still owes its before-image (:class:`OpRecord`): the stable
+    boundary stops before it, so the committer waits for that fill — one
+    DC round trip away, since a record is owed only while its envelope is
+    on the wire — and forces again (:meth:`_force_until`).
     """
 
     def __init__(
@@ -217,7 +240,7 @@ class GroupCommitCoalescer:
         (so fault injection at the force point still applies)."""
         if self.size <= 1:
             if self.log.needs_force(lsn):
-                force()
+                self._force_until(lsn, force)
             return
         if self._committers <= 1 and self._waiting == 0:
             # Lone committer: nobody to coalesce with and nobody parked to
@@ -228,7 +251,7 @@ class GroupCommitCoalescer:
             # elects itself within the flush deadline — durability is
             # force-before-ack on both paths.
             if self.log.eosl < lsn:
-                force()
+                self._force_until(lsn, force)
                 self._leads_slot.value += 1
                 self.metrics.observe("tclog.group_commit_group_size", 1)
             return
@@ -251,7 +274,7 @@ class GroupCommitCoalescer:
                     group = self._waiting
                     self._cond.release()
                     try:
-                        force()
+                        self._force_until(lsn, force)
                     finally:
                         self._cond.acquire()
                         self._cond.notify_all()
@@ -261,6 +284,23 @@ class GroupCommitCoalescer:
                 self._waiting -= 1
         if not led:
             self.metrics.incr("tclog.group_commit_riders")
+
+    def _force_until(self, lsn: Lsn, force: Callable[[], Lsn]) -> None:
+        """Force until ``lsn`` is stable, waiting out owed records below it."""
+        log = self.log
+        while True:
+            # Sampled before the force: records appended later sit above
+            # ``lsn``, so what is not held back now never will be.
+            held = log.owed_through(lsn)
+            if force() >= lsn:
+                return
+            if not held:
+                raise CrashedError(f"TC log (record {lsn} lost before it was stable)")
+            log.await_fill(lsn)
+
+
+#: What a task parked in :meth:`TcLog.await_fill` is blocked on.
+_OWED_RESOURCE = "tclog:owed"
 
 
 class TcLog:
@@ -280,6 +320,12 @@ class TcLog:
         self._truncated_upto: Lsn = NULL_LSN
         self._lsns = LsnGenerator()
         self._mutex = threading.Lock()
+        #: Records whose before-image is still owed, by LSN (so in LSN
+        #: order): always in the volatile tail, and the stable boundary
+        #: never passes the first of them.
+        self._owed: dict[Lsn, OpRecord] = {}
+        #: Notified (same mutex) whenever an owed record is filled.
+        self._filled = threading.Condition(self._mutex)
         self.lwm_tracker = LwmTracker()
         # Hot-path counter slots (see Metrics.counter): append runs once
         # per logical operation and again per commit/end record, so the
@@ -302,6 +348,73 @@ class TcLog:
             self._appends_slot.value += 1
             self._bytes_slot.value += record.encoded_size()
             return record
+
+    def append_envelope(
+        self, queued: list, build: Callable[[Lsn, object], OpRecord]
+    ) -> list[OpRecord]:
+        """Append the operations of one envelope, in order, under one
+        mutex bracket: ``build(lsn, item)`` makes each queued item's
+        record at the next LSN (so log order stays LSN order), and every
+        record is tracked for the low-water mark."""
+        size = 0
+        with self._mutex:
+            next_lsn = self._lsns.next
+            records = [build(next_lsn(), item) for item in queued]
+            self._records.extend(records)
+            for record in records:
+                self.lwm_tracker.register(record.lsn)
+                if record.owed:
+                    self._owed[record.lsn] = record
+                size += record.encoded_size()
+            self._appends_slot.value += len(records)
+            self._bytes_slot.value += size
+        return records
+
+    def fill(self, images: Mapping[Lsn, Value]) -> None:
+        """Complete owed records from the before-images their operations
+        overwrote; ``None`` settles a record with no inverse (its operation
+        was rejected).  Idempotent: a reply, a force prompt and a redo
+        reply may each bring the same image."""
+        with self._filled:
+            for lsn, prior in images.items():
+                record = self._owed.pop(lsn, None)
+                if record is None:
+                    continue
+                undo = None
+                if prior is not None:
+                    undo = inverse_of(record.op, OpResult.okay(prior=prior))
+                    self._bytes_slot.value += undo.encoded_size()
+                record._settle(undo)
+            self._filled.notify_all()
+        _sched.notify(_OWED_RESOURCE)
+
+    def owed_through(self, lsn: Lsn) -> bool:
+        """True while some record at or below ``lsn`` is owed."""
+        if not self._owed:
+            # The usual answer, without the mutex: a record at or below
+            # ``lsn`` entered ``_owed`` under the mutex before ``lsn``
+            # itself was assigned, so an empty table cannot be hiding one.
+            return False
+        with self._mutex:
+            return self._owed_through_locked(lsn)
+
+    def _owed_through_locked(self, lsn: Lsn) -> bool:
+        return bool(self._owed) and next(iter(self._owed)) <= lsn
+
+    def await_fill(self, lsn: Lsn, timeout: Optional[float] = None) -> bool:
+        """Block until no record at or below ``lsn`` is owed; False when
+        ``timeout`` seconds pass first."""
+        if _sched.task_active():
+            # Cooperative mode: park at the scheduler until a fill notifies.
+            while self.owed_through(lsn):
+                _sched.maybe_yield(
+                    YieldPoint.TC_OWED_WAIT, "tc", resource=_OWED_RESOURCE
+                )
+            return True
+        with self._filled:
+            return self._filled.wait_for(
+                lambda: not self._owed_through_locked(lsn), timeout
+            )
 
     def issue_read_id(self) -> Lsn:
         """A request id for an unlogged operation (reads, probes)."""
@@ -345,7 +458,8 @@ class TcLog:
             self.force = self._force
 
     def force(self) -> Lsn:
-        """Make every appended record stable; returns the new EOSL."""
+        """Make every appended record stable, up to the first one whose
+        before-image is owed; returns the new EOSL."""
         with self.tracer.span("tc.log_force", component="tc"):
             return self._force()
 
@@ -353,10 +467,22 @@ class TcLog:
         if _sched.ACTIVE is not None:
             _sched.maybe_yield(YieldPoint.TC_LOG_FORCE, "tc")
         with self._mutex:
-            if self._stable_count < len(self._records):
-                self._stable_count = len(self._records)
+            limit = len(self._records)
+            if self._owed:
+                # An owed record is never stable: stop before the first.
+                first = next(iter(self._owed))
+                limit = self._stable_count
+                while self._records[limit].lsn < first:
+                    limit += 1
+            if self._stable_count < limit:
+                self._harden(self._records[self._stable_count : limit])
+                self._stable_count = limit
                 self.metrics.incr("tclog.forces")
             return self._eosl_locked()
+
+    def _harden(self, records: list[TcLogRecord]) -> None:
+        """Write the newly stable suffix wherever stable means stable
+        (a journal-backed log overrides this); called under the mutex."""
 
     def _eosl_locked(self) -> Lsn:
         if self._stable_count == 0:
@@ -380,13 +506,16 @@ class TcLog:
 
     def crash(self) -> int:
         """Truncate the volatile tail; returns how many records were lost."""
-        with self._mutex:
+        with self._filled:
             lost = len(self._records) - self._stable_count
             del self._records[self._stable_count :]
+            self._owed.clear()
+            self._filled.notify_all()
             self.lwm_tracker.reset()
             self.metrics.incr("tclog.crashes")
             self.metrics.incr("tclog.records_lost", lost)
-            return lost
+        _sched.notify(_OWED_RESOURCE)
+        return lost
 
     def recover_lsn_generator(self) -> None:
         """After a crash, continue LSNs above everything on the stable log."""

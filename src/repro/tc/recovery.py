@@ -42,6 +42,7 @@ from repro.common.ops import (
     DeleteOp,
     IncrementOp,
     InsertOp,
+    OpStatus,
     PromoteVersionsOp,
     UpdateOp,
 )
@@ -81,13 +82,21 @@ def resend_redo_stream(
     sequential path — a concurrent replay would make fault-rule hit
     counts and schedule decisions nondeterministic.
     """
+    # The whole log, not just its stable prefix: after a TC crash they are
+    # the same, but a live TC answering a DC's restart prompt may hold a
+    # volatile tail its force could not reach (a record whose before-image
+    # the crashed DC still owed holds the stable boundary back).  The DC
+    # lost those operations' effects all the same.
+    log = tc.log.all_records()
     canceled = {
         record.canceled
-        for record in tc.log.stable_records()
+        for record in log
         if isinstance(record, CompensationRecord) and record.canceled != NULL_LSN
     }
     streams: dict[str, list] = {}
-    for record in tc.log.stable_records_from(tc.rssp):
+    for record in log:
+        if record.lsn < tc.rssp:
+            continue
         if not isinstance(record, (OpRecord, CompensationRecord)):
             continue
         if record.op is None or not record.op.MUTATES:
@@ -99,6 +108,9 @@ def resend_redo_stream(
         if dc_names is not None and record.dc_name not in dc_names:
             continue
         streams.setdefault(record.dc_name, []).append(record)
+
+    def owed(record) -> bool:
+        return isinstance(record, OpRecord) and record.owed
 
     def accept(result, record) -> int:
         try:
@@ -112,6 +124,9 @@ def resend_redo_stream(
             # history onward.
             tc.metrics.incr("tc.redo_rejected")
             return 0
+        if result.prior is not None:
+            # Re-executed afresh: the image its lost reply owed the log.
+            tc.log.fill({record.lsn: result.prior})
         return 1
 
     def replay(dc_name: str, records: list) -> int:
@@ -125,7 +140,12 @@ def resend_redo_stream(
                 # restart's full replay exactly-once anyway.
                 tc.faults.hit(FaultPoint.TC_REDO, tc.name)
             result = tc._perform(
-                record.dc_name, record.op, record.lsn, resend=True, redo=True
+                record.dc_name,
+                record.op,
+                record.lsn,
+                resend=True,
+                redo=True,
+                want_prior=owed(record),
             )
             resent += accept(result, record)
         return resent
@@ -153,7 +173,12 @@ def resend_redo_stream(
 
         def replay_one(record) -> int:
             result = tc._perform(
-                record.dc_name, record.op, record.lsn, resend=True, redo=True
+                record.dc_name,
+                record.op,
+                record.lsn,
+                resend=True,
+                redo=True,
+                want_prior=owed(record),
             )
             return accept(result, record)
 
@@ -169,8 +194,8 @@ def resend_redo_stream(
             done = 0
             for record in chunk:
                 result = results.get(record.lsn)
-                if result is None:
-                    done += replay_one(record)
+                if result is None or result.status is OpStatus.UNSTABLE:
+                    done += replay_one(record)  # owns waiting and resending
                 else:
                     done += accept(result, record)
             return done
@@ -185,6 +210,7 @@ def resend_redo_stream(
                         op=record.op,
                         resend=True,
                         redo=True,
+                        want_prior=owed(record),
                     )
                     for record in chunk
                 ),

@@ -11,10 +11,14 @@ The TC is the client of one or more DCs.  It provides:
 2. **Transaction atomicity**: commit after all forward operations, or
    rollback by inverse operations in reverse chronological order.
 3. **Logical undo/redo logging** in OPSR order (LSN assignment and log
-   append are atomic), with undo information complete at append time: the
-   TC validates existence and learns prior values *under its own locks*
-   before logging — the unbundled substitute for learning them inside the
-   page, and one of the honest costs of unbundling (extra reads, counted).
+   append are atomic), with undo information complete before a record can
+   become *stable*.  The TC learns prior values *under its own locks* —
+   the unbundled substitute for learning them inside the page.  What it
+   does not already know it either reads before writing (an honest cost
+   of unbundling: extra reads, counted) or, on the composed fast path,
+   lets the write's own reply bring back: the record is logged with its
+   image *owed* and held back from the stable log until the reply fills
+   it in (docs/architecture.md §9.2).
 4. **Log forcing** for durability, EOSL/LWM propagation for the causality
    and low-water contracts, resend with unique request ids for
    exactly-once execution, checkpointing, and restart.
@@ -32,7 +36,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from repro.common.api import (
     BatchedPerform,
@@ -55,6 +59,7 @@ from repro.common.errors import (
     ReproError,
     ResendExhaustedError,
     TransactionAborted,
+    UndoImageLostError,
 )
 from repro.common.lsn import Lsn, NULL_LSN
 from repro.common.ops import (
@@ -107,6 +112,38 @@ class _Absent:
 ABSENT = _Absent()
 
 
+class _Owed:
+    """A write's before-image the TC does not know: the write's own reply
+    brings it back (``PerformOperation.want_prior``)."""
+
+    def __repr__(self) -> str:
+        return "<OWED>"
+
+
+OWED = _Owed()
+
+
+class QueuedOp:
+    """A mutation of a batching transaction's pending envelope: validated
+    and locked, neither logged nor sent.  It becomes an :class:`OpRecord`
+    (and gets its LSN) when the envelope is flushed."""
+
+    __slots__ = ("dc_name", "op", "undo", "owed")
+    lsn = NULL_LSN
+
+    def __init__(
+        self,
+        dc_name: str,
+        op: LogicalOperation,
+        undo: Optional[LogicalOperation],
+        owed: bool,
+    ) -> None:
+        self.dc_name = dc_name
+        self.op = op
+        self.undo = undo
+        self.owed = owed
+
+
 class TransactionState(enum.Enum):
     ACTIVE = "active"
     COMMITTED = "committed"
@@ -130,14 +167,15 @@ class Transaction:
             )
         else:
             self.span = NULL_SPAN
-        #: Forward op records, in order (the undo chain).
+        #: Forward op records, in LSN order (the undo chain).
         self.op_records: list[OpRecord] = []
         #: True once the TC log holds a record under this id; commit and
         #: abort of a transaction that logged nothing append and force
         #: nothing.  Not ``bool(op_records)``: a rejected operation leaves
         #: the undo chain but its record and cancel marker stay logged.
-        #: Set by ``_run_mutation``, which appends every transaction's
-        #: first record — cancel markers, compensation and version-cleanup
+        #: Set where a transaction's first record is appended
+        #: (``_run_mutation``, or ``_log_envelope`` when operations are
+        #: batched) — cancel markers, compensation and version-cleanup
         #: records only ever follow an ``OpRecord`` of the same id.
         self.logged = False
         #: Values known under our locks: (table, key) -> value | ABSENT.
@@ -148,9 +186,11 @@ class Transaction:
         self.table_locks: dict[str, object] = {}
         #: Keys touched in versioned tables, per table (cleanup targets).
         self.versioned_keys: dict[str, set[Key]] = {}
-        #: Pipelined mutations posted but not yet acknowledged:
-        #: (table, key) -> the op record awaiting its reply.
-        self.in_flight: dict[tuple[str, Key], OpRecord] = {}
+        #: Mutations not yet acknowledged: (table, key) -> the op record
+        #: awaiting its reply.  With operation batching this *is* the
+        #: pending envelope, and holds a :class:`QueuedOp` (``lsn`` still
+        #: ``NULL_LSN``) until the envelope is flushed.
+        self.in_flight: dict[tuple[str, Key], OpRecord | QueuedOp] = {}
         #: Rollback progress, set once an abort starts (see
         #: ``TransactionalComponent.rollback_operations``): the records
         #: whose inverses are not yet stably applied, newest first.  A
@@ -584,8 +624,8 @@ class TransactionalComponent:
         transactions share the force (see
         :class:`~repro.tc.log.GroupCommitCoalescer`).
 
-        A transaction that logged nothing (``txn.logged`` is False: it
-        only read) has nothing to make durable and nothing restart could
+        A transaction that wrote nothing (nothing logged, nothing queued:
+        it only read) has nothing to make durable and nothing restart could
         redo or undo, so it is validated and settled without a commit or
         end record, without entering the coalescer and without a force.
         Everything it read was already stable: a writer's locks and CC
@@ -600,7 +640,7 @@ class TransactionalComponent:
             self._check_up()
         if txn.state is not TransactionState.ACTIVE:
             txn._check_active()
-        if not txn.logged:
+        if not txn.logged and not txn.in_flight:
             self._validate_or_abort(txn)
             self._settle_commit(txn)
             return
@@ -682,6 +722,8 @@ class TransactionalComponent:
         # observed or wrote may be about to change under compensation — or
         # already be ambiguous at the DC.
         self._uncache_txn(txn)
+        # Operations still queued never reached the log or a DC: forget them.
+        txn.in_flight = {slot: r for slot, r in txn.in_flight.items() if r.lsn}
         if txn.logged:
             self.log.append(lambda lsn: AbortRecord(lsn=lsn, txn_id=txn.txn_id))
             try:
@@ -692,11 +734,11 @@ class TransactionalComponent:
                 # lock release — readers keep conflicting/seeing
                 # before-images until _retry_zombie_rollbacks settles the
                 # keys.
-                self.locks.release_all(txn.txn_id)
-                txn.state = TransactionState.ABORTED
                 with self._admin:
                     self._active.pop(txn.txn_id, None)
-                    self._zombie_rollbacks.append(txn)
+                    self._zombie_rollbacks.append(txn)  # before the locks go
+                self.locks.release_all(txn.txn_id)
+                txn.state = TransactionState.ABORTED
                 self.metrics.incr("tc.zombie_rollbacks")
                 self.metrics.incr("tc.aborts")
                 return
@@ -712,14 +754,17 @@ class TransactionalComponent:
 
     def _drive_rollback(self, txn: Transaction) -> None:
         """Sync outstanding pipelined ops, then apply (remaining) inverses."""
-        try:
-            self.sync_pipeline(txn)
-        except (CrashedError, ResendExhaustedError):
-            raise
-        except ReproError:
-            # A deferred op was semantically rejected: it never executed
-            # and sync already pruned it from the undo chain.
-            pass
+        while txn.in_flight:
+            try:
+                self.sync_pipeline(txn)
+            except (CrashedError, ResendExhaustedError):
+                raise
+            except ReproError:
+                # A deferred op was semantically rejected: it never executed
+                # and sync already pruned it from the undo chain (and from
+                # the pipeline: what another DC's envelope still holds goes
+                # out on the next turn — history is repeated, then undone).
+                pass
         if txn.undo_pending is None:
             txn.undo_pending = [
                 record for record in reversed(txn.op_records) if record.undo is not None
@@ -867,7 +912,7 @@ class TransactionalComponent:
         except (TransactionAborted, LockTimeoutError):
             self._force_abort(txn)
             raise
-        if self._insert_prior(txn, table, key) is not ABSENT:
+        if self._write_prior(txn, table, key, unknown=ABSENT) is not ABSENT:
             raise DuplicateKeyError(table, key)
         try:
             self.cc.note_write(txn, table, key, ABSENT, structural=True)
@@ -901,7 +946,7 @@ class TransactionalComponent:
         except (TransactionAborted, LockTimeoutError):
             self._force_abort(txn)
             raise
-        prior = self._known_value(txn, table, key)
+        prior = self._write_prior(txn, table, key, unknown=OWED)
         if prior is ABSENT:
             raise NoSuchRecordError(table, key)
         try:
@@ -910,12 +955,13 @@ class TransactionalComponent:
             self._force_abort(txn)
             raise
         op = UpdateOp(table=table, key=key, value=value, versioned=route.versioned)
+        owed = prior is OWED and not route.versioned
         undo = (
             None
-            if route.versioned
+            if route.versioned or owed
             else UpdateOp(table=table, key=key, value=prior)
         )
-        self._run_mutation(txn, route, op, undo, deferred=deferred)
+        self._run_mutation(txn, route, op, undo, deferred=deferred, owed=owed)
         txn.known[(table, key)] = value
         if route.versioned:
             txn.versioned_keys.setdefault(table, set()).add(key)
@@ -935,7 +981,7 @@ class TransactionalComponent:
         except (TransactionAborted, LockTimeoutError):
             self._force_abort(txn)
             raise
-        prior = self._known_value(txn, table, key)
+        prior = self._write_prior(txn, table, key, unknown=OWED)
         if prior is ABSENT:
             raise NoSuchRecordError(table, key)
         try:
@@ -944,12 +990,13 @@ class TransactionalComponent:
             self._force_abort(txn)
             raise
         op = DeleteOp(table=table, key=key, versioned=route.versioned)
+        owed = prior is OWED and not route.versioned
         undo = (
             None
-            if route.versioned
+            if route.versioned or owed
             else InsertOp(table=table, key=key, value=prior)
         )
-        self._run_mutation(txn, route, op, undo, deferred=deferred)
+        self._run_mutation(txn, route, op, undo, deferred=deferred, owed=owed)
         txn.known[(table, key)] = ABSENT
         if route.versioned:
             txn.versioned_keys.setdefault(table, set()).add(key)
@@ -974,10 +1021,12 @@ class TransactionalComponent:
         except (TransactionAborted, LockTimeoutError):
             self._force_abort(txn)
             raise
-        prior = self._known_value(txn, table, key)
+        prior = self._write_prior(txn, table, key, unknown=OWED)
         if prior is ABSENT:
             raise NoSuchRecordError(table, key)
-        if not isinstance(prior, (int, float)) or isinstance(prior, bool):
+        if prior is not OWED and (
+            not isinstance(prior, (int, float)) or isinstance(prior, bool)
+        ):
             raise ReproError(f"record {key!r} of {table!r} is not numeric")
         try:
             self.cc.note_write(txn, table, key, prior, structural=False)
@@ -987,12 +1036,15 @@ class TransactionalComponent:
         op = IncrementOp(
             table=table, key=key, delta=delta, versioned=route.versioned
         )
-        # Pure logical undo: no before-image, just the inverse delta.
+        # Pure logical undo: no before-image, just the inverse delta — so
+        # an unknown prior owes the log nothing; the reply's ``value``
+        # tells the transaction what the record now holds.
         undo = None if route.versioned else IncrementOp(
             table=table, key=key, delta=-delta
         )
         self._run_mutation(txn, route, op, undo, deferred=deferred)
-        txn.known[(table, key)] = prior + delta
+        if prior is not OWED:
+            txn.known[(table, key)] = prior + delta
         if route.versioned:
             txn.versioned_keys.setdefault(table, set()).add(key)
 
@@ -1001,6 +1053,10 @@ class TransactionalComponent:
             self._check_up()
         if txn.state is not TransactionState.ACTIVE:
             txn._check_active()
+        if (table, key) not in txn.known and (table, key) in txn.in_flight:
+            # Our own queued increment of a value we never saw: only its
+            # reply knows what the record holds now.
+            self.sync_pipeline(txn)
         try:
             value = self.cc.read(txn, table, key)
         except (TransactionAborted, LockTimeoutError):
@@ -1249,24 +1305,41 @@ class TransactionalComponent:
                 f"TC {self.tc_id} does not own key {key!r} of table {table!r}"
             )
 
-    def _insert_prior(self, txn: Transaction, table: str, key: Key) -> object:
-        """The duplicate-check value for an insert — optimistically ABSENT
-        on the composed fast path.
+    def _write_prior(
+        self, txn: Transaction, table: str, key: Key, unknown: object
+    ) -> object:
+        """The value a write is about to replace, as far as the TC knows —
+        ``unknown`` (``ABSENT`` for an insert, ``OWED`` otherwise) when it
+        does not, on the composed fast path.
 
-        An insert is the one mutation whose undo needs no before-image: a
-        successful insert was provably inserted into absence, so its
-        inverse is always a bare delete.  The read-before-write therefore
-        serves only the duplicate check — and with batching on, the DC's
-        own duplicate rejection at flush time (a per-op semantic
-        rejection, surfacing as the same :class:`DuplicateKeyError`)
-        covers that check without the round trip.  Anything the TC
-        actually knows (transaction- or cache-local) still answers first,
-        keeping the error synchronous whenever knowledge is at hand.
+        The read-before-write serves two ends: the existence check, and
+        the before-image logical undo needs.  With batching on, the DC's
+        own verdict at flush time covers the first without the round trip
+        — a per-op semantic rejection surfaces as the same
+        :class:`DuplicateKeyError` / :class:`NoSuchRecordError`, later.
+        The second an insert never had (a successful insert was inserted
+        into absence; its inverse is a bare delete), an increment never
+        had (its inverse is the negated delta), and an update or delete
+        gets from its own reply: the record is logged ``owed`` and the
+        reply's ``prior`` fills it.  Anything the TC actually knows
+        (transaction- or cache-local) still answers first, keeping the
+        error synchronous whenever knowledge is at hand.
+
+        A policy that serves readers from the before-image at write time
+        (``ConcurrencyControl.needs_write_prior``) keeps the read, as
+        does a TC with batching or the undo cache off — and so does any
+        TC while a rollback is parked behind a DC outage: that
+        transaction's locks are gone but its keys are not settled, and
+        what kept a new writer of such a key from logging ahead of the
+        parked compensation was always the read's own round trip (it
+        fails while the DC is down and stalls until the heal's redo
+        window has re-driven the rollback).
         """
         if (
             self._batch_ops
             and self._undo_cache is not None
-            and not self.cc.needs_insert_prior
+            and not self.cc.needs_write_prior
+            and not self._zombie_rollbacks
         ):
             known = txn.known.get((table, key))
             if known is not None:
@@ -1275,7 +1348,11 @@ class TransactionalComponent:
             if hit is not None:
                 txn.known[(table, key)] = hit
                 return hit
-            return ABSENT
+            if unknown is OWED:
+                # A miss the cache could have saved a message on (an
+                # insert's guess never had an image to miss).
+                self._cache_misses_slot.value += 1
+            return unknown
         return self._known_value(txn, table, key)
 
     def _known_value(self, txn: Transaction, table: str, key: Key) -> object:
@@ -1410,7 +1487,23 @@ class TransactionalComponent:
         op: LogicalOperation,
         undo: Optional[LogicalOperation],
         deferred: bool = False,
+        owed: bool = False,
     ) -> None:
+        if self._batch_ops:
+            # Fast path: queue; the envelope is logged and sent at sync
+            # time (commit, a conflicting operation, a scan) or when the
+            # transaction's accumulation reaches batch_max_ops.  Nothing
+            # is in the log or on the wire yet — `in_flight` IS the
+            # pending envelope.  OPSR holds although the record is
+            # appended later: the lock was taken now.
+            txn.in_flight[(op.table, getattr(op, "key", None))] = QueuedOp(  # type: ignore[index]
+                route.dc_name, op, undo, owed
+            )
+            self._deferred_slot.value += 1
+            self._mutations_slot.value += 1
+            if len(txn.in_flight) >= self.config.batch_max_ops:
+                self.sync_pipeline(txn)
+            return
         txn.logged = True
         record = self.log.append(
             lambda lsn: OpRecord(
@@ -1418,18 +1511,6 @@ class TransactionalComponent:
             ),
             track_for_lwm=True,
         )
-        if self._batch_ops:
-            # Fast path: accumulate; the envelope flushes at sync time
-            # (commit, a conflicting operation, a scan) or when the
-            # transaction's accumulation reaches batch_max_ops.  Nothing is
-            # on the wire yet — `in_flight` IS the pending envelope.
-            txn.op_records.append(record)  # type: ignore[arg-type]
-            txn.in_flight[(op.table, getattr(op, "key", None))] = record  # type: ignore[index]
-            self._deferred_slot.value += 1
-            self._mutations_slot.value += 1
-            if len(txn.in_flight) >= self.config.batch_max_ops:
-                self.sync_pipeline(txn)
-            return
         if deferred:
             txn.op_records.append(record)  # type: ignore[arg-type]
             # Pipelining: post without waiting.  The TC validated the
@@ -1487,11 +1568,9 @@ class TransactionalComponent:
         if not txn.in_flight:
             return
         if self._batch_ops:
-            groups: dict[str, tuple[list, list]] = {}
-            for table_key, record in txn.in_flight.items():
-                keys, records = groups.setdefault(record.dc_name, ([], []))
-                keys.append(table_key)
-                records.append(record)
+            groups: dict[str, list] = {}
+            for slot, record in txn.in_flight.items():
+                groups.setdefault(record.dc_name, []).append(slot)
             # Pipelined flush (process transport): pre-send every DC's
             # first-attempt envelope before collecting any reply, so N DC
             # processes execute concurrently while this one TC thread
@@ -1502,22 +1581,19 @@ class TransactionalComponent:
             # stay in flight and a later sync resends the same LSNs.
             presends: dict[str, object] = {}
             if self.config.pipeline_flush and len(groups) > 1:
-                for dc_name, (_keys, records) in groups.items():
+                for dc_name, slots in groups.items():
                     channel = self._channels[dc_name]
                     if not channel.supports_async or channel.dc.crashed:
                         continue
                     presends[dc_name] = channel.request_async(
-                        self._batch_envelope(records, resend=False)
+                        self._batch_envelope(
+                            self._log_envelope(txn, slots), resend=False
+                        )
                     )
-            for dc_name, (keys, records) in groups.items():
+            for dc_name, slots in groups.items():
                 self._send_batch(
-                    txn, dc_name, records, presend=presends.pop(dc_name, None)
+                    txn, dc_name, slots, presend=presends.pop(dc_name, None)
                 )
-                # Only on full success: a transport failure leaves the
-                # records in flight so a later sync (rollback repeats
-                # history) resends the same LSNs.
-                for table_key in keys:
-                    txn.in_flight.pop(table_key, None)
             self._syncs_slot.value += 1
             return
         acked: set[Lsn] = set()
@@ -1570,10 +1646,10 @@ class TransactionalComponent:
             # so the system makes progress, but remember the transaction —
             # its compensation is retried when the DC comes back (and a TC
             # restart would roll it back as an ordinary loser anyway).
+            with self._admin:
+                self._zombie_rollbacks.append(txn)  # before the locks go
             self.locks.release_all(txn.txn_id)
             txn.state = TransactionState.ABORTED
-            with self._admin:
-                self._zombie_rollbacks.append(txn)
             self.metrics.incr("tc.zombie_rollbacks")
 
     def _retry_zombie_rollbacks(self) -> None:
@@ -1628,13 +1704,17 @@ class TransactionalComponent:
 
     @staticmethod
     def _expect_ok(result: OpResult, op: LogicalOperation) -> None:
-        if result.ok:
-            return
+        if not result.ok:
+            raise TransactionalComponent._rejection(result, op)
+
+    @staticmethod
+    def _rejection(result: OpResult, op: LogicalOperation) -> ReproError:
+        """The typed error for a DC's verdict other than OK."""
         if result.status is OpStatus.DUPLICATE:
-            raise DuplicateKeyError(op.table, getattr(op, "key", None))
+            return DuplicateKeyError(op.table, getattr(op, "key", None))
         if result.status is OpStatus.NOT_FOUND:
-            raise NoSuchRecordError(op.table, getattr(op, "key", None))
-        raise ReproError(f"operation failed: {result.message} ({op!r})")
+            return NoSuchRecordError(op.table, getattr(op, "key", None))
+        return ReproError(f"operation failed: {result.message} ({op!r})")
 
     # -- messaging ---------------------------------------------------------------------------------
 
@@ -1675,6 +1755,7 @@ class TransactionalComponent:
         op_id: Lsn,
         resend: bool = False,
         redo: bool = False,
+        want_prior: bool = False,
     ) -> OpResult:
         """Send with resend-until-acknowledged (exactly-once end to end).
 
@@ -1697,17 +1778,7 @@ class TransactionalComponent:
             # (e.g. redo after a crash) can recover this request's trace.
             self.tracer.bind_request(op_id)
         while not policy.exhausted(attempts, waited_ms):
-            # The TC itself may have been crashed mid-operation (e.g. by a
-            # fault during a DC-prompted log force) — stop immediately.
-            self._check_up()
-            # Re-check per attempt: a DC crash can open a redo window while
-            # this operation is mid-retry, and its resend must not land on
-            # the rebuilt DC before redo replays what came before it.
-            self._await_redo_quiesce(dc_name)
-            if channel.dc.crashed or (
-                channel.faults is not None and channel.faults.partitioned(dc_name)
-            ):
-                raise ComponentUnavailableError(f"DC {dc_name}", attempts, waited_ms)
+            self._require_reachable(channel, dc_name, attempts, waited_ms)
             message = PerformOperation(
                 tc_id=self.tc_id,
                 op_id=op_id,
@@ -1715,6 +1786,7 @@ class TransactionalComponent:
                 resend=resend or attempts > 0,
                 eosl=self.log.eosl,
                 redo=redo,
+                want_prior=want_prior,
             )
             reply = channel.request(message)
             attempts += 1
@@ -1728,8 +1800,49 @@ class TransactionalComponent:
                 continue
             assert isinstance(reply, OperationReply)
             assert reply.result is not None
+            if reply.result.status is OpStatus.UNSTABLE:
+                self._await_stability(reply.result)
+                waited_ms += policy.backoff_ms(attempts)
+                continue
             return reply.result
         raise ResendExhaustedError(op_id, dc_name, attempts, waited_ms)
+
+    def _await_stability(self, refusal: OpResult) -> None:
+        """A DC's causality gate refused an operation (nothing executed):
+        the log-force prompt met a record, at or below the LSN the gate
+        needs, whose before-image another session's envelope still owes.
+        The prompt does not wait for it — that envelope may be queued
+        behind the very operation that prompted — so the wait happens
+        here, with the DC's latches released: until the fill (or the lock
+        timeout), then the caller resends under its retry budget.
+        """
+        self.metrics.incr("tc.unstable_retries")
+        self.log.await_fill(refusal.value, self.config.lock_timeout)
+
+    def _log_envelope(self, txn: Transaction, slots: list) -> list[OpRecord]:
+        """The records of one DC's pending envelope, in order — appending
+        the ones still queued to the log now, as the envelope goes out.
+
+        Logging at flush, not at call, is what bounds how long a record
+        can be *owed*: one DC round trip, however long the client thinks
+        between operations.  (A resend after a transport failure finds its
+        records logged already and keeps their LSNs.)
+        """
+        in_flight = txn.in_flight
+        records = [in_flight[slot] for slot in slots]
+        queued = [item for item in records if not item.lsn]
+        if queued:
+            txn_id = txn.txn_id
+            logged = self.log.append_envelope(
+                queued,
+                lambda lsn, q: OpRecord(lsn, txn_id, q.op, q.undo, q.dc_name, q.owed),
+            )
+            fresh = iter(logged)
+            records = [item if item.lsn else next(fresh) for item in records]
+            in_flight.update(zip(slots, records))
+            txn.op_records.extend(logged)
+            txn.logged = True
+        return records
 
     def _batch_envelope(
         self, records: list[OpRecord], resend: bool
@@ -1742,6 +1855,7 @@ class TransactionalComponent:
                     op_id=record.lsn,
                     op=record.op,
                     resend=resend,
+                    want_prior=record.owed,
                 )
                 for record in records
             ),
@@ -1752,50 +1866,57 @@ class TransactionalComponent:
         self,
         txn: Transaction,
         dc_name: str,
-        records: list[OpRecord],
+        slots: list,
         presend: Optional[object] = None,
     ) -> None:
-        """Ship accumulated operations to one DC in a single envelope.
+        """Log and ship one DC's pending operations in a single envelope.
 
         Retries resend the *whole remaining* envelope with the same per-op
         LSNs (``resend=True``), which the DC's per-op abLSN idempotence
         test absorbs — exactly the unbatched contract, minus round trips.
         A semantic rejection of one operation is handled per-op, like the
         unbatched sync path: the record leaves the undo chain, a cancel
-        marker tells restart redo to skip it, and the failure surfaces.
+        marker tells restart redo to skip it, and (once the whole reply is
+        taken in) the first such failure surfaces.  An owed record is
+        completed from its reply's ``prior`` before it is marked replied,
+        so the low-water mark never passes a record still owed.
+
+        Operations leave ``txn.in_flight`` as their replies are taken in;
+        a transport failure leaves them there, logged, so a later sync
+        (rollback repeats history) resends the same LSNs.
 
         ``presend`` is an already-dispatched first attempt (a pipelined
         reply slot from :meth:`sync_pipeline`'s concurrent flush); the
         first loop iteration awaits it instead of sending again.
         """
-        self._await_redo_quiesce(dc_name)
         channel = self._channels[dc_name]
         policy = self._retry_policy
         attempts = 0
         waited_ms = 0.0
-        pending: dict[Lsn, OpRecord] = {r.lsn: r for r in records}
+        # Logged only once the DC is known reachable: an envelope for a DC
+        # that is down stays queued, and an abort simply forgets it.
+        self._require_reachable(channel, dc_name, attempts, waited_ms)
+        records = self._log_envelope(txn, slots)
+        pending = {record.lsn: (slot, record) for slot, record in zip(slots, records)}
         with self.tracer.span(
             "tc.batch_flush", component=self.name, dc=dc_name, ops=len(records)
         ):
             while pending:
-                if policy.exhausted(attempts, waited_ms):
-                    raise ResendExhaustedError(
-                        min(pending), dc_name, attempts, waited_ms
-                    )
-                self._check_up()
-                self._await_redo_quiesce(dc_name)
-                if channel.dc.crashed or (
-                    channel.faults is not None and channel.faults.partitioned(dc_name)
-                ):
-                    raise ComponentUnavailableError(
-                        f"DC {dc_name}", attempts, waited_ms
-                    )
+                if attempts:
+                    if policy.exhausted(attempts, waited_ms):
+                        raise ResendExhaustedError(
+                            min(pending), dc_name, attempts, waited_ms
+                        )
+                    self._require_reachable(channel, dc_name, attempts, waited_ms)
                 if presend is not None:
                     reply = channel.finish_async(presend)
                     presend = None
                 else:
                     reply = channel.request(
-                        self._batch_envelope(list(pending.values()), attempts > 0)
+                        self._batch_envelope(
+                            [record for _slot, record in pending.values()],
+                            attempts > 0,
+                        )
                     )
                 attempts += 1
                 if reply is None:
@@ -1809,38 +1930,84 @@ class TransactionalComponent:
                     self.metrics.incr("tc.resends")
                     continue
                 assert isinstance(reply, BatchedReply)
-                # One log-mutex bracket completes the whole envelope (the
-                # finally also covers a semantic rejection mid-envelope).
-                completed: list[Lsn] = []
-                try:
-                    for sub in reply.replies:
-                        record = pending.pop(sub.op_id, None)
-                        if record is None:
-                            continue  # a duplicated reply; already confirmed
-                        completed.append(record.lsn)
-                        assert sub.result is not None and record.op is not None
-                        try:
-                            self._expect_ok(sub.result, record.op)
-                        except (CrashedError, ResendExhaustedError):
-                            raise
-                        except ReproError:
-                            # The op never executed: drop it from the undo
-                            # chain, tell restart redo to skip it, drop any
-                            # cached knowledge of the key, surface the
-                            # failure.
-                            if record in txn.op_records:
-                                txn.op_records.remove(record)
-                            self._cancel_record(txn.txn_id, record)
-                            if self._undo_cache is not None:
-                                self._undo_cache.pop(
-                                    (record.op.table, getattr(record.op, "key", None)),
-                                    None,
-                                )
-                            txn.in_flight.clear()
-                            raise
-                finally:
-                    if completed:
-                        self._complete_ops(completed)
+                refusal = self._take_in(txn, pending, reply)
+                if refusal is not None:
+                    self._await_stability(refusal)
+                    waited_ms += policy.backoff_ms(attempts)
+
+    def _require_reachable(
+        self, channel: MessageChannel, dc_name: str, attempts: int, waited_ms: float
+    ) -> None:
+        """Checked before every send attempt: the TC itself may have been
+        crashed mid-operation (e.g. by a fault during a DC-prompted log
+        force), and a DC crash can open a redo window while an operation
+        is mid-retry — its resend must not land on the rebuilt DC before
+        redo replays what came before it."""
+        self._check_up()
+        self._await_redo_quiesce(dc_name)
+        if channel.dc.crashed or (
+            channel.faults is not None and channel.faults.partitioned(dc_name)
+        ):
+            raise ComponentUnavailableError(f"DC {dc_name}", attempts, waited_ms)
+
+    def _take_in(
+        self, txn: Transaction, pending: dict, reply: BatchedReply
+    ) -> Optional[OpResult]:
+        """Settle every operation ``reply`` answers: before-images into
+        their owed records, rejections cancelled, all of them marked
+        replied under one log-mutex bracket; then raise the first
+        rejection, if any.  An operation the causality gate refused stays
+        pending; the verdict naming the highest LSN is returned."""
+        images: dict[Lsn, Value] = {}
+        completed: list[Lsn] = []
+        rejection: Optional[ReproError] = None
+        refusal: Optional[OpResult] = None
+        for sub in reply.replies:
+            if sub.result is not None and sub.result.status is OpStatus.UNSTABLE:
+                if sub.op_id in pending and (
+                    refusal is None or sub.result.value > refusal.value
+                ):
+                    refusal = sub.result
+                continue
+            slot, record = pending.pop(sub.op_id, (None, None))
+            if record is None:
+                continue  # a duplicated reply; already confirmed
+            completed.append(record.lsn)
+            txn.in_flight.pop(slot, None)
+            result, op = sub.result, record.op
+            assert result is not None and op is not None
+            if result.ok:
+                if record.owed:
+                    if result.prior is None:
+                        # Never guess an undo image: fail-stop.  The owed
+                        # record was never stable, so restart loses it from
+                        # the log and resets it out of the DC.
+                        self.crash()
+                        raise UndoImageLostError(f"TC {self.tc_id}", record.lsn)
+                    images[record.lsn] = result.prior
+                if type(op) is IncrementOp:
+                    txn.known[slot] = result.value
+                continue
+            # The op never executed: drop it from the undo chain, tell
+            # restart redo to skip it, forget what the transaction and
+            # the cache believed about the key.
+            if record.owed:
+                images[record.lsn] = None
+            if record in txn.op_records:
+                txn.op_records.remove(record)
+            self._cancel_record(txn.txn_id, record)
+            txn.known.pop(slot, None)
+            if self._undo_cache is not None:
+                self._undo_cache.pop(slot, None)
+            if rejection is None:
+                rejection = self._rejection(result, op)
+        if images:
+            self.log.fill(images)
+        if completed:
+            self._complete_ops(completed)
+        if rejection is not None:
+            raise rejection
+        return refusal
 
     def _request_acked(self, dc_name: str, message) -> object:
         """Deliver a control message reliably: resend until a reply arrives.
@@ -1930,12 +2097,29 @@ class TransactionalComponent:
             channel.request(EndOfStableLog(tc_id=self.tc_id, eosl=eosl))
         return eosl
 
-    def _force_through(self, lsn: Lsn) -> Lsn:
-        """DC-prompted log force (the system-transaction causality gate)."""
-        if self.log.needs_force(lsn):
-            self.metrics.incr("tc.prompted_forces")
-            return self.force_log()
-        return self.log.eosl
+    def _force_through(self, lsn: Lsn, images: Mapping[Lsn, Value]) -> Lsn:
+        """DC-prompted log force (the system-transaction causality gate).
+
+        The prompt is raised while an envelope executes, so a record at or
+        below ``lsn`` may still owe its before-image — and the reply that
+        would bring it is stuck behind the prompt.  ``images`` are the
+        ones the DC holds for this TC up to ``lsn``: everything this
+        thread's own envelope has executed so far (envelope order is LSN
+        order), and whatever other sessions' envelopes have executed
+        there — so the usual case fills, forces and answers ``>= lsn``.
+        What is left is a record owed by an envelope that has not executed
+        yet.  That one is never waited for here: it may be queued behind
+        the operation that prompted.  The answer is the EOSL there is, the
+        DC refuses the structure change without touching a page, and the
+        sender of the refused operation waits outside the DC
+        (:meth:`_await_stability`).
+        """
+        if images:
+            self.log.fill(images)
+        if not self.log.needs_force(lsn):
+            return self.log.eosl
+        self.metrics.incr("tc.prompted_forces")
+        return self.force_log()
 
     # -- checkpointing (contract termination, Section 4.2) --------------------------------------------
 

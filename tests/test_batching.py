@@ -146,10 +146,10 @@ class TestEnvelopeFaults:
         kernel = batching_kernel()
         real = kernel.dc.perform_operation
 
-        def rejecting(tc_id, op_id, op, resend=False):
+        def rejecting(tc_id, op_id, op, **flags):
             if isinstance(op, InsertOp) and op.key == 3:
                 return OpResult(status=OpStatus.ERROR, message="injected")
-            return real(tc_id, op_id, op, resend=resend)
+            return real(tc_id, op_id, op, **flags)
 
         kernel.dc.perform_operation = rejecting
         txn = kernel.begin()

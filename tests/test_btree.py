@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import DcConfig
-from repro.common.errors import PageOverflowError
+from repro.common.errors import PageOverflowError, WriteAheadViolation
 from repro.common.records import VersionedRecord
 from repro.dc.dclog import (
     DcLog,
@@ -23,7 +23,7 @@ from repro.storage.disk import StableStorage
 from repro.storage.page import LeafPage
 
 
-def make_tree(page_size=512, buffer_capacity=1000):
+def make_tree(page_size=512, buffer_capacity=1000, ensure_stable=None):
     metrics = Metrics()
     storage = StableStorage(metrics)
     config = DcConfig(page_size=page_size, buffer_capacity=buffer_capacity)
@@ -32,7 +32,7 @@ def make_tree(page_size=512, buffer_capacity=1000):
     # Tests that stamp abLSNs by hand act as an always-stable TC.
     tree = BTree(
         "t", storage, buffer, dclog, config, metrics,
-        ensure_stable=lambda needed: True,
+        ensure_stable=ensure_stable or (lambda needed: True),
     )
     return tree, storage, buffer, dclog, metrics
 
@@ -184,6 +184,90 @@ class TestSplitLogging:
         assert metrics.get("btree.inner_splits") >= 1
         tree.validate()
         assert tree.record_count() == 1200
+
+
+class _RefuseOnce:
+    """A stability provider that refuses its first demand, then grants."""
+
+    def __init__(self) -> None:
+        self.demands: list[dict] = []
+
+    def __call__(self, needed) -> bool:
+        self.demands.append(dict(needed))
+        return len(self.demands) > 1
+
+
+def _tree_shape(tree, buffer) -> dict:
+    """Every cached page's keys (leaves) or routing (inner pages)."""
+    shape = {}
+    for page_id in buffer.cached_ids():
+        page = buffer.cached_page(page_id)
+        if isinstance(page, LeafPage):
+            shape[page_id] = ("leaf", page.keys(), dict(page.ablsns))
+        else:
+            shape[page_id] = ("inner", list(page.separators), list(page.children))
+    return shape
+
+
+class TestGateBeforeMutation:
+    """A refused causality gate leaves the tree exactly as found: the
+    stability demand is computed from the source pages' abLSNs and made
+    before any page changes, so the refusal fails one operation, not the
+    structure (a refusal no longer implies a dead TC whose restart would
+    reset the half-built pages away)."""
+
+    def test_refused_split_changes_nothing(self):
+        gate = _RefuseOnce()
+        tree, storage, buffer, _dclog, metrics = make_tree(ensure_stable=gate)
+        key = 0
+        while metrics.get("btree.leaf_splits") == 0:
+            leaf = tree.find_leaf(key)
+            leaf.ablsn_for(1).include(key + 1)  # TC operations to be stable
+            if not leaf.fits(VersionedRecord(key=key, committed="v").encoded_size(), 512):
+                break
+            put(tree, key)
+            key += 1
+        before = _tree_shape(tree, buffer)
+        log_before = len(storage.dc_log_entries())
+        pages_before = storage.page_count()
+        with pytest.raises(WriteAheadViolation) as refused:
+            put(tree, key)
+        assert refused.value.needed == {1: key + 1} == gate.demands[0]
+        assert _tree_shape(tree, buffer) == before
+        assert len(storage.dc_log_entries()) == log_before
+        assert storage.page_count() == pages_before
+        tree.validate()
+        for present in range(key):
+            assert tree.get_record(present).committed == "v"
+        put(tree, key)  # granted this time: asked once, not again at commit
+        assert len(gate.demands) == 2
+        assert metrics.get("btree.leaf_splits") == 1
+        tree.validate()
+        assert tree.record_count() == key + 1
+
+    def test_refused_merge_is_skipped_and_the_delete_stands(self):
+        tree, storage, buffer, _dclog, metrics = make_tree()
+        for key in range(100):
+            put(tree, key).ablsn_for(1).include(key + 1)
+        gate = _RefuseOnce()
+        tree._ensure_stable = gate
+        removed = []
+        for key in range(100):  # empty the leaves out from the left
+            remove(tree, key)
+            removed.append(key)
+            if gate.demands:
+                break
+        assert gate.demands, "no leaf ever fell below min_fill"
+        assert metrics.get("btree.consolidation_skipped_unstable") == 1
+        assert metrics.get("btree.consolidations") == 0
+        tree.validate()
+        assert tree.record_count() == 100 - len(removed)
+        for key in range(len(removed), 100):
+            assert tree.get_record(key) is not None
+        remove(tree, len(removed))  # asked again, granted: now it merges
+        assert metrics.get("btree.consolidations") == 1
+        tree.validate()
+        assert tree.record_count() == 99 - len(removed)
 
 
 class TestConsolidation:

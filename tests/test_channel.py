@@ -14,7 +14,7 @@ def make_channel(**channel_kwargs):
     metrics = Metrics()
     dc = DataComponent("dc", config=DcConfig(page_size=512), metrics=metrics)
     dc.create_table("t")
-    dc.register_tc(1, force_log=lambda lsn: lsn)
+    dc.register_tc(1, force_log=lambda lsn, images: lsn)
     channel = MessageChannel(dc, ChannelConfig(**channel_kwargs), metrics)
     return channel, dc, metrics
 

@@ -401,6 +401,83 @@ class TestChaosFastPaths:
         assert runner.metrics.get("dc.duplicate_ops") > 0
 
 
+class TestReplyCarriedUndoChaos:
+    """The gauntlet with an undo cache of four entries over 48 keys:
+    nearly every update / delete logs its undo image owed and fills it
+    from the reply, so crashes, lost replies and kills land on owed
+    records, the hold-back and the DC's image table.  The increment
+    canary is on — its undo is logical, its replies are not idempotent."""
+
+    @pytest.mark.parametrize("policy", ["2pl", "occ", "mvcc"])
+    def test_in_process_scripted_and_random(self, policy):
+        config = TcConfig.optimized(undo_cache_size=4, cc_policy=policy)
+        runner = ChaosRunner(
+            seed=1234,
+            schedule=list(SMOKE_SCHEDULE),
+            txns=120,
+            tc_config=config,
+            increment_rate=0.2,
+        )
+        report = runner.run()  # raises ChaosViolation on any broken invariant
+        assert report["faults_fired"] >= 5
+        assert runner.supervisor.all_healthy()
+        misses = runner.metrics.get("tc.undo_cache_misses")
+        reads = runner.metrics.get("tc.undo_info_reads")
+        assert misses > 50
+        if policy == "mvcc":
+            assert reads > 0.9 * misses  # serves readers the image: still reads
+        else:
+            assert reads < misses / 2  # only while a rollback was parked
+        for seed in (3, 9):
+            runner = ChaosRunner(
+                seed=seed, txns=80, tc_config=config, increment_rate=0.2
+            )
+            report = runner.run()
+            assert report["committed"] > 0
+            assert runner.supervisor.all_healthy()
+
+    def test_lossy_channel(self):
+        """Lost first replies: the resend is a DC duplicate answered with
+        the kept image."""
+        runner = ChaosRunner(
+            seed=5,
+            schedule=[],
+            txns=100,
+            tc_config=TcConfig.optimized(undo_cache_size=4),
+            channel_config=ChannelConfig(
+                loss_rate=0.05, duplicate_rate=0.05, reorder_window=3, seed=9
+            ),
+            increment_rate=0.2,
+        )
+        report = runner.run()
+        assert report["committed"] > 0
+        assert runner.metrics.get("dc.duplicate_ops") > 0
+        assert runner.metrics.get("tc.undo_cache_misses") > 50
+
+    def test_process_mode_kill9(self):
+        runner = ChaosRunner(
+            seed=11,
+            txns=48,
+            kill_every=12,
+            checkpoint_every=17,
+            increment_rate=0.2,
+            tc_config=TcConfig.optimized(undo_cache_size=4, lock_timeout=30.0),
+            channel_config=ChannelConfig(
+                transport="process", request_timeout_s=15.0
+            ),
+        )
+        try:
+            report = runner.run()
+        finally:
+            runner.kernel.close()
+        assert report["committed"] + report["aborted"] + report[
+            "resolved_committed"
+        ] + report["resolved_aborted"] == 48
+        assert report["committed"] > 0 and runner.kills >= 3
+        assert runner.supervisor.all_healthy()
+        assert runner.metrics.get("tc.undo_cache_misses") > 20
+
+
 class TestCcPolicyChaos:
     """The chaos gauntlet under the optimistic policies: TC crashes
     landing exactly in the commit-time validation and version-install

@@ -73,9 +73,9 @@ class TestServerInitiatedTraffic:
             forced_on: list = []
             force_a = tc_a._force_through
 
-            def recording_force(lsn):
+            def recording_force(lsn, images):
                 forced_on.append(threading.current_thread())
-                return force_a(lsn)
+                return force_a(lsn, images)
 
             clients[0]._registrations[1]["force_log"] = recording_force
             open_txn = tc_a.begin()

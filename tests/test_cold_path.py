@@ -205,7 +205,7 @@ class TestLoaderMatchesFullReplay:
             "dc", config=DcConfig(page_size=512, buffer_capacity=6, min_fill=0.4)
         )
         dc.create_table("t")
-        dc.register_tc(1, force_log=lambda lsn: lsn)
+        dc.register_tc(1, force_log=lambda lsn, images: lsn)
         lsn = 0
         for key in range(160):
             lsn += 1
@@ -360,7 +360,7 @@ class TestStatsPeeks:
             "dc", config=DcConfig(page_size=512, buffer_capacity=capacity)
         )
         dc.create_table("t", kind=kind, bucket_count=48)
-        dc.register_tc(1, force_log=lambda lsn: lsn)
+        dc.register_tc(1, force_log=lambda lsn, images: lsn)
         for key in range(keys):
             dc.end_of_stable_log(1, key + 1)
             assert dc.perform_operation(1, key + 1, InsertOp("t", key, f"v{key:05d}")).ok
@@ -412,7 +412,7 @@ class TestTruncationKeepsLogDefinedPages:
     def test_restart_then_checkpoint_then_eviction_loses_nothing(self):
         dc = DataComponent("dc", config=DcConfig(page_size=512, buffer_capacity=6))
         dc.create_table("t")
-        dc.register_tc(1, force_log=lambda lsn: lsn)
+        dc.register_tc(1, force_log=lambda lsn, images: lsn)
         for key in range(300):
             dc.end_of_stable_log(1, key + 1)
             assert dc.perform_operation(1, key + 1, InsertOp("t", key, f"value-{key:04d}")).ok
@@ -499,7 +499,7 @@ class TestByteTotalsNeverDrift:
             ),
         )
         dc.create_table("t", versioned=versioned)
-        dc.register_tc(1, force_log=lambda lsn: lsn)
+        dc.register_tc(1, force_log=lambda lsn, images: lsn)
         lsn = 0
         for key in range(0, 60, 2):
             lsn += 1

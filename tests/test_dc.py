@@ -26,12 +26,12 @@ from repro.sim.metrics import Metrics
 def dc():
     component = DataComponent("dc", config=DcConfig(page_size=512))
     component.create_table("t")
-    component.register_tc(1, force_log=lambda lsn: lsn)
+    component.register_tc(1, force_log=lambda lsn, images: lsn)
     return component
 
 
-def perform(dc, op, op_id, tc_id=1):
-    return dc.perform_operation(tc_id, op_id, op)
+def perform(dc, op, op_id, tc_id=1, want_prior=False):
+    return dc.perform_operation(tc_id, op_id, op, want_prior=want_prior)
 
 
 class TestBasicOperations:
@@ -41,13 +41,16 @@ class TestBasicOperations:
         assert result.ok and result.value == "v"
 
     def test_update_returns_prior(self, dc):
+        """... to the request that asks for it, and to no other."""
         perform(dc, InsertOp(table="t", key=1, value="old"), 1)
-        result = perform(dc, UpdateOp(table="t", key=1, value="new"), 2)
+        result = perform(dc, UpdateOp(table="t", key=1, value="new"), 2, want_prior=True)
         assert result.ok and result.prior == "old"
+        result = perform(dc, UpdateOp(table="t", key=1, value="newer"), 3)
+        assert result.ok and result.prior is None
 
     def test_delete_returns_prior(self, dc):
         perform(dc, InsertOp(table="t", key=1, value="v"), 1)
-        result = perform(dc, DeleteOp(table="t", key=1), 2)
+        result = perform(dc, DeleteOp(table="t", key=1), 2, want_prior=True)
         assert result.ok and result.prior == "v"
         assert perform(dc, ReadOp(table="t", key=1), 3).status is OpStatus.NOT_FOUND
 
@@ -150,7 +153,7 @@ class TestVersionedTables:
         component = DataComponent("dc", config=DcConfig(page_size=512))
         component.create_table("v", versioned=True)
         # act as an always-stable TC (the causality gate needs one)
-        component.register_tc(1, force_log=lambda lsn: lsn)
+        component.register_tc(1, force_log=lambda lsn, images: lsn)
         return component
 
     def test_pending_until_promoted(self, vdc):

@@ -29,7 +29,7 @@ from repro.sim.metrics import Metrics
 def dc():
     component = DataComponent("dc", config=DcConfig(page_size=512))
     component.create_table("t")
-    component.register_tc(1, force_log=lambda lsn: lsn)
+    component.register_tc(1, force_log=lambda lsn, images: lsn)
     return component
 
 

@@ -39,8 +39,8 @@ class IntrudingDc(DataComponent):
         gap guards); arm counters relative to the scan under test."""
         self._probe_count = 0
 
-    def perform_operation(self, tc_id, op_id, op, resend=False):
-        result = super().perform_operation(tc_id, op_id, op, resend)
+    def perform_operation(self, tc_id, op_id, op, **flags):
+        result = super().perform_operation(tc_id, op_id, op, **flags)
         if isinstance(op, ProbeNextKeysOp):
             self._probe_count += 1
             for intrusion in list(self.intrusions):
@@ -62,7 +62,7 @@ def scanning_setup(batch=4):
     metrics = Metrics()
     dc = IntrudingDc("dc", config=DcConfig(page_size=1024), metrics=metrics)
     dc.create_table("t")
-    dc.register_tc(INTRUDER, force_log=lambda lsn: lsn)
+    dc.register_tc(INTRUDER, force_log=lambda lsn, images: lsn)
     tc = TransactionalComponent(
         config=TcConfig(fetch_ahead_batch=batch), metrics=metrics
     )

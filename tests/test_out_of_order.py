@@ -24,7 +24,7 @@ from repro.sim.metrics import Metrics
 def make_dc(page_size=512):
     dc = DataComponent("dc", config=DcConfig(page_size=page_size))
     dc.create_table("t")
-    dc.register_tc(1, force_log=lambda lsn: lsn)
+    dc.register_tc(1, force_log=lambda lsn, images: lsn)
     return dc
 
 

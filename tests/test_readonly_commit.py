@@ -145,10 +145,10 @@ def test_rejected_only_write_takes_the_logged_path(cc_policy, finish):
     kernel = kernel_for(cc_policy, batch_ops=False)
     real = kernel.dc.perform_operation
 
-    def rejecting(tc_id, op_id, op, resend=False):
+    def rejecting(tc_id, op_id, op, **flags):
         if isinstance(op, UpdateOp):
             return OpResult(status=OpStatus.ERROR, message="injected")
-        return real(tc_id, op_id, op, resend=resend)
+        return real(tc_id, op_id, op, **flags)
 
     kernel.dc.perform_operation = rejecting
     records = kernel.tc.log.record_count()

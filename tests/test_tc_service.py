@@ -421,6 +421,34 @@ class TestOpenedByFirstRequest:
         assert wrong.stats()["open_transactions"] == 0
         assert owner.read_other("t", "hot") is None
 
+    def test_failed_pipelined_write_abandons_the_commit(self, deployment):
+        """A deferred write's failure surfaces in ``commit()``'s drain,
+        before any commit is sent: the handle rolls the server's
+        transaction back and reports a plain abort, not a half-applied
+        transaction a caller would have to take for an indeterminate
+        commit (``chaos --process --tc-process --seed 5 --kill-every 15``
+        found one partially visible after the heal)."""
+        owner = deployment.router.owner_of("k")
+        here, missing = [
+            k for k in range(200) if deployment.router.owner_of(k) is owner
+        ][:2]
+        txn = owner.begin()
+        txn.insert("t", here, "half", deferred=True)
+        txn.update("t", missing, "never", deferred=True)
+        with pytest.raises(TransactionAborted, match="commit abandoned"):
+            txn.commit()
+        assert txn.state is TransactionState.ABORTED
+        assert owner.stats()["open_transactions"] == 0
+        assert owner.read_other("t", here) is None
+        # a misrouted one still bounces as routing information
+        foreign = next(
+            k for k in range(200) if deployment.router.owner_of(k) is not owner
+        )
+        with pytest.raises(TcRedirect):
+            with owner.begin() as txn:
+                txn.insert("t", foreign, 1, deferred=True)
+        assert owner.stats()["open_transactions"] == 0
+
     def test_ended_transaction_is_never_reopened(self, deployment):
         owner = deployment.router.owner_of("k")
         handle = -next(owner._handles)

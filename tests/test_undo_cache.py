@@ -287,10 +287,10 @@ class TestCacheWithBatching:
             txn.insert("t", 1, "v1")
         real = kernel.dc.perform_operation
 
-        def rejecting(tc_id, op_id, op, resend=False):
+        def rejecting(tc_id, op_id, op, **flags):
             if isinstance(op, UpdateOp) and op.key == 1:
                 return OpResult(status=OpStatus.ERROR, message="injected")
-            return real(tc_id, op_id, op, resend=resend)
+            return real(tc_id, op_id, op, **flags)
 
         kernel.dc.perform_operation = rejecting
         txn = kernel.begin()

@@ -24,7 +24,7 @@ import random
 import pytest
 
 from repro.common import api
-from repro.common.ops import OpResult, OpStatus, ReadOp
+from repro.common.ops import InsertOp, OpResult, OpStatus, ReadOp, UpdateOp
 from repro.net import rpc, wire
 from repro.net.wire import (
     FAST_MAGIC,
@@ -35,7 +35,7 @@ from repro.net.wire import (
     fast_vocabulary,
     negotiate,
 )
-from tests.test_wire import _sample_for
+from tests.test_wire import _obj_frame, _sample_for
 
 
 def _full_map() -> dict:
@@ -118,6 +118,63 @@ def test_values_outside_the_map_nest_tagged_inside_fast_frames():
     assert decoded == hello
 
 
+def _three_op_round_trip(owed: bool) -> tuple:
+    """The oltp mix's usual envelope — two updates and an insert of
+    100-byte values — and its reply; ``owed``: the updates ask for their
+    before-images (the TC did not know them)."""
+    value = "v" * 100
+    ops = (
+        UpdateOp(table="t", key=17, value=value),
+        UpdateOp(table="t", key=1_170, value=value),
+        InsertOp(table="t", key=20_001, value=value),
+    )
+    request = api.BatchedPerform(
+        tc_id=1,
+        ops=tuple(
+            api.PerformOperation(
+                tc_id=1,
+                op_id=4_000 + index,
+                op=op,
+                want_prior=owed and isinstance(op, UpdateOp),
+            )
+            for index, op in enumerate(ops)
+        ),
+        eosl=3_999,
+    )
+    reply = api.BatchedReply(
+        tc_id=1,
+        replies=tuple(
+            api.OperationReply(
+                tc_id=1,
+                op_id=sub.op_id,
+                result=OpResult.okay(prior=value if sub.want_prior else None),
+            )
+            for sub in request.ops
+        ),
+    )
+    return request, reply
+
+
+def test_prior_travels_only_when_asked():
+    """``net.wire.frame_bytes_batch``: every update / delete reply used to
+    carry the 100-byte before-image and nobody read it (≈ 689 B for this
+    round trip); now it is sent for owed records only."""
+
+    def size(owed: bool) -> int:
+        request, reply = _three_op_round_trip(owed)
+        frames = [
+            rpc.pack_frame(rpc.REQUEST, 9, request, _full_map()),
+            rpc.pack_frame(rpc.REPLY, 9, reply, _full_map()),
+        ]
+        assert [rpc.unpack_frame(f)[2] for f in frames] == [request, reply]
+        return sum(len(frame) for frame in frames)
+
+    assert size(owed=False) == 482
+    # The images themselves, twice (100 bytes + a 2-byte string header in
+    # place of a 1-byte None), no more.
+    assert size(owed=True) - size(owed=False) == 2 * 101
+
+
 def test_scratch_buffer_reuse_yields_independent_frames():
     scratch = bytearray()
     one = rpc.pack_frame(rpc.PUSH, 1, api.ControlAck(tc_id=1), _full_map(), scratch)
@@ -196,6 +253,48 @@ def test_negotiation_is_exact_intersection():
     assert "PerformOperation" not in names
     assert "TxnCommit" not in names
     assert len(partial) == len(full) - 2
+
+
+def test_peer_without_want_prior_negotiates_down_cleanly():
+    """A peer one version back advertises ``PerformOperation`` without the
+    ``want_prior`` field (and ``OpStatus`` without ``UNSTABLE``): those
+    two leave the fast map, everything else stays fast, and the envelope
+    still round-trips — the drifted types nest tagged inside fast frames.
+    What the old peer sends, tagged and one field short, decodes with the
+    field defaulted."""
+    import zlib
+
+    old_fields = [
+        f.name for f in dataclasses.fields(api.PerformOperation) if f.name != "want_prior"
+    ]
+    old_status = [m for m in OpStatus if m is not OpStatus.UNSTABLE]
+    old_sig = {
+        "PerformOperation": zlib.crc32(",".join(old_fields).encode("utf-8")),
+        "OpStatus": zlib.crc32(
+            ",".join(f"{m.name}={m.value!r}" for m in old_status).encode("utf-8")
+        ),
+    }
+    peer = tuple(
+        (fid, name, old_sig.get(name, sig)) for fid, name, sig in fast_vocabulary()
+    )
+    assert peer != fast_vocabulary()
+    agreed = negotiate(peer)
+    dropped = set(_full_map()) - set(agreed)
+    assert {cls.__name__ for cls in dropped} == {"PerformOperation", "OpStatus"}
+
+    request, reply = _three_op_round_trip(owed=True)
+    for message in (request, reply):
+        frame = rpc.pack_frame(rpc.REQUEST, 5, message, agreed)
+        assert frame[0] == FAST_MAGIC
+        assert rpc.unpack_frame(frame) == (rpc.REQUEST, 5, message)
+        assert len(frame) > len(rpc.pack_frame(rpc.REQUEST, 5, message, _full_map()))
+
+    # The old peer's own tagged PerformOperation: no want_prior on the wire.
+    sub = request.ops[2]
+    old_style = _obj_frame(
+        "PerformOperation", {name: getattr(sub, name) for name in old_fields}
+    )
+    assert wire.decode(old_style) == sub and not sub.want_prior
 
 
 def test_negotiation_with_subset_peer():
