@@ -181,6 +181,13 @@ class WriteAheadViolation(ReproError):
         self.needed = needed or {}
 
 
+class JournalCorruptError(ReproError):
+    """A journal is damaged somewhere other than its torn tail (a bad
+    frame with a complete one after it, a delta frame without its base):
+    truncating would drop acknowledged writes, so the volume refuses to
+    open and the file is left as found."""
+
+
 class UnknownTableError(ReproError):
     """An operation referenced a table the DC does not host."""
 

@@ -14,8 +14,8 @@ block and no two-phase commit is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, NamedTuple, Optional
 
 Key = Any
 Value = Any
@@ -127,9 +127,8 @@ def sizeof_key(key: Key) -> int:
     return sizeof_value(key)
 
 
-@dataclass
-class VersionedRecord:
-    """A record slot inside a DC page.
+class VersionedRecord(NamedTuple):
+    """A record slot inside a DC page — an immutable value.
 
     ``committed`` is the version visible to cross-TC read-committed
     readers.  ``pending`` is the uncommitted version produced by the owning
@@ -146,6 +145,12 @@ class VersionedRecord:
     DC-local commit sequence number at which it was installed.
     ``commit_seq`` stamps the current committed value;
     :meth:`snapshot_value` reads as-of any past watermark.
+
+    A record is never written after it is built: an attribute write
+    raises, ``history`` is a tuple, and every mutator below returns a new
+    record.  That is what lets a live page, its stored image, the journal's
+    base image and a sibling page after a split all hold the *same* object
+    — a change replaces the slot, it never edits it.
     """
 
     key: Key
@@ -158,7 +163,7 @@ class VersionedRecord:
     commit_seq: int = 0
     #: Superseded committed versions, oldest first: (commit_seq, value);
     #: TOMBSTONE records a deleted state.
-    history: list = field(default_factory=list)
+    history: tuple = ()
 
     # -- visibility ------------------------------------------------------
 
@@ -182,13 +187,25 @@ class VersionedRecord:
             return self.pending is not TOMBSTONE
         return self.committed is not None
 
-    # -- mutation by the DC ----------------------------------------------
+    # -- derivation by the DC (each returns a new record) ------------------
 
-    def set_pending(self, value: Value) -> None:
-        self.pending = value
-        self.has_pending = True
+    def set_committed(self, value: Value, owner_tc: Optional[int] = None) -> "VersionedRecord":
+        """The record with ``committed`` replaced (and, when given, a new
+        owner); positional construction, this runs once per write."""
+        return VersionedRecord(
+            self.key, value, self.pending, self.has_pending,
+            self.owner_tc if owner_tc is None else owner_tc,
+            self.commit_seq, self.history,
+        )
 
-    def promote_pending(self, commit_seq: int = 0, keep_history: int = 0) -> None:
+    def set_pending(self, value: Value, owner_tc: Optional[int] = None) -> "VersionedRecord":
+        return VersionedRecord(
+            self.key, self.committed, value, True,
+            self.owner_tc if owner_tc is None else owner_tc,
+            self.commit_seq, self.history,
+        )
+
+    def promote_pending(self, commit_seq: int = 0, keep_history: int = 0) -> "VersionedRecord":
         """Version cleanup on commit: the pending version becomes committed.
 
         With ``keep_history > 0`` the superseded committed version is
@@ -196,21 +213,19 @@ class VersionedRecord:
         with the sequence it originally carried.
         """
         if not self.has_pending:
-            return
+            return self
+        history = self.history
         if keep_history > 0 and self.commit_seq > 0:
             old = TOMBSTONE if self.committed is None else self.committed
-            self.history.append((self.commit_seq, old))
-            if len(self.history) > keep_history:
-                del self.history[: len(self.history) - keep_history]
-        self.committed = None if self.pending is TOMBSTONE else self.pending
-        self.commit_seq = commit_seq
-        self.pending = None
-        self.has_pending = False
+            history = (history + ((self.commit_seq, old),))[-keep_history:]
+        return VersionedRecord(
+            self.key, None if self.pending is TOMBSTONE else self.pending,
+            None, False, self.owner_tc, commit_seq, history,
+        )
 
-    def discard_pending(self) -> None:
+    def discard_pending(self) -> "VersionedRecord":
         """Version cleanup on abort: drop the uncommitted version."""
-        self.pending = None
-        self.has_pending = False
+        return self._replace(pending=None, has_pending=False) if self.has_pending else self
 
     def snapshot_value(self, watermark: int) -> Value:
         """The committed value as of ``watermark``; None if the record did
@@ -227,13 +242,10 @@ class VersionedRecord:
                 return None if value is TOMBSTONE else value
         return None
 
-    def prune_history(self, oldest_seq_to_keep: int) -> int:
-        """Drop history entries strictly older than the horizon."""
-        before = len(self.history)
-        self.history = [
-            (seq, value) for seq, value in self.history if seq >= oldest_seq_to_keep
-        ]
-        return before - len(self.history)
+    def prune_history(self, oldest_seq_to_keep: int) -> "VersionedRecord":
+        """The record without history entries strictly older than the horizon."""
+        kept = tuple(entry for entry in self.history if entry[0] >= oldest_seq_to_keep)
+        return self if len(kept) == len(self.history) else self._replace(history=kept)
 
     def max_seq(self) -> int:
         top = self.commit_seq
@@ -260,20 +272,6 @@ class VersionedRecord:
         for _seq, value in self.history:
             size += 8 + sizeof_value(value)
         return size
-
-    def clone(self) -> "VersionedRecord":
-        # Positional, in field order: every page build and snapshot clones
-        # each record, and keyword binding doubles the cost of the call.
-        history = self.history
-        return VersionedRecord(
-            self.key,
-            self.committed,
-            self.pending,
-            self.has_pending,
-            self.owner_tc,
-            self.commit_seq,
-            list(history) if history else [],
-        )
 
 
 @dataclass(frozen=True)

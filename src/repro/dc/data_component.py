@@ -659,7 +659,7 @@ class DataComponent:
         with leaf.latch:
             self._latches_slot.value += 1
             old = leaf.get(key)
-            new = mutate(old.clone() if old is not None else None)
+            new = mutate(old)
             if new is None:
                 if old is not None:
                     leaf.remove(key)
@@ -697,15 +697,11 @@ class DataComponent:
                 )
                 return old
             record = old if old is not None else VersionedRecord(key=op.key)
-            if versioned:
-                # "insert two versions, a before 'null' version followed by
-                # the intended insert" (Section 6.2.2).
-                record.set_pending(op.value)
-            else:
-                record.committed = op.value
-            record.owner_tc = tc_id
             outcome["result"] = OpResult.okay()
-            return record
+            # "insert two versions, a before 'null' version followed by
+            # the intended insert" (Section 6.2.2).
+            derive = record.set_pending if versioned else record.set_committed
+            return derive(op.value, tc_id)
 
         _record, leaf = self._mutate_record(
             handle, tc_id, op.key, mutate, leaf, op_id, outcome
@@ -727,13 +723,9 @@ class DataComponent:
                 )
                 return old
             prior = old.visible_value(read_committed=False) if want_prior else None
-            if versioned:
-                old.set_pending(op.value)
-            else:
-                old.committed = op.value
-            old.owner_tc = tc_id
             outcome["result"] = OpResult.okay(prior=prior)
-            return old
+            derive = old.set_pending if versioned else old.set_committed
+            return derive(op.value, tc_id)
 
         _record, leaf = self._mutate_record(
             handle, tc_id, op.key, mutate, leaf, op_id, outcome
@@ -757,9 +749,7 @@ class DataComponent:
             prior = old.visible_value(read_committed=False) if want_prior else None
             outcome["result"] = OpResult.okay(prior=prior)
             if versioned:
-                old.set_pending(TOMBSTONE)
-                old.owner_tc = tc_id
-                return old
+                return old.set_pending(TOMBSTONE, tc_id)
             return None  # physical removal
 
         _record, leaf = self._mutate_record(
@@ -787,13 +777,9 @@ class DataComponent:
                 )
                 return old
             updated = current + op.delta
-            if versioned:
-                old.set_pending(updated)
-            else:
-                old.committed = updated
-            old.owner_tc = tc_id
             outcome["result"] = OpResult.okay(value=updated)
-            return old
+            derive = old.set_pending if versioned else old.set_committed
+            return derive(updated, tc_id)
 
         _record, leaf = self._mutate_record(
             handle, tc_id, op.key, mutate, leaf, op_id, outcome
@@ -830,12 +816,12 @@ class DataComponent:
                 if old is None:
                     return None
                 if promote:
-                    old.promote_pending(commit_seq=commit_seq, keep_history=keep)
+                    new = old.promote_pending(commit_seq=commit_seq, keep_history=keep)
                     if retention > 0:
-                        old.prune_history(prune_floor)
+                        new = new.prune_history(prune_floor)
                 else:
-                    old.discard_pending()
-                return None if old.is_dead() else old
+                    new = old.discard_pending()
+                return None if new.is_dead() else new
 
             _record, final_leaf = self._mutate_record(handle, tc_id, key, mutate)
             touched[final_leaf.page_id] = final_leaf

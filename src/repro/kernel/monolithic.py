@@ -436,7 +436,7 @@ class MonolithicEngine:
         """SMO logged inline; redo happens in original order (Section 5.2.1)."""
         split_key = leaf.choose_split_key()
         new_leaf = LeafPage(self._allocate_page_id())
-        new_leaf.absorb(record.clone() for record in leaf.extract_from(split_key))
+        new_leaf.absorb(leaf.extract_from(split_key))
         self._cache[new_leaf.page_id] = new_leaf
         changed: list[Page] = [new_leaf]
         root_change = self._post_to_parent(
@@ -527,7 +527,7 @@ class MonolithicEngine:
         payload = sum(r.encoded_size() for r in victim.records_in_order())
         if not target.fits(payload, self.config.page_size):
             return
-        target.absorb(record.clone() for record in victim.records_in_order())
+        target.absorb(victim.records_in_order())
         parent.remove_child(victim.page_id)
         root_change: Optional[tuple[str, int]] = None
         if parent.page_id == self._roots[table] and len(parent.children) == 1:
@@ -669,8 +669,7 @@ class MonolithicEngine:
             if existing is None or existing.committed is None:
                 raise NoSuchRecordError(table, key)
             prior = existing.committed
-            new_rec = existing.clone()
-            new_rec.committed = value
+            new_rec = existing.set_committed(value)
             delta = new_rec.encoded_size() - existing.encoded_size()
             if not leaf.fits(delta, self.config.page_size):
                 self._split_leaf(table, leaf, path)
@@ -741,8 +740,7 @@ class MonolithicEngine:
             current = existing.committed
             if not isinstance(current, (int, float)) or isinstance(current, bool):
                 raise ReproError(f"record {key!r} is not numeric")
-            new_rec = existing.clone()
-            new_rec.committed = current + delta
+            new_rec = existing.set_committed(current + delta)
             log_rec = self._append(
                 lambda lsn: MonoUpdate(
                     lsn=lsn,
@@ -900,9 +898,7 @@ class MonolithicEngine:
             leaf.remove(key)
         else:
             existing = leaf.get(key)
-            record = existing.clone() if existing is not None else VersionedRecord(key=key)
-            record.committed = value
-            leaf.put(record)
+            leaf.put((existing or VersionedRecord(key)).set_committed(value))
 
     # -- checkpoint -------------------------------------------------------------------------------------
 

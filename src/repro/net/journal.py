@@ -19,13 +19,17 @@ the journal trades that cost away (documented in docs/architecture.md §10).
 Frames are pickled ``(tag, payload)`` tuples behind a ``<length, crc32>``
 header.  Pickle is acceptable here — unlike the TC/DC request path, the
 journal is written and read only by the same trusted server binary on its
-own volume.  A torn tail (partial last frame) is discarded on replay: the
+own volume.  A leaf the journal already holds is framed as what changed
+since (``PageImage.delta_from``) and patched onto that image on replay;
+``compact()`` writes whole images, which ends every such chain.  A torn
+tail (partial last frame) is discarded on replay: the
 mutating call that wrote it never returned, so nothing downstream depends
 on it — exactly torn-write = no write, the atomicity the in-memory store
 promises.  The CRC is what makes torn-tail detection *sound* rather than
 best-effort: a truncated pickle usually raises, but a cut that happens to
 land on a self-delimiting prefix would otherwise replay as a different,
-shorter frame.
+shorter frame.  A bad frame that is *not* the tail is not dropped: replay
+raises :class:`~repro.common.errors.JournalCorruptError`.
 """
 
 from __future__ import annotations
@@ -36,10 +40,11 @@ import struct
 import zlib
 from typing import Optional
 
+from repro.common.errors import JournalCorruptError
 from repro.common.lsn import Lsn
 from repro.sim.metrics import Metrics
 from repro.storage.disk import StableStorage
-from repro.storage.page import PageImage
+from repro.storage.page import PageImage, image_from_delta
 
 #: Frame header: payload length, then CRC-32 of the payload bytes.
 _HEADER = struct.Struct("<II")
@@ -50,6 +55,16 @@ _TAG_META = 2
 _TAG_LOG = 3
 _TAG_TRUNC = 4
 _TAG_ALLOC = 5
+_TAG_DELTA = 6  # a leaf as a change to the last frame for its page id
+
+
+def _whole_frame_at(data: bytes, pos: int) -> bool:
+    """Is there a complete, CRC-valid frame at ``pos``?"""
+    if pos + _HEADER.size > len(data):
+        return False
+    length, crc = _HEADER.unpack_from(data, pos)
+    frame = data[pos + _HEADER.size : pos + _HEADER.size + length]
+    return len(frame) == length and zlib.crc32(frame) == crc
 
 
 class JournalStorage(StableStorage):
@@ -83,22 +98,32 @@ class JournalStorage(StableStorage):
         size = len(data)
         while pos + _HEADER.size <= size:
             length, crc = _HEADER.unpack_from(data, pos)
-            if pos + _HEADER.size + length > size:
+            end = pos + _HEADER.size + length
+            if end > size:
                 break  # torn tail: the write never returned, drop it
-            frame = data[pos + _HEADER.size : pos + _HEADER.size + length]
-            if zlib.crc32(frame) != crc:
-                # Torn inside the payload (or a corrupted header): without
-                # the CRC a truncation landing on a valid pickle prefix
-                # would replay as a different frame.
+            frame = data[pos + _HEADER.size : end]
+            # Without the CRC a truncation landing on a valid pickle prefix
+            # (or a corrupted header) would replay as a different frame.
+            intact = zlib.crc32(frame) == crc
+            if intact:
+                try:
+                    tag, payload = pickle.loads(frame)
+                except Exception:
+                    intact = False
+            else:
                 self.metrics.incr("journal.crc_rejected")
-                break
-            try:
-                tag, payload = pickle.loads(frame)
-            except Exception:
+            if not intact:
+                if _whole_frame_at(data, end):
+                    # Not a tail: a write that returned follows the bad
+                    # frame, and truncating here would un-acknowledge it.
+                    raise JournalCorruptError(
+                        f"{self._path}: bad frame at byte {pos} with a "
+                        f"complete frame after it"
+                    )
                 break
             self._apply(tag, payload)
             applied += 1
-            pos += _HEADER.size + length
+            pos = end
         if pos < size:
             # Truncate the torn tail so the append handle continues from a
             # clean frame boundary.
@@ -113,6 +138,14 @@ class JournalStorage(StableStorage):
             self._pages[image.page_id] = image
             if image.page_id >= self._next_page_id:
                 self._next_page_id = image.page_id + 1
+        elif tag == _TAG_DELTA:
+            base = self._pages.get(payload[0])
+            if base is None:
+                raise JournalCorruptError(
+                    f"{self._path}: delta frame for page {payload[0]} "
+                    f"but no image of it before"
+                )
+            self._pages[payload[0]] = image_from_delta(base, payload)
         elif tag == _TAG_FREE:
             self._pages.pop(payload, None)
         elif tag == _TAG_META:
@@ -147,8 +180,14 @@ class JournalStorage(StableStorage):
 
             self.faults.hit(FaultPoint.DISK_PAGE_WRITE, self.owner)
         with self._lock:
+            # The base is whatever this journal last wrote for the page, so
+            # the delta and the image it patches on replay cannot drift.
+            delta = image.delta_from(self._pages.get(image.page_id))
             self._pages[image.page_id] = image
-            self._journal(_TAG_PAGE, image)
+            if delta is None:
+                self._journal(_TAG_PAGE, image)
+            else:
+                self._journal(_TAG_DELTA, delta)
             self.metrics.incr("disk.page_writes")
             self.metrics.observe("disk.page_bytes", image.encoded_size())
 

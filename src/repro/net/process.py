@@ -306,11 +306,10 @@ class _Transport:
         try:
             self._send(rpc.REQUEST, slot.seq, message, defer=defer)
         except (OSError, ValueError):
-            # The write side died first; EOF on the read side strands
-            # the rest — this slot just resolves to "lost" right away.
-            with self._cond:
-                self._slots.pop(slot.seq, None)
-            slot._filled = True
+            # EPIPE to a just-killed server: the write saw the death before
+            # any read saw the EOF, and nobody is reading.  Down is down —
+            # or the owner keeps resending into a connection it thinks is up.
+            self._fail()
         return slot
 
     def _send(
@@ -332,8 +331,8 @@ class _Transport:
             return
         # One write for the whole run.  Blocking fds can still write
         # partially (sockets, large runs), so loop the memoryview; a
-        # failure mid-run means the connection died — EOF on the read
-        # side strands the affected slots exactly like any lost reply.
+        # failure mid-run means the connection died — every caller takes
+        # it down, stranding the affected slots like any lost reply.
         view = memoryview(
             b"".join(_FRAME_LEN.pack(len(frame)) + frame for frame in frames)
         )
@@ -341,13 +340,13 @@ class _Transport:
             view = view[os.write(self._fd, view):]
 
     def flush(self) -> None:
-        """Write out deferred frames now; quiet on a dead connection
-        (the stranded-slot path already covers the loss)."""
+        """Write out deferred frames now; a failed write is the connection's
+        death (the stranded-slot path covers the loss), never an error."""
         try:
             with self._wlock:
                 self._flush_locked()
         except (OSError, ValueError):
-            pass
+            self._fail()
 
     # -- receiving ------------------------------------------------------------
 
@@ -490,7 +489,7 @@ class _Transport:
             try:
                 self._send(rpc.CLIENT_REPLY, seq, reply)
             except (OSError, ValueError):
-                pass
+                self._fail()
         else:
             self._on_push(payload)
 

@@ -237,7 +237,7 @@ class BTree:
         txn.gate(leaf)  # before any page changes: a refusal splits nothing
         split_key = leaf.choose_split_key()
         new_leaf = LeafPage(self._storage.allocate_page_id())
-        new_leaf.absorb(record.clone() for record in leaf.extract_from(split_key))
+        new_leaf.absorb(leaf.extract_from(split_key))
         # The new page inherits the abLSNs: every operation covered by the
         # old page's abLSN and addressed to a moved key is reflected in the
         # moved records (inherited coverage of keys that *stayed* is
@@ -376,7 +376,7 @@ class BTree:
     ) -> None:
         txn = self._new_systxn("consolidate")
         txn.gate(target, victim)  # before any page changes
-        target.absorb(record.clone() for record in victim.records_in_order())
+        target.absorb(victim.records_in_order())
         merged: dict[int, AbstractLsn] = dict(target.ablsns)
         for tc_id, ablsn in victim.ablsns.items():
             existing = merged.get(tc_id)

@@ -105,7 +105,10 @@ class Page:
 
 
 class LeafPage(Page):
-    """A slotted leaf page holding records in key order."""
+    """A slotted leaf page holding records in key order.  The slot table
+    is the page's own; the records are immutable values it may share with
+    images and sibling pages, so a change is a :meth:`put` of a new
+    record, never a write to the old one."""
 
     kind = PageKind.LEAF
 
@@ -244,7 +247,7 @@ class LeafPage(Page):
         if disk_image is not None:
             for record in disk_image.records:
                 if record.owner_tc == tc_id:
-                    self.put(record.clone())
+                    self.put(record)
                     changed += 1
             disk_ablsn = disk_image.ablsns.get(tc_id)
             self.ablsns[tc_id] = (
@@ -263,7 +266,7 @@ class LeafPage(Page):
             kind=self.kind,
             dlsn=self.dlsn,
             ablsns={tc: ab.snapshot() for tc, ab in self.ablsns.items()},
-            records=tuple([self._records[k].clone() for k in self._keys]),
+            records=tuple(map(self._records.__getitem__, self._keys)),
             page_lsn=self.page_lsn,
             records_bytes=self._used - PAGE_HEADER_BYTES,
         )
@@ -327,6 +330,7 @@ class InnerPage(Page):
             separators=tuple(self.separators),
             children=tuple(self.children),
             page_lsn=self.page_lsn,
+            records_bytes=self.used_bytes() - PAGE_HEADER_BYTES,
         )
 
     def __repr__(self) -> str:
@@ -337,7 +341,7 @@ class InnerPage(Page):
 
 
 class PageImage:
-    """An immutable point-in-time copy of a page.
+    """An immutable point-in-time image of a page.
 
     This is what stable storage holds, what physical DC-log records carry
     (Section 5.2.2: the new page of a split, the consolidated page of a
@@ -348,13 +352,20 @@ class PageImage:
 
     - ``records`` are in strictly ascending key order, so the live page's
       key list is built from the tuple as it stands, with no sort;
-    - ``records_bytes`` equals the sum of the records' ``encoded_size()``
-      (``LeafPage._used`` less the header at snapshot time; computed here
-      when a caller builds an image by hand), so neither the rebuilt
-      page's ``used_bytes()`` nor :meth:`encoded_size` re-walks them.
+    - ``records_bytes`` is the page's payload in the space model — the sum
+      of a leaf's records' ``encoded_size()`` (``LeafPage._used`` less the
+      header at snapshot time), the separators and child entries of an
+      inner page; computed here when a caller builds an image by hand —
+      so neither the rebuilt page's ``used_bytes()`` nor
+      :meth:`encoded_size` re-walks them.
 
-    An image and a live page never share a record object: ``snapshot()``
-    and ``materialize()`` both clone.
+    An image and a live page *share* record objects: ``snapshot()`` and
+    ``materialize()`` copy the slot table, never a slot.  That is safe
+    because a record reachable from a page or an image is never written
+    again (``VersionedRecord`` refuses) — a change puts a new record in
+    the live page's slot — and it makes an unchanged slot the same object
+    in both images (:meth:`delta_from`).  abLSNs *are* mutated in place
+    and stay copied.
     """
 
     __slots__ = (
@@ -390,7 +401,11 @@ class PageImage:
         self.children = children
         self.page_lsn = page_lsn
         if records_bytes is None:
-            records_bytes = sum(record.encoded_size() for record in records)
+            records_bytes = (
+                sum(record.encoded_size() for record in records)
+                + sum(sizeof_key(s) for s in separators)
+                + INNER_ENTRY_BYTES * len(children)
+            )
         self.records_bytes = records_bytes
 
     def materialize(self) -> Page:
@@ -398,10 +413,9 @@ class PageImage:
         page: Page
         if self.kind is PageKind.LEAF:
             leaf = LeafPage(self.page_id)
-            records = [record.clone() for record in self.records]
-            keys = [record.key for record in records]
+            keys = [record.key for record in self.records]
             leaf._keys = keys
-            leaf._records = dict(zip(keys, records))
+            leaf._records = dict(zip(keys, self.records))
             leaf._used = PAGE_HEADER_BYTES + self.records_bytes
             page = leaf
         else:
@@ -418,11 +432,42 @@ class PageImage:
         return len(self.records)
 
     def encoded_size(self) -> int:
-        size = PAGE_HEADER_BYTES + self.records_bytes
-        size += sum(ab.encoded_size() for ab in self.ablsns.values())
-        size += sum(sizeof_key(s) for s in self.separators)
-        size += INNER_ENTRY_BYTES * len(self.children)
-        return size
+        return (
+            PAGE_HEADER_BYTES
+            + self.records_bytes
+            + sum(ab.encoded_size() for ab in self.ablsns.values())
+        )
+
+    def _ablsn_fields(self) -> list:
+        return [(tc, ab.low_water, tuple(ab)) for tc, ab in self.ablsns.items()]
+
+    def delta_from(self, base: Optional["PageImage"]) -> Optional[tuple]:
+        """This leaf image as a change to ``base`` (the journal's delta
+        frame; :func:`image_from_delta` undoes it), or ``None`` when a
+        whole image should be written: no base, an inner page, or half the
+        leaf or more differs — the saving is then under 2x, and a whole
+        image ends the chain replay has to follow.
+
+        A slot differs when it is not the *same object* as the base's,
+        exact for every slot the page did not touch.  Not ``==``: that
+        calls ``1``, ``1.0`` and ``True`` the same, and replay must return
+        what was written.
+        """
+        if base is None or not (self.kind is base.kind is PageKind.LEAF):
+            return None
+        gone = {record.key: record for record in base.records}
+        changed = [tuple(r) for r in self.records if gone.pop(r.key, None) is not r]
+        if 2 * (len(changed) + len(gone)) >= len(self.records):
+            return None
+        return (
+            self.page_id,
+            self.dlsn,
+            self._ablsn_fields(),
+            self.page_lsn,
+            self.records_bytes,
+            changed,
+            list(gone),
+        )
 
     def __reduce__(self) -> tuple:
         """Pickle as plain field tuples (the journal's page frame).
@@ -438,19 +483,8 @@ class PageImage:
                 self.page_id,
                 self.kind is PageKind.LEAF,
                 self.dlsn,
-                [(tc, ab.low_water, tuple(ab)) for tc, ab in self.ablsns.items()],
-                [
-                    (
-                        r.key,
-                        r.committed,
-                        r.pending,
-                        r.has_pending,
-                        r.owner_tc,
-                        r.commit_seq,
-                        r.history,
-                    )
-                    for r in self.records
-                ],
+                self._ablsn_fields(),
+                list(map(tuple, self.records)),
                 self.separators,
                 self.children,
                 self.page_lsn,
@@ -479,9 +513,30 @@ def _image_from_fields(
         PageKind.LEAF if is_leaf else PageKind.INNER,
         dlsn,
         {tc: AbstractLsn(low, included) for tc, low, included in ablsns},
-        tuple([VersionedRecord(*fields) for fields in records]),
+        tuple(map(VersionedRecord._make, records)),
         separators,
         children,
         page_lsn,
         records_bytes,
+    )
+
+
+def image_from_delta(base: PageImage, delta: tuple) -> PageImage:
+    """Inverse of :meth:`PageImage.delta_from`: ``base`` with the removed
+    keys dropped and the changed slots replaced; untouched slots stay the
+    base's own objects."""
+    page_id, dlsn, ablsns, page_lsn, records_bytes, changed, removed = delta
+    slots = {record.key: record for record in base.records}
+    for key in removed:
+        del slots[key]
+    for fields in changed:
+        slots[fields[0]] = VersionedRecord._make(fields)
+    return PageImage(
+        page_id,
+        PageKind.LEAF,
+        dlsn,
+        {tc: AbstractLsn(low, included) for tc, low, included in ablsns},
+        tuple(map(slots.__getitem__, sorted(slots))),
+        page_lsn=page_lsn,
+        records_bytes=records_bytes,
     )

@@ -248,9 +248,7 @@ class TestCrashAndReset:
         pool.register(p3)
         pool.try_flush(p3)
         p3.ablsn_for(1).include(21)
-        record = p3.get(3).clone()
-        record.committed = "lost-update"
-        p3.put(record)
+        p3.put(p3.get(3).set_committed("lost-update"))
         p3.dirty = True
         return pool, storage, metrics
 

@@ -26,7 +26,8 @@ from repro.cloud.router import TcServiceDeployment
 from repro.common.api import ControlAck
 from repro.common.config import ChannelConfig, DcConfig, KernelConfig, TcConfig
 from repro.kernel.unbundled import UnbundledKernel
-from repro.net import rpc
+from repro.common.errors import ComponentUnavailableError
+from repro.net import process, rpc
 from repro.net.process import DcClient, RemoteDc
 from repro.net.rpc import Hello, Shutdown, StatsReply, StatsRequest, TableList
 from repro.net.server import bind_unix_listener
@@ -294,6 +295,47 @@ class TestServerDeath:
         assert [dc.collect(slot, timeout=5.0) for slot in slots] == [None] * 5
         assert crashes == ["dc1"]
         assert dc.metrics.counters().get("remote_dc.request_timeouts", 0) == 0
+
+
+    def test_failed_write_takes_the_connection_down(self, dc, monkeypatch):
+        """EPIPE to a just-killed server, before any read has seen the EOF
+        (the idle watch is parked for the whole test, so only the write
+        can notice): down at once and once, the TC above fails fast with
+        :class:`ComponentUnavailableError` instead of burning its resend
+        budget into :class:`ResendExhaustedError`, and a heal reconnects."""
+        monkeypatch.setattr(process, "_IDLE_WATCH_S", 30.0)
+        dc.create_table("t")
+        clients: list = []
+        try:
+            tc = _attached_tc(1, dc, clients)
+            (client,) = clients
+            fired: list = []
+            client.on_crash.append(lambda name, kind: fired.append(name))
+            with tc.begin() as txn:
+                txn.insert("t", 1, "before")
+            dc.crash()  # SIGKILL, reaped: the server's end is closed
+
+            slot = client.submit(StatsRequest(tc_id=1))
+
+            assert slot.done() and client.collect(slot) is None
+            assert client.crashed
+            assert fired == ["dc1"]
+            assert client.metrics.counters()["remote_dc.process_deaths"] == 1
+            txn = tc.begin()
+            with pytest.raises(ComponentUnavailableError):
+                txn.insert("t", 2, "into the dead DC")
+                txn.sync()  # the queued write goes out (and nowhere)
+            assert fired == ["dc1"]  # still once
+            dc.recover()
+            client.recover()
+            assert not client.crashed
+            txn.abort()
+            with tc.begin() as txn:
+                assert txn.read("t", 1) == "before"
+                assert txn.read("t", 2) is None
+        finally:
+            for client in clients:
+                client.close()
 
 
 class TestFootprint:

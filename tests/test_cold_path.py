@@ -98,9 +98,9 @@ def rich_leaf(page_id: int, keys, dlsn: int = 0) -> LeafPage:
             key=key, committed=f"v{key}", owner_tc=1 + key % 2, commit_seq=key
         )
         if key % 3 == 0:
-            record.set_pending(TOMBSTONE if key % 2 else f"p{key}")
+            record = record.set_pending(TOMBSTONE if key % 2 else f"p{key}")
         if key % 4 == 0:
-            record.history = [(1, "older"), (2, TOMBSTONE)]
+            record = record._replace(history=((1, "older"), (2, TOMBSTONE)))
         leaf.put(record)
     leaf.ablsn_for(1).advance_low_water(10)
     leaf.ablsn_for(1).include(14)
@@ -285,10 +285,14 @@ class TestOneBuildPerMiss:
         assert page.keys() == list(range(25, 30))
 
 
-# -- image and live page never share a record ----------------------------------
+# -- image and live page share records nobody can write -------------------------
 
 
 class TestImagesStayImmutable:
+    """A record reachable from a page or an image is never written again:
+    the stored image stays what was stored because the type refuses the
+    write, not because anything was copied."""
+
     def pool(self):
         storage, _dclog = differential_scenario()
         return storage, BufferPool(
@@ -299,11 +303,14 @@ class TestImagesStayImmutable:
         storage, pool = self.pool()
         stored = image_fields(storage.read_page(UNNAMED))
         page = pool.fetch(UNNAMED)
-        for record in page.records_in_order():
-            record.committed = "scribbled"
-            record.set_pending("scribbled")
-            record.history.append((99, "scribbled"))
+        for record in list(page.records_in_order()):
+            page.put(
+                record.set_committed("scribbled")
+                .set_pending("scribbled")
+                ._replace(history=((99, "scribbled"),))
+            )
         page.remove(80)
+        page.reset_tc_records(1, None)
         page.ablsn_for(1).include(999)
         pool.discard(UNNAMED)
 
@@ -313,35 +320,41 @@ class TestImagesStayImmutable:
         assert image_fields(storage.read_page(UNNAMED)) == stored
         assert image_fields(again.snapshot()) == stored
 
-    def test_no_record_object_is_shared(self):
+    def test_shared_records_refuse_writes(self):
         storage, pool = self.pool()
         image = storage.read_page(UNNAMED)
         page = pool.fetch(UNNAMED)
-        live = {id(r) for r in page.records_in_order()}
-        assert not live & {id(r) for r in image.records}
-        assert not live & {id(r) for r in page.snapshot().records}
-        histories = {id(r.history) for r in page.records_in_order()}
-        assert not histories & {id(r.history) for r in image.records}
+        # Zero copies: the live page, the stored image and a fresh snapshot
+        # all hold the same record objects ...
+        assert all(a is b for a, b in zip(page.records_in_order(), image.records))
+        assert all(a is b for a, b in zip(page.snapshot().records, image.records))
+        # ... which is safe only because nobody can write one.
+        record = next(r for r in page.records_in_order() if r.history)
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, "scribbled")
+        with pytest.raises(AttributeError):
+            record.history.append((99, "scribbled"))
+        assert record.set_pending("x") is not record
+        assert record.committed != "scribbled" and not record.has_pending
+        # abLSNs are written in place, so they are still copied.
         assert page.ablsns[1] is not image.ablsns[1]
 
     def test_record_reset_copies_out_of_the_stored_image(self):
         storage, pool = self.pool()
         image = storage.read_page(UNNAMED)
+        stored = image_fields(image)
         page = pool.fetch(UNNAMED)
         for record in list(page.records_in_order()):
             if record.owner_tc == 1:
-                lost = record.clone()
-                lost.committed = "a lost operation's value"
-                page.put(lost)
+                page.put(record.set_committed("a lost operation's value"))
         page.ablsn_for(1).include(500)
 
         stats = pool.reset_after_tc_crash(1, stable_lsn=100)
 
         assert stats["record_reset"] == 1
-        assert not {id(r) for r in page.records_in_order()} & {
-            id(r) for r in image.records
-        }
-        assert image_fields(page.snapshot())["records"] == image_fields(image)["records"]
+        assert image_fields(storage.read_page(UNNAMED)) == stored
+        assert image_fields(page.snapshot())["records"] == stored["records"]
         assert page.used_bytes() == PAGE_HEADER_BYTES + sum(
             r.encoded_size() for r in page.records_in_order()
         )
@@ -543,7 +556,7 @@ class TestByteTotalsNeverDrift:
         assert_byte_totals(dc)
 
     def test_hand_built_image_sizes_itself(self):
-        records = tuple(r.clone() for r in rich_leaf(1, range(9)).records_in_order())
+        records = tuple(rich_leaf(1, range(9)).records_in_order())
         image = PageImage(1, LeafPage.kind, 0, {}, records=records)
         assert image.records_bytes == sum(r.encoded_size() for r in records)
         assert image.encoded_size() == rewalked_size(image)

@@ -26,6 +26,7 @@ import zlib
 
 import pytest
 
+from repro.common.errors import JournalCorruptError
 from repro.common.records import TOMBSTONE, VersionedRecord
 from repro.dc.dclog import DcLog
 from repro.dc.recovery import stable_page_state
@@ -192,9 +193,11 @@ def _busy_leaf(page_id, keys):
             key=key, committed={"v": key}, owner_tc=1 + key % 2, commit_seq=key
         )
         if key % 2:
-            record.set_pending(TOMBSTONE if key % 3 == 0 else f"pending-{key}")
+            record = record.set_pending(
+                TOMBSTONE if key % 3 == 0 else f"pending-{key}"
+            )
         if key % 4 == 0:
-            record.history = [(1, "first"), (3, TOMBSTONE)]
+            record = record._replace(history=((1, "first"), (3, TOMBSTONE)))
         leaf.put(record)
     leaf.ablsn_for(1).advance_low_water(40)
     for lsn in (47, 43, 51):
@@ -289,6 +292,60 @@ class TestPageFrames:
         assert reopened.read_page(1) is not None
         assert reopened.read_page(2) is None
         assert reopened.metrics.get("journal.crc_rejected") == 1
+        reopened.close()
+
+
+class TestMidJournalDamage:
+    """A bad frame is a torn tail only if it runs to the end of the file.
+    With a complete frame after it, the frames behind the damage were
+    acknowledged: truncating there would hand back a silently shortened
+    volume, so the journal refuses to open and leaves the file alone."""
+
+    def _three_pages(self, path):
+        storage = JournalStorage(str(path))
+        leaf = _busy_leaf(1, range(8))
+        storage.write_page(leaf.snapshot())
+        leaf.put(leaf.get(4).set_committed("changed"))
+        storage.write_page(leaf.snapshot())  # a delta on the frame before
+        storage.write_page(_busy_leaf(2, range(8)).snapshot())
+        storage.close()
+        return _frames(path)
+
+    def test_flipped_byte_in_a_middle_frame_refuses_to_open(self, tmp_path):
+        path = tmp_path / "j.bin"
+        frames = self._three_pages(path)
+        start, length, _crc, _payload = frames[1]
+        data = bytearray(path.read_bytes())
+        data[start + _HEADER.size + length // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+
+        with pytest.raises(JournalCorruptError, match="complete frame after it"):
+            JournalStorage(str(path))
+        assert path.read_bytes() == bytes(data)  # as found, not shrunk
+
+    def test_delta_whose_base_frame_is_cut_out_refuses_to_open(self, tmp_path):
+        path = tmp_path / "j.bin"
+        frames = self._three_pages(path)
+        data = path.read_bytes()
+        without_base = data[frames[1][0] :]
+        path.write_bytes(without_base)
+
+        with pytest.raises(JournalCorruptError, match="delta frame for page 1"):
+            JournalStorage(str(path))
+        assert path.read_bytes() == without_base
+
+    def test_damaged_last_frame_is_still_a_torn_tail(self, tmp_path):
+        path = tmp_path / "j.bin"
+        frames = self._three_pages(path)
+        start, length, _crc, _payload = frames[-1]
+        data = bytearray(path.read_bytes())
+        data[start + _HEADER.size + length // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+
+        reopened = JournalStorage(str(path))
+        assert reopened.read_page(1).records[4].committed == "changed"
+        assert reopened.read_page(2) is None
+        assert path.stat().st_size == start
         reopened.close()
 
 

@@ -183,9 +183,7 @@ class TestRecordLevelReset:
         leaf.ablsn_for(2).include(11)
         disk = leaf.snapshot()
         # now TC1 updates its record beyond the stable log
-        updated = leaf.get(1).clone()
-        updated.committed = "tc1-lost-update"
-        leaf.put(updated)
+        leaf.put(leaf.get(1).set_committed("tc1-lost-update"))
         leaf.ablsn_for(1).include(20)  # the lost operation
         return leaf, disk
 
@@ -265,7 +263,12 @@ class TestPageImage:
         leaf = LeafPage(7)
         leaf.put(rec(1, "a"))
         image = leaf.snapshot()
-        leaf.get(1).committed = "mutated"
+        # The image shares the leaf's record; what isolates it is that the
+        # record refuses writes and a change replaces the leaf's slot.
+        assert image.records[0] is leaf.get(1)
+        with pytest.raises(AttributeError):
+            leaf.get(1).committed = "mutated"
+        leaf.put(leaf.get(1).set_committed("mutated"))
         leaf.ablsn_for(1).include(99)
         clone = image.materialize()
         assert clone.get(1).committed == "a"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -51,7 +52,7 @@ class TestVersionedRecord:
         """Read committed sees the before version; the owner (and dirty
         readers) see the pending version (Section 6.2.2)."""
         record = VersionedRecord(key=1, committed="before")
-        record.set_pending("after")
+        record = record.set_pending("after")
         assert record.visible_value(read_committed=True) == "before"
         assert record.visible_value(read_committed=False) == "after"
 
@@ -59,70 +60,89 @@ class TestVersionedRecord:
         """"insert two versions, a before 'null' version followed by the
         intended insert" — committed readers see nothing yet."""
         record = VersionedRecord(key=1)
-        record.set_pending("new")
+        record = record.set_pending("new")
         assert not record.exists_for(True)
         assert record.exists_for(False)
 
     def test_pending_delete_tombstone(self):
         record = VersionedRecord(key=1, committed="v")
-        record.set_pending(TOMBSTONE)
+        record = record.set_pending(TOMBSTONE)
         assert record.exists_for(True)  # before version still readable
         assert not record.exists_for(False)  # owner sees the delete
         assert record.visible_value(read_committed=False) is None
 
     def test_promote_update(self):
         record = VersionedRecord(key=1, committed="old")
-        record.set_pending("new")
-        record.promote_pending()
+        record = record.set_pending("new")
+        record = record.promote_pending()
         assert record.committed == "new"
         assert not record.has_pending
         assert not record.is_dead()
 
     def test_promote_delete_makes_dead(self):
         record = VersionedRecord(key=1, committed="v")
-        record.set_pending(TOMBSTONE)
-        record.promote_pending()
+        record = record.set_pending(TOMBSTONE)
+        record = record.promote_pending()
         assert record.committed is None
         assert record.is_dead()
 
     def test_promote_without_pending_is_noop(self):
         record = VersionedRecord(key=1, committed="v")
-        record.promote_pending()
+        record = record.promote_pending()
         assert record.committed == "v"
 
     def test_discard_restores_committed_view(self):
         record = VersionedRecord(key=1, committed="keep")
-        record.set_pending("drop")
-        record.discard_pending()
+        record = record.set_pending("drop")
+        record = record.discard_pending()
         assert record.visible_value(read_committed=False) == "keep"
         assert not record.has_pending
 
     def test_discard_pending_insert_makes_dead(self):
         record = VersionedRecord(key=1)
-        record.set_pending("new")
-        record.discard_pending()
+        record = record.set_pending("new")
+        record = record.discard_pending()
         assert record.is_dead()
 
     def test_promote_then_promote_idempotent(self):
         """Cleanup operations may be replayed after a crash — a second
         promote must be harmless (restart re-issues cleanups)."""
         record = VersionedRecord(key=1, committed="old")
-        record.set_pending("new")
-        record.promote_pending()
-        record.promote_pending()
+        record = record.set_pending("new")
+        record = record.promote_pending()
+        record = record.promote_pending()
         assert record.committed == "new"
 
-    def test_clone_is_deep_enough(self):
+    def test_derivation_leaves_the_source_untouched(self):
         record = VersionedRecord(key=1, committed="v", owner_tc=7)
-        clone = record.clone()
-        clone.set_pending("x")
-        assert not record.has_pending
-        assert clone.owner_tc == 7
+        derived = record.set_pending("x")
+        assert not record.has_pending and derived.has_pending
+        assert derived.owner_tc == 7
+        assert record.set_committed("w", owner_tc=3) == VersionedRecord(
+            key=1, committed="w", owner_tc=3
+        )
+        assert record == VersionedRecord(key=1, committed="v", owner_tc=7)
+
+    def test_every_attribute_write_raises(self):
+        record = VersionedRecord(key=1, committed="v")
+        for field in VersionedRecord._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, "scribbled")
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert not hasattr(record, "clone")
+
+    def test_cleanup_that_changes_nothing_returns_the_same_object(self):
+        """The journal's delta rule reads "same object" as "unchanged"."""
+        record = VersionedRecord(key=1, committed="v", history=((1, "a"),))
+        assert record.promote_pending() is record
+        assert record.discard_pending() is record
+        assert record.prune_history(0) is record
 
     def test_encoded_size_grows_with_pending(self):
         record = VersionedRecord(key=1, committed="vvvv")
         base = record.encoded_size()
-        record.set_pending("wwwwwwww")
+        record = record.set_pending("wwwwwwww")
         assert record.encoded_size() > base
 
     def test_owner_chain_costs_two_bytes(self):

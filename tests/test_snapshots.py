@@ -27,18 +27,18 @@ def snapshot_kernel(retention=100, max_versions=16):
 class TestRecordHistory:
     def test_promote_retains_history(self):
         record = VersionedRecord(key=1)
-        record.set_pending("v1")
-        record.promote_pending(commit_seq=1, keep_history=4)
-        record.set_pending("v2")
-        record.promote_pending(commit_seq=2, keep_history=4)
+        record = record.set_pending("v1")
+        record = record.promote_pending(commit_seq=1, keep_history=4)
+        record = record.set_pending("v2")
+        record = record.promote_pending(commit_seq=2, keep_history=4)
         assert record.committed == "v2" and record.commit_seq == 2
-        assert record.history == [(1, "v1")]
+        assert record.history == ((1, "v1"),)
 
     def test_snapshot_value_walks_history(self):
         record = VersionedRecord(key=1)
         for seq, value in ((1, "a"), (5, "b"), (9, "c")):
-            record.set_pending(value)
-            record.promote_pending(commit_seq=seq, keep_history=4)
+            record = record.set_pending(value)
+            record = record.promote_pending(commit_seq=seq, keep_history=4)
         assert record.snapshot_value(0) is None  # before creation
         assert record.snapshot_value(1) == "a"
         assert record.snapshot_value(4) == "a"
@@ -47,10 +47,10 @@ class TestRecordHistory:
 
     def test_delete_leaves_tombstone_in_history(self):
         record = VersionedRecord(key=1)
-        record.set_pending("alive")
-        record.promote_pending(commit_seq=1, keep_history=4)
-        record.set_pending(TOMBSTONE)
-        record.promote_pending(commit_seq=2, keep_history=4)
+        record = record.set_pending("alive")
+        record = record.promote_pending(commit_seq=1, keep_history=4)
+        record = record.set_pending(TOMBSTONE)
+        record = record.promote_pending(commit_seq=2, keep_history=4)
         assert record.snapshot_value(1) == "alive"
         assert record.snapshot_value(2) is None
         assert not record.is_dead()  # history keeps the slot alive
@@ -58,34 +58,33 @@ class TestRecordHistory:
     def test_history_cap(self):
         record = VersionedRecord(key=1)
         for seq in range(1, 10):
-            record.set_pending(f"v{seq}")
-            record.promote_pending(commit_seq=seq, keep_history=3)
+            record = record.set_pending(f"v{seq}")
+            record = record.promote_pending(commit_seq=seq, keep_history=3)
         assert len(record.history) <= 3
 
     def test_prune_history(self):
         record = VersionedRecord(key=1)
         for seq in (1, 2, 3, 4):
-            record.set_pending(f"v{seq}")
-            record.promote_pending(commit_seq=seq, keep_history=10)
-        dropped = record.prune_history(3)
-        assert dropped == 2
-        assert [seq for seq, _v in record.history] == [3]
+            record = record.set_pending(f"v{seq}")
+            record = record.promote_pending(commit_seq=seq, keep_history=10)
+        pruned = record.prune_history(3)
+        assert [seq for seq, _v in pruned.history] == [3]
+        assert [seq for seq, _v in record.history] == [1, 2, 3]
 
     def test_max_seq(self):
         record = VersionedRecord(key=1)
-        record.set_pending("a")
-        record.promote_pending(commit_seq=7, keep_history=4)
+        record = record.set_pending("a")
+        record = record.promote_pending(commit_seq=7, keep_history=4)
         assert record.max_seq() == 7
 
-    def test_clone_copies_history_deeply(self):
+    def test_derived_history_leaves_the_source_untouched(self):
         record = VersionedRecord(key=1)
-        record.set_pending("a")
-        record.promote_pending(commit_seq=1, keep_history=4)
-        clone = record.clone()
-        clone.set_pending("b")
-        clone.promote_pending(commit_seq=2, keep_history=4)
-        assert record.history == []
-        assert clone.history == [(1, "a")]
+        record = record.set_pending("a")
+        record = record.promote_pending(commit_seq=1, keep_history=4)
+        derived = record.set_pending("b")
+        derived = derived.promote_pending(commit_seq=2, keep_history=4)
+        assert record.history == ()
+        assert derived.history == ((1, "a"),)
 
 
 class TestSnapshotReads:
@@ -181,7 +180,7 @@ class TestSnapshotReads:
         with kernel.begin() as txn:
             txn.update("v", 1, "v2")
         record = kernel.dc.table("v").structure.get_record(1)
-        assert record.history == []
+        assert record.history == ()
 
 
 class TestSnapshotsAcrossFailures:

@@ -35,7 +35,8 @@ from repro.common.errors import (
     TransactionAborted,
 )
 from repro.kernel.unbundled import UnbundledKernel
-from repro.net.rpc import RemoteError
+from repro.net import rpc
+from repro.net.rpc import RemoteError, Shutdown
 from repro.net.tcclient import RemoteTc
 from repro.net.tcrpc import TxnAbort, TxnAck, TxnCommit, TxnWrite
 from repro.sim.supervisor import Supervisor
@@ -327,6 +328,63 @@ class TestDownstreamDcFailure:
             txn.abort()
             # the applied update was undone — even a dirty read agrees
             assert tc.read_other("live", 1, flavor=ReadFlavor.DIRTY) == "base"
+
+    def test_write_into_a_just_killed_dc_is_unavailable_not_exhausted(
+        self, tmp_path, monkeypatch
+    ):
+        """The TC server writes to a DC killed a moment ago, before its
+        ``DcClient`` has read the EOF (the server runs on a thread here so
+        the idle watch can be parked): the failed write marks the client
+        down, so the transaction's error is the typed "DC unavailable"
+        the supervisor heals — not a resend budget burnt in milliseconds."""
+        import multiprocessing as mp
+
+        from repro.common.config import DcConfig
+        from repro.net import process
+        from repro.net.process import RemoteDc, wait_hello
+        from repro.net.tcrpc import TcHello
+        from repro.net.tcserver import _TcServer
+
+        dc = RemoteDc(
+            "dc1", config=DcConfig(), journal_path=str(tmp_path / "dc1.journal"),
+            listen_path=str(tmp_path / "dc1.sock"), request_timeout_s=10.0,
+        )  # fmt: skip
+        dc.create_table("t")
+        monkeypatch.setattr(process, "_IDLE_WATCH_S", 30.0)
+        parent, child = mp.Pipe()
+        server = _TcServer(
+            child, "tcx", 1, None, str(tmp_path / "tcx.journal"),
+            {"dc1": dc.listen_path}, listen_path=str(tmp_path / "tcx.sock"),
+        )  # fmt: skip
+        thread = threading.Thread(target=server.run, daemon=True)
+        thread.start()
+        wait_hello(parent, TcHello, "tcx", timeout=10.0)
+        tc = RemoteTc("tcx", tc_id=1, socket_path=server.listen_addr)
+        try:
+            with tc.begin() as txn:
+                txn.insert("t", 1, "before")
+            dc.crash()
+            txn = tc.begin()
+            with pytest.raises(ReproError) as err:
+                txn.insert("t", 2, "into the dead DC")
+                txn.sync()
+            assert "ComponentUnavailableError: DC dc1" in str(err.value)
+            client = server._clients["dc1"]
+            assert client.crashed
+            assert client.metrics.counters()["remote_dc.process_deaths"] == 1
+            txn.abort()
+            dc.recover()
+            tc.notify_dc_restart("dc1")
+            assert not client.crashed
+            with tc.begin() as txn:
+                assert txn.read("t", 1) == "before"
+                assert txn.read("t", 2) is None
+        finally:
+            tc.shutdown()
+            parent.send_bytes(rpc.pack_frame(rpc.REQUEST, 1, Shutdown(tc_id=0)))
+            thread.join(timeout=10)
+            dc.shutdown()
+        assert not thread.is_alive()
 
     def test_abort_is_idempotent_after_loss(self):
         """Presumed abort: re-delivering an abort for a transaction the
