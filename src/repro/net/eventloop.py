@@ -1,18 +1,21 @@
-"""A single-threaded ``selectors`` event loop for the DC/TC servers.
+"""A single-threaded ``poll`` event loop for the DC/TC servers.
 
 One loop owns every connection a server process serves: the parent pipe
-and accepted listener sockets.  Reads are non-blocking and drain whole
+and accepted listener sockets, each an fd in one ``select.poll`` object
+and a ``{fd: peer}`` dict.  Reads are non-blocking and drain whole
 bursts into per-connection reassembly buffers (frames are the same
 4-byte network-order length prefix ``multiprocessing.connection``
-writes, so coalesced blobs from the client transport parse unchanged);
-writes go through per-connection out-buffers with write-interest
-toggling, so a slow reader defers frames instead of blocking the server
-and the loop never busy-spins on a clogged socket.
+writes, so coalesced blobs from the client transport parse unchanged).
+A send writes through to the fd when nothing is parked ahead of it;
+only the part the fd would not take goes to the peer's out-buffer, and
+only then is write interest switched on — so a slow reader defers frames
+instead of blocking the server, and the loop never busy-spins on a
+clogged socket.
 
 Server thread count is thereby O(1) in the number of clients — the loop
 *is* the server.  The §4.2.2 force-log bridge, which previously parked
 the whole server on one connection's ``recv_bytes``, becomes
-:meth:`EventLoop.pump_until`: a nested pump of the same selector that
+:meth:`EventLoop.pump_until`: a nested pump of the same poll object that
 keeps every other connection reading, writing and accepting while one
 dispatch awaits its ``CLIENT_REPLY``.
 
@@ -23,13 +26,13 @@ Observability (the ``eventloop.*`` counter family, surfaced in
 - ``eventloop.connections_open`` — currently adopted connections;
 - ``eventloop.frames_deferred`` — sends that could not fully drain and
   parked bytes in an out-buffer (write interest engaged);
-- ``eventloop.wakeups`` — selector returns.
+- ``eventloop.wakeups`` — poll returns.
 """
 
 from __future__ import annotations
 
 import os
-import selectors
+import select
 import socket
 import struct
 import time
@@ -42,6 +45,7 @@ _FRAME_LEN = struct.Struct("!i")
 _READ_CHUNK = 1 << 18
 #: Reassembly sanity bound; anything bigger is a corrupt length prefix.
 _MAX_FRAME = 1 << 28
+_READABLE = select.POLLIN | select.POLLHUP | select.POLLERR | select.POLLNVAL
 
 
 class Peer:
@@ -71,22 +75,36 @@ class Peer:
         self._in = bytearray()
         self._out = bytearray()
         self._out_off = 0
-        self._mask = selectors.EVENT_READ
+        self._mask = select.POLLIN
         self._pos = 0  # shared scan cursor into _in (see _deliver)
 
     def send_frame(self, data: bytes) -> None:
-        """Queue one frame toward this peer; never blocks.
+        """Send one frame toward this peer; never blocks.
 
-        On a closed peer this raises ``BrokenPipeError`` so callers hit
-        the same drop path a blocking send gave them.
+        With nothing parked the frame is written straight to the fd, and
+        only what the fd does not take is parked (write interest goes on
+        then, and off once :meth:`flush` has drained it); behind parked
+        bytes the frame is parked whole, keeping wire order.  On a closed
+        peer this raises ``BrokenPipeError`` so callers hit the same drop
+        path a blocking send gave them.
         """
         if self.closed:
             raise BrokenPipeError(f"peer fd {self.fd} is closed")
-        self._out += _FRAME_LEN.pack(len(data))
-        self._out += data
-        self.flush()
-        if not self.closed and self._out_off < len(self._out):
-            self.loop._frames_deferred.incr()
+        frame = _FRAME_LEN.pack(len(data)) + data
+        if not self._out:
+            try:
+                sent = os.write(self.fd, frame)
+            except BlockingIOError:
+                sent = 0
+            except OSError:
+                self.loop.close_peer(self)
+                return
+            if sent == len(frame):
+                return
+            frame = frame[sent:]
+        self._out += frame
+        self.loop._frames_deferred.incr()
+        self.loop._update_interest(self)
 
     def flush(self) -> None:
         """Drain the out-buffer as far as the fd allows; toggle write
@@ -115,22 +133,22 @@ class Peer:
 
 
 class EventLoop:
-    """The selector loop; see the module docstring."""
+    """The poll loop; see the module docstring."""
 
     def __init__(self, metrics: Optional[Metrics] = None) -> None:
         self.metrics = metrics or Metrics()
-        self._sel = selectors.DefaultSelector()
+        self._poll = select.poll()
         self._peers: dict[int, Peer] = {}
-        self._listeners: dict[int, socket.socket] = {}
+        self._listeners: dict[int, tuple] = {}  # fd -> (socket, on_accept)
         self._callbacks: deque = deque()
         self._stopped = False
         self._wakeups = self.metrics.counter("eventloop.wakeups")
         self._frames_deferred = self.metrics.counter("eventloop.frames_deferred")
-        # Self-pipe: lets call_soon wake a blocked select from any thread.
+        # Self-pipe: lets call_soon wake a blocked poll from any thread.
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
-        self._sel.register(self._wake_r, selectors.EVENT_READ, ("wake", None))
+        self._poll.register(self._wake_r, select.POLLIN)
 
     # -- registration --------------------------------------------------------
 
@@ -146,7 +164,7 @@ class EventLoop:
         os.set_blocking(fd, False)
         peer = Peer(self, fd, fileobj, on_frame, on_close)
         self._peers[fd] = peer
-        self._sel.register(fd, selectors.EVENT_READ, ("peer", peer))
+        self._poll.register(fd, select.POLLIN)
         self.metrics.incr("eventloop.connections_open")
         self.metrics.incr("eventloop.connections_total")
         return peer
@@ -156,15 +174,15 @@ class EventLoop:
     ) -> None:
         listener.setblocking(False)
         fd = listener.fileno()
-        self._listeners[fd] = listener
-        self._sel.register(fd, selectors.EVENT_READ, ("listener", on_accept))
+        self._listeners[fd] = (listener, on_accept)
+        self._poll.register(fd, select.POLLIN)
 
     def peer_count(self) -> int:
         """Connections currently adopted (what ``StatsReply`` reports)."""
         return len(self._peers)
 
     def call_soon(self, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` on the loop (thread-safe; wakes a blocked select)."""
+        """Schedule ``fn`` on the loop (thread-safe; wakes a blocked poll)."""
         self._callbacks.append(fn)
         try:
             os.write(self._wake_w, b"\0")
@@ -181,8 +199,8 @@ class EventLoop:
         peer.closed = True
         self._peers.pop(peer.fd, None)
         try:
-            self._sel.unregister(peer.fd)
-        except (KeyError, ValueError):
+            self._poll.unregister(peer.fd)
+        except KeyError:
             pass
         try:
             peer.owner.close()
@@ -208,23 +226,14 @@ class EventLoop:
         for peer in list(self._peers.values()):
             peer.on_close = None  # teardown, not a drop: no callbacks
             self.close_peer(peer)
-        for listener in self._listeners.values():
-            try:
-                self._sel.unregister(listener.fileno())
-            except (KeyError, ValueError):
-                pass
+        for listener, _on_accept in self._listeners.values():
             try:
                 listener.close()
             except OSError:
                 pass
         self._listeners.clear()
-        try:
-            self._sel.unregister(self._wake_r)
-        except (KeyError, ValueError):
-            pass
         os.close(self._wake_r)
         os.close(self._wake_w)
-        self._sel.close()
 
     # -- running -------------------------------------------------------------
 
@@ -257,33 +266,29 @@ class EventLoop:
     def _run_once(self, timeout: Optional[float]) -> None:
         while self._callbacks:
             self._callbacks.popleft()()
-        events = self._sel.select(timeout)
+        events = self._poll.poll(None if timeout is None else timeout * 1000.0)
         self._wakeups.incr()
-        for key, mask in events:
-            tag, payload = key.data
-            if tag == "wake":
+        peers = self._peers
+        for fd, mask in events:
+            # A peer closed by an earlier event (or a nested pump) is gone
+            # from the dict; its fd number may already name a new peer,
+            # which then just finds nothing to read yet.
+            peer = peers.get(fd)
+            if peer is not None:
+                if mask & select.POLLOUT:
+                    peer.flush()
+                if mask & _READABLE and not peer.closed:
+                    self._read(peer)
+            elif fd == self._wake_r:
                 try:
                     while os.read(self._wake_r, 4096):
                         pass
                 except (BlockingIOError, OSError):
                     pass
-                continue
-            if tag == "listener":
-                self._accept(key.fd, payload)
-                continue
-            peer = payload
-            if peer.closed:
-                continue  # closed by an earlier event or a nested pump
-            if mask & selectors.EVENT_WRITE:
-                peer.flush()
-            if peer.closed or not mask & selectors.EVENT_READ:
-                continue
-            self._read(peer)
+            elif fd in self._listeners:
+                self._accept(*self._listeners[fd])
 
-    def _accept(self, fd: int, on_accept) -> None:
-        listener = self._listeners.get(fd)
-        if listener is None:
-            return
+    def _accept(self, listener: socket.socket, on_accept) -> None:
         while True:
             try:
                 client, _addr = listener.accept()
@@ -298,15 +303,10 @@ class EventLoop:
     def _update_interest(self, peer: Peer) -> None:
         if peer.closed:
             return
-        mask = selectors.EVENT_READ
-        if peer.pending_out:
-            mask |= selectors.EVENT_WRITE
+        mask = select.POLLIN | select.POLLOUT if peer._out else select.POLLIN
         if mask != peer._mask:
             peer._mask = mask
-            try:
-                self._sel.modify(peer.fd, mask, ("peer", peer))
-            except (KeyError, ValueError):
-                pass
+            self._poll.modify(peer.fd, mask)
 
     def _read(self, peer: Peer) -> None:
         eof = False

@@ -21,15 +21,17 @@ header.  Pickle is acceptable here — unlike the TC/DC request path, the
 journal is written and read only by the same trusted server binary on its
 own volume.  A leaf the journal already holds is framed as what changed
 since (``PageImage.delta_from``) and patched onto that image on replay;
-``compact()`` writes whole images, which ends every such chain.  A torn
-tail (partial last frame) is discarded on replay: the
-mutating call that wrote it never returned, so nothing downstream depends
-on it — exactly torn-write = no write, the atomicity the in-memory store
-promises.  The CRC is what makes torn-tail detection *sound* rather than
-best-effort: a truncated pickle usually raises, but a cut that happens to
-land on a self-delimiting prefix would otherwise replay as a different,
-shorter frame.  A bad frame that is *not* the tail is not dropped: replay
-raises :class:`~repro.common.errors.JournalCorruptError`.
+``compact()`` writes whole images, which ends every such chain.  The
+frames and their reader (:func:`read_frames`) are shared with the TC
+server's log journal.  A torn tail (partial last frame) is discarded on
+replay: the mutating call that wrote it never returned, so nothing
+downstream depends on it — exactly torn-write = no write, the atomicity
+the in-memory store promises.  The CRC is what makes torn-tail detection
+*sound* rather than best-effort: a truncated pickle usually raises, but a
+cut that happens to land on a self-delimiting prefix would otherwise
+replay as a different, shorter frame.  A bad frame that is *not* the
+tail is not dropped: replay raises
+:class:`~repro.common.errors.JournalCorruptError`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import os
 import pickle
 import struct
 import zlib
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.common.errors import JournalCorruptError
 from repro.common.lsn import Lsn
@@ -58,6 +60,12 @@ _TAG_ALLOC = 5
 _TAG_DELTA = 6  # a leaf as a change to the last frame for its page id
 
 
+def frame_bytes(tag: object, payload: object) -> bytes:
+    """One journal frame: ``<length, crc32>`` header, pickled ``(tag, payload)``."""
+    data = pickle.dumps((tag, payload), protocol=pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(data), zlib.crc32(data)) + data
+
+
 def _whole_frame_at(data: bytes, pos: int) -> bool:
     """Is there a complete, CRC-valid frame at ``pos``?"""
     if pos + _HEADER.size > len(data):
@@ -65,6 +73,49 @@ def _whole_frame_at(data: bytes, pos: int) -> bool:
     length, crc = _HEADER.unpack_from(data, pos)
     frame = data[pos + _HEADER.size : pos + _HEADER.size + length]
     return len(frame) == length and zlib.crc32(frame) == crc
+
+
+def read_frames(path: str, metrics: Optional[Metrics] = None) -> Iterator[tuple]:
+    """Yield the ``(tag, payload)`` of every frame of the journal at
+    ``path`` — the one reader under the DC's :class:`JournalStorage` and
+    the TC server's record journal.  A torn tail is cut off once the walk
+    reaches it; damage with a whole frame after it raises (see the module
+    docstring), leaving the file as found — as does a caller raising
+    while it applies a frame."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except FileNotFoundError:
+        return
+    pos = 0
+    size = len(data)
+    while pos + _HEADER.size <= size:
+        length, crc = _HEADER.unpack_from(data, pos)
+        end = pos + _HEADER.size + length
+        if end > size:
+            break  # torn tail: the write never returned, drop it
+        frame = data[pos + _HEADER.size : end]
+        # Without the CRC a truncation landing on a valid pickle prefix
+        # (or a corrupted header) would replay as a different frame.
+        intact = zlib.crc32(frame) == crc
+        if intact:
+            try:
+                tag, payload = pickle.loads(frame)
+            except Exception:
+                intact = False
+        elif metrics is not None:
+            metrics.incr("journal.crc_rejected")
+        if not intact:
+            if _whole_frame_at(data, end):
+                raise JournalCorruptError(
+                    f"{path}: bad frame at byte {pos} with a complete frame after it"
+                )
+            break
+        yield tag, payload
+        pos = end
+    if pos < size:
+        with open(path, "ab") as handle:
+            handle.truncate(pos)
 
 
 class JournalStorage(StableStorage):
@@ -81,54 +132,15 @@ class JournalStorage(StableStorage):
 
     def _journal(self, tag: int, payload: object) -> None:
         # Callers hold self._lock, so frame order matches apply order.
-        frame = pickle.dumps((tag, payload), protocol=pickle.HIGHEST_PROTOCOL)
-        self._file.write(_HEADER.pack(len(frame), zlib.crc32(frame)))
-        self._file.write(frame)
+        self._file.write(frame_bytes(tag, payload))
         self._file.flush()
         self.metrics.incr("journal.frames")
 
     def _replay(self) -> bool:
-        try:
-            with open(self._path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return False
-        pos = 0
         applied = 0
-        size = len(data)
-        while pos + _HEADER.size <= size:
-            length, crc = _HEADER.unpack_from(data, pos)
-            end = pos + _HEADER.size + length
-            if end > size:
-                break  # torn tail: the write never returned, drop it
-            frame = data[pos + _HEADER.size : end]
-            # Without the CRC a truncation landing on a valid pickle prefix
-            # (or a corrupted header) would replay as a different frame.
-            intact = zlib.crc32(frame) == crc
-            if intact:
-                try:
-                    tag, payload = pickle.loads(frame)
-                except Exception:
-                    intact = False
-            else:
-                self.metrics.incr("journal.crc_rejected")
-            if not intact:
-                if _whole_frame_at(data, end):
-                    # Not a tail: a write that returned follows the bad
-                    # frame, and truncating here would un-acknowledge it.
-                    raise JournalCorruptError(
-                        f"{self._path}: bad frame at byte {pos} with a "
-                        f"complete frame after it"
-                    )
-                break
+        for tag, payload in read_frames(self._path, self.metrics):
             self._apply(tag, payload)
             applied += 1
-            pos = end
-        if pos < size:
-            # Truncate the torn tail so the append handle continues from a
-            # clean frame boundary.
-            with open(self._path, "ab") as handle:
-                handle.truncate(pos)
         self.metrics.incr("journal.replayed_frames", applied)
         return applied > 0
 
@@ -234,22 +246,14 @@ class JournalStorage(StableStorage):
             before = self.journal_bytes()
             tmp_path = self._path + ".compact"
             with open(tmp_path, "wb") as tmp:
-
-                def frame(tag: int, payload: object) -> None:
-                    data = pickle.dumps(
-                        (tag, payload), protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                    tmp.write(_HEADER.pack(len(data), zlib.crc32(data)))
-                    tmp.write(data)
-
                 if self._next_page_id > 0:
-                    frame(_TAG_ALLOC, self._next_page_id - 1)
+                    tmp.write(frame_bytes(_TAG_ALLOC, self._next_page_id - 1))
                 for key, value in self._metadata.items():
-                    frame(_TAG_META, (key, value))
+                    tmp.write(frame_bytes(_TAG_META, (key, value)))
                 for image in self._pages.values():
-                    frame(_TAG_PAGE, image)
+                    tmp.write(frame_bytes(_TAG_PAGE, image))
                 if self._dc_log:
-                    frame(_TAG_LOG, list(self._dc_log))
+                    tmp.write(frame_bytes(_TAG_LOG, list(self._dc_log)))
                 tmp.flush()
             if self._file is not None:
                 try:

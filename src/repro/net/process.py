@@ -211,9 +211,18 @@ class _Slot:
     def result(self, timeout: Optional[float] = None) -> object:
         """The reply (``None`` = connection died); reads the connection
         on this thread if nobody else is.  Raises :class:`ReplyTimeout`."""
-        if not self._filled:
-            self._transport._await(self, timeout)
-        return self._reply
+        if self._filled:
+            return self._reply
+        return self._transport._await(self, timeout)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    # Blocking fds can still write partially (sockets, large runs); a
+    # failure part-way means the connection died — every caller takes it
+    # down, stranding the affected slots like any lost reply.
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
 
 
 class _Transport:
@@ -221,9 +230,11 @@ class _Transport:
 
     **Caller-driven receive.**  There is no receiver thread: the thread
     that waits for a reply reads the fd and decodes frames itself.  One
-    thread reads at a time (``_reading``); a caller that finds the fd
-    taken waits on the condition variable and is woken when its slot
-    fills or the reader leaves.  Replies land in :class:`_Slot`s by
+    thread reads at a time (``_reading``).  Slot and reader state sit
+    under one plain lock; a caller that finds the fd taken *parks* on a
+    condition over that lock and is woken when its slot fills or the
+    reader leaves — and only then is anyone notified, so a lone caller
+    never pays for a wake-up.  Replies land in :class:`_Slot`s by
     sequence number, so out-of-order completion and any number of
     requests in flight work as before; on EOF every outstanding slot
     resolves to ``None`` (the "lost reply" the resend contracts absorb)
@@ -242,6 +253,7 @@ class _Transport:
     only buffers the frame; :meth:`flush` (or the next non-deferred send,
     which must not overtake buffered frames) writes the whole run as one
     write — one syscall for a pipelined burst instead of one per frame.
+    A lone non-deferred frame with nothing buffered is written as it is.
     Latency-sensitive ops never park: every synchronous send flushes
     first, and waiting on a slot flushes whatever is still buffered.
     ``fast`` is the negotiated fast-codec encode map (empty = tagged);
@@ -264,8 +276,12 @@ class _Transport:
         self._on_down = on_down
         self.fast: dict = fast or {}
         self._slots: dict[int, _Slot] = {}
-        #: Guards ``_slots``/``_down``/``_reading``; followers wait on it.
-        self._cond = threading.Condition(threading.Lock())
+        #: Guards ``_slots``/``_down``/``_reading``/``_parked``.
+        self._lock = threading.Lock()
+        #: Parked followers (and :meth:`close`) wait here; ``_parked``
+        #: counts them, and nobody notifies while it is 0.
+        self._cond = threading.Condition(self._lock)
+        self._parked = 0
         self._reading = False
         #: Bumped by every waiting caller; the idle watch compares it.
         self._activity = 0
@@ -298,7 +314,7 @@ class _Transport:
         slot.  The slot still resolves normally once the reply is read.
         """
         slot = _Slot(self, next(self._seq))
-        with self._cond:
+        with self._lock:
             if self._down:
                 slot._filled = True
                 return slot
@@ -317,6 +333,9 @@ class _Transport:
     ) -> None:
         with self._wlock:
             data = rpc.pack_frame(kind, seq, payload, self.fast, self._scratch)
+            if not defer and not self._pending:
+                _write_all(self._fd, _FRAME_LEN.pack(len(data)) + data)
+                return
             # A non-deferred frame must not overtake buffered ones: it
             # joins the run and the whole run is written in order.
             self._pending.append(data)
@@ -327,17 +346,11 @@ class _Transport:
     def _flush_locked(self) -> None:
         frames, self._pending = self._pending, []
         self._pending_bytes = 0
-        if not frames:
-            return
-        # One write for the whole run.  Blocking fds can still write
-        # partially (sockets, large runs), so loop the memoryview; a
-        # failure mid-run means the connection died — every caller takes
-        # it down, stranding the affected slots like any lost reply.
-        view = memoryview(
-            b"".join(_FRAME_LEN.pack(len(frame)) + frame for frame in frames)
-        )
-        while view:
-            view = view[os.write(self._fd, view):]
+        if frames:
+            _write_all(
+                self._fd,
+                b"".join(_FRAME_LEN.pack(len(frame)) + frame for frame in frames),
+            )
 
     def flush(self) -> None:
         """Write out deferred frames now; a failed write is the connection's
@@ -350,20 +363,24 @@ class _Transport:
 
     # -- receiving ------------------------------------------------------------
 
-    def _await(self, slot: _Slot, timeout: Optional[float]) -> None:
-        """Block until ``slot`` fills: read the fd if nobody else is,
-        else follow the thread that does.  :class:`ReplyTimeout` forgets
-        the slot, so its late reply is dropped on arrival."""
+    def _await(self, slot: _Slot, timeout: Optional[float]) -> object:
+        """``slot``'s reply, once it is there: read the fd if nobody else
+        is, else park behind the thread that does.  :class:`ReplyTimeout`
+        forgets the slot, so its late reply is dropped on arrival."""
         if self._pending:
             self.flush()
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
-            with self._cond:
+            with self._lock:
                 self._activity += 1
                 while self._reading and not slot._filled:
-                    self._cond.wait(_time_left(deadline))
+                    self._parked += 1
+                    try:
+                        self._cond.wait(_time_left(deadline))
+                    finally:
+                        self._parked -= 1
                 if slot._filled:
-                    return
+                    return slot._reply
                 self._reading = True
             try:
                 while not slot._filled:
@@ -371,14 +388,16 @@ class _Transport:
             finally:
                 self._stop_reading()
         except ReplyTimeout:
-            with self._cond:
+            with self._lock:
                 self._slots.pop(slot.seq, None)
             raise
+        return slot._reply
 
     def _stop_reading(self) -> None:
-        with self._cond:
+        with self._lock:
             self._reading = False
-            self._cond.notify_all()  # a follower takes over the fd
+            if self._parked:
+                self._cond.notify_all()  # a follower takes over the fd
 
     def _read_burst(self, timeout: Optional[float]) -> bool:
         """As the reader: wait up to ``timeout`` for bytes, take what one
@@ -422,26 +441,28 @@ class _Transport:
     def _deliver(self, data: bytes) -> None:
         kind, seq, payload = rpc.unpack_frame(data)
         if kind == rpc.REPLY:
-            with self._cond:
+            with self._lock:
                 slot = self._slots.pop(seq, None)
                 if slot is not None:  # None: its caller timed out and left
                     slot._reply = payload
                     slot._filled = True
-                    self._cond.notify_all()
+                    if self._parked:
+                        self._cond.notify_all()
         elif kind in (rpc.SERVER_REQUEST, rpc.PUSH):
             self._ctrl.put((kind, seq, payload))
 
     def _fail(self) -> None:
         """The connection is gone: strand every outstanding slot with
         ``None``, stop the background thread, tell the owner — once."""
-        with self._cond:
+        with self._lock:
             if self._down:
                 return
             self._down = True
             for slot in self._slots.values():
                 slot._filled = True
             self._slots.clear()
-            self._cond.notify_all()
+            if self._parked:
+                self._cond.notify_all()
         self._ctrl.put(None)
         self._on_down()
 
@@ -465,7 +486,7 @@ class _Transport:
         """Nobody has called for a whole interval: read the fd here, so
         server-initiated frames and EOF are seen on an idle connection.
         Leaves as soon as something arrived or a caller showed up."""
-        with self._cond:
+        with self._lock:
             if self._reading or self._down or self._closed:
                 return
             self._reading = True
@@ -503,7 +524,8 @@ class _Transport:
         steal frames (e.g. a ``RegisterTc`` reply) from that connection.
         The background thread is woken by a sentinel, not waited out; a
         caller still reading (every close path kills or says goodbye to
-        the server first, so it is about to see EOF) is given that chance.
+        the server first, so it is about to see EOF) is given that chance
+        — ``close`` parks like a follower until the reader leaves.
         """
         if self._closed:
             return
@@ -511,8 +533,12 @@ class _Transport:
         self._ctrl.put(None)
         if threading.current_thread() is not self._thread:
             self._thread.join(timeout=10.0)
-            with self._cond:
-                self._cond.wait_for(lambda: not self._reading, timeout=10.0)
+            with self._lock:
+                self._parked += 1
+                try:
+                    self._cond.wait_for(lambda: not self._reading, timeout=10.0)
+                finally:
+                    self._parked -= 1
         self._fail()  # no EOF seen (server still up): strand what is left
         try:
             self._conn.close()
@@ -682,16 +708,20 @@ class ServerProxy:
         """Await one submitted request; ``None`` on timeout or a dead
         connection (the caller's resend machinery takes over, as for any
         lost reply)."""
+        if slot._filled:
+            return slot._reply
         try:
-            return slot.result(
-                timeout if timeout is not None else self.request_timeout_s
+            return slot._transport._await(
+                slot, timeout if timeout is not None else self.request_timeout_s
             )
         except ReplyTimeout:
             self.metrics.incr(f"remote_{self.kind}.request_timeouts")
             return None
 
     def call(self, message: Message, timeout: Optional[float] = None) -> object:
-        """Send and wait (:meth:`submit` + :meth:`collect`)."""
+        """Send and wait (:meth:`submit` + :meth:`collect`).  ``submit`` is
+        looked up on the transport at every call, so a wrapper installed
+        there sees each send."""
         return self.collect(self._transport.submit(message), timeout)
 
     def control(self, message: Message, timeout: Optional[float] = None) -> Message:

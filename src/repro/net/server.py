@@ -16,10 +16,11 @@ kill -9'd TC must not take a shared DC down with it.  A malformed frame
 likewise drops only the connection that sent it.
 
 **Order.**  Dispatch is single-threaded and strictly in arrival order:
-a frame that lands while a dispatch is on the stack (a handler may pump
-the loop — the DC's §4.2.2 force bridge does) is served after it.  One
-server process is one core's worth of work; the scale-out unit is the
-*process*.
+a request that finds nothing ahead of it is served on the spot; one that
+lands while a dispatch is on the stack (a handler may pump the loop —
+the DC's §4.2.2 force bridge does) waits in the backlog and is served
+after it.  One server process is one core's worth of work; the
+scale-out unit is the *process*.
 """
 
 from __future__ import annotations
@@ -193,28 +194,28 @@ class Server:
             self._loop.close_peer(peer)
             return
         if kind == rpc.REQUEST:
-            self._backlog.append((peer, seq, message))
-            self._drain_backlog()
+            if self._dispatching or self._backlog:
+                # Arrived inside a dispatch: served after it, in order.
+                self._backlog.append((peer, seq, message))
+                return
+            # Nothing ahead of it: served directly, then whatever landed
+            # in the backlog meanwhile.
+            self._dispatching = True
+            try:
+                serving = self._serve_frame(peer, seq, message)
+                while serving and self._backlog:
+                    peer, seq, message = self._backlog.popleft()
+                    if not peer.closed:
+                        serving = self._serve_frame(peer, seq, message)
+                if not serving:
+                    self._loop.stop()
+            finally:
+                self._dispatching = False
         elif kind == rpc.CLIENT_REPLY:
             # Never backlogged: the dispatch that asked is on the stack,
             # pumping the loop for exactly this frame.
             self._on_client_reply(seq, message)
         # Any other kind is a stray frame (e.g. an echo) and is ignored.
-
-    def _drain_backlog(self) -> None:
-        if self._dispatching:
-            return  # the frame arrived inside a dispatch; served after it
-        self._dispatching = True
-        try:
-            while self._backlog:
-                peer, seq, message = self._backlog.popleft()
-                if peer.closed:
-                    continue
-                if not self._serve_frame(peer, seq, message):
-                    self._loop.stop()
-                    return
-        finally:
-            self._dispatching = False
 
     def _serve_frame(self, peer: Peer, seq: int, message: Message) -> bool:
         """Serve one request; returns False when the server should exit."""

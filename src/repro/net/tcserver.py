@@ -35,9 +35,6 @@ retryable misroute contract — before the mutation path is ever entered.
 from __future__ import annotations
 
 import os
-import pickle
-import struct
-import zlib
 from typing import Optional
 
 from repro.common.api import ControlAck, Message
@@ -48,6 +45,7 @@ from repro.common.ops import ReadFlavor
 from repro.cloud.partitioning import stable_key_hash
 from repro.net import wire
 from repro.net.eventloop import Peer
+from repro.net.journal import frame_bytes, read_frames
 from repro.net.process import DcClient
 from repro.net.server import Server
 from repro.net.tcrpc import (
@@ -80,20 +78,20 @@ from repro.tc.transactional_component import (
     TransactionState,
 )
 
-_HEADER = struct.Struct("<II")  # frame length, crc32 — JournalStorage's idiom
-
 
 class _RecordJournal:
     """Append-only CRC'd frame journal for TC log records.
 
-    Same durability contract as the DC's :class:`~repro.net.journal.
-    JournalStorage`: write + flush per frame (the OS page cache survives a
-    child SIGKILL; only whole-machine failure is out of scope), CRC per
-    frame, and a torn tail is silently discarded on replay — the paper's
-    torn-write-is-no-write assumption.  Frames are ``("records", [...])``
-    batches (one per log force) and ``("meta", truncated_upto)`` markers;
-    checkpoint-driven truncation rewrites the whole file as live state
-    behind an atomic replace.
+    Same frames, reader and durability contract as the DC's
+    :class:`~repro.net.journal.JournalStorage`: write + flush per frame
+    (the OS page cache survives a child SIGKILL; only whole-machine
+    failure is out of scope), CRC per frame, a torn tail discarded on
+    replay — the paper's torn-write-is-no-write assumption — and damage
+    with a whole frame after it a :class:`JournalCorruptError` that leaves
+    the file alone (the server dies before its hello).  Frames are
+    ``("records", [...])`` batches (one per log force) and
+    ``("meta", truncated_upto)`` markers; checkpoint-driven truncation
+    rewrites the whole file as live state behind an atomic replace.
     """
 
     def __init__(self, path: str) -> None:
@@ -105,44 +103,23 @@ class _RecordJournal:
         self._file = open(path, "ab")
 
     def _replay(self) -> None:
-        try:
-            with open(self.path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return
-        pos = 0
-        good = 0
-        while pos + _HEADER.size <= len(data):
-            length, crc = _HEADER.unpack_from(data, pos)
-            frame = data[pos + _HEADER.size : pos + _HEADER.size + length]
-            if len(frame) < length or zlib.crc32(frame) != crc:
-                break  # torn tail: the write never happened
-            tag, payload = pickle.loads(frame)
+        for tag, payload in read_frames(self.path):
             if tag == "meta":
                 self.truncated_upto = payload
             elif tag == "records":
                 self.records.extend(payload)
-            pos += _HEADER.size + length
-            good = pos
-        if good != len(data):
-            with open(self.path, "ab") as handle:
-                handle.truncate(good)
-
-    def _frame(self, tag: str, payload: object) -> bytes:
-        frame = pickle.dumps((tag, payload), protocol=pickle.HIGHEST_PROTOCOL)
-        return _HEADER.pack(len(frame), zlib.crc32(frame)) + frame
 
     def append_records(self, records: list[TcLogRecord]) -> None:
-        self._file.write(self._frame("records", list(records)))
+        self._file.write(frame_bytes("records", list(records)))
         self._file.flush()
 
     def rewrite(self, truncated_upto: Lsn, records: list[TcLogRecord]) -> None:
         """Replace history with live state (tmp file + atomic rename)."""
         tmp = self.path + ".compact"
         with open(tmp, "wb") as handle:
-            handle.write(self._frame("meta", truncated_upto))
+            handle.write(frame_bytes("meta", truncated_upto))
             if records:
-                handle.write(self._frame("records", list(records)))
+                handle.write(frame_bytes("records", list(records)))
             handle.flush()
         os.replace(tmp, self.path)
         self._file.close()

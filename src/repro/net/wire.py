@@ -24,7 +24,9 @@ op ids) cost one or two bytes.  The sentinels ``TOMBSTONE`` / ``KEY_MIN`` /
 every hot-loop message: the type name and every field name travel as
 strings, per frame.  The fast-path codec removes that for a fixed, ordered
 vocabulary of hot types (:data:`_FAST_NAMES`): a compact numeric type id
-plus *positional* field values, no name strings at all.  Which types may
+plus *positional* field values, no name strings at all, and no trailing
+field that equals its default.  Each such type has one generated encode
+and one generated decode function (:func:`_object_codec`).  Which types may
 be fast-encoded toward a peer is **negotiated at Hello time** — each side
 advertises ``(id, name, field-signature)`` triples and only exact matches
 are enabled — so a tagged-only or differently-versioned peer transparently
@@ -49,6 +51,7 @@ import dataclasses
 import enum
 import struct
 import zlib
+from textwrap import indent
 from typing import Any, Optional
 
 from repro.common.errors import ReproError
@@ -122,6 +125,7 @@ _FLOAT = struct.Struct(">d")
 #: distinguishable from byte 0.
 FAST_MAGIC = 0xFA
 _FAST_HEAD = struct.Struct("<BI")  # magic byte, crc32 of the body
+_FAST_HEAD_SPACE = bytes(_FAST_HEAD.size)
 
 # -- registry -----------------------------------------------------------------
 
@@ -259,21 +263,23 @@ _FAST_NAMES = (
 
 _FAST_BY_ID: dict[int, type] = {}
 _FAST_SIG: dict[int, int] = {}
-#: Pre-built ``tag | id | field-count`` / ``tag | id`` byte strings, one
-#: per vocabulary type — the fast encoder appends one memoized object
-#: instead of three varint writes per message.
-_FAST_OBJ_HEAD: dict[type, bytes] = {}
-_FAST_ENUM_HEAD: dict[type, bytes] = {}
-#: Enum members are closed sets, so the fast forms memoize the *entire*
-#: encoding per member and the value->member map per id — no
-#: ``EnumMeta.__call__`` (decode) or ``.value`` descriptor (encode) on
-#: the hot path.
-_FAST_ENUM_BYTES: dict[object, bytes] = {}
-_FAST_ENUM_MAP: dict[int, dict] = {}
+#: The one encode function per vocabulary type (``fn(out, value, fast)``,
+#: writing the whole fast form, id included) and the one decode function
+#: per object / enum id (``fn(data, pos) -> (value, pos)``, called just
+#: past the id byte).  Built once by :func:`_build_fast_tables`.
+_FAST_ENC: dict[type, Any] = {}
+_FAST_OBJ_DEC: dict[int, Any] = {}
+_FAST_ENUM_DEC: dict[int, Any] = {}
+
+#: Version of the fast form's layout, folded into every signature: a peer
+#: built against another layout (e.g. one whose count byte is always the
+#: field count) negotiates an empty map, and both directions stay tagged.
+_FAST_FORM = 2
 
 
 def _signature(cls: type) -> int:
-    """CRC32 over the type's field layout — the negotiation fingerprint.
+    """CRC32 over the fast-form version and the type's field layout — the
+    negotiation fingerprint.
 
     Two peers may only fast-encode a type to each other when name *and*
     signature agree, because positional decoding has no field names to
@@ -282,10 +288,143 @@ def _signature(cls: type) -> int:
     (defaulted fields), exactly as before.
     """
     if cls in _FIELDS:
-        return zlib.crc32(",".join(_FIELDS[cls]).encode("utf-8"))
-    return zlib.crc32(
-        ",".join(f"{m.name}={m.value!r}" for m in cls).encode("utf-8")
+        layout = ",".join(_FIELDS[cls])
+    else:
+        layout = ",".join(f"{m.name}={m.value!r}" for m in cls)
+    return zlib.crc32(f"fast{_FAST_FORM}:{layout}".encode("utf-8"))
+
+
+def _elidable(field: dataclasses.Field) -> bool:
+    """May a trailing ``field`` equal to its default be left off the wire?
+    Only for an immutable default: the decoder shares that one object."""
+    default = field.default
+    return default is not dataclasses.MISSING and (
+        default is None
+        or type(default) in (bool, int, float, str)
+        or (type(default) is tuple and not default)
+        or isinstance(default, enum.Enum)
     )
+
+
+# Source templates of the per-type functions.  Simple values (the bulk of
+# a transactional message: ids, LSNs, table names) are handled inline;
+# anything else goes through the generic codec.
+_ENC_VALUE = """\
+if {x} is None:
+    out.append(_T_NONE)
+elif type({x}) is int:
+    out.append(_T_INT)
+    zz = ({x} << 1) ^ (-1 if {x} < 0 else 0)
+    if zz < 0x80:
+        out.append(zz)
+    else:
+        _put_uvarint(out, zz)
+elif type({x}) is str:
+    raw = {x}.encode("utf-8")
+    out.append(_T_STR)
+    if len(raw) < 0x80:
+        out.append(len(raw))
+    else:
+        _put_uvarint(out, len(raw))
+    out += raw
+else:
+    _encode(out, {x}, fast)
+"""
+
+_DEC_VALUE = """\
+tag = data[pos]
+if tag == _T_INT:
+    zz = data[pos + 1]
+    pos += 2
+    if zz >= 0x80:
+        zz, pos = _uvarint_at(data, pos - 1)
+    d[{name!r}] = (zz >> 1) ^ -(zz & 1)
+elif tag == _T_STR:
+    d[{name!r}], pos = _text_at(data, pos + 1)
+elif tag == _T_NONE:
+    d[{name!r}] = None
+    pos += 1
+else:
+    d[{name!r}], pos = _decode_at(data, pos)
+"""
+
+
+def _object_codec(cls: type, fid: int) -> tuple:
+    """Generate ``cls``'s encode and decode functions from its field list
+    (never from wire bytes), the way ``dataclasses`` builds ``__init__``.
+
+    The count byte after the id says how many positional fields follow:
+    trailing fields equal to their default — type-exact, so ``1``,
+    ``1.0`` and ``True`` stay apart — are left off and filled back in by
+    the decoder.  Fields up to the last one that may not be elided (no
+    default, a ``default_factory``, a mutable default) are always sent; a
+    count outside ``required..len(fields)`` does not decode.
+    """
+    fields = dataclasses.fields(cls)
+    total = len(fields)
+    assert total < 0x80, f"{cls.__name__} outgrew one-byte field counts"
+    required = max(
+        (i + 1 for i, field in enumerate(fields) if not _elidable(field)), default=0
+    )
+    ns = {**globals(), "_head": bytes((_T_FOBJ, fid)), "_cls": cls}
+    enc = ["def enc(out, value, fast):", "    d = value.__dict__"]
+    enc += [f"    x{i} = d[{field.name!r}]" for i, field in enumerate(fields)]
+    if required == total:
+        ns["_head"] += bytes((total,))
+        enc.append("    out += _head")
+    else:
+        for i in range(total - 1, required - 1, -1):
+            default = fields[i].default
+            ns[f"_d{i}"], ns[f"_t{i}"] = default, type(default)
+            same = f"x{i} is _d{i}"
+            if type(default) in (int, float, str, tuple):  # equal, not the same
+                same += f" or (type(x{i}) is _t{i} and x{i} == _d{i})"
+            enc.append(f"    {'if' if i == total - 1 else 'elif'} not ({same}):")
+            enc.append(f"        n = {i + 1}")
+        enc += ["    else:", f"        n = {required}"]
+        enc += ["    out += _head", "    out.append(n)"]
+    dec = [
+        "def dec(data, pos):",
+        "    n = data[pos]",
+        f"    if n > {total} or n < {required}:",
+        f"        raise WireDecodeError(f'fast {cls.__name__} field count {{n}}"
+        f" outside {required}..{total}')",
+        "    pos += 1",
+        "    obj = _OBJ_NEW(_cls)",
+        "    d = obj.__dict__",
+    ]
+    for i, field in enumerate(fields):
+        depth = " " * (4 if i < required else 8)
+        if i >= required:
+            enc.append(f"    if n > {i}:")
+            dec.append(f"    if n > {i}:")
+        enc.append(indent(_ENC_VALUE.format(x=f"x{i}"), depth))
+        dec.append(indent(_DEC_VALUE.format(name=field.name), depth))
+        if i >= required:
+            dec += ["    else:", f"        d[{field.name!r}] = _d{i}"]
+    dec.append("    return obj, pos")
+    source = "\n".join(line.rstrip("\n") for line in enc + dec) + "\n"
+    exec(compile(source, f"<wire fast form of {cls.__name__}>", "exec"), ns)
+    return ns["enc"], ns["dec"]
+
+
+def _enum_codec(cls: type, fid: int) -> tuple:
+    """An enum's members are a closed set: encoding is one memoized byte
+    string per member, decoding one dict probe per value."""
+    whole = {member: bytes((_T_FENUM, fid)) + encode(member.value) for member in cls}
+    members = {member.value: member for member in cls}
+
+    def enc(out: bytearray, value: Any, fast: dict) -> None:
+        out += whole[value]
+
+    def dec(data: bytes, pos: int) -> tuple:
+        value, pos = _decode_at(data, pos)
+        try:
+            return members[value], pos
+        except (KeyError, TypeError):
+            raise WireDecodeError(f"bad {cls.__name__} value: {value!r}") from None
+
+    return enc, dec
 
 
 def _build_fast_tables() -> None:
@@ -295,25 +434,13 @@ def _build_fast_tables() -> None:
         cls = _BY_NAME.get(name)
         if cls is None:
             continue
+        assert idx < 0x80, "fast vocabulary outgrew one-byte ids"
         _FAST_BY_ID[idx] = cls
         _FAST_SIG[idx] = _signature(cls)
-        # Memoized fast headers (valid while ids and field counts fit one
-        # varint byte each — enforced here so the encoder may assume it).
-        assert idx < 0x80, "fast vocabulary outgrew one-byte ids"
         if cls in _FIELDS:
-            count = len(_FIELDS[cls])
-            assert count < 0x80, f"{name} outgrew one-byte field counts"
-            _FAST_OBJ_HEAD[cls] = bytes((_T_FOBJ, idx, count))
+            _FAST_ENC[cls], _FAST_OBJ_DEC[idx] = _object_codec(cls, idx)
         else:
-            head = bytes((_T_FENUM, idx))
-            _FAST_ENUM_HEAD[cls] = head
-            members: dict = {}
-            for member in cls:
-                scratch = bytearray()
-                _encode(scratch, member.value, _NO_FAST)
-                _FAST_ENUM_BYTES[member] = head + bytes(scratch)
-                members[member.value] = member
-            _FAST_ENUM_MAP[idx] = members
+            _FAST_ENC[cls], _FAST_ENUM_DEC[idx] = _enum_codec(cls, idx)
 
 
 def fast_vocabulary() -> tuple:
@@ -397,10 +524,6 @@ def _encode(out: bytearray, value: Any, fast: dict) -> None:
         else:
             _put_uvarint(out, zz)
         return
-    if kind is float:
-        out.append(_T_FLOAT)
-        out += _FLOAT.pack(value)
-        return
     if kind is str:
         raw = value.encode("utf-8")
         size = len(raw)
@@ -410,6 +533,15 @@ def _encode(out: bytearray, value: Any, fast: dict) -> None:
         else:
             _put_uvarint(out, size)
         out += raw
+        return
+    if kind in fast:
+        encoder = _FAST_ENC.get(kind)
+        if encoder is not None:
+            encoder(out, value, fast)
+            return
+    if kind is float:
+        out.append(_T_FLOAT)
+        out += _FLOAT.pack(value)
         return
     if kind is bytes:
         size = len(value)
@@ -454,50 +586,6 @@ def _encode(out: bytearray, value: Any, fast: dict) -> None:
         return
     fields = _FIELDS.get(kind)
     if fields is not None:
-        fid = fast.get(kind)
-        if fid is not None:
-            head = _FAST_OBJ_HEAD.get(kind)
-            if head is not None and head[1] == fid:
-                out += head
-            else:
-                # A non-canonical id (only reachable from hand-built maps,
-                # e.g. skew tests) still encodes correctly, just unmemoized.
-                out.append(_T_FOBJ)
-                _put_uvarint(out, fid)
-                _put_uvarint(out, len(fields))
-            # Simple field values (the bulk of a transactional message:
-            # ids, LSNs, table names, flags) are encoded inline — one
-            # recursive call saved per field.
-            attrs = value.__dict__
-            for name in fields:
-                item = attrs[name]
-                if item is None:
-                    out.append(_T_NONE)
-                    continue
-                item_kind = type(item)
-                if item_kind is int:
-                    out.append(_T_INT)
-                    zz = (item << 1) ^ (-1 if item < 0 else 0)
-                    if zz < 0x80:
-                        out.append(zz)
-                    else:
-                        _put_uvarint(out, zz)
-                elif item_kind is str:
-                    raw = item.encode("utf-8")
-                    size = len(raw)
-                    out.append(_T_STR)
-                    if size < 0x80:
-                        out.append(size)
-                    else:
-                        _put_uvarint(out, size)
-                    out += raw
-                elif item is True:
-                    out.append(_T_TRUE)
-                elif item is False:
-                    out.append(_T_FALSE)
-                else:
-                    _encode(out, item, fast)
-            return
         out += _OBJ_HEAD[kind]
         heads = _FIELD_HEAD[kind]
         for index, name in enumerate(fields):
@@ -505,16 +593,6 @@ def _encode(out: bytearray, value: Any, fast: dict) -> None:
             _encode(out, getattr(value, name), fast)
         return
     if isinstance(value, enum.Enum):
-        fid = fast.get(kind)
-        if fid is not None:
-            whole = _FAST_ENUM_BYTES.get(value)
-            if whole is not None and whole[1] == fid:
-                out += whole
-                return
-            out.append(_T_FENUM)
-            _put_uvarint(out, fid)
-            _encode(out, value.value, fast)
-            return
         head = _ENUM_HEAD.get(kind)
         if head is None:
             raise WireEncodeError(f"unregistered enum: {kind.__name__}")
@@ -551,22 +629,20 @@ def encode_fast_frame(
 ) -> bytes:
     """One CRC'd fast frame: ``magic | crc32(body) | kind | seq | payload``.
 
-    ``fast`` is the negotiated encode map from :func:`negotiate`; any value
-    outside it (including nested ones) falls back to the tagged form
-    in place.  ``scratch`` is an optional reusable buffer.
+    ``fast`` is the negotiated encode map from :func:`negotiate` (whose
+    ids are this vocabulary's own); any value outside it (including
+    nested ones) falls back to the tagged form in place.  ``scratch`` is
+    an optional reusable buffer.
     """
     _bootstrap()
     out = scratch if scratch is not None else bytearray()
     del out[:]
-    out += b"\x00" * _FAST_HEAD.size
+    out += _FAST_HEAD_SPACE
     if kind < 0x80:
         out.append(kind)
     else:
         _put_uvarint(out, kind)
-    if seq < 0x80:
-        out.append(seq)
-    else:
-        _put_uvarint(out, seq)
+    _put_uvarint(out, seq)
     _encode(out, payload, fast)
     crc = zlib.crc32(memoryview(out)[_FAST_HEAD.size :]) & 0xFFFFFFFF
     _FAST_HEAD.pack_into(out, 0, FAST_MAGIC, crc)
@@ -577,8 +653,8 @@ def encode_fast_frame(
 
 
 def _uvarint_at(data: bytes, pos: int) -> tuple:
-    """Multi-byte varint continuation (the one-byte case is inlined at
-    every call site — on this wire almost every varint fits one byte)."""
+    """Varint at ``pos`` (the one-byte case is inlined at the hot call
+    sites — on this wire almost every length and count fits one byte)."""
     result = 0
     shift = 0
     while True:
@@ -629,51 +705,14 @@ def _decode_at(data: bytes, pos: int) -> tuple:
     if tag == _T_FALSE:
         return False, pos
     if tag == _T_FOBJ:
-        fid = data[pos]
-        pos += 1
-        if fid >= 0x80:
-            fid, pos = _uvarint_at(data, pos - 1)
-        cls = _FAST_BY_ID.get(fid)
-        fields = _FIELDS.get(cls) if cls is not None else None
-        if fields is None:
-            raise UnknownTypeError(f"unknown fast type id {fid} on wire")
-        count = data[pos]
-        pos += 1
-        if count >= 0x80:
-            count, pos = _uvarint_at(data, pos - 1)
-        if count != len(fields):
-            raise WireDecodeError(
-                f"fast {cls.__name__} field count {count} != {len(fields)}"
-            )
-        # Construct without the (frozen) dataclass __init__: every field
-        # is present positionally, so the per-field ``object.__setattr__``
-        # dance buys nothing.  Simple values decode inline, mirroring the
-        # encoder's fast-field specialization.
-        obj = _OBJ_NEW(cls)
-        attrs = obj.__dict__
-        for name in fields:
-            tag = data[pos]
-            if tag == _T_INT:
-                pos += 1
-                zz = data[pos]
-                pos += 1
-                if zz >= 0x80:
-                    zz, pos = _uvarint_at(data, pos - 1)
-                attrs[name] = (zz >> 1) ^ -(zz & 1)
-            elif tag == _T_STR:
-                attrs[name], pos = _text_at(data, pos + 1)
-            elif tag == _T_NONE:
-                attrs[name] = None
-                pos += 1
-            elif tag == _T_TRUE:
-                attrs[name] = True
-                pos += 1
-            elif tag == _T_FALSE:
-                attrs[name] = False
-                pos += 1
-            else:
-                attrs[name], pos = _decode_at(data, pos)
-        return obj, pos
+        # Ids are one byte (checked when the tables are built), so any
+        # other byte here is simply not a known id.  The decoder builds
+        # the frozen dataclass without ``__init__`` (object.__new__ plus
+        # a ``__dict__`` fill): every field is set, sent or defaulted.
+        decoder = _FAST_OBJ_DEC.get(data[pos])
+        if decoder is None:
+            raise UnknownTypeError(f"unknown fast type id {data[pos]} on wire")
+        return decoder(data, pos + 1)
     if tag == _T_TUPLE or tag == _T_LIST or tag == _T_SET or tag == _T_FROZENSET:
         count = data[pos]
         pos += 1
@@ -753,21 +792,10 @@ def _decode_at(data: bytes, pos: int) -> tuple:
         except TypeError as exc:
             raise WireDecodeError(f"cannot build {name}: {exc}") from exc
     if tag == _T_FENUM:
-        fid = data[pos]
-        pos += 1
-        if fid >= 0x80:
-            fid, pos = _uvarint_at(data, pos - 1)
-        members = _FAST_ENUM_MAP.get(fid)
-        if members is None:
-            raise UnknownTypeError(f"unknown fast enum id {fid} on wire")
-        value, pos = _decode_at(data, pos)
-        try:
-            return members[value], pos
-        except (KeyError, TypeError):
-            cls = _FAST_BY_ID[fid]
-            raise WireDecodeError(
-                f"bad {cls.__name__} value: {value!r}"
-            ) from None
+        decoder = _FAST_ENUM_DEC.get(data[pos])
+        if decoder is None:
+            raise UnknownTypeError(f"unknown fast enum id {data[pos]} on wire")
+        return decoder(data, pos + 1)
     raise WireDecodeError(f"unknown wire tag 0x{tag:02x}")
 
 
@@ -808,7 +836,10 @@ def decode_fast_frame(data: bytes) -> tuple:
     if zlib.crc32(memoryview(data)[head:]) & 0xFFFFFFFF != crc:
         raise WireDecodeError("fast frame failed its crc32 check")
     try:
-        kind, pos = _uvarint_at(data, head)
+        kind = data[head]
+        pos = head + 1
+        if kind >= 0x80:
+            kind, pos = _uvarint_at(data, head)
         seq, pos = _uvarint_at(data, pos)
         payload, pos = _decode_at(data, pos)
     except IndexError:

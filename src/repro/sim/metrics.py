@@ -24,7 +24,7 @@ from repro.obs.hist import Histogram
 #: - ``eventloop.connections_total``  lifetime adopted connections;
 #: - ``eventloop.frames_deferred``    sends that parked bytes in a peer's
 #:   out-buffer because the fd would block (write interest engaged);
-#: - ``eventloop.wakeups``            selector returns.
+#: - ``eventloop.wakeups``            poll returns.
 EVENTLOOP_COUNTERS = (
     "eventloop.connections_open",
     "eventloop.connections_total",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -147,6 +148,44 @@ class TestSharedConnection:
             thread.join(timeout=30)
             assert not thread.is_alive()
         assert wrong == []
+
+    def test_parked_followers_are_always_woken(self, dc, monkeypatch):
+        """More callers than cores on one connection, switching threads as
+        often as the interpreter allows: whoever reads must wake every
+        follower whose reply it delivers (or who should take over the fd),
+        although it notifies only while someone is parked.  With the idle
+        watch parked, nothing else would read for them, so a lost wake-up
+        stalls a caller for its whole timeout: the run takes ~1 s, a
+        stall 30 s."""
+        monkeypatch.setattr(process, "_IDLE_WATCH_S", 30.0)
+        time.sleep(0.1)  # the watcher's current 50 ms wait runs out
+        wrong: list = []
+
+        def worker(index: int) -> None:
+            for n in range(1, 61):
+                tag = index * 1000 + n
+                if n % 3:
+                    reply = dc.call(TableList(tc_id=tag), timeout=30.0)
+                else:
+                    reply = dc.collect(dc.submit(TableList(tc_id=tag)), timeout=30.0)
+                if reply is None or reply.tc_id != tag:
+                    wrong.append((tag, reply))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        started = time.monotonic()
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(1, 9)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert time.monotonic() - started < 20.0
+        assert wrong == []
+        assert dc.metrics.counters().get("remote_dc.request_timeouts", 0) == 0
 
     def test_deferred_burst_collected_in_reverse(self, dc):
         slots = [dc.submit(StatsRequest(tc_id=n), defer=True) for n in range(1, 9)]

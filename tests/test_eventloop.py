@@ -1,7 +1,7 @@
 """Event-loop DC/TC servers (docs/architecture.md §18).
 
 The tentpole claim is O(1) server threads in the number of client
-connections: a server's request loop is one ``selectors``-driven thread,
+connections: a server's request loop is one ``poll``-driven thread,
 and every connection is a ``Peer`` — fd, reassembly buffer, out-buffer —
 not a thread.  The loop is tested bare (framing, backpressure accounting,
 malformed-frame rejection, mid-frame disconnect) and through the real

@@ -1,9 +1,11 @@
-"""Torn-tail edge cases of the DC server journal (net/journal.py).
+"""Torn-tail edge cases of the server journals (net/journal.py).
 
-The journal promises torn-write = no-write: a frame whose mutating call
-never returned must vanish on replay, and everything before it must
-survive byte-for-byte.  These tests tamper with the file directly to hit
-the cuts a real SIGKILL can produce mid-``write()``:
+Both journals — the DC server's volume and the TC server's log records —
+read their frames with one reader, and promise torn-write = no-write: a
+frame whose mutating call never returned must vanish on replay, and
+everything before it must survive byte-for-byte.  These tests tamper with
+the file directly to hit the cuts a real SIGKILL can produce
+mid-``write()``:
 
 - a final record truncated inside its payload (header intact);
 - a payload cut that still *unpickles* — only the CRC catches it;
@@ -26,23 +28,66 @@ import zlib
 
 import pytest
 
-from repro.common.errors import JournalCorruptError
+from repro.common.errors import CrashedError, JournalCorruptError
 from repro.common.records import TOMBSTONE, VersionedRecord
 from repro.dc.dclog import DcLog
 from repro.dc.recovery import stable_page_state
 from repro.dc.system_txn import SystemTransaction
 from repro.net.journal import _HEADER, JournalStorage
+from repro.net.tcclient import RemoteTc
+from repro.net.tcserver import _RecordJournal
 from repro.storage.buffer import BufferPool
 from repro.storage.page import InnerPage, LeafPage
 from tests.conftest import image_fields
 
 
-def _make_journal(path, entries):
-    storage = JournalStorage(str(path))
-    for key, value in entries:
-        storage.write_metadata(key, value)
-    storage.close()
-    return path
+class _DcJournal:
+    """The torn-tail cases' key/value surface over the DC's JournalStorage
+    (a metadata write is one frame)."""
+
+    def __init__(self, path):
+        self.journal = JournalStorage(str(path))
+        self.replayed = self.journal.replayed
+
+    @staticmethod
+    def frame(key, value) -> bytes:
+        """The pickled payload ``put(key, value)`` frames."""
+        return pickle.dumps((2, (key, value)), protocol=pickle.HIGHEST_PROTOCOL)
+
+    def put(self, key, value):
+        self.journal.write_metadata(key, value)
+
+    def get(self, key):
+        return self.journal.read_metadata(key)
+
+    def crc_rejected(self):
+        return self.journal.metrics.get("journal.crc_rejected")
+
+    def close(self):
+        self.journal.close()
+
+
+class _TcJournal(_DcJournal):
+    """The same surface over the TC server's record journal (a batch of
+    one record is one frame; it counts no metrics)."""
+
+    def __init__(self, path):
+        self.journal = _RecordJournal(str(path))
+        self.replayed = self.journal.replayed
+
+    @staticmethod
+    def frame(key, value) -> bytes:
+        records = ("records", [(key, value)])
+        return pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def put(self, key, value):
+        self.journal.append_records([(key, value)])
+
+    def get(self, key):
+        return dict(self.journal.records).get(key)
+
+    def crc_rejected(self):
+        return None
 
 
 def _frames(path):
@@ -59,8 +104,17 @@ def _frames(path):
 
 
 class TestTornTail:
+    journal = _DcJournal
+
+    def _make_journal(self, path, entries):
+        storage = self.journal(path)
+        for key, value in entries:
+            storage.put(key, value)
+        storage.close()
+        return path
+
     def test_truncated_final_record_is_dropped(self, tmp_path):
-        path = _make_journal(
+        path = self._make_journal(
             tmp_path / "j.bin", [("a", 1), ("b", 2), ("c", 3)]
         )
         frames = _frames(path)
@@ -69,17 +123,17 @@ class TestTornTail:
         # Cut inside the final payload: header claims more than remains.
         path.write_bytes(data[: last_start + _HEADER.size + 2])
 
-        storage = JournalStorage(str(path))
-        assert storage.read_metadata("a") == 1
-        assert storage.read_metadata("b") == 2
-        assert storage.read_metadata("c") is None  # torn -> no write
+        storage = self.journal(path)
+        assert storage.get("a") == 1
+        assert storage.get("b") == 2
+        assert storage.get("c") is None  # torn -> no write
         # The tail was truncated to a clean frame boundary: new appends
         # land after the surviving frames and themselves replay.
-        storage.write_metadata("d", 4)
+        storage.put("d", 4)
         storage.close()
-        reopened = JournalStorage(str(path))
-        assert reopened.read_metadata("b") == 2
-        assert reopened.read_metadata("d") == 4
+        reopened = self.journal(path)
+        assert reopened.get("b") == 2
+        assert reopened.get("d") == 4
         reopened.close()
 
     def test_crc_rejects_truncation_that_still_unpickles(self, tmp_path):
@@ -90,12 +144,10 @@ class TestTornTail:
         (shorter) mutation, but keep the original CRC.  Only the checksum
         distinguishes "frame the writer finished" from "bytes that happen
         to parse"."""
-        path = _make_journal(tmp_path / "j.bin", [("a", 1), ("victim", 2)])
+        path = self._make_journal(tmp_path / "j.bin", [("a", 1), ("victim", 2)])
         frames = _frames(path)
         last_start, length, crc, payload = frames[-1]
-        impostor = pickle.dumps(
-            (2, ("victim", 999)), protocol=pickle.HIGHEST_PROTOCOL
-        )
+        impostor = self.journal.frame("victim", 999)
         assert zlib.crc32(impostor) != crc
         data = path.read_bytes()
         tampered = (
@@ -105,38 +157,38 @@ class TestTornTail:
         )
         path.write_bytes(tampered)
 
-        storage = JournalStorage(str(path))
-        assert storage.read_metadata("a") == 1
+        storage = self.journal(path)
+        assert storage.get("a") == 1
         # Without the CRC this would read 999; with it the frame is torn.
-        assert storage.read_metadata("victim") is None
-        assert storage.metrics.get("journal.crc_rejected") == 1
+        assert storage.get("victim") is None
+        assert storage.crc_rejected() in (1, None)  # None: counts no metrics
         storage.close()
 
     def test_zero_length_tail_record(self, tmp_path):
         """A header announcing an empty frame: CRC matches b'', pickle
         cannot — replay must stop cleanly, keeping prior frames."""
-        path = _make_journal(tmp_path / "j.bin", [("a", 1)])
+        path = self._make_journal(tmp_path / "j.bin", [("a", 1)])
         with open(path, "ab") as handle:
             handle.write(_HEADER.pack(0, zlib.crc32(b"")))
 
-        storage = JournalStorage(str(path))
-        assert storage.read_metadata("a") == 1
-        storage.write_metadata("b", 2)
+        storage = self.journal(path)
+        assert storage.get("a") == 1
+        storage.put("b", 2)
         storage.close()
-        reopened = JournalStorage(str(path))
-        assert reopened.read_metadata("a") == 1
-        assert reopened.read_metadata("b") == 2
+        reopened = self.journal(path)
+        assert reopened.get("a") == 1
+        assert reopened.get("b") == 2
         reopened.close()
 
     def test_partial_header_tail(self, tmp_path):
         """Fewer tail bytes than one frame header (the smallest tear)."""
-        path = _make_journal(tmp_path / "j.bin", [("a", 1), ("b", 2)])
+        path = self._make_journal(tmp_path / "j.bin", [("a", 1), ("b", 2)])
         with open(path, "ab") as handle:
             handle.write(b"\x07\x00\x00")  # 3 of the header's 8 bytes
 
-        storage = JournalStorage(str(path))
-        assert storage.read_metadata("a") == 1
-        assert storage.read_metadata("b") == 2
+        storage = self.journal(path)
+        assert storage.get("a") == 1
+        assert storage.get("b") == 2
         storage.close()
 
     def test_record_spanning_exact_buffer_boundary(self, tmp_path):
@@ -146,39 +198,43 @@ class TestTornTail:
         and a subsequent frame starting exactly at the boundary replays
         too."""
         path = tmp_path / "j.bin"
-        storage = JournalStorage(str(path))
-        storage.write_metadata("pad", "x")
+        storage = self.journal(path)
+        storage.put("pad", "x")
         base = path.stat().st_size
         # Size one value so header + payload lands the file exactly at
         # 4096 (pickle's string-length encoding varies, so probe exactly).
         def frame_size(fill):
-            frame = pickle.dumps(
-                (2, ("big", "y" * fill)), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            return _HEADER.size + len(frame)
+            return _HEADER.size + len(self.journal.frame("big", "y" * fill))
 
         fill = next(
             n for n in range(1, 4096) if base + frame_size(n) == 4096
         )
-        storage.write_metadata("big", "y" * fill)
+        storage.put("big", "y" * fill)
         assert path.stat().st_size == 4096
-        storage.write_metadata("after", "z")
+        storage.put("after", "z")
         storage.close()
 
-        reopened = JournalStorage(str(path))
-        assert reopened.read_metadata("big") == "y" * fill
-        assert reopened.read_metadata("after") == "z"
+        reopened = self.journal(path)
+        assert reopened.get("big") == "y" * fill
+        assert reopened.get("after") == "z"
         reopened.close()
 
     def test_clean_journal_replays_everything(self, tmp_path):
-        path = _make_journal(
+        path = self._make_journal(
             tmp_path / "j.bin", [(f"k{i}", i) for i in range(10)]
         )
-        storage = JournalStorage(str(path))
+        storage = self.journal(path)
         assert storage.replayed
         for i in range(10):
-            assert storage.read_metadata(f"k{i}") == i
+            assert storage.get(f"k{i}") == i
         storage.close()
+
+
+class TestRecordJournalTornTail(TestTornTail):
+    """The TC server's record journal reads its frames with the same
+    reader, so every torn-tail case holds for it too."""
+
+    journal = _TcJournal
 
 
 # -- page frames (ISSUE 17: records and abLSNs framed as field tuples) ---------
@@ -347,6 +403,41 @@ class TestMidJournalDamage:
         assert reopened.read_page(2) is None
         assert path.stat().st_size == start
         reopened.close()
+
+
+class TestRecordJournalMidFileDamage:
+    """The TC server's record journal under the same rule: a bad frame
+    with a whole frame after it held an acknowledged force behind it, so
+    the journal refuses to open and leaves the file as found (it used to
+    cut the file at the bad frame — to 0 bytes here — and come up with
+    no records)."""
+
+    @staticmethod
+    def _damage_first_of_three(path):
+        journal = _RecordJournal(str(path))
+        for n in range(3):
+            journal.append_records([("txn", n)])
+        journal.close()
+        start, length, _crc, _payload = _frames(path)[0]
+        data = bytearray(path.read_bytes())
+        data[start + _HEADER.size + length // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        return bytes(data)
+
+    def test_flipped_byte_in_the_first_frame_refuses_to_open(self, tmp_path):
+        path = tmp_path / "tc1.journal"
+        damaged = self._damage_first_of_three(path)
+        with pytest.raises(JournalCorruptError, match="complete frame after it"):
+            _RecordJournal(str(path))
+        assert path.read_bytes() == damaged
+
+    @pytest.mark.process
+    def test_a_tc_server_on_it_dies_before_its_hello(self, tmp_path):
+        path = tmp_path / "tc1.journal"
+        damaged = self._damage_first_of_three(path)
+        with pytest.raises(CrashedError, match="restart failed"):
+            RemoteTc("tc1", tc_id=1, journal_path=str(path))
+        assert path.read_bytes() == damaged
 
 
 class TestPageIndexAcrossRestart:

@@ -16,9 +16,12 @@ test can read counters and plant a handler without another protocol.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
 import os
 import threading
+import time
+import zlib
 
 import pytest
 
@@ -34,9 +37,10 @@ from repro.common.errors import (
 )
 from repro.net import rpc, tcrpc, wire
 from repro.net.dcserver import _DcServer
-from repro.net.process import wait_hello
+from repro.net.process import RemoteDc, wait_hello
 from repro.net.rpc import (
     NegotiateCodec,
+    RegisterTc,
     RemoteError,
     Shutdown,
     StatsReply,
@@ -45,6 +49,7 @@ from repro.net.rpc import (
 )
 from repro.net.server import connect_any
 from repro.net.tcserver import _TcServer
+from tests.test_wire_fastpath import crc_framed
 
 #: Server → client, or retired: everything else in the two vocabularies
 #: is a request some client sends.
@@ -71,7 +76,7 @@ def _messages_of(module) -> set:
 class _Running:
     """One real server on a thread: parent pipe plus a Unix listener."""
 
-    def __init__(self, role: str, tmp_path) -> None:
+    def __init__(self, role: str, tmp_path, dcs: dict | None = None) -> None:
         self.role = role
         self.parent, child = mp.Pipe()
         listen = str(tmp_path / f"{role}.sock")
@@ -82,7 +87,7 @@ class _Running:
             self.hello_type = rpc.Hello
         else:
             self.server = _TcServer(
-                child, "tcx", 1, None, str(tmp_path / "tcx.journal"), {},
+                child, "tcx", 1, None, str(tmp_path / "tcx.journal"), dcs or {},
                 listen_path=listen,
             )  # fmt: skip
             self.hello_type = tcrpc.TcHello
@@ -182,6 +187,123 @@ class TestBadFrames:
         assert running.counter(f"{running.role}.bad_frames") == 1
         _ask(good, 7, StatsRequest(tc_id=0))
         assert isinstance(_answer(good)[3], StatsReply)
+
+
+class TestFastFormFuzz:
+    """CRC-valid fast frames whose payload is still wrong: the CRC cannot
+    catch them, the positional decoder must."""
+
+    @pytest.mark.parametrize(
+        "shape", ["count_above_fields", "count_below_required", "unknown_id"]
+    )
+    def test_drops_only_its_connection(self, running, shape):
+        fid = {name: fid for fid, name, _sig in wire.fast_vocabulary()}["LowWaterMark"]
+        obj, num = wire._T_FOBJ, wire._T_INT
+        payload = {
+            # LowWaterMark has two fields (tc_id, lwm): three is one too many,
+            # and tc_id has no default, so none is too few.
+            "count_above_fields": (obj, fid, 3, num, 2, num, 4, num, 6),
+            "count_below_required": (obj, fid, 0),
+            "unknown_id": (obj, 0x7E, 1, num, 2),
+        }[shape]
+        bad, good = running.connect(), running.connect()
+        bad.send_bytes(crc_framed(bytes((rpc.REQUEST, 1, *payload))))
+        assert _gone(bad)
+        assert running.counter(f"{running.role}.bad_frames") == 1
+        _ask(good, 7, StatsRequest(tc_id=0))
+        assert isinstance(_answer(good)[3], StatsReply)
+
+
+class TestStalledReader:
+    def test_a_peer_that_stops_reading_stalls_no_one(self, running):
+        """One connection keeps asking and never reads, until the server
+        has had to park replies for it (the write-through send's
+        remainder branch); another connection is still answered at
+        once, and the first, once it reads, gets every reply in order."""
+        stalled, other = running.connect(), running.connect()
+        sent = 0
+        while running.counter("eventloop.frames_deferred") == 0:
+            assert sent < 20_000, "the server never had to park a reply"
+            sent += 1
+            _ask(stalled, sent, StatsRequest(tc_id=sent))
+        started = time.monotonic()
+        _ask(other, 1, StatsRequest(tc_id=0))
+        assert isinstance(_answer(other)[3], StatsReply)
+        assert time.monotonic() - started < 1.0
+        assert [_answer(stalled)[2] for _ in range(sent)] == list(range(1, sent + 1))
+
+
+def _previous_vocabulary() -> tuple:
+    """What a peer built before the count byte meant "fields that follow"
+    advertises: the same ids and names, signatures over the bare field
+    layout with no fast-form version folded in."""
+    vocab = []
+    for fid, name, _sig in wire.fast_vocabulary():
+        cls = wire._FAST_BY_ID[fid]
+        if dataclasses.is_dataclass(cls):
+            layout = ",".join(field.name for field in dataclasses.fields(cls))
+        else:
+            layout = ",".join(f"{m.name}={m.value!r}" for m in cls)
+        vocab.append((fid, name, zlib.crc32(layout.encode("utf-8"))))
+    return tuple(vocab)
+
+
+def _tagged_reply(conn, seq: int, message: Message):
+    _ask(conn, seq, message)
+    first, kind, got, reply = _answer(conn)
+    assert first != wire.FAST_MAGIC and (kind, got) == (rpc.REPLY, seq)
+    return reply
+
+
+class TestVersionSkew:
+    """A peer of the previous fast form negotiates nothing, so neither side
+    ever sends it a frame it would misread: it degrades to tagged and
+    keeps its connection."""
+
+    def test_previous_form_negotiates_an_empty_map(self):
+        assert wire.negotiate(_previous_vocabulary()) == {}
+
+    def test_dc_server_answers_it_tagged(self, tmp_path):
+        running = _Running("dcserver", tmp_path).start()
+        try:
+            conn = running.connect()
+            upgrade = NegotiateCodec(tc_id=0, vocab=_previous_vocabulary())
+            assert isinstance(_tagged_reply(conn, 1, upgrade), ControlAck)
+            assert isinstance(_tagged_reply(conn, 2, RegisterTc(tc_id=5)), ControlAck)
+            catalog = _tagged_reply(conn, 3, TableList(tc_id=5))
+            assert isinstance(catalog, rpc.TableListReply)
+        finally:
+            running.stop()
+
+    def test_tc_server_answers_it_tagged(self, tmp_path):
+        dc = RemoteDc(
+            "dc1",
+            journal_path=str(tmp_path / "dc1.journal"),
+            listen_path=str(tmp_path / "dc1.sock"),
+        )
+        try:
+            dc.create_table("t")
+            running = _Running("tcserver", tmp_path, {"dc1": dc.listen_path}).start()
+            try:
+                conn = running.connect()
+                upgrade = NegotiateCodec(tc_id=1, vocab=_previous_vocabulary())
+                assert isinstance(_tagged_reply(conn, 1, upgrade), ControlAck)
+                write = tcrpc.TxnWrite(
+                    tc_id=1, txn_id=-1, verb="insert", table="t", key=1, value="v"
+                )
+                opened = _tagged_reply(conn, 2, write)
+                assert isinstance(opened, tcrpc.TxnAck) and opened.txn_id > 0
+                txn_id = opened.txn_id
+                read = tcrpc.TxnRead(tc_id=1, txn_id=txn_id, table="t", key=1)
+                found = _tagged_reply(conn, 3, read)
+                assert isinstance(found, tcrpc.TxnReadReply)
+                assert (found.found, found.value) == (True, "v")
+                commit = tcrpc.TxnCommit(tc_id=1, txn_id=txn_id)
+                assert isinstance(_tagged_reply(conn, 4, commit), tcrpc.TxnAck)
+            finally:
+                running.stop()
+        finally:
+            dc.shutdown()
 
 
 class TestCodecPerConnection:

@@ -20,11 +20,16 @@ from __future__ import annotations
 import dataclasses
 import enum
 import random
+import struct
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import api
 from repro.common.ops import InsertOp, OpResult, OpStatus, ReadOp, UpdateOp
+from repro.common.records import KEY_MAX, KEY_MIN, TOMBSTONE
 from repro.net import rpc, wire
 from repro.net.wire import (
     FAST_MAGIC,
@@ -96,6 +101,67 @@ def test_fast_defaults_only_shape_roundtrips(cls):
     assert decoded == value
 
 
+_SENTINELS = (TOMBSTONE, KEY_MIN, KEY_MAX)
+
+
+def _field_values() -> list:
+    """Values that are equal across types (``0 == 0.0 == False``), the
+    empties a default may be, the sentinels and every enum member."""
+    plain = [0, 1, -1, 2**40, 0.0, 1.0, True, False, None, "", "x", b"", (), (1,)]
+    members = [m for cls in _fast_types() if issubclass(cls, enum.Enum) for m in cls]
+    return plain + list(_SENTINELS) + members
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [cls for cls in _fast_types() if dataclasses.is_dataclass(cls)],
+    ids=lambda c: c.__name__,
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_field_round_trips_type_exact(cls, data):
+    """Elided or sent, every field comes back as the same type: a trailing
+    ``False`` where the default is ``0`` (equal, not the same) is sent."""
+    values = {
+        field.name: data.draw(st.sampled_from(_field_values()), label=field.name)
+        for field in dataclasses.fields(cls)
+    }
+    message = object.__new__(cls)  # any value in any field, valid or not
+    message.__dict__.update(values)
+    _, _, decoded = decode_fast_frame(
+        encode_fast_frame(rpc.PUSH, 1, message, _full_map())
+    )
+    assert type(decoded) is cls and decoded == message
+    for name, value in values.items():
+        got = getattr(decoded, name)
+        assert type(got) is type(value), name
+        if value in _SENTINELS or isinstance(value, enum.Enum):
+            assert got is value, name
+
+
+def test_a_defaults_only_result_is_shorter_by_its_elided_fields():
+    """The common write reply: an ``OperationReply`` carrying
+    ``OpResult.okay()``.  While every fast object sent all of its fields
+    the frame was 32 bytes; now the result is its id and a zero count,
+    so the frame is shorter by exactly what its six fields took on the
+    wire (a 6-byte status enum, two 1-byte ``None``s, two 2-byte empty
+    tuples, a 2-byte empty string)."""
+    reply = api.OperationReply(tc_id=1, op_id=4_000, result=OpResult.okay())
+    frame = rpc.pack_frame(rpc.REPLY, 9, reply, _full_map())
+    assert rpc.unpack_frame(frame) == (rpc.REPLY, 9, reply)
+
+    def sent(value) -> int:
+        out = bytearray()
+        wire._encode(out, value, _full_map())
+        return len(out)
+
+    fields = dataclasses.fields(OpResult)
+    elided = sum(sent(getattr(reply.result, field.name)) for field in fields)
+    assert elided == 6 + 1 + 1 + 2 + 2 + 2
+    assert len(frame) == 32 - elided
+    assert sent(reply.result) == 3  # tag, id, count 0
+
+
 def test_pack_frame_selects_form_by_negotiated_map():
     message = _big_batch()
     fast = rpc.pack_frame(rpc.PUSH, 3, message, _full_map())
@@ -158,7 +224,10 @@ def _three_op_round_trip(owed: bool) -> tuple:
 def test_prior_travels_only_when_asked():
     """``net.wire.frame_bytes_batch``: every update / delete reply used to
     carry the 100-byte before-image and nobody read it (≈ 689 B for this
-    round trip); now it is sent for owed records only."""
+    round trip); now it is sent for owed records only.  482 B while every
+    fast object sent all of its fields; 421 B since trailing fields equal
+    to their default stay off the wire (an ``OpResult.okay()`` is one
+    count byte, a ``PerformOperation`` stops at its ``eosl``)."""
 
     def size(owed: bool) -> int:
         request, reply = _three_op_round_trip(owed)
@@ -169,10 +238,12 @@ def test_prior_travels_only_when_asked():
         assert [rpc.unpack_frame(f)[2] for f in frames] == [request, reply]
         return sum(len(frame) for frame in frames)
 
-    assert size(owed=False) == 482
-    # The images themselves, twice (100 bytes + a 2-byte string header in
-    # place of a 1-byte None), no more.
-    assert size(owed=True) - size(owed=False) == 2 * 101
+    assert size(owed=False) == 421
+    # Per owed update, no more than: in the reply the image (100 bytes + a
+    # 2-byte string header) and the fields before it that an ``okay()``
+    # leaves off, the status (a 6-byte enum) and a ``None`` value; in the
+    # request ``want_prior`` and the three defaulted flags / LSN before it.
+    assert size(owed=True) - size(owed=False) == 2 * ((102 + 6 + 1) + (1 + 4))
 
 
 def test_scratch_buffer_reuse_yields_independent_frames():
@@ -217,12 +288,20 @@ def test_fuzz_garbage_extension_always_raises():
             decode_fast_frame(frame + junk)
 
 
+def crc_framed(body: bytes) -> bytes:
+    """A fast frame around hand-built ``kind | seq | payload`` bytes: the
+    CRC is right, so only the payload itself can be wrong."""
+    return struct.pack("<BI", FAST_MAGIC, zlib.crc32(body)) + body
+
+
 def test_unknown_fast_id_raises_typed_error():
     # A peer that negotiated an id we do not know (impossible through
     # negotiate(), but bugs and byte flips happen) must fail loudly.
-    frame = encode_fast_frame(rpc.PUSH, 1, api.ControlAck(tc_id=1), {api.ControlAck: 999})
-    with pytest.raises(UnknownTypeError):
-        decode_fast_frame(frame)
+    for tag in (wire._T_FOBJ, wire._T_FENUM):
+        for fid in (len(wire._FAST_NAMES) + 1, 0x80, 0xFF):
+            frame = crc_framed(bytes((rpc.PUSH, 1, tag, fid, 1, wire._T_INT, 2)))
+            with pytest.raises(UnknownTypeError):
+                decode_fast_frame(frame)
 
 
 def test_tagged_frames_still_unpack_alongside_fast():
@@ -256,14 +335,12 @@ def test_negotiation_is_exact_intersection():
 
 
 def test_peer_without_want_prior_negotiates_down_cleanly():
-    """A peer one version back advertises ``PerformOperation`` without the
-    ``want_prior`` field (and ``OpStatus`` without ``UNSTABLE``): those
-    two leave the fast map, everything else stays fast, and the envelope
+    """A peer whose ``PerformOperation`` lacks the ``want_prior`` field
+    (and whose ``OpStatus`` lacks ``UNSTABLE``) but is otherwise the same:
+    those two leave the fast map, everything else stays fast, and the envelope
     still round-trips — the drifted types nest tagged inside fast frames.
     What the old peer sends, tagged and one field short, decodes with the
     field defaulted."""
-    import zlib
-
     old_fields = [
         f.name for f in dataclasses.fields(api.PerformOperation) if f.name != "want_prior"
     ]
