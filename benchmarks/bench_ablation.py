@@ -155,35 +155,31 @@ def test_ablate_lwm_interval(benchmark, interval):
 
 
 @pytest.mark.benchmark(group="ablate-pipeline")
-@pytest.mark.parametrize("deferred", [False, True])
-def test_ablate_pipelined_vs_synchronous(benchmark, deferred):
-    """Pipelining batches the reply waits; under simulated WAN latency the
-    per-transaction simulated time difference is the point."""
+@pytest.mark.parametrize("batch_max_ops", [1, 64])
+def test_ablate_pipelined_vs_synchronous(benchmark, batch_max_ops):
+    """Envelope size: fifty envelopes of one against one of fifty; under
+    simulated WAN latency the per-transaction simulated time is the
+    point."""
     from repro.common.config import ChannelConfig
 
     def run():
         kernel = fresh_unbundled(
+            tc=TcConfig(batch_max_ops=batch_max_ops),
             channel=ChannelConfig(latency_ms=1.0),
         )
         with kernel.begin() as txn:
             for key in range(50):
-                txn.insert("t", key, key, deferred=deferred)
-            if deferred:
-                txn.sync()
+                txn.insert("t", key, key)
         return kernel
 
     kernel = benchmark.pedantic(run, rounds=1, iterations=1)
-    # Message count (and hence simulated transfer time) is identical; what
-    # pipelining removes is the per-operation reply *wait* — 50 inline
-    # waits collapse into one sync point.
     sim_ms = sum(c.sim_time_ms for c in kernel.tc.channels().values())
     series(
-        "ABLATE pipeline",
-        deferred=deferred,
+        "ABLATE envelope",
+        batch_max_ops=batch_max_ops,
         sim_transfer_ms=round(sim_ms, 1),
-        inline_reply_waits=0 if deferred else 50,
+        messages=kernel.metrics.get("channel.requests"),
         sync_points=kernel.metrics.get("tc.pipeline_syncs"),
-        deferred_ops=kernel.metrics.get("tc.deferred_mutations"),
     )
 
 

@@ -42,17 +42,24 @@ def message(lsn: int) -> PerformOperation:
     )
 
 
+def displaced(count: int, window: int, rng: random.Random) -> list[int]:
+    """LSNs 1..count, each moved up to ``window`` places earlier (seeded)."""
+    order = list(range(1, count + 1))
+    for position in range(len(order)):
+        jump = rng.randint(0, min(window, len(order) - 1 - position))
+        if jump:
+            order.insert(position, order.pop(position + jump))
+    return order
+
+
 @pytest.mark.benchmark(group="eooo-reorder")
 @pytest.mark.parametrize("window", [0, 4, 32])
 def test_eooo_apply_under_reordering(benchmark, window):
     def run():
         dc = fresh_dc()
-        channel = MessageChannel(
-            dc, ChannelConfig(reorder_window=window, seed=11), dc.metrics
-        )
-        for lsn in range(1, OPS + 1):
-            channel.post(message(lsn))
-        channel.pump()
+        channel = MessageChannel(dc, ChannelConfig(), dc.metrics)
+        for lsn in displaced(OPS, window, random.Random(11)):
+            channel.request(message(lsn))
         return dc
 
     dc = benchmark(run)

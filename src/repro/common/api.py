@@ -4,17 +4,18 @@ The paper presents the interface as methods of the DC invoked by the TC but
 explicitly allows any transport ("asynchronous messages ... in a cloud
 environment, signals and shared variables ... for a multi-core design").
 We model each call as a message dataclass so the same code runs over the
-direct in-process transport and over the reordering/lossy simulated network
+direct in-process transport and over the lossy simulated network
 (:mod:`repro.net.channel`).
 
 Messages TC -> DC:
 
 - :class:`PerformOperation` — a logical operation with its unique request
   id (the LSN for mutations); resends reuse the id.
-- :class:`BatchedPerform` — a transport envelope of several
+- :class:`BatchedPerform` — a transport envelope of one or more
   ``PerformOperation`` requests for the same DC, answered by one
-  :class:`BatchedReply`.  Purely an optimization: per-op ids, replies and
-  idempotence semantics are exactly those of the unbatched messages.
+  :class:`BatchedReply`; every forward mutation travels in one.  Per-op
+  ids, replies and idempotence semantics are exactly those of single
+  messages.
 - :class:`EndOfStableLog` — WAL across components: the DC may make stable
   any page whose operations are all at or below EOSL.
 - :class:`LowWaterMark` — the TC has replies for everything <= LWM, so the

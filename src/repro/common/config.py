@@ -98,29 +98,21 @@ class TcConfig:
     #: How long (simulated ms, also the real wait bound) a committing
     #: transaction lingers for group-commit company before forcing anyway.
     group_commit_deadline_ms: float = 1.0
-    #: Operation batching (fast path, off by default): accumulate mutations
-    #: per DC and ship them in one ``BatchedPerform`` envelope per round
-    #: trip instead of one message per operation.  The envelope is a
-    #: transport unit, not an atomicity unit — per-op request ids, replies
-    #: and idempotence/resend semantics are unchanged.
-    batch_ops: bool = False
-    #: Flush a transaction's accumulated envelope for a DC at this many
-    #: operations (commit and dependent reads flush earlier).
-    batch_max_ops: int = 8
-    #: TC-side undo-info cache (fast path, off by default): record values
-    #: learned from operation replies are kept under the covering lock so
-    #: the read-before-write undo-information round trip usually vanishes.
-    #: With ``batch_ops`` also on a miss costs no read either: the write's
-    #: own reply brings the before-image back (docs/architecture.md §9.2).
-    undo_cache: bool = False
-    #: Cap on cached undo-info entries (least-recently-used eviction).
+    #: Every mutation leaves in a ``BatchedPerform`` envelope, logged as it
+    #: is sent.  A transaction's envelope for a DC is flushed at this many
+    #: operations (commit, scans and dependent reads flush earlier); the
+    #: default 1 ships each write at its call, so a rejection still raises
+    #: from the call.  The envelope is a transport unit, not an atomicity
+    #: unit — request ids, replies and idempotence/resend semantics stay
+    #: per operation (docs/architecture.md §9.1).
+    batch_max_ops: int = 1
+    #: TC-side undo-info cache: committed values learned under a covering
+    #: lock, least recently used evicted past this many entries.  A miss
+    #: costs no read: the write's own reply brings the before-image back
+    #: (docs/architecture.md §9.2).  0 = no cache.
     undo_cache_size: int = 4096
     #: Send LWM/EOSL to DCs every this-many log appends.
     lwm_interval: int = 8
-    #: Base simulated backoff between resend attempts (doubles per retry).
-    resend_backoff_ms: float = 0.1
-    #: Ceiling for the exponential backoff.
-    resend_backoff_max_ms: float = 25.0
     #: Total simulated backoff one operation may accumulate before the TC
     #: gives up with ResendExhaustedError (the per-operation timeout budget).
     op_timeout_budget_ms: float = 5_000.0
@@ -128,11 +120,6 @@ class TcConfig:
     #: per-stripe mutexes instead of serializing on one global lock-table
     #: mutex.  1 reproduces the old single-mutex behavior exactly.
     lock_stripes: int = 16
-    #: Multi-DC batch flush (process transport): pre-send every DC's
-    #: envelope concurrently through the pipelined async channel path, so
-    #: one TC thread keeps N DC processes busy at once.  No effect on
-    #: transports that cannot pipeline (the in-process default).
-    pipeline_flush: bool = True
     #: Checkpoint-driven log truncation (Section 4.2 contract
     #: termination): after a checkpoint advances the redo scan start
     #: point, physically drop stable log records below it — capped at
@@ -181,12 +168,18 @@ class TcConfig:
             raise ConfigError("TcConfig.sharing_mode", self.sharing_mode, SHARING_MODES)
         if self.cc_policy not in CC_POLICIES:
             raise ConfigError("TcConfig.cc_policy", self.cc_policy, CC_POLICIES)
+        for name, floor in (
+            ("batch_max_ops", 1),
+            ("undo_cache_size", 0),
+            ("group_commit_size", 1),
+        ):
+            value = getattr(self, name)
+            if value < floor:
+                raise ConfigError(f"TcConfig.{name}", value, (f">= {floor}",))
 
     def retry_policy(self) -> "RetryPolicy":
         return RetryPolicy(
             max_attempts=self.max_resend_attempts,
-            base_backoff_ms=self.resend_backoff_ms,
-            max_backoff_ms=self.resend_backoff_max_ms,
             timeout_budget_ms=self.op_timeout_budget_ms,
         )
 
@@ -194,17 +187,16 @@ class TcConfig:
     def optimized(cls, **overrides) -> "TcConfig":
         """The FIG1 fast-path configuration (docs/architecture.md §9).
 
-        Operation batching, the undo-info cache and group commit all on;
-        every §4.2.1 interaction contract is preserved, only round trips
-        and log forces are coalesced.  The LWM broadcast interval is
-        relaxed because every envelope already piggybacks the current
-        EOSL — the broadcast only paces abLSN garbage collection, so a
-        lazier cadence trades a little DC-side memory for fewer control
-        messages, never correctness.
+        Envelopes of up to eight operations and group commit; every
+        §4.2.1 interaction contract is preserved, only round trips and log
+        forces are coalesced.  The LWM broadcast interval is relaxed
+        because every envelope already piggybacks the current EOSL — the
+        broadcast only paces abLSN garbage collection, so a lazier cadence
+        trades a little DC-side memory for fewer control messages, never
+        correctness.
         """
         settings = dict(
-            batch_ops=True,
-            undo_cache=True,
+            batch_max_ops=8,
             group_commit_size=8,
             lwm_interval=64,
         )
@@ -252,8 +244,6 @@ class ChannelConfig:
     loss_rate: float = 0.0
     #: Probability a delivered message is duplicated.
     duplicate_rate: float = 0.0
-    #: Max positions a message may be reordered past its successors.
-    reorder_window: int = 0
     #: Seed for the channel's private RNG (determinism).
     seed: int = 0
     #: ``"inproc"`` (default) or ``"process"`` — where DCs live.

@@ -100,7 +100,13 @@ class AbstractLsn:
         if lwm <= self._low_water:
             return
         self._low_water = lwm
-        self._included = {lsn for lsn in self._included if lsn > lwm}
+        # Pruned in place, from a snapshot taken in one C call: the DC's
+        # LWM walk holds no page latch, so an operation may include its
+        # LSN meanwhile — a rebuilt set would drop it, and iterating the
+        # live one raises "changed size during iteration".
+        included = self._included
+        if included:
+            included.difference_update([lsn for lsn in tuple(included) if lsn <= lwm])
 
     def merge(self, other: "AbstractLsn") -> "AbstractLsn":
         """Combine two abLSNs for a page consolidation (Section 5.2.2).

@@ -12,9 +12,10 @@ the generalized containment test, so resends and redo-time replays execute
 exactly once even under out-of-order delivery.
 
 Mutations sent by a TC that validated existence under its own locks always
-succeed.  A TC on its composed fast path skips that read-before-write and
-lets the DC's own duplicate / not-found verdict stand in for it; for an
-update or delete it then also asks for the overwritten value
+succeed.  A TC that does not know a key's value sends the write without
+reading first and lets the DC's own duplicate / not-found verdict stand
+in for the check; for an update or delete it then also asks for the
+overwritten value
 (``PerformOperation.want_prior``), which is what completes its logged undo
 information — a requirement for sound crash rollback.  The DC keeps every
 before-image it was asked for (:attr:`DataComponent._priors`) until the
@@ -405,7 +406,7 @@ class DataComponent:
 
         Each enclosed operation runs through the exact same
         :meth:`perform_operation` path (same abLSN idempotence test, same
-        per-op reply) as an unbatched request — the envelope only saves
+        per-op reply) as a single request — the envelope only saves
         wire trips.  An injected crash mid-envelope escapes as
         ``CrashedError``; the channel turns that into a lost message and
         the TC resends the whole envelope, which per-op idempotence

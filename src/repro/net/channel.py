@@ -1,17 +1,16 @@
 """The TC <-> DC transport (Section 4.2.1: "asynchronous messages ...").
 
 The paper treats the unbundled kernel as a distributed system: requests
-flow one way, replies the other, and the network may delay, reorder,
-duplicate or drop either.  :class:`MessageChannel` simulates exactly that
-against a local :class:`~repro.dc.data_component.DataComponent`:
-
-- **synchronous fast path** — with a perfectly-behaved channel, requests
-  are delivered inline (the "signals and shared variables ... multi-core
-  design" deployment);
-- **queued mode** — requests accumulate and :meth:`pump` delivers them with
-  seeded reordering / loss / duplication, which is what exercises the
-  abLSN out-of-order machinery (Section 5.1) and the resend/idempotence
-  contracts end to end.
+flow one way, replies the other, and the network may delay, duplicate or
+drop either.  :class:`MessageChannel` simulates that against a local
+:class:`~repro.dc.data_component.DataComponent`: requests are delivered
+inline (the "signals and shared variables ... multi-core design"
+deployment), with seeded loss and duplication exercising the
+resend/idempotence contracts end to end.  Out-of-order arrival — what the
+abLSN machinery of Section 5.1 absorbs — comes from concurrent senders: a
+transaction's envelope is logged before its ``channel.send`` yield, so
+under the deterministic scheduler another task's higher LSN can reach the
+DC first.
 
 A per-message latency cost is accumulated into simulated-time metrics so
 cloud experiments can charge round trips without real sleeping.
@@ -62,7 +61,6 @@ class MessageChannel:
             # No tracing: requests dispatch straight to the untraced body.
             self.request = self._request
         self._rng = random.Random(self.config.seed)
-        self._outbox: list[Message] = []
         self.sim_time_ms = 0.0
         #: Per-channel counters (cloud experiments diff these to count how
         #: many machines a workload touched with actual data operations).
@@ -78,15 +76,8 @@ class MessageChannel:
 
     @property
     def well_behaved(self) -> bool:
-        """True when the channel neither loses, duplicates nor reorders."""
-        cfg = self.config
-        return (
-            cfg.loss_rate == 0.0
-            and cfg.duplicate_rate == 0.0
-            and cfg.reorder_window == 0
-        )
-
-    # -- synchronous path ---------------------------------------------------
+        """True when the channel neither loses nor duplicates."""
+        return self.config.loss_rate == 0.0 and self.config.duplicate_rate == 0.0
 
     def request(self, message: Message) -> Optional[Message]:
         """Deliver one message now; returns the reply (or None).
@@ -164,56 +155,6 @@ class MessageChannel:
                 YieldPoint.CHANNEL_RECV, self.dc.name, kind=type(reply).__name__
             )
         return reply
-
-    # -- queued (reordering) path ----------------------------------------------
-
-    def post(self, message: Message) -> None:
-        """Queue a request for a later :meth:`pump`."""
-        self.metrics.incr("channel.posted")
-        self._outbox.append(message)
-
-    def pending(self) -> int:
-        return len(self._outbox)
-
-    def pump(self) -> list[Message]:
-        """Deliver all queued requests, possibly reordered, return replies.
-
-        Reordering: each message may be displaced up to ``reorder_window``
-        positions (seeded, deterministic).  Within-flight reordering of
-        *non-conflicting* operations is exactly what the TC permits and the
-        DC's abLSNs must absorb (Section 5.1).
-        """
-        batch = self._outbox
-        self._outbox = []
-        order = self._reorder(list(range(len(batch))))
-        replies: list[Message] = []
-        for index in order:
-            reply = self.request(batch[index])
-            if reply is None:
-                continue
-            replies.append(reply)
-            if self._duplicate():
-                # The reply leg misbehaves independently of the request leg:
-                # a duplicated reply arrives twice (its own trip on the wire)
-                # and the TC's reply handling must absorb it.
-                self.metrics.incr("channel.replies_duplicated")
-                self._charge_latency()
-                replies.append(reply)
-        if order != sorted(order):
-            self.metrics.incr("channel.batches_reordered")
-        return replies
-
-    def _reorder(self, indexes: list[int]) -> list[int]:
-        window = self.config.reorder_window
-        if window <= 0 or len(indexes) < 2:
-            return indexes
-        result = list(indexes)
-        for position in range(len(result)):
-            jump = self._rng.randint(0, min(window, len(result) - 1 - position))
-            if jump:
-                item = result.pop(position + jump)
-                result.insert(position, item)
-        return result
 
     # -- misbehavior ------------------------------------------------------------------
 

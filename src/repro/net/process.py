@@ -16,14 +16,14 @@ Bottom up:
   system is oblivious to where the DC lives.  One proxy multiplexes any
   number of TCs over a single connection.
 - :class:`ProcessChannel` — the :class:`~repro.net.channel.MessageChannel`
-  request/post/pump surface over that proxy, plus the **pipelined async**
+  request surface over that proxy, plus the **pipelined async**
   path (:meth:`request_async` / :meth:`finish_async`): requests carry
   transport sequence numbers and replies fill their slots as whichever
   caller is waiting reads them — out of order is fine, because §4.2.1's
   unique request ids and DC-side idempotence were designed for exactly
   that delivery model.
 
-The simulated-misbehavior knobs (loss/duplication/reordering, fault
+The simulated-misbehavior knobs (loss/duplication, fault
 injection) are **local-only**: this transport is a real pipe that
 delivers reliably and in order, and the §4.2.1 resend machinery instead
 gets exercised by killing the *process* (see docs/architecture.md §10).
@@ -1014,12 +1014,12 @@ class DcClient(RemoteDc):
 class ProcessChannel(MessageChannel):
     """The MessageChannel surface over a :class:`RemoteDc`, plus pipelining.
 
-    ``request`` is synchronous (send, await the reply).  ``post``/``pump``
-    and :meth:`request_async`/:meth:`finish_async` expose the pipelined
-    path: many requests in flight at once, reply slots filled out of
-    order by whichever caller is reading the connection.  The §4.2.1
-    contracts make that safe — every request carries its unique id, replies correlate by id,
-    and resends are absorbed by DC-side idempotence.
+    ``request`` is synchronous (send, await the reply).
+    :meth:`request_async`/:meth:`finish_async` expose the pipelined path:
+    many requests in flight at once, reply slots filled out of order by
+    whichever caller is reading the connection.  The §4.2.1 contracts make
+    that safe — every request carries its unique id, replies correlate by
+    id, and resends are absorbed by DC-side idempotence.
     """
 
     supports_async = True
@@ -1034,12 +1034,7 @@ class ProcessChannel(MessageChannel):
         tracer=None,
     ) -> None:
         config = config or ChannelConfig()
-        if (
-            config.loss_rate
-            or config.duplicate_rate
-            or config.reorder_window
-            or faults is not None
-        ):
+        if config.loss_rate or config.duplicate_rate or faults is not None:
             raise ReproError(
                 "simulated misbehavior and fault injection are local-only; "
                 "the process transport delivers reliably — kill the DC "
@@ -1047,7 +1042,6 @@ class ProcessChannel(MessageChannel):
             )
         super().__init__(dc, config, metrics, name=name, tracer=tracer)
         self._timeout_s = config.request_timeout_s
-        self._in_flight: list[_Slot] = []
 
     # -- synchronous --------------------------------------------------------
 
@@ -1073,7 +1067,7 @@ class ProcessChannel(MessageChannel):
         ``defer=True`` coalesces: the frame is buffered transport-side and
         written (with the rest of the run, as one vectored write) at the
         next :meth:`flush` / non-deferred send — never silently dropped,
-        because :meth:`finish_async` and :meth:`pump` flush first."""
+        because :meth:`finish_async` flushes first."""
         self._note_request(message)
         self._charge_latency()
         return self.dc.submit(message, defer=defer)
@@ -1086,20 +1080,3 @@ class ProcessChannel(MessageChannel):
     def flush(self) -> None:
         """Push deferred frames to the wire without awaiting replies."""
         self.dc.flush()
-
-    def post(self, message: Message) -> None:
-        self.metrics.incr("channel.posted")
-        self._in_flight.append(self.request_async(message, defer=True))
-
-    def pending(self) -> int:
-        return len(self._in_flight)
-
-    def pump(self) -> list[Message]:
-        self.dc.flush()
-        slots, self._in_flight = self._in_flight, []
-        replies: list[Message] = []
-        for slot in slots:
-            reply = self.finish_async(slot)
-            if reply is not None:
-                replies.append(reply)
-        return replies

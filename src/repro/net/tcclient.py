@@ -192,14 +192,12 @@ class RemoteTransaction:
             key=key,
             value=value,
             delta=delta,
-            deferred=deferred,
         )
         if deferred:
             # Client-side pipelining: buffer the frame (coalesced into one
             # write with its neighbors) and keep going; the ack is
-            # collected at the next drain point.  The server applies
-            # its own deferred/batched path to the op, so both hops of
-            # the §4.2.1 round trip shrink.
+            # collected at the next drain point.  The server queues the op
+            # in its envelope like any other write.
             self._pending.append(self._tc.submit(message, defer=True))
             if len(self._pending) >= self._MAX_PENDING:
                 self._drain()

@@ -150,11 +150,7 @@ class TxnBeginReply(Message):
 
 @dataclass(frozen=True)
 class TxnWrite(Message):
-    """One mutation: ``verb`` is insert/update/delete/increment.
-
-    ``deferred`` requests the pipelined (batched) path, exactly like the
-    in-process ``Transaction`` methods' keyword.
-    """
+    """One mutation: ``verb`` is insert/update/delete/increment."""
 
     txn_id: int = 0
     verb: str = ""
@@ -162,7 +158,6 @@ class TxnWrite(Message):
     key: object = None
     value: object = None
     delta: object = 0
-    deferred: bool = False
 
 
 @dataclass(frozen=True)
@@ -207,7 +202,7 @@ class TxnScanReply(Message):
 
 @dataclass(frozen=True)
 class TxnSync(Message):
-    """Flush the transaction's deferred (batched) mutations now."""
+    """Flush the transaction's pending envelopes now."""
 
     txn_id: int = 0
 

@@ -459,9 +459,7 @@ class _TcServer(Server):
             raise ReproError(f"unknown write verb {verb!r}")
         try:
             # The verb is the Transaction method's name.
-            getattr(txn, verb)(
-                message.table, message.key, *operand, deferred=message.deferred
-            )
+            getattr(txn, verb)(message.table, message.key, *operand)
         finally:
             self._reap(txn)
         return TxnAck(tc_id=message.tc_id, txn_id=txn.txn_id)

@@ -391,15 +391,18 @@ class ChaosRunner:
         key = rng.randrange(self.keyspace)
         pre = self._pending_value(effects, table, key)
         value = f"s{self.seed}.t{txn_no}.o{op_no}"
-        deferred = rng.random() < self.deferred_rate
+        # Client-side pipelining belongs to a TC process's handle; the draw
+        # is taken either way, so one seed is one operation stream.
+        pipelined = rng.random() < self.deferred_rate and self._tc_process_mode
+        write = {"deferred": True} if pipelined else {}
         if pre is None:
-            txn.insert(table, key, value, deferred=deferred)
+            txn.insert(table, key, value, **write)
             effects.record(table, key, pre, value)
         elif rng.random() < 0.25:
-            txn.delete(table, key, deferred=deferred)
+            txn.delete(table, key, **write)
             effects.record(table, key, pre, None)
         else:
-            txn.update(table, key, value, deferred=deferred)
+            txn.update(table, key, value, **write)
             effects.record(table, key, pre, value)
 
     def _pending_value(

@@ -76,12 +76,12 @@ class ExploreConfig:
     skip_validation: bool = False
     #: Negative control for mvcc: read newest bytes, not the snapshot.
     mvcc_read_newest: bool = False
-    #: Run under ``TcConfig.optimized(undo_cache_size=2)`` instead of the
-    #: unbatched default: operations queue and are logged when their
-    #: envelope is flushed, and with two cache slots over the keyspace
-    #: most writes log their undo image *owed* and fill it from the reply
-    #: — the hold-back, the fill and a committer's wait behind another
-    #: task's owed record all become schedulable.
+    #: Run under ``TcConfig.optimized(undo_cache_size=2)`` — operations
+    #: queue and are logged when their envelope is flushed, and a
+    #: committer's wait behind another task's owed record becomes
+    #: schedulable — instead of the FIG1 baseline
+    #: ``TcConfig(undo_cache_size=0)``, where every write is an envelope of
+    #: one and every update / delete logs its undo image *owed*.
     optimized: bool = False
     max_steps: int = 2000
     table: str = "t"
@@ -151,7 +151,7 @@ def run_schedule(
     if config.optimized:
         tc_config = TcConfig.optimized(undo_cache_size=2, **tc_settings)
     else:
-        tc_config = TcConfig(**tc_settings)
+        tc_config = TcConfig(undo_cache_size=0, **tc_settings)
     injector = None
     if fault_rules is not None:
         from repro.sim.faults import FaultInjector

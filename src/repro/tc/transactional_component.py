@@ -14,11 +14,12 @@ The TC is the client of one or more DCs.  It provides:
    append are atomic), with undo information complete before a record can
    become *stable*.  The TC learns prior values *under its own locks* —
    the unbundled substitute for learning them inside the page.  What it
-   does not already know it either reads before writing (an honest cost
-   of unbundling: extra reads, counted) or, on the composed fast path,
-   lets the write's own reply bring back: the record is logged with its
-   image *owed* and held back from the stable log until the reply fills
-   it in (docs/architecture.md §9.2).
+   does not already know the write's own reply brings back: every
+   mutation leaves in a ``BatchedPerform`` envelope, logged as it is
+   sent, and a record whose image is *owed* is held back from the stable
+   log until the reply fills it in (docs/architecture.md §9).  Only a
+   policy that serves the image to readers at write time (MVCC), or a TC
+   with a rollback parked behind a DC outage, reads before writing.
 4. **Log forcing** for durability, EOSL/LWM propagation for the causality
    and low-water contracts, resend with unique request ids for
    exactly-once execution, checkpointing, and restart.
@@ -174,9 +175,9 @@ class Transaction:
         #: nothing.  Not ``bool(op_records)``: a rejected operation leaves
         #: the undo chain but its record and cancel marker stay logged.
         #: Set where a transaction's first record is appended
-        #: (``_run_mutation``, or ``_log_envelope`` when operations are
-        #: batched) — cancel markers, compensation and version-cleanup
-        #: records only ever follow an ``OpRecord`` of the same id.
+        #: (``_log_envelope``) — cancel markers, compensation and
+        #: version-cleanup records only ever follow an ``OpRecord`` of the
+        #: same id.
         self.logged = False
         #: Values known under our locks: (table, key) -> value | ABSENT.
         self.known: dict[tuple[str, Key], object] = {}
@@ -186,92 +187,79 @@ class Transaction:
         self.table_locks: dict[str, object] = {}
         #: Keys touched in versioned tables, per table (cleanup targets).
         self.versioned_keys: dict[str, set[Key]] = {}
-        #: Mutations not yet acknowledged: (table, key) -> the op record
-        #: awaiting its reply.  With operation batching this *is* the
-        #: pending envelope, and holds a :class:`QueuedOp` (``lsn`` still
-        #: ``NULL_LSN``) until the envelope is flushed.
+        #: The pending envelopes: mutations not yet acknowledged, (table,
+        #: key) -> a :class:`QueuedOp` until its envelope is flushed, then
+        #: the logged :class:`OpRecord` awaiting its reply.  A record left
+        #: here by a failed send may or may not have executed; rollback
+        #: resends it with its LSN (repeating history) before inverting.
         self.in_flight: dict[tuple[str, Key], OpRecord | QueuedOp] = {}
         #: Rollback progress, set once an abort starts (see
         #: ``TransactionalComponent.rollback_operations``): the records
         #: whose inverses are not yet stably applied, newest first.  A
         #: retry after a DC outage resumes exactly here.
         self.undo_pending: Optional[list] = None
-        #: LSNs of logged operations whose only delivery attempt failed
-        #: with the DC unreachable — the DC may or may not have executed
-        #: them.  Rollback must repeat history (resend with the original
-        #: LSN) before inverting such a record; see
-        #: ``TransactionalComponent.rollback_operations``.
-        self.unconfirmed: set[Lsn] = set()
         #: Concurrency-control bookkeeping (tc/cc.py): read/scan sets and
         #: write slots of the validating policies.  None under 2PL.
         self.cc_state = None
 
     # -- operations ---------------------------------------------------------
 
-    def insert(
-        self, table: str, key: Key, value: Value, deferred: bool = False
-    ) -> None:
-        """Insert; with ``deferred=True`` the operation is posted to the
-        channel without waiting for its reply (pipelining).  Non-
-        conflicting deferred operations may be executed by the DC in any
-        order — the abLSN machinery (Section 5.1) absorbs it.  Call
-        :meth:`sync` (or commit/abort, which sync implicitly) to collect
-        acknowledgements."""
+    def insert(self, table: str, key: Key, value: Value) -> None:
+        """Insert.  Like every write it joins the transaction's envelope
+        for its DC, which leaves at ``TcConfig.batch_max_ops`` operations
+        (at once, by default), at :meth:`sync`, a scan, a dependent read
+        or commit/abort."""
         tracer = self._tc.tracer
         if not tracer.enabled:
-            return self._tc.do_insert(self, table, key, value, deferred=deferred)
+            return self._tc.do_insert(self, table, key, value)
         try:
             with tracer.activate(self.span), tracer.span(
                 "tc.insert", component=self._tc.name, table=table
             ):
-                self._tc.do_insert(self, table, key, value, deferred=deferred)
+                self._tc.do_insert(self, table, key, value)
         finally:
             self._close_span_if_done()
 
-    def update(
-        self, table: str, key: Key, value: Value, deferred: bool = False
-    ) -> None:
+    def update(self, table: str, key: Key, value: Value) -> None:
         tracer = self._tc.tracer
         if not tracer.enabled:
-            return self._tc.do_update(self, table, key, value, deferred=deferred)
+            return self._tc.do_update(self, table, key, value)
         try:
             with tracer.activate(self.span), tracer.span(
                 "tc.update", component=self._tc.name, table=table
             ):
-                self._tc.do_update(self, table, key, value, deferred=deferred)
+                self._tc.do_update(self, table, key, value)
         finally:
             self._close_span_if_done()
 
-    def delete(self, table: str, key: Key, deferred: bool = False) -> None:
+    def delete(self, table: str, key: Key) -> None:
         tracer = self._tc.tracer
         if not tracer.enabled:
-            return self._tc.do_delete(self, table, key, deferred=deferred)
+            return self._tc.do_delete(self, table, key)
         try:
             with tracer.activate(self.span), tracer.span(
                 "tc.delete", component=self._tc.name, table=table
             ):
-                self._tc.do_delete(self, table, key, deferred=deferred)
+                self._tc.do_delete(self, table, key)
         finally:
             self._close_span_if_done()
 
-    def increment(
-        self, table: str, key: Key, delta: float, deferred: bool = False
-    ) -> None:
+    def increment(self, table: str, key: Key, delta: float) -> None:
         """Add ``delta`` to a numeric record (logical undo: the negated
         delta — no prior value enters the log)."""
         tracer = self._tc.tracer
         if not tracer.enabled:
-            return self._tc.do_increment(self, table, key, delta, deferred=deferred)
+            return self._tc.do_increment(self, table, key, delta)
         try:
             with tracer.activate(self.span), tracer.span(
                 "tc.increment", component=self._tc.name, table=table
             ):
-                self._tc.do_increment(self, table, key, delta, deferred=deferred)
+                self._tc.do_increment(self, table, key, delta)
         finally:
             self._close_span_if_done()
 
     def sync(self) -> None:
-        """Deliver all pipelined operations and collect their replies."""
+        """Flush the pending envelopes and collect their replies."""
         tracer = self._tc.tracer
         if not tracer.enabled:
             return self._tc.sync_pipeline(self)
@@ -496,22 +484,13 @@ class TransactionalComponent:
             self.config.group_commit_deadline_ms,
             self.metrics,
         )
-        if self.config.batch_max_ops < 1:
-            raise ValueError(
-                f"batch_max_ops must be >= 1, got {self.config.batch_max_ops}"
-            )
-        if self.config.undo_cache_size < 1:
-            raise ValueError(
-                f"undo_cache_size must be >= 1, got {self.config.undo_cache_size}"
-            )
-        self._batch_ops = self.config.batch_ops
         #: Undo-info cache (docs/architecture.md §9.2): committed values
-        #: this TC has learned, (table, key) -> value | ABSENT.  None when
-        #: the fast path is off.  Sound because this TC is the sole writer
+        #: this TC has learned, (table, key) -> value | ABSENT.  None at
+        #: ``undo_cache_size=0``.  Sound because this TC is the sole writer
         #: of the keys it caches; every event that could falsify an entry
         #: (own write aborted/ambiguous, DC reset, TC crash) invalidates.
         self._undo_cache: Optional[OrderedDict] = (
-            OrderedDict() if self.config.undo_cache else None
+            OrderedDict() if self.config.undo_cache_size else None
         )
         #: Insert fast path (docs/architecture.md §9.2): per-table upper
         #: bound on every key currently in the table.  ``_table_high`` is
@@ -533,7 +512,6 @@ class TransactionalComponent:
         self._cache_hits_slot = self.metrics.counter("tc.undo_cache_hits")
         self._cache_misses_slot = self.metrics.counter("tc.undo_cache_misses")
         self._mutations_slot = self.metrics.counter("tc.mutations")
-        self._deferred_slot = self.metrics.counter("tc.deferred_mutations")
         self._begins_slot = self.metrics.counter("tc.begins")
         self._commits_slot = self.metrics.counter("tc.commits")
         self._syncs_slot = self.metrics.counter("tc.pipeline_syncs")
@@ -708,7 +686,7 @@ class TransactionalComponent:
     def abort(self, txn: Transaction) -> None:
         """Roll back: inverse operations in reverse chronological order.
 
-        Tolerates a DC outage at any point: unacknowledged pipelined
+        Tolerates a DC outage at any point: unacknowledged envelope
         operations and un-applied inverses stay recorded on the
         transaction, locks are released so the rest of the system makes
         progress, and the rollback resumes (from the exact compensation
@@ -753,32 +731,36 @@ class TransactionalComponent:
         self.metrics.incr("tc.aborts")
 
     def _drive_rollback(self, txn: Transaction) -> None:
-        """Sync outstanding pipelined ops, then apply (remaining) inverses."""
+        """Repeat history, then apply (remaining) inverses.
+
+        A logged operation still in flight may or may not have executed,
+        yet restart redo would execute it (it is in the log): it is resent
+        with its LSN first, so the inverse below is always valid."""
         while txn.in_flight:
             try:
                 self.sync_pipeline(txn)
             except (CrashedError, ResendExhaustedError):
                 raise
             except ReproError:
-                # A deferred op was semantically rejected: it never executed
-                # and sync already pruned it from the undo chain (and from
-                # the pipeline: what another DC's envelope still holds goes
-                # out on the next turn — history is repeated, then undone).
-                pass
+                # An op was semantically rejected: it never executed and
+                # sync already pruned it from the undo chain behind a cancel
+                # marker (and from the envelopes: what another DC's envelope
+                # still holds goes out on the next turn).  The marker is
+                # forced at once: a parked rollback runs after its locks
+                # went, so a replay of the record into a changed state
+                # could succeed.
+                self.force_log()
         if txn.undo_pending is None:
             txn.undo_pending = [
                 record for record in reversed(txn.op_records) if record.undo is not None
             ]
-        self.rollback_operations(
-            txn.txn_id, txn.undo_pending, txn.versioned_keys, txn.unconfirmed
-        )
+        self.rollback_operations(txn.txn_id, txn.undo_pending, txn.versioned_keys)
 
     def rollback_operations(
         self,
         txn_id: int,
         to_undo: list,
         versioned_keys: dict[str, set[Key]],
-        unconfirmed: Optional[set[Lsn]] = None,
     ) -> None:
         """Shared by runtime abort and restart undo.  ``to_undo`` holds the
         forward records whose inverses must still be applied, newest first;
@@ -798,34 +780,6 @@ class TransactionalComponent:
                 clr = head
                 resend = True
             else:
-                if unconfirmed and head.lsn in unconfirmed:
-                    # The forward operation's only delivery attempt failed
-                    # mid-flight, so whether the DC executed it is unknown —
-                    # yet a TC restart's redo WOULD execute it (it is in the
-                    # log).  Repeat history first: a resend with the
-                    # original LSN either executes it now or is absorbed by
-                    # the DC's idempotence test, after which the inverse
-                    # below is always valid.
-                    forward = self._perform(
-                        head.dc_name, head.op, head.lsn, resend=True
-                    )
-                    self._complete_op(head.lsn)
-                    unconfirmed.discard(head.lsn)
-                    try:
-                        self._expect_ok(forward, head.op)
-                    except (CrashedError, ResendExhaustedError):
-                        raise
-                    except ReproError:
-                        # Definitively rejected: it never executed, so there
-                        # is nothing to invert — but its record is in the
-                        # log, so restart redo must be told to skip it.
-                        # Forced immediately: rollback may be running after
-                        # the locks were released, so a replay of this
-                        # record into a changed state could succeed.
-                        self._cancel_record(txn_id, head)
-                        self.force_log()
-                        to_undo.pop(0)
-                        continue
                 undo_next = to_undo[1].lsn if len(to_undo) > 1 else NULL_LSN
                 assert head.undo is not None
                 clr = self.log.append(
@@ -881,14 +835,7 @@ class TransactionalComponent:
 
     # -- operations ------------------------------------------------------------------------
 
-    def do_insert(
-        self,
-        txn: Transaction,
-        table: str,
-        key: Key,
-        value: Value,
-        deferred: bool = False,
-    ) -> None:
+    def do_insert(self, txn: Transaction, table: str, key: Key, value: Value) -> None:
         if self._crashed:
             self._check_up()
         if txn.state is not TransactionState.ACTIVE:
@@ -921,19 +868,12 @@ class TransactionalComponent:
             raise
         op = InsertOp(table=table, key=key, value=value, versioned=route.versioned)
         undo = None if route.versioned else DeleteOp(table=table, key=key)
-        self._run_mutation(txn, route, op, undo, deferred=deferred)
+        self._run_mutation(txn, route, op, undo)
         txn.known[(table, key)] = value
         if route.versioned:
             txn.versioned_keys.setdefault(table, set()).add(key)
 
-    def do_update(
-        self,
-        txn: Transaction,
-        table: str,
-        key: Key,
-        value: Value,
-        deferred: bool = False,
-    ) -> None:
+    def do_update(self, txn: Transaction, table: str, key: Key, value: Value) -> None:
         if self._crashed:
             self._check_up()
         if txn.state is not TransactionState.ACTIVE:
@@ -961,14 +901,12 @@ class TransactionalComponent:
             if route.versioned or owed
             else UpdateOp(table=table, key=key, value=prior)
         )
-        self._run_mutation(txn, route, op, undo, deferred=deferred, owed=owed)
+        self._run_mutation(txn, route, op, undo, owed=owed)
         txn.known[(table, key)] = value
         if route.versioned:
             txn.versioned_keys.setdefault(table, set()).add(key)
 
-    def do_delete(
-        self, txn: Transaction, table: str, key: Key, deferred: bool = False
-    ) -> None:
+    def do_delete(self, txn: Transaction, table: str, key: Key) -> None:
         if self._crashed:
             self._check_up()
         if txn.state is not TransactionState.ACTIVE:
@@ -996,19 +934,12 @@ class TransactionalComponent:
             if route.versioned or owed
             else InsertOp(table=table, key=key, value=prior)
         )
-        self._run_mutation(txn, route, op, undo, deferred=deferred, owed=owed)
+        self._run_mutation(txn, route, op, undo, owed=owed)
         txn.known[(table, key)] = ABSENT
         if route.versioned:
             txn.versioned_keys.setdefault(table, set()).add(key)
 
-    def do_increment(
-        self,
-        txn: Transaction,
-        table: str,
-        key: Key,
-        delta: float,
-        deferred: bool = False,
-    ) -> None:
+    def do_increment(self, txn: Transaction, table: str, key: Key, delta: float) -> None:
         if self._crashed:
             self._check_up()
         if txn.state is not TransactionState.ACTIVE:
@@ -1042,7 +973,7 @@ class TransactionalComponent:
         undo = None if route.versioned else IncrementOp(
             table=table, key=key, delta=-delta
         )
-        self._run_mutation(txn, route, op, undo, deferred=deferred)
+        self._run_mutation(txn, route, op, undo)
         if prior is not OWED:
             txn.known[(table, key)] = prior + delta
         if route.versioned:
@@ -1076,7 +1007,7 @@ class TransactionalComponent:
             self._check_up()
         if txn.state is not TransactionState.ACTIVE:
             txn._check_active()
-        if self._batch_ops and txn.in_flight:
+        if txn.in_flight:
             # A scan reads through the DC; accumulated (unsent) writes of
             # this very transaction must be visible to it — flush first.
             self.sync_pipeline(txn)
@@ -1225,9 +1156,9 @@ class TransactionalComponent:
     def table_high(self, table: str) -> Optional[Key]:
         """Upper bound on every key in ``table``, or None when unknown.
 
-        Only available on the fast-path family (undo cache on) with this
-        TC as sole writer; the gap-lock protocol uses it to prove "no
-        successor exists" for fresh-key inserts without a probe round trip.
+        Only available with the undo cache on and this TC as sole writer;
+        the gap-lock protocol uses it to prove "no successor exists" for
+        fresh-key inserts without a probe round trip.
         """
         if self._undo_cache is None or self.ownership_guard is not None:
             return None
@@ -1310,57 +1241,49 @@ class TransactionalComponent:
     ) -> object:
         """The value a write is about to replace, as far as the TC knows —
         ``unknown`` (``ABSENT`` for an insert, ``OWED`` otherwise) when it
-        does not, on the composed fast path.
+        does not.
 
-        The read-before-write serves two ends: the existence check, and
-        the before-image logical undo needs.  With batching on, the DC's
-        own verdict at flush time covers the first without the round trip
-        — a per-op semantic rejection surfaces as the same
-        :class:`DuplicateKeyError` / :class:`NoSuchRecordError`, later.
-        The second an insert never had (a successful insert was inserted
-        into absence; its inverse is a bare delete), an increment never
-        had (its inverse is the negated delta), and an update or delete
-        gets from its own reply: the record is logged ``owed`` and the
-        reply's ``prior`` fills it.  Anything the TC actually knows
-        (transaction- or cache-local) still answers first, keeping the
-        error synchronous whenever knowledge is at hand.
+        No read is spent on either thing a prior is for.  The existence
+        check is the DC's own verdict when the envelope arrives — a per-op
+        rejection surfaces as the same :class:`DuplicateKeyError` /
+        :class:`NoSuchRecordError`, from the call itself on the default
+        envelope of one.  The before-image an insert never needs (its
+        inverse is a bare delete), an increment never needs (its inverse is
+        the negated delta), and an update or delete gets from its own
+        reply: the record is logged ``owed`` and the reply's ``prior``
+        fills it.  Anything the TC actually knows (transaction- or
+        cache-local) still answers first.
 
         A policy that serves readers from the before-image at write time
-        (``ConcurrencyControl.needs_write_prior``) keeps the read, as
-        does a TC with batching or the undo cache off — and so does any
-        TC while a rollback is parked behind a DC outage: that
+        (``ConcurrencyControl.needs_write_prior``) reads first — and so
+        does any TC while a rollback is parked behind a DC outage: that
         transaction's locks are gone but its keys are not settled, and
         what kept a new writer of such a key from logging ahead of the
         parked compensation was always the read's own round trip (it
         fails while the DC is down and stalls until the heal's redo
         window has re-driven the rollback).
         """
-        if (
-            self._batch_ops
-            and self._undo_cache is not None
-            and not self.cc.needs_write_prior
-            and not self._zombie_rollbacks
-        ):
-            known = txn.known.get((table, key))
-            if known is not None:
-                return known
+        if self.cc.needs_write_prior or self._zombie_rollbacks:
+            return self._known_value(txn, table, key)
+        known = txn.known.get((table, key))
+        if known is not None:
+            return known
+        if self._undo_cache is not None:
             hit = self._cache_lookup((table, key))
             if hit is not None:
                 txn.known[(table, key)] = hit
                 return hit
             if unknown is OWED:
-                # A miss the cache could have saved a message on (an
+                # A miss the cache could have saved an owed image on (an
                 # insert's guess never had an image to miss).
                 self._cache_misses_slot.value += 1
-            return unknown
-        return self._known_value(txn, table, key)
+        return unknown
 
     def _known_value(self, txn: Transaction, table: str, key: Key) -> object:
         """Value under our lock, reading through to the DC once if unknown.
 
-        This read-before-write is how the unbundled TC obtains complete
-        undo information at log-append time (see module docstring).  With
-        :attr:`TcConfig.undo_cache` on, values this TC learned in earlier
+        The 2PL read path, and a write whose prior must be known before it
+        is sent (:meth:`_write_prior`).  Values this TC learned in earlier
         transactions are served from the undo-info cache instead — the
         caller already holds the covering lock, and this TC is the sole
         writer of its keys, so a cached committed value is current.
@@ -1486,144 +1409,55 @@ class TransactionalComponent:
         route: _TableRoute,
         op: LogicalOperation,
         undo: Optional[LogicalOperation],
-        deferred: bool = False,
         owed: bool = False,
     ) -> None:
-        if self._batch_ops:
-            # Fast path: queue; the envelope is logged and sent at sync
-            # time (commit, a conflicting operation, a scan) or when the
-            # transaction's accumulation reaches batch_max_ops.  Nothing
-            # is in the log or on the wire yet — `in_flight` IS the
-            # pending envelope.  OPSR holds although the record is
-            # appended later: the lock was taken now.
-            txn.in_flight[(op.table, getattr(op, "key", None))] = QueuedOp(  # type: ignore[index]
-                route.dc_name, op, undo, owed
-            )
-            self._deferred_slot.value += 1
-            self._mutations_slot.value += 1
-            if len(txn.in_flight) >= self.config.batch_max_ops:
-                self.sync_pipeline(txn)
-            return
-        txn.logged = True
-        record = self.log.append(
-            lambda lsn: OpRecord(
-                lsn=lsn, txn_id=txn.txn_id, op=op, undo=undo, dc_name=route.dc_name
-            ),
-            track_for_lwm=True,
+        """Queue a validated, locked mutation in the transaction's envelope
+        for its DC.  Nothing is in the log or on the wire yet: the envelope
+        is logged and sent when it reaches ``batch_max_ops`` (at once, by
+        default) or at the next flush point (commit, a conflicting
+        operation, a scan, :meth:`Transaction.sync`).  OPSR holds although
+        the record is appended later: the lock was taken now."""
+        txn.in_flight[(op.table, getattr(op, "key", None))] = QueuedOp(  # type: ignore[index]
+            route.dc_name, op, undo, owed
         )
-        if deferred:
-            txn.op_records.append(record)  # type: ignore[arg-type]
-            # Pipelining: post without waiting.  The TC validated the
-            # operation under its locks, so the (eventual) result is known
-            # to be OK; the reply is collected at the next sync.
-            channel = self._channels[route.dc_name]
-            channel.post(
-                PerformOperation(
-                    tc_id=self.tc_id,
-                    op_id=record.lsn,
-                    op=op,
-                    eosl=self.log.eosl,
-                )
-            )
-            txn.in_flight[(op.table, getattr(op, "key", None))] = record  # type: ignore[index]
-            self._deferred_slot.value += 1
-        else:
-            try:
-                result = self._perform(route.dc_name, op, record.lsn)
-            except (CrashedError, ResendExhaustedError):
-                # The record is logged but the DC's fate for it is unknown
-                # (a lost reply means it may well have executed — and a TC
-                # restart's redo would execute it even if it didn't).  It
-                # must therefore stay on the undo chain, flagged so that
-                # rollback repeats history before inverting it.
-                txn.op_records.append(record)  # type: ignore[arg-type]
-                txn.unconfirmed.add(record.lsn)
-                raise
-            self._complete_op(record.lsn)
-            # Only operations that actually executed enter the undo chain;
-            # a DC-side failure (e.g. page overflow on a fixed structure)
-            # must not leave an inverse behind for rollback to misapply.
-            try:
-                self._expect_ok(result, op)
-            except (CrashedError, ResendExhaustedError):
-                raise
-            except ReproError:
-                self._cancel_record(txn.txn_id, record)
-                raise
-            txn.op_records.append(record)  # type: ignore[arg-type]
         self._mutations_slot.value += 1
+        if len(txn.in_flight) >= self.config.batch_max_ops:
+            self.sync_pipeline(txn)
 
     def _sync_if_conflicting(self, txn: Transaction, table: str, key: Key) -> None:
         """Never let two operations on one key be in flight together —
-        the TC's core obligation (Section 1.2) extends to its own pipeline."""
+        the TC's core obligation (Section 1.2) extends to its own
+        envelopes."""
         if (table, key) in txn.in_flight:
             self.sync_pipeline(txn)
 
     def sync_pipeline(self, txn: Transaction) -> None:
-        """Deliver queued operations (possibly reordered by the channel),
-        collect replies, and resend anything the channel lost.
-
-        With :attr:`TcConfig.batch_ops` on, the accumulated operations go
-        out as one :class:`BatchedPerform` envelope per DC instead."""
+        """Flush the pending operations as one :class:`BatchedPerform`
+        envelope per DC and take in the replies."""
         if not txn.in_flight:
             return
-        if self._batch_ops:
-            groups: dict[str, list] = {}
-            for slot, record in txn.in_flight.items():
-                groups.setdefault(record.dc_name, []).append(slot)
-            # Pipelined flush (process transport): pre-send every DC's
-            # first-attempt envelope before collecting any reply, so N DC
-            # processes execute concurrently while this one TC thread
-            # waits.  Out-of-order completion is §4.2.1-safe: per-op ids
-            # correlate replies, resends are absorbed by idempotence.  A
-            # presend whose reply is never collected (an earlier group
-            # failed) is indistinguishable from a lost reply — the records
-            # stay in flight and a later sync resends the same LSNs.
-            presends: dict[str, object] = {}
-            if self.config.pipeline_flush and len(groups) > 1:
-                for dc_name, slots in groups.items():
-                    channel = self._channels[dc_name]
-                    if not channel.supports_async or channel.dc.crashed:
-                        continue
-                    presends[dc_name] = channel.request_async(
-                        self._batch_envelope(
-                            self._log_envelope(txn, slots), resend=False
-                        )
-                    )
+        groups: dict[str, list] = {}
+        for slot, record in txn.in_flight.items():
+            groups.setdefault(record.dc_name, []).append(slot)
+        # Pipelined flush (process transport): pre-send every DC's
+        # first-attempt envelope before collecting any reply, so N DC
+        # processes execute concurrently while this one TC thread waits.
+        # Out-of-order completion is §4.2.1-safe: per-op ids correlate
+        # replies, resends are absorbed by idempotence.  A presend whose
+        # reply is never collected (an earlier group failed) is
+        # indistinguishable from a lost reply — the records stay in flight
+        # and a later sync resends the same LSNs.
+        presends: dict[str, object] = {}
+        if len(groups) > 1:
             for dc_name, slots in groups.items():
-                self._send_batch(
-                    txn, dc_name, slots, presend=presends.pop(dc_name, None)
+                channel = self._channels[dc_name]
+                if not channel.supports_async or channel.dc.crashed:
+                    continue
+                presends[dc_name] = channel.request_async(
+                    self._batch_envelope(self._log_envelope(txn, slots), resend=False)
                 )
-            self._syncs_slot.value += 1
-            return
-        acked: set[Lsn] = set()
-        for dc_name in {record.dc_name for record in txn.in_flight.values()}:
-            channel = self._channels[dc_name]
-            for reply in channel.pump():
-                if isinstance(reply, OperationReply) and reply.result is not None:
-                    if reply.result.ok:
-                        acked.add(reply.op_id)
-        for (table, key), record in list(txn.in_flight.items()):
-            if record.lsn not in acked:
-                assert record.op is not None
-                result = self._perform(record.dc_name, record.op, record.lsn, resend=True)
-                self._complete_op(record.lsn)
-                try:
-                    self._expect_ok(result, record.op)
-                except (CrashedError, ResendExhaustedError):
-                    raise
-                except ReproError:
-                    # the deferred op never executed: drop it from the
-                    # undo chain (and tell restart redo to skip it) before
-                    # surfacing the failure
-                    if record in txn.op_records:
-                        txn.op_records.remove(record)
-                    self._cancel_record(txn.txn_id, record)
-                    txn.in_flight.clear()
-                    raise
-            else:
-                self._complete_op(record.lsn)
-        txn.in_flight.clear()
+        for dc_name, slots in groups.items():
+            self._send_batch(txn, dc_name, slots, presend=presends.pop(dc_name, None))
         self._syncs_slot.value += 1
 
     def _guard_abort(self, txn: Transaction, fn, *args: object) -> None:
@@ -1873,11 +1707,11 @@ class TransactionalComponent:
 
         Retries resend the *whole remaining* envelope with the same per-op
         LSNs (``resend=True``), which the DC's per-op abLSN idempotence
-        test absorbs — exactly the unbatched contract, minus round trips.
-        A semantic rejection of one operation is handled per-op, like the
-        unbatched sync path: the record leaves the undo chain, a cancel
-        marker tells restart redo to skip it, and (once the whole reply is
-        taken in) the first such failure surfaces.  An owed record is
+        test absorbs — the single-message contract, minus round trips.
+        A semantic rejection of one operation is handled per-op: the
+        record leaves the undo chain, a cancel marker tells restart redo
+        to skip it, and (once the whole reply is taken in) the first such
+        failure surfaces.  An owed record is
         completed from its reply's ``prior`` before it is marked replied,
         so the low-water mark never passes a record still owed.
 

@@ -155,4 +155,4 @@ class TestConfig:
     def test_well_behaved_channel_by_default(self):
         config = ChannelConfig()
         assert config.loss_rate == 0.0
-        assert config.reorder_window == 0
+        assert config.duplicate_rate == 0.0

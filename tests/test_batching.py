@@ -14,15 +14,13 @@ import pytest
 
 from repro import KernelConfig, UnbundledKernel
 from repro.common.config import ChannelConfig, TcConfig
-from repro.common.errors import TransactionAborted
+from repro.common.errors import ConfigError, TransactionAborted
 from repro.common.ops import InsertOp, OpResult, OpStatus
 
 
-def batching_kernel(batch_max_ops=8, undo_cache=False, **channel_kwargs):
+def batching_kernel(batch_max_ops=8, undo_cache_size=0, **channel_kwargs):
     config = KernelConfig(
-        tc=TcConfig(
-            batch_ops=True, batch_max_ops=batch_max_ops, undo_cache=undo_cache
-        ),
+        tc=TcConfig(batch_max_ops=batch_max_ops, undo_cache_size=undo_cache_size),
         channel=ChannelConfig(**channel_kwargs),
     )
     kernel = UnbundledKernel(config)
@@ -32,11 +30,15 @@ def batching_kernel(batch_max_ops=8, undo_cache=False, **channel_kwargs):
 
 class TestEnvelopeBasics:
     def test_batching_is_off_by_default(self, kernel):
+        """The default envelope holds one operation and leaves at the
+        call: every write is its own round trip."""
         with kernel.begin() as txn:
             for key in range(4):
                 txn.insert("t", key, key)
-        assert kernel.metrics.get("channel.batches") == 0
-        assert kernel.metrics.get("dc.batches_received") == 0
+                assert not txn.in_flight
+        assert kernel.metrics.get("channel.batches") == 4
+        assert kernel.metrics.get("channel.batched_ops") == 4
+        assert kernel.metrics.get("dc.batches_received") == 4
 
     def test_multi_op_txn_ships_one_envelope(self):
         kernel = batching_kernel()
@@ -56,9 +58,7 @@ class TestEnvelopeBasics:
                     txn.insert("t", key, key)
             return kernel.metrics.get("channel.requests")
 
-        plain = UnbundledKernel()
-        plain.create_table("t")
-        assert run(batching_kernel()) < run(plain)
+        assert run(batching_kernel()) < run(batching_kernel(batch_max_ops=1))
 
     def test_flush_at_batch_max_ops(self):
         kernel = batching_kernel(batch_max_ops=2)
@@ -95,10 +95,9 @@ class TestEnvelopeBasics:
         assert kernel.metrics.get("channel.batches") >= 1
 
     def test_rejects_invalid_batch_max_ops(self):
-        with pytest.raises(ValueError):
-            UnbundledKernel(
-                KernelConfig(tc=TcConfig(batch_ops=True, batch_max_ops=0))
-            )
+        with pytest.raises(ConfigError) as err:
+            TcConfig(batch_max_ops=0)
+        assert err.value.field == "TcConfig.batch_max_ops"
 
 
 class TestEnvelopeFaults:
@@ -128,9 +127,7 @@ class TestEnvelopeFaults:
             assert check.scan("t") == [(key, f"v{key}") for key in range(6)]
 
     def test_loss_duplication_and_reordering_combined(self):
-        kernel = batching_kernel(
-            loss_rate=0.2, duplicate_rate=0.2, reorder_window=4, seed=23
-        )
+        kernel = batching_kernel(loss_rate=0.2, duplicate_rate=0.2, seed=23)
         for txn_no in range(8):
             with kernel.begin() as txn:
                 for op_no in range(4):

@@ -1,4 +1,7 @@
-"""The simulated transport: loss, duplication, reordering, latency."""
+"""The simulated transport: loss, duplication, latency.
+
+Out-of-order arrival comes from concurrent senders, not from the channel:
+tests/test_out_of_order.py drives it through the TC."""
 
 from __future__ import annotations
 
@@ -63,32 +66,6 @@ class TestLossAndDuplication:
         channel, dc, _m = make_channel(loss_rate=1.0)
         assert channel.request(op_message(1, 1)) is None
         assert dc.perform_operation(1, 99, ReadOp(table="t", key=1)).value is None
-
-
-class TestReordering:
-    def test_pump_delivers_everything(self):
-        channel, dc, _m = make_channel(reorder_window=4, seed=3)
-        for index in range(20):
-            channel.post(op_message(index + 1, index))
-        replies = channel.pump()
-        assert len(replies) == 20
-        assert channel.pending() == 0
-        for index in range(20):
-            assert dc.perform_operation(1, 900 + index, ReadOp(table="t", key=index)).ok
-
-    def test_reordering_actually_happens(self):
-        channel, _dc, metrics = make_channel(reorder_window=4, seed=3)
-        for index in range(20):
-            channel.post(op_message(index + 1, index))
-        channel.pump()
-        assert metrics.get("channel.batches_reordered") == 1
-
-    def test_zero_window_preserves_order(self):
-        channel, _dc, metrics = make_channel()
-        for index in range(10):
-            channel.post(op_message(index + 1, index))
-        channel.pump()
-        assert metrics.get("channel.batches_reordered") == 0
 
 
 class TestLatencyModel:

@@ -384,15 +384,16 @@ class TestChaosFastPaths:
         assert runner.supervisor.all_healthy()
 
     def test_envelopes_survive_loss_duplication_and_reordering(self):
-        """Envelope loss/duplication/reordering is per-op loss/duplication/
-        reordering of everything inside — absorbed by per-op abLSNs."""
+        """Envelope loss/duplication is per-op loss/duplication of
+        everything inside — absorbed by per-op abLSNs.  (Out-of-order
+        arrival is tests/test_out_of_order.py's.)"""
         runner = ChaosRunner(
             seed=5,
             schedule=[],  # the channel itself is the only adversary
             txns=100,
             tc_config=TcConfig.optimized(),
             channel_config=ChannelConfig(
-                loss_rate=0.05, duplicate_rate=0.05, reorder_window=3, seed=9
+                loss_rate=0.05, duplicate_rate=0.05, seed=9
             ),
         )
         report = runner.run()
@@ -445,7 +446,7 @@ class TestReplyCarriedUndoChaos:
             txns=100,
             tc_config=TcConfig.optimized(undo_cache_size=4),
             channel_config=ChannelConfig(
-                loss_rate=0.05, duplicate_rate=0.05, reorder_window=3, seed=9
+                loss_rate=0.05, duplicate_rate=0.05, seed=9
             ),
             increment_rate=0.2,
         )

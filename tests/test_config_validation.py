@@ -47,7 +47,9 @@ class TestChannelConfig:
         tagged-only peer is one that never sends ``NegotiateCodec``."""
         with pytest.raises(TypeError):
             ChannelConfig(fast_codec=False)
-        assert len(dataclasses.fields(ChannelConfig)) == 9
+        with pytest.raises(TypeError):
+            ChannelConfig(reorder_window=2)  # nothing queues to reorder
+        assert len(dataclasses.fields(ChannelConfig)) == 8
 
     def test_known_start_methods_accepted(self):
         for method in START_METHODS:
@@ -82,10 +84,55 @@ class TestTcConfig:
 
 
     def test_fields_nothing_reads_are_gone(self):
-        for removed in ("range_partitions", "resend_timeout"):
+        for removed in (
+            "range_partitions",
+            "resend_timeout",
+            # One write path: batching is batch_max_ops, the cache is
+            # undo_cache_size, and the backoff numbers are RetryPolicy's.
+            "batch_ops",
+            "undo_cache",
+            "pipeline_flush",
+            "resend_backoff_ms",
+            "resend_backoff_max_ms",
+        ):
             with pytest.raises(TypeError):
                 TcConfig(**{removed: 1})
-        assert len(dataclasses.fields(TcConfig)) == 25
+        assert len(dataclasses.fields(TcConfig)) == 20
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("batch_max_ops", 0), ("undo_cache_size", -1), ("group_commit_size", 0)],
+    )
+    def test_bad_counts_are_typed_errors(self, field, bad):
+        with pytest.raises(ConfigError) as err:
+            TcConfig(**{field: bad})
+        assert err.value.field == f"TcConfig.{field}"
+        assert err.value.value == bad
+        assert TcConfig(undo_cache_size=0).undo_cache_size == 0  # no cache: legal
+
+    def test_bad_counts_fail_before_any_child_is_spawned(self, monkeypatch):
+        """With ``tc_processes=1`` a bad count used to surface as
+        ``CrashedError: TC tc1 (restart failed)`` after a child traceback;
+        it is refused where the config is written, and nothing starts."""
+        import repro.net.process as process
+
+        spawned = []
+        monkeypatch.setattr(
+            process.ServerProcess,
+            "__init__",
+            lambda self, *args, **kwargs: spawned.append(args),
+        )
+        from repro import UnbundledKernel
+
+        with pytest.raises(ConfigError):
+            UnbundledKernel(
+                KernelConfig(
+                    tc=TcConfig(batch_max_ops=0, undo_cache_size=0, group_commit_size=0),
+                    channel=ChannelConfig(transport="process"),
+                    tc_processes=1,
+                )
+            )
+        assert spawned == []
 
 
 class TestKernelConfig:

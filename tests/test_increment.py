@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import KernelConfig, UnbundledKernel
-from repro.common.config import ChannelConfig, DcConfig
+from repro.common.config import ChannelConfig, DcConfig, TcConfig
 from repro.common.errors import NoSuchRecordError, ReproError
 from repro.common.ops import IncrementOp, OpResult, inverse_of
 
@@ -143,14 +143,22 @@ class TestExactlyOnce:
             assert check.read("t", "c") == 50
 
     def test_pipelined_increments_on_distinct_keys(self):
-        kernel = kernel_with(reorder_window=5, seed=7)
+        kernel = UnbundledKernel(
+            KernelConfig(
+                dc=DcConfig(page_size=1024),
+                tc=TcConfig(batch_max_ops=16, undo_cache_size=0),
+            )
+        )
+        kernel.create_table("t")
         with kernel.begin() as setup:
             for key in range(10):
                 setup.insert("t", key, 0)
         with kernel.begin() as txn:
             for key in range(10):
-                txn.increment("t", key, key + 1, deferred=True)
+                txn.increment("t", key, key + 1)
+            assert len(txn.in_flight) == 10  # one envelope, not yet sent
             txn.sync()
+            assert txn.read("t", 9) == 10  # the reply told the sum
         with kernel.begin() as check:
             assert check.scan("t") == [(key, key + 1) for key in range(10)]
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro import KernelConfig, UnbundledKernel
 from repro.common.config import ChannelConfig, DcConfig, TcConfig
+from repro.common.errors import ConfigError
 from repro.common.records import KEY_MAX, KEY_MIN
 from tests.conftest import populate
 
@@ -95,8 +96,8 @@ class TestGroupCommitDurability:
             assert len(txn.scan("t")) == 3
 
     def test_rejects_invalid_group_commit_size(self):
-        with pytest.raises(ValueError):
-            UnbundledKernel(KernelConfig(tc=TcConfig(group_commit_size=0)))
+        with pytest.raises(ConfigError):
+            TcConfig(group_commit_size=0)
 
     def test_concurrent_committers_share_forces(self):
         """Parked committers ride a leader's force: one force per wave of
@@ -165,7 +166,7 @@ class TestHostileChannel:
         config = KernelConfig(
             dc=DcConfig(page_size=512),
             channel=ChannelConfig(
-                loss_rate=0.2, duplicate_rate=0.2, reorder_window=3, seed=99
+                loss_rate=0.2, duplicate_rate=0.2, seed=99
             ),
         )
         kernel = UnbundledKernel(config)

@@ -17,13 +17,12 @@ from repro.common.config import ChannelConfig, DcConfig, PageSyncStrategy
 from repro.common.errors import DuplicateKeyError, NoSuchRecordError
 from repro.storage.buffer import ResetMode
 
-# One transaction: a list of (action, key, deferred) steps.  Mutations may
-# be pipelined (deferred=True) — validation stays synchronous, so the
-# oracle's outcome prediction is unchanged, but delivery may reorder.
+# One transaction: a list of (action, key) steps.  A missing or duplicate
+# key raises from the call (the default envelope holds one operation), so
+# the oracle predicts the outcome step by step.
 txn_step = st.tuples(
     st.sampled_from(["insert", "update", "delete", "read"]),
     st.integers(min_value=0, max_value=25),
-    st.booleans(),
 )
 txn_strategy = st.tuples(
     st.lists(txn_step, min_size=1, max_size=5),
@@ -41,7 +40,7 @@ event_strategy = st.one_of(
 def apply_txn_to_model(model, steps):
     """Run the transaction against the dict oracle; None if it must abort."""
     shadow = dict(model)
-    for action, key, _deferred in steps:
+    for action, key in steps:
         if action == "insert":
             if key in shadow:
                 return None
@@ -66,13 +65,13 @@ def run_events(kernel, events, reset_mode):
             txn = kernel.begin()
             failed = False
             try:
-                for action, key, deferred in steps:
+                for action, key in steps:
                     if action == "insert":
-                        txn.insert("t", key, f"i{key}", deferred=deferred)
+                        txn.insert("t", key, f"i{key}")
                     elif action == "update":
-                        txn.update("t", key, f"u{key}", deferred=deferred)
+                        txn.update("t", key, f"u{key}")
                     elif action == "delete":
-                        txn.delete("t", key, deferred=deferred)
+                        txn.delete("t", key)
                     else:
                         txn.read("t", key)
             except (DuplicateKeyError, NoSuchRecordError):
@@ -176,7 +175,7 @@ def test_monolithic_baseline_matches_same_oracle(events):
             txn = engine.begin()
             failed = False
             try:
-                for action, key, _deferred in steps:
+                for action, key in steps:
                     if action == "insert":
                         txn.insert("t", key, f"i{key}")
                     elif action == "update":

@@ -12,13 +12,14 @@ import random
 
 import pytest
 
-from repro.common.config import ChannelConfig, DcConfig, KernelConfig
+from repro import UnbundledKernel
+from repro.common.api import PerformOperation
+from repro.common.config import ChannelConfig, DcConfig, KernelConfig, TcConfig
 from repro.common.lsn import AbstractLsn
 from repro.common.ops import InsertOp, RangeReadOp, ReadOp
 from repro.dc.data_component import DataComponent
 from repro.net.channel import MessageChannel
-from repro.common.api import PerformOperation
-from repro.sim.metrics import Metrics
+from repro.sim.schedule import DeterministicScheduler, Strategy, YieldPoint
 
 
 def make_dc(page_size=512):
@@ -26,6 +27,51 @@ def make_dc(page_size=512):
     dc.create_table("t")
     dc.register_tc(1, force_log=lambda lsn, images: lsn)
     return dc
+
+
+class _HoldFirstAtSend(Strategy):
+    """Run task ``first`` until its envelope sits at the ``channel.send``
+    yield — logged, not yet delivered — then ``second`` to its end, then
+    ``first`` again."""
+
+    name = "hold-first-at-send"
+
+    def __init__(self) -> None:
+        self.events: list = []
+
+    def pick(self, runnable, step):
+        tasks = {task.name: task for task in runnable}
+        held = any(
+            event["point"] == YieldPoint.CHANNEL_SEND
+            and event["task"] == "first"
+            and event.get("kind") == "BatchedPerform"
+            for event in self.events
+        )
+        if held and "second" in tasks:
+            return tasks["second"]
+        return tasks.get("first") or tasks["second"]
+
+
+def run_held_at_send(kernel, first, second) -> DeterministicScheduler:
+    """Run ``first(txn)`` and ``second(txn)`` as two committing
+    transactions of the kernel's TC, ``first``'s envelope held between
+    its log append and its delivery while ``second`` runs to the end."""
+    strategy = _HoldFirstAtSend()
+    scheduler = DeterministicScheduler(strategy)
+    strategy.events = scheduler.events
+
+    def task(work):
+        def body():
+            with kernel.begin() as txn:
+                work(txn)
+
+        return body
+
+    scheduler.spawn("first", task(first))
+    scheduler.spawn("second", task(second))
+    scheduler.run()
+    assert not scheduler.errors(), scheduler.errors()
+    return scheduler
 
 
 class TestTraditionalTestFails:
@@ -96,12 +142,14 @@ class TestEndToEndOutOfOrder:
         assert dc.perform_operation(1, 51, ReadOp(table="t", key=20)).value == "two"
 
     def test_reordering_channel_end_to_end(self):
+        """Requests sent over the channel out of LSN order (seeded
+        shuffle) all execute, each once."""
         dc = make_dc()
-        channel = MessageChannel(
-            dc, ChannelConfig(reorder_window=6, seed=11), dc.metrics
-        )
-        for lsn in range(1, 41):
-            channel.post(
+        channel = MessageChannel(dc, ChannelConfig(), dc.metrics)
+        lsns = list(range(1, 41))
+        random.Random(11).shuffle(lsns)
+        for lsn in lsns:
+            reply = channel.request(
                 PerformOperation(
                     tc_id=1,
                     op_id=lsn,
@@ -109,10 +157,55 @@ class TestEndToEndOutOfOrder:
                     eosl=0,
                 )
             )
-        replies = channel.pump()
-        assert len(replies) == 40
+            assert reply.result.ok
         result = dc.perform_operation(1, 999, RangeReadOp(table="t"))
         assert [view.key for view in result.records] == list(range(1, 41))
+
+    def test_higher_lsn_of_one_tc_executes_first(self):
+        """Section 5.1 through the TC, on its one write path: two
+        transactions of one TC insert distinct keys of one leaf.  The
+        first's envelope is logged (the lower LSN) and held at its
+        ``channel.send`` yield, between the log append and the delivery,
+        while the second logs, delivers and commits.  The DC executes the
+        higher LSN first; each executes exactly once, and once the
+        low-water mark passes both the leaf's included set is pruned."""
+        kernel = UnbundledKernel(
+            KernelConfig(tc=TcConfig(phantom_protection=False, lock_timeout=60.0))
+        )
+        kernel.create_table("t")
+        executed = []
+        real = kernel.dc.perform_operation
+
+        def recording(tc_id, op_id, op, **flags):
+            if isinstance(op, InsertOp):
+                executed.append(op_id)
+            return real(tc_id, op_id, op, **flags)
+
+        kernel.dc.perform_operation = recording
+        run_held_at_send(
+            kernel,
+            lambda txn: txn.insert("t", 10, "low"),
+            lambda txn: txn.insert("t", 20, "high"),
+        )
+        kernel.dc.perform_operation = real
+        high, low = executed
+        assert high > low  # the later LSN reached the page first
+        tc_id = kernel.tc.tc_id
+        structure = kernel.dc.table("t").structure
+        leaf = structure.find_leaf(10)
+        assert structure.find_leaf(20) is leaf
+        assert leaf.ablsn_for(tc_id).contains(low)
+        assert leaf.ablsn_for(tc_id).contains(high)
+        duplicates = kernel.metrics.get("dc.duplicate_ops")
+        for lsn, key in ((low, 10), (high, 20)):
+            again = InsertOp(table="t", key=key, value="again")
+            assert kernel.dc.perform_operation(tc_id, lsn, again, resend=True).ok
+        assert kernel.metrics.get("dc.duplicate_ops") == duplicates + 2
+        kernel.tc.broadcast_lwm()
+        assert leaf.pending_lsn_count() == 0
+        assert leaf.ablsn_for(tc_id).low_water >= high
+        with kernel.begin() as check:
+            assert check.scan("t") == [(10, "low"), (20, "high")]
 
 
 class TestLwmInteraction:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import KernelConfig, UnbundledKernel
-from repro.common.config import ChannelConfig, DcConfig, PageSyncStrategy
+from repro.common.config import ChannelConfig, DcConfig, PageSyncStrategy, TcConfig
 from repro.common.errors import CrashedError
 from tests.conftest import populate
 
@@ -123,8 +123,18 @@ class TestTcFailure:
 
     def test_tc_crash_does_not_amnesia_the_dc(self):
         """Section 3.2 challenge 4: the DC keeps its cache for everything
-        not affected by the lost tail (DROP_AFFECTED counts)."""
-        kernel = small_kernel()
+        not affected by the lost tail (DROP_AFFECTED counts).
+
+        The LWM timing is pinned: only the checkpoint broadcasts one.  A
+        completion-driven broadcast landing on the loser's own reply would
+        carry an LWM past LSNst to every leaf, and every leaf would then
+        count as reflecting the loss (docs/architecture.md §6)."""
+        kernel = UnbundledKernel(
+            KernelConfig(
+                dc=DcConfig(page_size=512), tc=TcConfig(lwm_interval=10**9)
+            )
+        )
+        kernel.create_table("t")
         populate(kernel, 30)
         kernel.tc.checkpoint()
         cached_before = len(kernel.dc.buffer.cached_ids())

@@ -1,19 +1,22 @@
-"""Pipelined (deferred) mutations: out-of-order execution end to end."""
+"""Queued mutations: a transaction's writes wait in its envelope, and
+envelopes of concurrent transactions execute out of LSN order end to end."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro import KernelConfig, UnbundledKernel
-from repro.common.config import ChannelConfig, DcConfig
+from repro.common.config import ChannelConfig, DcConfig, TcConfig
+from repro.common.ops import InsertOp
+from tests.test_out_of_order import run_held_at_send
 
 
-def pipelined_kernel(phantom_protection=True, **channel_kwargs):
-    from repro.common.config import TcConfig
-
+def pipelined_kernel(phantom_protection=True, batch_max_ops=64, **channel_kwargs):
     config = KernelConfig(
         dc=DcConfig(page_size=1024),
-        tc=TcConfig(phantom_protection=phantom_protection),
+        tc=TcConfig(
+            phantom_protection=phantom_protection,
+            batch_max_ops=batch_max_ops,
+            lock_timeout=60.0,
+        ),
         channel=ChannelConfig(**channel_kwargs),
     )
     kernel = UnbundledKernel(config)
@@ -26,16 +29,18 @@ class TestPipelineBasics:
         kernel = pipelined_kernel()
         with kernel.begin() as txn:
             for key in range(20):
-                txn.insert("t", key, key, deferred=True)
+                txn.insert("t", key, key)
+            assert len(txn.in_flight) == 20  # queued, not yet logged or sent
             txn.sync()
             assert len(txn.scan("t")) == 20
-        assert kernel.metrics.get("tc.deferred_mutations") == 20
+        assert kernel.metrics.get("tc.mutations") == 20
+        assert kernel.metrics.get("channel.batched_ops") == 20
 
     def test_commit_syncs_implicitly(self):
         kernel = pipelined_kernel()
         txn = kernel.begin()
         for key in range(10):
-            txn.insert("t", key, key, deferred=True)
+            txn.insert("t", key, key)
         txn.commit()  # no explicit sync
         with kernel.begin() as check:
             assert len(check.scan("t")) == 10
@@ -44,17 +49,20 @@ class TestPipelineBasics:
         kernel = pipelined_kernel()
         txn = kernel.begin()
         for key in range(10):
-            txn.insert("t", key, key, deferred=True)
+            txn.insert("t", key, key)
+        txn.sync()
+        for key in range(10, 20):
+            txn.insert("t", key, key)  # still queued: the abort forgets them
         txn.abort()
         with kernel.begin() as check:
             assert check.scan("t") == []
 
     def test_same_key_conflict_forces_sync(self):
         """Two operations on one key must never be in flight together —
-        the TC's Section 1.2 obligation extends to its own pipeline."""
+        the TC's Section 1.2 obligation extends to its own envelopes."""
         kernel = pipelined_kernel()
         with kernel.begin() as txn:
-            txn.insert("t", 1, "first", deferred=True)
+            txn.insert("t", 1, "first")
             assert len(txn.in_flight) == 1
             txn.update("t", 1, "second")  # implicit sync happened
             assert txn.read("t", 1) == "second"
@@ -63,51 +71,75 @@ class TestPipelineBasics:
     def test_mixed_deferred_and_synchronous(self):
         kernel = pipelined_kernel()
         with kernel.begin() as txn:
-            txn.insert("t", 1, "a", deferred=True)
-            txn.insert("t", 2, "b")  # synchronous, different key: fine
-            txn.insert("t", 3, "c", deferred=True)
+            txn.insert("t", 1, "a")
+            txn.sync()
+            txn.insert("t", 2, "b")
+            txn.insert("t", 3, "c")
+            assert len(txn.in_flight) == 2
             txn.sync()
             assert txn.scan("t") == [(1, "a"), (2, "b"), (3, "c")]
 
 
 class TestPipelineUnderReordering:
     def test_reordered_delivery_is_absorbed(self):
-        """The headline case of Section 5.1: the DC executes the pipeline
-        out of LSN order and the abLSNs keep everything exactly-once."""
-        kernel = pipelined_kernel(reorder_window=8, seed=17)
-        with kernel.begin() as txn:
-            for key in range(40):
-                txn.insert("t", key, f"v{key}", deferred=True)
-            txn.sync()
-        assert kernel.metrics.get("channel.batches_reordered") >= 1
+        """The headline case of Section 5.1: one transaction's envelope is
+        logged first but held before delivery while another's, with every
+        LSN higher, executes — the DC sees the envelopes out of LSN order
+        and the abLSNs keep everything exactly-once."""
+        kernel = pipelined_kernel(phantom_protection=False)
+        executed = []
+        real = kernel.dc.perform_operation
+
+        def recording(tc_id, op_id, op, **flags):
+            if isinstance(op, InsertOp):
+                executed.append(op_id)
+            return real(tc_id, op_id, op, **flags)
+
+        kernel.dc.perform_operation = recording
+
+        def writer(low, value):
+            def work(txn):
+                for key in range(low, 40, 2):
+                    txn.insert("t", key, f"{value}{key}")
+
+            return work
+
+        run_held_at_send(kernel, writer(0, "a"), writer(1, "b"))
+        kernel.dc.perform_operation = real
+        assert len(executed) == 40
+        assert executed != sorted(executed)
+        assert max(executed[:20]) > max(executed[20:])  # the later LSNs first
+        assert kernel.metrics.get("dc.duplicate_ops") == 0
         with kernel.begin() as check:
-            assert check.scan("t") == [(key, f"v{key}") for key in range(40)]
+            assert check.scan("t") == [
+                (key, f"{'ab'[key % 2]}{key}") for key in range(40)
+            ]
 
     def test_reordering_plus_loss_falls_back_to_resend(self):
-        kernel = pipelined_kernel(reorder_window=4, loss_rate=0.3, seed=23)
+        kernel = pipelined_kernel(loss_rate=0.3, seed=23)
         with kernel.begin() as txn:
             for key in range(30):
-                txn.insert("t", key, key, deferred=True)
+                txn.insert("t", key, key)
             txn.sync()
         with kernel.begin() as check:
             assert len(check.scan("t")) == 30
         assert kernel.metrics.get("tc.resends") > 0
 
     def test_pipeline_survives_crashes(self):
-        kernel = pipelined_kernel(reorder_window=4, seed=3)
+        kernel = pipelined_kernel()
         with kernel.begin() as txn:
             for key in range(30):
-                txn.insert("t", key, key, deferred=True)
+                txn.insert("t", key, key)
         kernel.crash_all()
         kernel.recover_all()
         with kernel.begin() as check:
             assert len(check.scan("t")) == 30
 
     def test_uncommitted_pipeline_lost_with_tc(self):
-        kernel = pipelined_kernel(reorder_window=4, seed=3)
+        kernel = pipelined_kernel()
         txn = kernel.begin()
         for key in range(10):
-            txn.insert("t", key, key, deferred=True)
+            txn.insert("t", key, key)
         txn.sync()  # delivered to the DC, but never committed
         kernel.crash_tc()
         kernel.recover_tc()
@@ -117,22 +149,21 @@ class TestPipelineUnderReordering:
 
 class TestConcurrentPipelines:
     def test_two_transactions_share_one_channel(self):
-        """Transaction A's sync pumps the shared channel and may deliver
-        B's queued operations; B's own sync then falls back to resend, and
-        idempotence keeps everything exactly-once."""
-        # Gap guards of concurrent pipelined inserts would rightly
-        # serialize (deferred records are invisible to the other probe,
-        # so successors collide) — correct behavior, but this test is
-        # about channel sharing, so next-key locking is switched off.
+        """Two transactions' envelopes interleave on one channel; each
+        reply is correlated to its own operations by LSN."""
+        # Gap guards of concurrent queued inserts would rightly serialize
+        # (queued records are invisible to the other probe, so successors
+        # collide) — correct behavior, but this test is about channel
+        # sharing, so next-key locking is switched off.
         kernel = pipelined_kernel(phantom_protection=False)
         a = kernel.begin()
         b = kernel.begin()
         for key in range(0, 10, 2):
-            a.insert("t", key, "a", deferred=True)
+            a.insert("t", key, "a")
         for key in range(1, 10, 2):
-            b.insert("t", key, "b", deferred=True)
-        a.sync()  # delivers (possibly) both pipelines
-        b.sync()  # resend-fallback for anything a's pump consumed
+            b.insert("t", key, "b")
+        a.sync()  # each flush takes in only its own replies
+        b.sync()
         a.commit()
         b.commit()
         with kernel.begin() as check:
@@ -143,9 +174,9 @@ class TestConcurrentPipelines:
     def test_interleaved_deferred_and_commit(self):
         kernel = pipelined_kernel(phantom_protection=False)
         a = kernel.begin()
-        a.insert("t", 1, "a", deferred=True)
+        a.insert("t", 1, "a")
         with kernel.begin() as b:
-            b.insert("t", 2, "b")  # synchronous txn commits mid-pipeline
+            b.insert("t", 2, "b")  # another transaction commits mid-envelope
         a.commit()
         with kernel.begin() as check:
             assert check.scan("t") == [(1, "a"), (2, "b")]
@@ -153,10 +184,10 @@ class TestConcurrentPipelines:
 
 class TestPipelineThroughput:
     def test_pipelining_reduces_request_count_pressure(self):
-        """Deferred operations still send one message each, but batch the
-        round-trip waits; with a latency model the saving is visible in
+        """An envelope of twenty sends one message where twenty envelopes
+        of one send twenty; with a latency model the saving is visible in
         simulated time."""
-        sync_kernel = pipelined_kernel(latency_ms=1.0)
+        sync_kernel = pipelined_kernel(batch_max_ops=1, latency_ms=1.0)
         with sync_kernel.begin() as txn:
             for key in range(20):
                 txn.insert("t", key, key)
@@ -167,11 +198,9 @@ class TestPipelineThroughput:
         pipe_kernel = pipelined_kernel(latency_ms=1.0)
         with pipe_kernel.begin() as txn:
             for key in range(20):
-                txn.insert("t", key, key, deferred=True)
+                txn.insert("t", key, key)
             txn.sync()
         pipe_time = sum(
             c.sim_time_ms for c in pipe_kernel.tc.channels().values()
         )
-        # same message count, but the validation reads dominate both;
-        # the deferred path must not cost MORE
-        assert pipe_time <= sync_time
+        assert pipe_time < sync_time

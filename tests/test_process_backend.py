@@ -370,7 +370,7 @@ class TestChannelAndDeployment:
             with pytest.raises(ReproError):
                 ProcessChannel(dc, ChannelConfig(loss_rate=0.1))
             with pytest.raises(ReproError):
-                ProcessChannel(dc, ChannelConfig(reorder_window=2))
+                ProcessChannel(dc, ChannelConfig(duplicate_rate=0.1))
         finally:
             dc.shutdown()
 

@@ -142,7 +142,7 @@ def test_rejected_only_write_takes_the_logged_path(cc_policy, finish):
     record left the undo chain behind a cancel marker, but the log holds
     records under this id — so the outcome must be logged (and a commit
     forced), or restart would see an unfinished transaction."""
-    kernel = kernel_for(cc_policy, batch_ops=False)
+    kernel = kernel_for(cc_policy, batch_max_ops=1)
     real = kernel.dc.perform_operation
 
     def rejecting(tc_id, op_id, op, **flags):

@@ -320,6 +320,54 @@ class TestOptimizedLane:
         assert summary.anomalies == 0, summary.first_failure.anomaly
 
 
+class TestEveryWriteOwesItsImage:
+    """The default lane runs the FIG1 baseline, ``TcConfig(undo_cache_size=0)``:
+    no cache, envelopes of one, so every update / delete not preceded by
+    the transaction's own read logs its image owed and fills it from the
+    reply — under all three policies, with and without a DC crash."""
+
+    def test_sweep_is_clean_per_policy_with_and_without_crash(self):
+        summary = explore(
+            ExploreConfig(),
+            schedules=72,
+            strategies=("random", "pct", "rr"),
+            crash_modes=(False, True),
+            cc_policies=CC_POLICIES,
+            base_seed=900,
+            stop_on_anomaly=True,
+        )
+        assert summary.anomalies == 0, summary.first_failure.anomaly
+        assert summary.explored == 72 and summary.committed > 0
+
+    def test_owed_writes_are_reached(self):
+        owed = 0
+        for seed in range(12):
+            outcome = run_schedule(
+                seed, ExploreConfig(crash=bool(seed % 2), keyspace=6), "random"
+            )
+            assert outcome.report.anomaly() is None
+            owed += sum(
+                1
+                for event in outcome.events
+                if event["point"] == "dc.apply"
+                and event.get("op") in ("UpdateOp", "DeleteOp")
+            )
+        assert owed > 0
+
+    def test_negative_control_still_caught(self):
+        summary = explore(
+            ExploreConfig(skip_read_locks=True),
+            schedules=200,
+            strategies=("random", "pct", "rr"),
+            crash_modes=(False, True),
+            base_seed=0,
+            stop_on_anomaly=True,
+        )
+        failure = summary.first_failure
+        assert failure is not None, "oracle failed to catch broken 2PL"
+        assert failure.report.cycle is not None
+
+
 class TestCcPolicySweeps:
     """The pluggable-CC soundness sweeps: every policy, same workload,
     zero oracle anomalies."""

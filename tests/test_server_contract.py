@@ -28,17 +28,31 @@ import pytest
 pytestmark = pytest.mark.process
 
 import repro.common.api as api
-from repro.common.api import ControlAck, EndOfStableLog, Message
+from repro.common.api import (
+    ControlAck,
+    EndOfStableLog,
+    Message,
+    OperationReply,
+    PerformOperation,
+)
 from repro.common.errors import (
     ComponentUnavailableError,
     CrashedError,
     LockTimeoutError,
     ReproError,
 )
+from repro.common.ops import (
+    IncrementOp,
+    InsertOp,
+    PromoteVersionsOp,
+    RangeReadOp,
+    ReadOp,
+)
 from repro.net import rpc, tcrpc, wire
 from repro.net.dcserver import _DcServer
 from repro.net.process import RemoteDc, wait_hello
 from repro.net.rpc import (
+    CreateTable,
     NegotiateCodec,
     RegisterTc,
     RemoteError,
@@ -541,5 +555,59 @@ class TestTransactionNamesAreConnectionLocal:
             assert isinstance(done, tcrpc.TxnAck) and done.txn_id == opened.txn_id
             assert running.counter("tc.commits") == 1
             assert running.counter("tc.aborts") == 0
+        finally:
+            running.stop()
+
+
+class TestWantPriorOnOperationsThatOweNothing:
+    """DC server only: ``want_prior`` asks a write for the value it
+    overwrote.  An insert, an increment, a read, a scan and a version
+    cleanup overwrite none, so each — and its resend — gets the plain
+    reply with ``prior`` None, the DC keeps nothing for the TC's low-water
+    mark to prune, and the server goes on answering another session."""
+
+    def test_plain_replies_and_nothing_kept(self, tmp_path):
+        running = _Running("dcserver", tmp_path).start()
+        try:
+            conn, other = running.connect(), running.connect()
+            seqs = iter(range(1, 100))
+
+            def ask(message):
+                seq = next(seqs)
+                _ask(conn, seq, message)
+                _first, kind, answered, reply = _answer(conn)
+                assert (kind, answered) == (rpc.REPLY, seq)
+                return reply
+
+            assert isinstance(ask(RegisterTc(tc_id=1)), ControlAck)
+            create = CreateTable(tc_id=1, name="v", versioned=True)
+            assert isinstance(ask(create), ControlAck)
+            owe_nothing = (
+                InsertOp(table="v", key=1, value=5, versioned=True),
+                IncrementOp(table="v", key=1, delta=2, versioned=True),
+                ReadOp(table="v", key=1),
+                RangeReadOp(table="v"),
+                PromoteVersionsOp(table="v", keys=(1,)),
+            )
+            priors = running.server._dc._priors
+            for lsn, op in enumerate(owe_nothing, start=1):
+                for resend in (False, True):
+                    reply = ask(
+                        PerformOperation(
+                            tc_id=1,
+                            op_id=lsn,
+                            op=op,
+                            resend=resend,
+                            eosl=10**9,
+                            want_prior=True,
+                        )
+                    )
+                    assert isinstance(reply, OperationReply), reply
+                    assert reply.result.ok, reply.result
+                    assert reply.result.prior is None
+                assert not priors.get(1)
+            assert ask(PerformOperation(1, 9, ReadOp("v", 1))).result.value == 7
+            _ask(other, 1, StatsRequest(tc_id=0))
+            assert isinstance(_answer(other)[3], StatsReply)
         finally:
             running.stop()

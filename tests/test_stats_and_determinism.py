@@ -59,7 +59,7 @@ class TestDeterminism:
         config = KernelConfig(
             dc=DcConfig(page_size=512),
             channel=ChannelConfig(
-                loss_rate=0.2, duplicate_rate=0.1, reorder_window=3, seed=seed
+                loss_rate=0.2, duplicate_rate=0.1, seed=seed
             ),
         )
         kernel = UnbundledKernel(config)

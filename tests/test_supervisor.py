@@ -99,7 +99,7 @@ class TestFailFast:
             txn.insert("t", 1, "x")
         err = excinfo.value
         assert err.attempts <= 12
-        assert err.waited_ms <= 50.0 + kernel.tc.config.resend_backoff_max_ms
+        assert err.waited_ms <= 50.0 + kernel.tc.config.retry_policy().max_backoff_ms
 
     def test_snapshot_on_down_dc_fails_fast_unless_degraded(self):
         kernel = build_kernel(versioned=True)

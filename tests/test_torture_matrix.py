@@ -79,7 +79,7 @@ def test_torture_chaotic_channel_plus_churn(seed):
         KernelConfig(
             dc=DcConfig(page_size=384),
             channel=ChannelConfig(
-                loss_rate=0.15, duplicate_rate=0.1, reorder_window=2, seed=seed
+                loss_rate=0.15, duplicate_rate=0.1, seed=seed
             ),
         )
     )

@@ -54,19 +54,28 @@ class TestBasics:
             txn.delete("t", 404)
         txn.abort()
 
-    def test_failed_mutations_never_reach_the_log(self, kernel):
-        """The TC validates under its locks before logging, so the log
-        holds only operations that really executed (sound undo info)."""
-        appends_before = kernel.metrics.get("tclog.appends")
+    def test_failed_mutations_are_cancelled_in_the_log(self, kernel):
+        """The DC's verdict is the existence check: an update of a missing
+        key is logged as it is sent, refused, and cancelled — it leaves the
+        undo chain, and its cancel marker tells restart redo to skip it,
+        so undo information stays sound."""
+        from repro.tc.log import CompensationRecord, OpRecord
+
         txn = kernel.begin()
         with pytest.raises(NoSuchRecordError):
             txn.update("t", 404, "x")
+        assert txn.op_records == [] and txn.state is TransactionState.ACTIVE
         txn.abort()
-        # only the abort/end control records were appended, no OpRecord
-        from repro.tc.log import OpRecord
-
-        ops = [r for r in kernel.tc.log.all_records() if isinstance(r, OpRecord)]
-        assert ops == []
+        records = kernel.tc.log.all_records()
+        (op,) = [r for r in records if isinstance(r, OpRecord)]
+        (marker,) = [r for r in records if isinstance(r, CompensationRecord)]
+        assert op.op.key == 404 and marker.canceled == op.lsn and marker.op is None
+        kernel.tc.force_log()
+        kernel.crash_tc()
+        stats = kernel.recover_tc()
+        assert stats["losers"] == 0 and stats["undo_ops"] == 0
+        with kernel.begin() as check:
+            assert check.read("t", 404) is None
 
     def test_context_manager_commits_on_success(self, kernel):
         with kernel.begin() as txn:

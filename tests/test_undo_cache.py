@@ -1,10 +1,12 @@
 """The TC-side undo-info cache (docs/architecture.md §9.2).
 
-The honest cost of unbundling is the read-before-write that fetches undo
-information (Section 4.1.1); the cache elides it for keys this TC already
-learned under a lock it held.  Soundness rests on the TC being the sole
-writer of its keys — and on invalidating at every event that could
-falsify an entry: own write aborted or ambiguous, DC reset, TC crash.
+A write whose before-image the TC does not know logs it *owed* and has
+the write's reply fill it; the cache answers for keys this TC already
+learned under a lock it held, so the write's undo is complete when it is
+logged.  Soundness rests on the TC being the sole writer of its keys —
+and on invalidating at every event that could falsify an entry: own write
+aborted or ambiguous, DC reset, TC crash.  ``tc.undo_cache_misses``
+counts the writes that had to owe their image.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ import pytest
 
 from repro import KernelConfig, UnbundledKernel
 from repro.common.config import TcConfig
-from repro.common.errors import TransactionAborted
+from repro.common.errors import ConfigError, TransactionAborted
 
 
 def cached_kernel(**tc_kwargs):
-    tc_kwargs.setdefault("undo_cache", True)
     kernel = UnbundledKernel(KernelConfig(tc=TcConfig(**tc_kwargs)))
     kernel.create_table("t")
     return kernel
@@ -27,8 +28,13 @@ def undo_reads(kernel):
     return kernel.metrics.get("tc.undo_info_reads")
 
 
+def misses(kernel):
+    return kernel.metrics.get("tc.undo_cache_misses")
+
+
 class TestCacheHits:
-    def test_cache_is_off_by_default(self, kernel):
+    def test_cache_is_off_at_size_zero(self):
+        kernel = cached_kernel(undo_cache_size=0)
         for _ in range(2):
             with kernel.begin() as txn:
                 txn.insert("t", 1, "x") if txn.read("t", 1) is None else txn.update(
@@ -36,16 +42,18 @@ class TestCacheHits:
                 )
         assert kernel.tc._undo_cache is None
         assert kernel.metrics.get("tc.undo_cache_hits") == 0
-        assert undo_reads(kernel) > 0
+        assert undo_reads(kernel) > 0  # every read reaches the DC
+        assert TcConfig().undo_cache_size == 4096  # on by default
 
     def test_repeat_writer_skips_read_before_write(self):
         kernel = cached_kernel()
         with kernel.begin() as txn:
-            txn.insert("t", 1, "v1")  # miss: one read learns ABSENT
-        before = undo_reads(kernel)
+            txn.insert("t", 1, "v1")  # the commit caches the value
+        before = misses(kernel)
         with kernel.begin() as txn:
             txn.update("t", 1, "v2")  # committed value is cached
-        assert undo_reads(kernel) == before
+        assert misses(kernel) == before
+        assert undo_reads(kernel) == 0
         assert kernel.metrics.get("tc.undo_cache_hits") == 1
 
     def test_cached_undo_info_rolls_back_correctly(self):
@@ -56,11 +64,11 @@ class TestCacheHits:
             txn.insert("t", 1, "v1")
         with kernel.begin() as txn:
             txn.update("t", 1, "v2")
-        before = undo_reads(kernel)
+        before = misses(kernel)
         txn = kernel.begin()
         txn.update("t", 1, "v3")
         txn.abort()
-        assert undo_reads(kernel) == before  # undo info came from the cache
+        assert misses(kernel) == before  # undo info came from the cache
         with kernel.begin() as check:
             assert check.read("t", 1) == "v2"
 
@@ -70,10 +78,10 @@ class TestCacheHits:
             txn.insert("t", 1, "v1")
         with kernel.begin() as txn:
             txn.delete("t", 1)  # commits knowledge that key 1 is absent
-        before = undo_reads(kernel)
+        hits = kernel.metrics.get("tc.undo_cache_hits")
         with kernel.begin() as txn:
             txn.insert("t", 1, "v2")  # duplicate-check served by the cache
-        assert undo_reads(kernel) == before
+        assert kernel.metrics.get("tc.undo_cache_hits") == hits + 1
         with kernel.begin() as check:
             assert check.read("t", 1) == "v2"
 
@@ -101,10 +109,9 @@ class TestCacheHits:
         assert ("t", 7) not in kernel.tc._undo_cache
 
     def test_rejects_invalid_cache_size(self):
-        with pytest.raises(ValueError):
-            UnbundledKernel(
-                KernelConfig(tc=TcConfig(undo_cache=True, undo_cache_size=0))
-            )
+        with pytest.raises(ConfigError) as err:
+            TcConfig(undo_cache_size=-1)
+        assert err.value.field == "TcConfig.undo_cache_size"
 
 
 class TestRecency:
@@ -200,10 +207,10 @@ class TestInvalidation:
         txn.update("t", 1, "v2")
         txn.abort()
         assert ("t", 1) not in kernel.tc._undo_cache
-        before = undo_reads(kernel)
+        before = misses(kernel)
         with kernel.begin() as txn:
-            txn.update("t", 1, "v3")  # reads through again
-        assert undo_reads(kernel) == before + 1
+            txn.update("t", 1, "v3")  # owes its image again
+        assert misses(kernel) == before + 1
         assert kernel.metrics.get("tc.undo_cache_invalidations") >= 1
         with kernel.begin() as check:
             assert check.read("t", 1) == "v3"
@@ -215,10 +222,10 @@ class TestInvalidation:
         kernel.crash_tc()
         assert len(kernel.tc._undo_cache) == 0
         kernel.recover_tc()
-        before = undo_reads(kernel)
+        before = misses(kernel)
         with kernel.begin() as txn:
             txn.update("t", 1, "v2")
-        assert undo_reads(kernel) == before + 1
+        assert misses(kernel) == before + 1
 
     def test_dc_restart_invalidates_its_tables(self):
         kernel = cached_kernel()
@@ -228,10 +235,10 @@ class TestInvalidation:
         kernel.crash_dc()
         kernel.recover_dc()
         assert ("t", 1) not in kernel.tc._undo_cache
-        before = undo_reads(kernel)
+        before = misses(kernel)
         with kernel.begin() as txn:
             txn.update("t", 1, "v2")
-        assert undo_reads(kernel) == before + 1
+        assert misses(kernel) == before + 1
         with kernel.begin() as check:
             assert check.read("t", 1) == "v2"
 
