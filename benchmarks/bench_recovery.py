@@ -1,6 +1,6 @@
 """E-RECOVERY — crash-competitive recovery time (Sections 4.2, 5.2).
 
-Three series, one results file (``BENCH_recovery.json``):
+Two series, one results file (``BENCH_recovery.json``):
 
 - **RTO vs log size** — time-to-recover after a TC crash as the log
   grows, with and without periodic checkpoints.  Checkpoints terminate
@@ -8,10 +8,6 @@ Three series, one results file (``BENCH_recovery.json``):
   so restart redo work — and hence RTO — stays flat instead of growing
   with history.  Asserted: at the largest log size the checkpointed RTO
   is at most half the uncheckpointed one.
-- **Parallel redo speedup** — TC restart over 4 DC server processes,
-  redo stream fanned out per DC vs forced sequential.  Every redo
-  operation is a synchronous pipe round trip, so the fan-out converts
-  restart from sum-of-streams to max-of-streams.  Asserted: >= 1.3x.
 - **Journal growth** — the process-mode DC journal with periodic
   ``checkpoint_dc_log`` + compaction stays bounded by live state, while
   the same workload without compaction grows with history.
@@ -29,7 +25,7 @@ import time
 import pytest
 
 from benchmarks.conftest import fresh_unbundled, series, write_results
-from repro.common.config import ChannelConfig, DcConfig, KernelConfig, TcConfig
+from repro.common.config import ChannelConfig, DcConfig, KernelConfig
 from repro.kernel.unbundled import UnbundledKernel
 
 SEED = 7
@@ -97,56 +93,13 @@ def test_erecovery_rto_vs_log_size():
     assert largest["ckpt_rto_ms"] <= 0.5 * largest["no_ckpt_rto_ms"], rows
 
 
-def _process_kernel(dc_count: int, parallel_redo: bool) -> UnbundledKernel:
+def _process_kernel() -> UnbundledKernel:
     config = KernelConfig(
-        dc=DcConfig(page_size=1024),
-        tc=TcConfig(parallel_redo=parallel_redo),
-        channel=ChannelConfig(transport="process"),
+        dc=DcConfig(page_size=1024), channel=ChannelConfig(transport="process")
     )
-    kernel = UnbundledKernel(config, dc_count=dc_count)
-    for index in range(dc_count):
-        name = f"dc{index + 1}" if dc_count > 1 else "dc"
-        kernel.create_table(f"t{index}", dc_name=name)
+    kernel = UnbundledKernel(config)
+    kernel.create_table("t0")
     return kernel
-
-
-def _process_restart_rto(dc_count: int, parallel_redo: bool, rows: int = 800):
-    kernel = _process_kernel(dc_count, parallel_redo)
-    try:
-        for index in range(rows):
-            with kernel.begin() as txn:
-                txn.insert(f"t{index % dc_count}", index, f"value-{index:06d}")
-        rto_ms, stats = _timed_tc_restart(kernel)
-        with kernel.begin() as txn:
-            seen = sum(len(txn.scan(f"t{i}")) for i in range(dc_count))
-        assert seen == rows
-        fanouts = kernel.metrics.get("tc.redo_parallel_fanouts")
-        return rto_ms, stats["redo_ops"], fanouts
-    finally:
-        kernel.close()
-
-
-@pytest.mark.process
-def test_erecovery_parallel_redo_speedup():
-    """1-vs-4 DC server processes: fanning the redo stream out per DC
-    turns restart into max-of-streams instead of sum-of-streams."""
-    one_dc_ms, one_redo, one_fan = _process_restart_rto(1, parallel_redo=True)
-    seq_ms, seq_redo, seq_fan = _process_restart_rto(4, parallel_redo=False)
-    par_ms, par_redo, par_fan = _process_restart_rto(4, parallel_redo=True)
-    assert one_fan == 0 and seq_fan == 0 and par_fan == 1
-    assert seq_redo == par_redo
-    speedup = seq_ms / par_ms
-    row = {
-        "redo_ops": par_redo,
-        "one_dc_rto_ms": round(one_dc_ms, 3),
-        "four_dc_sequential_rto_ms": round(seq_ms, 3),
-        "four_dc_parallel_rto_ms": round(par_ms, 3),
-        "parallel_speedup": round(speedup, 3),
-    }
-    _RESULTS["parallel_redo"] = row
-    _publish()
-    series("E-RECOVERY parallel redo", **row)
-    assert speedup >= 1.3, row
 
 
 @pytest.mark.process
@@ -156,7 +109,7 @@ def test_erecovery_journal_stays_bounded():
     them it grows with history."""
 
     def run(compact: bool) -> int:
-        kernel = _process_kernel(1, parallel_redo=True)
+        kernel = _process_kernel()
         try:
             for round_no in range(4):
                 for key in range(50):

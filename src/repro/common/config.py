@@ -78,8 +78,6 @@ class TcConfig:
 
     #: Lock wait budget in "ticks" of the simulated scheduler / real ms.
     lock_timeout: float = 1.0
-    #: Deadlock detection: check the waits-for graph on every block.
-    deadlock_detection: bool = True
     #: How range reads are locked.
     range_protocol: RangeLockProtocol = RangeLockProtocol.FETCH_AHEAD
     #: Keys per fetch-ahead probe batch.
@@ -120,21 +118,6 @@ class TcConfig:
     #: per-stripe mutexes instead of serializing on one global lock-table
     #: mutex.  1 reproduces the old single-mutex behavior exactly.
     lock_stripes: int = 16
-    #: Checkpoint-driven log truncation (Section 4.2 contract
-    #: termination): after a checkpoint advances the redo scan start
-    #: point, physically drop stable log records below it — capped at
-    #: the oldest operation of any transaction without a stable end
-    #: record, whose undo information restart still needs.  Bounds
-    #: replay cost (and therefore recovery time); off reproduces the
-    #: historical grow-forever log.
-    truncate_log: bool = True
-    #: Restart redo fan-out: replay the redo stream to all DCs
-    #: concurrently (one worker per DC) instead of sequentially.  The
-    #: per-DC streams are independent — LSN order is preserved within
-    #: each DC, which is all idempotence needs.  Automatically falls
-    #: back to sequential under fault injection or the deterministic
-    #: scheduler to keep schedules reproducible.
-    parallel_redo: bool = True
     #: TEST ONLY — skip read locks entirely, breaking strict 2PL on
     #: purpose.  The schedule explorer's negative control flips this to
     #: prove the serializability oracle catches the resulting r/w cycles;

@@ -321,10 +321,7 @@ class MonolithicEngine:
         #: them into the ``mono.commit_latency_ms`` distribution lazily.
         self._commit_latency = self.metrics.buffer("mono.commit_latency_ms")
         self.locks = LockManager(
-            self.metrics,
-            self.tc_config.deadlock_detection,
-            self.tc_config.lock_timeout,
-            tracer=self.tracer,
+            self.metrics, timeout=self.tc_config.lock_timeout, tracer=self.tracer
         )
         self._lsns = LsnGenerator()
         self._log: list[MonoLogRecord] = []

@@ -37,11 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 class MessageChannel:
     """One ordered-by-default channel between a TC and a DC."""
 
-    #: Channels that can pipeline (send now, collect the reply out of
-    #: order) advertise True and implement ``request_async`` /
-    #: ``finish_async`` — see :class:`repro.net.process.ProcessChannel`.
-    supports_async = False
-
     def __init__(
         self,
         dc: DataComponent,
@@ -100,6 +95,25 @@ class MessageChannel:
             if reply is None:
                 span.tags["lost"] = True
             return reply
+
+    # -- the pipelined surface --------------------------------------------------------
+    #
+    # Every channel has it, so its callers (the redo pump, a multi-DC
+    # flush) have one shape.  Here a "slot" is the request itself, handed
+    # to the DC when it is collected: the channel has no wire to overlap,
+    # and collecting in send order keeps a lost request from being
+    # overtaken by the ones behind it, as a FIFO pipe would.
+
+    def request_async(self, message: Message, defer: bool = False) -> Message:
+        """Queue ``message``; :meth:`finish_async` delivers it."""
+        return message
+
+    def finish_async(self, slot: Message) -> Optional[Message]:
+        """Deliver a queued request now; the reply, or None when lost."""
+        return self.request(slot)
+
+    def flush(self) -> None:
+        """Nothing is ever buffered here."""
 
     def _note_request(self, message: Message) -> None:
         """Per-request accounting, shared by every transport."""

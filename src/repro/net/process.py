@@ -1012,17 +1012,15 @@ class DcClient(RemoteDc):
 
 
 class ProcessChannel(MessageChannel):
-    """The MessageChannel surface over a :class:`RemoteDc`, plus pipelining.
+    """The MessageChannel surface over a :class:`RemoteDc`.
 
     ``request`` is synchronous (send, await the reply).
-    :meth:`request_async`/:meth:`finish_async` expose the pipelined path:
-    many requests in flight at once, reply slots filled out of order by
+    :meth:`request_async`/:meth:`finish_async` really pipeline here: many
+    requests in flight at once, reply slots filled out of order by
     whichever caller is reading the connection.  The §4.2.1 contracts make
     that safe — every request carries its unique id, replies correlate by
     id, and resends are absorbed by DC-side idempotence.
     """
-
-    supports_async = True
 
     def __init__(
         self,

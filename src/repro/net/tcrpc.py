@@ -134,21 +134,6 @@ class TcRetryPending(Message):
 
 
 @dataclass(frozen=True)
-class TxnBegin(Message):
-    """Retired: nothing sends it and the server no longer serves it (a
-    transaction is opened by its first request).  The class and its
-    reply stay because fast-codec ids are positional and append-only
-    (``wire._FAST_NAMES``); removing wire vocabulary is its own change."""
-
-
-@dataclass(frozen=True)
-class TxnBeginReply(Message):
-    """Retired with :class:`TxnBegin`."""
-
-    txn_id: int = 0
-
-
-@dataclass(frozen=True)
 class TxnWrite(Message):
     """One mutation: ``verb`` is insert/update/delete/increment."""
 

@@ -224,7 +224,10 @@ def _bootstrap() -> None:
 #: The hot message set, in wire-id order (ids are 1-based positions).
 #: APPEND ONLY — reordering or removing entries changes ids under existing
 #: peers.  Negotiation tolerates drift (a mismatched entry is simply not
-#: enabled), but stable ids keep homogeneous deployments fully fast.
+#: enabled), but stable ids keep homogeneous deployments fully fast.  A
+#: retired message keeps its name here as an empty slot (no class of that
+#: name exists, so no id is assigned to it): ``TxnBegin`` /
+#: ``TxnBeginReply``, unsent since a transaction opens on its first request.
 _FAST_NAMES = (
     "PerformOperation",
     "OperationReply",

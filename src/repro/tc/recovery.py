@@ -23,11 +23,9 @@ prompts the TC (Section 5.3.2 "DC Failure").
 
 from __future__ import annotations
 
-import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
-
-from collections import deque
 
 from repro.common.api import (
     BatchedPerform,
@@ -47,7 +45,6 @@ from repro.common.ops import (
     UpdateOp,
 )
 from repro.common.records import Key
-from repro.sim import schedule as _sched
 from repro.storage.buffer import ResetMode
 from repro.tc.log import (
     AbortRecord,
@@ -62,6 +59,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tc.transactional_component import TransactionalComponent
 
 
+#: Operations per redo envelope, and envelopes in flight per DC.
+_REDO_BATCH = 16
+_REDO_WINDOW = 4
+
+
 def resend_redo_stream(
     tc: "TransactionalComponent", dc_names: Optional[set[str]] = None
 ) -> int:
@@ -71,16 +73,18 @@ def resend_redo_stream(
     (the DC-crash case); ``None`` replays to every DC (TC restart).
     Returns the number of operations resent.
 
-    With ``TcConfig.parallel_redo`` the per-DC streams run concurrently:
-    over async channels (the process transport) one thread pumps every
-    DC's pipe with a window of requests in flight per DC, so the server
-    processes apply their streams in parallel; over local channels each
-    stream gets a worker thread.  Either way the streams are independent
-    (LSN order — all that abLSN idempotence requires — is preserved
-    within each DC), so restart time follows the slowest DC instead of
-    the sum.  Fault injection and the deterministic scheduler force the
-    sequential path — a concurrent replay would make fault-rule hit
-    counts and schedule decisions nondeterministic.
+    One pump serves every transport: each DC's stream leaves as
+    :class:`BatchedPerform` redo envelopes of ``_REDO_BATCH`` operations,
+    up to ``_REDO_WINDOW`` of them in flight per DC, so DC processes apply
+    their streams concurrently while this one thread pays one send per
+    envelope (an in-process channel delivers each envelope as it is
+    collected).  Replies are collected in send order, and a DC handles
+    its requests in arrival order, so per-DC LSN order — all abLSN
+    idempotence requires — is kept.  A lost, partial or ``UNSTABLE``
+    reply falls back to per-record :meth:`_perform`, which owns crash
+    detection, the stability wait and the resend budget.  The pump is
+    single-threaded, so fault-rule hits and schedule decisions stay a
+    function of the seed.
     """
     # The whole log, not just its stable prefix: after a TC crash they are
     # the same, but a live TC answering a DC's restart prompt may hold a
@@ -129,170 +133,81 @@ def resend_redo_stream(
             tc.log.fill({record.lsn: result.prior})
         return 1
 
-    def replay(dc_name: str, records: list) -> int:
-        resent = 0
-        for record in records:
-            if tc.faults is not None:
-                from repro.sim.faults import FaultPoint
+    def replay_one(record) -> int:
+        result = tc._perform(
+            record.dc_name,
+            record.op,
+            record.lsn,
+            resend=True,
+            redo=True,
+            want_prior=owed(record),
+        )
+        return accept(result, record)
 
-                # Crash-mid-redo: the restart dies with part of the
-                # stream resent — abLSN idempotence makes the retried
-                # restart's full replay exactly-once anyway.
+    def send(name: str, chunk: list) -> object:
+        if tc.faults is not None:
+            from repro.sim.faults import FaultPoint
+
+            # Crash-mid-redo: the restart dies with part of the stream
+            # resent — abLSN idempotence makes the retried restart's full
+            # replay exactly-once anyway.
+            for _record in chunk:
                 tc.faults.hit(FaultPoint.TC_REDO, tc.name)
-            result = tc._perform(
-                record.dc_name,
-                record.op,
-                record.lsn,
-                resend=True,
-                redo=True,
-                want_prior=owed(record),
-            )
-            resent += accept(result, record)
-        return resent
+        tc._check_up()
+        envelope = BatchedPerform(
+            tc_id=tc.tc_id,
+            ops=tuple(
+                PerformOperation(
+                    tc_id=tc.tc_id,
+                    op_id=record.lsn,
+                    op=record.op,
+                    resend=True,
+                    redo=True,
+                    want_prior=owed(record),
+                )
+                for record in chunk
+            ),
+            eosl=tc.log.eosl,
+            redo=True,
+        )
+        # Deferred: window-fill envelopes coalesce into one vectored write
+        # per DC; finish_async flushes that channel before awaiting.
+        return tc._channels[name].request_async(envelope, defer=True)
 
-    def replay_multiplexed(window: int = 4, batch: int = 16) -> int:
-        """The async-channel variant: one thread pumps every DC's pipe,
-        shipping the stream as :class:`BatchedPerform` redo envelopes
-        with up to ``window`` envelopes in flight per DC, so all server
-        processes apply their streams concurrently while the client pays
-        one serialize-and-send per ``batch`` operations.  Each pipe is
-        FIFO and its server handles requests in arrival order, so per-DC
-        LSN order — all that abLSN idempotence requires — is preserved
-        exactly as in the synchronous path.  A lost, errored or partial
-        reply falls back to per-record :meth:`_perform`, which owns
-        crash detection and the resend budget.
-        """
-        channels = {name: tc._channels[name] for name in streams}
-        chunked = {
-            name: [records[i : i + batch] for i in range(0, len(records), batch)]
-            for name, records in streams.items()
-        }
-        cursors = {name: iter(chunks) for name, chunks in chunked.items()}
-        pending: dict[str, deque] = {name: deque() for name in streams}
-        resent = 0
+    def finish(name: str, slot: object, chunk: list) -> int:
+        try:
+            reply = tc._channels[name].finish_async(slot)
+        except ReproError:
+            reply = None
+        if reply is None:
+            return sum(replay_one(record) for record in chunk)
+        results = {sub.op_id: sub.result for sub in reply.replies}
+        done = 0
+        for record in chunk:
+            result = results.get(record.lsn)
+            if result is None or result.status is OpStatus.UNSTABLE:
+                done += replay_one(record)  # owns waiting and resending
+            else:
+                done += accept(result, record)
+        return done
 
-        def replay_one(record) -> int:
-            result = tc._perform(
-                record.dc_name,
-                record.op,
-                record.lsn,
-                resend=True,
-                redo=True,
-                want_prior=owed(record),
-            )
-            return accept(result, record)
-
-        def finish_one(name: str) -> int:
-            future, chunk = pending[name].popleft()
-            try:
-                reply = channels[name].finish_async(future)
-            except ReproError:
-                reply = None
-            if reply is None:
-                return sum(replay_one(record) for record in chunk)
-            results = {sub.op_id: sub.result for sub in reply.replies}
-            done = 0
-            for record in chunk:
-                result = results.get(record.lsn)
-                if result is None or result.status is OpStatus.UNSTABLE:
-                    done += replay_one(record)  # owns waiting and resending
-                else:
-                    done += accept(result, record)
-            return done
-
-        def envelope(chunk) -> BatchedPerform:
-            return BatchedPerform(
-                tc_id=tc.tc_id,
-                ops=tuple(
-                    PerformOperation(
-                        tc_id=tc.tc_id,
-                        op_id=record.lsn,
-                        op=record.op,
-                        resend=True,
-                        redo=True,
-                        want_prior=owed(record),
-                    )
-                    for record in chunk
-                ),
-                eosl=tc.log.eosl,
-                redo=True,
-            )
-
-        exhausted: set[str] = set()
-        while len(exhausted) < len(cursors) or any(pending.values()):
-            for name in streams:
-                if name not in exhausted and len(pending[name]) < window:
-                    chunk = next(cursors[name], None)
-                    if chunk is None:
-                        exhausted.add(name)
-                    else:
-                        tc._check_up()
-                        # Deferred: window-fill envelopes coalesce into one
-                        # vectored write per DC; finish_async flushes that
-                        # channel before awaiting, so nothing ever parks.
-                        pending[name].append(
-                            (
-                                channels[name].request_async(
-                                    envelope(chunk), defer=True
-                                ),
-                                chunk,
-                            )
-                        )
-                        continue
-                if pending[name]:
-                    resent += finish_one(name)
-        return resent
-
-    deterministic_context = tc.faults is not None or _sched.ACTIVE is not None
-    eligible = tc.config.parallel_redo and bool(streams) and not deterministic_context
-    pipelined = eligible and all(
-        getattr(tc._channels.get(name), "supports_async", False) for name in streams
-    )
-    parallel = eligible and len(streams) > 1
-    if pipelined:
-        resent = replay_multiplexed()
-        if parallel:
-            tc.metrics.incr("tc.redo_parallel_fanouts")
-    elif not parallel:
-        resent = 0
-        for dc_name in sorted(streams):
-            resent += replay(dc_name, streams[dc_name])
-    else:
-        results: dict[str, int] = {}
-        failures: list[BaseException] = []
-        flock = threading.Lock()
-
-        def worker(dc_name: str, records: list) -> None:
-            try:
-                count = replay(dc_name, records)
-                with flock:
-                    results[dc_name] = count
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                with flock:
-                    failures.append(exc)
-
-        threads = [
-            threading.Thread(
-                target=worker,
-                args=(dc_name, records),
-                name=f"tc-redo-{dc_name}",
-                daemon=True,
-            )
-            for dc_name, records in sorted(streams.items())
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if failures:
-            # Prefer the failure kinds restart()'s caller knows how to
-            # heal (re-mark crashed, supervisor retries the restart).
-            for exc in failures:
-                if isinstance(exc, (CrashedError, ResendExhaustedError)):
-                    raise exc
-            raise failures[0]
-        tc.metrics.incr("tc.redo_parallel_fanouts")
-        resent = sum(results.values())
+    queued = {
+        name: deque(
+            records[i : i + _REDO_BATCH] for i in range(0, len(records), _REDO_BATCH)
+        )
+        for name, records in sorted(streams.items())
+    }
+    in_flight: dict[str, deque] = {name: deque() for name in queued}
+    resent = 0
+    while any(queued.values()) or any(in_flight.values()):
+        for name, chunks in queued.items():
+            sent = in_flight[name]
+            if chunks and len(sent) < _REDO_WINDOW:
+                chunk = chunks.popleft()
+                sent.append((send(name, chunk), chunk))
+            elif sent:
+                slot, chunk = sent.popleft()
+                resent += finish(name, slot, chunk)
     tc.metrics.incr("tc.redo_ops", resent)
     return resent
 

@@ -436,8 +436,7 @@ class TransactionalComponent:
         self.log.use_tracer(self.tracer)
         self.locks = LockManager(
             self.metrics,
-            self.config.deadlock_detection,
-            self.config.lock_timeout,
+            timeout=self.config.lock_timeout,
             tracer=self.tracer,
             stripes=self.config.lock_stripes,
         )
@@ -504,8 +503,7 @@ class TransactionalComponent:
         #: this TC is the table's sole writer (``ownership_guard is None``).
         self._table_high: dict[str, Key] = {}
         self._insert_high: dict[str, Key] = {}
-        #: RetryPolicy is stateless, so the batch path reuses one instance
-        #: instead of rebuilding it per envelope.
+        #: RetryPolicy is stateless: one instance serves every resend loop.
         self._retry_policy = self.config.retry_policy()
         # Hot-path counter slots, bound once (see Metrics.counter).
         self._undo_reads_slot = self.metrics.counter("tc.undo_info_reads")
@@ -792,7 +790,7 @@ class TransactionalComponent:
                 resend = False
             result = self._perform(clr.dc_name, clr.op, clr.lsn, resend=resend)  # type: ignore[arg-type]
             self._expect_ok(result, clr.op)  # type: ignore[arg-type]
-            self._complete_op(clr.lsn)
+            self._complete_ops([clr.lsn])
             to_undo.pop(0)
             self.metrics.incr("tc.undo_ops")
         for table, keys in sorted(versioned_keys.items()):
@@ -830,19 +828,12 @@ class TransactionalComponent:
         )
         result = self._perform(route.dc_name, op, record.lsn)
         self._expect_ok(result, op)
-        self._complete_op(record.lsn)
+        self._complete_ops([record.lsn])
         self.metrics.incr("tc.version_cleanups")
 
     # -- operations ------------------------------------------------------------------------
 
     def do_insert(self, txn: Transaction, table: str, key: Key, value: Value) -> None:
-        if self._crashed:
-            self._check_up()
-        if txn.state is not TransactionState.ACTIVE:
-            txn._check_active()
-        route = self._route(table)
-        self._check_ownership(table, key)
-        self._sync_if_conflicting(txn, table, key)
         if self.ownership_guard is None:
             # Record the *attempted* insert before locking/queueing it so a
             # concurrent probe-learned bound can never undercut this key
@@ -854,46 +845,17 @@ class TransactionalComponent:
                 thigh = self._table_high.get(table)
                 if thigh is not None and key > thigh:
                     self._table_high[table] = key
-        try:
-            self.cc.lock_for_insert(txn, table, key)
-        except (TransactionAborted, LockTimeoutError):
-            self._force_abort(txn)
-            raise
-        if self._write_prior(txn, table, key, unknown=ABSENT) is not ABSENT:
-            raise DuplicateKeyError(table, key)
-        try:
-            self.cc.note_write(txn, table, key, ABSENT, structural=True)
-        except TransactionAborted:
-            self._force_abort(txn)
-            raise
+        route, _prior = self._prepare_write(
+            txn, table, key, self.cc.lock_for_insert, ABSENT, structural=True
+        )
         op = InsertOp(table=table, key=key, value=value, versioned=route.versioned)
         undo = None if route.versioned else DeleteOp(table=table, key=key)
-        self._run_mutation(txn, route, op, undo)
-        txn.known[(table, key)] = value
-        if route.versioned:
-            txn.versioned_keys.setdefault(table, set()).add(key)
+        self._run_mutation(txn, route, op, undo, value)
 
     def do_update(self, txn: Transaction, table: str, key: Key, value: Value) -> None:
-        if self._crashed:
-            self._check_up()
-        if txn.state is not TransactionState.ACTIVE:
-            txn._check_active()
-        route = self._route(table)
-        self._check_ownership(table, key)
-        self._sync_if_conflicting(txn, table, key)
-        try:
-            self.cc.lock_for_update(txn, table, key)
-        except (TransactionAborted, LockTimeoutError):
-            self._force_abort(txn)
-            raise
-        prior = self._write_prior(txn, table, key, unknown=OWED)
-        if prior is ABSENT:
-            raise NoSuchRecordError(table, key)
-        try:
-            self.cc.note_write(txn, table, key, prior, structural=False)
-        except TransactionAborted:
-            self._force_abort(txn)
-            raise
+        route, prior = self._prepare_write(
+            txn, table, key, self.cc.lock_for_update, OWED, structural=False
+        )
         op = UpdateOp(table=table, key=key, value=value, versioned=route.versioned)
         owed = prior is OWED and not route.versioned
         undo = (
@@ -901,32 +863,12 @@ class TransactionalComponent:
             if route.versioned or owed
             else UpdateOp(table=table, key=key, value=prior)
         )
-        self._run_mutation(txn, route, op, undo, owed=owed)
-        txn.known[(table, key)] = value
-        if route.versioned:
-            txn.versioned_keys.setdefault(table, set()).add(key)
+        self._run_mutation(txn, route, op, undo, value, owed=owed)
 
     def do_delete(self, txn: Transaction, table: str, key: Key) -> None:
-        if self._crashed:
-            self._check_up()
-        if txn.state is not TransactionState.ACTIVE:
-            txn._check_active()
-        route = self._route(table)
-        self._check_ownership(table, key)
-        self._sync_if_conflicting(txn, table, key)
-        try:
-            self.cc.lock_for_delete(txn, table, key)
-        except (TransactionAborted, LockTimeoutError):
-            self._force_abort(txn)
-            raise
-        prior = self._write_prior(txn, table, key, unknown=OWED)
-        if prior is ABSENT:
-            raise NoSuchRecordError(table, key)
-        try:
-            self.cc.note_write(txn, table, key, prior, structural=True)
-        except TransactionAborted:
-            self._force_abort(txn)
-            raise
+        route, prior = self._prepare_write(
+            txn, table, key, self.cc.lock_for_delete, OWED, structural=True
+        )
         op = DeleteOp(table=table, key=key, versioned=route.versioned)
         owed = prior is OWED and not route.versioned
         undo = (
@@ -934,36 +876,12 @@ class TransactionalComponent:
             if route.versioned or owed
             else InsertOp(table=table, key=key, value=prior)
         )
-        self._run_mutation(txn, route, op, undo, owed=owed)
-        txn.known[(table, key)] = ABSENT
-        if route.versioned:
-            txn.versioned_keys.setdefault(table, set()).add(key)
+        self._run_mutation(txn, route, op, undo, ABSENT, owed=owed)
 
     def do_increment(self, txn: Transaction, table: str, key: Key, delta: float) -> None:
-        if self._crashed:
-            self._check_up()
-        if txn.state is not TransactionState.ACTIVE:
-            txn._check_active()
-        route = self._route(table)
-        self._check_ownership(table, key)
-        self._sync_if_conflicting(txn, table, key)
-        try:
-            self.cc.lock_for_update(txn, table, key)
-        except (TransactionAborted, LockTimeoutError):
-            self._force_abort(txn)
-            raise
-        prior = self._write_prior(txn, table, key, unknown=OWED)
-        if prior is ABSENT:
-            raise NoSuchRecordError(table, key)
-        if prior is not OWED and (
-            not isinstance(prior, (int, float)) or isinstance(prior, bool)
-        ):
-            raise ReproError(f"record {key!r} of {table!r} is not numeric")
-        try:
-            self.cc.note_write(txn, table, key, prior, structural=False)
-        except TransactionAborted:
-            self._force_abort(txn)
-            raise
+        route, prior = self._prepare_write(
+            txn, table, key, self.cc.lock_for_update, OWED, False, numeric=True
+        )
         op = IncrementOp(
             table=table, key=key, delta=delta, versioned=route.versioned
         )
@@ -973,11 +891,52 @@ class TransactionalComponent:
         undo = None if route.versioned else IncrementOp(
             table=table, key=key, delta=-delta
         )
-        self._run_mutation(txn, route, op, undo)
-        if prior is not OWED:
-            txn.known[(table, key)] = prior + delta
-        if route.versioned:
-            txn.versioned_keys.setdefault(table, set()).add(key)
+        known = OWED if prior is OWED else prior + delta
+        self._run_mutation(txn, route, op, undo, known)
+
+    def _prepare_write(
+        self,
+        txn: Transaction,
+        table: str,
+        key: Key,
+        lock: Callable[[Transaction, str, Key], None],
+        unknown: object,
+        structural: bool,
+        numeric: bool = False,
+    ) -> tuple[_TableRoute, object]:
+        """What every write does before it is queued: check the TC and
+        the transaction are live, route and own the key, keep our own
+        envelope from holding two operations on it, take the write lock,
+        learn the prior (``unknown`` — ``ABSENT`` for an insert, ``OWED``
+        otherwise — when the TC does not know it, see :meth:`_write_prior`)
+        and let the policy note the write.  Returns the route and the
+        prior.  A deadlock, lock timeout or policy veto rolls the
+        transaction back — it must never survive holding a partial lock
+        set."""
+        if self._crashed:
+            self._check_up()
+        if txn.state is not TransactionState.ACTIVE:
+            txn._check_active()
+        route = self._route(table)
+        self._check_ownership(table, key)
+        self._sync_if_conflicting(txn, table, key)
+        try:
+            lock(txn, table, key)
+            prior = self._write_prior(txn, table, key, unknown)
+            if unknown is ABSENT:
+                if prior is not ABSENT:
+                    raise DuplicateKeyError(table, key)
+            elif prior is ABSENT:
+                raise NoSuchRecordError(table, key)
+            elif numeric and prior is not OWED and (
+                not isinstance(prior, (int, float)) or isinstance(prior, bool)
+            ):
+                raise ReproError(f"record {key!r} of {table!r} is not numeric")
+            self.cc.note_write(txn, table, key, prior, structural=structural)
+        except (TransactionAborted, LockTimeoutError):
+            self._force_abort(txn)
+            raise
+        return route, prior
 
     def do_read(self, txn: Transaction, table: str, key: Key) -> Optional[Value]:
         if self._crashed:
@@ -1033,11 +992,8 @@ class TransactionalComponent:
         self._check_up()
         if flavor is ReadFlavor.OWN:
             raise ReproError("read_other is for READ_COMMITTED or DIRTY flavors")
-        route = self._route(table)
         op = ReadOp(table=table, key=key, flavor=flavor)
-        op_id = self.log.issue_read_id()
-        result = self._perform(route.dc_name, op, op_id)
-        self._complete_op(op_id)
+        result = self._read_dc(op)
         if result.status is OpStatus.NOT_FOUND:
             return None
         self._expect_ok(result, op)
@@ -1073,43 +1029,27 @@ class TransactionalComponent:
         unreachable DC fails the whole call within the retry budget.
         """
         self._check_up()
-        from repro.common.api import WatermarkReply, WatermarkRequest
+        from repro.common.api import WatermarkRequest
 
-        policy = self.config.retry_policy()
+        ask = WatermarkRequest(tc_id=self.tc_id)
         watermarks: dict[str, int] = {}
         for name, channel in self._channels.items():
-            reply = None
-            attempts = 0
-            waited_ms = 0.0
-            down = channel.dc.crashed or (
-                channel.faults is not None and channel.faults.partitioned(name)
-            )
-            while reply is None and not down and not policy.exhausted(attempts, waited_ms):
-                reply = channel.request(WatermarkRequest(tc_id=self.tc_id))
-                attempts += 1
-                if reply is None:
-                    down = channel.dc.crashed
-                    backoff = policy.backoff_ms(attempts)
-                    waited_ms += backoff
-                    channel.sim_time_ms += backoff
-            if isinstance(reply, WatermarkReply):
-                watermarks[name] = reply.watermark
-                continue
-            if allow_degraded:
+            try:
+                reply = self._resend(
+                    name, lambda _n: channel.request(ask), f"watermark:{name}"
+                )
+            except (ComponentUnavailableError, ResendExhaustedError):
+                if not allow_degraded:
+                    raise
                 self.metrics.incr("tc.degraded_snapshots")
                 continue
-            if down:
-                raise ComponentUnavailableError(f"DC {name}", attempts, waited_ms)
-            raise ResendExhaustedError(f"watermark:{name}", name, attempts, waited_ms)
+            watermarks[name] = reply.watermark
         self.metrics.incr("tc.snapshots")
         return SnapshotReader(self, watermarks)
 
     def read_snapshot(self, table: str, key: Key, as_of: int) -> Optional[Value]:
-        route = self._route(table)
         op = ReadOp(table=table, key=key, flavor=ReadFlavor.SNAPSHOT, as_of=as_of)
-        op_id = self.log.issue_read_id()
-        result = self._perform(route.dc_name, op, op_id)
-        self._complete_op(op_id)
+        result = self._read_dc(op)
         if result.status is OpStatus.NOT_FOUND:
             return None
         self._raise_if_snapshot_too_old(result, as_of)
@@ -1124,7 +1064,6 @@ class TransactionalComponent:
         high: Optional[Key] = None,
         limit: Optional[int] = None,
     ) -> list[tuple[Key, Value]]:
-        route = self._route(table)
         op = RangeReadOp(
             table=table,
             low=low,
@@ -1133,9 +1072,7 @@ class TransactionalComponent:
             flavor=ReadFlavor.SNAPSHOT,
             as_of=as_of,
         )
-        op_id = self.log.issue_read_id()
-        result = self._perform(route.dc_name, op, op_id)
-        self._complete_op(op_id)
+        result = self._read_dc(op)
         self._raise_if_snapshot_too_old(result, as_of)
         self._expect_ok(result, op)
         return [view.as_tuple() for view in result.records]
@@ -1173,13 +1110,10 @@ class TransactionalComponent:
         inclusive: bool = False,
     ) -> list[Key]:
         """Speculative fetch-ahead probe (unlocked, unlogged)."""
-        route = self._route(table)
         op = ProbeNextKeysOp(
             table=table, after=after, count=count, until=until, inclusive=inclusive
         )
-        op_id = self.log.issue_read_id()
-        result = self._perform(route.dc_name, op, op_id)
-        self._complete_op(op_id)
+        result = self._read_dc(op)
         self._expect_ok(result, op)
         self.metrics.incr("tc.probes")
         keys = list(result.keys)
@@ -1210,7 +1144,6 @@ class TransactionalComponent:
         flavor: ReadFlavor,
         low_exclusive: bool = False,
     ) -> tuple[RecordView, ...]:
-        route = self._route(table)
         op = RangeReadOp(
             table=table,
             low=low,
@@ -1219,11 +1152,19 @@ class TransactionalComponent:
             flavor=flavor,
             low_exclusive=low_exclusive,
         )
-        op_id = self.log.issue_read_id()
-        result = self._perform(route.dc_name, op, op_id)
-        self._complete_op(op_id)
+        result = self._read_dc(op)
         self._expect_ok(result, op)
         return result.records
+
+    def _read_dc(self, op: LogicalOperation) -> OpResult:
+        """Run one unlogged operation (a read or probe) at the DC hosting
+        its table: a fresh request id, resent until answered, then
+        counted as replied for the low-water mark."""
+        route = self._route(op.table)
+        op_id = self.log.issue_read_id()
+        result = self._perform(route.dc_name, op, op_id)
+        self._complete_ops([op_id])
+        return result
 
     def _check_ownership(self, table: str, key: Key) -> None:
         """Section 6: a TC may only update keys in its own partition —
@@ -1297,11 +1238,8 @@ class TransactionalComponent:
                 txn.known[(table, key)] = hit
                 return hit
             self._cache_misses_slot.value += 1
-        route = self._route(table)
         op = ReadOp(table=table, key=key, flavor=ReadFlavor.OWN)
-        op_id = self.log.issue_read_id()
-        result = self._perform(route.dc_name, op, op_id)
-        self._complete_op(op_id)
+        result = self._read_dc(op)
         self._undo_reads_slot.value += 1
         if result.status is OpStatus.NOT_FOUND:
             txn.known[(table, key)] = ABSENT
@@ -1320,11 +1258,8 @@ class TransactionalComponent:
         covering lock; a lock-free read caching there would let an abort
         "restore" a value that was never the committed state.
         """
-        route = self._route(table)
         op = ReadOp(table=table, key=key, flavor=ReadFlavor.OWN)
-        op_id = self.log.issue_read_id()
-        result = self._perform(route.dc_name, op, op_id)
-        self._complete_op(op_id)
+        result = self._read_dc(op)
         if result.status is OpStatus.NOT_FOUND:
             return ABSENT
         self._expect_ok(result, op)
@@ -1409,6 +1344,7 @@ class TransactionalComponent:
         route: _TableRoute,
         op: LogicalOperation,
         undo: Optional[LogicalOperation],
+        known: object,
         owed: bool = False,
     ) -> None:
         """Queue a validated, locked mutation in the transaction's envelope
@@ -1416,13 +1352,20 @@ class TransactionalComponent:
         is logged and sent when it reaches ``batch_max_ops`` (at once, by
         default) or at the next flush point (commit, a conflicting
         operation, a scan, :meth:`Transaction.sync`).  OPSR holds although
-        the record is appended later: the lock was taken now."""
-        txn.in_flight[(op.table, getattr(op, "key", None))] = QueuedOp(  # type: ignore[index]
-            route.dc_name, op, undo, owed
-        )
+        the record is appended later: the lock was taken now.
+
+        Once queued (and, if that filled the envelope, acknowledged) the
+        transaction knows the key holds ``known`` — ``OWED`` when only the
+        reply can tell."""
+        slot = (op.table, getattr(op, "key", None))
+        txn.in_flight[slot] = QueuedOp(route.dc_name, op, undo, owed)  # type: ignore[index]
         self._mutations_slot.value += 1
         if len(txn.in_flight) >= self.config.batch_max_ops:
             self.sync_pipeline(txn)
+        if known is not OWED:
+            txn.known[slot] = known  # type: ignore[index]
+        if route.versioned:
+            txn.versioned_keys.setdefault(op.table, set()).add(slot[1])
 
     def _sync_if_conflicting(self, txn: Transaction, table: str, key: Key) -> None:
         """Never let two operations on one key be in flight together —
@@ -1439,19 +1382,19 @@ class TransactionalComponent:
         groups: dict[str, list] = {}
         for slot, record in txn.in_flight.items():
             groups.setdefault(record.dc_name, []).append(slot)
-        # Pipelined flush (process transport): pre-send every DC's
-        # first-attempt envelope before collecting any reply, so N DC
-        # processes execute concurrently while this one TC thread waits.
-        # Out-of-order completion is §4.2.1-safe: per-op ids correlate
-        # replies, resends are absorbed by idempotence.  A presend whose
-        # reply is never collected (an earlier group failed) is
-        # indistinguishable from a lost reply — the records stay in flight
-        # and a later sync resends the same LSNs.
+        # Pipelined flush: pre-send every DC's first-attempt envelope
+        # before collecting any reply, so N DC processes execute
+        # concurrently while this one TC thread waits.  Out-of-order
+        # completion is §4.2.1-safe: per-op ids correlate replies, resends
+        # are absorbed by idempotence.  A presend whose reply is never
+        # collected (an earlier group failed) is indistinguishable from a
+        # lost reply — the records stay in flight and a later sync resends
+        # the same LSNs.
         presends: dict[str, object] = {}
         if len(groups) > 1:
             for dc_name, slots in groups.items():
                 channel = self._channels[dc_name]
-                if not channel.supports_async or channel.dc.crashed:
+                if self._dc_down(channel, dc_name):
                     continue
                 presends[dc_name] = channel.request_async(
                     self._batch_envelope(self._log_envelope(txn, slots), resend=False)
@@ -1459,15 +1402,6 @@ class TransactionalComponent:
         for dc_name, slots in groups.items():
             self._send_batch(txn, dc_name, slots, presend=presends.pop(dc_name, None))
         self._syncs_slot.value += 1
-
-    def _guard_abort(self, txn: Transaction, fn, *args: object) -> None:
-        """Run a locking step; on deadlock or lock timeout, roll back —
-        a transaction must never survive holding a partial lock set."""
-        try:
-            fn(*args)
-        except (TransactionAborted, LockTimeoutError):
-            self._force_abort(txn)
-            raise
 
     def _force_abort(self, txn: Transaction) -> None:
         if txn.state is not TransactionState.ACTIVE:
@@ -1591,38 +1525,70 @@ class TransactionalComponent:
         redo: bool = False,
         want_prior: bool = False,
     ) -> OpResult:
-        """Send with resend-until-acknowledged (exactly-once end to end).
-
-        Resends follow the TC's :class:`~repro.common.config.RetryPolicy`:
-        exponential backoff charged to simulated channel time (never
-        slept), bounded by both an attempt count and a per-operation
-        timeout budget.  A DC known to be down — crashed, or behind an
-        unhealed partition — fails fast with
-        :class:`ComponentUnavailableError` instead of burning the budget;
-        an exhausted budget raises :class:`ResendExhaustedError` so the
-        caller (or supervisor) can tell "slow" from "gone".
-        """
-        self._await_redo_quiesce(dc_name)
+        """Send one operation, resent until acknowledged (exactly-once end
+        to end, see :meth:`_resend`); returns the DC's verdict."""
         channel = self._channels[dc_name]
-        policy = self.config.retry_policy()
-        attempts = 0
-        waited_ms = 0.0
         if self.tracer.enabled:
             # The op id *is* the trace context: DC-side spans started later
             # (e.g. redo after a crash) can recover this request's trace.
             self.tracer.bind_request(op_id)
-        while not policy.exhausted(attempts, waited_ms):
-            self._require_reachable(channel, dc_name, attempts, waited_ms)
-            message = PerformOperation(
-                tc_id=self.tc_id,
-                op_id=op_id,
-                op=op,
-                resend=resend or attempts > 0,
-                eosl=self.log.eosl,
-                redo=redo,
-                want_prior=want_prior,
+
+        def attempt(tries: int) -> Optional[OpResult]:
+            reply = channel.request(
+                PerformOperation(
+                    tc_id=self.tc_id,
+                    op_id=op_id,
+                    op=op,
+                    resend=resend or tries > 0,
+                    eosl=self.log.eosl,
+                    redo=redo,
+                    want_prior=want_prior,
+                )
             )
-            reply = channel.request(message)
+            return None if reply is None else reply.result
+
+        return self._resend(dc_name, attempt, op_id)
+
+    def _resend(
+        self,
+        dc_name: str,
+        attempt: Callable[[int], object],
+        request_id: object = 0,
+        restarting: bool = False,
+    ) -> object:
+        """The one resend loop (§4.2.1: unique id, resend until
+        acknowledged, DC-side idempotence).
+
+        ``attempt(tries)`` sends once (``tries > 0``: a resend) and returns
+        None when the message or its reply was lost, an ``UNSTABLE``
+        :class:`OpResult` when the DC's causality gate refused it, and
+        anything else as the answer.  Resends follow the TC's
+        :class:`~repro.common.config.RetryPolicy`: exponential backoff
+        charged to simulated channel time (never slept), bounded by both
+        an attempt count and a timeout budget; a refusal first waits for
+        the stability it lacked (:meth:`_await_stability`).  A DC known to
+        be down — crashed, or behind an unhealed partition — fails fast
+        with :class:`ComponentUnavailableError` instead of burning the
+        budget; an exhausted budget raises :class:`ResendExhaustedError`
+        naming ``request_id`` (an op id, or what else the message is
+        known by), so the caller (or supervisor) can tell
+        "slow" from "gone".
+
+        Before every try the TC must be up and the DC outside a redo
+        window (:meth:`_require_reachable`); ``restarting`` skips both for
+        the control messages restart sends while the TC is still marked
+        crashed and the redo window is its own.
+        """
+        channel = self._channels[dc_name]
+        policy = self._retry_policy
+        attempts = 0
+        waited_ms = 0.0
+        while not policy.exhausted(attempts, waited_ms):
+            if not restarting:
+                self._require_reachable(channel, dc_name, attempts, waited_ms)
+            elif self._dc_down(channel, dc_name):
+                raise ComponentUnavailableError(f"DC {dc_name}", attempts, waited_ms)
+            reply = attempt(attempts)
             attempts += 1
             if reply is None:
                 if channel.dc.crashed:
@@ -1631,15 +1597,12 @@ class TransactionalComponent:
                 waited_ms += backoff
                 channel.sim_time_ms += backoff
                 self.metrics.incr("tc.resends")
-                continue
-            assert isinstance(reply, OperationReply)
-            assert reply.result is not None
-            if reply.result.status is OpStatus.UNSTABLE:
-                self._await_stability(reply.result)
+            elif type(reply) is OpResult and reply.status is OpStatus.UNSTABLE:
+                self._await_stability(reply)
                 waited_ms += policy.backoff_ms(attempts)
-                continue
-            return reply.result
-        raise ResendExhaustedError(op_id, dc_name, attempts, waited_ms)
+            else:
+                return reply
+        raise ResendExhaustedError(request_id, dc_name, attempts, waited_ms)
 
     def _await_stability(self, refusal: OpResult) -> None:
         """A DC's causality gate refused an operation (nothing executed):
@@ -1721,53 +1684,42 @@ class TransactionalComponent:
 
         ``presend`` is an already-dispatched first attempt (a pipelined
         reply slot from :meth:`sync_pipeline`'s concurrent flush); the
-        first loop iteration awaits it instead of sending again.
+        first try awaits it instead of sending again.
         """
         channel = self._channels[dc_name]
-        policy = self._retry_policy
-        attempts = 0
-        waited_ms = 0.0
-        # Logged only once the DC is known reachable: an envelope for a DC
-        # that is down stays queued, and an abort simply forgets it.
-        self._require_reachable(channel, dc_name, attempts, waited_ms)
-        records = self._log_envelope(txn, slots)
-        pending = {record.lsn: (slot, record) for slot, record in zip(slots, records)}
-        with self.tracer.span(
-            "tc.batch_flush", component=self.name, dc=dc_name, ops=len(records)
-        ):
-            while pending:
-                if attempts:
-                    if policy.exhausted(attempts, waited_ms):
-                        raise ResendExhaustedError(
-                            min(pending), dc_name, attempts, waited_ms
-                        )
-                    self._require_reachable(channel, dc_name, attempts, waited_ms)
-                if presend is not None:
-                    reply = channel.finish_async(presend)
-                    presend = None
-                else:
-                    reply = channel.request(
-                        self._batch_envelope(
-                            [record for _slot, record in pending.values()],
-                            attempts > 0,
-                        )
+        pending: dict = {}
+
+        def attempt(tries: int) -> object:
+            nonlocal presend
+            if not tries:
+                # Logged only once the DC is known reachable: an envelope
+                # for a DC that is down stays queued, and an abort simply
+                # forgets it.
+                records = self._log_envelope(txn, slots)
+                pending.update(
+                    (record.lsn, (slot, record)) for slot, record in zip(slots, records)
+                )
+            if presend is not None:
+                reply, presend = channel.finish_async(presend), None
+            else:
+                reply = channel.request(
+                    self._batch_envelope(
+                        [record for _slot, record in pending.values()], tries > 0
                     )
-                attempts += 1
-                if reply is None:
-                    if channel.dc.crashed:
-                        raise ComponentUnavailableError(
-                            f"DC {dc_name}", attempts, waited_ms
-                        )
-                    backoff = policy.backoff_ms(attempts)
-                    waited_ms += backoff
-                    channel.sim_time_ms += backoff
-                    self.metrics.incr("tc.resends")
-                    continue
-                assert isinstance(reply, BatchedReply)
-                refusal = self._take_in(txn, pending, reply)
-                if refusal is not None:
-                    self._await_stability(refusal)
-                    waited_ms += policy.backoff_ms(attempts)
+                )
+            if reply is None:
+                return None
+            assert isinstance(reply, BatchedReply)
+            refusal = self._take_in(txn, pending, reply)
+            if refusal is not None:
+                return refusal
+            # What a reply left unanswered is resent like a lost message.
+            return None if pending else reply
+
+        with self.tracer.span(
+            "tc.batch_flush", component=self.name, dc=dc_name, ops=len(slots)
+        ):
+            self._resend(dc_name, attempt, slots)
 
     def _require_reachable(
         self, channel: MessageChannel, dc_name: str, attempts: int, waited_ms: float
@@ -1779,10 +1731,15 @@ class TransactionalComponent:
         redo replays what came before it."""
         self._check_up()
         self._await_redo_quiesce(dc_name)
-        if channel.dc.crashed or (
-            channel.faults is not None and channel.faults.partitioned(dc_name)
-        ):
+        if self._dc_down(channel, dc_name):
             raise ComponentUnavailableError(f"DC {dc_name}", attempts, waited_ms)
+
+    @staticmethod
+    def _dc_down(channel: MessageChannel, dc_name: str) -> bool:
+        """Crashed, or behind an unhealed (injected) partition."""
+        return channel.dc.crashed or (
+            channel.faults is not None and channel.faults.partitioned(dc_name)
+        )
 
     def _take_in(
         self, txn: Transaction, pending: dict, reply: BatchedReply
@@ -1847,44 +1804,18 @@ class TransactionalComponent:
         """Deliver a control message reliably: resend until a reply arrives.
 
         Contract-state control messages (``RestartBegin``,
-        ``EndOfStableLog`` at restart) must not be silently lost on a lossy
-        channel — the DC acks them and this helper retries under the same
-        policy envelope as :meth:`_perform`.  The messages themselves are
+        ``EndOfStableLog`` at restart, ``RedoComplete``) must not be
+        silently lost on a lossy channel.  The messages themselves are
         idempotent, so a reply lost after delivery just costs a resend.
         """
         channel = self._channels[dc_name]
-        policy = self.config.retry_policy()
-        attempts = 0
-        waited_ms = 0.0
-        while not policy.exhausted(attempts, waited_ms):
-            if channel.dc.crashed or (
-                channel.faults is not None and channel.faults.partitioned(dc_name)
-            ):
-                raise ComponentUnavailableError(f"DC {dc_name}", attempts, waited_ms)
-            reply = channel.request(message)
-            attempts += 1
-            if reply is not None:
-                return reply
-            if channel.dc.crashed:
-                raise ComponentUnavailableError(f"DC {dc_name}", attempts, waited_ms)
-            backoff = policy.backoff_ms(attempts)
-            waited_ms += backoff
-            channel.sim_time_ms += backoff
-            self.metrics.incr("tc.resends")
-        raise ResendExhaustedError(0, dc_name, attempts, waited_ms)
-
-    def _complete_op(self, op_id: Lsn) -> None:
-        if self.tracer.enabled:
-            self.tracer.release_request(op_id)
-        lwm = self.log.complete_op(op_id)
-        self._completions_since_lwm += 1
-        if self._completions_since_lwm >= self.config.lwm_interval:
-            self._completions_since_lwm = 0
-            self.broadcast_lwm(lwm)
+        return self._resend(
+            dc_name, lambda _tries: channel.request(message), restarting=True
+        )
 
     def _complete_ops(self, op_ids: list[Lsn]) -> None:
-        """Batch form of :meth:`_complete_op`: one tracker bracket for a
-        whole reply envelope."""
+        """Mark operations replied (one tracker bracket for a whole reply
+        envelope); every ``lwm_interval`` completions broadcast the LWM."""
         if self.tracer.enabled:
             for op_id in op_ids:
                 self.tracer.release_request(op_id)
@@ -1895,8 +1826,15 @@ class TransactionalComponent:
             self.broadcast_lwm(lwm)
 
     def broadcast_lwm(self, lwm: Optional[Lsn] = None) -> None:
-        """Ship the low-water mark to every DC (Section 5.1.2)."""
-        lwm = lwm if lwm is not None else self.log.lwm
+        """Ship the low-water mark to every DC (Section 5.1.2).
+
+        Capped at EOSL: the LWM counts replies, not stability, so the
+        loser's own reply can carry it past LSNst — and ``DROP_AFFECTED``
+        reads a low water above LSNst as "reflects a lost operation", so a
+        TC crash would then reset every page the broadcast reached, not
+        just the ones the lost operations touched (docs/architecture.md
+        §6)."""
+        lwm = min(lwm if lwm is not None else self.log.lwm, self.log.eosl)
         if lwm <= NULL_LSN:
             return
         redo_bypass = threading.get_ident()
@@ -1947,10 +1885,15 @@ class TransactionalComponent:
         DC refuses the structure change without touching a page, and the
         sender of the refused operation waits outside the DC
         (:meth:`_await_stability`).
+
+        A prompt is only as good as what it names: images for op ids
+        that owe nothing fill nothing, and an LSN this TC never issued
+        forces nothing — no force could reach it, and the volatile tail
+        stays volatile until something earned its force.
         """
         if images:
             self.log.fill(images)
-        if not self.log.needs_force(lsn):
+        if not self.log.needs_force(lsn) or lsn > self.log.last_lsn:
             return self.log.eosl
         self.metrics.incr("tc.prompted_forces")
         return self.force_log()
@@ -1974,7 +1917,7 @@ class TransactionalComponent:
         self.broadcast_lwm()
         candidate = self.log.lwm + 1
         if candidate <= self._rssp:
-            self._truncate_log()
+            self._truncate_below_rssp()
             return True
         for name, channel in self._channels.items():
             reply = channel.request(
@@ -1989,10 +1932,10 @@ class TransactionalComponent:
         )
         self.force_log()
         self.metrics.incr("tc.checkpoints")
-        self._truncate_log()
+        self._truncate_below_rssp()
         return True
 
-    def _truncate_log(self) -> int:
+    def _truncate_below_rssp(self) -> int:
         """Reclaim stable log space below the checkpoint (contract
         termination's whole point): replay cost — and with it restart
         time — stays proportional to the live tail, not history.
@@ -2002,7 +1945,7 @@ class TransactionalComponent:
         so a crash before, during or after it merely replays more or
         fewer records.
         """
-        if not self.config.truncate_log or self._rssp <= NULL_LSN:
+        if self._rssp <= NULL_LSN:
             return 0
         if self.faults is not None:
             from repro.sim.faults import FaultPoint
@@ -2037,7 +1980,7 @@ class TransactionalComponent:
             lambda l: CheckpointRecord(lsn=l, txn_id=0, rssp=candidate)
         )
         self.force_log()
-        self._truncate_log()
+        self._truncate_below_rssp()
 
     @property
     def rssp(self) -> Lsn:

@@ -18,6 +18,7 @@ import signal
 import sys
 import threading
 import time
+from queue import Queue
 
 import pytest
 
@@ -28,9 +29,18 @@ from repro.common.api import ControlAck
 from repro.common.config import ChannelConfig, DcConfig, KernelConfig, TcConfig
 from repro.kernel.unbundled import UnbundledKernel
 from repro.common.errors import ComponentUnavailableError
+from repro.dc.data_component import DataComponent
 from repro.net import process, rpc
 from repro.net.process import DcClient, RemoteDc
-from repro.net.rpc import Hello, Shutdown, StatsReply, StatsRequest, TableList
+from repro.net.rpc import (
+    ForceLogReply,
+    ForceLogRequest,
+    Hello,
+    Shutdown,
+    StatsReply,
+    StatsRequest,
+    TableList,
+)
 from repro.net.server import bind_unix_listener
 from repro.net.tcclient import RemoteTc
 from repro.net.tcrpc import TcHello
@@ -213,7 +223,8 @@ class TestSharedConnection:
 
 class _ScriptedServer:
     """A server end that speaks the frame protocol from a thread, so a
-    test decides when (and whether) each reply is sent."""
+    test decides when (and whether) each reply is sent, and what the
+    server asks of the client (:meth:`prompt`)."""
 
     def __init__(self, tmp_path, hello) -> None:
         self.path = str(tmp_path / "scripted.sock")
@@ -223,19 +234,36 @@ class _ScriptedServer:
         #: Set by the test to let the held (first) reply go.
         self.release = threading.Event()
         self.hold_first = False
+        self._conn = None
+        self._connected = threading.Event()
+        self._client_replies: Queue = Queue()
+        self._send_lock = threading.Lock()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
+
+    def prompt(self, message, seq: int = 1):
+        """Send ``message`` as a server request; the client's reply."""
+        assert self._connected.wait(10)
+        with self._send_lock:
+            self._conn.send_bytes(rpc.pack_frame(rpc.SERVER_REQUEST, seq, message))
+        got, reply = self._client_replies.get(timeout=10)
+        assert got == seq
+        return reply
 
     def _serve(self) -> None:
         from multiprocessing.connection import Connection
 
         sock, _addr = self._listener.accept()
-        conn = Connection(sock.detach())
+        conn = self._conn = Connection(sock.detach())
+        self._connected.set()
         try:
             conn.send_bytes(rpc.pack_frame(rpc.PUSH, 0, self._hello))
             held = None
             while True:
                 kind, seq, message = rpc.unpack_frame(conn.recv_bytes())
+                if kind == rpc.CLIENT_REPLY:
+                    self._client_replies.put((seq, message))
+                    continue
                 assert kind == rpc.REQUEST
                 if isinstance(message, Shutdown):
                     conn.send_bytes(
@@ -248,11 +276,10 @@ class _ScriptedServer:
                 )
                 if self.hold_first and held is None:
                     held = reply
-                    self.release.wait(10)
                     # The late reply, then straight on to the next request.
-                    conn.send_bytes(held)
-                    continue
-                conn.send_bytes(reply)
+                    self.release.wait(10)
+                with self._send_lock:
+                    conn.send_bytes(reply)
         except (EOFError, OSError):
             pass
         finally:
@@ -262,6 +289,64 @@ class _ScriptedServer:
         self._thread.join(timeout=10)
         assert not self._thread.is_alive()
         self._listener.close()
+
+
+class TestUnearnedForcePrompts:
+    """ROADMAP 1(c): a DC's force prompt is only as good as what it names.
+    The prompts arrive as a DC server sends them (``SERVER_REQUEST`` to
+    the client end of a connection) and reach the TC's force hook."""
+
+    def test_nothing_filled_or_forced(self, tmp_path):
+        tc = TransactionalComponent(config=TcConfig())
+        local = DataComponent("dc1")
+        local.create_table("t")
+        tc.attach_dc(local)
+        server = _ScriptedServer(tmp_path, Hello(tc_id=0, dc_name="dcs"))
+        client = DcClient("dcs", server.path, request_timeout_s=5.0)
+        try:
+            tc.attach_dc(client, ChannelConfig(transport="process"))
+            with tc.begin() as txn:
+                txn.insert("t", 0, "stable")
+            open_txn = tc.begin()
+            open_txn.insert("t", 1, "volatile")  # logged, not forced
+            log = tc.log
+
+            def state():
+                records = log.all_records()
+                return (
+                    log.eosl,
+                    log.stable_count(),
+                    [(r.lsn, getattr(r, "undo", None)) for r in records],
+                    dict(log._owed),
+                )
+
+            before = state()
+            assert log.last_lsn > log.eosl  # there is a tail to harden
+            prompts = [
+                # An LSN far above any this TC issued.
+                ForceLogRequest(tc_id=tc.tc_id, lsn=log.last_lsn + 10**6),
+                # Images for op ids it never sent (above and below any).
+                ForceLogRequest(
+                    tc_id=tc.tc_id,
+                    lsn=log.eosl,
+                    images={log.last_lsn + 7: "forged", -3: "forged", 0: "forged"},
+                ),
+            ]
+            for seq, prompt in enumerate(prompts, start=1):
+                reply = server.prompt(prompt, seq)
+                assert isinstance(reply, ForceLogReply)
+                assert reply.eosl == before[0] == log.eosl
+                assert state() == before
+            assert tc.active_count() == 1  # the prompts opened nothing
+            with tc.begin() as other:  # another session still commits
+                other.update("t", 0, "other")
+            open_txn.commit()
+            assert tc.active_count() == 0
+            with tc.begin() as check:
+                assert check.scan("t") == [(0, "other"), (1, "volatile")]
+        finally:
+            client.close()
+            server.stop()
 
 
 class TestTimeouts:

@@ -94,10 +94,14 @@ class TestTcConfig:
             "pipeline_flush",
             "resend_backoff_ms",
             "resend_backoff_max_ms",
+            # One redo path, one deadlock policy, truncation always on.
+            "parallel_redo",
+            "deadlock_detection",
+            "truncate_log",
         ):
             with pytest.raises(TypeError):
                 TcConfig(**{removed: 1})
-        assert len(dataclasses.fields(TcConfig)) == 20
+        assert len(dataclasses.fields(TcConfig)) == 17
 
     @pytest.mark.parametrize(
         "field, bad",

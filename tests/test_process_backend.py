@@ -388,8 +388,8 @@ class TestChannelAndDeployment:
         with deployment.build():
             tc = deployment.tc("tc")
             channels = tc.channels()
-            assert not channels["local-dc"].supports_async
-            assert channels["remote-dc"].supports_async
+            assert not isinstance(channels["local-dc"], ProcessChannel)
+            assert isinstance(channels["remote-dc"], ProcessChannel)
             txn = tc.begin()
             txn.insert("near", 1, "a")
             txn.insert("far", 1, "b")

@@ -1,4 +1,4 @@
-"""Checkpoint-driven log truncation, parallel redo, journal compaction.
+"""Checkpoint-driven log truncation, redo, journal compaction.
 
 The recovery-time story has three legs, each tested here:
 
@@ -8,10 +8,11 @@ The recovery-time story has three legs, each tested here:
   truncation point is the min of the RSSP and the oldest record of any
   such transaction; EOSL and the LSN generator must survive a truncation
   that empties the stable prefix.
-- **Parallel redo** — at TC restart the redo stream fans out per DC;
-  correctness must be identical to the sequential replay, and the
-  fan-out must silently fall back to sequential whenever determinism
-  matters (fault injection, deterministic scheduler, single stream).
+- **Redo** — one single-threaded pump replays every DC's stream as
+  windows of envelopes, over every transport: restart must leave exactly
+  the committed pre-crash state (in-process, under a fault injector that
+  loses an envelope, and over real DC processes), and every DC has an
+  envelope outstanding before the first reply is collected.
 - **Journal compaction** — the process-mode DC journal is rewritten from
   history to state behind an atomic ``os.replace``; a crash at any point
   before the swap leaves the old journal fully readable, and replay
@@ -27,7 +28,7 @@ from repro.common.lsn import NULL_LSN
 from repro.common.ops import InsertOp
 from repro.kernel.unbundled import UnbundledKernel
 from repro.net.journal import JournalStorage
-from repro.sim.faults import FaultInjector
+from repro.sim.faults import FaultAction, FaultInjector, FaultPoint, FaultRule
 from repro.sim.metrics import Metrics
 from repro.tc.log import CommitRecord, OpRecord, TcLog, TxnEndRecord
 
@@ -174,16 +175,6 @@ class TestCheckpointTruncation:
             assert txn.read("t", 0) == "committed"
             assert len(txn.scan("t")) == 40
 
-    def test_truncation_disabled_keeps_the_log(self):
-        kernel = self._kernel(tc=TcConfig(truncate_log=False))
-        for index in range(30):
-            with kernel.begin() as txn:
-                txn.insert("t", index, f"value-{index:05d}")
-        count = kernel.tc.log.record_count()
-        assert kernel.checkpoint()
-        assert kernel.tc.log.record_count() >= count
-        assert kernel.metrics.get("tclog.truncations") == 0
-
     def test_redo_after_checkpoint_truncation_replays_only_tail(self):
         kernel = self._kernel()
         for index in range(20):
@@ -224,29 +215,18 @@ class TestParallelRedo:
         kernel.crash_tc()
         stats = kernel.recover_tc()
         assert stats["redo_ops"] > 0
-        assert kernel.metrics.get("tc.redo_parallel_fanouts") == 1
         self._check(kernel, 4)
 
     def test_sequential_fallback_under_fault_injection(self):
-        """Any active FaultInjector forces the deterministic sequential
-        path — fault schedules count hits, and a racing fan-out would
-        make hit order (and thus the injected fault) nondeterministic."""
+        """A FaultInjector needs no path of its own: the pump is
+        single-threaded, so fault-rule hit counts stay deterministic."""
         faults = FaultInjector(schedule=[])
         kernel = self._multi_dc_kernel(3, faults=faults)
         self._load(kernel, 3)
         kernel.crash_tc()
         stats = kernel.recover_tc()
         assert stats["redo_ops"] > 0
-        assert kernel.metrics.get("tc.redo_parallel_fanouts") == 0
         self._check(kernel, 3)
-
-    def test_sequential_fallback_when_disabled(self):
-        kernel = self._multi_dc_kernel(2, tc=TcConfig(parallel_redo=False))
-        self._load(kernel, 2)
-        kernel.crash_tc()
-        kernel.recover_tc()
-        assert kernel.metrics.get("tc.redo_parallel_fanouts") == 0
-        self._check(kernel, 2)
 
     def test_single_dc_never_fans_out(self):
         config = KernelConfig(dc=DcConfig(page_size=1024))
@@ -257,23 +237,91 @@ class TestParallelRedo:
                 txn.insert("t", index, f"value-{index:05d}")
         kernel.crash_tc()
         kernel.recover_tc()
-        assert kernel.metrics.get("tc.redo_parallel_fanouts") == 0
         with kernel.begin() as txn:
             assert len(txn.scan("t")) == 10
 
-    def test_parallel_equals_sequential_state(self):
-        """Same workload, both redo modes: identical visible state."""
-        states = []
-        for parallel in (True, False):
-            kernel = self._multi_dc_kernel(3, tc=TcConfig(parallel_redo=parallel))
-            self._load(kernel, 3, rows=24)
-            kernel.crash_tc()
-            kernel.recover_tc()
+    @pytest.mark.parametrize("dc_count", [1, 3])
+    @pytest.mark.parametrize("mode", ["inproc", "faults", "process"])
+    def test_restart_leaves_committed_state(self, tmp_path, mode, dc_count):
+        """Both components crash, so redo really re-executes every stream
+        (several envelopes per DC: inserts, then updates and deletes of
+        the same keys), and a forced loser is redone and rolled back.
+        Under the injector the first redo envelope to the first DC is
+        lost: its records are resent one by one before anything queued
+        behind them reaches that DC."""
+        faults = FaultInjector() if mode == "faults" else None
+        config = KernelConfig(dc=DcConfig(page_size=1024))
+        if mode == "process":
+            config.channel = ChannelConfig(transport="process")
+            config.data_dir = str(tmp_path)
+        kernel = UnbundledKernel(config, dc_count=dc_count, faults=faults)
+        try:
+            tables = [f"t{index}" for index in range(dc_count)]
+            for table, dc_name in zip(tables, kernel.dcs):
+                kernel.create_table(table, dc_name=dc_name)
+            for rows in (range(48), range(0, 48, 2)):
+                for index in rows:
+                    with kernel.begin() as txn:
+                        table = tables[index % dc_count]
+                        if rows.step == 1:
+                            txn.insert(table, index, f"value-{index:05d}")
+                        elif index % 3:
+                            txn.update(table, index, f"updated-{index:05d}")
+                        else:
+                            txn.delete(table, index)
             with kernel.begin() as txn:
-                states.append(
-                    [sorted(txn.scan(f"t{i}")) for i in range(3)]
+                committed = [sorted(txn.scan(table)) for table in tables]
+            loser = kernel.begin()
+            loser.update(tables[0], dc_count, "lost")
+            loser.insert(tables[-1], 999, "lost")
+            loser.delete(tables[0], 3 * dc_count)
+            kernel.tc.force_log()  # the loser's records are redone, then undone
+            kernel.crash_all()
+            if faults is not None:
+                first = next(iter(kernel.dcs))
+                # RestartBegin and EndOfStableLog are that DC's first sends.
+                faults.load_schedule(
+                    [FaultRule(FaultPoint.CHANNEL_SEND, FaultAction.DROP, first, after=3)]
                 )
-        assert states[0] == states[1]
+            kernel.recover_all()
+            if faults is not None:
+                assert faults.fired == [f"channel.send[{first}] -> drop"]
+            with kernel.begin() as txn:
+                assert [sorted(txn.scan(table)) for table in tables] == committed
+        finally:
+            kernel.close()
+
+    @pytest.mark.process
+    def test_envelope_outstanding_at_every_dc(self, tmp_path):
+        """Counted, not timed: with 3 DC processes, an envelope has been
+        sent to every DC before the first reply is collected."""
+        config = KernelConfig(
+            dc=DcConfig(page_size=1024),
+            channel=ChannelConfig(transport="process"),
+            data_dir=str(tmp_path),
+        )
+        with UnbundledKernel(config, dc_count=3) as kernel:
+            for index, dc_name in enumerate(kernel.dcs):
+                kernel.create_table(f"t{index}", dc_name=dc_name)
+            self._load(kernel, 3)
+            kernel.crash_tc()
+            events: list = []
+            for name, channel in kernel.tc.channels().items():
+
+                def sent(message, defer=False, _send=channel.request_async, _name=name):
+                    events.append(("send", _name))
+                    return _send(message, defer=defer)
+
+                def collected(slot, _finish=channel.finish_async):
+                    events.append(("collect", None))
+                    return _finish(slot)
+
+                channel.request_async = sent
+                channel.finish_async = collected
+            kernel.recover_tc()
+            first_collect = events.index(("collect", None))
+            assert {name for _kind, name in events[:first_collect]} == set(kernel.dcs)
+            self._check(kernel, 3)
 
 
 class TestJournalCompaction:

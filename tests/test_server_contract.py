@@ -65,13 +65,13 @@ from repro.net.server import connect_any
 from repro.net.tcserver import _TcServer
 from tests.test_wire_fastpath import crc_framed
 
-#: Server → client, or retired: everything else in the two vocabularies
-#: is a request some client sends.
+#: Server → client: everything else in the two vocabularies is a request
+#: some client sends.
 _NOT_REQUESTS = {
     rpc.Hello, rpc.ForceLogRequest, rpc.ForceLogReply, rpc.RsspHint,
     rpc.RemoteError, rpc.TableListReply, rpc.StatsReply,
     rpc.CheckpointDcLogReply,
-    tcrpc.TcHello, tcrpc.TxnBegin, tcrpc.TxnBeginReply, tcrpc.TxnAck,
+    tcrpc.TcHello, tcrpc.TxnAck,
     tcrpc.TxnReadReply, tcrpc.TxnScanReply, tcrpc.Redirect,
     tcrpc.TcCheckpointReply,
 }  # fmt: skip
@@ -463,14 +463,33 @@ class TestHandlerTables:
         else:
             running = built.start()
             conn = running.connect()
-            for seq, message in enumerate(
-                (EndOfStableLog(tc_id=7, eosl=0), tcrpc.TxnBegin(tc_id=7)), 1
-            ):
-                _ask(conn, seq, message)
-                reply = _answer(conn)[3]
-                assert isinstance(reply, RemoteError) and reply.tc_id == 7
-                assert reply.kind == "ReproError"
-                assert type(message).__name__ in reply.text
+            _ask(conn, 1, EndOfStableLog(tc_id=7, eosl=0))
+            reply = _answer(conn)[3]
+            assert isinstance(reply, RemoteError) and reply.tc_id == 7
+            assert reply.kind == "ReproError"
+            assert "EndOfStableLog" in reply.text
+
+    def test_retired_txn_begin_is_a_bad_frame(self, tmp_path):
+        """``TxnBegin`` left the vocabulary: a peer still sending it, in
+        the tagged form that names it, loses its connection like any
+        other undecodable frame, and another session is still answered."""
+        running = _Running("tcserver", tmp_path).start()
+        try:
+            bad, good = running.connect(), running.connect()
+            # No class is named TxnBegin any more, so build its frame from
+            # a message of the same shape (the base fields only).
+            frame = rpc.pack_frame(rpc.REQUEST, 1, tcrpc.TcRetryPending(tc_id=7))
+            bad.send_bytes(
+                frame.replace(
+                    wire._enc_str("TcRetryPending"), wire._enc_str("TxnBegin")
+                )
+            )
+            assert _gone(bad)
+            assert running.counter("tcserver.bad_frames") == 1
+            _ask(good, 2, StatsRequest(tc_id=3))
+            assert isinstance(_answer(good)[3], StatsReply)
+        finally:
+            running.stop()
 
 
 class TestErrorsBecomeReplies:

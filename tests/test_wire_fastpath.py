@@ -314,9 +314,13 @@ def test_tagged_frames_still_unpack_alongside_fast():
 # -- negotiation: version skew degrades to tagged, loudly not wrongly ---------
 
 
+#: Retired messages: their names hold their ids, no class claims them.
+RETIRED = ("TxnBegin", "TxnBeginReply")
+
+
 def test_negotiation_is_exact_intersection():
     vocab = fast_vocabulary()
-    assert len(vocab) == len(wire._FAST_NAMES)
+    assert len(vocab) == len(wire._FAST_NAMES) - len(RETIRED)
     full = negotiate(vocab)
     assert set(full.values()) == {fid for fid, _, _ in vocab}
 
@@ -405,4 +409,10 @@ def test_vocabulary_is_append_only_prefix_stable():
     entries must never be renumbered (old peers negotiate by id)."""
     vocab = fast_vocabulary()
     assert vocab[0][:2] == (1, "PerformOperation")
-    assert [fid for fid, _, _ in vocab] == list(range(1, len(vocab) + 1))
+    assert [(fid, name) for fid, name, _ in vocab] == [
+        (fid, name)
+        for fid, name in enumerate(wire._FAST_NAMES, start=1)
+        if name not in RETIRED
+    ]
+    # The retired slots keep their place: nothing after them moved.
+    assert dict((name, fid) for fid, name, _ in vocab)["TxnWrite"] == 25
