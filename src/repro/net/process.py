@@ -328,6 +328,17 @@ class _Transport:
             self._fail()
         return slot
 
+    def push(self, message: Message) -> None:
+        """Send one frame that no reply answers (``PUSH``), written now
+        behind anything buffered.  Nothing is returned: a dead or dying
+        connection is the owner's ``on_down``, as for a request."""
+        if self._down:
+            return
+        try:
+            self._send(rpc.PUSH, 0, message)
+        except (OSError, ValueError):
+            self._fail()
+
     def _send(
         self, kind: int, seq: int, payload: object, defer: bool = False
     ) -> None:

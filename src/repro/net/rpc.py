@@ -17,8 +17,11 @@ Frames on the pipe are ``wire.encode((kind, seq, payload))``:
   the causality gate: a DC system transaction that must not outrun the
   TC log sends :class:`ForceLogRequest` and blocks until the TC's force
   completes (Section 4.2.2's "DC prompts the TC to force its log").
-- ``PUSH`` — one-way server-to-client traffic: the :class:`Hello`
-  banner and spontaneous :class:`RsspHint` contract terminations.
+- ``PUSH`` — one-way traffic nothing answers.  Server to client: the
+  :class:`Hello` banner and spontaneous :class:`RsspHint` contract
+  terminations.  Client to server: only the types the server lists as
+  one-way (a TC server's decided read-only ``TxnCommit``), served in
+  arrival order with the requests.
 """
 
 from __future__ import annotations

@@ -21,6 +21,13 @@ lands while a dispatch is on the stack (a handler may pump the loop —
 the DC's §4.2.2 force bridge does) waits in the backlog and is served
 after it.  One server process is one core's worth of work; the
 scale-out unit is the *process*.
+
+**One-way frames.**  A client may send a ``PUSH`` frame instead of a
+request for the message types its server lists as one-way (the TC
+server: a read-only ``TxnCommit`` under 2PL; the DC server: none).  It
+takes the request's place in the arrival order on its connection and is
+never answered.  Any other one-way frame, or one its handler refuses,
+is a bad frame: that connection is dropped, nobody else's.
 """
 
 from __future__ import annotations
@@ -125,6 +132,7 @@ class Server:
         recovered: bool,
         handlers: dict[type, Callable[[Peer, Message], Optional[Message]]],
         default: Callable[[Message], Optional[Message]],
+        oneway: Optional[dict[type, Callable[[Peer, Message], bool]]] = None,
     ) -> None:
         self._metrics = metrics
         #: True when the component replayed a journal (and recovered)
@@ -140,6 +148,9 @@ class Server:
             **handlers,
         }
         self._default = default
+        #: ``handler(peer, message) -> accepted`` for the types a client
+        #: may send one-way; False (refused) drops the connection.
+        self._oneway = oneway or {}
         #: Per-connection negotiated encode maps (absent until that
         #: client sends NegotiateCodec); replies to a client that never
         #: does stay tagged forever.  The decoder is version-bound, not
@@ -184,29 +195,32 @@ class Server:
 
     # -- frame plumbing --------------------------------------------------------
 
+    def _bad_frame(self, peer: Peer) -> None:
+        # One client speaking garbage must not take the server (or
+        # anyone else's connection) down with it.
+        self._metrics.incr(f"{self.role}.bad_frames")
+        self._loop.close_peer(peer)
+
     def _on_frame(self, peer: Peer, data: bytes) -> None:
         try:
             kind, seq, message = rpc.unpack_frame(data)
         except wire.WireError:
-            # One client speaking garbage must not take the server (or
-            # anyone else's connection) down with it.
-            self._metrics.incr(f"{self.role}.bad_frames")
-            self._loop.close_peer(peer)
+            self._bad_frame(peer)
             return
-        if kind == rpc.REQUEST:
+        if kind == rpc.REQUEST or kind == rpc.PUSH:
             if self._dispatching or self._backlog:
                 # Arrived inside a dispatch: served after it, in order.
-                self._backlog.append((peer, seq, message))
+                self._backlog.append((peer, kind, seq, message))
                 return
             # Nothing ahead of it: served directly, then whatever landed
             # in the backlog meanwhile.
             self._dispatching = True
             try:
-                serving = self._serve_frame(peer, seq, message)
+                serving = self._serve_frame(peer, kind, seq, message)
                 while serving and self._backlog:
-                    peer, seq, message = self._backlog.popleft()
+                    peer, kind, seq, message = self._backlog.popleft()
                     if not peer.closed:
-                        serving = self._serve_frame(peer, seq, message)
+                        serving = self._serve_frame(peer, kind, seq, message)
                 if not serving:
                     self._loop.stop()
             finally:
@@ -217,8 +231,16 @@ class Server:
             self._on_client_reply(seq, message)
         # Any other kind is a stray frame (e.g. an echo) and is ignored.
 
-    def _serve_frame(self, peer: Peer, seq: int, message: Message) -> bool:
-        """Serve one request; returns False when the server should exit."""
+    def _serve_frame(
+        self, peer: Peer, kind: int, seq: int, message: Message
+    ) -> bool:
+        """Serve one request or one-way frame; returns False when the
+        server should exit."""
+        if kind == rpc.PUSH:
+            oneway = self._oneway.get(type(message))
+            if oneway is None or not oneway(peer, message):
+                self._bad_frame(peer)
+            return True
         handler = self._handlers.get(type(message))
         try:
             if handler is not None:

@@ -81,6 +81,11 @@ class RemoteTransaction:
     :attr:`txn_id` switches to it.  Whatever happens to that first
     request (typed error, redirect, lost reply), :meth:`abort` can still
     name the transaction.
+
+    **A decided commit costs no round trip either.**  When the server's
+    hello said its concurrency control cannot veto a read-only commit
+    (2PL), a transaction that sent no write commits with a one-way
+    ``TxnCommit`` (:meth:`commit`).
     """
 
     #: Deferred-write acks in flight before a forced drain — bounds both
@@ -106,6 +111,8 @@ class RemoteTransaction:
         #: drained before any dependent operation so errors (aborts,
         #: redirects) surface no later than the §4.2.1 contracts allow.
         self._pending: list = []
+        #: A write (deferred or not) was sent: the commit must be asked.
+        self._wrote = False
 
     # -- plumbing -----------------------------------------------------------
 
@@ -182,6 +189,7 @@ class RemoteTransaction:
         deferred: bool = False,
     ) -> None:
         self._check_active()
+        self._wrote = True
         if not deferred:
             self._drain()
         message = TxnWrite(
@@ -252,6 +260,15 @@ class RemoteTransaction:
             self.state = TransactionState.COMMITTED
             return
         self._check_active()
+        if self.txn_id > 0 and not self._wrote and self._tc.read_only_commit_decided:
+            # Decided already: the commit cannot fail and only releases
+            # read locks, so nothing waits for it.  The server serves it
+            # before this connection's next request.  A failed write takes
+            # the connection down as usual, and for a transaction that
+            # wrote nothing, presumed abort is the same outcome.
+            self._link.push(TxnCommit(tc_id=self._tc.tc_id, txn_id=self.txn_id))
+            self.state = TransactionState.COMMITTED
+            return
         try:
             self._drain()
         except (TransactionAborted, CrashedError):
@@ -405,6 +422,7 @@ class RemoteTc(ServerProxy):
 
     def _adopt_hello(self, hello: TcHello) -> None:
         self.last_recovered = hello.recovered
+        self.read_only_commit_decided = hello.read_only_commit_decided
         #: Transaction handles are local to one connection (and so to
         #: one server incarnation): a new connection counts from 1 again.
         self._handles = itertools.count(1)

@@ -71,6 +71,12 @@ class TcHello(Message):
     #: triples); empty means tagged only.  Same negotiation contract as
     #: :class:`repro.net.rpc.Hello`.
     fast_codec: tuple = ()
+    #: The server's concurrency control cannot veto the commit of a
+    #: transaction that wrote nothing (2PL), so such a commit may arrive
+    #: one-way, as a ``PUSH`` frame nothing answers (docs/architecture.md
+    #: §16).  An older server's hello lacks the field: its clients keep
+    #: the round trip.
+    read_only_commit_decided: bool = False
 
 
 @dataclass(frozen=True)
@@ -194,6 +200,9 @@ class TxnSync(Message):
 
 @dataclass(frozen=True)
 class TxnCommit(Message):
+    """A request, or — for a transaction that wrote nothing, when the
+    server's hello said ``read_only_commit_decided`` — a one-way frame."""
+
     txn_id: int = 0
 
 

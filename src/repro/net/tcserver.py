@@ -237,6 +237,11 @@ class _TcServer(Server):
     mid-transaction gets its ACTIVE transactions aborted (presumed abort —
     the same outcome its crash would force at restart, taken eagerly so
     its locks don't outlive it).
+
+    **One-way commits.**  Under 2PL a transaction that wrote nothing is
+    decided once its last read is answered, so the hello says so and the
+    client sends its ``TxnCommit`` as a ``PUSH`` frame: served in arrival
+    order, answered by nothing (:meth:`_txn_commit_oneway`).
     """
 
     role = "tcserver"
@@ -297,6 +302,9 @@ class _TcServer(Server):
         #: Stop once this many socket sessions have ended (0 = never).
         self._max_sessions = max_sessions
         self._sessions_ended = 0
+        #: Under a policy whose commit cannot veto a read-only
+        #: transaction, its commit may arrive one-way (hello flag).
+        self._decided = not self._tc.cc.commit_validates
         super().__init__(
             conn,
             listen_path,
@@ -320,6 +328,7 @@ class _TcServer(Server):
                 TcRetryPending: self._retry_pending,
             },
             default=self._unhandled,
+            oneway={TxnCommit: self._txn_commit_oneway} if self._decided else {},
         )
         # A TC that fail-stops at run time (``UndoImageLostError``) takes
         # its server with it: the journal is its stable log, and whoever
@@ -507,15 +516,43 @@ class _TcServer(Server):
             self._reap(txn)
         return TxnAck(tc_id=message.tc_id, txn_id=txn.txn_id)
 
+    def _txn_commit_oneway(self, peer: Peer, message: TxnCommit) -> bool:
+        """A read-only commit nobody waits for.  False (the connection
+        is dropped as a bad frame) when it names no transaction this
+        connection has open, or one that logged or queued a write: the
+        client promised neither."""
+        txn = self._open_named(peer, message.txn_id)
+        if txn is None or txn.logged or txn.in_flight:
+            return False
+        try:
+            txn.commit()
+            self._metrics.incr("tcserver.oneway_commits")
+        except ReproError:
+            # Nobody is waiting to hear it: end the transaction here so
+            # nothing stays open, and count what the client cannot see.
+            self._metrics.incr("tcserver.oneway_failures")
+            if txn.state is TransactionState.ACTIVE:
+                try:
+                    txn.abort()
+                except ReproError:
+                    pass  # restart/zombie machinery owns what abort cannot
+        finally:
+            self._reap(txn)
+        return True
+
+    def _open_named(self, peer: Peer, named: int):
+        """The transaction ``named`` (handle or server id) if this
+        connection has it open; never opens one."""
+        if named < 0 and peer in self._sessions:
+            named = self._sessions[peer].open.get(named, 0)
+        return self._opened_by(peer, named)
+
     def _txn_abort(self, peer: Peer, message: TxnAbort) -> TxnAck:
         # Presumed abort: a retried abort after a lost reply (or a
         # server restart that already undid the loser) finds no
         # transaction — that *is* the aborted outcome, acknowledge it.
         # An abort never opens: a handle names only what is open.
-        txn_id = message.txn_id
-        if txn_id < 0 and peer in self._sessions:
-            txn_id = self._sessions[peer].open.get(txn_id, 0)
-        txn = self._opened_by(peer, txn_id)
+        txn = self._open_named(peer, message.txn_id)
         if txn is not None:
             try:
                 txn.abort()
@@ -601,6 +638,7 @@ class _TcServer(Server):
             recovered=self._recovered,
             replayed_records=len(self._journal.records),
             fast_codec=wire.fast_vocabulary(),
+            read_only_commit_decided=self._decided,
         )
 
     def _stats(self) -> dict:

@@ -106,6 +106,12 @@ class ConcurrencyControl:
     #: reply bring the before-image back (MVCC serves the prior to
     #: concurrent readers from the moment the write is registered).
     needs_write_prior = False
+    #: True when :meth:`validate` may veto a commit that wrote nothing.
+    #: When False, a read-only transaction is decided once its last read
+    #: is answered: its commit cannot fail and only releases what it
+    #: holds, so a TC server lets it arrive one-way (architecture §16).
+    #: A policy says False only if it knows; the default is the safe one.
+    commit_validates = True
 
     def __init__(self, tc: "TransactionalComponent") -> None:
         self.tc = tc
@@ -176,6 +182,7 @@ class TwoPhaseLockingCc(ConcurrencyControl):
     interface: shared read locks, gap-locked scans, no validation."""
 
     name = "2pl"
+    commit_validates = False
 
     def read(self, txn: "Transaction", table: str, key: Key) -> object:
         tc = self.tc

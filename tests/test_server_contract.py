@@ -387,10 +387,10 @@ class TestArrivalOrder:
 
         def pumping(peer, message):
             assert server._loop.pump_until(
-                lambda: {m.tc_id for _p, _s, m in server._backlog} >= {2, 4},
+                lambda: {m.tc_id for *_, m in server._backlog} >= {2, 4},
                 timeout_s=10.0,
             )
-            arrived.extend(m.tc_id for _peer, _seq, m in server._backlog)
+            arrived.extend(m.tc_id for *_, m in server._backlog)
             served.append(message.tc_id)
             return ControlAck(tc_id=message.tc_id)
 
@@ -628,5 +628,179 @@ class TestWantPriorOnOperationsThatOweNothing:
             assert ask(PerformOperation(1, 9, ReadOp("v", 1))).result.value == 7
             _ask(other, 1, StatsRequest(tc_id=0))
             assert isinstance(_answer(other)[3], StatsReply)
+        finally:
+            running.stop()
+
+
+def _push(conn, message: Message) -> None:
+    conn.send_bytes(rpc.pack_frame(rpc.PUSH, 0, message))
+
+
+def _open_txn(conn, seq: int, handle: int = -1) -> int:
+    """Open a transaction with an empty ``TxnSync``; its server id."""
+    _ask(conn, seq, tcrpc.TxnSync(tc_id=1, txn_id=handle))
+    opened = _answer(conn)[3]
+    assert isinstance(opened, tcrpc.TxnAck) and opened.txn_id > 0
+    return opened.txn_id
+
+
+def _stats(conn, seq: int) -> dict:
+    _ask(conn, seq, StatsRequest(tc_id=0))
+    first, kind, got, reply = _answer(conn)
+    assert (kind, got) == (rpc.REPLY, seq) and isinstance(reply, StatsReply)
+    return reply.payload
+
+
+class TestOneWayFrames:
+    """A client ``PUSH`` is served in arrival order and never answered —
+    for the types its server lists as one-way, and only those: anything
+    else costs the sender its connection (and so its open transactions)
+    and nobody else anything."""
+
+    def test_an_unlisted_type_drops_only_its_connection(self, running):
+        bad, good = running.connect(), running.connect()
+        _push(bad, StatsRequest(tc_id=0))  # one-way on neither server
+        assert _gone(bad)
+        assert running.counter(f"{running.role}.bad_frames") == 1
+        assert _stats(good, 1)["connections"] == 2
+
+    def test_a_decided_commit_is_served_and_not_answered(self, tmp_path):
+        running = _Running("tcserver", tmp_path).start()
+        try:
+            conn = running.connect()
+            _push(conn, tcrpc.TxnCommit(tc_id=1, txn_id=_open_txn(conn, 1)))
+            # The next frame back answers the next request: the push got none.
+            stats = _stats(conn, 2)
+            assert stats["open_transactions"] == 0
+            assert stats["counters"]["tcserver.oneway_commits"] == 1
+            assert stats["counters"]["tc.commits"] == 1
+            assert running.counter("tcserver.bad_frames") == 0
+        finally:
+            running.stop()
+
+    def _refused(self, running, conn, other, message) -> None:
+        before = _stats(other, 90)["counters"].get("tcserver.disconnect_aborts", 0)
+        _push(conn, message)
+        assert _gone(conn)
+        assert running.counter("tcserver.bad_frames") == 1
+        stats = _stats(other, 91)
+        assert stats["open_transactions"] == 0
+        assert stats["counters"]["tcserver.disconnect_aborts"] == before + 1
+        assert stats["counters"].get("tcserver.oneway_commits", 0) == 0
+
+    def test_a_one_way_read_is_refused(self, tmp_path):
+        running = _Running("tcserver", tmp_path).start()
+        try:
+            conn, other = running.connect(), running.connect()
+            txn_id = _open_txn(conn, 1)
+            read = tcrpc.TxnRead(tc_id=1, txn_id=txn_id, table="t", key=1)
+            self._refused(running, conn, other, read)
+        finally:
+            running.stop()
+
+    def test_a_one_way_commit_of_an_unknown_handle_is_refused(self, tmp_path):
+        running = _Running("tcserver", tmp_path).start()
+        try:
+            conn, other = running.connect(), running.connect()
+            _open_txn(conn, 1)
+            self._refused(running, conn, other, tcrpc.TxnCommit(tc_id=1, txn_id=-7))
+        finally:
+            running.stop()
+
+    def test_a_one_way_commit_of_a_writer_is_refused(self, tmp_path):
+        dc = RemoteDc(
+            "dc1",
+            journal_path=str(tmp_path / "dc1.journal"),
+            listen_path=str(tmp_path / "dc1.sock"),
+        )
+        try:
+            dc.create_table("t")
+            running = _Running("tcserver", tmp_path, {"dc1": dc.listen_path}).start()
+            try:
+                conn, other = running.connect(), running.connect()
+                write = tcrpc.TxnWrite(
+                    tc_id=1, txn_id=-1, verb="insert", table="t", key=1, value="v"
+                )
+                _ask(conn, 1, write)
+                opened = _answer(conn)[3]
+                assert isinstance(opened, tcrpc.TxnAck) and opened.txn_id > 0
+                commit = tcrpc.TxnCommit(tc_id=1, txn_id=opened.txn_id)
+                self._refused(running, conn, other, commit)
+                _ask(other, 92, tcrpc.TxnRead(tc_id=1, txn_id=-1, table="t", key=1))
+                assert _answer(other)[3].found is False  # rolled back
+            finally:
+                running.stop()
+        finally:
+            dc.shutdown()
+
+
+class TestAbandonedHandshake:
+    """Hello read, half a frame sent, then silence: the server waits for
+    the rest without holding anyone else up, and when the peer goes the
+    transaction it had opened goes with it."""
+
+    def test_half_a_frame_then_silence_stalls_no_one(self, running):
+        abandoned, other = running.connect(), running.connect()
+        tc = running.role == "tcserver"
+        if tc:
+            _open_txn(abandoned, 1)
+        upgrade = rpc.pack_frame(
+            rpc.REQUEST, 2, NegotiateCodec(tc_id=0, vocab=wire.fast_vocabulary())
+        )
+        whole = len(upgrade).to_bytes(4, "big") + upgrade
+        os.write(abandoned.fileno(), whole[: len(whole) // 2])
+        started = time.monotonic()
+        stats = _stats(other, 1)
+        assert time.monotonic() - started < 1.0
+        assert stats["connections"] == 3  # the parent pipe and both peers
+        if tc:
+            assert stats["open_transactions"] == 1
+        abandoned.close()
+        deadline = time.monotonic() + 10.0
+        while _stats(other, 2)["connections"] != 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        if tc:
+            assert _stats(other, 3)["open_transactions"] == 0
+        assert running.counter(f"{running.role}.bad_frames") == 0
+
+
+class TestStaleHandles:
+    """Handles below the ``_Session`` floor and in its straggler set have
+    been used: naming one again reaches nothing and opens nothing, and a
+    one-way commit of one costs its sender the connection."""
+
+    def test_used_handles_name_nothing(self, tmp_path):
+        running = _Running("tcserver", tmp_path).start()
+        try:
+            conn, other = running.connect(), running.connect()
+            seqs = iter(range(1, 100))
+            ids = {}
+            for handle in (1, 2, 5):
+                ids[handle] = _open_txn(conn, next(seqs), -handle)
+                _ask(conn, next(seqs), tcrpc.TxnCommit(tc_id=1, txn_id=-handle))
+                assert isinstance(_answer(conn)[3], tcrpc.TxnAck)
+            (session,) = running.server._sessions.values()
+            assert (session.floor, session.above) == (2, {5})
+            stale = (-1, -2, -5, 0, ids[1], ids[5])
+            for name in stale:
+                for request in (tcrpc.TxnSync, tcrpc.TxnCommit):
+                    _ask(conn, next(seqs), request(tc_id=1, txn_id=name))
+                    refused = _answer(conn)[3]
+                    assert isinstance(refused, RemoteError), (name, refused)
+                    assert "unknown transaction" in refused.text
+                _ask(conn, next(seqs), tcrpc.TxnAbort(tc_id=1, txn_id=name))
+                assert isinstance(_answer(conn)[3], tcrpc.TxnAck)  # presumed abort
+            assert _stats(conn, next(seqs))["open_transactions"] == 0
+            # The gap below the straggler was never used: it still opens.
+            _open_txn(conn, next(seqs), -3)
+            assert (session.floor, session.above) == (3, {5})
+            _push(conn, tcrpc.TxnCommit(tc_id=1, txn_id=-5))
+            assert _gone(conn)
+            assert running.counter("tcserver.bad_frames") == 1
+            stats = _stats(other, 1)
+            assert stats["open_transactions"] == 0
+            assert stats["counters"]["tcserver.disconnect_aborts"] == 1
+            assert stats["counters"]["tc.commits"] == 3
         finally:
             running.stop()
