@@ -220,16 +220,18 @@ def _explore(args: list[str]) -> int:
     failure = summary.first_failure
     if failure is None:
         print(f"\nclean: {summary.explored} schedules, no anomalies")
-        return 0
-    print(f"\nANOMALY at seed={failure.seed} strategy={failure.strategy}: "
-          f"{failure.anomaly}")
-    artifact = minimize_failure(failure, summary.first_failure_config or config)
-    out = opts.out or f"explore_failure_seed{failure.seed}.json"
-    save_artifact(artifact, out)
-    print(f"minimized to {len(artifact['trace'])} decisions "
-          f"(from {len(failure.decisions)}); artifact: {out}")
-    print(f"reproduce with: python -m repro explore --replay {out}")
-    return 1
+    else:
+        print(f"\nANOMALY at seed={failure.seed} strategy={failure.strategy}: "
+              f"{failure.anomaly}")
+        artifact = minimize_failure(failure, summary.first_failure_config or config)
+        out = opts.out or f"explore_failure_seed{failure.seed}.json"
+        save_artifact(artifact, out)
+        print(f"minimized to {len(artifact['trace'])} decisions "
+              f"(from {len(failure.decisions)}); artifact: {out}")
+        print(f"reproduce with: python -m repro explore --replay {out}")
+    # Last line: the sweep's counter totals (input of repro.sim.ledger).
+    print(json.dumps({"counters": dict(sorted(summary.counters.items()))}))
+    return 0 if failure is None else 1
 
 
 def _chaos(args: list[str]) -> int:
@@ -295,11 +297,15 @@ def _chaos(args: list[str]) -> int:
         report = runner.run()
     except ChaosViolation as violation:
         print(f"INVARIANT VIOLATION\n{violation}")
-        return 1
+        report = None
     finally:
+        # Last line: the run's counter totals (input of repro.sim.ledger).
+        counters = runner.counter_totals()
         runner.kernel.close()
-    print(json.dumps(report, indent=2))
-    return 0
+    if report is not None:
+        print(json.dumps(report, indent=2))
+    print(json.dumps({"counters": counters}))
+    return 0 if report is not None else 1
 
 
 def _serve_tc(args: list[str]) -> int:

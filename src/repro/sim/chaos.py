@@ -38,6 +38,7 @@ doing the converging.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -119,6 +120,13 @@ class ChaosRunner:
     """
 
     TABLES = ("t", "v")  # "t" plain B-tree, "v" versioned
+    #: In process mode every READ_ONLY_EVERY-th transaction only reads
+    #: (1-3 keys, drawn from a generator of their own, so the write
+    #: stream keeps its draws).  Under 2PL against a TC server process
+    #: such a commit is the one-way frame of docs/architecture.md §16.
+    #: In-process runs keep an all-writing stream: their scripted fault
+    #: schedules count the hits of that stream.
+    READ_ONLY_EVERY = 5
 
     def __init__(
         self,
@@ -233,12 +241,16 @@ class ChaosRunner:
         self._indeterminate: list[_TxnEffects] = []
         self.heals = 0
         self.checks = 0
+        #: Counters of server processes that were killed (a kill loses
+        #: them); see :meth:`counter_totals`.
+        self._banked: Counter = Counter()
 
     # -- the run -----------------------------------------------------------
 
     def run(self) -> dict[str, object]:
         rng = random.Random(self.seed ^ 0xC0FFEE)
         kill_rng = random.Random(self.seed ^ 0x51D)
+        read_rng = random.Random(self.seed ^ 0x5EAD)
         tc = self.kernel.tc
         for txn_no in range(self.txns):
             if self.kill_every and txn_no % self.kill_every == self.kill_every - 1:
@@ -254,7 +266,7 @@ class ChaosRunner:
                 self._probe(tc.checkpoint)
             if self.snapshot_every and txn_no % self.snapshot_every == 11:
                 self._snapshot_probe(rng)
-            self._run_txn(rng, txn_no)
+            self._run_txn(rng, read_rng, txn_no)
         self._heal_and_check()
         return self.report()
 
@@ -325,7 +337,9 @@ class ChaosRunner:
         """
         victims = [dc for dc in self.kernel.dcs.values() if not dc.crashed]
         if victims:
-            rng.choice(victims).crash()
+            victim = rng.choice(victims)
+            self._bank(victim)
+            victim.crash()
             self.kills += 1
 
     def _kill_tc(self) -> None:
@@ -334,21 +348,34 @@ class ChaosRunner:
         §5.3.2 journal-replay + record-reset path under live traffic."""
         tc = self.kernel.tc
         if not tc.crashed:
+            self._bank(tc)
             tc.crash()
             self.kills += 1
             self.tc_kills += 1
 
     # -- one transaction ---------------------------------------------------
 
-    def _run_txn(self, rng: random.Random, txn_no: int) -> None:
+    def _run_txn(
+        self, rng: random.Random, read_rng: random.Random, txn_no: int
+    ) -> None:
         effects = _TxnEffects(txn_no)
+        read_only = (
+            self._process_mode
+            and txn_no % self.READ_ONLY_EVERY == self.READ_ONLY_EVERY - 1
+        )
         stage = "begin"
         txn = None
         try:
             txn = self.kernel.begin()
             stage = "ops"
-            for op_no in range(rng.randint(1, 4)):
-                self._one_op(rng, txn, effects, txn_no, op_no)
+            if read_only:
+                for _ in range(read_rng.randint(1, 3)):
+                    txn.read(
+                        read_rng.choice(self.TABLES), read_rng.randrange(self.keyspace)
+                    )
+            else:
+                for op_no in range(rng.randint(1, 4)):
+                    self._one_op(rng, txn, effects, txn_no, op_no)
             stage = "commit"
             txn.commit()
         except TransactionAborted:
@@ -445,6 +472,31 @@ class ChaosRunner:
                     pass
         except ReproError:
             self._heal_and_check()
+
+    # -- counters ------------------------------------------------------------
+
+    @staticmethod
+    def _counters_of(component) -> dict[str, int]:
+        """A server process's counters (an in-process component's are
+        already in :attr:`metrics`, and its stats carry none)."""
+        try:
+            return component.stats().get("counters", {})
+        except ReproError:
+            return {}  # unreachable: its counters die with it
+
+    def _bank(self, component) -> None:
+        """Keep a server process's counters before it is killed."""
+        self._banked.update(self._counters_of(component))
+
+    def counter_totals(self) -> dict[str, int]:
+        """Every counter the run moved, summed over this process, each
+        live server process and every server process killed on the way —
+        what the protocol-counter ledger (:mod:`repro.sim.ledger`) reads."""
+        totals = Counter(self.metrics.counters())
+        totals.update(self._banked)
+        for component in (*self.kernel.dcs.values(), self.kernel.tc):
+            totals.update(self._counters_of(component))
+        return dict(sorted(totals.items()))
 
     # -- heal + invariants -------------------------------------------------
 

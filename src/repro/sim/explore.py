@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -109,6 +110,8 @@ class ScheduleOutcome:
     aborted: int
     events: list[dict] = field(repr=False, default_factory=list)
     task_errors: dict[str, str] = field(default_factory=dict)
+    #: The kernel's counters at the end of the schedule.
+    counters: dict[str, int] = field(repr=False, default_factory=dict)
 
     @property
     def anomaly(self) -> Optional[str]:
@@ -225,6 +228,7 @@ def run_schedule(
             task_errors={
                 name: repr(error) for name, error in scheduler.errors().items()
             },
+            counters=kernel.metrics.counters(),
         )
     finally:
         kernel.close()
@@ -349,6 +353,9 @@ class ExplorationSummary:
     #: The exact variant config the first failure ran under (sweeps mutate
     #: crash/checkpoint/cc_policy per variant) — what minimize_failure needs.
     first_failure_config: Optional[ExploreConfig] = None
+    #: Counter totals over every explored schedule (the protocol-counter
+    #: ledger's input, :mod:`repro.sim.ledger`).
+    counters: Counter = field(default_factory=Counter)
 
     def to_dict(self) -> dict:
         data = {
@@ -413,6 +420,7 @@ def explore(
         summary.explored += 1
         summary.committed += outcome.committed
         summary.aborted += outcome.aborted
+        summary.counters.update(outcome.counters)
         if outcome.exhausted:
             summary.exhausted += 1
         key = f"{strategy}{'+crash' if crash else ''}{'+ckpt' if ckpt else ''}"

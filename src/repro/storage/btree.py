@@ -62,6 +62,8 @@ class BTree:
         self.metrics = metrics or Metrics()
         self._ensure_stable = ensure_stable
         self.latch = threading.RLock()
+        self._inner_visits = self.metrics.counter("btree.inner_visits")
+        self._latches = self.metrics.counter("btree.latches")
         if root_id is None:
             root_id = self._create_empty()
         self.root_id = root_id
@@ -104,7 +106,7 @@ class BTree:
         page = self._fetch(self.root_id)
         while isinstance(page, InnerPage):
             path.append(page)
-            self.metrics.incr("btree.inner_visits")
+            self._inner_visits.value += 1
             index = self._route_index(page, key)
             if index < len(page.separators):
                 upper = page.separators[index]
@@ -127,7 +129,7 @@ class BTree:
         with self.latch:
             leaf, _path, _upper = self._descend(key)
             with leaf.latch:
-                self.metrics.incr("btree.latches")
+                self._latches.value += 1
                 return leaf.get(key)
 
     def _descend_leftmost(self) -> tuple[LeafPage, list[InnerPage], Optional[Key]]:
@@ -137,7 +139,7 @@ class BTree:
         page = self._fetch(self.root_id)
         while isinstance(page, InnerPage):
             path.append(page)
-            self.metrics.incr("btree.inner_visits")
+            self._inner_visits.value += 1
             if page.separators:
                 upper = page.separators[0]
             page = self._fetch(page.children[0])
@@ -157,7 +159,7 @@ class BTree:
             cursor = low
             while True:
                 with leaf.latch:
-                    self.metrics.incr("btree.latches")
+                    self._latches.value += 1
                     for record in leaf.range(cursor, high):
                         yield record
                         produced += 1
@@ -196,7 +198,7 @@ class BTree:
                 keys = leaf.keys_from(after) if inclusive else leaf.keys_after(after)
             while True:
                 with leaf.latch:
-                    self.metrics.incr("btree.latches")
+                    self._latches.value += 1
                     for key in keys:
                         if until is not None and key > until:
                             return found

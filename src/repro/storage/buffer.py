@@ -18,11 +18,10 @@ unbundled kernel:
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import threading
 from collections import OrderedDict
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.common.config import DcConfig, PageSyncStrategy
 from repro.common.errors import WriteAheadViolation
@@ -49,6 +48,43 @@ class ResetMode(enum.Enum):
     FULL_DROP = "full_drop"
     DROP_AFFECTED = "drop_affected"
     RECORD_RESET = "record_reset"
+
+
+class _OperationBracket:
+    """What :meth:`BufferPool.operation` returns: enter and exit take the
+    pool's plain mutex, and wait on its condition only while an eviction
+    runs."""
+
+    __slots__ = ("_pool",)
+
+    def __init__(self, pool: "BufferPool") -> None:
+        self._pool = pool
+
+    def __enter__(self) -> None:
+        pool = self._pool
+        with pool._op_mutex:
+            while pool._evicting:
+                pool._op_cv.wait()
+            pool._active_ops += 1
+        # Under the schedule explorer the bracket is a critical section:
+        # parking a task here while it participates in the reader/eviction
+        # protocol would wedge the cooperative run token.
+        _sched.enter_critical()
+
+    def __exit__(self, *exc_info: object) -> None:
+        _sched.exit_critical()
+        pool = self._pool
+        with pool._op_mutex:
+            pool._active_ops -= 1
+            if pool._active_ops or len(pool._pages) <= pool.config.buffer_capacity:
+                return
+            pool._evicting = True
+        try:
+            pool._maybe_evict()
+        finally:
+            with pool._op_mutex:
+                pool._evicting = False
+                pool._op_cv.notify_all()
 
 
 class BufferPool:
@@ -79,9 +115,15 @@ class BufferPool:
         #: Eviction runs only when no operation is in flight, so page
         #: references held by an executing operation can never be evicted
         #: out from under it (the unbundled analogue of page pinning).
-        self._op_cv = threading.Condition()
+        #: The active count and the eviction flag change under the plain
+        #: mutex; the condition over it is used only around an eviction.
+        self._op_mutex = threading.Lock()
+        self._op_cv = threading.Condition(self._op_mutex)
         self._active_ops = 0
         self._evicting = False
+        self._bracket = _OperationBracket(self)
+        self._hits = self.metrics.counter("buffer.hits")
+        self._misses = self.metrics.counter("buffer.misses")
         #: End of stable TC log, per TC (causality bound for flushes).
         self._eosl: dict[int, Lsn] = {}
         #: Last gap-free LSN, per TC (prunes {LSNin} sets).
@@ -113,12 +155,12 @@ class BufferPool:
         page = self._pages.get(page_id)
         if page is not None:
             self._pages.move_to_end(page_id)
-            self.metrics.incr("buffer.hits")
+            self._hits.value += 1
             return page
         image = self._loader(page_id)
         if image is None:
             return None
-        self.metrics.incr("buffer.misses")
+        self._misses.value += 1
         page = image.materialize()
         self._admit(page)
         return page
@@ -149,42 +191,16 @@ class BufferPool:
     def cached_page(self, page_id: int) -> Optional[Page]:
         return self._pages.get(page_id)
 
-    @contextlib.contextmanager
-    def operation(self) -> Iterator[None]:
-        """Bracket a DC operation; evictions are deferred to idle moments.
+    def operation(self) -> "_OperationBracket":
+        """Bracket a DC operation (``with pool.operation():``); evictions
+        are deferred to idle moments.
 
         Operations are "readers", eviction is the exclusive "writer": a new
         operation waits out an in-progress eviction, and eviction starts
-        only when the last active operation finishes.
+        only when the last active operation finishes.  The bracket is one
+        reusable object per pool (its state lives in the pool).
         """
-        with self._op_cv:
-            while self._evicting:
-                self._op_cv.wait()
-            self._active_ops += 1
-        # Under the schedule explorer the bracket is a critical section:
-        # parking a task here while it participates in the reader/eviction
-        # protocol would wedge the cooperative run token.
-        _sched.enter_critical()
-        try:
-            yield
-        finally:
-            _sched.exit_critical()
-            run_eviction = False
-            with self._op_cv:
-                self._active_ops -= 1
-                if (
-                    self._active_ops == 0
-                    and len(self._pages) > self.config.buffer_capacity
-                ):
-                    self._evicting = True
-                    run_eviction = True
-            if run_eviction:
-                try:
-                    self._maybe_evict()
-                finally:
-                    with self._op_cv:
-                        self._evicting = False
-                        self._op_cv.notify_all()
+        return self._bracket
 
     def _admit(self, page: Page) -> None:
         self._pages[page.page_id] = page

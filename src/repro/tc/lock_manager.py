@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
 from repro.common.errors import DeadlockError, LockTimeoutError
@@ -41,26 +40,29 @@ class LockMode(enum.Enum):
     SIX = "SIX"
     X = "X"
 
-
-_COMPATIBLE: dict[tuple[LockMode, LockMode], bool] = {}
-
-
-def _fill_compat() -> None:
-    order = [LockMode.IS, LockMode.IX, LockMode.S, LockMode.SIX, LockMode.X]
-    matrix = [
-        # IS     IX     S      SIX    X
-        [True, True, True, True, False],  # IS
-        [True, True, False, False, False],  # IX
-        [True, False, True, False, False],  # S
-        [True, False, False, False, False],  # SIX
-        [False, False, False, False, False],  # X
-    ]
-    for row, held in enumerate(order):
-        for col, requested in enumerate(order):
-            _COMPATIBLE[(held, requested)] = matrix[row][col]
+    # Identity hashing: the members are singletons, so the mode tables
+    # below (and any dict keyed by a mode) hash in C instead of calling
+    # ``Enum.__hash__`` — every lock request looks a pair up.
+    __hash__ = object.__hash__
 
 
-_fill_compat()
+_ORDER = (LockMode.IS, LockMode.IX, LockMode.S, LockMode.SIX, LockMode.X)
+
+_MATRIX = (
+    # IS     IX     S      SIX    X
+    (True, True, True, True, False),  # IS
+    (True, True, False, False, False),  # IX
+    (True, False, True, False, False),  # S
+    (True, False, False, False, False),  # SIX
+    (False, False, False, False, False),  # X
+)
+
+#: (held, requested) -> may the two be held by different transactions.
+_COMPATIBLE: dict[tuple[LockMode, LockMode], bool] = {
+    (held, requested): _MATRIX[row][col]
+    for row, held in enumerate(_ORDER)
+    for col, requested in enumerate(_ORDER)
+}
 
 #: Least upper bound used for in-place upgrades (held, requested) -> result.
 _UPGRADE: dict[tuple[LockMode, LockMode], LockMode] = {
@@ -78,35 +80,62 @@ _UPGRADE: dict[tuple[LockMode, LockMode], LockMode] = {
 }
 
 
-def combined_mode(held: LockMode, requested: LockMode) -> LockMode:
+
+def _least_upper_bound(held: LockMode, requested: LockMode) -> LockMode:
     if held is requested:
         return held
     return _UPGRADE.get((held, requested), _UPGRADE.get((requested, held), LockMode.X))
 
 
+#: Every (held, requested) pair answered once, at import: the combined
+#: mode, and whether holding ``held`` already grants ``requested``.
+_COMBINED: dict[tuple[LockMode, LockMode], LockMode] = {
+    (held, requested): _least_upper_bound(held, requested)
+    for held in _ORDER
+    for requested in _ORDER
+}
+_COVERS: dict[tuple[LockMode, LockMode], bool] = {
+    pair: combined is pair[0] for pair, combined in _COMBINED.items()
+}
+
+
+def combined_mode(held: LockMode, requested: LockMode) -> LockMode:
+    return _COMBINED[held, requested]
+
+
 def mode_covers(held: LockMode, requested: LockMode) -> bool:
     """Does holding ``held`` already grant ``requested``?"""
-    return combined_mode(held, requested) is held
+    return _COVERS[held, requested]
 
 
-@dataclass
 class _LockEntry:
-    holders: dict[int, LockMode] = field(default_factory=dict)
-    #: FIFO queue of (txn_id, requested_mode); honored in order to avoid
-    #: starvation of writers behind streams of readers.
-    waiters: list[tuple[int, LockMode]] = field(default_factory=list)
+    __slots__ = ("holders", "waiters")
+
+    def __init__(self) -> None:
+        self.holders: dict[int, LockMode] = {}
+        #: FIFO queue of (txn_id, requested_mode); honored in order to avoid
+        #: starvation of writers behind streams of readers.
+        self.waiters: list[tuple[int, LockMode]] = []
 
 
 class _Stripe:
-    """One shard of the lock table: its own mutex + condition + dict."""
+    """One shard of the lock table: its own mutex, condition and dict.
 
-    __slots__ = ("cv", "table")
+    Grants and releases take only ``mutex``.  ``cv`` is built over that
+    same mutex and is touched only when a thread parks: ``parked`` counts
+    the threads inside ``cv.wait`` (changed under the mutex), and a
+    release notifies only while it is nonzero.  A waiter counts itself
+    before it waits and in the same mutex hold in which it found the lock
+    not grantable, so a release either sees the count or ran before that
+    re-check — no wakeup can be lost.
+    """
+
+    __slots__ = ("mutex", "cv", "parked", "table")
 
     def __init__(self) -> None:
-        # A plain (non-reentrant) Lock under the condition: nothing here
-        # re-enters, and the uncontended grant path enters/exits this lock
-        # twice per operation.
-        self.cv = threading.Condition(threading.Lock())
+        self.mutex = threading.Lock()
+        self.cv = threading.Condition(self.mutex)
+        self.parked = 0
         self.table: dict[Resource, _LockEntry] = {}
 
 
@@ -121,18 +150,19 @@ class LockManager:
     under a detector mutex, while the detecting waiter itself holds none)
     to read a globally consistent waits-for snapshot.  ``stripes=1``
     reproduces the old single-mutex behavior exactly.
+
+    The uncontended path takes a stripe mutex and nothing else: no
+    condition, no notify, no metrics lock (see :class:`_Stripe`).
     """
 
     def __init__(
         self,
         metrics: Optional[Metrics] = None,
-        deadlock_detection: bool = True,
         timeout: float = 1.0,
         tracer: Optional[object] = None,
         stripes: int = 16,
     ) -> None:
         self.metrics = metrics or Metrics()
-        self.deadlock_detection = deadlock_detection
         self.timeout = timeout
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if not self.tracer.enabled and type(self).acquire is LockManager.acquire:
@@ -167,7 +197,11 @@ class LockManager:
 
     def _note_held(self, txn_id: int, resource: Resource) -> None:
         with self._admin:
-            self._held_by_txn.setdefault(txn_id, set()).add(resource)
+            held = self._held_by_txn.get(txn_id)
+            if held is None:
+                self._held_by_txn[txn_id] = {resource}
+            else:
+                held.add(resource)
 
     def _note_waiting(self, txn_id: int, resource: Resource) -> None:
         with self._admin:
@@ -212,18 +246,18 @@ class LockManager:
                 mode=mode.value,
                 txn=txn_id,
             )
-        stripe = self._stripe_of(resource)
-        # Covered re-acquire without the condition bracket: only the owning
-        # transaction ever strengthens or releases its own hold, so a hold
-        # observed here (GIL-atomic dict reads) is current for the caller —
-        # about half of all acquires are table-intent re-acquires.
+        stripe = self._stripes[hash(resource) % self._stripe_count]
+        # Covered re-acquire without the mutex: only the owning transaction
+        # ever strengthens or releases its own hold, so a hold observed
+        # here (GIL-atomic dict reads) is current for the caller — about
+        # half of all acquires are table-intent re-acquires.
         probe = stripe.table.get(resource)
         if probe is not None:
             held = probe.holders.get(txn_id)
-            if held is not None and mode_covers(held, mode):
+            if held is not None and _COVERS[held, mode]:
                 self._reacquired_slot.value += 1
                 return
-        with stripe.cv:
+        with stripe.mutex:
             entry = stripe.table.get(resource)
             if entry is None:
                 # Uncontended fresh resource: grant without touching the
@@ -235,13 +269,13 @@ class LockManager:
                 self._note_held(txn_id, resource)
                 return
             held = entry.holders.get(txn_id)
-            if held is not None and mode_covers(held, mode):
+            if held is not None and _COVERS[held, mode]:
                 self._reacquired_slot.value += 1
                 return
             self._requests_slot.value += 1
             if not entry.waiters and self._grantable(entry, txn_id, mode):
                 entry.holders[txn_id] = (
-                    combined_mode(held, mode) if held is not None else mode
+                    _COMBINED[held, mode] if held is not None else mode
                 )
                 self._granted_slot.value += 1
                 self._note_held(txn_id, resource)
@@ -256,19 +290,16 @@ class LockManager:
         # with *no* stripe mutex held (it collects them all itself).
         try:
             while True:
-                if self.deadlock_detection:
-                    cycle = self._find_cycle(txn_id)
-                    if cycle is not None:
-                        self.metrics.incr("locks.deadlocks")
-                        raise DeadlockError(txn_id, cycle)
+                cycle = self._find_cycle(txn_id)
+                if cycle is not None:
+                    self.metrics.incr("locks.deadlocks")
+                    raise DeadlockError(txn_id, cycle)
                 scheduled = _sched.ACTIVE is not None and _sched.task_active()
-                with stripe.cv:
+                with stripe.mutex:
                     if self._grantable(entry, txn_id, mode):
                         current = entry.holders.get(txn_id)
                         entry.holders[txn_id] = (
-                            combined_mode(current, mode)
-                            if current is not None
-                            else mode
+                            _COMBINED[current, mode] if current is not None else mode
                         )
                         self._granted_slot.value += 1
                         self._note_held(txn_id, resource)
@@ -276,10 +307,16 @@ class LockManager:
                     self.metrics.incr("locks.waits")
                     if not scheduled:
                         remaining = deadline - time.monotonic()
-                        if remaining <= 0 or not stripe.cv.wait(timeout=remaining):
-                            if deadline - time.monotonic() <= 0:
-                                self.metrics.incr("locks.timeouts")
-                                raise LockTimeoutError(txn_id, resource)
+                        woken = False
+                        if remaining > 0:
+                            stripe.parked += 1
+                            try:
+                                woken = stripe.cv.wait(timeout=remaining)
+                            finally:
+                                stripe.parked -= 1
+                        if not woken and deadline - time.monotonic() <= 0:
+                            self.metrics.incr("locks.timeouts")
+                            raise LockTimeoutError(txn_id, resource)
                 if scheduled:
                     # Cooperative blocking: a schedule-explorer task holds
                     # the run token, so a condition wait here would wedge
@@ -296,11 +333,16 @@ class LockManager:
                     )
         finally:
             self._clear_waiting(txn_id)
-            with stripe.cv:
+            with stripe.mutex:
                 try:
                     entry.waiters.remove((txn_id, mode))
                 except ValueError:
                     pass
+                else:
+                    if stripe.parked:
+                        # A waiter queued behind this one may be grantable
+                        # now that FIFO no longer holds it back.
+                        stripe.cv.notify_all()
 
     def _grantable(self, entry: _LockEntry, txn_id: int, mode: LockMode) -> bool:
         for holder, held_mode in entry.holders.items():
@@ -349,7 +391,7 @@ class LockManager:
         """
         with self._detect:
             for stripe in self._stripes:
-                stripe.cv.acquire()
+                stripe.mutex.acquire()
             try:
                 with self._admin:
                     waiting = dict(self._waiting_on)
@@ -366,13 +408,13 @@ class LockManager:
                 return None
             finally:
                 for stripe in reversed(self._stripes):
-                    stripe.cv.release()
+                    stripe.mutex.release()
 
     # -- release -----------------------------------------------------------------------
 
     def release(self, txn_id: int, resource: Resource) -> None:
         stripe = self._stripe_of(resource)
-        with stripe.cv:
+        with stripe.mutex:
             entry = stripe.table.get(resource)
             if entry is None or txn_id not in entry.holders:
                 return
@@ -380,7 +422,8 @@ class LockManager:
             if not entry.holders and not entry.waiters:
                 del stripe.table[resource]
             self._released_slot.value += 1
-            stripe.cv.notify_all()
+            if stripe.parked:
+                stripe.cv.notify_all()
         with self._admin:
             held = self._held_by_txn.get(txn_id)
             if held is not None:
@@ -394,24 +437,20 @@ class LockManager:
     def release_all(self, txn_id: int) -> int:
         """Drop every lock of the transaction (commit/abort/crash)."""
         with self._admin:
-            resources = self._held_by_txn.pop(txn_id, set())
+            resources = self._held_by_txn.pop(txn_id, None)
         if not resources:
             return 0
-        by_stripe: dict[int, list[Resource]] = {}
+        stripes, count = self._stripes, self._stripe_count
         for resource in resources:
-            index = hash(resource) % self._stripe_count
-            by_stripe.setdefault(index, []).append(resource)
-        for index, group in by_stripe.items():
-            stripe = self._stripes[index]
-            with stripe.cv:
-                for resource in group:
-                    entry = stripe.table.get(resource)
-                    if entry is None:
-                        continue
+            stripe = stripes[hash(resource) % count]
+            with stripe.mutex:
+                entry = stripe.table.get(resource)
+                if entry is not None:
                     entry.holders.pop(txn_id, None)
                     if not entry.holders and not entry.waiters:
                         del stripe.table[resource]
-                stripe.cv.notify_all()
+                if stripe.parked:
+                    stripe.cv.notify_all()
         self._released_slot.value += len(resources)
         if _sched.ACTIVE is not None:
             _sched.maybe_yield(
@@ -422,9 +461,10 @@ class LockManager:
     def clear(self) -> None:
         """Volatile state is lost with the TC (crash injection)."""
         for stripe in self._stripes:
-            with stripe.cv:
+            with stripe.mutex:
                 stripe.table.clear()
-                stripe.cv.notify_all()
+                if stripe.parked:
+                    stripe.cv.notify_all()
         with self._admin:
             self._held_by_txn.clear()
             self._waiting_on.clear()
@@ -433,12 +473,12 @@ class LockManager:
 
     def holds(self, txn_id: int, resource: Resource, mode: LockMode) -> bool:
         stripe = self._stripe_of(resource)
-        with stripe.cv:
+        with stripe.mutex:
             entry = stripe.table.get(resource)
             if entry is None:
                 return False
             held = entry.holders.get(txn_id)
-            return held is not None and mode_covers(held, mode)
+            return held is not None and _COVERS[held, mode]
 
     def locks_held(self, txn_id: int) -> int:
         with self._admin:
@@ -447,6 +487,6 @@ class LockManager:
     def total_locks(self) -> int:
         total = 0
         for stripe in self._stripes:
-            with stripe.cv:
+            with stripe.mutex:
                 total += sum(len(entry.holders) for entry in stripe.table.values())
         return total

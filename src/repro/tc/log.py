@@ -215,24 +215,32 @@ class GroupCommitCoalescer:
         self.size = size
         self.deadline_ms = deadline_ms
         self.metrics = metrics or log.metrics
-        self._cond = threading.Condition()
+        # ``enter`` / ``exit`` take the plain mutex; the condition over it
+        # is waited on only by a parked committer, and notified only while
+        # ``_waiting`` says one is parked (both change under the mutex, so
+        # a departing committer cannot miss a waiter that parked first).
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._committers = 0
         self._waiting = 0
-        # Hot-path counter slot (see Metrics.counter): a lone committer
-        # leads on every commit, so the lead count is per-transaction work.
+        # Hot-path sinks (see Metrics.counter / Metrics.buffer): a lone
+        # committer leads on every commit, so the lead count and its group
+        # size of one are per-transaction work.
         self._leads_slot = self.metrics.counter("tclog.group_commit_leads")
+        self._group_sizes = self.metrics.buffer("tclog.group_commit_group_size")
 
     def enter(self) -> None:
         """A transaction has begun committing (before its record appends)."""
-        with self._cond:
+        with self._mutex:
             self._committers += 1
 
     def exit(self) -> None:
-        with self._cond:
+        with self._mutex:
             self._committers -= 1
-            # A departing committer can turn a parked waiter into the
-            # leader (waiting >= committers now holds for it).
-            self._cond.notify_all()
+            if self._waiting:
+                # A departing committer can turn a parked waiter into the
+                # leader (waiting >= committers now holds for it).
+                self._cond.notify_all()
 
     def wait_stable(self, lsn: Lsn, force: Callable[[], Lsn]) -> None:
         """Block until ``lsn`` is on the stable log, forcing as leader when
@@ -244,21 +252,21 @@ class GroupCommitCoalescer:
             return
         if self._committers <= 1 and self._waiting == 0:
             # Lone committer: nobody to coalesce with and nobody parked to
-            # notify, so lead immediately without the condition bracket
-            # (the election rule would pick us on its first iteration
-            # anyway).  The unlocked reads are GIL-atomic; a committer that
-            # enters concurrently merely misses one sharing opportunity and
-            # elects itself within the flush deadline — durability is
+            # notify, so lead immediately without the mutex (the election
+            # rule would pick us on its first iteration anyway).  The
+            # unlocked reads are GIL-atomic; a committer that enters
+            # concurrently merely misses one sharing opportunity and elects
+            # itself within the flush deadline — durability is
             # force-before-ack on both paths.
             if self.log.eosl < lsn:
                 self._force_until(lsn, force)
                 self._leads_slot.value += 1
-                self.metrics.observe("tclog.group_commit_group_size", 1)
+                self._group_sizes.append(1)
             return
         deadline_s = self.deadline_ms / 1000.0
         start = time.monotonic()
         led = False
-        with self._cond:
+        with self._mutex:
             self._waiting += 1
             try:
                 while self.log.eosl < lsn:
@@ -272,14 +280,16 @@ class GroupCommitCoalescer:
                         continue
                     led = True
                     group = self._waiting
-                    self._cond.release()
+                    self._mutex.release()
                     try:
                         self._force_until(lsn, force)
                     finally:
-                        self._cond.acquire()
-                        self._cond.notify_all()
+                        self._mutex.acquire()
+                        if self._waiting > 1:
+                            # Riders parked behind this force.
+                            self._cond.notify_all()
                     self._leads_slot.value += 1
-                    self.metrics.observe("tclog.group_commit_group_size", group)
+                    self._group_sizes.append(group)
             finally:
                 self._waiting -= 1
         if not led:
@@ -324,14 +334,17 @@ class TcLog:
         #: order): always in the volatile tail, and the stable boundary
         #: never passes the first of them.
         self._owed: dict[Lsn, OpRecord] = {}
-        #: Notified (same mutex) whenever an owed record is filled.
+        #: Notified (same mutex) when an owed record is filled — only while
+        #: ``_fill_waiters`` threads are parked in :meth:`await_fill`.
         self._filled = threading.Condition(self._mutex)
+        self._fill_waiters = 0
         self.lwm_tracker = LwmTracker()
         # Hot-path counter slots (see Metrics.counter): append runs once
         # per logical operation and again per commit/end record, so the
         # two metrics-dict lock acquisitions per append are worth shaving.
         self._appends_slot = self.metrics.counter("tclog.appends")
         self._bytes_slot = self.metrics.counter("tclog.bytes")
+        self._forces_slot = self.metrics.counter("tclog.forces")
 
     # -- appending -----------------------------------------------------------
 
@@ -375,7 +388,7 @@ class TcLog:
         overwrote; ``None`` settles a record with no inverse (its operation
         was rejected).  Idempotent: a reply, a force prompt and a redo
         reply may each bring the same image."""
-        with self._filled:
+        with self._mutex:
             for lsn, prior in images.items():
                 record = self._owed.pop(lsn, None)
                 if record is None:
@@ -385,7 +398,8 @@ class TcLog:
                     undo = inverse_of(record.op, OpResult.okay(prior=prior))
                     self._bytes_slot.value += undo.encoded_size()
                 record._settle(undo)
-            self._filled.notify_all()
+            if self._fill_waiters:
+                self._filled.notify_all()
         _sched.notify(_OWED_RESOURCE)
 
     def owed_through(self, lsn: Lsn) -> bool:
@@ -411,10 +425,14 @@ class TcLog:
                     YieldPoint.TC_OWED_WAIT, "tc", resource=_OWED_RESOURCE
                 )
             return True
-        with self._filled:
-            return self._filled.wait_for(
-                lambda: not self._owed_through_locked(lsn), timeout
-            )
+        with self._mutex:
+            self._fill_waiters += 1
+            try:
+                return self._filled.wait_for(
+                    lambda: not self._owed_through_locked(lsn), timeout
+                )
+            finally:
+                self._fill_waiters -= 1
 
     def issue_read_id(self) -> Lsn:
         """A request id for an unlogged operation (reads, probes)."""
@@ -477,7 +495,7 @@ class TcLog:
             if self._stable_count < limit:
                 self._harden(self._records[self._stable_count : limit])
                 self._stable_count = limit
-                self.metrics.incr("tclog.forces")
+                self._forces_slot.value += 1
             return self._eosl_locked()
 
     def _harden(self, records: list[TcLogRecord]) -> None:
@@ -506,11 +524,12 @@ class TcLog:
 
     def crash(self) -> int:
         """Truncate the volatile tail; returns how many records were lost."""
-        with self._filled:
+        with self._mutex:
             lost = len(self._records) - self._stable_count
             del self._records[self._stable_count :]
             self._owed.clear()
-            self._filled.notify_all()
+            if self._fill_waiters:
+                self._filled.notify_all()
             self.lwm_tracker.reset()
             self.metrics.incr("tclog.crashes")
             self.metrics.incr("tclog.records_lost", lost)

@@ -50,6 +50,7 @@ class FetchAheadProtocol:
 
     def __init__(self, tc: "TransactionalComponent") -> None:
         self._tc = tc
+        self._gap_locks = tc.metrics.counter("tc.gap_locks")
 
     # -- point operations ----------------------------------------------------
 
@@ -105,7 +106,7 @@ class FetchAheadProtocol:
             successors = tc.probe_keys(table, after=key, count=1)
             guard = successors[0] if successors else TABLE_END
         tc.locks.acquire(txn.txn_id, ("gap", table, guard), mode)
-        tc.metrics.incr("tc.gap_locks")
+        self._gap_locks.value += 1
 
     # -- range scans -------------------------------------------------------------
 
@@ -134,7 +135,7 @@ class FetchAheadProtocol:
                 tc.locks.acquire(txn.txn_id, ("rec", table, key), LockMode.S)
                 if tc.config.phantom_protection:
                     tc.locks.acquire(txn.txn_id, ("gap", table, key), LockMode.S)
-                    tc.metrics.incr("tc.gap_locks")
+                    self._gap_locks.value += 1
             # The authoritative read covers the whole gap since the cursor,
             # so a key inserted between probe and lock shows up and fails
             # validation (the read then "becomes again a speculative
@@ -167,7 +168,7 @@ class FetchAheadProtocol:
             else:
                 guard = TABLE_END
             tc.locks.acquire(txn.txn_id, ("gap", table, guard), LockMode.S)
-            tc.metrics.incr("tc.gap_locks")
+            self._gap_locks.value += 1
         return results
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.common.config import DcConfig, PageSyncStrategy
@@ -194,6 +197,49 @@ class TestEviction:
             pool.register(dirty_leaf(2, lsns=[2]))
             assert len(pool.cached_ids()) == 2  # deferred while active
         assert len(pool.cached_ids()) == 1  # ran at quiesce
+
+    def test_operation_arriving_during_an_eviction_waits_for_its_end(self):
+        """The bracket waits on its condition only around an eviction: an
+        operation that arrives mid-eviction parks, and the eviction's end
+        must wake it (ten seconds allowed, under one taken)."""
+        pool, storage, _m = make_pool(buffer_capacity=1)
+        pool.note_eosl(1, 100)
+        flushing = threading.Event()
+        unblock = threading.Event()
+        write_page = storage.write_page
+
+        def slow_write(image):
+            flushing.set()
+            assert unblock.wait(timeout=10.0)
+            write_page(image)
+
+        storage.write_page = slow_write
+
+        def evicting_operation():
+            with pool.operation():
+                pool.register(dirty_leaf(1, lsns=[1]))
+                pool.register(dirty_leaf(2, lsns=[2]))
+
+        entered = threading.Event()
+
+        def late_operation():
+            with pool.operation():
+                entered.set()
+
+        evictor = threading.Thread(target=evicting_operation, daemon=True)
+        evictor.start()
+        assert flushing.wait(timeout=10.0)  # the eviction is mid-flush
+        late = threading.Thread(target=late_operation, daemon=True)
+        late.start()
+        time.sleep(0.05)
+        assert not entered.is_set()  # parked behind the eviction
+        start = time.monotonic()
+        unblock.set()
+        late.join(timeout=10.0)
+        evictor.join(timeout=10.0)
+        assert entered.is_set()
+        assert time.monotonic() - start < 1.0
+        assert len(pool.cached_ids()) == 1
 
 
 class TestCheckpointFlush:

@@ -159,3 +159,25 @@ class TestLeaderElection:
         assert not waiter.is_alive()
         coal.exit()
         assert log.eosl >= lsn
+
+    def test_exit_releases_a_rider_parked_for_the_whole_deadline(self):
+        """The rider's deadline is ten seconds, so only the departing
+        committer's notify can release it in under one: ``exit()`` must
+        notify whenever someone is parked."""
+        log = TcLog(Metrics())
+        coal = GroupCommitCoalescer(log, size=8, deadline_ms=10_000.0)
+        coal.enter()  # the rider
+        coal.enter()  # the other committer, which leaves without committing
+        lsn = commit_lsn(log)
+        rider = threading.Thread(
+            target=lambda: coal.wait_stable(lsn, log.force), daemon=True
+        )
+        rider.start()
+        wait_until(lambda: coal._waiting == 1)
+        start = time.monotonic()
+        coal.exit()
+        rider.join(timeout=10.0)
+        assert not rider.is_alive()
+        assert time.monotonic() - start < 1.0
+        coal.exit()
+        assert log.eosl >= lsn

@@ -17,8 +17,8 @@ from repro.tc.lock_manager import (
 )
 
 
-def make_lm(timeout=0.2, deadlock=True):
-    return LockManager(Metrics(), deadlock_detection=deadlock, timeout=timeout)
+def make_lm(timeout=0.2):
+    return LockManager(Metrics(), timeout=timeout)
 
 
 class TestCompatibility:
@@ -185,7 +185,7 @@ class TestDeadlockDetection:
         assert "deadlock" in outcomes and "ok" in outcomes
 
     def test_timeout_fallback_without_detection(self):
-        lm = make_lm(timeout=0.05, deadlock=False)
+        lm = make_lm(timeout=0.05)
         lm.acquire(1, "r", LockMode.X)
         with pytest.raises(LockTimeoutError):
             lm.acquire(2, "r", LockMode.X)
@@ -356,3 +356,88 @@ class TestStriping:
         lm.release_all(1)
         thread.join(timeout=10)
         assert metrics.get("locks.waits") >= 1
+
+
+def wait_parked(lm, resource, count, timeout=5.0):
+    """Until ``count`` threads sit in the condition wait of ``resource``'s
+    stripe — after this, only a notify (or their timeout) moves them."""
+    stripe = lm._stripe_of(resource)
+    deadline = time.monotonic() + timeout
+    while stripe.parked != count:
+        assert time.monotonic() < deadline, f"parked={stripe.parked}, want {count}"
+        time.sleep(0.001)
+
+
+class Contender(threading.Thread):
+    """A thread that requests one lock and records how that ended."""
+
+    def __init__(self, lm, txn_id, resource, mode, timeout=None):
+        super().__init__(daemon=True)
+        self.args_ = (lm, txn_id, resource, mode, timeout)
+        self.outcome = None
+
+    def run(self):
+        lm, txn_id, resource, mode, timeout = self.args_
+        try:
+            lm.acquire(txn_id, resource, mode, timeout=timeout)
+            self.outcome = "granted"
+        except LockTimeoutError:
+            self.outcome = "timeout"
+
+
+class TestParkedWakeups:
+    """A stripe notifies only while a thread is parked on it.  Every waiter
+    here has ten seconds or more to wait but must be done in under one, so
+    a lost wakeup fails by the clock instead of passing slowly."""
+
+    @pytest.mark.parametrize("how", ["release_all", "release"])
+    def test_fresh_x_waiter_granted_when_holder_lets_go(self, how):
+        lm = make_lm(timeout=10.0)
+        lm.acquire(1, "r", LockMode.X)
+        waiter = Contender(lm, 2, "r", LockMode.X)
+        waiter.start()
+        wait_parked(lm, "r", 1)
+        start = time.monotonic()
+        if how == "release":
+            lm.release(1, "r")
+        else:
+            lm.release_all(1)
+        waiter.join(timeout=10.0)
+        assert waiter.outcome == "granted"
+        assert time.monotonic() - start < 1.0
+        assert lm.holds(2, "r", LockMode.X)
+
+    def test_upgrade_waiter_granted_when_other_reader_ends(self):
+        lm = make_lm(timeout=10.0)
+        lm.acquire(1, "r", LockMode.S)
+        lm.acquire(2, "r", LockMode.S)
+        upgrader = Contender(lm, 1, "r", LockMode.X)
+        upgrader.start()
+        wait_parked(lm, "r", 1)
+        start = time.monotonic()
+        lm.release_all(2)
+        upgrader.join(timeout=10.0)
+        assert upgrader.outcome == "granted"
+        assert time.monotonic() - start < 1.0
+        assert lm.holds(1, "r", LockMode.X)
+
+    def test_timed_out_waiter_leaves_the_parked_count_right(self):
+        """One stripe, two parked waiters on two resources: the first times
+        out, and the second is still woken by the release."""
+        lm = LockManager(Metrics(), timeout=10.0, stripes=1)
+        lm.acquire(1, "a", LockMode.X)
+        lm.acquire(1, "b", LockMode.X)
+        quitter = Contender(lm, 2, "a", LockMode.X, timeout=0.3)
+        stayer = Contender(lm, 3, "b", LockMode.X)
+        quitter.start()
+        stayer.start()
+        wait_parked(lm, "a", 2)
+        quitter.join(timeout=10.0)
+        assert quitter.outcome == "timeout"
+        wait_parked(lm, "b", 1)
+        start = time.monotonic()
+        lm.release_all(1)
+        stayer.join(timeout=10.0)
+        assert stayer.outcome == "granted"
+        assert time.monotonic() - start < 1.0
+        assert lm._stripe_of("b").parked == 0

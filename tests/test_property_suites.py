@@ -59,7 +59,7 @@ def test_lwm_tracker_random_completion_orders(ids, seed):
 def test_lock_table_never_holds_incompatible_pairs(steps):
     """Invariant: after any sequence of grants/releases, no two distinct
     holders of one resource hold incompatible modes."""
-    manager = LockManager(Metrics(), deadlock_detection=True, timeout=0.01)
+    manager = LockManager(Metrics(), timeout=0.01)
     for txn, mode, resource, is_acquire in steps:
         try:
             if is_acquire:
