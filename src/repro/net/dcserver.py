@@ -212,12 +212,19 @@ class _DcServer(Server):
         self, peer: Peer, message: CheckpointDcLog
     ) -> CheckpointDcLogReply:
         advanced = self._dc.checkpoint_dc_log()
-        if advanced:
+        if advanced and self._storage.compaction_due():
             # Everything below the new truncation point is reflected
             # in flushed pages, so the journal's history frames are
-            # dead weight: rewrite it as live state.  A kill -9'd DC
-            # now replays only the live tail, not its whole past.
-            self._storage.compact()
+            # dead weight: rewrite it as live state once it has doubled
+            # since the last rewrite.  Rewrites then cost O(change), and
+            # a kill -9'd DC replays at most twice its live state.
+            try:
+                self._storage.compact()
+            except OSError:
+                # The rewrite is optional: the truncation already
+                # happened, the old journal holds everything, and the
+                # next checkpoint tries again.
+                self._dc.metrics.incr("journal.compaction_failures")
         return CheckpointDcLogReply(tc_id=message.tc_id, advanced=advanced)
 
     def _close(self) -> None:

@@ -59,6 +59,12 @@ _TAG_TRUNC = 4
 _TAG_ALLOC = 5
 _TAG_DELTA = 6  # a leaf as a change to the last frame for its page id
 
+#: :meth:`JournalStorage.compaction_due` holds off until the journal is
+#: this many times its size right after its last compaction: rewrites
+#: then cost at most this factor times what was appended in between, and
+#: replay reads at most this factor times a freshly compacted journal.
+COMPACT_GROWTH = 2
+
 
 def frame_bytes(tag: object, payload: object) -> bytes:
     """One journal frame: ``<length, crc32>`` header, pickled ``(tag, payload)``."""
@@ -125,6 +131,9 @@ class JournalStorage(StableStorage):
         super().__init__(metrics)
         self._path = path
         self._file = None
+        #: Journal size right after this process's last compaction (0
+        #: before the first: a journal just opened is due at once).
+        self._compacted_size = 0
         self.replayed = self._replay()
         self._file = open(path, "ab")
 
@@ -231,6 +240,11 @@ class JournalStorage(StableStorage):
 
     # -- compaction ---------------------------------------------------------
 
+    def compaction_due(self) -> bool:
+        """Has the journal grown to :data:`COMPACT_GROWTH` times its size
+        after this process's last :meth:`compact` (always, before one)?"""
+        return self.journal_bytes() >= COMPACT_GROWTH * self._compacted_size
+
     def compact(self) -> int:
         """Rewrite the journal as a snapshot of live state; returns bytes
         reclaimed.
@@ -240,32 +254,37 @@ class JournalStorage(StableStorage):
         with *history*; compaction rewrites it to grow with *state*.  The
         swap is atomic (write a sibling file, then ``os.replace``): a
         crash at any point leaves either the complete old journal or the
-        complete new one — never a mix, never a torn volume.
+        complete new one — never a mix, never a torn volume.  A write or
+        swap that fails raises, and leaves the old journal whole, open for
+        appends and without the sibling.
         """
         with self._lock:
             before = self.journal_bytes()
             tmp_path = self._path + ".compact"
-            with open(tmp_path, "wb") as tmp:
-                if self._next_page_id > 0:
-                    tmp.write(frame_bytes(_TAG_ALLOC, self._next_page_id - 1))
-                for key, value in self._metadata.items():
-                    tmp.write(frame_bytes(_TAG_META, (key, value)))
-                for image in self._pages.values():
-                    tmp.write(frame_bytes(_TAG_PAGE, image))
-                if self._dc_log:
-                    tmp.write(frame_bytes(_TAG_LOG, list(self._dc_log)))
-                tmp.flush()
-            if self._file is not None:
-                try:
-                    self._file.flush()
-                    self._file.close()
-                except OSError:
-                    pass
-            os.replace(tmp_path, self._path)
-            self._file = open(self._path, "ab")
-            reclaimed = max(0, before - self.journal_bytes())
+            try:
+                with open(tmp_path, "wb") as tmp:
+                    if self._next_page_id > 0:
+                        tmp.write(frame_bytes(_TAG_ALLOC, self._next_page_id - 1))
+                    for key, value in self._metadata.items():
+                        tmp.write(frame_bytes(_TAG_META, (key, value)))
+                    for image in self._pages.values():
+                        tmp.write(frame_bytes(_TAG_PAGE, image))
+                    if self._dc_log:
+                        tmp.write(frame_bytes(_TAG_LOG, list(self._dc_log)))
+                    tmp.flush()
+                    written = tmp.tell()
+                self.close()
+                os.replace(tmp_path, self._path)
+            finally:
+                if self._file is None:
+                    self._file = open(self._path, "ab")
+                if os.path.exists(tmp_path):
+                    os.remove(tmp_path)
+            self._compacted_size = written
+            reclaimed = max(0, before - written)
             self.metrics.incr("journal.compactions")
             self.metrics.incr("journal.compacted_bytes", reclaimed)
+            self.metrics.incr("journal.rewritten_bytes", written)
             return reclaimed
 
     # -- lifecycle ----------------------------------------------------------

@@ -264,6 +264,14 @@ class ChaosRunner:
                 self._kill_tc()
             if self.checkpoint_every and txn_no % self.checkpoint_every == 7:
                 self._probe(tc.checkpoint)
+                if self._process_mode:
+                    # DC-log checkpoints truncate each server's DC log and
+                    # compact its journal, so kills land on both.  (The
+                    # in-process stream stays as it was: scripted fault
+                    # schedules count its hook hits.)
+                    for dc in self.kernel.dcs.values():
+                        if not dc.crashed:
+                            self._probe(dc.checkpoint_dc_log)
             if self.snapshot_every and txn_no % self.snapshot_every == 11:
                 self._snapshot_probe(rng)
             self._run_txn(rng, read_rng, txn_no)

@@ -129,6 +129,33 @@ LEDGER: tuple[Row, ...] = (
         "every fifth process-mode chaos transaction only reads; the occ "
         "and mvcc lanes validate at commit and keep the round trip",
     ),
+    Row(
+        "dc.log_truncations",
+        "§4.2 contract termination: a DC-log checkpoint drops the DC log "
+        "below flushed pages",
+        ("chaos-tcp", "chaos-tc-process", "tests/test_recovery_truncation.py"),
+        "process-mode chaos checkpoints every live DC's log beside each TC "
+        "checkpoint; in-process chaos keeps its stream for scripted faults",
+    ),
+    Row(
+        "journal.compactions",
+        "docs/architecture.md §12: a DC server rewrites its journal as live "
+        "state once it has doubled since the last rewrite",
+        ("chaos-tcp", "chaos-tc-process", "tests/test_recovery_truncation.py"),
+        "a server compacts at its first DC-log checkpoint after it starts, "
+        "so a lane reaches it once per DC incarnation that checkpoints",
+    ),
+    Row(
+        "journal.replayed_frames",
+        "§5.2.1 DC restart: a killed DC server rebuilds its volume from "
+        "the journal before redo",
+        (
+            "chaos-tcp",
+            "chaos-tc-process",
+            "tests/test_journal_torn_tail.py",
+            "tests/test_recovery_truncation.py",
+        ),
+    ),
 )
 
 

@@ -360,8 +360,9 @@ class TestChaosFastPaths:
 
     def test_recovery_windows_process_mode_kills_near_checkpoints(self):
         """Process-mode analogue of the recovery-window gauntlet: real
-        kill -9s landing adjacent to frequent checkpoints (which also
-        compact the DC journals), so recovery repeatedly runs against a
+        kill -9s landing adjacent to frequent checkpoints (TC checkpoints
+        plus DC-log checkpoints, which truncate the DC logs and compact
+        the DC journals), so recovery repeatedly runs against a
         just-truncated log and a just-compacted journal."""
         runner = ChaosRunner(
             seed=23,
@@ -375,6 +376,7 @@ class TestChaosFastPaths:
         )
         try:
             report = runner.run()
+            totals = runner.counter_totals()
         finally:
             runner.kernel.close()
         assert report["committed"] + report["aborted"] + report[
@@ -382,6 +384,8 @@ class TestChaosFastPaths:
         ] + report["resolved_aborted"] == 40
         assert runner.kills >= 3
         assert runner.supervisor.all_healthy()
+        assert totals.get("journal.compactions", 0) > 0
+        assert totals.get("dc.log_truncations", 0) > 0
 
     def test_envelopes_survive_loss_duplication_and_reordering(self):
         """Envelope loss/duplication is per-op loss/duplication of

@@ -22,6 +22,9 @@ def test_covers_the_branches_it_was_started_for():
         "tclog.group_commit_riders",
         "buffer.evictions",
         "tcserver.oneway_commits",
+        "dc.log_truncations",
+        "journal.compactions",
+        "journal.replayed_frames",
     }
 
 
@@ -50,10 +53,14 @@ def test_every_lane_is_a_command_ci_runs():
 
 
 def test_zero_in_every_lane_that_ran_fails():
-    totals = {"chaos-tcp": {}, "chaos-tc-process": {"tcserver.oneway_commits": 0}}
+    totals = {
+        "chaos-tcp": {"dc.log_truncations": 2},
+        "chaos-tc-process": {"tcserver.oneway_commits": 0, "journal.compactions": 4},
+    }
     lines, failures = check(totals)
-    assert failures == ["tcserver.oneway_commits"]
+    assert failures == ["tcserver.oneway_commits", "journal.replayed_frames"]
     assert any(line.startswith("tcserver.oneway_commits: ZERO") for line in lines)
+    assert any(line.startswith("journal.compactions: ok") for line in lines)
 
 
 def test_one_lane_reaching_it_is_enough():

@@ -16,21 +16,39 @@ The recovery-time story has three legs, each tested here:
 - **Journal compaction** — the process-mode DC journal is rewritten from
   history to state behind an atomic ``os.replace``; a crash at any point
   before the swap leaves the old journal fully readable, and replay
-  after compaction is equivalent to replay of the full history.
+  after compaction is equivalent to replay of the full history.  A DC
+  server compacts at its first DC-log checkpoint, then only once the
+  journal has doubled since; a compaction that fails leaves the old
+  journal serving.
 """
 
 from __future__ import annotations
+
+import builtins
+import errno
+import math
+import types
 
 import pytest
 
 from repro.common.config import ChannelConfig, DcConfig, KernelConfig, TcConfig
 from repro.common.lsn import NULL_LSN
 from repro.common.ops import InsertOp
+from repro.dc.data_component import DataComponent
 from repro.kernel.unbundled import UnbundledKernel
-from repro.net.journal import JournalStorage
+from repro.net.dcserver import _DcServer
+from repro.net.journal import (
+    _TAG_DELTA,
+    _TAG_META,
+    COMPACT_GROWTH,
+    JournalStorage,
+    frame_bytes,
+)
+from repro.net.rpc import CheckpointDcLog
 from repro.sim.faults import FaultAction, FaultInjector, FaultPoint, FaultRule
 from repro.sim.metrics import Metrics
 from repro.tc.log import CommitRecord, OpRecord, TcLog, TxnEndRecord
+from tests.test_journal_delta import full_leaf, page_frames, volume
 
 
 def append_op(log, txn_id=1, key=1):
@@ -324,18 +342,19 @@ class TestParallelRedo:
             self._check(kernel, 3)
 
 
-class TestJournalCompaction:
-    def _populated(self, path):
-        storage = JournalStorage(str(path))
-        for key in range(8):
-            storage.write_metadata(f"k{key}", key)
-        for key in range(8):  # supersede: history > state
-            storage.write_metadata(f"k{key}", key * 10)
-        return storage
+def populated(path):
+    storage = JournalStorage(str(path))
+    for key in range(8):
+        storage.write_metadata(f"k{key}", key)
+    for key in range(8):  # supersede: history > state
+        storage.write_metadata(f"k{key}", key * 10)
+    return storage
 
+
+class TestJournalCompaction:
     def test_replay_after_compaction_is_equivalent(self, tmp_path):
         path = tmp_path / "dc.journal"
-        storage = self._populated(path)
+        storage = populated(path)
         before = {f"k{i}": storage.read_metadata(f"k{i}") for i in range(8)}
         reclaimed = storage.compact()
         assert reclaimed > 0
@@ -348,7 +367,7 @@ class TestJournalCompaction:
 
     def test_journal_keeps_accepting_writes_after_compaction(self, tmp_path):
         path = tmp_path / "dc.journal"
-        storage = self._populated(path)
+        storage = populated(path)
         storage.compact()
         storage.write_metadata("post", "compaction")
         storage.close()
@@ -368,7 +387,7 @@ class TestJournalCompaction:
         import repro.net.journal as journal_module
 
         path = tmp_path / "dc.journal"
-        storage = self._populated(path)
+        storage = populated(path)
 
         def die(src, dst):
             raise OSError("simulated SIGKILL before the swap")
@@ -393,6 +412,223 @@ class TestJournalCompaction:
         full_history = storage.journal_bytes()
         storage.compact()
         assert storage.journal_bytes() < full_history / 2
+        storage.close()
+
+
+def dc_log_checkpoint(storage) -> bool:
+    """What a DC server does after a DC-log checkpoint advances: compact
+    once the journal has doubled.  True when it compacted."""
+    if not storage.compaction_due():
+        return False
+    storage.compact()
+    return True
+
+
+def meta_frame_bytes(key, value) -> int:
+    return len(frame_bytes(_TAG_META, (key, value)))
+
+
+class TestCompactionRule:
+    """Compaction waits until the journal has doubled since the last one."""
+
+    def test_first_checkpoint_after_open_compacts(self, tmp_path):
+        path = tmp_path / "dc.journal"
+        populated(path).close()
+        storage = JournalStorage(str(path))  # a restarted server
+        assert dc_log_checkpoint(storage)
+        assert storage.metrics.get("journal.compactions") == 1
+        storage.close()
+
+    def test_immediate_second_checkpoint_does_not_compact(self, tmp_path):
+        storage = populated(tmp_path / "dc.journal")
+        assert dc_log_checkpoint(storage)
+        compacted = storage.journal_bytes()
+        storage.write_metadata("k0", "one more frame")
+        assert not dc_log_checkpoint(storage)
+        assert storage.metrics.get("journal.compactions") == 1
+        assert storage.journal_bytes() > compacted
+        storage.close()
+
+    def test_compacts_once_the_journal_has_doubled(self, tmp_path):
+        storage = populated(tmp_path / "dc.journal")
+        assert dc_log_checkpoint(storage)
+        compacted = storage.journal_bytes()
+        round_no = 0
+        while storage.journal_bytes() < COMPACT_GROWTH * compacted:
+            assert not dc_log_checkpoint(storage)
+            storage.write_metadata(f"k{round_no % 8}", f"round-{round_no}")
+            round_no += 1
+        doubled = storage.journal_bytes()
+        assert dc_log_checkpoint(storage)
+        assert storage.metrics.get("journal.compactions") == 2
+        assert storage.journal_bytes() < doubled
+        storage.close()
+
+    def test_growing_stream_rewrites_amortized(self, tmp_path):
+        """New keys only, a checkpoint every 7 frames: what compactions
+        rewrite stays within twice what was appended, and they happen
+        about once per doubling of live state."""
+        storage = JournalStorage(str(tmp_path / "dc.journal"))
+        appended = 0
+        first_live = 0
+        for key in range(2000):
+            value = f"value-{key:06d}"
+            storage.write_metadata(f"k{key}", value)
+            appended += meta_frame_bytes(f"k{key}", value)
+            if key % 7 == 6 and dc_log_checkpoint(storage) and not first_live:
+                first_live = storage.journal_bytes()
+        compactions = storage.metrics.get("journal.compactions")
+        rewritten = storage.metrics.get("journal.rewritten_bytes")
+        assert first_live > 0
+        assert rewritten <= COMPACT_GROWTH * appended
+        # Nothing was superseded: live state is everything appended.
+        assert 1 <= compactions <= math.log2(appended / first_live) + 2
+        storage.close()
+
+    def test_churning_stream_keeps_replay_bounded_by_state(self, tmp_path):
+        """The same 64 keys rewritten over and over, a checkpoint every 5
+        frames: after each checkpoint the journal is under twice its live
+        state, and rewrites still cost at most twice the appends."""
+        storage = JournalStorage(str(tmp_path / "dc.journal"))
+        appended = 0
+        for step in range(3000):
+            key, value = f"k{step % 64}", f"round-{step // 64:06d}"
+            storage.write_metadata(key, value)
+            appended += meta_frame_bytes(key, value)
+            if step % 5 == 4 and step >= 64:
+                dc_log_checkpoint(storage)
+                live = sum(
+                    meta_frame_bytes(k, storage.read_metadata(k))
+                    for k in (f"k{i}" for i in range(64))
+                )
+                assert storage.journal_bytes() < COMPACT_GROWTH * live
+        assert storage.metrics.get("journal.compactions") > 1
+        rewritten = storage.metrics.get("journal.rewritten_bytes")
+        assert rewritten <= COMPACT_GROWTH * appended
+        storage.close()
+
+    def test_kill9_after_checkpoints_that_did_not_compact(self, tmp_path):
+        """Delta chains that span several checkpoints which left the
+        journal alone replay to the live volume after a kill -9."""
+        path = tmp_path / "dc.journal"
+        storage = JournalStorage(str(path))
+        page_ids = []
+        for _ in range(4):
+            page_id = storage.allocate_page_id()
+            storage.write_page(full_leaf(page_id).snapshot())
+            page_ids.append(page_id)
+        assert dc_log_checkpoint(storage)
+        compacted_end = storage.journal_bytes()
+        for round_no in range(6):
+            for page_id in page_ids:
+                leaf = storage.read_page(page_id).materialize()
+                old = leaf.get(round_no)
+                leaf.put(old.set_committed(f"round-{round_no}"))
+                storage.write_page(leaf.snapshot())
+            assert not dc_log_checkpoint(storage)
+        assert storage.metrics.get("journal.compactions") == 1
+        chained = [
+            tag for start, _end, tag, _p in page_frames(path) if start >= compacted_end
+        ]
+        assert chained == [_TAG_DELTA] * (6 * len(page_ids))
+        live = volume(storage)
+        # kill -9: the live storage is never closed; a new one replays.
+        restarted = JournalStorage(str(path))
+        assert restarted.replayed
+        assert volume(restarted) == live
+        assert restarted.read_page(page_ids[2]).materialize().get(5).committed == (
+            "round-5"
+        )
+        restarted.close()
+        storage.close()  # the dead process's handle
+
+
+class _FullDisk:
+    """A sibling file that takes a few bytes, then fails with ENOSPC."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, data):
+        self._handle.write(data[:5])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+
+class TestFailedCompaction:
+    """A compaction that cannot finish leaves the old journal serving."""
+
+    @pytest.fixture
+    def full_disk(self, monkeypatch):
+        import repro.net.journal as journal_module
+
+        def fake_open(path, mode="r", *args, **kwargs):
+            handle = builtins.open(path, mode, *args, **kwargs)
+            if str(path).endswith(".compact"):
+                return _FullDisk(handle)
+            return handle
+
+        monkeypatch.setattr(journal_module, "open", fake_open, raising=False)
+        return monkeypatch
+
+    def _check_serving(self, storage, path):
+        assert not (tmp := path.parent / (path.name + ".compact")).exists(), tmp
+        storage.write_metadata("after", "failure")
+        storage.close()
+        reopened = JournalStorage(str(path))
+        assert reopened.read_metadata("after") == "failure"
+        for key in range(8):
+            assert reopened.read_metadata(f"k{key}") == key * 10
+        reopened.close()
+
+    def test_enospc_on_the_sibling(self, tmp_path, full_disk):
+        path = tmp_path / "dc.journal"
+        storage = populated(path)
+        with pytest.raises(OSError) as raised:
+            storage.compact()
+        assert raised.value.errno == errno.ENOSPC
+        full_disk.undo()
+        self._check_serving(storage, path)
+
+    def test_failed_swap(self, tmp_path, monkeypatch):
+        import repro.net.journal as journal_module
+
+        path = tmp_path / "dc.journal"
+        storage = populated(path)
+
+        def fail(src, dst):
+            raise OSError(errno.EIO, "swap failed")
+
+        monkeypatch.setattr(journal_module.os, "replace", fail)
+        with pytest.raises(OSError):
+            storage.compact()
+        monkeypatch.undo()
+        self._check_serving(storage, path)
+
+    def test_dc_server_counts_it_and_still_answers_advanced(
+        self, tmp_path, full_disk
+    ):
+        path = tmp_path / "dc.journal"
+        storage = JournalStorage(str(path))
+        server = types.SimpleNamespace(
+            _storage=storage,
+            _dc=DataComponent("dc", metrics=storage.metrics, storage=storage),
+        )
+        request = CheckpointDcLog(tc_id=0)
+        reply = _DcServer._checkpoint_dc_log(server, None, request)
+        assert reply.advanced
+        assert storage.metrics.get("journal.compaction_failures") == 1
+        assert storage.metrics.get("journal.compactions") == 0
+        full_disk.undo()
+        # Nothing was compacted, so the next checkpoint is still due.
+        assert _DcServer._checkpoint_dc_log(server, None, request).advanced
+        assert storage.metrics.get("journal.compactions") == 1
+        assert storage.metrics.get("journal.compaction_failures") == 1
         storage.close()
 
 
