@@ -30,7 +30,7 @@ def test_ablate_buffer_capacity(benchmark, capacity):
             dc=DcConfig(page_size=512, buffer_capacity=capacity)
         )
         load_keys(kernel, N)
-        kernel.tc.broadcast_eosl()
+        kernel.tc.durability.broadcast_eosl()
         with kernel.begin() as txn:
             assert len(txn.scan("t")) == N
         return kernel

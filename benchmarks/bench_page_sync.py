@@ -31,7 +31,7 @@ def burst_and_flush(kernel):
     for key in range(BURST):
         with kernel.begin() as txn:
             txn.insert("t", key, f"value-{key:05d}")
-    kernel.tc.broadcast_eosl()
+    kernel.tc.durability.broadcast_eosl()
     kernel.dc.buffer.flush_all()
     return kernel
 
@@ -96,9 +96,9 @@ def test_esync_delay_blocks_until_lwm_catches_up():
     for key in range(20):
         with kernel.begin() as txn:
             txn.insert("t", key, "v")
-    kernel.tc.broadcast_eosl()
+    kernel.tc.durability.broadcast_eosl()
     flushed_without_lwm = kernel.dc.buffer.flush_all()
-    kernel.tc.broadcast_lwm()  # now {LSNin} prunes to empty
+    kernel.tc.dispatch.broadcast_lwm()  # now {LSNin} prunes to empty
     flushed_after_lwm = kernel.dc.buffer.flush_all()
     series(
         "E-SYNC delay-isolated",
@@ -122,7 +122,7 @@ def test_esync_prune_threshold_sweep():
         for key in range(BURST):
             with kernel.begin() as txn:
                 txn.insert("t", key, f"value-{key:05d}")
-        kernel.tc.broadcast_eosl()
+        kernel.tc.durability.broadcast_eosl()
         kernel.dc.buffer.flush_all()
         metrics = kernel.metrics
         series(

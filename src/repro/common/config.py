@@ -62,8 +62,6 @@ class DcConfig:
     prune_threshold: int = 4
     #: Leaf fill fraction below which a consolidation is attempted.
     min_fill: float = 0.25
-    #: Number of replies remembered for duplicate-request resends.
-    reply_cache_size: int = 4096
     #: Snapshot-read extension (Section 6.3): how many commit sequence
     #: numbers of version history the DC retains for snapshot readers.
     #: 0 disables snapshots (the paper's plain two-version scheme).
@@ -82,9 +80,6 @@ class TcConfig:
     range_protocol: RangeLockProtocol = RangeLockProtocol.FETCH_AHEAD
     #: Keys per fetch-ahead probe batch.
     fetch_ahead_batch: int = 16
-    #: Key-range gap locking for serializable scans/inserts (fetch-ahead
-    #: protocol only; the partition protocol excludes phantoms wholesale).
-    phantom_protection: bool = True
     #: Give up after this many resend attempts of one operation.
     max_resend_attempts: int = 1000
     #: Group commit: up to this many concurrently-committing transactions
@@ -272,15 +267,10 @@ class KernelConfig:
     #: :class:`repro.cloud.router.TcServiceDeployment`.  Requires
     #: ``channel.transport == "process"``.
     tc_processes: int = 0
-    #: Router fan-out: how many key partitions the TC service router
-    #: spreads across its TC processes.  0 = one partition per TC.
-    router_partitions: int = 0
 
     def __post_init__(self) -> None:
         if self.tc_processes < 0:
             raise ConfigError("KernelConfig.tc_processes", self.tc_processes)
-        if self.router_partitions < 0:
-            raise ConfigError("KernelConfig.router_partitions", self.router_partitions)
         if self.tc_processes and self.channel.transport != "process":
             raise ConfigError(
                 "KernelConfig.tc_processes",

@@ -24,10 +24,8 @@ the benchmarks quantify against unbundling's flexibility.
 from __future__ import annotations
 
 import bisect
-import enum
 import itertools
 import threading
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,9 +40,10 @@ from repro.common.errors import (
 )
 from repro.common.lsn import Lsn, LsnGenerator, NULL_LSN
 from repro.common.records import Key, Value, VersionedRecord, sizeof_key, sizeof_value
-from repro.obs.tracing import NULL_SPAN, NULL_TRACER
+from repro.obs.tracing import NULL_TRACER
 from repro.sim.metrics import Metrics
 from repro.storage.page import InnerPage, LeafPage, Page, PageImage
+from repro.tc.handle import TracedHandle, TransactionState
 from repro.tc.lock_manager import LockManager, LockMode
 
 # --------------------------------------------------------------------------
@@ -165,71 +164,33 @@ class MonoCheckpoint(MonoLogRecord):
     roots: Optional[dict] = None
 
 
-class MonoTxnState(enum.Enum):
-    ACTIVE = "active"
-    COMMITTED = "committed"
-    ABORTED = "aborted"
+#: The monolithic handle's states are the unbundled handle's.
+MonoTxnState = TransactionState
 
 
-class MonoTransaction:
-    """Handle mirroring :class:`repro.tc.transactional_component.Transaction`."""
+class MonoTransaction(TracedHandle):
+    """Handle mirroring :class:`repro.tc.handle.Transaction`; its root
+    span makes traces of the two kernels compare side by side."""
 
     def __init__(self, engine: "MonolithicEngine", txn_id: int) -> None:
+        super().__init__(txn_id, engine.tracer, "mono", engine._commit_latency)
         self._engine = engine
-        self.txn_id = txn_id
-        self.state = MonoTxnState.ACTIVE
         self.undo_chain: list[MonoUpdate] = []
-        self._started = time.perf_counter()
-        #: Root span (NULL_SPAN when tracing is off), mirroring the
-        #: unbundled Transaction so traces compare side by side.
-        if engine.tracer.enabled:
-            self.span = engine.tracer.start_trace(
-                "txn", component="mono", txn_id=txn_id
-            )
-        else:
-            self.span = NULL_SPAN
 
     def insert(self, table: str, key: Key, value: Value) -> None:
-        if not self._engine.tracer.enabled:
-            return self._engine.do_insert(self, table, key, value)
-        try:
-            with self._engine.tracer.activate(self.span):
-                self._engine.do_insert(self, table, key, value)
-        finally:
-            self._close_span_if_done()
+        self._traced(None, None, self._engine.do_insert, self, table, key, value)
 
     def update(self, table: str, key: Key, value: Value) -> None:
-        if not self._engine.tracer.enabled:
-            return self._engine.do_update(self, table, key, value)
-        try:
-            with self._engine.tracer.activate(self.span):
-                self._engine.do_update(self, table, key, value)
-        finally:
-            self._close_span_if_done()
+        self._traced(None, None, self._engine.do_update, self, table, key, value)
 
     def delete(self, table: str, key: Key) -> None:
-        if not self._engine.tracer.enabled:
-            return self._engine.do_delete(self, table, key)
-        try:
-            with self._engine.tracer.activate(self.span):
-                self._engine.do_delete(self, table, key)
-        finally:
-            self._close_span_if_done()
+        self._traced(None, None, self._engine.do_delete, self, table, key)
 
     def increment(self, table: str, key: Key, delta: float) -> None:
-        if not self._engine.tracer.enabled:
-            return self._engine.do_increment(self, table, key, delta)
-        try:
-            with self._engine.tracer.activate(self.span):
-                self._engine.do_increment(self, table, key, delta)
-        finally:
-            self._close_span_if_done()
+        self._traced(None, None, self._engine.do_increment, self, table, key, delta)
 
     def read(self, table: str, key: Key) -> Optional[Value]:
-        if not self._engine.tracer.enabled:
-            return self._engine.do_read(self, table, key)
-        with self._engine.tracer.activate(self.span):
-            return self._engine.do_read(self, table, key)
+        return self._traced(None, None, self._engine.do_read, self, table, key)
 
     def scan(
         self,
@@ -238,63 +199,13 @@ class MonoTransaction:
         high: Optional[Key] = None,
         limit: Optional[int] = None,
     ) -> list[tuple[Key, Value]]:
-        if not self._engine.tracer.enabled:
-            return self._engine.do_scan(self, table, low, high, limit)
-        with self._engine.tracer.activate(self.span):
-            return self._engine.do_scan(self, table, low, high, limit)
+        return self._traced(None, None, self._engine.do_scan, self, table, low, high, limit)
 
     def commit(self) -> None:
-        tracer = self._engine.tracer
-        if not tracer.enabled:
-            try:
-                self._engine.commit(self)
-            finally:
-                self._observe_commit_latency()
-            return
-        try:
-            with tracer.activate(self.span), tracer.span(
-                "mono.commit", component="mono"
-            ):
-                self._engine.commit(self)
-        finally:
-            self._observe_commit_latency()
-            self._close_span_if_done()
-
-    def _observe_commit_latency(self) -> None:
-        if self.state is MonoTxnState.COMMITTED:
-            self._engine._commit_latency.append(
-                (time.perf_counter() - self._started) * 1000.0
-            )
+        self._commit_with("mono.commit", self._engine.commit)
 
     def abort(self) -> None:
-        tracer = self._engine.tracer
-        if not tracer.enabled:
-            return self._engine.abort(self)
-        try:
-            with tracer.activate(self.span), tracer.span(
-                "mono.abort", component="mono"
-            ):
-                self._engine.abort(self)
-        finally:
-            self._close_span_if_done()
-
-    def _close_span_if_done(self) -> None:
-        if self.state is not MonoTxnState.ACTIVE:
-            self.span.finish(outcome=self.state.value)
-
-    def __enter__(self) -> "MonoTransaction":
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        if self.state is MonoTxnState.ACTIVE:
-            if exc_type is None:
-                self.commit()
-            else:
-                self.abort()
-
-    def _check_active(self) -> None:
-        if self.state is not MonoTxnState.ACTIVE:
-            raise TransactionAborted(self.txn_id, f"transaction is {self.state.value}")
+        self._traced("mono.abort", None, self._engine.abort, self)
 
 
 class MonolithicEngine:
@@ -331,7 +242,6 @@ class MonolithicEngine:
         self._roots: dict[str, int] = {}
         self._next_page_id = 1
         self._txn_ids = itertools.count(1)
-        self._rssp: Lsn = NULL_LSN
         self._crashed = False
         self._mutex = threading.RLock()
 
@@ -585,8 +495,6 @@ class MonolithicEngine:
     def _lock_gap_above(self, txn: MonoTransaction, table: str, key: Key, mode: LockMode) -> None:
         """Key-range (next-key) locking done *inside* the engine: the
         successor is read straight off the pages — no probe messages."""
-        if not self.tc_config.phantom_protection:
-            return
         successor = self._successor(table, key)
         guard: object = successor if successor is not None else "<END>"
         try:
@@ -798,11 +706,10 @@ class MonolithicEngine:
                     self.metrics.incr("mono.latches")
                     for record in leaf.range(cursor, high):
                         self._lock_record(txn, table, record.key, LockMode.S)
-                        if self.tc_config.phantom_protection:
-                            self.locks.acquire(
-                                txn.txn_id, ("gap", table, record.key), LockMode.S
-                            )
-                            self.metrics.incr("mono.gap_locks")
+                        self.locks.acquire(
+                            txn.txn_id, ("gap", table, record.key), LockMode.S
+                        )
+                        self.metrics.incr("mono.gap_locks")
                         if record.committed is None:
                             continue
                         results.append((record.key, record.committed))
@@ -816,11 +723,10 @@ class MonolithicEngine:
                     break
                 cursor = nxt
                 leaf, _path = self._descend(table, nxt)
-            if self.tc_config.phantom_protection:
-                boundary = self._successor(table, high) if high is not None else None
-                guard: object = boundary if boundary is not None else "<END>"
-                self.locks.acquire(txn.txn_id, ("gap", table, guard), LockMode.S)
-                self.metrics.incr("mono.gap_locks")
+            boundary = self._successor(table, high) if high is not None else None
+            guard: object = boundary if boundary is not None else "<END>"
+            self.locks.acquire(txn.txn_id, ("gap", table, guard), LockMode.S)
+            self.metrics.incr("mono.gap_locks")
             self.metrics.incr("mono.scans")
             return results
 
@@ -911,7 +817,6 @@ class MonolithicEngine:
                 )
             )
             self.force_log()
-            self._rssp = rssp
             self.metrics.incr("mono.checkpoints")
 
     # -- crash / recovery ----------------------------------------------------------------------------------

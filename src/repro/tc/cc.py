@@ -63,11 +63,12 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import TransactionAborted
 from repro.common.records import Key
-from repro.sim import schedule as _sched
+from repro.sim.faults import FaultPoint
 from repro.sim.schedule import YieldPoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.tc.transactional_component import Transaction, TransactionalComponent
+    from repro.tc.handle import Transaction
+    from repro.tc.transactional_component import TransactionalComponent
 
 #: (table, key) — the unit the stamp/registry machinery tracks.
 Slot = tuple
@@ -188,7 +189,7 @@ class TwoPhaseLockingCc(ConcurrencyControl):
         tc = self.tc
         if not tc.config.unsafe_skip_read_locks:
             tc.protocol.lock_for_read(txn, table, key)
-        return tc._known_value(txn, table, key)
+        return tc.undo_cache.value(txn, table, key)
 
     def scan(
         self,
@@ -285,15 +286,10 @@ class ValidatingCc(ConcurrencyControl):
 
     def validate(self, txn: "Transaction") -> None:
         tc = self.tc
-        if tc.faults is not None:
-            from repro.sim.faults import FaultPoint
-
-            # A crash here loses the whole volatile validation state —
-            # read sets, stamps, writer registry — mid-commit.
-            tc.faults.hit(FaultPoint.TC_CC_VALIDATE, tc.name)
+        # A crash here loses the whole volatile validation state — read
+        # sets, stamps, writer registry — mid-commit.
+        tc.hook(FaultPoint.TC_CC_VALIDATE, YieldPoint.CC_VALIDATE, txn=txn.txn_id)
         state = txn.cc_state
-        if _sched.task_active():
-            _sched.maybe_yield(YieldPoint.CC_VALIDATE, "tc", txn=txn.txn_id)
         if state is None:
             return
         conflict: Optional[str] = None
@@ -317,15 +313,10 @@ class ValidatingCc(ConcurrencyControl):
             tc.metrics.incr("tc.cc_validation_failures")
             raise TransactionAborted(txn.txn_id, f"cc validation failed: {conflict}")
         if state.writes:
-            if tc.faults is not None:
-                from repro.sim.faults import FaultPoint
-
-                # Version stamps installed, commit record not yet durable:
-                # a crash here must roll the transaction back on recovery
-                # even though its writes already "won" validation.
-                tc.faults.hit(FaultPoint.TC_CC_INSTALL, tc.name)
-            if _sched.task_active():
-                _sched.maybe_yield(YieldPoint.CC_INSTALL, "tc", txn=txn.txn_id)
+            # Version stamps installed, commit record not yet durable: a
+            # crash here must roll the transaction back on recovery even
+            # though its writes already "won" validation.
+            tc.hook(FaultPoint.TC_CC_INSTALL, YieldPoint.CC_INSTALL, txn=txn.txn_id)
 
     def _bump_locked(self, writes: set) -> None:
         """Settle ``writes``: bump their key and table stamps (caller

@@ -37,7 +37,7 @@ from repro.common.records import Key
 from repro.tc.cc import ValidatingCc
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.tc.transactional_component import Transaction
+    from repro.tc.handle import Transaction
 
 
 class MvccSnapshotCc(ValidatingCc):
@@ -53,7 +53,7 @@ class MvccSnapshotCc(ValidatingCc):
         if tc.config.unsafe_mvcc_read_newest:
             # Negative control: newest in-place bytes, no version, no
             # tracking, no validation — dirty reads on purpose.
-            return tc._cc_fetch(table, key)
+            return tc.dispatch.fetch(table, key)
         slot = (table, key)
         own = txn.known.get(slot)
         if own is not None:
@@ -71,7 +71,7 @@ class MvccSnapshotCc(ValidatingCc):
                 tc.metrics.incr("tc.cc_before_image_reads")
                 return value
             stamp = self._stamps.get(slot, 0)
-        value = tc._cc_fetch(table, key)
+        value = tc.dispatch.fetch(table, key)
         with self._mu:
             owner = self._writers.get(slot)
             if owner is not None and owner != txn.txn_id:
@@ -94,10 +94,10 @@ class MvccSnapshotCc(ValidatingCc):
         limit: Optional[int],
     ) -> list[tuple[Key, object]]:
         tc = self.tc
-        from repro.tc.transactional_component import ABSENT
+        from repro.tc.handle import ABSENT
 
         if tc.config.unsafe_mvcc_read_newest:
-            views = tc.read_range_raw(table, low, high, limit, ReadFlavor.OWN)
+            views = tc.dispatch.read_range(table, low, high, limit, ReadFlavor.OWN)
             return [view.as_tuple() for view in views]
         state = self._state(txn)
         with self._mu:
@@ -112,7 +112,7 @@ class MvccSnapshotCc(ValidatingCc):
         # rows survive the before-image substitution — fetch the range
         # and truncate after.
         fetch_limit = None if (limit is not None and overlay_keys) else limit
-        views = tc.read_range_raw(table, low, high, fetch_limit, ReadFlavor.OWN)
+        views = tc.dispatch.read_range(table, low, high, fetch_limit, ReadFlavor.OWN)
         rows = {view.key: view.value for view in views}
         with self._mu:
             for slot, owner in self._writers.items():

@@ -39,7 +39,7 @@ from repro.common.records import Key
 from repro.tc.cc import ValidatingCc
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.tc.transactional_component import Transaction
+    from repro.tc.handle import Transaction
 
 
 class OptimisticCc(ValidatingCc):
@@ -66,7 +66,7 @@ class OptimisticCc(ValidatingCc):
             stamp = self._stamps.get(slot, 0)
         if owner is not None and owner != txn.txn_id:
             self._read_conflict(txn, slot)
-        value = tc._cc_fetch(table, key)
+        value = tc.dispatch.fetch(table, key)
         # Re-probe after the round trip: a writer that registered while
         # the read was in flight may have put an uncommitted value in the
         # reply.  A writer that registered *and settled* in flight bumped
@@ -93,7 +93,7 @@ class OptimisticCc(ValidatingCc):
         state = self._state(txn)
         with self._mu:
             tstamp = self._table_stamps.get(table, 0)
-        views = tc.read_range_raw(table, low, high, limit, ReadFlavor.OWN)
+        views = tc.dispatch.read_range(table, low, high, limit, ReadFlavor.OWN)
         results = [view.as_tuple() for view in views]
         with self._mu:
             dirty = [

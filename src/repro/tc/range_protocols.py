@@ -30,7 +30,8 @@ from repro.common.records import Key
 from repro.tc.lock_manager import LockMode, combined_mode, mode_covers
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.tc.transactional_component import Transaction, TransactionalComponent
+    from repro.tc.handle import Transaction
+    from repro.tc.transactional_component import TransactionalComponent
 
 
 class _TableEnd:
@@ -74,14 +75,12 @@ class FetchAheadProtocol:
 
     def lock_for_insert(self, txn: "Transaction", table: str, key: Key) -> None:
         self.lock_for_update(txn, table, key)
-        if self._tc.config.phantom_protection:
-            self._lock_gap_above(txn, table, key, LockMode.X)
+        self._lock_gap_above(txn, table, key, LockMode.X)
 
     def lock_for_delete(self, txn: "Transaction", table: str, key: Key) -> None:
         self.lock_for_update(txn, table, key)
-        if self._tc.config.phantom_protection:
-            # The deleted key's gap merges into its successor's gap.
-            self._lock_gap_above(txn, table, key, LockMode.X)
+        # The deleted key's gap merges into its successor's gap.
+        self._lock_gap_above(txn, table, key, LockMode.X)
 
     #: Bare write lock (table IX + record X, no gap probing): the
     #: optimistic/multiversion CC policies exclude phantoms by commit-time
@@ -94,7 +93,7 @@ class FetchAheadProtocol:
     ) -> None:
         tc = self._tc
         guard: object
-        high = tc.table_high(table)
+        high = tc.undo_cache.table_high(table)
         if high is not None and key >= high:
             # The TC's high-water mark proves no key exists above ``key``
             # (docs/architecture.md §9.2; ``>=`` because the bound covers
@@ -103,7 +102,7 @@ class FetchAheadProtocol:
             # is the common case for fresh-key (monotonic) inserts.
             guard = TABLE_END
         else:
-            successors = tc.probe_keys(table, after=key, count=1)
+            successors = tc.dispatch.probe_keys(table, after=key, count=1)
             guard = successors[0] if successors else TABLE_END
         tc.locks.acquire(txn.txn_id, ("gap", table, guard), mode)
         self._gap_locks.value += 1
@@ -126,21 +125,20 @@ class FetchAheadProtocol:
         cursor = low
         inclusive = True
         while True:
-            probed = tc.probe_keys(
+            probed = tc.dispatch.probe_keys(
                 table, after=cursor, count=batch_size, until=high, inclusive=inclusive
             )
             if not probed:
                 break
             for key in probed:
                 tc.locks.acquire(txn.txn_id, ("rec", table, key), LockMode.S)
-                if tc.config.phantom_protection:
-                    tc.locks.acquire(txn.txn_id, ("gap", table, key), LockMode.S)
-                    self._gap_locks.value += 1
+                tc.locks.acquire(txn.txn_id, ("gap", table, key), LockMode.S)
+                self._gap_locks.value += 1
             # The authoritative read covers the whole gap since the cursor,
             # so a key inserted between probe and lock shows up and fails
             # validation (the read then "becomes again a speculative
             # request" — retry this batch, paper Section 3.1).
-            views = tc.read_range_raw(
+            views = tc.dispatch.read_range(
                 table,
                 cursor,
                 probed[-1],
@@ -159,16 +157,15 @@ class FetchAheadProtocol:
                 break
             cursor = probed[-1]
             inclusive = False
-        if tc.config.phantom_protection:
-            # Guard the open interval above the scanned range so later
-            # inserts into it conflict with this scan (serializability).
-            if high is not None:
-                successors = tc.probe_keys(table, after=high, count=1)
-                guard: object = successors[0] if successors else TABLE_END
-            else:
-                guard = TABLE_END
-            tc.locks.acquire(txn.txn_id, ("gap", table, guard), LockMode.S)
-            self._gap_locks.value += 1
+        # Guard the open interval above the scanned range so later inserts
+        # into it conflict with this scan (serializability).
+        if high is not None:
+            successors = tc.dispatch.probe_keys(table, after=high, count=1)
+            guard: object = successors[0] if successors else TABLE_END
+        else:
+            guard = TABLE_END
+        tc.locks.acquire(txn.txn_id, ("gap", table, guard), LockMode.S)
+        self._gap_locks.value += 1
         return results
 
 
@@ -240,5 +237,5 @@ class RangePartitionProtocol:
         for partition in range(first, last + 1):
             tc.locks.acquire(txn.txn_id, ("part", table, partition), LockMode.S)
             tc.metrics.incr("tc.partition_locks")
-        views = tc.read_range_raw(table, low, high, limit, ReadFlavor.OWN)
+        views = tc.dispatch.read_range(table, low, high, limit, ReadFlavor.OWN)
         return [view.as_tuple() for view in views]

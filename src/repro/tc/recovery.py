@@ -18,7 +18,7 @@ the paper's sequence exactly:
    end record; the log is forced and normal processing resumes.
 
 :func:`resend_redo_stream` is also used alone when a *DC* crashes and
-prompts the TC (Section 5.3.2 "DC Failure").
+prompts the TC (Section 5.3.2 "DC Failure", :func:`redo_restarted_dc`).
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.common.api import (
-    BatchedPerform,
-    EndOfStableLog,
-    PerformOperation,
-    RedoComplete,
-    RestartBegin,
-)
+from repro.common.api import EndOfStableLog, RedoComplete, RestartBegin
 from repro.common.errors import CrashedError, ReproError, ResendExhaustedError
 from repro.common.lsn import Lsn, NULL_LSN
 from repro.common.ops import (
@@ -45,7 +39,9 @@ from repro.common.ops import (
     UpdateOp,
 )
 from repro.common.records import Key
+from repro.sim.faults import FaultPoint
 from repro.storage.buffer import ResetMode
+from repro.tc.dispatch import expect_ok
 from repro.tc.log import (
     AbortRecord,
     CheckpointRecord,
@@ -56,6 +52,7 @@ from repro.tc.log import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.dc.data_component import DataComponent
     from repro.tc.transactional_component import TransactionalComponent
 
 
@@ -81,7 +78,7 @@ def resend_redo_stream(
     collected).  Replies are collected in send order, and a DC handles
     its requests in arrival order, so per-DC LSN order — all abLSN
     idempotence requires — is kept.  A lost, partial or ``UNSTABLE``
-    reply falls back to per-record :meth:`_perform`, which owns crash
+    reply falls back to per-record :meth:`Dispatch.perform`, which owns crash
     detection, the stability wait and the resend budget.  The pump is
     single-threaded, so fault-rule hits and schedule decisions stay a
     function of the seed.
@@ -113,12 +110,11 @@ def resend_redo_stream(
             continue
         streams.setdefault(record.dc_name, []).append(record)
 
-    def owed(record) -> bool:
-        return isinstance(record, OpRecord) and record.owed
+    channels = tc.dispatch.channels
 
     def accept(result, record) -> int:
         try:
-            tc._expect_ok(result, record.op)
+            expect_ok(result, record.op)
         except (CrashedError, ResendExhaustedError):
             raise
         except ReproError:
@@ -134,49 +130,32 @@ def resend_redo_stream(
         return 1
 
     def replay_one(record) -> int:
-        result = tc._perform(
+        result = tc.dispatch.perform(
             record.dc_name,
             record.op,
             record.lsn,
             resend=True,
             redo=True,
-            want_prior=owed(record),
+            want_prior=getattr(record, "owed", False),
         )
         return accept(result, record)
 
     def send(name: str, chunk: list) -> object:
-        if tc.faults is not None:
-            from repro.sim.faults import FaultPoint
-
-            # Crash-mid-redo: the restart dies with part of the stream
-            # resent — abLSN idempotence makes the retried restart's full
-            # replay exactly-once anyway.
-            for _record in chunk:
-                tc.faults.hit(FaultPoint.TC_REDO, tc.name)
+        # Crash-mid-redo: the restart dies with part of the stream resent
+        # — abLSN idempotence makes the retried restart's full replay
+        # exactly-once anyway.
+        for _record in chunk:
+            tc.hook(FaultPoint.TC_REDO)
         tc._check_up()
-        envelope = BatchedPerform(
-            tc_id=tc.tc_id,
-            ops=tuple(
-                PerformOperation(
-                    tc_id=tc.tc_id,
-                    op_id=record.lsn,
-                    op=record.op,
-                    resend=True,
-                    redo=True,
-                    want_prior=owed(record),
-                )
-                for record in chunk
-            ),
-            eosl=tc.log.eosl,
-            redo=True,
-        )
         # Deferred: window-fill envelopes coalesce into one vectored write
         # per DC; finish_async flushes that channel before awaiting.
-        return tc._channels[name].request_async(envelope, defer=True)
+        return channels[name].request_async(
+            tc.dispatch.envelope(chunk, resend=True, redo=True), defer=True
+        )
 
     def finish(name: str, slot: object, chunk: list) -> int:
         try:
-            reply = tc._channels[name].finish_async(slot)
+            reply = channels[name].finish_async(slot)
         except ReproError:
             reply = None
         if reply is None:
@@ -236,7 +215,7 @@ class TcRestart:
         tc.log.recover_lsn_generator()
         stable_lsn = tc.log.eosl
         rssp, txns = self._analyze()
-        tc._rssp = rssp
+        tc.durability.restore(rssp)
         # A restarted TC (a fresh process in the service deployment) must
         # never reuse a txn id that already appears in the stable log: the
         # analysis above groups records by txn id, so a reused id would
@@ -256,7 +235,7 @@ class TcRestart:
         # Acked delivery: a silently-dropped reset would leave the DC
         # holding state from operations the crash erased from the log.
         for name in tc.channels():
-            tc._request_acked(
+            tc.dispatch.request_acked(
                 name,
                 RestartBegin(
                     tc_id=tc.tc_id,
@@ -264,7 +243,7 @@ class TcRestart:
                     reset_mode=reset_mode.value,
                 ),
             )
-            tc._request_acked(
+            tc.dispatch.request_acked(
                 name, EndOfStableLog(tc_id=tc.tc_id, eosl=stable_lsn)
             )
 
@@ -276,7 +255,7 @@ class TcRestart:
         # ``_on_dc_restart`` (a no-op), leaving its window open; the full
         # restart redo above covers that stream, so every window closes.
         for name in tc.channels():
-            tc._request_acked(name, RedoComplete(tc_id=tc.tc_id))
+            tc.dispatch.request_acked(name, RedoComplete(tc_id=tc.tc_id))
 
         # 3./4. Finish unfinished transactions.
         for txn_id, info in txns.items():
@@ -329,9 +308,8 @@ class TcRestart:
         """Re-issue post-commit version cleanup lost with the volatile tail."""
         tc = self._tc
         versioned = self._versioned_keys(info)
-        if versioned and not info.has_promote:
-            for table, keys in sorted(versioned.items()):
-                tc._send_version_cleanup(txn_id, table, keys, promote=True)
+        if not info.has_promote:
+            tc.clean_versions(txn_id, versioned, promote=True)
         tc.log.append(lambda lsn: TxnEndRecord(lsn=lsn, txn_id=txn_id))
 
     # -- undo of losers --------------------------------------------------------------------
@@ -354,7 +332,7 @@ class TcRestart:
         # re-issued even if a pre-crash discard partially ran.
         versioned = self._versioned_keys(info)
         undone = len(to_undo)  # rollback consumes the list in place
-        tc.rollback_operations(txn_id, to_undo, versioned)
+        tc.rollback.undo(txn_id, to_undo, versioned)
         tc.log.append(lambda lsn: TxnEndRecord(lsn=lsn, txn_id=txn_id))
         return undone
 
@@ -369,3 +347,55 @@ class TcRestart:
             ):
                 versioned.setdefault(op.table, set()).add(op.key)
         return versioned
+
+
+# -- the TC's restart hooks ------------------------------------------------------
+
+
+def restart(tc: "TransactionalComponent", reset_mode: ResetMode) -> dict[str, int]:
+    """Recover ``tc`` from a crash (Section 5.3.2 "TC Failure")."""
+    try:
+        stats = TcRestart(tc).run(reset_mode)
+    except (CrashedError, ResendExhaustedError):
+        # The restart itself was interrupted (a fresh fault, or a DC
+        # became unreachable mid-redo).  Restart clears the crashed flag
+        # early so its own redo traffic passes _check_up; a half-restarted
+        # TC must not pass for operational, so re-mark it and let the
+        # supervisor retry the whole restart.
+        tc._crashed = True
+        raise
+    tc._crashed = False
+    return stats
+
+
+def redo_restarted_dc(tc: "TransactionalComponent", dc: "DataComponent") -> None:
+    """Out-of-band prompt: ``dc`` lost its cache; resend from the RSSP."""
+    if tc.crashed:
+        return
+    # The DC lost cached state; until redo finishes rebuilding it, no
+    # cached value for its tables can be trusted.
+    tc.undo_cache.forget_tables(tc.tables_on(dc.name))
+    root = tc.tracer.start_trace("tc.dc_restart_redo", component=tc.name, dc=dc.name)
+    with tc.dispatch.redo_window(dc.name):
+        try:
+            with tc.tracer.activate(root):
+                eosl = tc.log.force()
+                known = dc.name in tc.dispatch.channels
+                if known:
+                    # Acked: redo below relies on the DC knowing the
+                    # current EOSL.
+                    tc.dispatch.request_acked(
+                        dc.name, EndOfStableLog(tc_id=tc.tc_id, eosl=eosl)
+                    )
+                resend_redo_stream(tc, dc_names={dc.name})
+                # Close the DC-side redo window before anything that may
+                # dispatch ordinary (non-redo) traffic: zombie CLR retries
+                # below re-send as normal operations.  Acked: a lost close
+                # would leave the DC bouncing this TC forever.
+                if known:
+                    tc.dispatch.request_acked(dc.name, RedoComplete(tc_id=tc.tc_id))
+                tc.rollback.retry()
+                tc.dispatch.broadcast_lwm()
+        finally:
+            root.finish()
+    tc.metrics.incr("tc.dc_restart_redos")

@@ -83,7 +83,7 @@ class TestServerInitiatedTraffic:
             tc_a = _attached_tc(1, dc, clients)
             tc_b = _attached_tc(2, dc, clients)
             forced_on: list = []
-            force_a = tc_a._force_through
+            force_a = tc_a.durability.force_through
 
             def recording_force(lsn, images):
                 forced_on.append(threading.current_thread())

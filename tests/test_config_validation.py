@@ -15,6 +15,7 @@ from repro.common.config import (
     START_METHODS,
     TRANSPORTS,
     ChannelConfig,
+    DcConfig,
     KernelConfig,
     TcConfig,
 )
@@ -98,10 +99,12 @@ class TestTcConfig:
             "parallel_redo",
             "deadlock_detection",
             "truncate_log",
+            # Gap locks are always on: no non-serializable scan mode.
+            "phantom_protection",
         ):
             with pytest.raises(TypeError):
                 TcConfig(**{removed: 1})
-        assert len(dataclasses.fields(TcConfig)) == 17
+        assert len(dataclasses.fields(TcConfig)) == 16
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -143,13 +146,20 @@ class TestKernelConfig:
     def test_defaults_valid(self):
         config = KernelConfig()
         assert config.tc_processes == 0
-        assert config.router_partitions == 0
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ConfigError):
             KernelConfig(tc_processes=-1)
-        with pytest.raises(ConfigError):
-            KernelConfig(router_partitions=-2)
+
+    def test_fields_nothing_reads_are_gone(self):
+        """The router's partition count never reached the router, and the
+        DC never had the reply cache its size configured."""
+        with pytest.raises(TypeError):
+            KernelConfig(router_partitions=4)
+        with pytest.raises(TypeError):
+            DcConfig(reply_cache_size=4096)
+        assert len(dataclasses.fields(KernelConfig)) == 5
+        assert len(dataclasses.fields(DcConfig)) == 7
 
     def test_tc_processes_need_process_transport(self):
         with pytest.raises(ConfigError) as err:

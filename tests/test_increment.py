@@ -123,7 +123,7 @@ class TestExactlyOnce:
         for _ in range(10):
             with kernel.begin() as txn:
                 txn.increment("t", "c", 1)
-        kernel.tc.broadcast_eosl()
+        kernel.tc.durability.broadcast_eosl()
         kernel.dc.buffer.flush_all()  # effects stable; redo must skip them
         kernel.crash_dc()
         kernel.recover_dc()

@@ -53,7 +53,7 @@ class TestEvictionPressure:
         kernel = self._tiny_buffer_kernel()
         populate(kernel, 100)
         # force everything out of cache
-        kernel.tc.broadcast_eosl()
+        kernel.tc.durability.broadcast_eosl()
         for page_id in list(kernel.dc.buffer.cached_ids()):
             page = kernel.dc.buffer.cached_page(page_id)
             if page is not None and page.dirty:

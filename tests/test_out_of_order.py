@@ -163,16 +163,18 @@ class TestEndToEndOutOfOrder:
 
     def test_higher_lsn_of_one_tc_executes_first(self):
         """Section 5.1 through the TC, on its one write path: two
-        transactions of one TC insert distinct keys of one leaf.  The
+        transactions of one TC insert distinct keys of one leaf, each below
+        a committed key of its own (so their gap locks differ).  The
         first's envelope is logged (the lower LSN) and held at its
         ``channel.send`` yield, between the log append and the delivery,
         while the second logs, delivers and commits.  The DC executes the
         higher LSN first; each executes exactly once, and once the
         low-water mark passes both the leaf's included set is pruned."""
-        kernel = UnbundledKernel(
-            KernelConfig(tc=TcConfig(phantom_protection=False, lock_timeout=60.0))
-        )
+        kernel = UnbundledKernel(KernelConfig(tc=TcConfig(lock_timeout=60.0)))
         kernel.create_table("t")
+        with kernel.begin() as txn:
+            txn.insert("t", 15, "pre")
+            txn.insert("t", 25, "pre")
         executed = []
         real = kernel.dc.perform_operation
 
@@ -201,11 +203,11 @@ class TestEndToEndOutOfOrder:
             again = InsertOp(table="t", key=key, value="again")
             assert kernel.dc.perform_operation(tc_id, lsn, again, resend=True).ok
         assert kernel.metrics.get("dc.duplicate_ops") == duplicates + 2
-        kernel.tc.broadcast_lwm()
+        kernel.tc.dispatch.broadcast_lwm()
         assert leaf.pending_lsn_count() == 0
         assert leaf.ablsn_for(tc_id).low_water >= high
         with kernel.begin() as check:
-            assert check.scan("t") == [(10, "low"), (20, "high")]
+            assert check.scan("t") == [(10, "low"), (15, "pre"), (20, "high"), (25, "pre")]
 
 
 class TestLwmInteraction:

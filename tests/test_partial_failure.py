@@ -43,7 +43,7 @@ class TestDcFailure:
         """Some pages stable, some not: redo fills exactly the gaps."""
         kernel = small_kernel()
         populate(kernel, 40)
-        kernel.tc.broadcast_eosl()
+        kernel.tc.durability.broadcast_eosl()
         kernel.dc.buffer.flush_all()  # everything stable
         populate_from = 40
         for key in range(populate_from, populate_from + 20):

@@ -9,19 +9,29 @@ from repro.common.ops import InsertOp
 from tests.test_out_of_order import run_held_at_send
 
 
-def pipelined_kernel(phantom_protection=True, batch_max_ops=64, **channel_kwargs):
+def pipelined_kernel(batch_max_ops=64, **channel_kwargs):
     config = KernelConfig(
         dc=DcConfig(page_size=1024),
-        tc=TcConfig(
-            phantom_protection=phantom_protection,
-            batch_max_ops=batch_max_ops,
-            lock_timeout=60.0,
-        ),
+        tc=TcConfig(batch_max_ops=batch_max_ops, lock_timeout=60.0),
         channel=ChannelConfig(**channel_kwargs),
     )
     kernel = UnbundledKernel(config)
     kernel.create_table("t")
     return kernel
+
+
+def preload(kernel, keys):
+    """Commit ``keys`` (value ``p<key>``) before the concurrent inserts.
+
+    An insert X-locks the gap below its successor.  Two transactions
+    inserting into one empty stretch both guard the same successor and
+    rightly serialize (queued records are invisible to the other's
+    probe); a committed key between each pair of concurrent inserts gives
+    every insert a gap of its own, so they run concurrently under full
+    next-key locking."""
+    with kernel.begin() as txn:
+        for key in keys:
+            txn.insert("t", key, f"p{key}")
 
 
 class TestPipelineBasics:
@@ -86,7 +96,8 @@ class TestPipelineUnderReordering:
         logged first but held before delivery while another's, with every
         LSN higher, executes — the DC sees the envelopes out of LSN order
         and the abLSNs keep everything exactly-once."""
-        kernel = pipelined_kernel(phantom_protection=False)
+        kernel = pipelined_kernel()
+        preload(kernel, range(1, 80, 2))
         executed = []
         real = kernel.dc.perform_operation
 
@@ -99,12 +110,12 @@ class TestPipelineUnderReordering:
 
         def writer(low, value):
             def work(txn):
-                for key in range(low, 40, 2):
+                for key in range(low, 80, 4):
                     txn.insert("t", key, f"{value}{key}")
 
             return work
 
-        run_held_at_send(kernel, writer(0, "a"), writer(1, "b"))
+        run_held_at_send(kernel, writer(0, "a"), writer(2, "b"))
         kernel.dc.perform_operation = real
         assert len(executed) == 40
         assert executed != sorted(executed)
@@ -112,7 +123,8 @@ class TestPipelineUnderReordering:
         assert kernel.metrics.get("dc.duplicate_ops") == 0
         with kernel.begin() as check:
             assert check.scan("t") == [
-                (key, f"{'ab'[key % 2]}{key}") for key in range(40)
+                (key, f"{'p' if key % 2 else 'ab'[key % 4 // 2]}{key}")
+                for key in range(80)
             ]
 
     def test_reordering_plus_loss_falls_back_to_resend(self):
@@ -151,16 +163,13 @@ class TestConcurrentPipelines:
     def test_two_transactions_share_one_channel(self):
         """Two transactions' envelopes interleave on one channel; each
         reply is correlated to its own operations by LSN."""
-        # Gap guards of concurrent queued inserts would rightly serialize
-        # (queued records are invisible to the other probe, so successors
-        # collide) — correct behavior, but this test is about channel
-        # sharing, so next-key locking is switched off.
-        kernel = pipelined_kernel(phantom_protection=False)
+        kernel = pipelined_kernel()
+        preload(kernel, range(1, 20, 2))
         a = kernel.begin()
         b = kernel.begin()
-        for key in range(0, 10, 2):
+        for key in range(0, 20, 4):
             a.insert("t", key, "a")
-        for key in range(1, 10, 2):
+        for key in range(2, 20, 4):
             b.insert("t", key, "b")
         a.sync()  # each flush takes in only its own replies
         b.sync()
@@ -168,18 +177,21 @@ class TestConcurrentPipelines:
         b.commit()
         with kernel.begin() as check:
             rows = check.scan("t")
-        assert [key for key, _v in rows] == list(range(10))
-        assert all(v == ("a" if key % 2 == 0 else "b") for key, v in rows)
+        assert [key for key, _v in rows] == list(range(20))
+        assert all(
+            v == (f"p{key}" if key % 2 else "ab"[key % 4 // 2]) for key, v in rows
+        )
 
     def test_interleaved_deferred_and_commit(self):
-        kernel = pipelined_kernel(phantom_protection=False)
+        kernel = pipelined_kernel()
+        preload(kernel, [15, 25])
         a = kernel.begin()
-        a.insert("t", 1, "a")
+        a.insert("t", 10, "a")
         with kernel.begin() as b:
-            b.insert("t", 2, "b")  # another transaction commits mid-envelope
+            b.insert("t", 20, "b")  # another transaction commits mid-envelope
         a.commit()
         with kernel.begin() as check:
-            assert check.scan("t") == [(1, "a"), (2, "b")]
+            assert check.scan("t") == [(10, "a"), (15, "p15"), (20, "b"), (25, "p25")]
 
 
 class TestPipelineThroughput:

@@ -82,17 +82,6 @@ class TestFetchAheadProtocol:
         assert kernel.tc.locks.holds(txn.txn_id, ("gap", "t", TABLE_END), LockMode.X)
         txn.commit()
 
-    def test_phantom_protection_off_skips_gap_locks(self):
-        kernel = kernel_with(
-            RangeLockProtocol.FETCH_AHEAD, phantom_protection=False
-        )
-        populate(kernel, 10)
-        before = kernel.metrics.get("tc.gap_locks")
-        with kernel.begin() as txn:
-            txn.scan("t", 2, 5)
-            txn.insert("t", 100, "x")
-        assert kernel.metrics.get("tc.gap_locks") == before
-
     def test_concurrent_nonoverlapping_scans_coexist(self):
         kernel = kernel_with(RangeLockProtocol.FETCH_AHEAD, lock_timeout=0.5)
         populate(kernel, 40)
@@ -146,7 +135,7 @@ class TestFetchAheadVisibility:
                 txn.insert("v", key, f"v{key}")
         with kernel.begin() as txn:
             txn.delete("v", 2)
-        keys = kernel.tc.probe_keys("v", after=1, count=2)
+        keys = kernel.tc.dispatch.probe_keys("v", after=1, count=2)
         assert keys == [3, 4]
 
 

@@ -211,7 +211,7 @@ class TestRejectionSurfacesAtFlush:
             ]
             assert len(markers) == 1
             assert ("t", 999) not in txn.known
-            assert ("t", 999) not in kernel.tc._undo_cache
+            assert ("t", 999) not in kernel.tc.undo_cache.entries()
             assert not owed_records(kernel) and not txn.in_flight
             assert [r.op.key for r in txn.op_records] == [0]  # its sibling ran
             txn.abort()

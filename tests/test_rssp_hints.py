@@ -20,8 +20,8 @@ def ready_kernel(dc_count=1):
 
 def make_stable(kernel):
     kernel.tc.force_log()
-    kernel.tc.broadcast_eosl()
-    kernel.tc.broadcast_lwm()
+    kernel.tc.durability.broadcast_eosl()
+    kernel.tc.dispatch.broadcast_lwm()
 
 
 class TestSpontaneousAdvance:

@@ -110,8 +110,8 @@ class TestStableLosers:
                 ),
                 track_for_lwm=True,
             )
-            tc._perform(record.dc_name, record.undo, clr.lsn)
-            tc._complete_ops([clr.lsn])
+            tc.dispatch.perform(record.dc_name, record.undo, clr.lsn)
+            tc.dispatch.complete_ops([clr.lsn])
         tc.force_log()
         kernel.crash_tc()
         stats = kernel.recover_tc()

@@ -40,7 +40,7 @@ class TestCacheHits:
                 txn.insert("t", 1, "x") if txn.read("t", 1) is None else txn.update(
                     "t", 1, "x"
                 )
-        assert kernel.tc._undo_cache is None
+        assert kernel.tc.undo_cache.entries() == []
         assert kernel.metrics.get("tc.undo_cache_hits") == 0
         assert undo_reads(kernel) > 0  # every read reaches the DC
         assert TcConfig().undo_cache_size == 4096  # on by default
@@ -90,7 +90,7 @@ class TestCacheHits:
         for key in range(10):
             with kernel.begin() as txn:
                 txn.insert("t", key, key)
-        assert len(kernel.tc._undo_cache) <= 4
+        assert len(kernel.tc.undo_cache.entries()) <= 4
 
     def test_ownership_guard_gates_caching(self):
         """With an ownership guard installed (multi-TC sharing, Section 6)
@@ -101,12 +101,12 @@ class TestCacheHits:
             txn.insert("t", 1, "mine")
             txn.insert("t", 7, "theirs")
         kernel.tc.ownership_guard = lambda table, key: key != 7
-        kernel.tc._undo_cache.clear()
+        kernel.tc.undo_cache.clear()
         with kernel.begin() as txn:
             assert txn.read("t", 1) == "mine"
             assert txn.read("t", 7) == "theirs"
-        assert ("t", 1) in kernel.tc._undo_cache
-        assert ("t", 7) not in kernel.tc._undo_cache
+        assert ("t", 1) in kernel.tc.undo_cache.entries()
+        assert ("t", 7) not in kernel.tc.undo_cache.entries()
 
     def test_rejects_invalid_cache_size(self):
         with pytest.raises(ConfigError) as err:
@@ -121,7 +121,7 @@ class TestRecency:
 
     @staticmethod
     def _order(kernel) -> list:
-        return [key for _table, key in kernel.tc._undo_cache]
+        return [key for _table, key in kernel.tc.undo_cache.entries()]
 
     def test_hot_key_survives_twice_the_cache_in_fresh_inserts(self):
         size = 8
@@ -137,7 +137,7 @@ class TestRecency:
                 assert txn.read("t", -1) == 0  # a hit: no message, and young again
             reads_for_hot += undo_reads(kernel) - before
         assert reads_for_hot == 0
-        assert len(kernel.tc._undo_cache) == size
+        assert len(kernel.tc.undo_cache.entries()) == size
         before = undo_reads(kernel)
         with kernel.begin() as txn:
             txn.update("t", -1, 1)  # undo info still served by the cache
@@ -206,7 +206,7 @@ class TestInvalidation:
         txn = kernel.begin()
         txn.update("t", 1, "v2")
         txn.abort()
-        assert ("t", 1) not in kernel.tc._undo_cache
+        assert ("t", 1) not in kernel.tc.undo_cache.entries()
         before = misses(kernel)
         with kernel.begin() as txn:
             txn.update("t", 1, "v3")  # owes its image again
@@ -220,7 +220,7 @@ class TestInvalidation:
         with kernel.begin() as txn:
             txn.insert("t", 1, "v1")
         kernel.crash_tc()
-        assert len(kernel.tc._undo_cache) == 0
+        assert kernel.tc.undo_cache.entries() == []
         kernel.recover_tc()
         before = misses(kernel)
         with kernel.begin() as txn:
@@ -231,10 +231,10 @@ class TestInvalidation:
         kernel = cached_kernel()
         with kernel.begin() as txn:
             txn.insert("t", 1, "v1")
-        assert ("t", 1) in kernel.tc._undo_cache
+        assert ("t", 1) in kernel.tc.undo_cache.entries()
         kernel.crash_dc()
         kernel.recover_dc()
-        assert ("t", 1) not in kernel.tc._undo_cache
+        assert ("t", 1) not in kernel.tc.undo_cache.entries()
         before = misses(kernel)
         with kernel.begin() as txn:
             txn.update("t", 1, "v2")
@@ -257,7 +257,7 @@ class TestInvalidation:
         kernel.recover_dc()
         kernel.tc.retry_pending()
         assert kernel.tc.pending_zombies() == 0
-        assert ("t", 1) not in kernel.tc._undo_cache
+        assert ("t", 1) not in kernel.tc.undo_cache.entries()
         with kernel.begin() as check:
             assert check.read("t", 1) == "v1"
 
@@ -305,6 +305,6 @@ class TestCacheWithBatching:
         with pytest.raises(TransactionAborted):
             txn.commit()
         kernel.dc.perform_operation = real
-        assert ("t", 1) not in kernel.tc._undo_cache
+        assert ("t", 1) not in kernel.tc.undo_cache.entries()
         with kernel.begin() as check:
             assert check.read("t", 1) == "v1"
