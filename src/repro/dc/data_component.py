@@ -205,6 +205,10 @@ class DataComponent:
             self._force_log.pop(tc_id, None)
             self._restart_prompt.pop(tc_id, None)
 
+    def _begin_systxn(self, kind: str) -> SystemTransaction:
+        """A table's structure modification, as the tables' ``begin_smo``."""
+        return SystemTransaction(kind, self.dclog, self.metrics, self._ensure_tc_stable)
+
     def _ensure_tc_stable(self, needed: dict[int, Lsn]) -> bool:
         """Causality gate for system transactions (see dc/system_txn.py).
 
@@ -294,10 +298,9 @@ class DataComponent:
                 name,
                 self.storage,
                 self.buffer,
-                self.dclog,
+                self._begin_systxn,
                 self.config,
                 self.metrics,
-                ensure_stable=self._ensure_tc_stable,
                 root_id=root_id,
             )
         if kind == "heap":
@@ -305,10 +308,9 @@ class DataComponent:
                 name,
                 self.storage,
                 self.buffer,
-                self.dclog,
+                self._begin_systxn,
                 self.config,
                 self.metrics,
-                ensure_stable=self._ensure_tc_stable,
                 bucket_count=bucket_count,
             )
         raise ReproError(f"unknown table kind {kind!r}")
@@ -1046,10 +1048,9 @@ class DataComponent:
                         name,
                         self.storage,
                         self.buffer,
-                        self.dclog,
+                        self._begin_systxn,
                         self.config,
                         self.metrics,
-                        ensure_stable=self._ensure_tc_stable,
                         root_id=descriptor.root_id,
                     )
                 elif descriptor.kind == "heap":
@@ -1057,10 +1058,9 @@ class DataComponent:
                         name,
                         self.storage,
                         self.buffer,
-                        self.dclog,
+                        self._begin_systxn,
                         self.config,
                         self.metrics,
-                        ensure_stable=self._ensure_tc_stable,
                         bucket_ids=list(descriptor.bucket_ids),
                     )
                 else:

@@ -15,6 +15,11 @@ E-LOCK, E-OOO, E-FAIL):
 - repeat-history redo from the checkpoint's RSSP, then undo of losers with
   compensation records.
 
+The access method and the cache are the DC's own :class:`BTree` and
+:class:`BufferPool`, so FIG1 compares bundling and nothing else: the tree
+logs through :class:`_InlineSmo` instead of a system transaction, and the
+pool flushes a page once this log is stable past its ``page_lsn``.
+
 Because locking happens *inside* the engine with the page at hand, the
 baseline needs no probe messages, no read-before-write for undo info, and
 no messages at all — the integration advantages the paper concedes, which
@@ -23,18 +28,18 @@ the benchmarks quantify against unbundling's flexibility.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from repro.common.config import DcConfig, TcConfig
 from repro.common.errors import (
     CrashedError,
     DuplicateKeyError,
+    LockTimeoutError,
     NoSuchRecordError,
-    PageOverflowError,
     ReproError,
     TransactionAborted,
 )
@@ -42,7 +47,10 @@ from repro.common.lsn import Lsn, LsnGenerator, NULL_LSN
 from repro.common.records import Key, Value, VersionedRecord, sizeof_key, sizeof_value
 from repro.obs.tracing import NULL_TRACER
 from repro.sim.metrics import Metrics
-from repro.storage.page import InnerPage, LeafPage, Page, PageImage
+from repro.storage.btree import BTree
+from repro.storage.buffer import PAGE_LSN_LOG, BufferPool
+from repro.storage.disk import StableStorage
+from repro.storage.page import LeafPage, Page, PageImage
 from repro.tc.handle import TracedHandle, TransactionState
 from repro.tc.lock_manager import LockManager, LockMode
 
@@ -80,76 +88,42 @@ class MonoUpdate(MonoLogRecord):
 
 
 @dataclass(frozen=True)
-class MonoCompensation(MonoLogRecord):
+class MonoCompensation(MonoUpdate):
     """CLR: redo-only inverse applied during rollback."""
 
-    page_id: int = 0
-    action: str = ""
-    table: str = ""
-    key: Key = None
-    value: Value = None
     undo_next: Lsn = NULL_LSN
 
     def encoded_size(self) -> int:
-        return super().encoded_size() + 16 + sizeof_key(self.key) + sizeof_value(self.value)
+        return super().encoded_size() + 8
 
 
 @dataclass(frozen=True)
-class MonoSplit(MonoLogRecord):
-    """A structure modification: physiological, redone in original order.
+class MonoSmo(MonoLogRecord):
+    """A structure modification (create, split or consolidate), redone in
+    its original log order.
 
-    The pre-split leaf is logged logically (split key); every other page
-    the SMO touched (new leaf, parents, new inner pages, a new root) is
-    carried as a physical image — the SQL-Server-style system transaction
-    the paper's Section 5.2.1 describes, inlined in the single log.
+    The pre-split leaf is logged logically (page id and split key); every
+    other page the SMO wrote (new leaf, parents, new inner pages, a new
+    root, a merge target) is carried as a physical image — the
+    SQL-Server-style system transaction the paper's Section 5.2.1
+    describes, inlined in the single log.
     """
 
-    page_id: int = 0  # the pre-split page
-    split_key: Key = None
+    kind: str = ""
     images: tuple[PageImage, ...] = ()
+    split: Optional[tuple[int, Key]] = None
+    freed: tuple[int, ...] = ()
     root_change: Optional[tuple[str, int]] = None
 
     def encoded_size(self) -> int:
-        size = super().encoded_size() + 16 + sizeof_key(self.split_key)
-        size += sum(image.encoded_size() for image in self.images)
-        return size
-
-
-@dataclass(frozen=True)
-class MonoMerge(MonoLogRecord):
-    target_image: Optional[PageImage] = None
-    victim_id: int = 0
-    parent_image: Optional[PageImage] = None
-    root_change: Optional[tuple[str, int]] = None
-
-    def encoded_size(self) -> int:
-        size = super().encoded_size() + 16
-        if self.target_image is not None:
-            size += self.target_image.encoded_size()
-        if self.parent_image is not None:
-            size += self.parent_image.encoded_size()
-        return size
-
-
-@dataclass(frozen=True)
-class MonoCreate(MonoLogRecord):
-    table: str = ""
-    root_image: Optional[PageImage] = None
-
-    def encoded_size(self) -> int:
-        size = super().encoded_size() + sizeof_key(self.table)
-        if self.root_image is not None:
-            size += self.root_image.encoded_size()
-        return size
+        size = super().encoded_size() + 16 + 8 * len(self.freed)
+        if self.split is not None:
+            size += 8 + sizeof_key(self.split[1])
+        return size + sum(image.encoded_size() for image in self.images)
 
 
 @dataclass(frozen=True)
 class MonoCommit(MonoLogRecord):
-    pass
-
-
-@dataclass(frozen=True)
-class MonoAbort(MonoLogRecord):
     pass
 
 
@@ -161,11 +135,76 @@ class MonoEnd(MonoLogRecord):
 @dataclass(frozen=True)
 class MonoCheckpoint(MonoLogRecord):
     rssp: Lsn = NULL_LSN
-    roots: Optional[dict] = None
 
 
 #: The monolithic handle's states are the unbundled handle's.
 MonoTxnState = TransactionState
+
+#: Counters the SMO kinds bump (FIG1 and the tests read them).
+_SMO_COUNTERS = {"split": "mono.splits", "consolidate": "mono.merges"}
+
+#: The inverse a rollback applies for each forward action.
+_INVERSE = {"insert": "delete", "delete": "insert", "update": "update"}
+
+#: A lock the engine takes: (resource, mode).
+_Lock = tuple[tuple, LockMode]
+
+
+class _InlineSmo:
+    """One structure modification as one :class:`MonoSmo` in the single
+    log — the interface :class:`BTree` logs through, which the DC fills
+    with a system transaction.
+
+    One LSN covers the whole SMO, and each page is stamped with it before
+    its image is taken, so the images carry their final ``page_lsn``.
+    There is no causality gate: there is one log, and the buffer's WAL
+    rule covers it.
+    """
+
+    def __init__(self, engine: "MonolithicEngine", kind: str) -> None:
+        self._engine = engine
+        self.kind = kind
+        self.lsn = engine._lsns.next()
+        self.images: list[PageImage] = []
+        self.split: Optional[tuple[int, Key]] = None
+        self.freed: list[int] = []
+        self.root_change: Optional[tuple[str, int]] = None
+
+    def gate(self, *sources: Page) -> None:
+        pass
+
+    def log_page_image(self, page: Page) -> None:
+        page.page_lsn = self.lsn
+        self.images.append(page.snapshot())
+
+    def log_keys_removed(self, page: Page, split_key: Key) -> None:
+        page.page_lsn = self.lsn
+        self.split = (page.page_id, split_key)
+
+    def log_page_free(self, page_id: int) -> None:
+        self.freed.append(page_id)
+
+    def log_root_changed(self, table: str, new_root: int) -> None:
+        self.root_change = (table, new_root)
+
+    def commit(self) -> None:
+        engine = self._engine
+        engine._append(
+            MonoSmo,
+            lsn=self.lsn,
+            kind=self.kind,
+            images=tuple(self.images),
+            split=self.split,
+            freed=tuple(self.freed),
+            root_change=self.root_change,
+        )
+        if self.freed:
+            # A free reaches stable storage at once, so the record that
+            # moved the freed page's records elsewhere must be stable first.
+            engine.force_log()
+        counter = _SMO_COUNTERS.get(self.kind)
+        if counter is not None:
+            engine.metrics.incr(counter)
 
 
 class MonoTransaction(TracedHandle):
@@ -234,21 +273,24 @@ class MonolithicEngine:
         self.locks = LockManager(
             self.metrics, timeout=self.tc_config.lock_timeout, tracer=self.tracer
         )
+        self.storage = StableStorage(self.metrics)
+        self.buffer = BufferPool(self.storage, self.config, self.metrics)
+        self._trees: dict[str, BTree] = {}
         self._lsns = LsnGenerator()
         self._log: list[MonoLogRecord] = []
         self._stable_count = 0
-        self._stable_pages: dict[int, PageImage] = {}
-        self._cache: dict[int, Page] = {}
-        self._roots: dict[str, int] = {}
-        self._next_page_id = 1
         self._txn_ids = itertools.count(1)
         self._crashed = False
         self._mutex = threading.RLock()
 
     # -- log plumbing -----------------------------------------------------------
 
-    def _append(self, build) -> MonoLogRecord:
-        record = build(self._lsns.next())
+    def _append(
+        self, cls: type, txn_id: int = 0, lsn: Optional[Lsn] = None, **fields: object
+    ) -> MonoLogRecord:
+        record = cls(
+            lsn=self._lsns.next() if lsn is None else lsn, txn_id=txn_id, **fields
+        )
         self._log.append(record)
         self.metrics.incr("mono.log_appends")
         self.metrics.incr("mono.log_bytes", record.encoded_size())
@@ -261,214 +303,33 @@ class MonolithicEngine:
     def _force_log(self) -> Lsn:
         self._stable_count = len(self._log)
         self.metrics.incr("mono.log_forces")
-        return self._log[-1].lsn if self._log else NULL_LSN
-
-    @property
-    def stable_lsn(self) -> Lsn:
-        if self._stable_count == 0:
-            return NULL_LSN
-        return self._log[self._stable_count - 1].lsn
-
-    # -- pages -----------------------------------------------------------------------
-
-    def _allocate_page_id(self) -> int:
-        page_id = self._next_page_id
-        self._next_page_id += 1
-        return page_id
-
-    def _fetch(self, page_id: int) -> Page:
-        page = self._cache.get(page_id)
-        if page is not None:
-            self.metrics.incr("mono.cache_hits")
-            return page
-        image = self._stable_pages.get(page_id)
-        if image is None:
-            raise ReproError(f"monolithic: page {page_id} missing")
-        self.metrics.incr("mono.cache_misses")
-        page = image.materialize()
-        self._cache[page_id] = page
-        return page
-
-    def _flush_page(self, page: Page) -> None:
-        """Classic WAL: the log must be stable past the page LSN first."""
-        if page.page_lsn > self.stable_lsn:
-            self.force_log()
-        self._stable_pages[page.page_id] = page.snapshot()
-        page.dirty = False
-        self.metrics.incr("mono.page_flushes")
-
-    def flush_all(self) -> None:
-        for page in list(self._cache.values()):
-            if page.dirty:
-                self._flush_page(page)
+        stable = self._log[-1].lsn if self._log else NULL_LSN
+        self.buffer.note_eosl(PAGE_LSN_LOG, stable)
+        return stable
 
     # -- schema -------------------------------------------------------------------------
 
+    def _open_tree(self, name: str, root_id: Optional[int] = None) -> BTree:
+        return BTree(
+            name, self.storage, self.buffer, partial(_InlineSmo, self), self.config,
+            self.metrics, root_id=root_id,
+        )
+
     def create_table(self, name: str) -> None:
         self._check_up()
-        with self._mutex:
-            if name in self._roots:
+        with self._mutex, self.buffer.operation():
+            if name in self._trees:
                 raise ReproError(f"table {name!r} already exists")
-            root = LeafPage(self._allocate_page_id())
-            record = self._append(
-                lambda lsn: MonoCreate(
-                    lsn=lsn, txn_id=0, table=name, root_image=root.snapshot()
-                )
-            )
-            root.page_lsn = record.lsn
-            root.dirty = True
-            self._cache[root.page_id] = root
-            self._roots[name] = root.page_id
+            self._trees[name] = self._open_tree(name)
             self.force_log()
 
-    def table_names(self) -> list[str]:
-        return sorted(self._roots)
-
-    # -- descend / structure ----------------------------------------------------------------
-
-    def _descend(self, table: str, key: Key) -> tuple[LeafPage, list[InnerPage]]:
-        root_id = self._roots.get(table)
-        if root_id is None:
+    def tree(self, table: str) -> BTree:
+        tree = self._trees.get(table)
+        if tree is None:
             raise ReproError(f"unknown table {table!r}")
-        path: list[InnerPage] = []
-        page = self._fetch(root_id)
-        while isinstance(page, InnerPage):
-            path.append(page)
-            index = bisect.bisect_right(page.separators, key)
-            page = self._fetch(page.children[index])
-        assert isinstance(page, LeafPage)
-        return page, path
+        return tree
 
-    def _split_leaf(self, table: str, leaf: LeafPage, path: list[InnerPage]) -> None:
-        """SMO logged inline; redo happens in original order (Section 5.2.1)."""
-        split_key = leaf.choose_split_key()
-        new_leaf = LeafPage(self._allocate_page_id())
-        new_leaf.absorb(leaf.extract_from(split_key))
-        self._cache[new_leaf.page_id] = new_leaf
-        changed: list[Page] = [new_leaf]
-        root_change = self._post_to_parent(
-            table, path, split_key, new_leaf.page_id, changed
-        )
-        record = self._append(
-            lambda lsn: MonoSplit(
-                lsn=lsn,
-                txn_id=0,
-                page_id=leaf.page_id,
-                split_key=split_key,
-                images=tuple(page.snapshot() for page in changed),
-                root_change=root_change,
-            )
-        )
-        for page in [leaf, *changed]:
-            page.page_lsn = record.lsn
-            page.dirty = True
-        # Re-snapshot now that page LSNs are final (nothing forced between).
-        self._log[-1] = MonoSplit(
-            lsn=record.lsn,
-            txn_id=0,
-            page_id=leaf.page_id,
-            split_key=split_key,
-            images=tuple(page.snapshot() for page in changed),
-            root_change=root_change,
-        )
-        self.metrics.incr("mono.splits")
-
-    def _post_to_parent(
-        self,
-        table: str,
-        path: list[InnerPage],
-        separator: Key,
-        right_id: int,
-        changed: list[Page],
-    ) -> Optional[tuple[str, int]]:
-        """Insert the new separator, splitting inner pages as needed.
-
-        Returns the root change (if the tree grew) and appends every page
-        this touched to ``changed`` for physical logging.
-        """
-        if not path:
-            old_root = self._roots[table]
-            new_root = InnerPage(self._allocate_page_id())
-            new_root.separators = [separator]
-            new_root.children = [old_root, right_id]
-            self._cache[new_root.page_id] = new_root
-            self._roots[table] = new_root.page_id
-            changed.append(new_root)
-            return (table, new_root.page_id)
-        parent = path[-1]
-        parent.insert_child(separator, right_id)
-        changed.append(parent)
-        if parent.fits(0, self.config.page_size):
-            return None
-        mid = len(parent.separators) // 2
-        promoted = parent.separators[mid]
-        right_inner = InnerPage(self._allocate_page_id())
-        right_inner.separators = parent.separators[mid + 1 :]
-        right_inner.children = parent.children[mid + 1 :]
-        del parent.separators[mid:]
-        del parent.children[mid + 1 :]
-        self._cache[right_inner.page_id] = right_inner
-        changed.append(right_inner)
-        return self._post_to_parent(
-            table, path[:-1], promoted, right_inner.page_id, changed
-        )
-
-    def _maybe_consolidate(self, table: str, key_hint: Key) -> None:
-        leaf, path = self._descend(table, key_hint)
-        if not path:
-            return
-        if leaf.fill_fraction(self.config.page_size) >= self.config.min_fill:
-            return
-        parent = path[-1]
-        index = parent.child_index(leaf.page_id)
-        if index > 0:
-            target = self._fetch(parent.children[index - 1])
-            victim: Page = leaf
-        elif index + 1 < len(parent.children):
-            target = leaf
-            victim = self._fetch(parent.children[index + 1])
-        else:
-            return
-        if not isinstance(target, LeafPage) or not isinstance(victim, LeafPage):
-            return
-        payload = sum(r.encoded_size() for r in victim.records_in_order())
-        if not target.fits(payload, self.config.page_size):
-            return
-        target.absorb(victim.records_in_order())
-        parent.remove_child(victim.page_id)
-        root_change: Optional[tuple[str, int]] = None
-        if parent.page_id == self._roots[table] and len(parent.children) == 1:
-            self._roots[table] = parent.children[0]
-            root_change = (table, parent.children[0])
-        record = self._append(
-            lambda lsn: MonoMerge(
-                lsn=lsn,
-                txn_id=0,
-                target_image=None,  # filled below once page_lsn is set
-                victim_id=victim.page_id,
-                parent_image=None,
-                root_change=root_change,
-            )
-        )
-        target.page_lsn = record.lsn
-        parent.page_lsn = record.lsn
-        target.dirty = True
-        parent.dirty = True
-        # Replace the staged record with complete images (atomic append is
-        # preserved: nothing was forced in between).
-        self._log[-1] = MonoMerge(
-            lsn=record.lsn,
-            txn_id=0,
-            target_image=target.snapshot(),
-            victim_id=victim.page_id,
-            parent_image=parent.snapshot(),
-            root_change=root_change,
-        )
-        self._cache.pop(victim.page_id, None)
-        self._stable_pages.pop(victim.page_id, None)
-        self.metrics.incr("mono.merges")
-
-    # -- record operations --------------------------------------------------------------------
+    # -- locking ------------------------------------------------------------------------
 
     def begin(self) -> MonoTransaction:
         self._check_up()
@@ -480,203 +341,164 @@ class MonolithicEngine:
         if self._crashed:
             raise CrashedError("monolithic engine")
 
-    def _lock_record(self, txn: MonoTransaction, table: str, key: Key, mode: LockMode) -> None:
+    def _lock(self, txn: MonoTransaction, resource: tuple, mode: LockMode) -> None:
+        """Every lock call: a refusal or a timeout aborts the transaction,
+        as the TC's does."""
         try:
-            self.locks.acquire(
-                txn.txn_id,
-                ("table", table),
-                LockMode.IS if mode is LockMode.S else LockMode.IX,
-            )
-            self.locks.acquire(txn.txn_id, ("rec", table, key), mode)
-        except TransactionAborted:
+            self.locks.acquire(txn.txn_id, resource, mode)
+        except (TransactionAborted, LockTimeoutError):
             self.abort(txn)
             raise
 
-    def _lock_gap_above(self, txn: MonoTransaction, table: str, key: Key, mode: LockMode) -> None:
+    def _gap_above(self, table: str, key: Optional[Key], mode: LockMode) -> _Lock:
         """Key-range (next-key) locking done *inside* the engine: the
         successor is read straight off the pages — no probe messages."""
-        successor = self._successor(table, key)
-        guard: object = successor if successor is not None else "<END>"
-        try:
-            self.locks.acquire(txn.txn_id, ("gap", table, guard), mode)
-        except TransactionAborted:
-            self.abort(txn)
-            raise
-        self.metrics.incr("mono.gap_locks")
+        above = self.tree(table).next_keys(key, 1) if key is not None else []
+        return (("gap", table, above[0] if above else "<END>"), mode)
 
-    def _descend_with_bound(
-        self, table: str, key: Key
-    ) -> tuple[LeafPage, Optional[Key]]:
-        """Leaf for ``key`` plus the upper bound of its key range."""
-        root_id = self._roots.get(table)
-        if root_id is None:
-            raise ReproError(f"unknown table {table!r}")
-        upper: Optional[Key] = None
-        page = self._fetch(root_id)
-        while isinstance(page, InnerPage):
-            index = bisect.bisect_right(page.separators, key)
-            if index < len(page.separators):
-                upper = page.separators[index]
-            page = self._fetch(page.children[index])
-        assert isinstance(page, LeafPage)
-        return page, upper
+    def _run(
+        self,
+        txn: MonoTransaction,
+        table: str,
+        key: Optional[Key],
+        mode: LockMode,
+        step: Callable[[], object],
+        plan: Optional[Callable[[], list[_Lock]]] = None,
+    ) -> object:
+        """Lock ``key`` (just the table, when None) in ``mode``, then run
+        ``step()`` under the engine mutex.
 
-    def _successor(self, table: str, key: Key) -> Optional[Key]:
-        leaf, upper = self._descend_with_bound(table, key)
+        No lock wait happens with the mutex or a tree latch held, so a
+        waiter never stalls the holder's commit.  ``plan()``, read under
+        the mutex, names the locks that depend on the tree (a successor's
+        gap, a scanned range's keys); while it names one not yet taken, the
+        mutex is let go, that lock is taken, and the plan is read again.  A
+        gap lock that went stale meanwhile is only extra locking under
+        strict 2PL.
+        """
+        self._check_up()
+        txn._check_active()
+        self._lock(txn, ("table", table), LockMode.IS if mode is LockMode.S else LockMode.IX)
+        if key is not None:
+            self._lock(txn, ("rec", table, key), mode)
+        taken: set[_Lock] = set()
         while True:
-            for candidate in leaf.keys_after(key):
-                return candidate
-            if upper is None:
-                return None
-            # Keys in the next leaf are all above `upper` > `key`.
-            leaf, upper = self._descend_with_bound(table, upper)
+            with self._mutex, self.buffer.operation():
+                locks = [lock for lock in plan() if lock not in taken] if plan else []
+                if not locks:
+                    return step()
+            for resource, lock_mode in locks:
+                self._lock(txn, resource, lock_mode)
+            taken.update(locks)
+
+    # -- record operations --------------------------------------------------------------
+
+    def _leaf(self, table: str, key: Key, exists: bool) -> tuple[LeafPage, Value]:
+        """The leaf covering ``key`` and the key's committed value there;
+        raises unless the key ``exists`` as the operation needs."""
+        leaf = self.tree(table).find_leaf(key)
+        record = leaf.get(key)
+        value = record.committed if record is not None else None
+        if exists and value is None:
+            raise NoSuchRecordError(table, key)
+        if not exists and value is not None:
+            raise DuplicateKeyError(table, key)
+        return leaf, value
+
+    def _change(
+        self,
+        cls: type,
+        txn_id: int,
+        leaf: LeafPage,
+        table: str,
+        key: Key,
+        action: str,
+        value: Value,
+        **fields: object,
+    ) -> MonoLogRecord:
+        """Log -> latch -> apply -> stamp: the one step every change to a
+        record takes, forward or compensating, on ``key``'s leaf (split
+        first if the change does not fit).  The LSN is assigned in the
+        critical section that updates the page, which the single pageLSN
+        test relies on."""
+        if action != "delete":
+            old = leaf.get(key)
+            grow = VersionedRecord(key, value).encoded_size() - (
+                old.encoded_size() if old is not None else 0
+            )
+            if not leaf.fits(grow, self.config.page_size):
+                leaf = self.tree(table).ensure_room(key, grow)
+        record = self._append(
+            cls, txn_id, page_id=leaf.page_id, action=action, table=table,
+            key=key, value=value, **fields,
+        )
+        with leaf.latch:
+            self._apply(leaf, record)
+        return record
+
+    @staticmethod
+    def _apply(leaf: LeafPage, record: MonoUpdate) -> None:
+        if record.action == "delete":
+            leaf.remove(record.key)
+        else:
+            leaf.put(VersionedRecord(record.key, record.value))
+        leaf.page_lsn = record.lsn
+
+    def _write(
+        self, txn: MonoTransaction, table: str, key: Key, action: str, value: Value = None
+    ) -> None:
+        """A forward change: checked, logged, applied, and put on the undo
+        chain."""
+        leaf, prior = self._leaf(table, key, exists=action != "insert")
+        record = self._change(
+            MonoUpdate, txn.txn_id, leaf, table, key, action, value, prior=prior
+        )
+        txn.undo_chain.append(record)  # type: ignore[arg-type]
+        self.metrics.incr("mono.mutations")
 
     def do_insert(self, txn: MonoTransaction, table: str, key: Key, value: Value) -> None:
-        self._check_up()
-        txn._check_active()
-        with self._mutex:
-            self._lock_record(txn, table, key, LockMode.X)
-            self._lock_gap_above(txn, table, key, LockMode.X)
-            leaf, path = self._descend(table, key)
-            existing = leaf.get(key)
-            if existing is not None and existing.committed is not None:
-                raise DuplicateKeyError(table, key)
-            record_obj = VersionedRecord(key=key, committed=value)
-            if not leaf.fits(record_obj.encoded_size(), self.config.page_size):
-                self._split_leaf(table, leaf, path)
-                leaf, path = self._descend(table, key)
-            log_rec = self._append(
-                lambda lsn: MonoUpdate(
-                    lsn=lsn,
-                    txn_id=txn.txn_id,
-                    page_id=leaf.page_id,
-                    action="insert",
-                    table=table,
-                    key=key,
-                    value=value,
-                )
-            )
-            with leaf.latch:
-                self.metrics.incr("mono.latches")
-                leaf.put(record_obj)
-                leaf.page_lsn = log_rec.lsn
-                leaf.dirty = True
-            txn.undo_chain.append(log_rec)  # type: ignore[arg-type]
-            self.metrics.incr("mono.mutations")
+        self._run(
+            txn, table, key, LockMode.X,
+            lambda: self._write(txn, table, key, "insert", value),
+            lambda: [self._gap_above(table, key, LockMode.X)],
+        )
 
     def do_update(self, txn: MonoTransaction, table: str, key: Key, value: Value) -> None:
-        self._check_up()
-        txn._check_active()
-        with self._mutex:
-            self._lock_record(txn, table, key, LockMode.X)
-            leaf, path = self._descend(table, key)
-            existing = leaf.get(key)
-            if existing is None or existing.committed is None:
-                raise NoSuchRecordError(table, key)
-            prior = existing.committed
-            new_rec = existing.set_committed(value)
-            delta = new_rec.encoded_size() - existing.encoded_size()
-            if not leaf.fits(delta, self.config.page_size):
-                self._split_leaf(table, leaf, path)
-                leaf, path = self._descend(table, key)
-            log_rec = self._append(
-                lambda lsn: MonoUpdate(
-                    lsn=lsn,
-                    txn_id=txn.txn_id,
-                    page_id=leaf.page_id,
-                    action="update",
-                    table=table,
-                    key=key,
-                    value=value,
-                    prior=prior,
-                )
-            )
-            with leaf.latch:
-                self.metrics.incr("mono.latches")
-                leaf.put(new_rec)
-                leaf.page_lsn = log_rec.lsn
-                leaf.dirty = True
-            txn.undo_chain.append(log_rec)  # type: ignore[arg-type]
-            self.metrics.incr("mono.mutations")
+        self._run(
+            txn, table, key, LockMode.X,
+            lambda: self._write(txn, table, key, "update", value),
+        )
 
     def do_delete(self, txn: MonoTransaction, table: str, key: Key) -> None:
-        self._check_up()
-        txn._check_active()
-        with self._mutex:
-            self._lock_record(txn, table, key, LockMode.X)
-            self._lock_gap_above(txn, table, key, LockMode.X)
-            leaf, _path = self._descend(table, key)
-            existing = leaf.get(key)
-            if existing is None or existing.committed is None:
-                raise NoSuchRecordError(table, key)
-            prior = existing.committed
-            log_rec = self._append(
-                lambda lsn: MonoUpdate(
-                    lsn=lsn,
-                    txn_id=txn.txn_id,
-                    page_id=leaf.page_id,
-                    action="delete",
-                    table=table,
-                    key=key,
-                    prior=prior,
-                )
-            )
-            with leaf.latch:
-                self.metrics.incr("mono.latches")
-                leaf.remove(key)
-                leaf.page_lsn = log_rec.lsn
-                leaf.dirty = True
-            txn.undo_chain.append(log_rec)  # type: ignore[arg-type]
-            self._maybe_consolidate(table, key)
-            self.metrics.incr("mono.mutations")
+        def step() -> None:
+            self._write(txn, table, key, "delete")
+            self.tree(table).maybe_consolidate(key)
+
+        self._run(
+            txn, table, key, LockMode.X, step,
+            lambda: [self._gap_above(table, key, LockMode.X)],
+        )
 
     def do_increment(
         self, txn: MonoTransaction, table: str, key: Key, delta: float
     ) -> None:
         """Parity with the unbundled kernel's logical increment."""
-        self._check_up()
-        txn._check_active()
-        with self._mutex:
-            self._lock_record(txn, table, key, LockMode.X)
-            leaf, _path = self._descend(table, key)
-            existing = leaf.get(key)
-            if existing is None or existing.committed is None:
-                raise NoSuchRecordError(table, key)
-            current = existing.committed
+
+        def step() -> None:
+            current = self._leaf(table, key, exists=True)[1]
             if not isinstance(current, (int, float)) or isinstance(current, bool):
                 raise ReproError(f"record {key!r} is not numeric")
-            new_rec = existing.set_committed(current + delta)
-            log_rec = self._append(
-                lambda lsn: MonoUpdate(
-                    lsn=lsn,
-                    txn_id=txn.txn_id,
-                    page_id=leaf.page_id,
-                    action="update",
-                    table=table,
-                    key=key,
-                    value=current + delta,
-                    prior=current,
-                )
-            )
-            with leaf.latch:
-                self.metrics.incr("mono.latches")
-                leaf.put(new_rec)
-                leaf.page_lsn = log_rec.lsn
-                leaf.dirty = True
-            txn.undo_chain.append(log_rec)  # type: ignore[arg-type]
-            self.metrics.incr("mono.mutations")
+            self._write(txn, table, key, "update", current + delta)
+
+        self._run(txn, table, key, LockMode.X, step)
 
     def do_read(self, txn: MonoTransaction, table: str, key: Key) -> Optional[Value]:
-        self._check_up()
-        txn._check_active()
-        with self._mutex:
-            self._lock_record(txn, table, key, LockMode.S)
-            leaf, _path = self._descend(table, key)
-            with leaf.latch:
-                self.metrics.incr("mono.latches")
-                record = leaf.get(key)
-                self.metrics.incr("mono.reads")
-                return record.committed if record is not None else None
+        def step() -> Optional[Value]:
+            record = self.tree(table).get_record(key)
+            self.metrics.incr("mono.reads")
+            return record.committed if record is not None else None
+
+        return self._run(txn, table, key, LockMode.S, step)  # type: ignore[return-value]
 
     def do_scan(
         self,
@@ -686,56 +508,25 @@ class MonolithicEngine:
         high: Optional[Key],
         limit: Optional[int],
     ) -> list[tuple[Key, Value]]:
-        """Integrated key-range locking: lock keys as pages are walked."""
-        self._check_up()
-        txn._check_active()
-        with self._mutex:
-            try:
-                self.locks.acquire(txn.txn_id, ("table", table), LockMode.IS)
-            except TransactionAborted:
-                self.abort(txn)
-                raise
-            results: list[tuple[Key, Value]] = []
-            leaf, _path = self._descend(table, low) if low is not None else (
-                self._leftmost(table),
-                [],
-            )
-            cursor = low
-            while True:
-                with leaf.latch:
-                    self.metrics.incr("mono.latches")
-                    for record in leaf.range(cursor, high):
-                        self._lock_record(txn, table, record.key, LockMode.S)
-                        self.locks.acquire(
-                            txn.txn_id, ("gap", table, record.key), LockMode.S
-                        )
-                        self.metrics.incr("mono.gap_locks")
-                        if record.committed is None:
-                            continue
-                        results.append((record.key, record.committed))
-                        if limit is not None and len(results) >= limit:
-                            return results
-                    last = leaf.max_key()
-                if last is None or (high is not None and last > high):
-                    break
-                nxt = self._successor(table, last)
-                if nxt is None or (high is not None and nxt > high):
-                    break
-                cursor = nxt
-                leaf, _path = self._descend(table, nxt)
-            boundary = self._successor(table, high) if high is not None else None
-            guard: object = boundary if boundary is not None else "<END>"
-            self.locks.acquire(txn.txn_id, ("gap", table, guard), LockMode.S)
-            self.metrics.incr("mono.gap_locks")
-            self.metrics.incr("mono.scans")
-            return results
+        """Integrated key-range locking: each key in the range, the gap
+        below it and the gap above ``high``."""
+        rows: list[tuple[Key, Value]] = []
 
-    def _leftmost(self, table: str) -> LeafPage:
-        page = self._fetch(self._roots[table])
-        while isinstance(page, InnerPage):
-            page = self._fetch(page.children[0])
-        assert isinstance(page, LeafPage)
-        return page
+        def plan() -> list[_Lock]:
+            rows[:] = [
+                (record.key, record.committed)
+                for record in self.tree(table).iter_range(low, high, limit)
+            ]
+            locks = [
+                ((kind, table, key), LockMode.S) for key, _v in rows for kind in ("rec", "gap")
+            ]
+            if limit is None or len(rows) < limit:
+                locks.append(self._gap_above(table, high, LockMode.S))
+            return locks
+
+        self._run(txn, table, None, LockMode.S, lambda: None, plan)
+        self.metrics.incr("mono.scans")
+        return [(key, value) for key, value in rows if value is not None]
 
     # -- commit / abort ---------------------------------------------------------------------------
 
@@ -743,9 +534,9 @@ class MonolithicEngine:
         self._check_up()
         txn._check_active()
         with self._mutex:
-            self._append(lambda lsn: MonoCommit(lsn=lsn, txn_id=txn.txn_id))
+            self._append(MonoCommit, txn.txn_id)
             self.force_log()
-            self._append(lambda lsn: MonoEnd(lsn=lsn, txn_id=txn.txn_id))
+            self._append(MonoEnd, txn.txn_id)
         self.locks.release_all(txn.txn_id)
         txn.state = MonoTxnState.COMMITTED
         self.metrics.incr("mono.commits")
@@ -754,10 +545,9 @@ class MonolithicEngine:
         self._check_up()
         if txn.state is not MonoTxnState.ACTIVE:
             return
-        with self._mutex:
-            self._append(lambda lsn: MonoAbort(lsn=lsn, txn_id=txn.txn_id))
+        with self._mutex, self.buffer.operation():
             self._rollback(txn.txn_id, list(reversed(txn.undo_chain)))
-            self._append(lambda lsn: MonoEnd(lsn=lsn, txn_id=txn.txn_id))
+            self._append(MonoEnd, txn.txn_id)
         self.locks.release_all(txn.txn_id)
         txn.state = MonoTxnState.ABORTED
         self.metrics.incr("mono.aborts")
@@ -765,57 +555,22 @@ class MonolithicEngine:
     def _rollback(self, txn_id: int, to_undo: list[MonoUpdate]) -> None:
         for index, record in enumerate(to_undo):
             undo_next = to_undo[index + 1].lsn if index + 1 < len(to_undo) else NULL_LSN
-            self._apply_inverse(txn_id, record, undo_next)
-
-    def _apply_inverse(self, txn_id: int, record: MonoUpdate, undo_next: Lsn) -> None:
-        leaf, _path = self._descend(record.table, record.key)
-        if record.action == "insert":
-            action, value = "delete", None
-        elif record.action == "delete":
-            action, value = "insert", record.prior
-        else:
-            action, value = "update", record.prior
-        clr = self._append(
-            lambda lsn: MonoCompensation(
-                lsn=lsn,
-                txn_id=txn_id,
-                page_id=leaf.page_id,
-                action=action,
-                table=record.table,
-                key=record.key,
-                value=value,
-                undo_next=undo_next,
+            action = _INVERSE[record.action]
+            leaf = self.tree(record.table).find_leaf(record.key)
+            self._change(
+                MonoCompensation, txn_id, leaf, record.table, record.key, action,
+                None if action == "delete" else record.prior, undo_next=undo_next,
             )
-        )
-        with leaf.latch:
-            self.metrics.incr("mono.latches")
-            self._apply_action(leaf, action, record.key, value)
-            leaf.page_lsn = clr.lsn
-        self.metrics.incr("mono.undo_ops")
-
-    @staticmethod
-    def _apply_action(leaf: LeafPage, action: str, key: Key, value: Value) -> None:
-        if action == "insert":
-            leaf.put(VersionedRecord(key=key, committed=value))
-        elif action == "delete":
-            leaf.remove(key)
-        else:
-            existing = leaf.get(key)
-            leaf.put((existing or VersionedRecord(key)).set_committed(value))
+            self.metrics.incr("mono.undo_ops")
 
     # -- checkpoint -------------------------------------------------------------------------------------
 
     def checkpoint(self) -> None:
         self._check_up()
-        with self._mutex:
+        with self._mutex, self.buffer.operation():
             self.force_log()
-            self.flush_all()
-            rssp = self._lsns.last + 1
-            self._append(
-                lambda lsn: MonoCheckpoint(
-                    lsn=lsn, txn_id=0, rssp=rssp, roots=dict(self._roots)
-                )
-            )
+            self.buffer.flush_all()
+            self._append(MonoCheckpoint, rssp=self._lsns.last + 1)
             self.force_log()
             self.metrics.incr("mono.checkpoints")
 
@@ -827,7 +582,7 @@ class MonolithicEngine:
         self._crashed = True
         lost = len(self._log) - self._stable_count
         del self._log[self._stable_count :]
-        self._cache.clear()
+        self.buffer.crash()
         self.locks.clear()
         self.metrics.incr("mono.crashes")
         return lost
@@ -835,72 +590,46 @@ class MonolithicEngine:
     def recover(self) -> dict[str, int]:
         """ARIES-style: analysis, repeat-history redo (page-LSN test), undo."""
         with self._mutex:
-            self._lsns.advance_to(self._log[-1].lsn if self._log else NULL_LSN)
-            self._recover_page_allocator()
-            rssp, roots, txns = self._analyze()
-            if roots is not None:
-                self._roots = dict(roots)
+            stable = self._log[-1].lsn if self._log else NULL_LSN
+            self._lsns.advance_to(stable)
+            self.buffer.note_eosl(PAGE_LSN_LOG, stable)
+            rssp, roots, changes, committed, ended = self._analyze()
+            self._trees = {name: self._open_tree(name, root) for name, root in roots.items()}
             redone = self._redo(rssp)
             undone = 0
-            for txn_id, info in txns.items():
-                if info["ended"] or info["committed"]:
-                    if not info["ended"]:
-                        self._append(lambda lsn, t=txn_id: MonoEnd(lsn=lsn, txn_id=t))
-                    continue
-                undone += self._undo_loser(txn_id, info)
+            with self.buffer.operation():
+                for txn_id in committed - ended:
+                    self._append(MonoEnd, txn_id)
+                for txn_id, records in changes.items():
+                    if txn_id not in committed and txn_id not in ended:
+                        undone += self._undo_loser(txn_id, records)
             self.force_log()
             self._crashed = False
             self.metrics.incr("mono.recoveries")
             return {"rssp": rssp, "redo": redone, "undo": undone}
 
-    def _recover_page_allocator(self) -> None:
-        top = max(self._stable_pages, default=0)
-        for record in self._log:
-            if isinstance(record, MonoCreate) and record.root_image is not None:
-                top = max(top, record.root_image.page_id)
-            elif isinstance(record, MonoSplit):
-                for image in record.images:
-                    top = max(top, image.page_id)
-            elif isinstance(record, MonoMerge) and record.target_image is not None:
-                top = max(top, record.target_image.page_id)
-        if top >= self._next_page_id:
-            self._next_page_id = top + 1
-
     def _analyze(self):
+        """The last checkpoint's RSSP, each table's root as the log left it,
+        each transaction's changes and CLRs in log order, and the
+        transactions that committed and that ended."""
         rssp: Lsn = NULL_LSN
-        roots: Optional[dict] = None
-        txns: dict[int, dict] = {}
-        self._roots = {}
+        roots: dict[str, int] = {}
+        changes: dict[int, list[MonoUpdate]] = {}
+        committed: set[int] = set()
+        ended: set[int] = set()
         for record in self._log:
             if isinstance(record, MonoCheckpoint):
                 rssp = record.rssp
-                roots = record.roots
-            elif isinstance(record, MonoCreate):
-                assert record.root_image is not None
-                self._roots[record.table] = record.root_image.page_id
-            elif isinstance(record, (MonoSplit, MonoMerge)):
-                if record.root_change is not None:
-                    table, new_root = record.root_change
-                    self._roots[table] = new_root
-            info = txns.setdefault(
-                record.txn_id,
-                {"ops": [], "clrs": [], "committed": False, "ended": False},
-            )
-            if isinstance(record, MonoUpdate):
-                info["ops"].append(record)
-            elif isinstance(record, MonoCompensation):
-                info["clrs"].append(record)
+            elif isinstance(record, MonoSmo) and record.root_change is not None:
+                table, new_root = record.root_change
+                roots[table] = new_root
+            elif isinstance(record, MonoUpdate):
+                changes.setdefault(record.txn_id, []).append(record)
             elif isinstance(record, MonoCommit):
-                info["committed"] = True
+                committed.add(record.txn_id)
             elif isinstance(record, MonoEnd):
-                info["ended"] = True
-        if roots is not None:
-            merged = dict(roots)
-            merged.update(self._roots)
-            roots = merged
-        else:
-            roots = dict(self._roots)
-        return rssp, roots, {t: i for t, i in txns.items() if t != 0}
+                ended.add(record.txn_id)
+        return rssp, roots, changes, committed, ended
 
     def _redo(self, rssp: Lsn) -> int:
         """Repeat history: every record (user + SMO) in original order."""
@@ -908,104 +637,57 @@ class MonolithicEngine:
         for record in self._log:
             if record.lsn < rssp:
                 continue
-            if isinstance(record, MonoCreate):
-                assert record.root_image is not None
-                page = self._fetch_for_redo(record.root_image.page_id)
-                if page is None:
-                    page = record.root_image.materialize()
-                    page.dirty = True
-                    self._cache[record.root_image.page_id] = page
-                    redone += 1
-            elif isinstance(record, MonoSplit):
-                redone += self._redo_split(record)
-            elif isinstance(record, MonoMerge):
-                redone += self._redo_merge(record)
-            elif isinstance(record, (MonoUpdate, MonoCompensation)):
-                leaf = self._fetch_for_redo(record.page_id)
-                if leaf is None or not isinstance(leaf, LeafPage):
-                    continue
-                if record.lsn <= leaf.page_lsn:
-                    self.metrics.incr("mono.redo_skipped")
-                    continue  # the classic pageLSN idempotence test
-                self._apply_action(leaf, record.action, record.key, record.value)
-                leaf.page_lsn = record.lsn
-                leaf.dirty = True
-                redone += 1
+            with self.buffer.operation():
+                if isinstance(record, MonoSmo):
+                    redone += self._redo_smo(record)
+                elif isinstance(record, MonoUpdate):
+                    leaf = self.buffer.fetch(record.page_id)
+                    if leaf is not None and not self._reflects(leaf, record.lsn):
+                        self._apply(leaf, record)  # type: ignore[arg-type]
+                        redone += 1
         return redone
 
-    def _fetch_for_redo(self, page_id: int) -> Optional[Page]:
-        page = self._cache.get(page_id)
-        if page is not None:
-            return page
-        image = self._stable_pages.get(page_id)
-        if image is None:
-            return None
-        page = image.materialize()
-        self._cache[page_id] = page
-        return page
+    def _reflects(self, page: Optional[Page], lsn: Lsn) -> bool:
+        """The classic pageLSN test; a page that passes is counted."""
+        if page is None or page.page_lsn < lsn:
+            return False
+        self.metrics.incr("mono.redo_skipped")
+        return True
 
-    def _redo_split(self, record: MonoSplit) -> int:
+    def _redo_smo(self, record: MonoSmo) -> int:
         count = 0
         for image in record.images:
-            page = self._fetch_for_redo(image.page_id)
-            if page is None or page.page_lsn < record.lsn:
-                page = image.materialize()
-                page.dirty = True
-                self._cache[image.page_id] = page
+            if not self._reflects(self.buffer.fetch(image.page_id), record.lsn):
+                self.buffer.register(image.materialize())
                 count += 1
-        old = self._fetch_for_redo(record.page_id)
-        if old is not None and isinstance(old, LeafPage) and old.page_lsn < record.lsn:
-            old.extract_from(record.split_key)
-            old.page_lsn = record.lsn
-            count += 1
+        if record.split is not None:
+            page_id, split_key = record.split
+            old = self.buffer.fetch(page_id)
+            if old is not None and not self._reflects(old, record.lsn):
+                old.extract_from(split_key)  # type: ignore[attr-defined]
+                old.page_lsn = record.lsn
+                count += 1
+        for page_id in record.freed:
+            self.buffer.discard(page_id)
+            self.storage.free_page(page_id)
         return count
 
-    def _redo_merge(self, record: MonoMerge) -> int:
-        assert record.target_image is not None and record.parent_image is not None
-        count = 0
-        target = self._fetch_for_redo(record.target_image.page_id)
-        if target is None or target.page_lsn < record.lsn:
-            target = record.target_image.materialize()
-            target.dirty = True
-            self._cache[record.target_image.page_id] = target
-            count += 1
-        parent = self._fetch_for_redo(record.parent_image.page_id)
-        if parent is None or parent.page_lsn < record.lsn:
-            parent = record.parent_image.materialize()
-            parent.dirty = True
-            self._cache[record.parent_image.page_id] = parent
-            count += 1
-        self._cache.pop(record.victim_id, None)
-        self._stable_pages.pop(record.victim_id, None)
-        return count
-
-    def _undo_loser(self, txn_id: int, info: dict) -> int:
-        clrs: list[MonoCompensation] = info["clrs"]
-        resume: Optional[Lsn] = clrs[-1].undo_next if clrs else None
+    def _undo_loser(self, txn_id: int, records: list[MonoUpdate]) -> int:
+        """Roll back what a rollback cut short left undone: the changes at
+        or below the last CLR's ``undo_next``, newest first."""
+        clrs = [record for record in records if isinstance(record, MonoCompensation)]
+        resume = clrs[-1].undo_next if clrs else None
         to_undo = [
             record
-            for record in info["ops"]
-            if resume is None or record.lsn <= resume
+            for record in reversed(records)
+            if not isinstance(record, MonoCompensation)
+            and (resume is None or record.lsn <= resume)
         ]
-        to_undo.sort(key=lambda record: record.lsn, reverse=True)
         self._rollback(txn_id, to_undo)
-        self._append(lambda lsn: MonoEnd(lsn=lsn, txn_id=txn_id))
+        self._append(MonoEnd, txn_id)
         return len(to_undo)
 
     # -- introspection --------------------------------------------------------------------------------------
 
     def record_count(self, table: str) -> int:
-        count = 0
-        stack = [self._roots[table]]
-        while stack:
-            page = self._fetch(stack.pop())
-            if isinstance(page, InnerPage):
-                stack.extend(page.children)
-            else:
-                assert isinstance(page, LeafPage)
-                count += page.record_count()
-        return count
-
-    @property
-    def crashed(self) -> bool:
-        return self._crashed
+        return self.tree(table).record_count()

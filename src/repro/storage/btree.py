@@ -15,6 +15,10 @@ growth/collapse) run as system transactions (Section 5.2.2):
 Splits and consolidations ask the causality gate before they touch a page
 (``SystemTransaction.gate``), so a refused gate leaves the tree as found.
 
+The tree logs through :class:`SmoLog`, one object per modification.  The
+DC passes its system transaction; the monolithic baseline passes a record
+in its single physiological log, whose gate does nothing.
+
 The tree is protected by a per-tree latch; page latches are still taken
 around record-level work so latch acquisition counts stay comparable with
 the monolithic baseline (DESIGN.md discusses this coarsening).
@@ -24,18 +28,28 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Protocol
 
 from repro.common.config import DcConfig
 from repro.common.errors import PageOverflowError, ReproError, WriteAheadViolation
 from repro.common.lsn import AbstractLsn
 from repro.common.records import Key, VersionedRecord
-from repro.dc.dclog import DcLog
-from repro.dc.system_txn import StabilityProvider, SystemTransaction
 from repro.sim.metrics import Metrics
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import StableStorage
 from repro.storage.page import InnerPage, LeafPage, Page, PageImage, PageKind
+
+
+class SmoLog(Protocol):
+    """How one structure modification is logged and made atomic: what
+    :meth:`BTree._split_leaf` and :meth:`BTree._merge_leaves` call."""
+
+    def gate(self, *sources: Page) -> None: ...
+    def log_page_image(self, page: Page) -> object: ...
+    def log_keys_removed(self, page: Page, split_key: Key) -> object: ...
+    def log_page_free(self, page_id: int) -> object: ...
+    def log_root_changed(self, table: str, new_root: int) -> object: ...
+    def commit(self) -> None: ...
 
 
 class BTree:
@@ -48,19 +62,18 @@ class BTree:
         name: str,
         storage: StableStorage,
         buffer: BufferPool,
-        dclog: DcLog,
+        begin_smo: Callable[[str], SmoLog],
         config: Optional[DcConfig] = None,
         metrics: Optional[Metrics] = None,
-        ensure_stable: Optional[StabilityProvider] = None,
         root_id: Optional[int] = None,
     ) -> None:
         self.name = name
         self._storage = storage
         self._buffer = buffer
-        self._dclog = dclog
+        #: ``begin_smo(kind)`` opens the log of one structure modification.
+        self._begin_smo = begin_smo
         self.config = config or DcConfig()
         self.metrics = metrics or Metrics()
-        self._ensure_stable = ensure_stable
         self.latch = threading.RLock()
         self._inner_visits = self.metrics.counter("btree.inner_visits")
         self._latches = self.metrics.counter("btree.latches")
@@ -73,15 +86,12 @@ class BTree:
     def _create_empty(self) -> int:
         """Create the empty root leaf as a system transaction."""
         root = LeafPage(self._storage.allocate_page_id())
-        txn = self._new_systxn("create")
+        txn = self._begin_smo("create")
         txn.log_page_image(root)
         txn.log_root_changed(self.name, root.page_id)
         txn.commit()
         self._buffer.register(root)
         return root.page_id
-
-    def _new_systxn(self, kind: str) -> SystemTransaction:
-        return SystemTransaction(kind, self._dclog, self.metrics, self._ensure_stable)
 
     # -- descent --------------------------------------------------------------
 
@@ -235,7 +245,7 @@ class BTree:
 
     def _split_leaf(self, leaf: LeafPage, path: list[InnerPage]) -> None:
         """Split ``leaf``; one system transaction (Section 5.2.2, Page Splits)."""
-        txn = self._new_systxn("split")
+        txn = self._begin_smo("split")
         txn.gate(leaf)  # before any page changes: a refusal splits nothing
         split_key = leaf.choose_split_key()
         new_leaf = LeafPage(self._storage.allocate_page_id())
@@ -255,7 +265,7 @@ class BTree:
 
     def _insert_separator(
         self,
-        txn: SystemTransaction,
+        txn: SmoLog,
         path: list[InnerPage],
         left_id: int,
         separator: Key,
@@ -288,7 +298,7 @@ class BTree:
         )
 
     def _grow_root(
-        self, txn: SystemTransaction, left_id: int, separator: Key, right_id: int
+        self, txn: SmoLog, left_id: int, separator: Key, right_id: int
     ) -> None:
         new_root = InnerPage(self._storage.allocate_page_id())
         new_root.separators = [separator]
@@ -376,7 +386,7 @@ class BTree:
     def _merge_leaves(
         self, target: LeafPage, victim: LeafPage, path: list[InnerPage]
     ) -> None:
-        txn = self._new_systxn("consolidate")
+        txn = self._begin_smo("consolidate")
         txn.gate(target, victim)  # before any page changes
         target.absorb(victim.records_in_order())
         merged: dict[int, AbstractLsn] = dict(target.ablsns)
@@ -396,7 +406,7 @@ class BTree:
         self.metrics.incr("btree.consolidations")
 
     def _maybe_collapse_root(
-        self, txn: SystemTransaction, path: list[InnerPage]
+        self, txn: SmoLog, path: list[InnerPage]
     ) -> None:
         root = path[0]
         if root.page_id != self.root_id or len(root.children) > 1:

@@ -6,7 +6,9 @@ unbundled kernel:
 - **Causality / generalized WAL**: a page may be made stable only when
   every operation it reflects is on the *TC's* stable log — i.e. for every
   TC with an abLSN on the page, ``abLSN.max_lsn() <= EOSL(tc)``.  The TC
-  communicates EOSL via ``end_of_stable_log``.
+  communicates EOSL via ``end_of_stable_log``.  Classic WAL is the same
+  rule for a page's single ``page_lsn`` against the end of stable log
+  noted under :data:`PAGE_LSN_LOG` (the monolithic baseline's one log).
 - **Page sync** (Section 5.1.2): the abLSN must reach stable storage
   atomically with the page.  The three strategies — delay until the
   low-water covers everything, write the full abLSN, or prune first —
@@ -31,6 +33,12 @@ from repro.sim import schedule as _sched
 from repro.sim.metrics import Metrics
 from repro.storage.disk import StableStorage
 from repro.storage.page import LeafPage, Page, PageImage, PageKind
+
+
+#: The :meth:`BufferPool.note_eosl` slot of the log a page's ``page_lsn``
+#: names.  TC ids start at 1, and DC pages keep ``page_lsn`` at NULL_LSN,
+#: so the clause never holds a DC page back.
+PAGE_LSN_LOG = 0
 
 
 class ResetMode(enum.Enum):
@@ -231,7 +239,7 @@ class BufferPool:
     # -- flushing (causality + page sync) ----------------------------------------
 
     def _wal_satisfied(self, page: Page) -> bool:
-        return all(
+        return page.page_lsn <= self._eosl.get(PAGE_LSN_LOG, NULL_LSN) and all(
             page.max_lsn(tc_id) <= self._eosl.get(tc_id, NULL_LSN)
             for tc_id in page.ablsns
         )

@@ -14,14 +14,13 @@ applications that need ordered access use the B-tree.
 from __future__ import annotations
 
 import threading
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.common.config import DcConfig
 from repro.common.errors import PageOverflowError
 from repro.common.records import Key, VersionedRecord
-from repro.dc.dclog import DcLog
-from repro.dc.system_txn import StabilityProvider, SystemTransaction
 from repro.sim.metrics import Metrics
+from repro.storage.btree import SmoLog
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import StableStorage
 from repro.storage.page import LeafPage
@@ -35,20 +34,18 @@ class HashedHeap:
         name: str,
         storage: StableStorage,
         buffer: BufferPool,
-        dclog: DcLog,
+        begin_smo: Callable[[str], SmoLog],
         config: Optional[DcConfig] = None,
         metrics: Optional[Metrics] = None,
-        ensure_stable: Optional[StabilityProvider] = None,
         bucket_count: int = 16,
         bucket_ids: Optional[list[int]] = None,
     ) -> None:
         self.name = name
         self._storage = storage
         self._buffer = buffer
-        self._dclog = dclog
+        self._begin_smo = begin_smo
         self.config = config or DcConfig()
         self.metrics = metrics or Metrics()
-        self._ensure_stable = ensure_stable
         self.latch = threading.RLock()
         if bucket_ids is None:
             bucket_ids = self._create_buckets(bucket_count)
@@ -56,7 +53,7 @@ class HashedHeap:
 
     def _create_buckets(self, bucket_count: int) -> list[int]:
         """Allocate and durably log the fixed bucket pages (one sys txn)."""
-        txn = SystemTransaction("heap_create", self._dclog, self.metrics, None)
+        txn = self._begin_smo("heap_create")
         ids: list[int] = []
         for _ in range(bucket_count):
             page = LeafPage(self._storage.allocate_page_id())

@@ -16,6 +16,7 @@ from repro.dc.dclog import (
     PageImageRecord,
     RootChangedRecord,
 )
+from repro.dc.system_txn import SystemTransaction
 from repro.sim.metrics import Metrics
 from repro.storage.btree import BTree
 from repro.storage.buffer import BufferPool
@@ -31,10 +32,16 @@ def make_tree(page_size=512, buffer_capacity=1000, ensure_stable=None):
     buffer = BufferPool(storage, config, metrics)
     # Tests that stamp abLSNs by hand act as an always-stable TC.
     tree = BTree(
-        "t", storage, buffer, dclog, config, metrics,
-        ensure_stable=ensure_stable or (lambda needed: True),
+        "t", storage, buffer, systxns(dclog, metrics, ensure_stable or (lambda needed: True)),
+        config, metrics,
     )
     return tree, storage, buffer, dclog, metrics
+
+
+def systxns(dclog, metrics, ensure_stable):
+    """Structure modifications as DC system transactions behind
+    ``ensure_stable``, as the DC logs them."""
+    return lambda kind: SystemTransaction(kind, dclog, metrics, ensure_stable)
 
 
 def put(tree, key, value="v"):
@@ -250,7 +257,7 @@ class TestGateBeforeMutation:
         for key in range(100):
             put(tree, key).ablsn_for(1).include(key + 1)
         gate = _RefuseOnce()
-        tree._ensure_stable = gate
+        tree._begin_smo = systxns(_dclog, metrics, gate)
         removed = []
         for key in range(100):  # empty the leaves out from the left
             remove(tree, key)

@@ -41,20 +41,18 @@ class ScratchpadStructure(HashedHeap):
                 name,
                 dc.storage,
                 dc.buffer,
-                dc.dclog,
+                dc._begin_systxn,
                 dc.config,
                 dc.metrics,
-                ensure_stable=dc._ensure_tc_stable,
                 bucket_count=1,
             )
         return cls(
             name,
             dc.storage,
             dc.buffer,
-            dc.dclog,
+            dc._begin_systxn,
             dc.config,
             dc.metrics,
-            ensure_stable=dc._ensure_tc_stable,
             bucket_ids=[descriptor.extra["page_id"]],
         )
 

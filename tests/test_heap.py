@@ -8,6 +8,7 @@ from repro.common.config import DcConfig
 from repro.common.errors import PageOverflowError
 from repro.common.records import VersionedRecord
 from repro.dc.dclog import DcLog
+from repro.dc.system_txn import SystemTransaction
 from repro.sim.metrics import Metrics
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import StableStorage
@@ -21,7 +22,8 @@ def make_heap(bucket_count=8, page_size=4096):
     dclog = DcLog(storage, metrics)
     buffer = BufferPool(storage, config, metrics)
     heap = HashedHeap(
-        "h", storage, buffer, dclog, config, metrics, bucket_count=bucket_count
+        "h", storage, buffer, lambda kind: SystemTransaction(kind, dclog, metrics),
+        config, metrics, bucket_count=bucket_count,
     )
     return heap, storage, metrics
 

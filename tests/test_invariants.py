@@ -9,7 +9,7 @@ every reset mode and channel misbehavior.
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import KernelConfig, UnbundledKernel
@@ -159,15 +159,33 @@ def test_lossy_channel_and_sync_strategies_match_oracle(events, strategy, seed):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(events=st.lists(event_strategy, max_size=15))
-def test_monolithic_baseline_matches_same_oracle(events):
-    """The baseline engine satisfies the identical contract."""
-    from repro.common.config import DcConfig as Dc
+@given(
+    events=st.lists(event_strategy, max_size=15),
+    buffer_capacity=st.sampled_from([DcConfig().buffer_capacity, 3]),
+)
+@example(  # a loser's page is stolen, the crash loses its log tail
+    events=[
+        ("txn", ([("update", 0), ("read", 8), ("read", 16), ("read", 24)], False)),
+        ("crash_all", None),
+    ],
+    buffer_capacity=3,
+)
+def test_monolithic_baseline_matches_same_oracle(events, buffer_capacity):
+    """The baseline engine satisfies the identical contract.  Leaves of
+    four records split and merge, and every even key starts out committed,
+    so a transaction spans several leaves; with a pool of three pages,
+    steal evictions interleave with crashes, aborts and checkpoints, and
+    each restart must leave a well-formed tree."""
     from repro.kernel.monolithic import MonolithicEngine
 
-    engine = MonolithicEngine(Dc(page_size=512))
+    engine = MonolithicEngine(
+        DcConfig(page_size=128, buffer_capacity=buffer_capacity)
+    )
     engine.create_table("t")
-    model: dict[int, str] = {}
+    model = {key: f"i{key}" for key in range(0, 26, 2)}
+    with engine.begin() as txn:
+        for key, value in model.items():
+            txn.insert("t", key, value)
     for kind, payload in events:
         if kind == "txn":
             steps, commit = payload
@@ -195,6 +213,7 @@ def test_monolithic_baseline_matches_same_oracle(events):
         elif kind in ("crash_dc", "crash_tc", "crash_all"):
             engine.crash()  # monolithic failure is never partial
             engine.recover()
+            engine.tree("t").validate()
         elif kind == "checkpoint":
             engine.checkpoint()
     with engine.begin() as txn:

@@ -164,6 +164,27 @@ class TestRecovery:
         engine.recover()
         assert engine.record_count("t") == 25
 
+    def test_merge_of_a_loser_survives_the_crash(self):
+        """A merge frees its victim page on stable storage at once, so the
+        record that moved the victim's keys is forced first: a crash that
+        loses the deleting transaction's log tail loses no committed key."""
+        engine = MonolithicEngine(DcConfig(page_size=128))
+        engine.create_table("t")
+        for key in range(0, 26, 2):
+            with engine.begin() as txn:
+                txn.insert("t", key, f"v{key}")
+        engine.checkpoint()
+        loser = engine.begin()
+        for key in (8, 10, 12):
+            loser.delete("t", key)
+        assert engine.metrics.get("mono.merges") > 0
+        loser.abort()
+        engine.crash()
+        engine.recover()
+        engine.tree("t").validate()
+        with engine.begin() as check:
+            assert check.scan("t") == [(key, f"v{key}") for key in range(0, 26, 2)]
+
     def test_repeated_crashes(self, engine):
         populate(engine, 30)
         for _ in range(3):

@@ -140,17 +140,19 @@ def test_heap_matches_dict_under_random_ops(keys, seed):
     from repro.common.config import DcConfig
     from repro.common.records import VersionedRecord
     from repro.dc.dclog import DcLog
+    from repro.dc.system_txn import SystemTransaction
     from repro.storage.buffer import BufferPool
     from repro.storage.disk import StableStorage
     from repro.storage.heap import HashedHeap
 
     metrics = Metrics()
     storage = StableStorage(metrics)
+    dclog = DcLog(storage, metrics)
     heap = HashedHeap(
         "h",
         storage,
         BufferPool(storage, DcConfig(), metrics),
-        DcLog(storage, metrics),
+        lambda kind: SystemTransaction(kind, dclog, metrics),
         DcConfig(),
         metrics,
         bucket_count=4,

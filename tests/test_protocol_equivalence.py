@@ -8,6 +8,10 @@ pairwise.
 
 from __future__ import annotations
 
+import threading
+import time
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +23,14 @@ from repro.common.config import (
     RangeLockProtocol,
     TcConfig,
 )
-from repro.common.errors import DuplicateKeyError, NoSuchRecordError
+from repro.common.errors import (
+    DuplicateKeyError,
+    LockTimeoutError,
+    NoSuchRecordError,
+    TransactionAborted,
+)
+from repro.kernel.monolithic import MonolithicEngine
+from repro.tc.handle import TransactionState
 
 step = st.tuples(
     st.sampled_from(["insert", "update", "delete", "scan"]),
@@ -119,12 +130,8 @@ def test_hostile_channel_agrees_with_clean(steps, seed):
 )
 @given(steps=st.lists(step, max_size=30))
 def test_monolithic_agrees_with_unbundled(steps):
-    from repro.common.config import DcConfig as Dc
-    from repro.kernel.monolithic import MonolithicEngine
-
     unbundled = kernel_with()
-    mono = MonolithicEngine(Dc(page_size=512))
-    mono.create_table("t")
+    mono = engine_with("monolithic")
     assert run_workload(unbundled, steps) == run_workload(mono, steps)
 
 
@@ -140,3 +147,73 @@ def test_heap_agrees_with_btree(steps):
     heap.dc.create_table("t", kind="heap", bucket_count=16)
     heap.tc.refresh_routes(heap.dc)
     assert run_workload(btree, steps) == run_workload(heap, steps)
+
+
+def engine_with(kind, **tc):
+    """An unbundled kernel or the monolithic baseline, table ``t`` created."""
+    if kind == "unbundled":
+        return kernel_with(tc=tc)
+    engine = MonolithicEngine(DcConfig(page_size=512), TcConfig(**tc))
+    engine.create_table("t")
+    return engine
+
+
+@pytest.mark.parametrize("kind", ["unbundled", "monolithic"])
+def test_lock_timeout_aborts_the_transaction(kind):
+    """A lock timeout ends the transaction: its earlier write is undone
+    and its commit refused."""
+    engine = engine_with(kind, lock_timeout=0.05)
+    with engine.begin() as setup:
+        setup.insert("t", 3, "a")
+        setup.insert("t", 7, "b")
+    holder = engine.begin()
+    holder.update("t", 7, "t1-write")
+    waiter = engine.begin()
+    waiter.update("t", 3, "t2-write")
+    with pytest.raises(LockTimeoutError):
+        waiter.read("t", 7)
+    assert waiter.state is TransactionState.ABORTED
+    with pytest.raises(TransactionAborted):
+        waiter.commit()
+    holder.commit()
+    with engine.begin() as check:
+        assert check.read("t", 3) == "a"
+        assert check.read("t", 7) == "t1-write"
+
+
+@pytest.mark.parametrize("kind", ["unbundled", "monolithic"])
+def test_lock_waiter_does_not_stall_the_holders_commit(kind):
+    """A transaction waiting for a lock holds nothing the holder's commit
+    needs: the commit returns at once and the waiter is then granted."""
+    timeout = 1.0
+    engine = engine_with(kind, lock_timeout=timeout)
+    metrics = engine.metrics if kind == "monolithic" else engine.tc.metrics
+    with engine.begin() as setup:
+        setup.insert("t", 1, "a")
+    holder = engine.begin()
+    holder.update("t", 1, "t1-write")
+    waiter = engine.begin()
+    outcome: list[object] = []
+
+    def wait_then_commit() -> None:
+        try:
+            waiter.update("t", 1, "t2-write")
+            waiter.commit()
+            outcome.append("committed")
+        except Exception as exc:  # the assertion below reports it
+            outcome.append(exc)
+
+    thread = threading.Thread(target=wait_then_commit)
+    thread.start()
+    deadline = time.monotonic() + timeout / 2
+    while metrics.get("locks.waits") == 0 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert metrics.get("locks.waits") >= 1, "the waiter never blocked"
+    started = time.perf_counter()
+    holder.commit()
+    elapsed = time.perf_counter() - started
+    thread.join()
+    assert elapsed < timeout / 4
+    assert outcome == ["committed"]
+    with engine.begin() as check:
+        assert check.read("t", 1) == "t2-write"
