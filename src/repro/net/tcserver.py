@@ -45,7 +45,7 @@ from repro.common.ops import ReadFlavor
 from repro.cloud.partitioning import stable_key_hash
 from repro.net import wire
 from repro.net.eventloop import Peer
-from repro.net.journal import frame_bytes, read_frames
+from repro.net.journal import JournalFile, frame_bytes, read_frames
 from repro.net.process import DcClient
 from repro.net.server import Server
 from repro.net.tcrpc import (
@@ -79,10 +79,10 @@ from repro.tc.transactional_component import (
 )
 
 
-class _RecordJournal:
+class _RecordJournal(JournalFile):
     """Append-only CRC'd frame journal for TC log records.
 
-    Same frames, reader and durability contract as the DC's
+    Same frames, reader, file and durability contract as the DC's
     :class:`~repro.net.journal.JournalStorage`: write + flush per frame
     (the OS page cache survives a child SIGKILL; only whole-machine
     failure is out of scope), CRC per frame, a torn tail discarded on
@@ -91,7 +91,7 @@ class _RecordJournal:
     the file alone (the server dies before its hello).  Frames are
     ``("records", [...])`` batches (one per log force) and
     ``("meta", truncated_upto)`` markers; checkpoint-driven truncation
-    rewrites the whole file as live state behind an atomic replace.
+    swaps in a file of live state (:meth:`JournalFile.swap`).
     """
 
     def __init__(self, path: str) -> None:
@@ -100,7 +100,7 @@ class _RecordJournal:
         self.records: list[TcLogRecord] = []
         self._replay()
         self.replayed = bool(self.records) or self.truncated_upto != NULL_LSN
-        self._file = open(path, "ab")
+        super().__init__(path)
 
     def _replay(self) -> None:
         for tag, payload in read_frames(self.path):
@@ -110,32 +110,15 @@ class _RecordJournal:
                 self.records.extend(payload)
 
     def append_records(self, records: list[TcLogRecord]) -> None:
-        self._file.write(frame_bytes("records", list(records)))
-        self._file.flush()
+        self.append(frame_bytes("records", list(records)))
 
     def rewrite(self, truncated_upto: Lsn, records: list[TcLogRecord]) -> None:
-        """Replace history with live state (tmp file + atomic rename)."""
-        tmp = self.path + ".compact"
-        with open(tmp, "wb") as handle:
-            handle.write(frame_bytes("meta", truncated_upto))
-            if records:
-                handle.write(frame_bytes("records", list(records)))
-            handle.flush()
-        os.replace(tmp, self.path)
-        self._file.close()
-        self._file = open(self.path, "ab")
-
-    def size(self) -> int:
-        try:
-            return os.path.getsize(self.path)
-        except OSError:
-            return 0
-
-    def close(self) -> None:
-        try:
-            self._file.close()
-        except OSError:
-            pass
+        """Replace history with live state; raises ``OSError`` with the old
+        journal still taking appends."""
+        frames = [frame_bytes("meta", truncated_upto)]
+        if records:
+            frames.append(frame_bytes("records", list(records)))
+        self.swap(frames)
 
 
 class DurableTcLog(TcLog):
@@ -154,7 +137,10 @@ class DurableTcLog(TcLog):
     live state and persists ``truncated_upto`` in a meta frame.  That meta
     frame is load-bearing: replaying an empty record list *without* it
     would make restart send ``RestartBegin(stable_lsn=0)`` and record-level
-    reset would erase checkpointed DC state that is in fact durable.
+    reset would erase checkpointed DC state that is in fact durable.  A
+    rewrite that fails is counted (``tclog.rewrite_failures``) and
+    otherwise ignored: the old journal keeps every record the new one
+    would hold, so a restart merely replays more of them.
     """
 
     def __init__(self, journal: _RecordJournal, metrics: Optional[Metrics] = None):
@@ -175,9 +161,12 @@ class DurableTcLog(TcLog):
         dropped = super().truncate_below(point)
         if dropped:
             with self._mutex:
-                self._journal.rewrite(
-                    self._truncated_upto, self._records[: self._stable_count]
-                )
+                try:
+                    self._journal.rewrite(
+                        self._truncated_upto, self._records[: self._stable_count]
+                    )
+                except OSError:
+                    self.metrics.incr("tclog.rewrite_failures")
         return dropped
 
 

@@ -156,6 +156,22 @@ LEDGER: tuple[Row, ...] = (
             "tests/test_recovery_truncation.py",
         ),
     ),
+    Row(
+        "journal.compaction_failures",
+        "docs/architecture.md §12: a DC journal rewrite that fails leaves "
+        "the old journal serving and the checkpoint answered",
+        ("tests/test_recovery_truncation.py",),
+        "only an injected ENOSPC or failed rename reaches it; no judged "
+        "lane fills a disk",
+    ),
+    Row(
+        "tclog.rewrite_failures",
+        "§4.2 contract termination: a TC journal rewrite that fails leaves "
+        "the old journal serving and the checkpoint answered",
+        ("tests/test_recovery_truncation.py",),
+        "only an injected ENOSPC or failed rename reaches it; no judged "
+        "lane fills a disk",
+    ),
 )
 
 

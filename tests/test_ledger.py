@@ -25,6 +25,8 @@ def test_covers_the_branches_it_was_started_for():
         "dc.log_truncations",
         "journal.compactions",
         "journal.replayed_frames",
+        "journal.compaction_failures",
+        "tclog.rewrite_failures",
     }
 
 

@@ -19,7 +19,9 @@ The recovery-time story has three legs, each tested here:
   after compaction is equivalent to replay of the full history.  A DC
   server compacts at its first DC-log checkpoint, then only once the
   journal has doubled since; a compaction that fails leaves the old
-  journal serving.
+  journal serving.  The TC server's record journal is rewritten by the
+  same swap, survives the same failures, and neither server waits for
+  the replaced file to be released.
 """
 
 from __future__ import annotations
@@ -27,10 +29,15 @@ from __future__ import annotations
 import builtins
 import errno
 import math
+import os
+import signal
+import threading
+import time
 import types
 
 import pytest
 
+from repro.cloud.router import TcServiceDeployment
 from repro.common.config import ChannelConfig, DcConfig, KernelConfig, TcConfig
 from repro.common.lsn import NULL_LSN
 from repro.common.ops import InsertOp
@@ -42,11 +49,15 @@ from repro.net.journal import (
     _TAG_META,
     COMPACT_GROWTH,
     JournalStorage,
+    _release,
     frame_bytes,
+    read_frames,
 )
 from repro.net.rpc import CheckpointDcLog
+from repro.net.tcserver import _RecordJournal
 from repro.sim.faults import FaultAction, FaultInjector, FaultPoint, FaultRule
 from repro.sim.metrics import Metrics
+from repro.sim.supervisor import Supervisor
 from repro.tc.log import CommitRecord, OpRecord, TcLog, TxnEndRecord
 from tests.test_journal_delta import full_leaf, page_frames, volume
 
@@ -630,6 +641,218 @@ class TestFailedCompaction:
         assert storage.metrics.get("journal.compactions") == 1
         assert storage.metrics.get("journal.compaction_failures") == 1
         storage.close()
+
+
+def kill_9(*proxies) -> None:
+    """A real ``kill -9`` on each server, then wait for its proxy."""
+    for proxy in proxies:
+        os.kill(proxy.pid, signal.SIGKILL)
+    deadline = time.monotonic() + 10.0
+    while not all(p.crashed for p in proxies) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert all(p.crashed for p in proxies)
+
+
+def service(tmp_path) -> TcServiceDeployment:
+    """One TC server and one DC server journalling into ``tmp_path``."""
+    dep = TcServiceDeployment(
+        tc_count=1,
+        dc_count=1,
+        partitions=2,
+        data_dir=str(tmp_path),
+        dc_config=DcConfig(page_size=1024),
+    )
+    dep.create_table("t")
+    return dep
+
+
+@pytest.mark.process
+class TestFailedTcRewrite:
+    """A TC journal rewrite that cannot finish leaves the TC server
+    serving: it counts the failure, answers the checkpoint and appends to
+    the old journal, which a kill -9 then replays."""
+
+    @pytest.fixture
+    def armed(self, tmp_path):
+        """While this file exists, the TC journal's rewrite fails in the
+        server processes (forked after the fault is installed)."""
+        return tmp_path / "armed"
+
+    @staticmethod
+    def _target(path, armed) -> bool:
+        return str(path).endswith("tc1.journal.compact") and armed.exists()
+
+    def _survives(self, tmp_path, armed):
+        with service(tmp_path) as dep:
+            tc = dep.tcs["tc1"]
+            for key in range(50):
+                with tc.begin() as txn:
+                    txn.insert("t", key, f"v{key}")
+            armed.touch()
+            try:
+                assert tc.checkpoint()
+            finally:
+                armed.unlink()
+            assert tc.stats()["counters"]["tclog.rewrite_failures"] == 1
+            assert not (tmp_path / "tc1.journal.compact").exists()
+            with tc.begin() as txn:
+                txn.insert("t", 50, "after")
+            supervisor = Supervisor()
+            supervisor.watch_deployment(dep)
+            kill_9(tc)
+            supervisor.heal()
+            expected = [(key, f"v{key}") for key in range(50)] + [(50, "after")]
+            assert tc.scan_other("t") == expected
+
+    def test_enospc_on_the_sibling(self, tmp_path, armed, monkeypatch):
+        real_open = builtins.open
+
+        def full_disk(path, *args, **kwargs):
+            if self._target(path, armed):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", full_disk)
+        self._survives(tmp_path, armed)
+
+    def test_failed_swap(self, tmp_path, armed, monkeypatch):
+        real_replace = os.replace
+
+        def failing(src, dst):
+            if self._target(src, armed):
+                raise OSError(errno.EIO, "swap failed")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
+        self._survives(tmp_path, armed)
+
+
+class HeldRelease:
+    """Stands in for the journal's release of a replaced file, and holds
+    it until :attr:`event` is set (or 20 s pass)."""
+
+    def __init__(self) -> None:
+        self.event = threading.Event()
+
+    def __call__(self, handle) -> None:
+        self.event.wait(20.0)
+        _release(handle)
+
+
+def deleted_links(path, pid="self") -> list[str]:
+    """The fds of process ``pid`` still open on ``path`` after it was
+    replaced."""
+    fd_dir = f"/proc/{pid}/fd"
+    found = []
+    for fd in os.listdir(fd_dir):
+        try:
+            if os.readlink(os.path.join(fd_dir, fd)) == f"{path} (deleted)":
+                found.append(fd)
+        except OSError:
+            pass
+    return found
+
+
+def release_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "journal-release"]
+
+
+def dc_journal(path):
+    """A DC journal, its swap, an append, and the frame that append writes."""
+    journal = populated(path)
+    return (
+        journal,
+        journal.compact,
+        lambda: journal.write_metadata("after", "swap"),
+        (_TAG_META, ("after", "swap")),
+    )
+
+
+def tc_journal(path):
+    """The same for a TC server's record journal."""
+    journal = _RecordJournal(str(path))
+    for key in range(8):
+        journal.append_records([(key, key)])
+    return (
+        journal,
+        lambda: journal.rewrite(7, [(7, 7)]),
+        lambda: journal.append_records([("after", "swap")]),
+        ("records", [("after", "swap")]),
+    )
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+class TestSwapRelease:
+    """A swap holds the replaced file open across the rename and closes it
+    on a release thread; the server goes on meanwhile."""
+
+    @pytest.fixture
+    def held(self, monkeypatch):
+        import repro.net.journal as journal_module
+
+        held = HeldRelease()
+        monkeypatch.setattr(journal_module, "_release", held)
+        yield held
+        held.event.set()
+
+    @pytest.mark.parametrize("open_journal", [dc_journal, tc_journal], ids=["dc", "tc"])
+    def test_swap_returns_while_the_release_is_held(
+        self, tmp_path, held, open_journal
+    ):
+        path = tmp_path / "x.journal"
+        journal, swap, append, frame = open_journal(path)
+        started = time.perf_counter()
+        swap()
+        elapsed = time.perf_counter() - started
+        append()
+        assert elapsed < 0.05, f"swap took {elapsed * 1e3:.1f} ms"
+        assert deleted_links(path), "the replaced file was not held"
+        assert frame in list(read_frames(str(path)))
+        held.event.set()
+        journal.close()
+
+    @pytest.mark.parametrize("open_journal", [dc_journal, tc_journal], ids=["dc", "tc"])
+    def test_close_leaves_no_fd_and_no_thread(self, tmp_path, held, open_journal):
+        path = tmp_path / "x.journal"
+        journal, swap, append, _frame = open_journal(path)
+        swap()
+        assert deleted_links(path) and release_threads()
+        threading.Timer(0.05, held.event.set).start()
+        journal.close()  # joins the release
+        assert not deleted_links(path)
+        assert not release_threads()
+
+    @pytest.mark.process
+    def test_kill_9_with_the_release_pending_replays_live_state(
+        self, tmp_path, held, monkeypatch
+    ):
+        # Installed before the servers fork: their releases hold too.
+        with service(tmp_path) as dep:
+            tc, dc = dep.tcs["tc1"], dep.dcs["dc1"]
+            for key in range(50):
+                with tc.begin() as txn:
+                    txn.insert("t", key, f"v{key}")
+            for key in range(0, 50, 2):
+                with tc.begin() as txn:
+                    txn.update("t", key, f"u{key}")
+            assert tc.checkpoint()  # rewrites the TC journal
+            assert dc.checkpoint_dc_log()  # compacts the DC journal
+            for key in range(50, 60):
+                with tc.begin() as txn:
+                    txn.insert("t", key, f"v{key}")
+            for proxy in (tc, dc):
+                journal = tmp_path / f"{proxy.name}.journal"
+                assert deleted_links(journal, proxy.pid), proxy.name
+            monkeypatch.undo()  # the restarted servers release as shipped
+            supervisor = Supervisor()
+            supervisor.watch_deployment(dep)
+            kill_9(tc, dc)
+            supervisor.heal()
+            expected = [
+                (key, f"u{key}" if key < 50 and key % 2 == 0 else f"v{key}")
+                for key in range(60)
+            ]
+            assert tc.scan_other("t") == expected
 
 
 @pytest.mark.process
