@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 #: LSNs are plain integers; 0 is the null LSN ("before everything").
 Lsn = int
@@ -97,16 +97,7 @@ class AbstractLsn:
         applicable to this page has been applied (Section 5.1.2,
         "Establishing LSNlw").
         """
-        if lwm <= self._low_water:
-            return
-        self._low_water = lwm
-        # Pruned in place, from a snapshot taken in one C call: the DC's
-        # LWM walk holds no page latch, so an operation may include its
-        # LSN meanwhile — a rebuilt set would drop it, and iterating the
-        # live one raises "changed size during iteration".
-        included = self._included
-        if included:
-            included.difference_update([lsn for lsn in tuple(included) if lsn <= lwm])
+        advance_low_waters((self,), lwm)
 
     def merge(self, other: "AbstractLsn") -> "AbstractLsn":
         """Combine two abLSNs for a page consolidation (Section 5.2.2).
@@ -198,3 +189,19 @@ class AbstractLsn:
     def __repr__(self) -> str:
         inc = ",".join(map(str, sorted(self._included)))
         return f"abLSN<lw={self._low_water},{{{inc}}}>"
+
+
+def advance_low_waters(ablsns: Iterable[Optional[AbstractLsn]], lwm: Lsn) -> None:
+    """:meth:`AbstractLsn.advance_low_water` on each abLSN (``None``
+    skipped) with no Python call per abLSN, so the DC's walk over every
+    cached page costs the same at any pool size.  {LSNin} is pruned in
+    place from a snapshot taken in one C call: the walk holds no page
+    latch, and an LSN included meanwhile must not be lost."""
+    at_or_below = lwm.__ge__
+    for ablsn in ablsns:
+        if ablsn is None or lwm <= ablsn._low_water:
+            continue
+        ablsn._low_water = lwm
+        included = ablsn._included
+        if included:
+            included.difference_update(filter(at_or_below, tuple(included)))

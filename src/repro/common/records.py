@@ -127,6 +127,10 @@ def sizeof_key(key: Key) -> int:
     return sizeof_value(key)
 
 
+#: A ``VersionedRecord`` from all its fields in one C call (not Python's).
+_new_record = tuple.__new__
+
+
 class VersionedRecord(NamedTuple):
     """A record slot inside a DC page — an immutable value.
 
@@ -191,19 +195,19 @@ class VersionedRecord(NamedTuple):
 
     def set_committed(self, value: Value, owner_tc: Optional[int] = None) -> "VersionedRecord":
         """The record with ``committed`` replaced (and, when given, a new
-        owner); positional construction, this runs once per write."""
-        return VersionedRecord(
+        owner).  This runs once per write, hence :data:`_new_record`."""
+        return _new_record(VersionedRecord, (
             self.key, value, self.pending, self.has_pending,
             self.owner_tc if owner_tc is None else owner_tc,
             self.commit_seq, self.history,
-        )
+        ))
 
     def set_pending(self, value: Value, owner_tc: Optional[int] = None) -> "VersionedRecord":
-        return VersionedRecord(
+        return _new_record(VersionedRecord, (
             self.key, self.committed, value, True,
             self.owner_tc if owner_tc is None else owner_tc,
             self.commit_seq, self.history,
-        )
+        ))
 
     def promote_pending(self, commit_seq: int = 0, keep_history: int = 0) -> "VersionedRecord":
         """Version cleanup on commit: the pending version becomes committed.
@@ -269,9 +273,33 @@ class VersionedRecord(NamedTuple):
             size += 2  # the two-byte chain offset of Section 6.1.2
         if self.commit_seq:
             size += 8
-        for _seq, value in self.history:
-            size += 8 + sizeof_value(value)
-        return size
+        return size + _history_size(self.history) if self.history else size
+
+
+def size_change(old: Optional[VersionedRecord], new: VersionedRecord) -> int:
+    """``new.encoded_size()`` less ``old``'s (0 for no ``old``), sizing
+    only the fields that are not the same object in both: each field is
+    its own term of :meth:`VersionedRecord.encoded_size`, so the rest
+    cancel exactly."""
+    if old is None:
+        return new.encoded_size()
+    # (not x) - (not y) is 1 when only y is set, -1 when only x is
+    delta = 2 * ((not old.owner_tc) - (not new.owner_tc))
+    delta += 8 * ((not old.commit_seq) - (not new.commit_seq))
+    if new.committed is not old.committed:
+        delta += sizeof_value(new.committed) - sizeof_value(old.committed)
+    if new.pending is not old.pending or new.has_pending != old.has_pending:
+        if new.has_pending:
+            delta += sizeof_value(new.pending)
+        if old.has_pending:
+            delta -= sizeof_value(old.pending)
+    if new.history is not old.history:
+        delta += _history_size(new.history) - _history_size(old.history)
+    return delta
+
+
+def _history_size(history: tuple) -> int:
+    return sum(8 + sizeof_value(value) for _seq, value in history)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ may still be missing.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
@@ -53,7 +52,6 @@ from repro.common.api import (
 from repro.common.config import DcConfig
 from repro.common.errors import (
     CrashedError,
-    PageOverflowError,
     ReproError,
     UnknownTableError,
     WriteAheadViolation,
@@ -66,6 +64,7 @@ from repro.common.ops import (
     InsertOp,
     LogicalOperation,
     OpResult,
+    OpStatus,
     ProbeNextKeysOp,
     PromoteVersionsOp,
     RangeReadOp,
@@ -73,7 +72,7 @@ from repro.common.ops import (
     ReadOp,
     UpdateOp,
 )
-from repro.common.records import RecordView, TOMBSTONE, VersionedRecord
+from repro.common.records import RecordView, TOMBSTONE, VersionedRecord, size_change
 from repro.dc.dclog import DcLog
 from repro.dc.recovery import DcRecoveryManager, TableDescriptor
 from repro.dc.system_txn import SystemTransaction
@@ -94,6 +93,83 @@ Structure = Union[BTree, HashedHeap]
 class TableHandle:
     descriptor: TableDescriptor
     structure: Structure
+
+
+# -- record mutators ---------------------------------------------------------------
+#
+# What a write does to its slot: ``mutator(old, arg, tc_id, versioned,
+# want_prior) -> (result, new)``, ``arg`` being the operation, or for a
+# version cleanup ``(commit_seq, keep, prune_floor)``; ``new`` is the record
+# to put, None to empty the slot, or ``old`` itself for a rejection.
+# :meth:`DataComponent._write` sizes, puts and stamps what it returns.
+
+Mutator = Callable[..., tuple[OpResult, Optional[VersionedRecord]]]
+_OK = OpResult.okay()
+
+
+def _insert(old, op, tc_id, versioned, want_prior):
+    if old is not None and old.exists_for(False):
+        return OpResult.duplicate(f"key {op.key!r} already exists in {op.table!r}"), old
+    record = old if old is not None else VersionedRecord(key=op.key)
+    # "insert two versions, a before 'null' version followed by the
+    # intended insert" (Section 6.2.2).
+    derive = record.set_pending if versioned else record.set_committed
+    return _OK, derive(op.value, tc_id)
+
+
+def _update(old, op, tc_id, versioned, want_prior):
+    if old is None or not old.exists_for(False):
+        return OpResult.not_found(f"no record {op.key!r} in {op.table!r}"), old
+    result = OpResult.okay(prior=old.visible_value(False)) if want_prior else _OK
+    derive = old.set_pending if versioned else old.set_committed
+    return result, derive(op.value, tc_id)
+
+
+def _delete(old, op, tc_id, versioned, want_prior):
+    if old is None or not old.exists_for(False):
+        return OpResult.not_found(f"no record {op.key!r} in {op.table!r}"), old
+    result = OpResult.okay(prior=old.visible_value(False)) if want_prior else _OK
+    if versioned:
+        return result, old.set_pending(TOMBSTONE, tc_id)
+    return result, None  # physical removal
+
+
+def _increment(old, op, tc_id, versioned, want_prior):
+    if old is None or not old.exists_for(False):
+        return OpResult.not_found(f"no record {op.key!r} in {op.table!r}"), old
+    current = old.visible_value(False)
+    if not isinstance(current, (int, float)) or isinstance(current, bool):
+        return OpResult.error(f"record {op.key!r} is not numeric"), old
+    updated = current + op.delta
+    derive = old.set_pending if versioned else old.set_committed
+    return OpResult.okay(value=updated), derive(updated, tc_id)
+
+
+def _promote(old, versions, tc_id, versioned, want_prior):
+    if old is None:
+        return _OK, None
+    commit_seq, keep, prune_floor = versions
+    new = old.promote_pending(commit_seq=commit_seq, keep_history=keep)
+    if prune_floor is not None:
+        new = new.prune_history(prune_floor)
+    return _OK, None if new.is_dead() else new
+
+
+def _discard(old, versions, tc_id, versioned, want_prior):
+    if old is None:
+        return _OK, None
+    new = old.discard_pending()
+    return _OK, None if new.is_dead() else new
+
+
+_MUTATORS: dict[type, Mutator] = {
+    InsertOp: _insert,
+    UpdateOp: _update,
+    DeleteOp: _delete,
+    IncrementOp: _increment,
+    PromoteVersionsOp: _promote,
+    DiscardVersionsOp: _discard,
+}
 
 
 class DataComponent:
@@ -278,9 +354,7 @@ class DataComponent:
                 if callable(describe):
                     descriptor.extra = dict(describe())
             else:
-                structure = self._build_structure(
-                    name, kind, bucket_count, root_id=None
-                )
+                structure = self._build_structure(name, kind, bucket_count=bucket_count)
                 if kind == "btree":
                     descriptor.root_id = structure.root_id  # type: ignore[union-attr]
                 else:
@@ -291,28 +365,22 @@ class DataComponent:
             self._tables[name] = TableHandle(descriptor, structure)
 
     def _build_structure(
-        self, name: str, kind: str, bucket_count: int, root_id: Optional[int]
+        self,
+        name: str,
+        kind: str,
+        root_id: Optional[int] = None,
+        bucket_count: int = 16,
+        bucket_ids: Optional[list[int]] = None,
     ) -> Structure:
+        """A fresh table's structure, or — given its root or bucket ids —
+        a recovered one's."""
+        parts = (
+            name, self.storage, self.buffer, self._begin_systxn, self.config, self.metrics
+        )
         if kind == "btree":
-            return BTree(
-                name,
-                self.storage,
-                self.buffer,
-                self._begin_systxn,
-                self.config,
-                self.metrics,
-                root_id=root_id,
-            )
+            return BTree(*parts, root_id=root_id)
         if kind == "heap":
-            return HashedHeap(
-                name,
-                self.storage,
-                self.buffer,
-                self._begin_systxn,
-                self.config,
-                self.metrics,
-                bucket_count=bucket_count,
-            )
+            return HashedHeap(*parts, bucket_count=bucket_count, bucket_ids=bucket_ids)
         raise ReproError(f"unknown table kind {kind!r}")
 
     def table(self, name: str) -> TableHandle:
@@ -496,7 +564,7 @@ class DataComponent:
                         raise
                     except WriteAheadViolation as exc:
                         result = self._gate_refusal(exc, sub.tc_id)
-                    except (PageOverflowError, ReproError) as exc:
+                    except ReproError as exc:
                         result = OpResult.error(str(exc))
                     replies.append(
                         OperationReply(
@@ -590,6 +658,8 @@ class DataComponent:
         op: LogicalOperation,
         want_prior: bool = False,
     ) -> OpResult:
+        """One write: its mutator from :data:`_MUTATORS`, applied by
+        :meth:`_write`; a version cleanup runs once per key it names."""
         if _sched.ACTIVE is not None:
             _sched.note_event(
                 "dc.apply",
@@ -598,11 +668,16 @@ class DataComponent:
                 table=op.table,
                 key=getattr(op, "key", None),
             )
+        mutator = _MUTATORS.get(type(op))
+        if mutator is None:
+            return OpResult.error(f"unknown mutation {type(op).__name__}")
         if isinstance(op, (PromoteVersionsOp, DiscardVersionsOp)):
-            return self._apply_version_cleanup(handle, tc_id, op_id, op)
-        structure = handle.structure
-        leaf = structure.find_leaf(op.key)  # type: ignore[union-attr]
-        if op_id and leaf.ablsn_for(tc_id).contains(op_id):
+            return self._apply_version_cleanup(handle, tc_id, op_id, op, mutator)
+        versioned = handle.descriptor.versioned or op.versioned
+        result, _leaf = self._write(
+            handle.structure, op.key, tc_id, op_id, mutator, op, versioned, want_prior
+        )
+        if result is None:
             # Exactly-once: already reflected (a resend or a redo replay).
             # The before-image the first execution was asked for is still
             # here unless that reply demonstrably arrived (LWM passed it).
@@ -610,184 +685,65 @@ class DataComponent:
             if want_prior:
                 with self._priors_lock:
                     return OpResult.okay(prior=self._priors.get(tc_id, {}).get(op_id))
-            return OpResult.okay()
-        versioned = handle.descriptor.versioned or getattr(op, "versioned", False)
-        if isinstance(op, InsertOp):
-            result, final_leaf = self._apply_insert(
-                handle, tc_id, op, versioned, leaf, op_id
-            )
-        elif isinstance(op, UpdateOp):
-            result, final_leaf = self._apply_update(
-                handle, tc_id, op, versioned, leaf, op_id, want_prior
-            )
-        elif isinstance(op, DeleteOp):
-            result, final_leaf = self._apply_delete(
-                handle, tc_id, op, versioned, leaf, op_id, want_prior
-            )
-        elif isinstance(op, IncrementOp):
-            result, final_leaf = self._apply_increment(
-                handle, tc_id, op, versioned, leaf, op_id
-            )
-        else:
-            return OpResult.error(f"unknown mutation {type(op).__name__}")
+            return _OK
         if result.prior is not None:
             with self._priors_lock:
                 self._priors.setdefault(tc_id, {})[op_id] = result.prior
-        if result.ok and isinstance(op, DeleteOp) and not versioned:
-            structure.maybe_consolidate(op.key)
+        if mutator is _delete and not versioned and result.status is OpStatus.OK:
+            handle.structure.maybe_consolidate(op.key)
         return result
 
-    def _mutate_record(
+    def _write(
         self,
-        handle: TableHandle,
-        tc_id: int,
+        structure: Structure,
         key: object,
-        mutate: Callable[[Optional[VersionedRecord]], Optional[VersionedRecord]],
-        leaf: Optional[LeafPage] = None,
-        op_id: Lsn = 0,
-        outcome: Optional[dict[str, OpResult]] = None,
-    ) -> tuple[Optional[VersionedRecord], LeafPage]:
-        """Apply ``mutate`` to the record slot, splitting for space as needed.
-
-        ``leaf`` lets the caller reuse a descent it already made; the
-        structure latch held around every mutation keeps it valid.  When the
-        caller passes ``op_id`` + ``outcome``, a successful mutation's LSN
-        is folded into the leaf's abLSN inside the same latch bracket (the
-        exactly-once bookkeeping, saved a second latch acquisition).
-        Returns ``(new_record_or_None, leaf_finally_holding_the_slot)``.
-        """
-        structure = handle.structure
-        if leaf is None:
-            leaf = structure.find_leaf(key)
+        tc_id: int,
+        op_id: Lsn,
+        mutator: Mutator,
+        arg: object,
+        versioned: bool = False,
+        want_prior: bool = False,
+    ) -> tuple[Optional[OpResult], LeafPage]:
+        """Run ``mutator`` on ``key``'s slot under one hold of its leaf's
+        latch: the abLSN test (a hit answers ``None``), the change, its
+        size from the fields that changed, the put — or, when it does not
+        fit, a split through ``ensure_room`` and the put on the leaf that
+        returns — and the LSN into that leaf's abLSN on an OK result.
+        ``op_id == 0`` leaves the test and the LSN to the caller.  Returns
+        the result and the leaf holding the slot."""
+        leaf = structure.find_leaf(key)
         with leaf.latch:
+            if op_id:
+                ablsn = leaf.ablsns.get(tc_id)
+                if ablsn is None:
+                    ablsn = leaf.ablsn_for(tc_id)  # new here: holds nothing
+                elif ablsn.contains(op_id):
+                    return None, leaf
             self._latches_slot.value += 1
             old = leaf.get(key)
-            new = mutate(old)
+            result, new = mutator(old, arg, tc_id, versioned, want_prior)
+            stamp = op_id and result.status is OpStatus.OK
             if new is None:
                 if old is not None:
                     leaf.remove(key)
-                    if op_id and outcome is not None and outcome["result"].ok:
-                        leaf.ablsn_for(tc_id).include(op_id)
-                return None, leaf
-            # owner_tc is set by the mutators on *successful* changes only,
-            # so a rejected operation never reassigns another TC's record
-            delta = new.encoded_size() - (old.encoded_size() if old is not None else 0)
-            if leaf.fits(delta, self.config.page_size):
-                leaf.put(new, delta)
-                if op_id and outcome is not None and outcome["result"].ok:
-                    leaf.ablsn_for(tc_id).include(op_id)
-                return new, leaf
-        # Overflow: split (a system transaction), then retry on the new leaf.
+                    if stamp:
+                        ablsn.include(op_id)
+                return result, leaf
+            # A mutator changes a record only when it succeeds (the owner
+            # included), so a rejection puts ``old`` back: no size, no LSN.
+            delta = size_change(old, new)
+            if leaf.put(new, delta, self.config.page_size):
+                if stamp:
+                    ablsn.include(op_id)
+                return result, leaf
+        # Overflow: split (a system transaction), then put on the new leaf.
         leaf = structure.ensure_room(key, delta)
         with leaf.latch:
             self._latches_slot.value += 1
             leaf.put(new)
-            if op_id and outcome is not None and outcome["result"].ok:
+            if stamp:
                 leaf.ablsn_for(tc_id).include(op_id)
-            return new, leaf
-
-    def _apply_insert(
-        self, handle: TableHandle, tc_id: int, op: InsertOp, versioned: bool,
-        leaf: Optional[LeafPage] = None,
-        op_id: Lsn = 0,
-    ) -> tuple[OpResult, LeafPage]:
-        outcome: dict[str, OpResult] = {}
-
-        def mutate(old: Optional[VersionedRecord]) -> Optional[VersionedRecord]:
-            if old is not None and old.exists_for(read_committed=False):
-                outcome["result"] = OpResult.duplicate(
-                    f"key {op.key!r} already exists in {op.table!r}"
-                )
-                return old
-            record = old if old is not None else VersionedRecord(key=op.key)
-            outcome["result"] = OpResult.okay()
-            # "insert two versions, a before 'null' version followed by
-            # the intended insert" (Section 6.2.2).
-            derive = record.set_pending if versioned else record.set_committed
-            return derive(op.value, tc_id)
-
-        _record, leaf = self._mutate_record(
-            handle, tc_id, op.key, mutate, leaf, op_id, outcome
-        )
-        return outcome["result"], leaf
-
-    def _apply_update(
-        self, handle: TableHandle, tc_id: int, op: UpdateOp, versioned: bool,
-        leaf: Optional[LeafPage] = None,
-        op_id: Lsn = 0,
-        want_prior: bool = False,
-    ) -> tuple[OpResult, LeafPage]:
-        outcome: dict[str, OpResult] = {}
-
-        def mutate(old: Optional[VersionedRecord]) -> Optional[VersionedRecord]:
-            if old is None or not old.exists_for(read_committed=False):
-                outcome["result"] = OpResult.not_found(
-                    f"no record {op.key!r} in {op.table!r}"
-                )
-                return old
-            prior = old.visible_value(read_committed=False) if want_prior else None
-            outcome["result"] = OpResult.okay(prior=prior)
-            derive = old.set_pending if versioned else old.set_committed
-            return derive(op.value, tc_id)
-
-        _record, leaf = self._mutate_record(
-            handle, tc_id, op.key, mutate, leaf, op_id, outcome
-        )
-        return outcome["result"], leaf
-
-    def _apply_delete(
-        self, handle: TableHandle, tc_id: int, op: DeleteOp, versioned: bool,
-        leaf: Optional[LeafPage] = None,
-        op_id: Lsn = 0,
-        want_prior: bool = False,
-    ) -> tuple[OpResult, LeafPage]:
-        outcome: dict[str, OpResult] = {}
-
-        def mutate(old: Optional[VersionedRecord]) -> Optional[VersionedRecord]:
-            if old is None or not old.exists_for(read_committed=False):
-                outcome["result"] = OpResult.not_found(
-                    f"no record {op.key!r} in {op.table!r}"
-                )
-                return old
-            prior = old.visible_value(read_committed=False) if want_prior else None
-            outcome["result"] = OpResult.okay(prior=prior)
-            if versioned:
-                return old.set_pending(TOMBSTONE, tc_id)
-            return None  # physical removal
-
-        _record, leaf = self._mutate_record(
-            handle, tc_id, op.key, mutate, leaf, op_id, outcome
-        )
-        return outcome["result"], leaf
-
-    def _apply_increment(
-        self, handle: TableHandle, tc_id: int, op: IncrementOp, versioned: bool,
-        leaf: Optional[LeafPage] = None,
-        op_id: Lsn = 0,
-    ) -> tuple[OpResult, LeafPage]:
-        outcome: dict[str, OpResult] = {}
-
-        def mutate(old: Optional[VersionedRecord]) -> Optional[VersionedRecord]:
-            if old is None or not old.exists_for(read_committed=False):
-                outcome["result"] = OpResult.not_found(
-                    f"no record {op.key!r} in {op.table!r}"
-                )
-                return old
-            current = old.visible_value(read_committed=False)
-            if not isinstance(current, (int, float)) or isinstance(current, bool):
-                outcome["result"] = OpResult.error(
-                    f"record {op.key!r} is not numeric"
-                )
-                return old
-            updated = current + op.delta
-            outcome["result"] = OpResult.okay(value=updated)
-            derive = old.set_pending if versioned else old.set_committed
-            return derive(updated, tc_id)
-
-        _record, leaf = self._mutate_record(
-            handle, tc_id, op.key, mutate, leaf, op_id, outcome
-        )
-        return outcome["result"], leaf
+        return result, leaf
 
     def _apply_version_cleanup(
         self,
@@ -795,11 +751,15 @@ class DataComponent:
         tc_id: int,
         op_id: Lsn,
         op: Union[PromoteVersionsOp, DiscardVersionsOp],
+        mutator: Mutator,
     ) -> OpResult:
         """Promote/discard pending versions; per-record idempotent, so a
-        mid-operation flush or crash re-applies harmlessly."""
+        mid-operation flush or crash re-applies harmlessly.  Each key's
+        leaf takes the abLSN test here and :meth:`_write` gets no op_id:
+        a leaf takes the LSN once every key is applied, so a second key
+        on the same leaf is not taken for a resend."""
         structure = handle.structure
-        promote = isinstance(op, PromoteVersionsOp)
+        promote = mutator is _promote
         touched: dict[int, LeafPage] = {}
         retention = self.config.snapshot_retention
         commit_seq = 0
@@ -808,26 +768,14 @@ class DataComponent:
                 self._version_clock += 1
                 commit_seq = self._version_clock
         keep = self.config.snapshot_max_versions if retention > 0 else 0
-        prune_floor = max(0, self._version_clock - retention)
-
+        prune_floor = max(0, self._version_clock - retention) if retention > 0 else None
         for key in op.keys:
             leaf = structure.find_leaf(key)
             if op_id and leaf.ablsn_for(tc_id).contains(op_id):
                 continue
-
-            def mutate(old: Optional[VersionedRecord]) -> Optional[VersionedRecord]:
-                if old is None:
-                    return None
-                if promote:
-                    new = old.promote_pending(commit_seq=commit_seq, keep_history=keep)
-                    if retention > 0:
-                        new = new.prune_history(prune_floor)
-                else:
-                    new = old.discard_pending()
-                return None if new.is_dead() else new
-
-            _record, final_leaf = self._mutate_record(handle, tc_id, key, mutate)
-            touched[final_leaf.page_id] = final_leaf
+            versions = (commit_seq, keep, prune_floor)
+            _result, leaf = self._write(structure, key, tc_id, 0, mutator, versions)
+            touched[leaf.page_id] = leaf
         if op_id:
             for leaf in touched.values():
                 with leaf.latch:
@@ -836,7 +784,7 @@ class DataComponent:
         self.metrics.incr(
             "dc.version_promotes" if promote else "dc.version_discards"
         )
-        return OpResult.okay()
+        return _OK
 
     # -- reads --------------------------------------------------------------------------------
 
@@ -971,13 +919,10 @@ class DataComponent:
             self.buffer.flush_all()
             if self.buffer.dirty_count() > 0:
                 return False
-            descriptors = {
-                name: handle.descriptor for name, handle in self._tables.items()
-            }
-            for name, handle in self._tables.items():
+            for handle in self._tables.values():
                 if isinstance(handle.structure, BTree):
-                    descriptors[name].root_id = handle.structure.root_id
-            self.recovery.save_catalog(descriptors)
+                    handle.descriptor.root_id = handle.structure.root_id
+            self.recovery.save_catalog({n: h.descriptor for n, h in self._tables.items()})
             self.dclog.truncate_before(self.dclog.last_dlsn + 1)
             self.metrics.incr("dc.log_truncations")
         self.hint_rssp_advance()
@@ -1043,30 +988,12 @@ class DataComponent:
                     structure: Structure = self._structure_factories[
                         descriptor.kind
                     ](self, name, descriptor)  # type: ignore[assignment]
-                elif descriptor.kind == "btree":
-                    structure = BTree(
-                        name,
-                        self.storage,
-                        self.buffer,
-                        self._begin_systxn,
-                        self.config,
-                        self.metrics,
-                        root_id=descriptor.root_id,
-                    )
-                elif descriptor.kind == "heap":
-                    structure = HashedHeap(
-                        name,
-                        self.storage,
-                        self.buffer,
-                        self._begin_systxn,
-                        self.config,
-                        self.metrics,
-                        bucket_ids=list(descriptor.bucket_ids),
-                    )
                 else:
-                    raise ReproError(
-                        f"table {name!r} has kind {descriptor.kind!r} but no "
-                        f"structure factory is registered for it"
+                    structure = self._build_structure(
+                        name,
+                        descriptor.kind,
+                        root_id=descriptor.root_id,
+                        bucket_ids=list(descriptor.bucket_ids),
                     )
                 structure.validate()
                 self._tables[name] = TableHandle(descriptor, structure)

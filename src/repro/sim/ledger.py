@@ -157,6 +157,22 @@ LEDGER: tuple[Row, ...] = (
         ),
     ),
     Row(
+        "dc.duplicate_ops",
+        "§5.1.2 abLSN idempotence: a resent or replayed operation the page "
+        "already reflects is answered, not applied again",
+        ("explore-crash", "chaos-tcp"),
+        "a crash between a write and its reply makes the heal's redo or the "
+        "TC's resend meet an operation the DC already holds",
+    ),
+    Row(
+        "dc.stale_incarnation_ops",
+        "§5.3 DC crash: a request in flight across a DC crash and recover "
+        "is lost, not executed against the rebuilt state",
+        ("explore-crash",),
+        "only the in-process explorer can park a request at BUFFER_LATCH "
+        "while its DC crashes and recovers; a killed server's thread dies",
+    ),
+    Row(
         "journal.compaction_failures",
         "docs/architecture.md §12: a DC journal rewrite that fails leaves "
         "the old journal serving and the checkpoint answered",

@@ -113,20 +113,24 @@ class BTree:
         """
         path: list[InnerPage] = []
         upper: Optional[Key] = None
-        page = self._fetch(self.root_id)
+        fetch = self._buffer.fetch  # _fetch inlined: one call less per level
+        page_id = self.root_id
+        page = fetch(page_id)
         while isinstance(page, InnerPage):
             path.append(page)
             self._inner_visits.value += 1
-            index = self._route_index(page, key)
-            if index < len(page.separators):
-                upper = page.separators[index]
-            page = self._fetch(page.children[index])
+            separators = page.separators
+            index = bisect.bisect_right(separators, key)
+            if index < len(separators):
+                upper = separators[index]
+            page_id = page.children[index]
+            page = fetch(page_id)
+        if page is None:
+            raise ReproError(
+                f"btree {self.name!r}: page {page_id} missing from cache and disk"
+            )
         assert isinstance(page, LeafPage)
         return page, path, upper
-
-    @staticmethod
-    def _route_index(inner: InnerPage, key: Key) -> int:
-        return bisect.bisect_right(inner.separators, key)
 
     def find_leaf(self, key: Key) -> LeafPage:
         with self.latch:
@@ -286,7 +290,7 @@ class BTree:
         right_inner = InnerPage(self._storage.allocate_page_id())
         right_inner.separators = parent.separators[mid + 1 :]
         right_inner.children = parent.children[mid + 1 :]
-        del parent.separators[mid:]
+        parent.separators = parent.separators[:mid]  # a new list: sized anew
         del parent.children[mid + 1 :]
         parent.dirty = True
         txn.log_page_image(right_inner)

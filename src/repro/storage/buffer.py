@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 from repro.common.config import DcConfig, PageSyncStrategy
 from repro.common.errors import WriteAheadViolation
-from repro.common.lsn import Lsn, NULL_LSN
+from repro.common.lsn import Lsn, NULL_LSN, advance_low_waters
 from repro.obs.tracing import NULL_TRACER
 from repro.sim import schedule as _sched
 from repro.sim.metrics import Metrics
@@ -150,8 +150,9 @@ class BufferPool:
         # snapshot the page list: concurrent operations on other tables
         # may admit pages while we walk (pruning them is not required for
         # correctness — the next LWM catches them)
-        for page in list(self._pages.values()):
-            page.apply_low_water(tc_id, lwm)
+        advance_low_waters(
+            [page.ablsns.get(tc_id) for page in list(self._pages.values())], lwm
+        )
 
     def eosl_for(self, tc_id: int) -> Lsn:
         return self._eosl.get(tc_id, NULL_LSN)

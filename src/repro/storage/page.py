@@ -67,11 +67,6 @@ class Page:
             self.ablsns[tc_id] = ablsn
         return ablsn
 
-    def apply_low_water(self, tc_id: int, lwm: Lsn) -> None:
-        ablsn = self.ablsns.get(tc_id)
-        if ablsn is not None:
-            ablsn.advance_low_water(lwm)
-
     def max_lsn(self, tc_id: int) -> Lsn:
         ablsn = self.ablsns.get(tc_id)
         return ablsn.max_lsn() if ablsn is not None else NULL_LSN
@@ -159,21 +154,29 @@ class LeafPage(Page):
 
     # -- record mutation ---------------------------------------------------
 
-    def put(self, record: VersionedRecord, delta: Optional[int] = None) -> int:
-        """Insert or replace the record slot; returns the byte-size delta.
+    def put(
+        self,
+        record: VersionedRecord,
+        delta: Optional[int] = None,
+        page_size: Optional[int] = None,
+    ) -> bool:
+        """Insert or replace the record slot.
 
-        ``delta`` lets a caller that already sized the records (for a
-        :meth:`fits` check) avoid re-walking both values; it must equal
-        the size difference between ``record`` and the current slot."""
+        ``delta`` lets a caller that already sized the change avoid
+        re-walking both records; it must equal the size difference between
+        ``record`` and the current slot.  Given a ``page_size``, a put the
+        page has no room for is refused: False, and nothing changes."""
         old = self._records.get(record.key)
         if delta is None:
             delta = record.encoded_size() - (old.encoded_size() if old else 0)
+        if page_size is not None and self._used + delta > page_size:
+            return False
         if old is None:
             bisect.insort(self._keys, record.key)
         self._records[record.key] = record
         self._used += delta
         self.dirty = True
-        return delta
+        return True
 
     def remove(self, key: Key) -> Optional[VersionedRecord]:
         """Remove the slot entirely (physical removal); returns it."""
@@ -287,6 +290,10 @@ class InnerPage(Page):
         super().__init__(page_id)
         self.separators: list[Key] = []
         self.children: list[int] = []
+        #: The separators' byte total, kept by insert / remove_child; a list
+        #: put in place whole is sized afresh.  Nothing else edits it in place.
+        self._sized: Optional[list[Key]] = None
+        self._separator_bytes = 0
 
     def child_for(self, key: Key) -> int:
         index = bisect.bisect_right(self.separators, key)
@@ -300,6 +307,7 @@ class InnerPage(Page):
         index = bisect.bisect_left(self.separators, separator)
         self.separators.insert(index, separator)
         self.children.insert(index + 1, child_id)
+        self._separator_bytes += sizeof_key(separator)
         self.dirty = True
 
     def remove_child(self, child_id: int) -> None:
@@ -308,13 +316,16 @@ class InnerPage(Page):
         if index == 0:
             raise ValueError("cannot remove the leftmost child")
         del self.children[index]
-        del self.separators[index - 1]
+        self._separator_bytes -= sizeof_key(self.separators.pop(index - 1))
         self.dirty = True
 
     def used_bytes(self) -> int:
+        if self._sized is not self.separators:
+            self._sized = self.separators
+            self._separator_bytes = sum(map(sizeof_key, self.separators))
         return (
             PAGE_HEADER_BYTES
-            + sum(sizeof_key(s) for s in self.separators)
+            + self._separator_bytes
             + INNER_ENTRY_BYTES * len(self.children)
         )
 
@@ -420,8 +431,11 @@ class PageImage:
             page = leaf
         else:
             inner = InnerPage(self.page_id)
-            inner.separators = list(self.separators)
+            inner.separators = inner._sized = list(self.separators)
             inner.children = list(self.children)
+            inner._separator_bytes = self.records_bytes - INNER_ENTRY_BYTES * len(
+                self.children
+            )
             page = inner
         page.dlsn = self.dlsn
         page.ablsns = {tc: ab.snapshot() for tc, ab in self.ablsns.items()}

@@ -323,7 +323,7 @@ class TestConsolidation:
         situation) must not merge — the max-low-water rule would claim the
         lower side's unreplayed operations (a real lost-update bug found by
         the churn soak test)."""
-        tree, *_rest, metrics = make_tree(page_size=512)
+        tree, _storage, buffer, _dclog, metrics = make_tree(page_size=512)
         for key in range(60):
             put(tree, key)
         leaf_ids = tree.leaf_ids()
@@ -337,9 +337,8 @@ class TestConsolidation:
             remove(tree, key)
         assert metrics.get("btree.consolidation_skipped_horizon") >= 1
         tree.validate()
-        # equalize horizons (what an LWM broadcast does): merging resumes
-        for page_id in tree.leaf_ids():
-            tree._fetch(page_id).apply_low_water(1, 700)
+        # equalize horizons with an LWM broadcast: merging resumes
+        buffer.note_lwm(1, 700)
         remaining = tree._fetch(tree.leaf_ids()[1])
         if remaining.record_count() > 0:
             remove(tree, remaining.min_key())

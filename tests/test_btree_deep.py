@@ -8,6 +8,8 @@ import pytest
 
 from repro import KernelConfig, UnbundledKernel
 from repro.common.config import DcConfig
+from repro.common.records import sizeof_key
+from repro.storage.page import INNER_ENTRY_BYTES, PAGE_HEADER_BYTES, InnerPage
 
 
 def kernel_with_page_size(page_size):
@@ -42,6 +44,44 @@ class TestPageSizeExtremes:
         kernel.dc.table("t").structure.validate()
         with kernel.begin() as txn:
             assert len(txn.scan("t")) == 400
+
+    def test_inner_pages_keep_their_byte_totals(self):
+        """Inner splits, merges and a restart: every inner page's
+        ``used_bytes()`` still equals its separators and children sized
+        afresh (the page keeps the separators' total as it goes)."""
+        kernel = kernel_with_page_size(256)
+        keys = [f"key-{n * 7919 % 1000:03d}" + "x" * (n % 5) for n in range(400)]
+        with kernel.begin() as txn:
+            for key in keys:
+                txn.insert("t", key, "v")
+
+        def check():
+            dc = kernel.dc
+            inner_pages = [
+                page
+                for page in map(dc.buffer.cached_page, dc.buffer.cached_ids())
+                if isinstance(page, InnerPage)
+            ]
+            assert inner_pages
+            for page in inner_pages:
+                assert page.used_bytes() == PAGE_HEADER_BYTES + sum(
+                    map(sizeof_key, page.separators)
+                ) + INNER_ENTRY_BYTES * len(page.children)
+
+        assert kernel.dc.metrics.get("btree.inner_splits") > 0
+        check()
+        with kernel.begin() as txn:
+            for key in keys[::2]:
+                txn.delete("t", key)
+        assert kernel.dc.metrics.get("btree.consolidations") > 0
+        check()
+        kernel.crash_all()
+        kernel.recover_all()
+        with kernel.begin() as txn:
+            for key in keys[1::4]:
+                txn.delete("t", key)
+        check()
+        kernel.dc.table("t").structure.validate()
 
 
 class TestChurnWaves:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.common.config import DcConfig, PageSyncStrategy
 from repro.common.errors import WriteAheadViolation
+from repro.common.lsn import NULL_LSN
 from repro.common.records import VersionedRecord
 from repro.sim.metrics import Metrics
 from repro.storage.buffer import BufferPool, ResetMode
@@ -155,6 +156,19 @@ class TestPageSyncStrategies:
         pool.note_lwm(1, 5)
         assert a.pending_lsn_count() == 0 and b.pending_lsn_count() == 0
         assert a.ablsn_for(1).low_water == 5
+
+    def test_note_lwm_only_named_tc(self):
+        pool, *_ = make_pool()
+        leaf = dirty_leaf(1, lsns=[5])
+        leaf.ablsn_for(2).include(5)
+        bare = dirty_leaf(2, lsns=[])  # no abLSN for TC 1: none is made
+        pool.register(leaf)
+        pool.register(bare)
+        pool.note_lwm(1, 10)
+        assert leaf.ablsn_for(1).low_water == 10
+        assert leaf.ablsn_for(2).low_water == NULL_LSN
+        assert leaf.ablsn_for(2).contains(5)
+        assert 1 not in bare.ablsns
 
 
 class TestEviction:

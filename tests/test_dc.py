@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.common.api import BatchedPerform, PerformOperation
 from repro.common.config import DcConfig
 from repro.common.errors import CrashedError, ReproError
 from repro.common.ops import (
     DeleteOp,
     DiscardVersionsOp,
+    IncrementOp,
     InsertOp,
     OpStatus,
     ProbeNextKeysOp,
@@ -18,8 +24,10 @@ from repro.common.ops import (
     ReadOp,
     UpdateOp,
 )
+from repro.common.records import TOMBSTONE
 from repro.dc.data_component import DataComponent
 from repro.sim.metrics import Metrics
+from repro.storage.page import PAGE_HEADER_BYTES, LeafPage
 
 
 @pytest.fixture
@@ -266,3 +274,203 @@ class TestAdministration:
         assert dc.storage.dc_log_length() == 0
         # data still reachable purely from disk pages
         assert perform(dc, ReadOp(table="t", key=30), 999).value == "v"
+
+
+# -- one write path: the space model and exactly-once, against a dict model -------
+
+_GONE = object()  # the model's "no pending version"
+
+KEYS = st.integers(min_value=0, max_value=39)
+VALUES = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.booleans(),
+    st.text(alphabet="abxy", max_size=40),
+)
+STEP = st.one_of(
+    st.tuples(st.just("insert"), KEYS, VALUES),
+    st.tuples(st.just("update"), KEYS, VALUES),
+    st.tuples(st.just("delete"), KEYS, st.none()),
+    st.tuples(st.just("increment"), KEYS, st.integers(min_value=-2, max_value=2)),
+    st.tuples(st.just("promote"), KEYS, st.none()),
+    st.tuples(st.just("discard"), KEYS, st.none()),
+)
+#: ``(step, tc_id, want_prior)``; an envelope of one to three of them.
+ENVELOPES = st.lists(
+    st.lists(
+        st.tuples(STEP, st.sampled_from([1, 2]), st.booleans()), min_size=1, max_size=3
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class _Model:
+    """What the DC must answer, per key: ``[committed, pending]`` with
+    ``pending`` a value, ``TOMBSTONE`` or ``_GONE``."""
+
+    def __init__(self, versioned: bool) -> None:
+        self.versioned = versioned
+        self.slots: dict = {}
+
+    def view(self, key):
+        committed, pending = self.slots.get(key, (None, _GONE))
+        if pending is _GONE:
+            return committed
+        return None if pending is TOMBSTONE else pending
+
+    def write(self, key, value) -> None:
+        committed, _pending = self.slots.get(key, (None, _GONE))
+        self.slots[key] = [committed, value] if self.versioned else [value, _GONE]
+
+    def apply(self, op, want_prior):
+        """The expected ``(status, value, prior, message)`` of ``op``."""
+        key = getattr(op, "key", None)
+        view = self.view(key)
+        absent = f"no record {key!r} in 't'"
+        if isinstance(op, InsertOp):
+            if view is not None:
+                return OpStatus.DUPLICATE, None, None, f"key {key!r} already exists in 't'"
+            self.write(key, op.value)
+            return OpStatus.OK, None, None, ""
+        if isinstance(op, (PromoteVersionsOp, DiscardVersionsOp)):
+            for key in op.keys:
+                slot = self.slots.get(key)
+                if slot is None or slot[1] is _GONE:
+                    continue
+                if isinstance(op, PromoteVersionsOp):
+                    slot[0] = None if slot[1] is TOMBSTONE else slot[1]
+                slot[1] = _GONE
+            return OpStatus.OK, None, None, ""
+        if view is None:
+            return OpStatus.NOT_FOUND, None, None, absent
+        prior = view if want_prior else None
+        if isinstance(op, UpdateOp):
+            self.write(key, op.value)
+            return OpStatus.OK, None, prior, ""
+        if isinstance(op, DeleteOp):
+            if self.versioned:
+                self.write(key, TOMBSTONE)
+            else:
+                del self.slots[key]
+            return OpStatus.OK, None, prior, ""
+        if not isinstance(view, int) or isinstance(view, bool):
+            return OpStatus.ERROR, None, None, f"record {key!r} is not numeric"
+        self.write(key, view + op.delta)
+        return OpStatus.OK, view + op.delta, None, ""
+
+
+def _leaves(dc):
+    """Every cached leaf's slots and byte count, checking the space model."""
+    state = {}
+    for page_id in dc.buffer.cached_ids():
+        page = dc.buffer.cached_page(page_id)
+        if isinstance(page, LeafPage):
+            records = tuple(page.records_in_order())
+            assert page.used_bytes() == PAGE_HEADER_BYTES + sum(
+                record.encoded_size() for record in records
+            ), f"leaf {page_id}"
+            state[page_id] = (records, page.used_bytes())
+    return state
+
+
+def _operation(kind, key, value):
+    if kind == "insert":
+        return InsertOp("t", key, value)
+    if kind == "update":
+        return UpdateOp("t", key, value)
+    if kind == "delete":
+        return DeleteOp("t", key)
+    if kind == "increment":
+        return IncrementOp("t", key, value)
+    if kind == "promote":
+        return PromoteVersionsOp("t", keys=(key, (key + 7) % 40))
+    return DiscardVersionsOp("t", keys=(key,))
+
+
+def _writes(kind, keys, value=None, tc_id=1, want_prior=False):
+    """One envelope per key."""
+    return [[((kind, key, value), tc_id, want_prior)] for key in keys]
+
+
+#: Splits (40 inserts on 512-byte pages), a consolidation (a run deleted
+#: from a plain table; a versioned one promotes the tombstones away), the
+#: run put back, versions kept for snapshots (a second promote), and TC 2
+#: taking a record over from TC 1.
+SCAFFOLD = (
+    _writes("insert", range(40), "x" * 20)
+    + _writes("delete", range(10, 30))
+    + _writes("promote", range(10, 30))
+    + _writes("insert", range(10, 30), "y" * 20)
+    + _writes("update", range(30, 37), "z" * 20)
+    + _writes("promote", range(30, 37))
+    + _writes("update", [0], "owned by two", tc_id=2, want_prior=True)
+)
+
+
+def resend(dc, applied) -> None:
+    """Resend each applied write: answered, not applied again."""
+    before = _leaves(dc)
+    for send, result in applied:
+        again = dc.perform_operation(
+            send.tc_id, send.op_id, send.op, resend=True, want_prior=send.want_prior
+        )
+        assert again.ok and again.prior == result.prior, send
+    assert _leaves(dc) == before
+
+
+class TestOneWritePath:
+    """Seeded sequences of writes from two TCs, one at a time or in
+    envelopes, between :data:`SCAFFOLD` and a delete of every key: after
+    every write the cached leaves' ``used_bytes()`` is the header plus
+    their records' sizes, the answer is the model's, and a resend of
+    every applied write changes no record and no byte and answers with
+    the same before-image."""
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "envelope"])
+    @pytest.mark.parametrize("versioned", [False, True], ids=["plain", "versioned"])
+    @settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(envelopes=ENVELOPES)
+    def test_sizes_answers_and_resends(self, versioned, batched, envelopes):
+        config = DcConfig(page_size=512, snapshot_retention=64 if versioned else 0)
+        dc = DataComponent("dc", config=config)
+        dc.create_table("t", versioned=versioned)
+        for tc_id in (1, 2):
+            dc.register_tc(tc_id, force_log=lambda lsn, images: lsn)
+        model = _Model(versioned)
+        op_ids = itertools.count(1)
+        applied = []
+        for envelope in SCAFFOLD + envelopes + _writes("delete", range(40)):
+            sends = [
+                PerformOperation(
+                    tc_id=tc_id, op_id=next(op_ids), op=_operation(*step),
+                    want_prior=want_prior,
+                )
+                for step, tc_id, want_prior in envelope
+            ]
+            if batched:
+                batch = BatchedPerform(tc_id=1, ops=tuple(sends))
+                results = [reply.result for reply in dc.handle(batch).replies]
+            else:
+                results = [
+                    dc.perform_operation(
+                        send.tc_id, send.op_id, send.op, want_prior=send.want_prior
+                    )
+                    for send in sends
+                ]
+            for send, result in zip(sends, results):
+                expected = model.apply(send.op, send.want_prior)
+                got = (result.status, result.value, result.prior, result.message)
+                assert got == expected, send
+            fresh = [(send, result) for send, result in zip(sends, results) if result.ok]
+            resend(dc, fresh)
+            applied += fresh
+        resend(dc, applied)  # every one again, across every split and merge since
+        assert dc.metrics.get("btree.leaf_splits") > 0
+        if not versioned:
+            assert dc.metrics.get("btree.consolidations") > 0
+        dc.table("t").structure.validate()

@@ -12,17 +12,28 @@ The same stream used to cost, per transaction, 14.4 condition entries,
 5.7 ``notify_all`` calls and 8.6 locked metrics calls.  The mechanism
 totals below are the ones that stream read before the rule existed:
 moving a counter to a slot must not change what it counts.
+
+The second half counts Python function calls (``sys.setprofile``) on a
+warm in-process DC table: what one write of a ``BatchedPerform`` costs
+the DC, and what one ``LowWaterMark`` costs however many pages are cached.
+The DC used to spend 33 calls per update — a closure and an outcome dict
+per operation, an ``isinstance`` ladder, both records sized in full — and
+two calls per cached page on every low-water mark.
 """
 
 from __future__ import annotations
 
 import collections
+import sys
 import threading
 
 import pytest
 
 from repro import KernelConfig, UnbundledKernel
+from repro.common.api import BatchedPerform, LowWaterMark, PerformOperation
 from repro.common.config import TcConfig
+from repro.common.ops import InsertOp, UpdateOp
+from repro.dc.data_component import DataComponent
 from repro.sim.metrics import Metrics
 from repro.workloads.generator import OltpMix, WorkloadRunner
 
@@ -113,3 +124,88 @@ def test_per_operation_counters_take_no_metrics_lock(stream):
 def test_mechanism_totals_unchanged(stream):
     _stats, _per_txn, totals = stream
     assert totals == EXPECTED_TOTALS
+
+
+# -- Python calls of the DC's write path and low-water walk -----------------------
+
+
+class _Dc:
+    """A DC with one table of ``keys`` 100-byte records, loaded by TC 1
+    (whose log is always stable), and that TC's next operation id."""
+
+    def __init__(self, keys: int) -> None:
+        self.dc = DataComponent("dc")
+        self.dc.register_tc(1, force_log=lambda lsn, images: lsn)
+        self.dc.create_table("t")
+        self.lsn = 0
+        self.keys = keys
+        self.send(InsertOp("t", key, "v" * 100) for key in range(keys))
+
+    def envelope(self, ops) -> BatchedPerform:
+        ops = tuple(PerformOperation(tc_id=1, op_id=self.next_id(), op=op) for op in ops)
+        return BatchedPerform(tc_id=1, ops=ops)
+
+    def send(self, ops):
+        return self.dc.handle(self.envelope(ops))
+
+    def next_id(self) -> int:
+        self.lsn += 1
+        return self.lsn
+
+    def updates(self, first: int, count: int) -> BatchedPerform:
+        keys = range(first, first + count)
+        return self.envelope(UpdateOp("t", key, "w" * 100) for key in keys)
+
+
+def python_calls(fn, *args) -> int:
+    """Python function calls ``fn(*args)`` makes on this thread."""
+    calls = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def warm_dc():
+    table = _Dc(2_000)
+    for first in range(0, table.keys, 8):  # every key written once more
+        table.dc.handle(table.updates(first, 8))
+    return table
+
+
+def test_dc_write_calls(warm_dc):
+    """A 2-update envelope costs the DC at most 55 calls (it cost 77), and
+    every further update at most 20 (it cost 33)."""
+    two = python_calls(warm_dc.dc.handle, warm_dc.updates(100, 2))
+    six = python_calls(warm_dc.dc.handle, warm_dc.updates(200, 6))
+    assert two <= 55, two
+    assert (six - two) / 4 <= 20, (two, six)
+
+
+def test_low_water_walk_calls_flat_in_cached_pages():
+    """One low-water mark makes as many calls over 112 cached pages as
+    over 12 (each page holding the TC's LSNs above the old mark)."""
+    calls = {}
+    for keys in (200, 2_000):
+        table = _Dc(keys)
+        pages = len(table.dc.buffer.cached_ids())
+        calls[pages] = python_calls(
+            table.dc.handle, LowWaterMark(tc_id=1, lwm=table.lsn)
+        )
+        assert all(
+            page.ablsns[1].low_water == table.lsn
+            for page in map(table.dc.buffer.cached_page, table.dc.buffer.cached_ids())
+            if 1 in page.ablsns
+        )
+    small, large = sorted(calls)
+    assert large >= 8 * small, calls
+    assert calls[large] == calls[small], calls

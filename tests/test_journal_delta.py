@@ -13,8 +13,12 @@ produces and what a delta costs.
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -57,8 +61,25 @@ def tags(path) -> list[int]:
     return [tag for _s, _e, tag, _p in page_frames(path)]
 
 
-def reopened(tmp_path, data: bytes) -> dict:
-    copy = tmp_path / "copy.bin"
+@pytest.fixture(scope="module")
+def copies(tmp_path_factory):
+    """Where :func:`reopened` writes: one directory per module in
+    ``/dev/shm`` when there is one.  The model test overwrites its copy
+    about a thousand times per seed, and on a disk mounted with
+    ``discard`` each overwrite of a non-empty file waits some 60 ms for
+    the blocks it frees."""
+    if not (os.path.isdir("/dev/shm") and os.access("/dev/shm", os.W_OK)):
+        yield tmp_path_factory.mktemp("copies")
+        return
+    path = Path(tempfile.mkdtemp(prefix="journal-delta-", dir="/dev/shm"))
+    try:
+        yield path
+    finally:
+        shutil.rmtree(path, ignore_errors=True)
+
+
+def reopened(directory, data: bytes) -> dict:
+    copy = directory / "copy.bin"
     copy.write_bytes(data)
     storage = JournalStorage(str(copy))
     try:
@@ -178,7 +199,7 @@ class _Model:
         self.freed.append(page_id)
         self.note()
 
-    def check_segment(self, tmp_path) -> int:
+    def check_segment(self, copies) -> int:
         """Reopen at every frame boundary of this segment, and torn at
         four cuts inside every frame; returns the frames checked."""
         data = self.path.read_bytes()
@@ -187,9 +208,9 @@ class _Model:
         for start, end, _tag, _payload in frames(self.path):
             if start < self.segment_start:
                 continue  # the compacted prefix: swapped in whole
-            assert reopened(tmp_path, data[:end]) == self.expected[end]
+            assert reopened(copies, data[:end]) == self.expected[end]
             for cut in (start + 3, start + _HEADER.size + 1, (start + end) // 2, end - 1):
-                assert reopened(tmp_path, data[:cut]) == previous
+                assert reopened(copies, data[:cut]) == previous
             previous = self.expected[end]
             checked += 1
         assert previous == volume(self.storage)
@@ -205,7 +226,7 @@ class _Model:
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_reopened_volume_equals_the_live_one_at_every_cut(tmp_path, seed):
+def test_reopened_volume_equals_the_live_one_at_every_cut(tmp_path, copies, seed):
     path = tmp_path / "j.bin"
     model = _Model(path, seed)
     checked = deltas = 0
@@ -213,11 +234,11 @@ def test_reopened_volume_equals_the_live_one_at_every_cut(tmp_path, seed):
         for _ in range(60):
             model.step()
         deltas += tags(path).count(_TAG_DELTA)
-        checked += model.check_segment(tmp_path)
+        checked += model.check_segment(copies)
         model.compact()
     live = volume(model.storage)
     model.storage.close()
-    assert reopened(tmp_path, path.read_bytes()) == live
+    assert reopened(copies, path.read_bytes()) == live
     assert checked > 150 and deltas > 30  # the run did write delta frames
 
 

@@ -27,6 +27,8 @@ def test_covers_the_branches_it_was_started_for():
         "journal.replayed_frames",
         "journal.compaction_failures",
         "tclog.rewrite_failures",
+        "dc.duplicate_ops",
+        "dc.stale_incarnation_ops",
     }
 
 
@@ -56,7 +58,7 @@ def test_every_lane_is_a_command_ci_runs():
 
 def test_zero_in_every_lane_that_ran_fails():
     totals = {
-        "chaos-tcp": {"dc.log_truncations": 2},
+        "chaos-tcp": {"dc.log_truncations": 2, "dc.duplicate_ops": 14},
         "chaos-tc-process": {"tcserver.oneway_commits": 0, "journal.compactions": 4},
     }
     lines, failures = check(totals)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.lsn import AbstractLsn, NULL_LSN
-from repro.common.records import VersionedRecord
+from repro.common.lsn import AbstractLsn
+from repro.common.records import VersionedRecord, sizeof_key
 from repro.storage.page import (
     InnerPage,
     LeafPage,
@@ -148,14 +148,6 @@ class TestAbLsnOnPages:
         assert not leaf.ablsn_for(1).contains(9)
         assert leaf.ablsn_for(2).contains(9)
 
-    def test_apply_low_water_only_named_tc(self):
-        leaf = LeafPage(1)
-        leaf.ablsn_for(1).include(5)
-        leaf.ablsn_for(2).include(5)
-        leaf.apply_low_water(1, 10)
-        assert leaf.ablsn_for(1).low_water == 10
-        assert leaf.ablsn_for(2).low_water == NULL_LSN
-
     def test_reflects_loss(self):
         leaf = LeafPage(1)
         leaf.ablsn_for(1).include(8)
@@ -242,6 +234,31 @@ class TestInnerPage:
         before = inner.used_bytes()
         inner.insert_child(30, 4)
         assert inner.used_bytes() > before
+
+    def test_used_bytes_follows_every_change(self):
+        """The kept separator total equals a fresh sum after each way a
+        separator list changes: in place by insert / remove, whole by
+        assignment, and rebuilt from an image."""
+
+        def walked(page):
+            return PAGE_HEADER_BYTES + sum(map(sizeof_key, page.separators)) + 8 * len(
+                page.children
+            )
+
+        inner = self._inner()
+        assert inner.used_bytes() == walked(inner)
+        inner.insert_child(15, 4)
+        assert inner.used_bytes() == walked(inner)
+        inner.remove_child(2)
+        assert inner.used_bytes() == walked(inner)
+        inner.separators, inner.children = ["b", "dddd"], [7, 8, 9]
+        assert inner.used_bytes() == walked(inner)
+        inner.insert_child("a long separator key", 5)
+        assert inner.used_bytes() == walked(inner)
+        clone = inner.snapshot().materialize()
+        assert clone.used_bytes() == walked(inner)
+        clone.remove_child(5)
+        assert clone.used_bytes() == walked(clone)
 
 
 class TestPageImage:

@@ -12,8 +12,23 @@ from repro.common.records import (
     RecordView,
     TOMBSTONE,
     VersionedRecord,
+    size_change,
     sizeof_key,
     sizeof_value,
+)
+
+_FIELD_VALUES = st.one_of(
+    st.none(), st.just(TOMBSTONE), st.booleans(), st.integers(), st.text(max_size=30)
+)
+_RECORDS = st.builds(
+    VersionedRecord,
+    key=st.just("k"),
+    committed=_FIELD_VALUES,
+    pending=_FIELD_VALUES,
+    has_pending=st.booleans(),
+    owner_tc=st.integers(min_value=0, max_value=3),
+    commit_seq=st.integers(min_value=0, max_value=2),
+    history=st.lists(st.tuples(st.integers(1, 9), _FIELD_VALUES), max_size=3).map(tuple),
 )
 
 
@@ -39,6 +54,13 @@ class TestSizeModel:
 
     def test_key_model_matches_value_model(self):
         assert sizeof_key((1, "abc")) == sizeof_value((1, "abc"))
+
+    @given(_RECORDS, _RECORDS, st.sets(st.sampled_from(VersionedRecord._fields)))
+    def test_size_change_is_the_difference_of_encoded_sizes(self, old, new, kept):
+        """Whatever fields a write keeps (as the same objects) or replaces."""
+        new = new._replace(**{name: getattr(old, name) for name in kept})
+        assert size_change(old, new) == new.encoded_size() - old.encoded_size()
+        assert size_change(None, new) == new.encoded_size()
 
 
 class TestVersionedRecord:
