@@ -192,9 +192,6 @@ class CloudDeployment:
 
     # -- instrumentation ------------------------------------------------------------------
 
-    def total_messages(self) -> int:
-        return self.metrics.get("channel.requests")
-
     def machines_touched(self, workload: Callable[[], object]) -> tuple[object, int]:
         channels = [
             channel for tc in self.tcs.values() for channel in tc.channels().values()

@@ -289,14 +289,3 @@ def inverse_of(op: LogicalOperation, result: OpResult) -> Optional[LogicalOperat
     if isinstance(op, IncrementOp):
         return IncrementOp(table=op.table, key=op.key, delta=-op.delta)
     return None
-
-
-#: Operations whose effects the DC must make idempotent via abLSNs.
-MUTATING_OPS = (
-    InsertOp,
-    UpdateOp,
-    DeleteOp,
-    IncrementOp,
-    PromoteVersionsOp,
-    DiscardVersionsOp,
-)

@@ -1,4 +1,4 @@
-"""DC structure recovery: well-formed indexes *before* TC redo (Section 5.2).
+"""DC restart: well-formed structures *before* TC redo (Section 5.2).
 
 The recovery contract (Section 4.2) requires the DC to restore its search
 structures to well-formed-ness before the TC replays any logical operation,
@@ -15,26 +15,33 @@ used three ways:
    pages that exist only as DC-log images (e.g. the new page of a split
    that was never flushed);
 2. as the baseline for record-level reset after a TC crash (Section 6.1.2);
-3. by :class:`DcRecoveryManager.recover_catalog` at DC restart.
+3. while :func:`recover` rebuilds and validates every table at DC restart.
+
+:func:`crash` and :func:`recover` are the DC's own failure and restart;
+:func:`prompt_redo` is the out-of-band prompt that starts each TC's redo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Optional
 
-from repro.common.lsn import Lsn, NULL_LSN
+from repro.common.lsn import NULL_LSN
 from repro.dc.dclog import (
     CatalogRecord,
-    DcLogRecord,
     KeysRemovedRecord,
     PageFreeRecord,
     PageImageRecord,
     RootChangedRecord,
 )
+from repro.sim import schedule as _sched
+from repro.sim.faults import FaultPoint
 from repro.sim.metrics import Metrics
 from repro.storage.disk import StableStorage
 from repro.storage.page import LeafPage, PageImage
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.dc.data_component import DataComponent, Structure
 
 
 def stable_page_state(storage: StableStorage, page_id: int) -> Optional[PageImage]:
@@ -89,14 +96,7 @@ class TableDescriptor:
     extra: dict = field(default_factory=dict)
 
     def to_metadata(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "versioned": self.versioned,
-            "root_id": self.root_id,
-            "bucket_ids": list(self.bucket_ids),
-            "extra": dict(self.extra),
-        }
+        return asdict(self)
 
     @staticmethod
     def from_metadata(raw: dict[str, object]) -> "TableDescriptor":
@@ -110,49 +110,95 @@ class TableDescriptor:
         )
 
 
-class DcRecoveryManager:
-    """Recovers DC metadata and tracks the highest stable dLSN."""
+@dataclass
+class TableHandle:
+    descriptor: TableDescriptor
+    structure: "Structure"
 
-    def __init__(self, storage: StableStorage, metrics: Optional[Metrics] = None) -> None:
-        self._storage = storage
-        self.metrics = metrics or Metrics()
 
-    # -- loader for the buffer pool ------------------------------------------
+# -- the catalog ----------------------------------------------------------------------
 
-    def load_page(self, page_id: int) -> Optional[PageImage]:
-        return stable_page_state(self._storage, page_id)
 
-    # -- catalog -----------------------------------------------------------------
+def save_catalog(storage: StableStorage, descriptors: dict[str, TableDescriptor]) -> None:
+    storage.write_metadata(
+        "catalog", {name: d.to_metadata() for name, d in descriptors.items()}
+    )
 
-    def save_catalog(self, descriptors: dict[str, TableDescriptor]) -> None:
-        self._storage.write_metadata(
-            "catalog", {name: d.to_metadata() for name, d in descriptors.items()}
-        )
 
-    def recover_catalog(self) -> dict[str, TableDescriptor]:
-        """Stable catalog metadata + RootChanged replay = current catalog."""
-        raw = self._storage.read_metadata("catalog", {})
-        catalog = {
-            name: TableDescriptor.from_metadata(entry)  # type: ignore[arg-type]
-            for name, entry in raw.items()  # type: ignore[union-attr]
-        }
-        for record in self._storage.dc_log_entries():
-            if isinstance(record, CatalogRecord) and record.descriptor is not None:
-                descriptor = TableDescriptor.from_metadata(record.descriptor)
-                catalog[descriptor.name] = descriptor
-            elif isinstance(record, RootChangedRecord) and record.table in catalog:
-                catalog[record.table].root_id = record.new_root
-        self.metrics.incr("dc.catalog_recoveries")
-        return catalog
+def recover_catalog(storage: StableStorage, metrics: Metrics) -> dict[str, TableDescriptor]:
+    """Stable catalog metadata + RootChanged replay = current catalog."""
+    raw = storage.read_metadata("catalog", {})
+    catalog = {
+        name: TableDescriptor.from_metadata(entry)  # type: ignore[arg-type]
+        for name, entry in raw.items()  # type: ignore[union-attr]
+    }
+    for record in storage.dc_log_entries():
+        if isinstance(record, CatalogRecord) and record.descriptor is not None:
+            descriptor = TableDescriptor.from_metadata(record.descriptor)
+            catalog[descriptor.name] = descriptor
+        elif isinstance(record, RootChangedRecord) and record.table in catalog:
+            catalog[record.table].root_id = record.new_root
+    metrics.incr("dc.catalog_recoveries")
+    return catalog
 
-    # -- log bookkeeping -------------------------------------------------------------
 
-    def highest_stable_dlsn(self) -> Lsn:
-        top = NULL_LSN
-        for record in self._storage.dc_log_entries():
-            if isinstance(record, DcLogRecord) and record.dlsn > top:
-                top = record.dlsn
-        return top
+# -- failure and restart -------------------------------------------------------------
 
-    def log_record_count(self) -> int:
-        return self._storage.dc_log_length()
+
+def crash(dc: "DataComponent") -> None:
+    """Lose all volatile state; stable storage survives."""
+    if _sched.ACTIVE is not None:
+        _sched.note_event("dc.crash", dc.name)
+    dc._crashed = True
+    # A request dispatched against one incarnation must not complete
+    # against the next: in a real process the crash kills its thread.
+    dc._incarnation += 1
+    dc.buffer.crash()
+    dc._tables.clear()
+    dc.writes.forget()
+    dc.metrics.incr("dc.crashes")
+    for listener in list(dc.on_crash):
+        listener(dc.name, "dc")
+
+
+def recover(dc: "DataComponent", notify_tcs: bool = True) -> dict[str, object]:
+    """Rebuild the catalog and well-formed structures (Section 5.2.2).
+
+    System-transaction effects replay (via the stable-page loader)
+    *before* any TC redo is accepted; each table is validated to assert
+    the well-formedness contract.  Optionally prompts registered TCs to
+    begin their redo ("an out-of-band prompt is passed to TC").
+    """
+    if dc.faults is not None:
+        dc.faults.hit(FaultPoint.DC_RESTART, dc.name)
+    if _sched.ACTIVE is not None:
+        _sched.note_event("dc.recover.begin", dc.name)
+    with dc.catalog_lock:
+        dc.buffer.crash()
+        catalog = recover_catalog(dc.storage, dc.metrics)
+        stable = dc.dclog.stable_records()
+        dc.dclog.advance_past(max((r.dlsn for r in stable), default=NULL_LSN))
+        dc._tables = {}
+        for name, descriptor in catalog.items():
+            structure = dc._build_structure(descriptor, fresh=False)
+            structure.validate()
+            dc._tables[name] = TableHandle(descriptor, structure)
+        dc.versions.recover(dc._tables.values())
+        dc.contract.open_redo_window(notify_tcs)
+        dc._crashed = False
+        dc.metrics.incr("dc.recoveries")
+    if _sched.ACTIVE is not None:
+        # Structures are rebuilt and validated: redo may now apply.
+        _sched.note_event("dc.recover.ready", dc.name)
+    if notify_tcs:
+        prompt_redo(dc)
+    return {"tables": len(dc._tables)}
+
+
+def prompt_redo(dc: "DataComponent") -> None:
+    """Out-of-band prompt to every registered TC: this DC restarted and
+    lost its cache, begin redo from the redo scan start point.  Safe to
+    repeat — a duplicate prompt's redo stream is absorbed by abLSNs — so a
+    supervisor can retry it until it completes."""
+    for prompt in list(dc.contract.restart_prompts.values()):
+        prompt(dc)

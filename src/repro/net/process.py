@@ -940,10 +940,6 @@ class RemoteDc(ServerProxy):
             }
         self.control(RegisterTc(tc_id=tc_id))
 
-    def unregister_tc(self, tc_id: int) -> None:
-        with self._lock:
-            self._registrations.pop(tc_id, None)
-
     def create_table(
         self,
         name: str,

@@ -17,7 +17,6 @@ batch lengths (counts) — the unit is the caller's business.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
 
 #: Geometric sub-buckets per octave (power of two).  Fixed: every histogram
 #: in one process uses the same boundaries, so merging is index-wise.
@@ -117,12 +116,3 @@ class Histogram:
             f"Histogram(n={self.count}, p50={s['p50']:.3g}, "
             f"p95={s['p95']:.3g}, p99={s['p99']:.3g})"
         )
-
-
-def merge_all(histograms: Iterable[Optional[Histogram]]) -> Histogram:
-    """A fresh histogram holding the union of every non-None input."""
-    merged = Histogram()
-    for histogram in histograms:
-        if histogram is not None:
-            merged.merge(histogram)
-    return merged

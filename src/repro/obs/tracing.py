@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.obs.hist import Histogram
 
@@ -210,9 +210,6 @@ class Tracer:
         with self._lock:
             self._requests[op_id] = (span.trace_id, span.span_id)
 
-    def request_context(self, op_id: object) -> Optional[tuple[int, int]]:
-        return self._requests.get(op_id)
-
     def release_request(self, op_id: object) -> None:
         """Forget a completed operation's context (bounds the registry)."""
         with self._lock:
@@ -345,9 +342,6 @@ class NullTracer:
     def bind_request(self, op_id: object, span: object = None) -> None:
         pass
 
-    def request_context(self, op_id: object) -> None:
-        return None
-
     def release_request(self, op_id: object) -> None:
         pass
 
@@ -368,8 +362,3 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
-
-
-def spans_in_order(spans: list[Span]) -> Iterator[Span]:
-    """Start-time iteration helper shared by exporters and tests."""
-    return iter(sorted(spans, key=lambda s: (s.trace_id, s.start_us)))

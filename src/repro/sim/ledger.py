@@ -173,6 +173,25 @@ LEDGER: tuple[Row, ...] = (
         "while its DC crashes and recovers; a killed server's thread dies",
     ),
     Row(
+        "dc.bounced_in_redo_window",
+        "§5.2.2 recovery ordering: a restarted DC refuses a TC's ordinary "
+        "operations until that TC's redo stream is complete",
+        ("explore-crash", "explore-optimized"),
+    ),
+    Row(
+        "dc.lwm_dropped_in_redo_window",
+        "§5.2.2 recovery ordering: a pre-crash low-water mark must not cover "
+        "operations the redo stream has not replayed yet",
+        ("explore-crash", "tests/test_dc_restart_semantics.py"),
+    ),
+    Row(
+        "dc.checkpoint_refused_in_redo_window",
+        "§5.2.2 recovery ordering: no RSSP is granted past a redo stream "
+        "that is still open",
+        ("tests/test_dc_restart_semantics.py",),
+        "no lane reaches it: a TC's checkpoint never overlaps its own redo",
+    ),
+    Row(
         "journal.compaction_failures",
         "docs/architecture.md §12: a DC journal rewrite that fails leaves "
         "the old journal serving and the checkpoint answered",

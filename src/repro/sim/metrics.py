@@ -241,17 +241,6 @@ class Metrics:
                 },
             }
 
-    def to_json(self, indent: int = 2) -> str:
-        """The snapshot rendered as JSON (benchmark result files)."""
-        import json
-
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
     def __repr__(self) -> str:
         items = ", ".join(f"{k}={v}" for k, v in sorted(self.counters().items()))
         return f"Metrics({items})"
-
-
-#: Shared no-op-ish default so components can always assume a metrics object.
-def new_metrics() -> Metrics:
-    return Metrics()

@@ -133,9 +133,20 @@ class BTree:
         return page, path, upper
 
     def find_leaf(self, key: Key) -> LeafPage:
+        """:meth:`_descend` without the path and the bound, in one call."""
         with self.latch:
-            leaf, _path, _upper = self._descend(key)
-            return leaf
+            fetch = self._buffer.fetch
+            page_id = self.root_id
+            page = fetch(page_id)
+            while isinstance(page, InnerPage):
+                self._inner_visits.value += 1
+                page_id = page.children[bisect.bisect_right(page.separators, key)]
+                page = fetch(page_id)
+            if page is None:
+                raise ReproError(
+                    f"btree {self.name!r}: page {page_id} missing from cache and disk"
+                )
+            return page
 
     # -- reads -------------------------------------------------------------------
 

@@ -157,6 +157,9 @@ class BufferPool:
     def eosl_for(self, tc_id: int) -> Lsn:
         return self._eosl.get(tc_id, NULL_LSN)
 
+    def lwm_for(self, tc_id: int) -> Lsn:
+        return self._lwm.get(tc_id, NULL_LSN)
+
     # -- cache access ------------------------------------------------------------
 
     def fetch(self, page_id: int) -> Optional[Page]:

@@ -141,21 +141,21 @@ class TestEnvelopeFaults:
         per-op: the rejected record leaves the undo chain via a cancel
         marker while its executed siblings are inverted normally."""
         kernel = batching_kernel()
-        real = kernel.dc.perform_operation
+        real = kernel.dc._execute
 
-        def rejecting(tc_id, op_id, op, **flags):
-            if isinstance(op, InsertOp) and op.key == 3:
+        def rejecting(handle, sub):
+            if isinstance(sub.op, InsertOp) and sub.op.key == 3:
                 return OpResult(status=OpStatus.ERROR, message="injected")
-            return real(tc_id, op_id, op, **flags)
+            return real(handle, sub)
 
-        kernel.dc.perform_operation = rejecting
+        kernel.dc._execute = rejecting
         txn = kernel.begin()
         for key in range(1, 5):
             txn.insert("t", key, key)
         with pytest.raises(TransactionAborted):
             txn.commit()
         assert kernel.metrics.get("tc.canceled_ops") == 1
-        kernel.dc.perform_operation = real
+        kernel.dc._execute = real
         with kernel.begin() as check:
             assert check.scan("t") == []
 

@@ -14,7 +14,12 @@ from repro.dc.dclog import (
     PageImageRecord,
     SysTxnCommitRecord,
 )
-from repro.dc.recovery import DcRecoveryManager, TableDescriptor, stable_page_state
+from repro.dc.recovery import (
+    TableDescriptor,
+    recover_catalog,
+    save_catalog,
+    stable_page_state,
+)
 from repro.dc.system_txn import SystemTransaction
 from repro.sim.metrics import Metrics
 from repro.storage.disk import StableStorage
@@ -203,17 +208,15 @@ class TestStablePageState:
 class TestCatalogRecovery:
     def test_catalog_record_replayed(self):
         storage, dclog, metrics = make_env()
-        recovery = DcRecoveryManager(storage, metrics)
         txn = SystemTransaction("catalog", dclog, metrics, None)
         descriptor = TableDescriptor(name="t", kind="btree", root_id=7)
         txn.log_catalog(descriptor.to_metadata())
         txn.commit()
-        catalog = recovery.recover_catalog()
+        catalog = recover_catalog(storage, metrics)
         assert catalog["t"].root_id == 7 and catalog["t"].kind == "btree"
 
     def test_root_changes_update_catalog(self):
         storage, dclog, metrics = make_env()
-        recovery = DcRecoveryManager(storage, metrics)
         txn = SystemTransaction("catalog", dclog, metrics, None)
         txn.log_catalog(TableDescriptor(name="t", kind="btree", root_id=7).to_metadata())
         txn.log_root_changed("t", 9)
@@ -221,19 +224,16 @@ class TestCatalogRecovery:
         txn2 = SystemTransaction("grow", dclog, metrics, None)
         txn2.log_root_changed("t", 12)
         txn2.commit()
-        catalog = recovery.recover_catalog()
+        catalog = recover_catalog(storage, metrics)
         assert catalog["t"].root_id == 12
 
     def test_saved_catalog_plus_log(self):
         storage, dclog, metrics = make_env()
-        recovery = DcRecoveryManager(storage, metrics)
-        recovery.save_catalog(
-            {"t": TableDescriptor(name="t", kind="btree", root_id=3)}
-        )
+        save_catalog(storage, {"t": TableDescriptor(name="t", kind="btree", root_id=3)})
         txn = SystemTransaction("grow", dclog, metrics, None)
         txn.log_root_changed("t", 4)
         txn.commit()
-        catalog = recovery.recover_catalog()
+        catalog = recover_catalog(storage, metrics)
         assert catalog["t"].root_id == 4
 
     def test_descriptor_roundtrip(self):

@@ -39,16 +39,16 @@ class IntrudingDc(DataComponent):
         gap guards); arm counters relative to the scan under test."""
         self._probe_count = 0
 
-    def perform_operation(self, tc_id, op_id, op, **flags):
-        result = super().perform_operation(tc_id, op_id, op, **flags)
-        if isinstance(op, ProbeNextKeysOp):
+    def _execute(self, handle, sub):
+        result = super()._execute(handle, sub)
+        if isinstance(sub.op, ProbeNextKeysOp):
             self._probe_count += 1
             for intrusion in list(self.intrusions):
                 after_probe, (table, key), value = intrusion
                 if self._probe_count == after_probe:
                     self.intrusions.remove(intrusion)
                     self._intruder_lsn += 1
-                    super().perform_operation(
+                    self.perform_operation(
                         INTRUDER,
                         self._intruder_lsn,
                         InsertOp(table=table, key=key, value=value),

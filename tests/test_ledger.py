@@ -29,6 +29,9 @@ def test_covers_the_branches_it_was_started_for():
         "tclog.rewrite_failures",
         "dc.duplicate_ops",
         "dc.stale_incarnation_ops",
+        "dc.bounced_in_redo_window",
+        "dc.lwm_dropped_in_redo_window",
+        "dc.checkpoint_refused_in_redo_window",
     }
 
 

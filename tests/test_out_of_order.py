@@ -176,20 +176,20 @@ class TestEndToEndOutOfOrder:
             txn.insert("t", 15, "pre")
             txn.insert("t", 25, "pre")
         executed = []
-        real = kernel.dc.perform_operation
+        real = kernel.dc._execute
 
-        def recording(tc_id, op_id, op, **flags):
-            if isinstance(op, InsertOp):
-                executed.append(op_id)
-            return real(tc_id, op_id, op, **flags)
+        def recording(handle, sub):
+            if isinstance(sub.op, InsertOp):
+                executed.append(sub.op_id)
+            return real(handle, sub)
 
-        kernel.dc.perform_operation = recording
+        kernel.dc._execute = recording
         run_held_at_send(
             kernel,
             lambda txn: txn.insert("t", 10, "low"),
             lambda txn: txn.insert("t", 20, "high"),
         )
-        kernel.dc.perform_operation = real
+        kernel.dc._execute = real
         high, low = executed
         assert high > low  # the later LSN reached the page first
         tc_id = kernel.tc.tc_id

@@ -7,6 +7,7 @@ import pytest
 from repro import KernelConfig, UnbundledKernel
 from repro.common.config import ChannelConfig, DcConfig, PageSyncStrategy, TcConfig
 from repro.common.errors import CrashedError
+from repro.dc.recovery import stable_page_state
 from tests.conftest import populate
 
 
@@ -114,8 +115,9 @@ class TestTcFailure:
         loser = kernel.begin()
         loser.update("t", 5, "unlogged")
         flushed = kernel.dc.buffer.flush_all()  # must skip page with key 5
-        state = kernel.dc.recovery.load_page(
-            kernel.dc.table("t").structure.find_leaf(5).page_id
+        state = stable_page_state(
+            kernel.dc.storage,
+            kernel.dc.table("t").structure.find_leaf(5).page_id,
         )
         if state is not None:
             record = next((r for r in state.records if r.key == 5), None)

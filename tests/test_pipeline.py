@@ -99,14 +99,14 @@ class TestPipelineUnderReordering:
         kernel = pipelined_kernel()
         preload(kernel, range(1, 80, 2))
         executed = []
-        real = kernel.dc.perform_operation
+        real = kernel.dc._execute
 
-        def recording(tc_id, op_id, op, **flags):
-            if isinstance(op, InsertOp):
-                executed.append(op_id)
-            return real(tc_id, op_id, op, **flags)
+        def recording(handle, sub):
+            if isinstance(sub.op, InsertOp):
+                executed.append(sub.op_id)
+            return real(handle, sub)
 
-        kernel.dc.perform_operation = recording
+        kernel.dc._execute = recording
 
         def writer(low, value):
             def work(txn):
@@ -116,7 +116,7 @@ class TestPipelineUnderReordering:
             return work
 
         run_held_at_send(kernel, writer(0, "a"), writer(2, "b"))
-        kernel.dc.perform_operation = real
+        kernel.dc._execute = real
         assert len(executed) == 40
         assert executed != sorted(executed)
         assert max(executed[:20]) > max(executed[20:])  # the later LSNs first

@@ -143,20 +143,20 @@ def test_rejected_only_write_takes_the_logged_path(cc_policy, finish):
     records under this id — so the outcome must be logged (and a commit
     forced), or restart would see an unfinished transaction."""
     kernel = kernel_for(cc_policy, batch_max_ops=1)
-    real = kernel.dc.perform_operation
+    real = kernel.dc._execute
 
-    def rejecting(tc_id, op_id, op, **flags):
-        if isinstance(op, UpdateOp):
+    def rejecting(handle, sub):
+        if isinstance(sub.op, UpdateOp):
             return OpResult(status=OpStatus.ERROR, message="injected")
-        return real(tc_id, op_id, op, **flags)
+        return real(handle, sub)
 
-    kernel.dc.perform_operation = rejecting
+    kernel.dc._execute = rejecting
     records = kernel.tc.log.record_count()
     forces = kernel.metrics.get("tclog.forces")
     txn = kernel.begin()
     with pytest.raises(ReproError):
         txn.update("t", 1, "never")
-    kernel.dc.perform_operation = real
+    kernel.dc._execute = real
     assert txn.op_records == [] and txn.logged
     assert kernel.metrics.get("tc.canceled_ops") == 1
     getattr(txn, finish)()

@@ -318,7 +318,7 @@ class TestOwedRecordsAreNeverStable:
             stable = kernel.tc.log.stable_records()
             assert not any(isinstance(r, OpRecord) and r.owed for r in stable)
             assert not {r.lsn for r in owed} & {r.lsn for r in stable}
-            assert kernel.dc._priors.get(kernel.tc.tc_id) is None
+            assert kernel.dc.writes._priors.get(kernel.tc.tc_id) is None
             assert committed(kernel, 1) == "v1" and committed(kernel, 2) == "v2"
 
     @pytest.mark.process
@@ -407,30 +407,30 @@ class TestExactlyOnceKeepsTheImage:
         unasked = dc.perform_operation(1, 2, UpdateOp("t", 1, "new"), resend=True)
         assert unasked == OpResult.okay()
         dc.low_water_mark(1, 1)
-        assert dc._priors[1] == {2: "old"}
+        assert dc.writes._priors[1] == {2: "old"}
         dc.low_water_mark(1, 2)
-        assert dc._priors[1] == {}
+        assert dc.writes._priors[1] == {}
         dc.perform_operation(1, 3, DeleteOp("t", 1), want_prior=True)
         dc.begin_restart(1, stable_lsn=2)
-        assert 1 not in dc._priors
+        assert 1 not in dc.writes._priors
 
     def test_an_ok_without_the_image_is_a_fail_stop(self):
         """Never guess: the TC crashes itself, typed; restart loses the
         owed record and resets its effect out of the DC."""
         with build() as kernel:
-            real = kernel.dc._apply_mutation
+            real = kernel.dc._execute
 
-            def forgetful(handle, tc_id, op_id, op, want_prior=False):
-                result = real(handle, tc_id, op_id, op, want_prior)
+            def forgetful(handle, sub):
+                result = real(handle, sub)
                 return OpResult.okay() if result.prior is not None else result
 
-            kernel.dc._apply_mutation = forgetful
+            kernel.dc._execute = forgetful
             txn = kernel.begin()
             txn.update("t", 1, "no image")
             with pytest.raises(UndoImageLostError) as caught:
                 txn.sync()
             assert isinstance(caught.value, CrashedError) and kernel.tc.crashed
-            del kernel.dc._apply_mutation
+            del kernel.dc._execute
             kernel.recover_tc()
             assert committed(kernel, 1) == "v1"
 

@@ -608,7 +608,7 @@ class TestWantPriorOnOperationsThatOweNothing:
                 RangeReadOp(table="v"),
                 PromoteVersionsOp(table="v", keys=(1,)),
             )
-            priors = running.server._dc._priors
+            priors = running.server._dc.writes._priors
             for lsn, op in enumerate(owe_nothing, start=1):
                 for resend in (False, True):
                     reply = ask(

@@ -292,19 +292,19 @@ class TestCacheWithBatching:
         kernel.create_table("t")
         with kernel.begin() as txn:
             txn.insert("t", 1, "v1")
-        real = kernel.dc.perform_operation
+        real = kernel.dc._execute
 
-        def rejecting(tc_id, op_id, op, **flags):
-            if isinstance(op, UpdateOp) and op.key == 1:
+        def rejecting(handle, sub):
+            if isinstance(sub.op, UpdateOp) and sub.op.key == 1:
                 return OpResult(status=OpStatus.ERROR, message="injected")
-            return real(tc_id, op_id, op, **flags)
+            return real(handle, sub)
 
-        kernel.dc.perform_operation = rejecting
+        kernel.dc._execute = rejecting
         txn = kernel.begin()
         txn.update("t", 1, "v2")
         with pytest.raises(TransactionAborted):
             txn.commit()
-        kernel.dc.perform_operation = real
+        kernel.dc._execute = real
         assert ("t", 1) not in kernel.tc.undo_cache.entries()
         with kernel.begin() as check:
             assert check.read("t", 1) == "v1"
