@@ -253,7 +253,7 @@ def test_evloop_flat_threads():
     """
     import tempfile
 
-    from repro.net.process import DcClient, RemoteDc
+    from repro.net.process import RemoteDc
 
     flat_rows = []
     with tempfile.TemporaryDirectory(prefix="repro-evloop-") as workdir:
@@ -262,13 +262,13 @@ def test_evloop_flat_threads():
             journal_path=os.path.join(workdir, "dcb.journal"),
             listen_path=os.path.join(workdir, "dcb.sock"),
         )
-        clients: list[DcClient] = []
+        clients: list[RemoteDc] = []
         try:
             dc.create_table("t")
             for target in (1, 4, 8):
                 while len(clients) < target:
                     clients.append(
-                        DcClient("dcb", socket_path=dc.listen_path)
+                        RemoteDc("dcb", socket_path=dc.listen_path)
                     )
                 stats = clients[-1].stats()
                 row = {

@@ -82,7 +82,6 @@ class CloudDeployment:
         name: str,
         journal_path: str,
         config: Optional[DcConfig] = None,
-        start_method: str = "",
         request_timeout_s: float = 30.0,
     ):
         """A DC running as its own OS process (docs/architecture.md §10).
@@ -106,7 +105,6 @@ class CloudDeployment:
             config=config or self._dc_config,
             metrics=self.metrics,
             journal_path=journal_path,
-            start_method=start_method,
             request_timeout_s=request_timeout_s,
         )
         self.dcs[name] = dc

@@ -116,18 +116,6 @@ class PartitionedTable:
     def read(self, txn: Transaction, key: Key) -> Optional[Value]:
         return txn.read(self.physical_name(key), key)
 
-    def scan_partition_of(
-        self,
-        txn: Transaction,
-        routing_key: Key,
-        low: Optional[Key] = None,
-        high: Optional[Key] = None,
-        limit: Optional[int] = None,
-    ) -> list[tuple[Key, Value]]:
-        """Scan within the single partition that ``routing_key`` lives in —
-        the clustered access pattern Figure 2 is designed around."""
-        return txn.scan(self.physical_name(routing_key), low, high, limit)
-
 
 class OwnershipRegistry:
     """Who may update what: ``(logical_table) -> key predicate`` per TC.

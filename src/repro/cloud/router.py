@@ -115,7 +115,6 @@ class TcServiceDeployment:
         tc_config: Optional[TcConfig] = None,
         dc_config: Optional[DcConfig] = None,
         sharing_mode: str = "",
-        start_method: str = "",
         request_timeout_s: float = 30.0,
         listen_host: str = "",
     ) -> None:
@@ -134,7 +133,6 @@ class TcServiceDeployment:
                     name,
                     config=dc_config,
                     journal_path=os.path.join(self.data_dir, f"{name}.journal"),
-                    start_method=start_method,
                     request_timeout_s=request_timeout_s,
                     # TCP data plane when listen_host is set (ephemeral
                     # port, pinned from the Hello so heals re-bind it);
@@ -155,7 +153,6 @@ class TcServiceDeployment:
                     dcs=dc_socks,
                     config=tc_config,
                     sharing_mode=sharing_mode,
-                    start_method=start_method,
                     request_timeout_s=request_timeout_s,
                 )
             for dc in self.dcs.values():

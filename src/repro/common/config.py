@@ -43,7 +43,6 @@ class RangeLockProtocol(enum.Enum):
 #: Vocabulary the typed config validation below accepts.  Kept as module
 #: constants so error messages and tests quote one source of truth.
 TRANSPORTS = ("inproc", "process")
-START_METHODS = ("", "fork", "spawn", "forkserver")
 SHARING_MODES = ("read_committed", "dirty")
 CC_POLICIES = ("2pl", "occ", "mvcc")
 
@@ -229,9 +228,6 @@ class ChannelConfig:
     #: Process transport: real-time bound one request waits for its reply
     #: before the TC treats it as lost and its resend policy takes over.
     request_timeout_s: float = 30.0
-    #: Process transport start method: "" = auto (fork where available,
-    #: else spawn), or an explicit multiprocessing start method name.
-    process_start_method: str = ""
     #: TCP data plane: when set (e.g. ``"127.0.0.1"``), DC and TC
     #: listeners bind ``tcp://<listen_host>:0`` (ephemeral port, pinned
     #: after the first Hello, TCP_NODELAY) instead of Unix sockets, so the
@@ -241,12 +237,6 @@ class ChannelConfig:
     def __post_init__(self) -> None:
         if self.transport not in TRANSPORTS:
             raise ConfigError("ChannelConfig.transport", self.transport, TRANSPORTS)
-        if self.process_start_method not in START_METHODS:
-            raise ConfigError(
-                "ChannelConfig.process_start_method",
-                self.process_start_method,
-                START_METHODS,
-            )
 
 
 @dataclass

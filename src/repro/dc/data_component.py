@@ -275,7 +275,7 @@ class DataComponent:
                 replies = self._run(message.ops, False)
         else:
             replies = self._run(message.ops, False)
-        return BatchedReply(tc_id=message.tc_id, replies=replies)
+        return BatchedReply(tc_id=message.tc_id, replies=tuple(replies))
 
     def perform_operation(
         self,

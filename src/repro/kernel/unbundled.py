@@ -95,7 +95,6 @@ class UnbundledKernel:
                         config=self.config.dc,
                         metrics=self.metrics,
                         journal_path=os.path.join(self._data_dir, f"{name}.journal"),
-                        start_method=self.config.channel.process_start_method,
                         request_timeout_s=self.config.channel.request_timeout_s,
                         listen_path=listen,
                     )
@@ -121,7 +120,6 @@ class UnbundledKernel:
                     config=self.config.tc,
                     metrics=self.metrics,
                     sharing_mode=self.config.tc.sharing_mode,
-                    start_method=self.config.channel.process_start_method,
                     request_timeout_s=self.config.channel.request_timeout_s,
                 )
                 for dc in self.dcs.values():

@@ -3,14 +3,13 @@
 One loop owns every connection a server process serves: the parent pipe
 and accepted listener sockets, each an fd in one ``select.poll`` object
 and a ``{fd: peer}`` dict.  Reads are non-blocking and drain whole
-bursts into per-connection reassembly buffers (frames are the same
-4-byte network-order length prefix ``multiprocessing.connection``
-writes, so coalesced blobs from the client transport parse unchanged).
-A send writes through to the fd when nothing is parked ahead of it;
-only the part the fd would not take goes to the peer's out-buffer, and
-only then is write interest switched on — so a slow reader defers frames
-instead of blocking the server, and the loop never busy-spins on a
-clogged socket.
+bursts into each peer's :class:`~repro.net.rpc.FrameReader` (the
+reassembly the client transport runs too, so its coalesced blobs parse
+unchanged).  A send writes through to the fd when nothing is parked
+ahead of it; only the part the fd would not take goes to the peer's
+out-buffer, and only then is write interest switched on — so a slow
+reader defers frames instead of blocking the server, and the loop never
+busy-spins on a clogged socket.
 
 Server thread count is thereby O(1) in the number of clients — the loop
 *is* the server.  The §4.2.2 force-log bridge, which previously parked
@@ -34,22 +33,24 @@ from __future__ import annotations
 import os
 import select
 import socket
-import struct
 import time
 from collections import deque
 from typing import Callable, Optional
 
+from repro.net import wire
+from repro.net.rpc import FRAME_LEN, FrameReader
 from repro.sim.metrics import Metrics
 
-_FRAME_LEN = struct.Struct("!i")
-_READ_CHUNK = 1 << 18
-#: Reassembly sanity bound; anything bigger is a corrupt length prefix.
-_MAX_FRAME = 1 << 28
+#: Bytes asked of one ``os.read``, all allocated before the read: below
+#: glibc's 128 KiB mmap threshold no read pays an mmap/munmap pair (at
+#: 256 KiB some heap histories did, doubling the CPU of a round trip).
+_READ_CHUNK = 1 << 16
 _READABLE = select.POLLIN | select.POLLHUP | select.POLLERR | select.POLLNVAL
 
 
-class Peer:
-    """One adopted connection: fd, reassembly buffer, out-buffer."""
+class Peer(FrameReader):
+    """One adopted connection: fd, reassembly (the inherited
+    :class:`~repro.net.rpc.FrameReader`), out-buffer."""
 
     __slots__ = (
         "loop",
@@ -58,25 +59,25 @@ class Peer:
         "on_frame",
         "on_close",
         "closed",
-        "_in",
         "_out",
         "_out_off",
         "_mask",
-        "_pos",
     )
 
     def __init__(self, loop: "EventLoop", fd: int, owner, on_frame, on_close) -> None:
+        super().__init__()
         self.loop = loop
         self.fd = fd
         self.owner = owner  # the closeable (Connection or socket)
         self.on_frame = on_frame
         self.on_close = on_close
         self.closed = False
-        self._in = bytearray()
         self._out = bytearray()
         self._out_off = 0
         self._mask = select.POLLIN
-        self._pos = 0  # shared scan cursor into _in (see _deliver)
+
+    def deliver(self, frame: bytes) -> None:
+        self.on_frame(self, frame)  # may pump the loop and re-enter feed
 
     def send_frame(self, data: bytes) -> None:
         """Send one frame toward this peer; never blocks.
@@ -90,7 +91,7 @@ class Peer:
         """
         if self.closed:
             raise BrokenPipeError(f"peer fd {self.fd} is closed")
-        frame = _FRAME_LEN.pack(len(data)) + data
+        frame = FRAME_LEN.pack(len(data)) + data
         if not self._out:
             try:
                 sent = os.write(self.fd, frame)
@@ -197,6 +198,7 @@ class EventLoop:
         if peer.closed:
             return
         peer.closed = True
+        peer.clear()  # frames it sent after this are never served
         self._peers.pop(peer.fd, None)
         try:
             self._poll.unregister(peer.fd)
@@ -309,6 +311,9 @@ class EventLoop:
             self._poll.modify(peer.fd, mask)
 
     def _read(self, peer: Peer) -> None:
+        # Read the whole burst first: a handler that drops this peer frees
+        # its fd number, and a later read could take another peer's bytes.
+        data = b""
         eof = False
         try:
             while True:
@@ -316,50 +321,20 @@ class EventLoop:
                 if not chunk:
                     eof = True
                     break
-                peer._in += chunk
+                data = data + chunk if data else chunk
                 if len(chunk) < _READ_CHUNK:
                     break
         except BlockingIOError:
             pass
         except OSError:
             eof = True
-        self._deliver(peer)
+        try:
+            # Fed even when empty: a nested read (see FrameReader) may
+            # find frames an outer one has not delivered yet.
+            peer.feed(data)
+        except wire.WireDecodeError:
+            self.metrics.incr("eventloop.protocol_errors")
+            self.close_peer(peer)
+            return
         if eof and not peer.closed:
             self.close_peer(peer)
-
-    def _deliver(self, peer: Peer) -> None:
-        """Reassemble and deliver complete frames.
-
-        Re-entrant by design: the scan cursor lives on the peer
-        (``peer._pos``), not in a local.  A handler may block in
-        :meth:`pump_until` (the §4.2.2 force bridge), whose nested
-        ``_read`` on this *same* peer re-enters here — and must deliver,
-        because the frame the outer handler is pumping for (a force's
-        CLIENT_REPLY) may be in this very buffer.  The cursor advances
-        past a frame *before* its ``on_frame`` runs, so no frame is ever
-        delivered twice; when the nested call returns, the outer loop
-        re-reads the cursor and simply continues after the consumed
-        frames.  Compaction resets the cursor, which is equally safe at
-        any depth for the same reason: nobody holds a stale position
-        across an ``on_frame`` call.
-        """
-        try:
-            while not peer.closed:
-                buf = peer._in
-                pos = peer._pos
-                if pos + 4 > len(buf):
-                    break
-                (length,) = _FRAME_LEN.unpack_from(buf, pos)
-                if length < 0 or length > _MAX_FRAME:
-                    self.metrics.incr("eventloop.protocol_errors")
-                    self.close_peer(peer)
-                    return
-                if pos + 4 + length > len(buf):
-                    break
-                frame = bytes(buf[pos + 4 : pos + 4 + length])
-                peer._pos = pos + 4 + length
-                peer.on_frame(peer, frame)  # may re-enter on this peer
-        finally:
-            if peer._pos and not peer.closed:
-                del peer._in[: peer._pos]
-                peer._pos = 0

@@ -26,6 +26,7 @@ Frames on the pipe are ``wire.encode((kind, seq, payload))``:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from repro.common.api import Message
@@ -53,6 +54,72 @@ def pack_frame(
     if scratch is not None:
         return wire.encode_into(scratch, (kind, seq, payload))
     return wire.encode((kind, seq, payload))
+
+
+#: Every frame on a connection is this 4-byte network-order length, then
+#: the packed frame: what ``multiprocessing.Connection.send_bytes``
+#: writes, so a run of frames written as one blob parses unchanged.
+FRAME_LEN = struct.Struct("!i")
+#: Reassembly sanity bound; anything bigger is a corrupt length prefix.
+MAX_FRAME = 1 << 28
+
+
+class FrameReader:
+    """Length-prefix reassembly, the one loop both connection ends run
+    (the server's :class:`~repro.net.eventloop.Peer`, the client's
+    :class:`~repro.net.transport.ClientCore`): bytes go in through
+    :meth:`feed`, split anywhere; each complete frame comes out, once and
+    in order, through the subclass's :meth:`deliver`.
+
+    Re-entrant by design: the scan cursor lives on the reader and moves
+    past a frame *before* that frame is delivered.  A server handler may
+    pump its loop (the §4.2.2 force bridge), whose nested read of this
+    same connection feeds here again — and must deliver, because the
+    frame the outer handler waits for (a force's ``CLIENT_REPLY``) may be
+    in this very buffer.  The nested call continues after the frames
+    already taken; the outer loop then re-reads the cursor and finds them
+    gone.  Compaction resets the cursor, safe at any depth since nobody
+    holds a position across ``deliver``.
+    """
+
+    __slots__ = ("_held", "_pos")
+
+    def __init__(self) -> None:
+        self._held = bytearray()
+        self._pos = 0
+
+    def feed(self, data: bytes) -> None:
+        """Append ``data`` and deliver every frame it completes.  A bad
+        length prefix raises :class:`~repro.net.wire.WireDecodeError`:
+        nothing after it can be framed."""
+        held = self._held
+        held += data
+        try:
+            while True:
+                pos = self._pos
+                if len(held) - pos < 4:
+                    return
+                (length,) = FRAME_LEN.unpack_from(held, pos)
+                if not 0 <= length <= MAX_FRAME:
+                    raise wire.WireDecodeError(f"frame length {length}")
+                end = pos + 4 + length
+                if end > len(held):
+                    return
+                self._pos = end
+                self.deliver(bytes(held[pos + 4 : end]))  # may feed again
+        finally:
+            if self._pos:
+                del held[: self._pos]
+                self._pos = 0
+
+    def clear(self) -> None:
+        """Drop everything held: nothing more is delivered from it."""
+        self._held.clear()
+        self._pos = 0
+
+    def deliver(self, frame: bytes) -> None:
+        """Take one complete frame (without its length prefix)."""
+        raise NotImplementedError
 
 
 def unpack_frame(data: bytes) -> tuple[int, int, object]:

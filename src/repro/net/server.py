@@ -32,8 +32,11 @@ is a bad frame: that connection is dropped, nobody else's.
 
 from __future__ import annotations
 
+import faulthandler
 import os
+import signal
 import socket
+import sys
 import threading
 from collections import deque
 from multiprocessing.connection import Connection
@@ -51,6 +54,41 @@ from repro.net.rpc import (
     StatsRequest,
 )
 from repro.sim.metrics import Metrics
+
+
+#: Seconds a spawned server child may spend before its hello; past that
+#: it dumps every thread's stack to stderr and carries on.  Below
+#: ``wait_hello``'s 30 s spawn timeout, so a hello that never comes
+#: leaves a stack behind.
+HELLO_STACK_S = 20.0
+
+#: This process is a server child whose stack dump is still armed.
+_hello_stack_armed = False
+
+
+def serve_child(target: Callable, stack_after_s: float, conn, *args) -> None:
+    """A spawned server child's entry point: arm the stack dump, then
+    ``target(conn, *args)``; :meth:`Server.run` disarms it once the hello
+    is out.  A signal timer rather than
+    ``faulthandler.dump_traceback_later``: a forked child inherits its
+    forker's armed watchdog without the watchdog's thread, and arming
+    another one then waits on that thread forever."""
+    global _hello_stack_armed
+    try:
+        faulthandler.register(signal.SIGALRM, file=sys.__stderr__, chain=False)
+        signal.setitimer(signal.ITIMER_REAL, stack_after_s)
+        _hello_stack_armed = True
+    except (RuntimeError, ValueError, OSError):
+        pass  # no usable stderr: serve undiagnosed
+    target(conn, *args)
+
+
+def _disarm_hello_stack() -> None:
+    global _hello_stack_armed
+    if _hello_stack_armed:
+        _hello_stack_armed = False
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        faulthandler.unregister(signal.SIGALRM)
 
 
 def bind_unix_listener(path: str) -> socket.socket:
@@ -300,6 +338,7 @@ class Server:
         try:
             if self._parent_peer is not None:
                 self._send(self._parent_peer, rpc.PUSH, 0, self._hello())
+            _disarm_hello_stack()
             self._loop.run()
         finally:
             self._close()

@@ -42,7 +42,7 @@ from repro.common.errors import (
 )
 from repro.common.ops import ReadFlavor
 from repro.net import tcserver
-from repro.net.process import ServerProcess, ServerProxy, _Transport
+from repro.net.process import ServerProcess, ServerProxy
 from repro.net.rpc import RemoteError, StatsRequest
 from repro.net.tcrpc import (
     DcRestarted,
@@ -62,6 +62,7 @@ from repro.net.tcrpc import (
     TxnSync,
     TxnWrite,
 )
+from repro.net.transport import Transport
 from repro.sim.metrics import Metrics
 from repro.tc.transactional_component import TransactionState
 
@@ -101,7 +102,7 @@ class RemoteTransaction:
         #: nor the server's id means anything on any other: the server
         #: incarnation that held the transaction is gone, its restart
         #: undid it, and the next incarnation may hand the same id out.
-        self._link: Optional[_Transport] = None
+        self._link: Optional[Transport] = None
         self.state = TransactionState.ACTIVE
         #: A non-commit reply was lost: the server-side transaction may
         #: still be open (locks held, writes applied), so the abort must
@@ -340,22 +341,16 @@ class RemoteTransaction:
 class RemoteTc(ServerProxy):
     """Proxy for a TC server process; drop-in for the TC's app surface.
 
-    Two modes:
-
-    - **spawn mode** (default): this proxy owns the child process —
-      ``crash()`` SIGKILLs it and ``restart()`` respawns it on the same
-      journal with the current DC map and ownership grants, running the
-      §5.3.2 record/page-reset protocol server-side before hello.  The
-      TC's *log journal* outlives the process, which is what turns
-      ``kill -9`` into a recovery event instead of lost commits.
-    - **connect mode** (``socket_path`` set): attach to an externally
-      managed ``python -m repro serve-tc`` server; lifecycle calls are
-      refused, everything else is identical.
+    In spawn mode ``restart()`` respawns the server on the same journal
+    with the current DC map and ownership grants, and the server runs the
+    §5.3.2 record/page-reset protocol before its hello: the TC's *log
+    journal* outlives the process, which turns ``kill -9`` into a
+    recovery event instead of lost commits.  Connect mode attaches to a
+    ``python -m repro serve-tc`` server and refuses lifecycle calls.
     """
 
     kind = "tc"
     hello_type = TcHello
-    reopen_counter = "remote_tc.restarts"
 
     def __init__(
         self,
@@ -367,7 +362,6 @@ class RemoteTc(ServerProxy):
         metrics: Optional[Metrics] = None,
         grants: Optional[list] = None,
         sharing_mode: str = "",
-        start_method: str = "",
         request_timeout_s: float = 30.0,
         socket_path: str = "",
     ) -> None:
@@ -379,7 +373,6 @@ class RemoteTc(ServerProxy):
         #: exact partition map the router is still using.
         self.grants: list = list(grants or [])
         self.sharing_mode = sharing_mode
-        self.start_method = start_method
         self.socket_path = socket_path
         self.connect_retry_s = request_timeout_s
         self.last_recovered = False
@@ -403,7 +396,6 @@ class RemoteTc(ServerProxy):
                 self.request_timeout_s,
             ),
             f"repro-tc-{self.name}",
-            self.start_method,
         )
 
     def _no_hello(self, exc: ReproError) -> ReproError:

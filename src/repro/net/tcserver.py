@@ -20,10 +20,10 @@ losers) against its DCs *before* saying hello — mid-commit kills converge
 via journal replay + per-op abLSN idempotence, exactly like the
 in-process crash/restart path.
 
-The server talks to its DC pool through :class:`~repro.net.process.
-DcClient` connections over the DCs' Unix sockets — real processes on both
-sides of every §4.2.1 interaction, with the force-log causality gate
-bridged per connection by the DC server.
+The server talks to its DC pool through connect-mode
+:class:`~repro.net.process.RemoteDc` proxies over the DCs' sockets —
+real processes on both sides of every §4.2.1 interaction, with the
+force-log causality gate bridged per connection by the DC server.
 
 Ownership (Section 6) arrives as stable-hash partition grants: the TC
 owns key ``k`` of a granted table iff ``stable_key_hash(k) % modulus`` is
@@ -46,7 +46,7 @@ from repro.cloud.partitioning import stable_key_hash
 from repro.net import wire
 from repro.net.eventloop import Peer
 from repro.net.journal import JournalFile, frame_bytes, read_frames
-from repro.net.process import DcClient
+from repro.net.process import RemoteDc
 from repro.net.server import Server
 from repro.net.tcrpc import (
     AttachDc,
@@ -204,7 +204,7 @@ class _TcServer(Server):
     ordering and shutdown are :class:`~repro.net.server.Server`'s).
 
     The TC tier scales clients without growing threads: server thread
-    count stays O(#DCs) — each DcClient connection keeps one background
+    count stays O(#DCs) — each DC connection keeps one background
     thread, so a DC's force-log request is served while a dispatch is
     running; replies from the DCs are read by the dispatching thread
     itself.
@@ -265,7 +265,7 @@ class _TcServer(Server):
         self._channel_config = ChannelConfig(
             transport="process", request_timeout_s=request_timeout_s
         )
-        self._clients: dict[str, DcClient] = {}
+        self._clients: dict[str, RemoteDc] = {}
         for dc_name, socket_path in dict(dc_socks or {}).items():
             self._attach(dc_name, socket_path)
         #: logical table -> (modulus, residues, owners) — Section 6 grants.
@@ -327,16 +327,16 @@ class _TcServer(Server):
     # -- wiring -------------------------------------------------------------
 
     def _attach(self, dc_name: str, socket_path: str) -> None:
-        client = DcClient(
+        client = RemoteDc(
             dc_name,
-            socket_path,
+            socket_path=socket_path,
             metrics=self._tc.metrics,
             request_timeout_s=self._channel_config.request_timeout_s,
         )
         self._clients[dc_name] = client
         self._tc.attach_dc(client, self._channel_config)
 
-    def _client(self, dc_name: str) -> DcClient:
+    def _client(self, dc_name: str) -> RemoteDc:
         client = self._clients.get(dc_name)
         if client is None:
             raise ReproError(f"TC {self._name}: unknown DC {dc_name!r}")
@@ -632,7 +632,7 @@ class _TcServer(Server):
 
     def _stats(self) -> dict:
         # "threads" in the envelope is O(#DCs), not O(#clients): the loop
-        # serves every client; only DcClient legs own threads.
+        # serves every client; only the DC legs own threads.
         return {
             **self._tc.stats(),
             "name": self._name,

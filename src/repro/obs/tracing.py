@@ -79,9 +79,6 @@ class Span:
         self.duration_us: Optional[float] = None  # None = still open
         self.tags = tags
 
-    def set_tag(self, key: str, value: object) -> None:
-        self.tags[key] = value
-
     @property
     def finished(self) -> bool:
         return self.duration_us is not None
@@ -304,9 +301,6 @@ class _NullSpan:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
-
-    def set_tag(self, key: str, value: object) -> None:
-        pass
 
     def finish(self, **tags: object) -> None:
         pass

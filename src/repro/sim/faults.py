@@ -301,23 +301,6 @@ class FaultInjector:
 
     # -- seeded random schedules -------------------------------------------
 
-    @classmethod
-    def random_schedule(
-        cls,
-        seed: int,
-        dc_names: Sequence[str],
-        tc_names: Sequence[str] = (),
-        rules: int = 6,
-        horizon: int = 300,
-        metrics: Optional[Metrics] = None,
-    ) -> "FaultInjector":
-        """An injector pre-loaded with :meth:`random_rules`."""
-        return cls(
-            cls.random_rules(seed, dc_names, tc_names, rules, horizon),
-            seed=seed,
-            metrics=metrics,
-        )
-
     @staticmethod
     def random_rules(
         seed: int,

@@ -173,6 +173,13 @@ LEDGER: tuple[Row, ...] = (
         "while its DC crashes and recovers; a killed server's thread dies",
     ),
     Row(
+        "tcserver.disconnect_aborts",
+        "§5.3.2 presumed abort: a client that disconnects mid-transaction "
+        "gets its open transactions aborted (what its crash would force at "
+        "restart), so their locks do not outlive it",
+        ("tests/test_server_contract.py", "tests/test_tc_service.py"),
+    ),
+    Row(
         "dc.bounced_in_redo_window",
         "§5.2.2 recovery ordering: a restarted DC refuses a TC's ordinary "
         "operations until that TC's redo stream is complete",

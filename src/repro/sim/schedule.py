@@ -371,10 +371,6 @@ class DeterministicScheduler:
     def note(self, point: str, target: str = "", **detail: object) -> None:
         self._record(point, target, self._current(), detail)
 
-    def signature(self) -> list[tuple]:
-        """Determinism fingerprint: the event stream minus volatile ids."""
-        return [(e["point"], e["target"], e["task"]) for e in self.events]
-
     # -- yielding -----------------------------------------------------------
 
     def _on_yield(self, point: str, target: str, detail: dict) -> None:

@@ -13,9 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro import KernelConfig, UnbundledKernel
+from repro.common.api import BatchedPerform, BatchedReply, PerformOperation
 from repro.common.config import ChannelConfig, TcConfig
 from repro.common.errors import ConfigError, TransactionAborted
-from repro.common.ops import InsertOp, OpResult, OpStatus
+from repro.common.ops import InsertOp, OpResult, OpStatus, ReadOp
+from repro.dc.data_component import DataComponent
+from repro.net import rpc, wire
 
 
 def batching_kernel(batch_max_ops=8, undo_cache_size=0, **channel_kwargs):
@@ -39,6 +42,27 @@ class TestEnvelopeBasics:
         assert kernel.metrics.get("channel.batches") == 4
         assert kernel.metrics.get("channel.batched_ops") == 4
         assert kernel.metrics.get("dc.batches_received") == 4
+
+    def test_envelope_reply_is_a_tuple_that_survives_the_wire(self):
+        """``BatchedReply.replies`` is declared a tuple: an in-process
+        envelope's reply is built as one, so it equals the reply a process
+        DC sends — its own trip through the negotiated fast codec."""
+        dc = DataComponent("dc")
+        dc.create_table("t")
+        dc.register_tc(7, force_log=lambda lsn, images: lsn)
+        ops = (
+            PerformOperation(
+                tc_id=7, op_id=1, op=InsertOp(table="t", key=1, value="a")
+            ),
+            PerformOperation(tc_id=7, op_id=2, op=ReadOp(table="t", key=1)),
+        )
+        reply = dc.handle(BatchedPerform(tc_id=7, ops=ops))
+        assert reply == BatchedReply(tc_id=7, replies=tuple(reply.replies))
+        assert [sub.result.ok for sub in reply.replies] == [True, True]
+        fast = wire.negotiate(wire.fast_vocabulary())
+        frame = rpc.pack_frame(rpc.REPLY, 3, reply, fast)
+        assert frame[0] == wire.FAST_MAGIC
+        assert rpc.unpack_frame(frame) == (rpc.REPLY, 3, reply)
 
     def test_multi_op_txn_ships_one_envelope(self):
         kernel = batching_kernel()

@@ -1,6 +1,6 @@
 """The client end of a process-mode connection (docs/architecture.md §10).
 
-``net/process.py::_Transport`` has no receiver thread: whoever waits for
+``net/transport.py::Transport`` has no receiver thread: whoever waits for
 a reply reads the connection, and one background thread per connection
 serves what the *server* initiates and watches an idle fd.  These tests
 pin the contracts that design must keep, from the outside: replies reach
@@ -30,8 +30,8 @@ from repro.common.config import ChannelConfig, DcConfig, KernelConfig, TcConfig
 from repro.kernel.unbundled import UnbundledKernel
 from repro.common.errors import ComponentUnavailableError
 from repro.dc.data_component import DataComponent
-from repro.net import process, rpc
-from repro.net.process import DcClient, RemoteDc
+from repro.net import rpc, transport
+from repro.net.process import RemoteDc
 from repro.net.rpc import (
     ForceLogReply,
     ForceLogRequest,
@@ -64,7 +64,7 @@ def dc(tmp_path):
 def _attached_tc(tc_id: int, dc: RemoteDc, clients: list) -> TransactionalComponent:
     """An in-process TC on its own socket connection to ``dc`` — what a
     TC server process is, minus the process."""
-    client = DcClient(dc.name, dc.listen_path, request_timeout_s=10.0)
+    client = RemoteDc(dc.name, socket_path=dc.listen_path, request_timeout_s=10.0)
     clients.append(client)
     tc = TransactionalComponent(tc_id=tc_id, config=TcConfig.optimized())
     tc.attach_dc(client, ChannelConfig(transport="process", request_timeout_s=10.0))
@@ -167,7 +167,7 @@ class TestSharedConnection:
         watch parked, nothing else would read for them, so a lost wake-up
         stalls a caller for its whole timeout: the run takes ~1 s, a
         stall 30 s."""
-        monkeypatch.setattr(process, "_IDLE_WATCH_S", 30.0)
+        monkeypatch.setattr(transport, "_IDLE_WATCH_S", 30.0)
         time.sleep(0.1)  # the watcher's current 50 ms wait runs out
         wrong: list = []
 
@@ -208,7 +208,7 @@ class TestSharedConnection:
     def test_wire_order_is_submission_order(self, tmp_path):
         """Deferred frames are never overtaken by a later direct send."""
         server = _ScriptedServer(tmp_path, Hello(tc_id=0, dc_name="dcs"))
-        client = DcClient("dcs", server.path, request_timeout_s=5.0)
+        client = RemoteDc("dcs", socket_path=server.path, request_timeout_s=5.0)
         try:
             first = client.submit(StatsRequest(tc_id=1), defer=True)
             second = client.submit(StatsRequest(tc_id=2), defer=True)
@@ -302,7 +302,7 @@ class TestUnearnedForcePrompts:
         local.create_table("t")
         tc.attach_dc(local)
         server = _ScriptedServer(tmp_path, Hello(tc_id=0, dc_name="dcs"))
-        client = DcClient("dcs", server.path, request_timeout_s=5.0)
+        client = RemoteDc("dcs", socket_path=server.path, request_timeout_s=5.0)
         try:
             tc.attach_dc(client, ChannelConfig(transport="process"))
             with tc.begin() as txn:
@@ -354,7 +354,7 @@ class TestTimeouts:
         "connect, hello, counter",
         [
             (
-                lambda path: DcClient("dcs", path, request_timeout_s=5.0),
+                lambda path: RemoteDc("dcs", socket_path=path, request_timeout_s=5.0),
                 Hello(tc_id=0, dc_name="dcs"),
                 "remote_dc.request_timeouts",
             ),
@@ -366,7 +366,7 @@ class TestTimeouts:
                 "remote_tc.request_timeouts",
             ),
         ],
-        ids=["DcClient", "RemoteTc"],
+        ids=["RemoteDc", "RemoteTc"],
     )
     def test_timeout_returns_none_and_drops_the_late_reply(
         self, tmp_path, connect, hello, counter
@@ -427,7 +427,7 @@ class TestServerDeath:
         can notice): down at once and once, the TC above fails fast with
         :class:`ComponentUnavailableError` instead of burning its resend
         budget into :class:`ResendExhaustedError`, and a heal reconnects."""
-        monkeypatch.setattr(process, "_IDLE_WATCH_S", 30.0)
+        monkeypatch.setattr(transport, "_IDLE_WATCH_S", 30.0)
         dc.create_table("t")
         clients: list = []
         try:
@@ -473,7 +473,7 @@ class TestFootprint:
             listen_path=str(tmp_path / "dc1.sock"),
         )
         assert threading.active_count() == threads + 1
-        client = DcClient("dc1", dc.listen_path)
+        client = RemoteDc("dc1", socket_path=dc.listen_path)
         assert threading.active_count() == threads + 2
         tc = RemoteTc(
             "tc1",
@@ -494,15 +494,15 @@ class TestFootprint:
         gc.collect()
         _assert_nothing_left_since(before)
 
-    @pytest.mark.parametrize("which", ["DcClient", "RemoteTc-spawn", "RemoteTc-connect"])
+    @pytest.mark.parametrize("which", ["RemoteDc", "RemoteTc-spawn", "RemoteTc-connect"])
     def test_fd_is_closed_once_after_the_thread_has_left(self, dc, tmp_path, which):
         """Closing the fd under the connection's own thread frees the fd
         number for the next connection, whose frames an idle watcher
         still parked in ``poll()`` would steal: every close path closes
         it in one place, after that thread is gone and nobody reads."""
         server = None
-        if which == "DcClient":
-            proxy = DcClient("dc1", dc.listen_path)
+        if which == "RemoteDc":
+            proxy = RemoteDc("dc1", socket_path=dc.listen_path)
         elif which == "RemoteTc-spawn":
             proxy = RemoteTc("tc1", tc_id=1, journal_path=str(tmp_path / "tc1.journal"))
         else:
@@ -528,7 +528,7 @@ class TestFootprint:
 
     def test_close_does_not_wait_out_a_tick(self, dc):
         """Closing wakes the background thread; it is not waited out."""
-        clients = [DcClient("dc1", dc.listen_path) for _ in range(10)]
+        clients = [RemoteDc("dc1", socket_path=dc.listen_path) for _ in range(10)]
         time.sleep(0.2)  # every watcher parked on its idle fd
         started = time.monotonic()
         for client in clients:

@@ -12,7 +12,6 @@ import pytest
 
 from repro.common.config import (
     SHARING_MODES,
-    START_METHODS,
     TRANSPORTS,
     ChannelConfig,
     DcConfig,
@@ -50,16 +49,7 @@ class TestChannelConfig:
             ChannelConfig(fast_codec=False)
         with pytest.raises(TypeError):
             ChannelConfig(reorder_window=2)  # nothing queues to reorder
-        assert len(dataclasses.fields(ChannelConfig)) == 8
-
-    def test_known_start_methods_accepted(self):
-        for method in START_METHODS:
-            config = ChannelConfig(process_start_method=method)
-            assert config.process_start_method == method
-
-    def test_unknown_start_method_rejected(self):
-        with pytest.raises(ConfigError):
-            ChannelConfig(process_start_method="thread")
+        assert len(dataclasses.fields(ChannelConfig)) == 7
 
     def test_config_error_is_a_repro_error(self):
         with pytest.raises(ReproError):

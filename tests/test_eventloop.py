@@ -27,7 +27,7 @@ pytestmark = pytest.mark.process
 
 from repro.net import rpc
 from repro.net.eventloop import EventLoop
-from repro.net.process import DcClient, RemoteDc, wait_hello
+from repro.net.process import RemoteDc, wait_hello
 from repro.net.rpc import Hello, StatsReply, StatsRequest
 from repro.net.server import connect_any
 from repro.net.tcclient import RemoteTc
@@ -159,11 +159,11 @@ class TestDcServerScaling:
         clients = []
         try:
             dc.create_table("t")
-            first = DcClient("dcx", socket_path=dc.listen_path)
+            first = RemoteDc("dcx", socket_path=dc.listen_path)
             clients.append(first)
             baseline = first.stats()["threads"]
             for _ in range(8):
-                clients.append(DcClient("dcx", socket_path=dc.listen_path))
+                clients.append(RemoteDc("dcx", socket_path=dc.listen_path))
             stats = clients[-1].stats()
             assert stats["connections"] >= 9
             # The tentpole: nine connections, same server thread count.
@@ -199,7 +199,7 @@ class TestDcServerScaling:
         try:
             dc.create_table("t")
             clients = [
-                DcClient("dcy", socket_path=dc.listen_path) for _ in range(5)
+                RemoteDc("dcy", socket_path=dc.listen_path) for _ in range(5)
             ]
             for round_no in range(6):
                 for idx, client in enumerate(clients):

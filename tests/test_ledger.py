@@ -22,6 +22,7 @@ def test_covers_the_branches_it_was_started_for():
         "tclog.group_commit_riders",
         "buffer.evictions",
         "tcserver.oneway_commits",
+        "tcserver.disconnect_aborts",
         "dc.log_truncations",
         "journal.compactions",
         "journal.replayed_frames",

@@ -23,7 +23,7 @@ import pytest
 
 pytestmark = pytest.mark.process
 
-import repro.net.process
+import repro.net.transport
 from repro.cloud.router import TcServiceDeployment
 from repro.common.config import TcConfig
 from repro.common.errors import CrashedError, ReproError, TransactionAborted
@@ -217,7 +217,7 @@ class TestPushIntoADeadServer:
     def test_commit_returns_and_the_next_call_sees_the_crash(self, monkeypatch):
         # Keep the idle watcher away from the fd, or it reads the EOF
         # first and the push never meets the dead peer.
-        monkeypatch.setattr(repro.net.process, "_IDLE_WATCH_S", 30.0)
+        monkeypatch.setattr(repro.net.transport, "_IDLE_WATCH_S", 30.0)
         with _service() as dep:
             tc = dep.tcs["tc1"]
             with tc.begin() as txn:

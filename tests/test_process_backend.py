@@ -30,8 +30,9 @@ from repro.cloud.deployment import CloudDeployment
 from repro.common.config import ChannelConfig, DcConfig, KernelConfig, TcConfig
 from repro.common.errors import CrashedError, ReproError
 from repro.kernel.unbundled import UnbundledKernel
+from repro.net import server
 from repro.net.server import bind_unix_listener
-from repro.net.process import DcClient, ProcessChannel, RemoteDc
+from repro.net.process import ProcessChannel, RemoteDc, ServerProcess
 from repro.net.tcclient import RemoteTc
 from repro.sim.faults import FaultInjector
 from repro.sim.supervisor import Supervisor
@@ -283,6 +284,11 @@ def _assert_nothing_left_since(before: tuple) -> None:
     assert fds <= before[2]
 
 
+def _stall_before_hello(conn) -> None:
+    """A server child that never says hello while it lives."""
+    time.sleep(1.5)
+
+
 class TestStartupFailures:
     """A server that never produces a well-formed hello is a ``ReproError``
     (never a bare ``EOFError``) and leaves no process, thread or fd behind."""
@@ -327,15 +333,39 @@ class TestStartupFailures:
         gc.collect()
         _assert_nothing_left_since(before)
 
+    def test_a_child_late_with_its_hello_dumps_its_stack(self, capfd, monkeypatch):
+        """Past ``HELLO_STACK_S`` without a hello, a server child writes
+        every thread's stack to stderr — naming the frame it is stuck in
+        — and carries on; what ``wait_hello`` makes of it is unchanged."""
+        monkeypatch.setattr(server, "HELLO_STACK_S", 0.2)
+        child = ServerProcess(_stall_before_hello, (), "repro-stall")
+        try:
+            child.join(10.0)
+            assert child.process.exitcode == 0  # dumped, not killed
+        finally:
+            child.kill()
+            child.conn.close()
+        assert "_stall_before_hello" in capfd.readouterr().err
+
+    def test_a_child_that_said_hello_dumps_nothing(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.setattr(server, "HELLO_STACK_S", 0.3)
+        dc = RemoteDc("dcq", journal_path=str(tmp_path / "dcq.journal"))
+        try:
+            time.sleep(0.8)  # well past the deadline
+            assert dc.stats()["pid"] == dc.pid  # still serving
+        finally:
+            dc.shutdown()
+        assert "most recent call first" not in capfd.readouterr().err
+
     @pytest.mark.parametrize(
         "connect",
         [
-            lambda path: DcClient("dcg", socket_path=path, request_timeout_s=5.0),
+            lambda path: RemoteDc("dcg", socket_path=path, request_timeout_s=5.0),
             lambda path: RemoteTc(
                 "tcg", tc_id=1, socket_path=path, request_timeout_s=5.0
             ),
         ],
-        ids=["DcClient", "RemoteTc"],
+        ids=["RemoteDc", "RemoteTc"],
     )
     def test_garbage_first_frame_closes_the_client_fd(self, tmp_path, connect):
         path = str(tmp_path / "garbage.sock")

@@ -333,14 +333,14 @@ class TestDownstreamDcFailure:
         self, tmp_path, monkeypatch
     ):
         """The TC server writes to a DC killed a moment ago, before its
-        ``DcClient`` has read the EOF (the server runs on a thread here so
+        DC connection has read the EOF (the server runs on a thread here so
         the idle watch can be parked): the failed write marks the client
         down, so the transaction's error is the typed "DC unavailable"
         the supervisor heals — not a resend budget burnt in milliseconds."""
         import multiprocessing as mp
 
         from repro.common.config import DcConfig
-        from repro.net import process
+        from repro.net import transport
         from repro.net.process import RemoteDc, wait_hello
         from repro.net.tcrpc import TcHello
         from repro.net.tcserver import _TcServer
@@ -350,7 +350,7 @@ class TestDownstreamDcFailure:
             listen_path=str(tmp_path / "dc1.sock"), request_timeout_s=10.0,
         )  # fmt: skip
         dc.create_table("t")
-        monkeypatch.setattr(process, "_IDLE_WATCH_S", 30.0)
+        monkeypatch.setattr(transport, "_IDLE_WATCH_S", 30.0)
         parent, child = mp.Pipe()
         server = _TcServer(
             child, "tcx", 1, None, str(tmp_path / "tcx.journal"),

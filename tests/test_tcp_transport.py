@@ -27,7 +27,7 @@ pytestmark = pytest.mark.process
 from repro.cloud.router import TcServiceDeployment
 from repro.common.config import ChannelConfig, KernelConfig, TcConfig
 from repro.kernel.unbundled import UnbundledKernel
-from repro.net.process import DcClient, RemoteDc, StatsRequest
+from repro.net.process import RemoteDc, StatsRequest
 from repro.sim.supervisor import Supervisor
 
 
@@ -74,7 +74,7 @@ class TestTcpListener:
         client = None
         try:
             dc.create_table("t")
-            client = DcClient("dcx", socket_path=dc.listen_path)
+            client = RemoteDc("dcx", socket_path=dc.listen_path)
             stats = client.stats()
             assert "t" in stats["dc"]["tables"]
             # The negotiated fast map is live on the socket connection.
