@@ -365,7 +365,7 @@ class TestStartupFailures:
                 "tcg", tc_id=1, socket_path=path, request_timeout_s=5.0
             ),
         ],
-        ids=["RemoteDc", "RemoteTc"],
+        ids=["DcClient", "RemoteTc"],  # DcClient: a RemoteDc in connect mode
     )
     def test_garbage_first_frame_closes_the_client_fd(self, tmp_path, connect):
         path = str(tmp_path / "garbage.sock")
