@@ -312,7 +312,8 @@ def _serve_tc(args: list[str]) -> int:
     import argparse
 
     from repro.common.config import TcConfig
-    from repro.net.tcserver import serve_socket
+    from repro.net.server import serve
+    from repro.net.tcserver import _TcServer
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve-tc",
@@ -341,8 +342,7 @@ def _serve_tc(args: list[str]) -> int:
         if not sep or not name or not path:
             parser.error(f"--dc expects NAME=SOCK, got {spec!r}")
         dc_socks[name] = path
-    serve_socket(
-        opts.listen,
+    core = _TcServer(
         opts.name,
         opts.tc_id,
         TcConfig.optimized(),
@@ -351,6 +351,7 @@ def _serve_tc(args: list[str]) -> int:
         sharing_mode=opts.sharing_mode,
         max_sessions=opts.max_sessions,
     )
+    serve(core, listen_path=opts.listen)
     return 0
 
 

@@ -1,10 +1,11 @@
 """The DC server: one data component living in its own OS process.
 
-:func:`serve` is the child-process entry point.  It opens (and replays)
-the DC's journal volume, builds an ordinary
-:class:`~repro.dc.data_component.DataComponent` on top, and serves it
-through the shared :class:`~repro.net.server.Server` loop (connections,
-framing, ordering, negotiation, stats envelope, shutdown).  What is the
+:class:`_DcServer` is a server core built from the DC's arguments alone:
+it opens (and replays) the DC's journal volume and builds an ordinary
+:class:`~repro.dc.data_component.DataComponent` on top; the shared
+:class:`~repro.net.server.Server` core does framing, ordering,
+negotiation, the stats envelope and shutdown, and
+:func:`~repro.net.server.serve` puts it on the event loop.  What is the
 DC's own:
 
 - §4.2.1 data/control messages (``PerformOperation``, ``BatchedPerform``,
@@ -15,18 +16,18 @@ DC's own:
 - the **causality gate** is bridged: when a DC system transaction needs
   the TC log forced (Section 4.2.2), the server sends a
   ``SERVER_REQUEST`` ``ForceLogRequest`` on the connection that
-  registered that TC and *pumps the event loop* until the matching
+  registered that TC and *pumps its driver* until the matching
   ``CLIENT_REPLY`` arrives — request frames that land meanwhile (on any
   connection) backlog in arrival order, while reads, writes and accepts
   on every other connection keep flowing.
 
-With ``listen_path`` set, the server additionally binds a Unix-domain or
+Served with a ``listen_path``, the DC also accepts on a Unix-domain or
 TCP listener — this is how TC *server* processes (docs/architecture.md
 §16) share one DC process as a pool.  One DC, many TCs, one event loop —
 Section 6's multi-TC sharing made out-of-process.
 
 If the parent SIGKILLs the server, the journal's flushed frames survive
-in the OS page cache and the next :func:`serve` on the same path replays
+in the OS page cache and the next server on the same path replays
 them — the real-death analogue of the in-memory store's crash separation.
 """
 
@@ -61,14 +62,7 @@ from repro.net.server import Server
 class _DcServer(Server):
     role = "dcserver"
 
-    def __init__(
-        self,
-        conn,
-        name: str,
-        config: Optional[DcConfig],
-        journal_path: str,
-        listen_path: str = "",
-    ):
+    def __init__(self, name: str, config: Optional[DcConfig], journal_path: str):
         self._storage = JournalStorage(journal_path)
         self._dc = DataComponent(
             name, config=config, metrics=self._storage.metrics, storage=self._storage
@@ -84,8 +78,6 @@ class _DcServer(Server):
         self._force_boxes: dict[int, list] = {}
         self._sreq_seq = itertools.count(1)
         super().__init__(
-            conn,
-            listen_path,
             self._dc.metrics,
             recovered=self._storage.replayed,
             handlers={
@@ -119,10 +111,10 @@ class _DcServer(Server):
                     )
                 except (BrokenPipeError, OSError):
                     raise CrashedError(f"TC {tc_id} force-log channel")
-                # The event-loop-scheduled wait: every other connection
+                # The driver-scheduled wait: every other connection
                 # keeps being served (their requests backlog in arrival
                 # order); a dead TC surfaces as EOF -> peer.closed.
-                self._loop.pump_until(lambda: bool(box) or peer.closed)
+                self.driver.pump_until(lambda: bool(box) or peer.closed)
                 if not box:
                     raise CrashedError(f"TC {tc_id} force-log channel")
                 payload = box[0]
@@ -152,7 +144,7 @@ class _DcServer(Server):
                     peer, rpc.PUSH, 0, RsspHint(tc_id=0, dc_name=dc_name, lsn=lsn)
                 )
             except (BrokenPipeError, OSError):
-                self._loop.close_peer(peer)
+                self.driver.close_peer(peer)
 
     def _peer_gone(self, peer: Peer) -> None:
         for tc_id, owner in list(self._tc_peers.items()):
@@ -227,11 +219,5 @@ class _DcServer(Server):
                 self._dc.metrics.incr("journal.compaction_failures")
         return CheckpointDcLogReply(tc_id=message.tc_id, advanced=advanced)
 
-    def _close(self) -> None:
+    def close(self) -> None:
         self._storage.close()
-
-
-def serve(conn, *args) -> None:
-    """Child-process entry point (target of ``multiprocessing.Process``);
-    the arguments are :class:`_DcServer`'s."""
-    _DcServer(conn, *args).run()

@@ -45,6 +45,9 @@ from repro.sim.metrics import Metrics
 #: glibc's 128 KiB mmap threshold no read pays an mmap/munmap pair (at
 #: 256 KiB some heap histories did, doubling the CPU of a round trip).
 _READ_CHUNK = 1 << 16
+#: Seconds :meth:`EventLoop.close` waits, in all, for clients to take
+#: the bytes still parked for them.
+_CLOSE_DRAIN_S = 1.0
 _READABLE = select.POLLIN | select.POLLHUP | select.POLLERR | select.POLLNVAL
 
 
@@ -216,17 +219,25 @@ class EventLoop:
         self._stopped = True
 
     def close(self) -> None:
-        """Final teardown: best-effort drain of pending replies (a
-        Shutdown ack must reach the client), then close everything."""
-        for peer in list(self._peers.values()):
-            if peer.pending_out:
-                try:
-                    os.set_blocking(peer.fd, True)
-                    peer.flush()
-                except OSError:
-                    pass
-        for peer in list(self._peers.values()):
+        """Final teardown: drain pending replies (a Shutdown ack must reach
+        the client) for at most :data:`_CLOSE_DRAIN_S` in all — a client
+        that does not read cannot hold it — then close everything."""
+        for peer in self._peers.values():
             peer.on_close = None  # teardown, not a drop: no callbacks
+        deadline = time.monotonic() + _CLOSE_DRAIN_S
+        while True:
+            pending = [peer for peer in self._peers.values() if peer.pending_out]
+            left = deadline - time.monotonic()
+            if not pending or left <= 0:
+                break
+            writable = select.poll()
+            for peer in pending:
+                writable.register(peer.fd, select.POLLOUT)
+            for fd, _mask in writable.poll(left * 1000.0):
+                peer = self._peers.get(fd)
+                if peer is not None:
+                    peer.flush()  # an error closes it
+        for peer in list(self._peers.values()):
             self.close_peer(peer)
         for listener, _on_accept in self._listeners.values():
             try:

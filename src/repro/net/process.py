@@ -97,15 +97,18 @@ def default_start_method() -> str:
 
 
 class ServerProcess:
-    """One spawned server process (``target(child_conn, *args)``) and the
-    parent's end of its pipe."""
+    """One spawned server process — the core ``make_core(*args)``, served
+    on its parent pipe (and ``listen_path``, if set) — and the parent's
+    end of that pipe."""
 
-    def __init__(self, target: Callable, args: tuple, name: str) -> None:
+    def __init__(
+        self, make_core: Callable, args: tuple, name: str, listen_path: str = ""
+    ) -> None:
         ctx = mp.get_context(default_start_method())
         self.conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=server.serve_child, name=name, daemon=True,
-            args=(target, server.HELLO_STACK_S, child_conn, *args),
+            args=(make_core, server.HELLO_STACK_S, child_conn, listen_path, *args),
         )  # fmt: skip
         self.process.start()
         # The parent must drop its copy of the child end, or a dead child
@@ -404,9 +407,10 @@ class RemoteDc(ServerProxy):
         if not self.journal_path:
             raise ReproError("RemoteDc needs a journal_path (the DC's volume)")
         return ServerProcess(
-            dcserver.serve,
-            (self.name, self.config, self.journal_path, self.listen_path),
+            dcserver._DcServer,
+            (self.name, self.config, self.journal_path),
             f"repro-dc-{self.name}",
+            self.listen_path,
         )
 
     def _adopt_hello(self, hello: Hello) -> None:

@@ -1,11 +1,23 @@
 """The one request server under the DC and the TC server processes.
 
 TC and DC meet only through the §4.2.1 message contract, so the code
-that *carries* those messages is written once: :class:`Server` owns the
-event loop and its connections (the spawning parent's pipe and whatever
-a listener accepts), the hello push, frame decode, the arrival-order
-backlog, request → reply with the error-to-reply mapping, per-connection
-codec negotiation, ``Shutdown`` and the ``StatsRequest`` envelope.
+that *carries* those messages is written once, in two halves split where
+I/O begins:
+
+- :class:`Server`, the **core**, holds no fd, no ``select`` and no
+  thread.  A connection's frame bytes go in (:meth:`Server.on_frame`);
+  replies, pushes and server requests go out through that connection's
+  ``send_frame``.  It owns the hello, frame decode, the
+  arrival-order backlog, request → reply with the error-to-reply
+  mapping, per-connection codec negotiation, ``Shutdown`` and the
+  ``StatsRequest`` envelope.  It reaches its driver through four calls
+  only: ``close_peer``, ``pump_until``, ``stop`` and ``peer_count``.
+- :func:`serve`, the **driver**, is the one entry point of both server
+  processes: it puts a core on an
+  :class:`~repro.net.eventloop.EventLoop` (which provides those four
+  calls), adopts the spawning parent's pipe, binds the listener, runs
+  the loop and closes everything.
+
 :mod:`repro.net.dcserver` and :mod:`repro.net.tcserver` build their
 component, hand over a ``{message type: handler}`` table plus a default
 for every other message, and fill in the hooks at the bottom.
@@ -17,7 +29,7 @@ likewise drops only the connection that sent it.
 
 **Order.**  Dispatch is single-threaded and strictly in arrival order:
 a request that finds nothing ahead of it is served on the spot; one that
-lands while a dispatch is on the stack (a handler may pump the loop —
+lands while a dispatch is on the stack (a handler may pump the driver —
 the DC's §4.2.2 force bridge does) waits in the backlog and is served
 after it.  One server process is one core's worth of work; the
 scale-out unit is the *process*.
@@ -66,10 +78,13 @@ HELLO_STACK_S = 20.0
 _hello_stack_armed = False
 
 
-def serve_child(target: Callable, stack_after_s: float, conn, *args) -> None:
-    """A spawned server child's entry point: arm the stack dump, then
-    ``target(conn, *args)``; :meth:`Server.run` disarms it once the hello
-    is out.  A signal timer rather than
+def serve_child(
+    make_core: Callable, stack_after_s: float, conn, listen_path: str, *args
+) -> None:
+    """A spawned server child's entry point: arm the stack dump, build
+    ``make_core(*args)`` and :func:`serve` it on the parent pipe ``conn``
+    (and ``listen_path``, if set); :func:`serve` disarms the dump once
+    the hellos are out.  A signal timer rather than
     ``faulthandler.dump_traceback_later``: a forked child inherits its
     forker's armed watchdog without the watchdog's thread, and arming
     another one then waits on that thread forever."""
@@ -80,7 +95,7 @@ def serve_child(target: Callable, stack_after_s: float, conn, *args) -> None:
         _hello_stack_armed = True
     except (RuntimeError, ValueError, OSError):
         pass  # no usable stderr: serve undiagnosed
-    target(conn, *args)
+    serve(make_core(*args), conn, listen_path)
 
 
 def _disarm_hello_stack() -> None:
@@ -152,7 +167,7 @@ def connect_any(address: str) -> Connection:
 
 
 class Server:
-    """Event-loop request server; see the module docstring."""
+    """The fd-free request-server core; see the module docstring."""
 
     #: Counter family of the server's own counters (``<role>.bad_frames``).
     role = ""
@@ -164,8 +179,6 @@ class Server:
 
     def __init__(
         self,
-        conn,
-        listen_path: str,
         metrics: Metrics,
         recovered: bool,
         handlers: dict[type, Callable[[Peer, Message], Optional[Message]]],
@@ -196,20 +209,17 @@ class Server:
         self._fast: dict[Peer, dict] = {}
         self._scratch = bytearray()
         #: Requests decoded but not yet dispatched: everything delivered
-        #: while a dispatch (or a loop pump inside one) is on the stack
+        #: while a dispatch (or a driver pump inside one) is on the stack
         #: lands here and is served strictly in arrival order.
         self._backlog: deque = deque()
         self._dispatching = False
-        self._loop = EventLoop(metrics)
+        #: ``close_peer(peer)``, ``pump_until(predicate, timeout_s)``,
+        #: ``stop()`` and ``peer_count()``: an :class:`EventLoop` under
+        #: :func:`serve`, a fake in a test.  Set before any connection.
+        self.driver = None
+        #: The listener address the hello quotes (set by the driver).
         self.listen_addr = ""
         self._parent_peer: Optional[Peer] = None
-        if conn is not None:
-            self._parent_peer = self._loop.adopt(
-                conn, self._on_frame, self._on_peer_close
-            )
-        if listen_path:
-            listener, self.listen_addr = bind_listener(listen_path)
-            self._loop.add_listener(listener, self._on_accept)
 
     # -- connection lifecycle -------------------------------------------------
 
@@ -218,18 +228,22 @@ class Server:
             rpc.pack_frame(kind, seq, payload, self._fast.get(peer), self._scratch)
         )
 
-    def _on_accept(self, sock: socket.socket) -> None:
-        peer = self._loop.adopt(sock, self._on_frame, self._on_peer_close)
+    def connect(self, peer: Peer, parent: bool = False) -> None:
+        """A new connection: send it the hello.  The ``parent`` is the
+        spawning process, whose EOF or ``Shutdown`` stops the server."""
+        if parent:
+            self._parent_peer = peer
         try:
             self._send(peer, rpc.PUSH, 0, self._hello())
         except (BrokenPipeError, OSError):
-            self._loop.close_peer(peer)
+            self.driver.close_peer(peer)
 
-    def _on_peer_close(self, peer: Peer) -> None:
+    def on_close(self, peer: Peer) -> None:
+        """The driver dropped ``peer`` (EOF, error or a close asked here)."""
         self._fast.pop(peer, None)
         self._peer_gone(peer)
         if peer is self._parent_peer:
-            self._loop.stop()  # the spawning parent is gone; nothing to serve
+            self.driver.stop()  # the spawning parent is gone; nothing to serve
 
     # -- frame plumbing --------------------------------------------------------
 
@@ -237,9 +251,10 @@ class Server:
         # One client speaking garbage must not take the server (or
         # anyone else's connection) down with it.
         self._metrics.incr(f"{self.role}.bad_frames")
-        self._loop.close_peer(peer)
+        self.driver.close_peer(peer)
 
-    def _on_frame(self, peer: Peer, data: bytes) -> None:
+    def on_frame(self, peer: Peer, data: bytes) -> None:
+        """One whole frame from ``peer``."""
         try:
             kind, seq, message = rpc.unpack_frame(data)
         except wire.WireError:
@@ -260,12 +275,12 @@ class Server:
                     if not peer.closed:
                         serving = self._serve_frame(peer, kind, seq, message)
                 if not serving:
-                    self._loop.stop()
+                    self.driver.stop()
             finally:
                 self._dispatching = False
         elif kind == rpc.CLIENT_REPLY:
             # Never backlogged: the dispatch that asked is on the stack,
-            # pumping the loop for exactly this frame.
+            # pumping the driver for exactly this frame.
             self._on_client_reply(seq, message)
         # Any other kind is a stray frame (e.g. an echo) and is ignored.
 
@@ -299,12 +314,12 @@ class Server:
         try:
             self._send(peer, rpc.REPLY, seq, reply)
         except (BrokenPipeError, OSError):
-            self._loop.close_peer(peer)
+            self.driver.close_peer(peer)
             return peer is not self._parent_peer
         if type(message) is Shutdown:
             if peer is self._parent_peer:
                 return False
-            self._loop.close_peer(peer)  # a client said goodbye; keep serving
+            self.driver.close_peer(peer)  # a client said goodbye; keep serving
         return True
 
     # -- the messages every server answers ------------------------------------
@@ -324,25 +339,13 @@ class Server:
                 "pid": os.getpid(),
                 "recovered": self._recovered,
                 "counters": self._metrics.counters(),
-                "connections": self._loop.peer_count(),
+                "connections": self.driver.peer_count(),
                 # The many-clients scaling claim, measurable from the
                 # outside: the loop serves every client, so this stays
                 # flat as connections grow.
                 "threads": threading.active_count(),
             },
         )
-
-    # -- main loop --------------------------------------------------------------
-
-    def run(self) -> None:
-        try:
-            if self._parent_peer is not None:
-                self._send(self._parent_peer, rpc.PUSH, 0, self._hello())
-            _disarm_hello_stack()
-            self._loop.run()
-        finally:
-            self._close()
-            self._loop.close()
 
     # -- what a subclass fills in -------------------------------------------------
 
@@ -361,5 +364,35 @@ class Server:
         """A reply to a ``SERVER_REQUEST`` this server sent (dropped:
         the base sends none)."""
 
-    def _close(self) -> None:
+    def close(self) -> None:
         """Release the component's volumes and connections at exit."""
+
+
+def serve(core: Server, conn=None, listen_path: str = "") -> None:
+    """Drive ``core`` on one :class:`EventLoop` until it stops: adopt the
+    parent pipe ``conn``, bind ``listen_path`` (a Unix socket path or
+    ``tcp://host:port``), hello each connection, run, then close the
+    core and every fd.  A Unix listener's path is unlinked on the way
+    out."""
+    loop = core.driver = EventLoop(core._metrics)
+    listener = None
+
+    def adopt(fileobj, parent: bool = False) -> None:
+        core.connect(loop.adopt(fileobj, core.on_frame, core.on_close), parent)
+
+    try:
+        if listen_path:
+            listener, core.listen_addr = bind_listener(listen_path)
+            loop.add_listener(listener, adopt)
+        if conn is not None:
+            adopt(conn, parent=True)
+        _disarm_hello_stack()
+        loop.run()
+    finally:
+        core.close()
+        loop.close()
+        if listener is not None and listener.family == socket.AF_UNIX:
+            try:
+                os.unlink(listen_path)
+            except OSError:
+                pass

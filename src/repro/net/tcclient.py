@@ -384,7 +384,7 @@ class RemoteTc(ServerProxy):
         if not self.journal_path:
             raise ReproError("RemoteTc needs a journal_path (the TC's log volume)")
         return ServerProcess(
-            tcserver.serve,
+            tcserver._TcServer,
             (
                 self.name,
                 self.tc_id,

@@ -3,9 +3,10 @@
 This is the paper's unbundling completed end-to-end (docs/architecture.md
 §16): DCs became processes in the process deployment mode; here the TC —
 the last component still living in the client's address space — becomes
-one too.  :func:`serve` is the child entry point behind
-:class:`~repro.net.tcclient.RemoteTc`; :func:`serve_socket` backs the
-standalone ``python -m repro serve-tc`` CLI.
+one too.  :class:`_TcServer` is its server core;
+:func:`~repro.net.server.serve` runs it behind
+:class:`~repro.net.tcclient.RemoteTc` (on the parent pipe) and behind
+the standalone ``python -m repro serve-tc`` CLI (on a listener).
 
 The server builds an ordinary
 :class:`~repro.tc.transactional_component.TransactionalComponent` whose
@@ -200,8 +201,8 @@ class _Session:
 
 
 class _TcServer(Server):
-    """The TC's share of its server process (connections, framing,
-    ordering and shutdown are :class:`~repro.net.server.Server`'s).
+    """The TC's server core (framing, ordering and shutdown are
+    :class:`~repro.net.server.Server`'s; connections are the driver's).
 
     The TC tier scales clients without growing threads: server thread
     count stays O(#DCs) — each DC connection keeps one background
@@ -242,7 +243,6 @@ class _TcServer(Server):
 
     def __init__(
         self,
-        conn,
         name: str,
         tc_id: int,
         tc_config: Optional[TcConfig],
@@ -251,7 +251,6 @@ class _TcServer(Server):
         grants: Optional[list] = None,
         sharing_mode: str = "",
         request_timeout_s: float = 30.0,
-        listen_path: str = "",
         max_sessions: int = 0,
     ) -> None:
         self._name = name
@@ -295,8 +294,6 @@ class _TcServer(Server):
         #: transaction, its commit may arrive one-way (hello flag).
         self._decided = not self._tc.cc.commit_validates
         super().__init__(
-            conn,
-            listen_path,
             metrics,
             recovered=log.replayed,
             handlers={
@@ -322,7 +319,7 @@ class _TcServer(Server):
         # A TC that fail-stops at run time (``UndoImageLostError``) takes
         # its server with it: the journal is its stable log, and whoever
         # respawns the process gets the §5.3.2 restart above.
-        self._tc.on_crash.append(lambda _name, _kind: self._loop.stop())
+        self._tc.on_crash.append(lambda _name, _kind: self.driver.stop())
 
     # -- wiring -------------------------------------------------------------
 
@@ -428,7 +425,7 @@ class _TcServer(Server):
         if peer is not self._parent_peer:
             self._sessions_ended += 1
             if self._max_sessions and self._sessions_ended >= self._max_sessions:
-                self._loop.stop()
+                self.driver.stop()
 
     # -- transactions ---------------------------------------------------------
 
@@ -617,7 +614,7 @@ class _TcServer(Server):
     def _unhandled(self, message: Message) -> None:
         raise ReproError(f"TC {self._name}: unhandled message {type(message).__name__}")
 
-    # -- what the server loop asks of the TC ----------------------------------------
+    # -- what the server core asks of the TC ----------------------------------------
 
     def _hello(self) -> TcHello:
         return TcHello(
@@ -641,57 +638,7 @@ class _TcServer(Server):
             "journal_bytes": self._journal.size(),
         }
 
-    def _close(self) -> None:
+    def close(self) -> None:
         for client in self._clients.values():
             client.close()
         self._journal.close()
-
-
-def serve(conn, *args) -> None:
-    """Child-process entry point (target of ``multiprocessing.Process``);
-    the arguments are :class:`_TcServer`'s."""
-    _TcServer(conn, *args).run()
-
-
-def serve_socket(
-    listen_path: str,
-    name: str,
-    tc_id: int,
-    tc_config: Optional[TcConfig],
-    journal_path: str,
-    dc_socks: dict[str, str],
-    grants: Optional[list] = None,
-    sharing_mode: str = "",
-    request_timeout_s: float = 30.0,
-    max_sessions: int = 0,
-) -> None:
-    """Standalone service mode (``python -m repro serve-tc``).
-
-    Binds a Unix socket (or, with a ``tcp://host:port`` address, a TCP
-    listener with TCP_NODELAY) and serves every accepted connection
-    *concurrently* through one event loop — each connection gets the full
-    protocol against the *same* durable journal, so a client reconnecting
-    after a network blip (or a second client alongside the first) sees
-    the same TC.  ``max_sessions`` stops the server once that many client
-    sessions have ended (tests use it as a bound); 0 serves forever.
-    """
-    try:
-        _TcServer(
-            None,
-            name,
-            tc_id,
-            tc_config,
-            journal_path,
-            dc_socks,
-            grants,
-            sharing_mode,
-            request_timeout_s,
-            listen_path,
-            max_sessions,
-        ).run()
-    finally:
-        if not listen_path.startswith("tcp://"):
-            try:
-                os.unlink(listen_path)
-            except OSError:
-                pass

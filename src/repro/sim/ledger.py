@@ -180,6 +180,37 @@ LEDGER: tuple[Row, ...] = (
         ("tests/test_server_contract.py", "tests/test_tc_service.py"),
     ),
     Row(
+        "tcserver.oneway_failures",
+        "docs/architecture.md §16 contract: a one-way commit that fails is "
+        "counted and its transaction aborted, since no client hears it",
+        ("tests/test_server_core.py",),
+        "no lane makes a read-only commit fail under 2PL; the core test "
+        "vetoes one at its commit-time validation",
+    ),
+    Row(
+        "tc.unstable_retries",
+        "§4.2.2 causality gate: an operation a DC refuses as UNSTABLE (a "
+        "before-image it needs is still owed) waits for the fill, then is "
+        "resent",
+        ("tests/test_reply_undo.py",),
+    ),
+    Row(
+        "tc.zombie_rollbacks_completed",
+        "docs/architecture.md §6 partial failures: a rollback parked by a DC "
+        "outage finishes once the DC heals",
+        (
+            "explore-crash",
+            "explore-optimized",
+            "tests/test_zombie_rollbacks.py",
+        ),
+    ),
+    Row(
+        "tc.fetch_ahead_retries",
+        "§3.1 fetch-ahead range reads: a probed batch the authoritative read "
+        "contradicts (a key moved between probe and lock) is retried",
+        ("tests/test_fetch_ahead_retry.py",),
+    ),
+    Row(
         "dc.bounced_in_redo_window",
         "§5.2.2 recovery ordering: a restarted DC refuses a TC's ordinary "
         "operations until that TC's redo stream is complete",

@@ -108,6 +108,24 @@ class TestEventLoopBare:
         finally:
             h.shutdown()
 
+    def test_close_does_not_wait_on_a_client_that_never_reads(self):
+        """Bytes parked for a client that never reads hold ``close`` for
+        a bounded drain, not until the client reads."""
+        loop = EventLoop(Metrics())
+        server_sock, client = socket.socketpair()
+        peer = loop.adopt(server_sock, lambda peer, data: None)
+        try:
+            blob = b"z" * (1 << 16)
+            while not peer.pending_out:
+                peer.send_frame(blob)
+            closing = threading.Thread(target=loop.close, daemon=True)
+            closing.start()
+            closing.join(timeout=10.0)
+            assert not closing.is_alive()
+            assert peer.closed
+        finally:
+            client.close()
+
     def test_mid_frame_disconnect_closes_cleanly(self):
         h = _LoopHarness()
         try:

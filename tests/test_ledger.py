@@ -23,6 +23,10 @@ def test_covers_the_branches_it_was_started_for():
         "buffer.evictions",
         "tcserver.oneway_commits",
         "tcserver.disconnect_aborts",
+        "tcserver.oneway_failures",
+        "tc.unstable_retries",
+        "tc.zombie_rollbacks_completed",
+        "tc.fetch_ahead_retries",
         "dc.log_truncations",
         "journal.compactions",
         "journal.replayed_frames",

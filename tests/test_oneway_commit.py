@@ -30,6 +30,7 @@ from repro.common.errors import CrashedError, ReproError, TransactionAborted
 from repro.net import wire
 from repro.net.tcclient import RemoteTc
 from repro.net.tcrpc import TcHello
+from repro.net.server import serve
 from repro.net.tcserver import _TcServer
 from repro.sim.supervisor import Supervisor
 from repro.tc.transactional_component import TransactionState
@@ -193,10 +194,11 @@ class TestOlderServer:
 
         listen = str(tmp_path / "tc.sock")
         server = _TcServer(
-            None, "tcx", 1, None, str(tmp_path / "tc.journal"), {},
-            listen_path=listen, max_sessions=1,
-        )  # fmt: skip
-        thread = threading.Thread(target=server.run, daemon=True)
+            "tcx", 1, None, str(tmp_path / "tc.journal"), {}, max_sessions=1
+        )
+        thread = threading.Thread(
+            target=serve, args=(server, None, listen), daemon=True
+        )
         thread.start()
         tc = RemoteTc("tcx", 1, socket_path=listen)
         try:

@@ -19,6 +19,7 @@ import multiprocessing as mp
 import os
 import signal
 import struct
+import sys
 import threading
 import time
 
@@ -284,9 +285,11 @@ def _assert_nothing_left_since(before: tuple) -> None:
     assert fds <= before[2]
 
 
-def _stall_before_hello(conn) -> None:
-    """A server child that never says hello while it lives."""
+def _stall_before_hello() -> None:
+    """A server core that takes longer to build than the stack deadline,
+    then ends its child without a hello."""
     time.sleep(1.5)
+    sys.exit(0)
 
 
 class TestStartupFailures:

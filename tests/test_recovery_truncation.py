@@ -33,7 +33,6 @@ import os
 import signal
 import threading
 import time
-import types
 
 import pytest
 
@@ -41,7 +40,6 @@ from repro.cloud.router import TcServiceDeployment
 from repro.common.config import ChannelConfig, DcConfig, KernelConfig, TcConfig
 from repro.common.lsn import NULL_LSN
 from repro.common.ops import InsertOp
-from repro.dc.data_component import DataComponent
 from repro.kernel.unbundled import UnbundledKernel
 from repro.net.dcserver import _DcServer
 from repro.net.journal import (
@@ -624,23 +622,19 @@ class TestFailedCompaction:
     def test_dc_server_counts_it_and_still_answers_advanced(
         self, tmp_path, full_disk
     ):
-        path = tmp_path / "dc.journal"
-        storage = JournalStorage(str(path))
-        server = types.SimpleNamespace(
-            _storage=storage,
-            _dc=DataComponent("dc", metrics=storage.metrics, storage=storage),
-        )
+        server = _DcServer("dc", None, str(tmp_path / "dc.journal"))
+        storage = server._storage
         request = CheckpointDcLog(tc_id=0)
-        reply = _DcServer._checkpoint_dc_log(server, None, request)
+        reply = server._checkpoint_dc_log(None, request)
         assert reply.advanced
         assert storage.metrics.get("journal.compaction_failures") == 1
         assert storage.metrics.get("journal.compactions") == 0
         full_disk.undo()
         # Nothing was compacted, so the next checkpoint is still due.
-        assert _DcServer._checkpoint_dc_log(server, None, request).advanced
+        assert server._checkpoint_dc_log(None, request).advanced
         assert storage.metrics.get("journal.compactions") == 1
         assert storage.metrics.get("journal.compaction_failures") == 1
-        storage.close()
+        server.close()
 
 
 def kill_9(*proxies) -> None:

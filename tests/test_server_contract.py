@@ -9,9 +9,9 @@ upgrades per connection, ``Shutdown`` means "goodbye" from a socket and
 when they land inside a dispatch, every request class has exactly one
 handler, and exceptions map to replies the way the clients rely on.
 
-The servers run on threads of the test process (they are built exactly
-as :func:`dcserver.serve` / :func:`tcserver.serve` build them), so a
-test can read counters and plant a handler without another protocol.
+The servers run on threads of the test process (each core served by
+:func:`repro.net.server.serve`, exactly as a server child serves it), so
+a test can read counters and plant a handler without another protocol.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from repro.net.rpc import (
     StatsRequest,
     TableList,
 )
-from repro.net.server import connect_any
+from repro.net.server import connect_any, serve
 from repro.net.tcserver import _TcServer
 from tests.test_wire_fastpath import crc_framed
 
@@ -95,18 +95,17 @@ class _Running:
         self.parent, child = mp.Pipe()
         listen = str(tmp_path / f"{role}.sock")
         if role == "dcserver":
-            self.server = _DcServer(
-                child, "dcx", None, str(tmp_path / "dcx.journal"), listen
-            )
+            self.server = _DcServer("dcx", None, str(tmp_path / "dcx.journal"))
             self.hello_type = rpc.Hello
         else:
             self.server = _TcServer(
-                child, "tcx", 1, None, str(tmp_path / "tcx.journal"), dcs or {},
-                listen_path=listen,
-            )  # fmt: skip
+                "tcx", 1, None, str(tmp_path / "tcx.journal"), dcs or {}
+            )
             self.hello_type = tcrpc.TcHello
-        self.address = self.server.listen_addr
-        self.thread = threading.Thread(target=self.server.run, daemon=True)
+        self.address = listen
+        self.thread = threading.Thread(
+            target=serve, args=(self.server, child, listen), daemon=True
+        )
         self._connections: list = []
 
     def start(self) -> "_Running":
@@ -386,7 +385,7 @@ class TestArrivalOrder:
         stats = server._handlers[StatsRequest]
 
         def pumping(peer, message):
-            assert server._loop.pump_until(
+            assert server.driver.pump_until(
                 lambda: {m.tc_id for *_, m in server._backlog} >= {2, 4},
                 timeout_s=10.0,
             )

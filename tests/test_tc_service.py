@@ -343,6 +343,7 @@ class TestDownstreamDcFailure:
         from repro.net import transport
         from repro.net.process import RemoteDc, wait_hello
         from repro.net.tcrpc import TcHello
+        from repro.net.server import serve
         from repro.net.tcserver import _TcServer
 
         dc = RemoteDc(
@@ -353,10 +354,11 @@ class TestDownstreamDcFailure:
         monkeypatch.setattr(transport, "_IDLE_WATCH_S", 30.0)
         parent, child = mp.Pipe()
         server = _TcServer(
-            child, "tcx", 1, None, str(tmp_path / "tcx.journal"),
-            {"dc1": dc.listen_path}, listen_path=str(tmp_path / "tcx.sock"),
-        )  # fmt: skip
-        thread = threading.Thread(target=server.run, daemon=True)
+            "tcx", 1, None, str(tmp_path / "tcx.journal"), {"dc1": dc.listen_path}
+        )
+        thread = threading.Thread(
+            target=serve, args=(server, child, str(tmp_path / "tcx.sock")), daemon=True
+        )
         thread.start()
         wait_hello(parent, TcHello, "tcx", timeout=10.0)
         tc = RemoteTc("tcx", tc_id=1, socket_path=server.listen_addr)
