@@ -4,7 +4,6 @@ Commands:
 
 - ``demo``        — a two-minute guided tour of the unbundled kernel
 - ``stats``       — build a sample workload and print component stats
-- ``experiments`` — list the experiment index (benchmarks per paper claim)
 - ``trace [preset] [out.json]`` — run a traced YCSB workload (preset A-F,
   default A), write Chrome trace-event JSON (open in chrome://tracing or
   https://ui.perfetto.dev) and print the per-phase latency breakdown
@@ -75,27 +74,6 @@ def _stats() -> None:
             txn.insert("sample", key, f"value-{key}")
     kernel.checkpoint()
     print(json.dumps({"dc": kernel.dc.stats(), "tc": kernel.tc.stats()}, indent=2))
-
-
-def _experiments() -> None:
-    rows = [
-        ("FIG1", "architecture cost vs monolithic", "bench_fig1_architecture.py"),
-        ("FIG2", "cloud movie site W1-W4, no 2PC", "bench_fig2_cloud.py"),
-        ("E-LOCK", "fetch-ahead vs range partitions", "bench_range_locking.py"),
-        ("E-OOO", "out-of-order execution / abLSNs", "bench_out_of_order.py"),
-        ("E-SYNC", "page-sync strategies", "bench_page_sync.py"),
-        ("E-SMO", "system-transaction logging", "bench_system_txn.py"),
-        ("E-FAIL", "partial failures & reset modes", "bench_partial_failure.py"),
-        ("E-MTC", "multiple TCs per DC", "bench_multi_tc.py"),
-        ("E-CKPT", "contract termination", "bench_checkpoint.py"),
-        ("E-SCALE", "independent instantiation", "bench_scaling.py"),
-        ("ABLATE", "design-knob sweeps", "bench_ablation.py"),
-        ("APP", "application throughput", "bench_applications.py"),
-    ]
-    width = max(len(row[0]) for row in rows)
-    for exp_id, claim, bench in rows:
-        print(f"{exp_id:<{width}}  {claim:<40}  benchmarks/{bench}")
-    print("\nrun one:  pytest benchmarks/<file> -s")
 
 
 def _trace(args: list[str]) -> int:
@@ -356,7 +334,7 @@ def _serve_tc(args: list[str]) -> int:
 
 
 def main(argv: list[str]) -> int:
-    commands = {"demo": _demo, "stats": _stats, "experiments": _experiments}
+    commands = {"demo": _demo, "stats": _stats}
     if argv and argv[0] == "trace":
         return _trace(argv[1:])
     if argv and argv[0] == "explore":

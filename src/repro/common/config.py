@@ -69,6 +69,10 @@ class DcConfig:
     snapshot_max_versions: int = 16
 
 
+#: A TC gives up after this many resend attempts of one operation.
+MAX_RESEND_ATTEMPTS = 1000
+
+
 @dataclass
 class TcConfig:
     """Transactional component configuration."""
@@ -77,19 +81,12 @@ class TcConfig:
     lock_timeout: float = 1.0
     #: How range reads are locked.
     range_protocol: RangeLockProtocol = RangeLockProtocol.FETCH_AHEAD
-    #: Keys per fetch-ahead probe batch.
-    fetch_ahead_batch: int = 16
-    #: Give up after this many resend attempts of one operation.
-    max_resend_attempts: int = 1000
     #: Group commit: up to this many concurrently-committing transactions
     #: share one log force.  Durability is never relaxed — a commit is
     #: acknowledged only once its record's LSN is at or below EOSL; the
     #: knob only coalesces *when* the force happens (1 = force per commit,
     #: the paper-faithful default).
     group_commit_size: int = 1
-    #: How long (simulated ms, also the real wait bound) a committing
-    #: transaction lingers for group-commit company before forcing anyway.
-    group_commit_deadline_ms: float = 1.0
     #: Every mutation leaves in a ``BatchedPerform`` envelope, logged as it
     #: is sent.  A transaction's envelope for a DC is flushed at this many
     #: operations (commit, scans and dependent reads flush earlier); the
@@ -108,10 +105,6 @@ class TcConfig:
     #: Total simulated backoff one operation may accumulate before the TC
     #: gives up with ResendExhaustedError (the per-operation timeout budget).
     op_timeout_budget_ms: float = 5_000.0
-    #: Stripes in the lock-manager hash table: concurrent committers touch
-    #: per-stripe mutexes instead of serializing on one global lock-table
-    #: mutex.  1 reproduces the old single-mutex behavior exactly.
-    lock_stripes: int = 16
     #: TEST ONLY — skip read locks entirely, breaking strict 2PL on
     #: purpose.  The schedule explorer's negative control flips this to
     #: prove the serializability oracle catches the resulting r/w cycles;
@@ -156,7 +149,7 @@ class TcConfig:
 
     def retry_policy(self) -> "RetryPolicy":
         return RetryPolicy(
-            max_attempts=self.max_resend_attempts,
+            max_attempts=MAX_RESEND_ATTEMPTS,
             timeout_budget_ms=self.op_timeout_budget_ms,
         )
 
@@ -190,7 +183,7 @@ class RetryPolicy:
     operation is abandoned when either bound trips: attempts or budget.
     """
 
-    max_attempts: int = 1000
+    max_attempts: int = MAX_RESEND_ATTEMPTS
     base_backoff_ms: float = 0.1
     max_backoff_ms: float = 25.0
     timeout_budget_ms: float = 5_000.0

@@ -188,10 +188,13 @@ class EventLoop:
     def call_soon(self, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` on the loop (thread-safe; wakes a blocked poll)."""
         self._callbacks.append(fn)
+        self._wake()
+
+    def _wake(self) -> None:
         try:
             os.write(self._wake_w, b"\0")
         except (BlockingIOError, OSError):
-            pass  # pipe full = a wakeup is already pending
+            pass  # pipe full = a wakeup is already pending; closed = no loop
 
     # -- teardown ------------------------------------------------------------
 
@@ -216,7 +219,9 @@ class EventLoop:
             peer.on_close(peer)
 
     def stop(self) -> None:
+        """End :meth:`run` (thread-safe; wakes a blocked poll)."""
         self._stopped = True
+        self._wake()
 
     def close(self) -> None:
         """Final teardown: drain pending replies (a Shutdown ack must reach
@@ -247,6 +252,7 @@ class EventLoop:
         self._listeners.clear()
         os.close(self._wake_r)
         os.close(self._wake_w)
+        self._wake_r = self._wake_w = -1  # a late stop() writes nowhere
 
     # -- running -------------------------------------------------------------
 
@@ -279,6 +285,8 @@ class EventLoop:
     def _run_once(self, timeout: Optional[float]) -> None:
         while self._callbacks:
             self._callbacks.popleft()()
+        if self._stopped:
+            return
         events = self._poll.poll(None if timeout is None else timeout * 1000.0)
         self._wakeups.incr()
         peers = self._peers

@@ -611,12 +611,7 @@ class ChaosRunner:
 
         from repro.obs.export import write_chrome_trace
 
-        target = (
-            Path(__file__).resolve().parents[3]
-            / "benchmarks"
-            / "results"
-            / f"CHAOS_TRACE_seed{self.seed}.json"
-        )
+        target = Path(f"CHAOS_TRACE_seed{self.seed}.json")
         try:
             return str(write_chrome_trace(target, self.tracer))
         except OSError:  # pragma: no cover - read-only checkout etc.

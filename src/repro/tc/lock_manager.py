@@ -139,10 +139,15 @@ class _Stripe:
         self.table: dict[Resource, _LockEntry] = {}
 
 
+#: Stripes in the lock table's hash: concurrent committers touch
+#: per-stripe mutexes instead of serializing on one global mutex.
+LOCK_STRIPES = 16
+
+
 class LockManager:
     """A classic lock table; one instance per TC.
 
-    The table is hash-striped (``TcConfig.lock_stripes``): each stripe has
+    The table is hash-striped (:data:`LOCK_STRIPES`): each stripe has
     its own mutex and condition, so concurrent committers touching
     different resources stop serializing on a single lock-table mutex.  A
     grant/release touches exactly one stripe; the deadlock detector is the
@@ -160,7 +165,7 @@ class LockManager:
         metrics: Optional[Metrics] = None,
         timeout: float = 1.0,
         tracer: Optional[object] = None,
-        stripes: int = 16,
+        stripes: Optional[int] = None,
     ) -> None:
         self.metrics = metrics or Metrics()
         self.timeout = timeout
@@ -169,6 +174,8 @@ class LockManager:
             # No tracing: dispatch straight to the untraced body so the
             # lock hot path pays nothing for instrumentation.
             self.acquire = self._acquire
+        if stripes is None:
+            stripes = LOCK_STRIPES
         self._stripes = tuple(_Stripe() for _ in range(max(1, int(stripes))))
         self._stripe_count = len(self._stripes)
         #: Guards _held_by_txn and _waiting_on.  Lock order is always

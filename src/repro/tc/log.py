@@ -166,6 +166,11 @@ class LwmTracker:
         self._lwm = NULL_LSN
 
 
+#: How long (simulated ms, also the real wait bound) a committing
+#: transaction lingers for group-commit company before forcing anyway.
+GROUP_COMMIT_DEADLINE_MS = 1.0
+
+
 class GroupCommitCoalescer:
     """Lets N concurrently-committing transactions share one log force.
 
@@ -202,9 +207,11 @@ class GroupCommitCoalescer:
         self,
         log: "TcLog",
         size: int,
-        deadline_ms: float,
+        deadline_ms: Optional[float] = None,
         metrics: Optional[Metrics] = None,
     ) -> None:
+        if deadline_ms is None:
+            deadline_ms = GROUP_COMMIT_DEADLINE_MS
         if size < 1:
             raise ValueError(f"group_commit_size must be >= 1, got {size}")
         if deadline_ms < 0:

@@ -43,6 +43,9 @@ class _TableEnd:
 
 TABLE_END = _TableEnd()
 
+#: Keys per fetch-ahead probe batch.
+FETCH_AHEAD_BATCH = 16
+
 
 class FetchAheadProtocol:
     """Probe-lock-read-validate, with next-key gap locks for phantoms."""
@@ -120,7 +123,7 @@ class FetchAheadProtocol:
         """The fetch-ahead loop: probe, lock, read, validate, repeat."""
         tc = self._tc
         self._table_intent(txn, table, LockMode.IS)
-        batch_size = tc.config.fetch_ahead_batch
+        batch_size = FETCH_AHEAD_BATCH
         results: list[tuple[Key, object]] = []
         cursor = low
         inclusive = True

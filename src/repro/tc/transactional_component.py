@@ -119,7 +119,6 @@ class TransactionalComponent:
             self.metrics,
             timeout=self.config.lock_timeout,
             tracer=self.tracer,
-            stripes=self.config.lock_stripes,
         )
         if self.config.range_protocol is RangeLockProtocol.FETCH_AHEAD:
             self.protocol = FetchAheadProtocol(self)
@@ -139,10 +138,7 @@ class TransactionalComponent:
         #: share log forces, but a commit is acknowledged only once its
         #: record is stable — validates group_commit_size here, too.
         self._group_commit = GroupCommitCoalescer(
-            self.log,
-            self.config.group_commit_size,
-            self.config.group_commit_deadline_ms,
-            self.metrics,
+            self.log, self.config.group_commit_size, metrics=self.metrics
         )
         # The stages (module docstring), each owning its state.
         self.undo_cache = UndoCache(self)

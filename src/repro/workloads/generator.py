@@ -1,4 +1,4 @@
-"""Synthetic OLTP workload generation for the benchmarks.
+"""Synthetic OLTP workload generation.
 
 The runner drives any engine exposing the shared transaction interface
 (``begin()`` returning an object with insert/update/delete/read/scan/
@@ -69,10 +69,6 @@ class RunStats:
     @property
     def ops_per_second(self) -> float:
         return self.operations / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-    @property
-    def txns_per_second(self) -> float:
-        return self.committed / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
     def note_error(self, name: str) -> None:
         self.errors[name] = self.errors.get(name, 0) + 1

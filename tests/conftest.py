@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import KernelConfig, Metrics, UnbundledKernel
@@ -34,6 +36,26 @@ def populate(kernel: UnbundledKernel, count: int, table: str = "t") -> None:
     for key in range(count):
         with kernel.begin() as txn:
             txn.insert(table, key, f"value-{key:05d}")
+
+
+def run_in_threads(work, threads: int, timeout: float = 60.0) -> None:
+    """Run ``work(thread_id)`` on ``threads`` threads at once; fail on the
+    first error any of them raised or on one still running at ``timeout``."""
+    errors: list[BaseException] = []
+
+    def guarded(thread_id: int) -> None:
+        try:
+            work(thread_id)
+        except BaseException as exc:  # surfaced below, after the joins
+            errors.append(exc)
+
+    workers = [threading.Thread(target=guarded, args=(i,)) for i in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not errors, errors
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ pins the human-sized semantics a policy switch must preserve.
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -26,8 +27,10 @@ from repro import (
     TransactionAborted,
     UnbundledKernel,
 )
-from repro.common.config import CC_POLICIES, ConfigError, TcConfig
+from repro.common.config import CC_POLICIES, ConfigError, DcConfig, TcConfig
 from repro.common.errors import ReproError
+from repro.workloads.generator import zipf_keys
+from tests.conftest import run_in_threads
 
 
 def make_kernel(policy, optimized=False, **overrides):
@@ -272,3 +275,67 @@ class TestConfigVocabulary:
 
     def test_policies_enumerated(self):
         assert CC_POLICIES == ("2pl", "occ", "mvcc")
+
+
+class TestContendedReadHeavySkew:
+    """Four threads of 8-read transactions over a Zipf-skewed keyspace,
+    YCSB-B (40 % of transactions also update one hot key) and YCSB-C
+    (reads only): every transaction commits under every policy, retried
+    until it does, and OCC serves its reads without the lock manager."""
+
+    THREADS, TXNS, READS, KEYSPACE, SEED = 4, 50, 8, 200, 7
+
+    def drive(self, policy: str, update_prob: float) -> dict:
+        kernel = UnbundledKernel(
+            KernelConfig(
+                dc=DcConfig(page_size=1024),
+                tc=TcConfig(cc_policy=policy, lock_timeout=30.0),
+            )
+        )
+        kernel.create_table("usertable")
+        try:
+            with kernel.begin() as txn:
+                for key in range(self.KEYSPACE):
+                    txn.insert("usertable", key, key * 10)
+            committed = [0] * self.THREADS
+
+            def worker(worker_id: int) -> None:
+                per_txn = self.READS + 1
+                keys = zipf_keys(
+                    self.TXNS * per_txn, self.KEYSPACE, seed=self.SEED + worker_id
+                )
+                rng = random.Random(self.SEED * 100 + worker_id)
+                for start in range(0, len(keys), per_txn):
+                    batch = keys[start : start + per_txn]
+                    while True:  # retry the transaction until it commits
+                        txn = kernel.begin()
+                        try:
+                            for key in batch[: self.READS]:
+                                txn.read("usertable", key)
+                            if rng.random() < update_prob:
+                                txn.update(
+                                    "usertable", batch[-1], rng.randrange(10**6)
+                                )
+                            txn.commit()
+                            committed[worker_id] += 1
+                            break
+                        except (TransactionAborted, ReproError):
+                            try:
+                                txn.abort()
+                            except ReproError:
+                                pass
+
+            run_in_threads(worker, self.THREADS)
+            return {
+                "commits": sum(committed),
+                "lockfree_reads": kernel.metrics.get("tc.cc_lockfree_reads"),
+            }
+        finally:
+            kernel.close()
+
+    @pytest.mark.parametrize("preset, update_prob", [("B", 0.4), ("C", 0.0)])
+    def test_every_policy_commits_every_txn(self, preset, update_prob):
+        rows = {policy: self.drive(policy, update_prob) for policy in CC_POLICIES}
+        for row in rows.values():
+            assert row["commits"] == self.THREADS * self.TXNS
+        assert rows["occ"]["lockfree_reads"] > 0

@@ -91,10 +91,15 @@ class TestTcConfig:
             "truncate_log",
             # Gap locks are always on: no non-serializable scan mode.
             "phantom_protection",
+            # Module constants beside their one reader.
+            "fetch_ahead_batch",
+            "max_resend_attempts",
+            "group_commit_deadline_ms",
+            "lock_stripes",
         ):
             with pytest.raises(TypeError):
                 TcConfig(**{removed: 1})
-        assert len(dataclasses.fields(TcConfig)) == 16
+        assert len(dataclasses.fields(TcConfig)) == 12
 
     @pytest.mark.parametrize(
         "field, bad",

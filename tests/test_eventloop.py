@@ -108,6 +108,17 @@ class TestEventLoopBare:
         finally:
             h.shutdown()
 
+    def test_stop_from_another_thread_returns_run(self):
+        """``stop`` wakes a ``run`` parked in a poll with nothing to do."""
+        loop = EventLoop(Metrics())
+        running = threading.Thread(target=loop.run, daemon=True)
+        running.start()
+        time.sleep(0.05)  # run() is now blocked in poll
+        loop.stop()
+        running.join(timeout=0.1)
+        assert not running.is_alive()
+        loop.close()
+
     def test_close_does_not_wait_on_a_client_that_never_reads(self):
         """Bytes parked for a client that never reads hold ``close`` for
         a bounded drain, not until the client reads."""

@@ -43,11 +43,6 @@ class TestCli:
         assert code == 0
         assert '"records": 500' in output
 
-    def test_experiments(self):
-        code, output = self._run("experiments")
-        assert code == 0
-        assert "FIG1" in output and "bench_fig2_cloud.py" in output
-
     def test_unknown_command(self):
         code, output = self._run("nope")
         assert code == 1

@@ -15,6 +15,7 @@ from repro.common.config import DcConfig
 from repro.common.ops import InsertOp, ProbeNextKeysOp, RangeReadOp
 from repro.dc.data_component import DataComponent
 from repro.sim.metrics import Metrics
+from repro.tc import range_protocols
 from repro.tc.transactional_component import TransactionalComponent
 
 #: tc_id used by the sneaky out-of-band writer
@@ -56,16 +57,13 @@ class IntrudingDc(DataComponent):
         return result
 
 
-def scanning_setup(batch=4):
-    from repro.common.config import TcConfig
-
+def scanning_setup(monkeypatch, batch=4):
+    monkeypatch.setattr(range_protocols, "FETCH_AHEAD_BATCH", batch)
     metrics = Metrics()
     dc = IntrudingDc("dc", config=DcConfig(page_size=1024), metrics=metrics)
     dc.create_table("t")
     dc.register_tc(INTRUDER, force_log=lambda lsn, images: lsn)
-    tc = TransactionalComponent(
-        config=TcConfig(fetch_ahead_batch=batch), metrics=metrics
-    )
+    tc = TransactionalComponent(metrics=metrics)
     tc.attach_dc(dc)
     with tc.begin() as txn:
         for key in range(0, 20, 2):  # evens 0..18
@@ -75,8 +73,8 @@ def scanning_setup(batch=4):
 
 
 class TestValidationRetry:
-    def test_insert_between_probe_and_read_triggers_retry(self):
-        dc, tc, metrics = scanning_setup(batch=4)
+    def test_insert_between_probe_and_read_triggers_retry(self, monkeypatch):
+        dc, tc, metrics = scanning_setup(monkeypatch, batch=4)
         # after the scan's first probe, key 3 appears inside the batch
         dc.arm(after_probe=1, table="t", key=3, value="intruder")
         with tc.begin() as txn:
@@ -85,8 +83,8 @@ class TestValidationRetry:
         assert (3, "intruder") in rows  # the retry saw the new truth
         assert [key for key, _v in rows] == sorted(key for key, _v in rows)
 
-    def test_multiple_intrusions_all_absorbed(self):
-        dc, tc, metrics = scanning_setup(batch=4)
+    def test_multiple_intrusions_all_absorbed(self, monkeypatch):
+        dc, tc, metrics = scanning_setup(monkeypatch, batch=4)
         dc.arm(after_probe=1, table="t", key=3, value="a")
         dc.arm(after_probe=3, table="t", key=11, value="b")
         with tc.begin() as txn:
@@ -96,16 +94,16 @@ class TestValidationRetry:
         assert len(keys) == 12
         assert metrics.get("tc.fetch_ahead_retries") >= 2
 
-    def test_intrusion_outside_scanned_range_no_retry(self):
-        dc, tc, metrics = scanning_setup(batch=4)
+    def test_intrusion_outside_scanned_range_no_retry(self, monkeypatch):
+        dc, tc, metrics = scanning_setup(monkeypatch, batch=4)
         dc.arm(after_probe=1, table="t", key=500, value="far away")
         with tc.begin() as txn:
             rows = txn.scan("t", 0, 18)
         assert len(rows) == 10
         assert metrics.get("tc.fetch_ahead_retries") == 0
 
-    def test_scan_result_is_exactly_final_state(self):
-        dc, tc, metrics = scanning_setup(batch=2)
+    def test_scan_result_is_exactly_final_state(self, monkeypatch):
+        dc, tc, metrics = scanning_setup(monkeypatch, batch=2)
         dc.arm(after_probe=2, table="t", key=7, value="mid")
         with tc.begin() as txn:
             rows = txn.scan("t")

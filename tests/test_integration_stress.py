@@ -10,6 +10,7 @@ from repro import KernelConfig, UnbundledKernel
 from repro.common.config import ChannelConfig, DcConfig, TcConfig
 from repro.common.errors import ConfigError
 from repro.common.records import KEY_MAX, KEY_MIN
+from repro.tc import log as tc_log
 from tests.conftest import populate
 
 
@@ -99,7 +100,7 @@ class TestGroupCommitDurability:
         with pytest.raises(ConfigError):
             TcConfig(group_commit_size=0)
 
-    def test_concurrent_committers_share_forces(self):
+    def test_concurrent_committers_share_forces(self, monkeypatch):
         """Parked committers ride a leader's force: one force per wave of
         committers, yet every commit durable.
 
@@ -108,11 +109,10 @@ class TestGroupCommitDurability:
         have entered, so the election rule (``waiting >= size``) can only
         fire for the last one to park — the other three ride."""
         threads, rounds = 4, 8
-        config = KernelConfig(
-            # The deadline is the one timing-dependent election rule;
-            # put it out of reach so only the counting rules fire.
-            tc=TcConfig(group_commit_size=threads, group_commit_deadline_ms=60_000.0)
-        )
+        # The deadline is the one timing-dependent election rule; put it
+        # out of reach so only the counting rules fire.
+        monkeypatch.setattr(tc_log, "GROUP_COMMIT_DEADLINE_MS", 60_000.0)
+        config = KernelConfig(tc=TcConfig(group_commit_size=threads))
         kernel = UnbundledKernel(config)
         kernel.create_table("t")
         # Pre-populate so workers update disjoint keys: updates take only

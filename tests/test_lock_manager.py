@@ -7,14 +7,18 @@ import time
 
 import pytest
 
+from repro import KernelConfig, UnbundledKernel
+from repro.common.config import DcConfig, TcConfig
 from repro.common.errors import DeadlockError, LockTimeoutError
 from repro.sim.metrics import Metrics
+from repro.tc import lock_manager
 from repro.tc.lock_manager import (
     LockManager,
     LockMode,
     combined_mode,
     mode_covers,
 )
+from tests.conftest import run_in_threads
 
 
 def make_lm(timeout=0.2):
@@ -265,7 +269,7 @@ class TestConcurrentStress:
 
 
 class TestStriping:
-    """The striped hash table (``TcConfig.lock_stripes``)."""
+    """The striped hash table (``lock_manager.LOCK_STRIPES``)."""
 
     @pytest.mark.parametrize("stripes", [1, 2, 16])
     def test_semantics_identical_across_stripe_counts(self, stripes):
@@ -356,6 +360,33 @@ class TestStriping:
         lm.release_all(1)
         thread.join(timeout=10)
         assert metrics.get("locks.waits") >= 1
+
+    def test_kernel_grants_the_same_locks_on_one_stripe(self, monkeypatch):
+        """One contended in-process kernel, four threads inserting into
+        their own regions of one table: one stripe (the old global mutex)
+        and the default sixteen grant exactly the same locks."""
+        granted = {}
+        for stripes in (1, 16):
+            monkeypatch.setattr(lock_manager, "LOCK_STRIPES", stripes)
+            kernel = UnbundledKernel(
+                KernelConfig(
+                    dc=DcConfig(page_size=2048), tc=TcConfig(lock_timeout=30.0)
+                )
+            )
+            assert kernel.tc.locks.stripe_count == stripes
+            kernel.create_table("t0")
+            with kernel.begin() as txn:  # each region's upper fence
+                for thread_id in range(5):
+                    txn.insert("t0", thread_id * 10_000 + 9_999, "fence")
+
+            def worker(thread_id: int) -> None:
+                for op in range(80):
+                    with kernel.begin() as txn:
+                        txn.insert("t0", thread_id * 10_000 + op, "v")
+
+            run_in_threads(worker, 4)
+            granted[stripes] = kernel.metrics.get("locks.granted")
+        assert granted[1] == granted[16]
 
 
 def wait_parked(lm, resource, count, timeout=5.0):

@@ -11,6 +11,9 @@ from repro.common.errors import (
     TransactionAborted,
 )
 from repro.kernel.monolithic import MonolithicEngine, MonoTxnState
+from repro.workloads.generator import OltpMix, WorkloadRunner
+from repro.workloads.ycsb import PRESETS, YcsbConfig, YcsbWorkload
+from tests.conftest import run_in_threads
 
 
 @pytest.fixture
@@ -226,3 +229,61 @@ class TestParityWithUnbundled:
                     getattr(txn, action)(*(a for a in ("t", key, value) if a is not None))
         with mono.begin() as txn_m, unbundled.begin() as txn_u:
             assert txn_m.scan("t") == txn_u.scan("t")
+
+
+def load_keys(engine, count: int) -> None:
+    payload = "x" * 24
+    for key in range(count):
+        with engine.begin() as txn:
+            txn.insert("t", key, f"{payload}{key:06d}")
+
+
+class TestBaselineSeries:
+    """The monolithic baseline under each workload the unbundled kernel is
+    compared on, run once and unmeasured, so a change to the shared B-tree
+    or buffer pool that breaks the baseline engine fails here."""
+
+    @pytest.mark.parametrize("records", [100, 400])
+    def test_fail_together_recovery(self, records):
+        engine = MonolithicEngine(DcConfig(page_size=512))
+        engine.create_table("t")
+        load_keys(engine, records)
+        engine.crash()
+        engine.recover()
+        assert engine.record_count("t") == records
+
+    def test_threads_insert_into_disjoint_regions(self):
+        threads, inserts = 4, 80
+        engine = MonolithicEngine(DcConfig(page_size=2048), TcConfig(lock_timeout=30.0))
+        engine.create_table("t")
+        with engine.begin() as txn:  # each region's upper fence
+            for thread_id in range(threads + 1):
+                txn.insert("t", thread_id * 10_000 + 9_999, "fence")
+
+        def worker(thread_id: int) -> None:
+            for op in range(inserts):
+                with engine.begin() as txn:
+                    txn.insert("t", thread_id * 10_000 + op, "v")
+
+        run_in_threads(worker, threads)
+        assert engine.record_count("t") == threads * inserts + threads + 1
+
+    def test_fig1_oltp_mix_and_point_reads(self):
+        engine = MonolithicEngine(DcConfig(page_size=2048))
+        engine.create_table("t")
+        load_keys(engine, 300)
+        mix = OltpMix(updates=0.4, inserts=0.1, ops_per_txn=4)
+        WorkloadRunner(engine.begin, "t", keyspace=300, mix=mix, seed=7).run(150)
+        with engine.begin() as txn:
+            for key in range(0, 300, 3):
+                assert txn.read("t", key) is not None
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_ycsb_preset(self, preset):
+        engine = MonolithicEngine(DcConfig(page_size=1024))
+        engine.create_table("usertable")
+        workload = YcsbWorkload(
+            engine.begin, config=YcsbConfig(preset=preset, keyspace=300, seed=7)
+        )
+        workload.load()
+        workload.run(200)

@@ -10,8 +10,12 @@ from __future__ import annotations
 import pytest
 
 from repro import KernelConfig, UnbundledKernel
-from repro.common.config import ChannelConfig, DcConfig
+from repro.common.config import ChannelConfig, DcConfig, TcConfig
+from repro.schema import Schema
 from repro.tc.log import CompensationRecord, OpRecord
+from repro.workloads.generator import OltpMix, WorkloadRunner
+from repro.workloads.photo_sharing import PhotoSharingApp
+from repro.workloads.rdf_store import TripleStore
 from tests.conftest import populate
 
 
@@ -22,6 +26,33 @@ def small_kernel(**channel):
             channel=ChannelConfig(**channel) if channel else ChannelConfig(),
         )
     )
+
+
+class TestSection11RdfEngineAsDc:
+    def test_triple_store_rents_atomicity_from_the_tc(self):
+        """§1.1: "one might build an RDF engine as a DC with transactional
+        functionality added as a separate layer" — three clustered
+        orderings per triple, kept in step by the TC across a crash of
+        both components with an assertion half done."""
+        store = TripleStore(small_kernel())
+        store.add_all(
+            [
+                ("ada", "knows", "grace"),
+                ("grace", "knows", "alan"),
+                ("ada", "wrote", "notes"),
+            ]
+        )
+        torn = store.kernel.begin()  # only the SPO ordering gets written
+        torn.insert("triples_spo", ("eve", "knows", "ada"), True)
+        store.kernel.tc.force_log()
+        store.kernel.crash_all()
+        store.kernel.recover_all()
+        assert store.count() == 3
+        # every access path answers from its own ordering, all agreeing
+        assert store.subjects("knows", "grace") == ["ada"]  # POS
+        assert store.match(None, None, "alan") == [("grace", "knows", "alan")]  # OSP
+        assert store.objects("ada", "knows") == ["grace"]  # SPO
+        assert not store.has("eve", "knows", "ada")
 
 
 class TestSection12Contribution:
@@ -63,6 +94,25 @@ class TestSection12Contribution:
         roller.abort()  # sends an inverse UpdateOp
         # the DC served them all through the same entry point
         assert kernel.metrics.get("dc.operations") > ops_before
+
+
+class TestSection2PhotoSharing:
+    def test_home_grown_index_commits_with_the_btrees(self):
+        """§2: application-specific index structures that "no relational
+        cloud service would provide" — a hashed-heap phrase index beside
+        B-tree tables in one DC, updated and cascaded in the same
+        transactions as the rows it indexes."""
+        app = PhotoSharingApp(small_kernel())
+        app.register_user("ada", {})
+        app.upload_photo("p1", "ada", {"title": "Bridge"}, ["sunset"])
+        app.review_photo("p1", "ada", "golden hour light", 5)
+        app.kernel.crash_all()
+        app.kernel.recover_all()
+        assert app.photos_matching_phrase("golden hour") == ["p1"]
+        app.delete_photo("p1")  # reviews, tags and phrases go with it
+        assert app.photos_matching_phrase("golden hour") == []
+        assert app.photos_by_tag("sunset") == []
+        assert app.reviews_of("p1") == []
 
 
 class TestSection41Responsibilities:
@@ -236,3 +286,94 @@ class TestSection62SharingWithout2PC:
         site.reviews.insert(open_txn, ("m2", "u"), "pending")
         assert site.reviews_for_movie("m") != []  # returns immediately
         open_txn.abort()
+
+    def test_a_two_dc_write_commits_on_one_log_force(self):
+        """§6.2.2: "there is no classic (blocking) two phase commit
+        protocol in this picture" — a review lands on two DCs and its TC
+        commits it with one force of its own log; the textbook 2PC the
+        design avoids forces five logs, sends eight messages and holds
+        both participants in doubt until the decision."""
+        from repro.cloud.movie_site import MovieSite
+        from repro.cloud.two_pc import TwoPhaseCommitSystem
+
+        site = MovieSite()
+        site.add_movie("m", {"title": "M"})
+        site.register_user("u", {})
+        forces = site.metrics.get("tclog.forces")
+        _, machines = site.machines_touched(site.post_review, "u", "m", "text")
+        assert machines == 2
+        assert site.metrics.get("tclog.forces") - forces == 1
+        outcome = TwoPhaseCommitSystem(["dc-reviews", "dc-users"]).commit_transaction()
+        assert outcome.committed
+        assert (outcome.log_forces, outcome.messages) == (5, 8)
+        assert outcome.blocked_participants == 2
+
+
+class TestSection63RedundantIndexes:
+    def test_secondary_index_rides_the_writing_transaction(self):
+        """§6.3: MyReviews "is effectively ... an index in the physical
+        schema since it contains redundant data from the Reviews table" —
+        maintained inside the writing transaction, so an abort leaves
+        neither the row nor its index entry."""
+        kernel = small_kernel()
+        reviews = Schema(kernel).table(
+            "reviews", indexes={"by_user": lambda key, value: value["user"]}
+        )
+        with kernel.begin() as txn:
+            reviews.insert(txn, ("vertigo", 1), {"user": "ada"})
+        txn = kernel.begin()
+        reviews.insert(txn, ("alien", 2), {"user": "ada"})
+        txn.abort()
+        with kernel.begin() as txn:
+            assert reviews.lookup(txn, "by_user", "ada") == [("vertigo", 1)]
+            reviews.verify_indexes(txn)
+
+
+def loaded_kernel(tc: TcConfig, keys: int) -> UnbundledKernel:
+    kernel = UnbundledKernel(KernelConfig(dc=DcConfig(page_size=2048), tc=tc))
+    kernel.create_table("t")
+    for key in range(keys):
+        with kernel.begin() as txn:
+            txn.insert("t", key, f"{'x' * 24}{key:06d}")
+    return kernel
+
+
+class TestFigure1CostOfUnbundling:
+    """§7: "our unbundling approach inevitably has longer code paths" —
+    paid in messages.  The paper's pattern (every write its own round trip,
+    no undo-info cache) against :meth:`TcConfig.optimized`, on one OLTP mix
+    of 4-op transactions."""
+
+    def test_optimized_path_collapses_round_trips(self):
+        mix = OltpMix(updates=0.4, inserts=0.1, ops_per_txn=4)
+        counters = {}
+        for name, tc in (
+            ("baseline", TcConfig(undo_cache_size=0)),
+            ("optimized", TcConfig.optimized()),
+        ):
+            kernel = loaded_kernel(tc, 300)
+            runner = WorkloadRunner(kernel.begin, "t", keyspace=300, mix=mix, seed=7)
+            for txns in (50, 400, 400, 400, 400):
+                runner.run(txns)
+            counters[name] = kernel.metrics.counters()
+        base, opt = counters["baseline"], counters["optimized"]
+        txns = 300 + 50 + 4 * 400  # load + warm-up + four rounds, both kernels
+        base_msgs = base.get("channel.requests", 0) / txns
+        opt_msgs = opt.get("channel.requests", 0) / txns
+        assert opt_msgs < base_msgs
+        assert opt_msgs <= 3.0
+        # The baseline ships every write alone ...
+        assert base.get("channel.batched_ops") == base.get("channel.batches")
+        # ... the optimized path batches, and its cache answers every undo read.
+        assert opt.get("tc.undo_info_reads", 0) == 0
+        assert opt.get("channel.batches", 0) > 0
+
+    def test_optimized_four_op_txn_sends_at_most_three_messages(self):
+        kernel = loaded_kernel(TcConfig.optimized(), 100)
+        before = kernel.metrics.get("channel.requests")
+        with kernel.begin() as txn:
+            txn.update("t", 1, "u")
+            txn.update("t", 2, "u")
+            txn.read("t", 3)
+            txn.read("t", 4)
+        assert kernel.metrics.get("channel.requests") - before <= 3

@@ -37,6 +37,7 @@ from repro.net.process import ProcessChannel, RemoteDc, ServerProcess
 from repro.net.tcclient import RemoteTc
 from repro.sim.faults import FaultInjector
 from repro.sim.supervisor import Supervisor
+from tests.conftest import run_in_threads
 
 
 def process_config(**tc_overrides) -> KernelConfig:
@@ -127,6 +128,37 @@ class TestProcessKernel:
             time.sleep(0.05)
         else:
             pytest.fail(f"DC server {pid} still alive after close()")
+
+
+    @pytest.mark.parametrize("dc_count", [1, 2, 4])
+    def test_threads_over_dc_processes_commit_everything(self, dc_count):
+        """Four driver threads of 40 eight-insert transactions over 1, 2
+        and 4 DC processes, one table per DC: every transaction commits."""
+        threads, txns = 4, 40
+        config = KernelConfig(
+            dc=DcConfig(page_size=2048),
+            tc=TcConfig.optimized(lock_timeout=30.0),
+            channel=ChannelConfig(transport="process", request_timeout_s=30.0),
+        )
+        with UnbundledKernel(config, dc_count=dc_count) as kernel:
+            for index in range(dc_count):
+                table = f"t{index}"
+                dc_name = f"dc{index + 1}" if dc_count > 1 else None
+                kernel.create_table(table, dc_name=dc_name)
+                with kernel.begin() as txn:  # each region's upper fence
+                    for thread_id in range(threads + 1):
+                        txn.insert(table, thread_id * 10_000 + 9_999, "fence")
+
+            def worker(thread_id: int) -> None:
+                table = f"t{thread_id % dc_count}"
+                for txn_index in range(txns):
+                    start = thread_id * 10_000 + txn_index * 8
+                    with kernel.begin() as txn:
+                        for key in range(start, start + 8):
+                            txn.insert(table, key, "x" * 64)
+
+            run_in_threads(worker, threads)
+            assert kernel.metrics.get("tc.commits") >= threads * txns
 
 
 class TestKillAndRecover:

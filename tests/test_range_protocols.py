@@ -7,6 +7,7 @@ import pytest
 from repro import KernelConfig, TransactionAborted, UnbundledKernel
 from repro.common.config import DcConfig, RangeLockProtocol, TcConfig
 from repro.common.errors import ReproError
+from repro.tc import range_protocols
 from repro.tc.range_protocols import RangePartitionProtocol, TABLE_END
 from tests.conftest import populate
 
@@ -38,11 +39,10 @@ class TestFetchAheadProtocol:
         # 60 keys / batch 16 -> at least 4 probe round trips + boundary
         assert kernel.metrics.get("tc.probes") - probes_before >= 4
 
-    def test_batch_size_controls_probe_count(self):
+    def test_batch_size_controls_probe_count(self, monkeypatch):
         for batch, expect_max in ((8, 60), (64, 3)):
-            kernel = kernel_with(
-                RangeLockProtocol.FETCH_AHEAD, fetch_ahead_batch=batch
-            )
+            monkeypatch.setattr(range_protocols, "FETCH_AHEAD_BATCH", batch)
+            kernel = kernel_with(RangeLockProtocol.FETCH_AHEAD)
             populate(kernel, 60)
             before = kernel.metrics.get("tc.probes")
             with kernel.begin() as txn:

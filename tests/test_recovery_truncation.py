@@ -217,6 +217,31 @@ class TestCheckpointTruncation:
         with kernel.begin() as txn:
             assert len(txn.scan("t")) == 25
 
+    def test_checkpoints_bound_restart_redo_as_the_log_grows(self):
+        """Restart after a TC crash at 100, 400 and 1 600 committed inserts,
+        with and without a checkpoint every eighth of the run: with them,
+        redo is at most the last interval's worth."""
+        for txns in (100, 400, 1600):
+            rows = {}
+            for checkpoints in (False, True):
+                kernel = self._kernel()
+                interval = max(1, txns // 8)
+                for index in range(txns):
+                    with kernel.begin() as txn:
+                        txn.insert("t", index, f"value-{index:06d}")
+                    if checkpoints and (index + 1) % interval == 0:
+                        assert kernel.checkpoint()
+                kernel.crash_tc()
+                rows[checkpoints] = (
+                    kernel.recover_tc()["redo_ops"],
+                    kernel.metrics.get("tclog.truncated_records"),
+                )
+                with kernel.begin() as txn:
+                    assert len(txn.scan("t")) == txns
+        # At the largest log: redo without checkpoints is the whole history.
+        assert rows[True][0] < rows[False][0] / 4
+        assert rows[True][1] > 0
+
 
 class TestParallelRedo:
     def _multi_dc_kernel(self, dc_count, tc=None, faults=None):
@@ -860,6 +885,37 @@ class TestProcessModeCompaction:
         kernel = UnbundledKernel(config, dc_count=dc_count)
         kernel.create_table("t")
         return kernel
+
+    def test_dc_log_checkpoints_keep_the_journal_below_half_of_history(
+        self, tmp_path
+    ):
+        """One insert round and three update rounds of 50 keys, each ended
+        by a checkpoint: with a DC-log checkpoint after each (and the
+        compaction it triggers) the journal tracks live state; without,
+        it grows with history."""
+
+        def journal_bytes(compact: bool) -> int:
+            kernel = self._process_kernel(tmp_path / f"compact-{compact}")
+            try:
+                for round_no in range(4):
+                    for key in range(50):
+                        with kernel.begin() as txn:
+                            value = f"r{round_no}-{key:05d}"
+                            if round_no == 0:
+                                txn.insert("t", key, value)
+                            else:
+                                txn.update("t", key, value)
+                    assert kernel.checkpoint()
+                    if compact:
+                        kernel.dc.checkpoint_dc_log()
+                size = kernel.dc.stats()["journal_bytes"]
+                with kernel.begin() as txn:
+                    assert len(txn.scan("t")) == 50
+                return size
+            finally:
+                kernel.close()
+
+        assert journal_bytes(compact=True) < journal_bytes(compact=False) / 2
 
     def test_sigkill_after_compaction_replays_compacted_journal(self, tmp_path):
         kernel = self._process_kernel(tmp_path)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common import config as config_module
 from repro.common.config import KernelConfig, TcConfig
 from repro.common.errors import (
     ComponentUnavailableError,
@@ -29,18 +30,19 @@ from repro.sim.faults import FaultAction, FaultInjector, FaultPoint, FaultRule
 from repro.sim.supervisor import Supervisor, SupervisorGaveUp
 
 
+@pytest.fixture(autouse=True)
+def resend_attempts(monkeypatch):
+    """Every kernel here resends one operation at most 24 times."""
+    monkeypatch.setattr(config_module, "MAX_RESEND_ATTEMPTS", 24)
+
+
 def build_kernel(
     injector=None,
     budget_ms: float = 200.0,
-    attempts: int = 24,
     versioned: bool = False,
 ):
     config = KernelConfig(
-        tc=TcConfig(
-            group_commit_size=1,
-            op_timeout_budget_ms=budget_ms,
-            max_resend_attempts=attempts,
-        )
+        tc=TcConfig(group_commit_size=1, op_timeout_budget_ms=budget_ms)
     )
     kernel = UnbundledKernel(config=config, dc_count=2, faults=injector)
     names = list(kernel.dcs)
@@ -67,7 +69,7 @@ class TestFailFast:
         err = excinfo.value
         # Fail fast: the down state is known, so no resend burn at all.
         assert err.waited_ms <= kernel.tc.config.op_timeout_budget_ms
-        assert err.attempts <= kernel.tc.config.max_resend_attempts
+        assert err.attempts <= config_module.MAX_RESEND_ATTEMPTS
         # Typed *and* compatible: it still is a CrashedError.
         assert isinstance(err, CrashedError)
 
@@ -81,7 +83,7 @@ class TestFailFast:
             == "healthy"
         )
 
-    def test_sustained_loss_exhausts_resend_policy(self):
+    def test_sustained_loss_exhausts_resend_policy(self, monkeypatch):
         injector = FaultInjector(
             [
                 FaultRule(
@@ -93,7 +95,8 @@ class TestFailFast:
                 )
             ]
         )
-        kernel = build_kernel(injector, budget_ms=50.0, attempts=12)
+        monkeypatch.setattr(config_module, "MAX_RESEND_ATTEMPTS", 12)
+        kernel = build_kernel(injector, budget_ms=50.0)
         txn = kernel.begin()
         with pytest.raises(ResendExhaustedError) as excinfo:
             txn.insert("t", 1, "x")

@@ -34,6 +34,7 @@ from repro.common.errors import (
     TcRedirect,
     TransactionAborted,
 )
+from repro.common.ops import ReadFlavor
 from repro.kernel.unbundled import UnbundledKernel
 from repro.net import rpc
 from repro.net.rpc import RemoteError, Shutdown
@@ -41,6 +42,7 @@ from repro.net.tcclient import RemoteTc
 from repro.net.tcrpc import TxnAbort, TxnAck, TxnCommit, TxnWrite
 from repro.sim.supervisor import Supervisor
 from repro.tc.transactional_component import TransactionState
+from tests.conftest import run_in_threads
 
 
 def kill_tc(tc: RemoteTc) -> None:
@@ -117,6 +119,70 @@ class TestEndToEnd:
         assert other.read_other("t", "shared") == 10
         txn.commit()
         assert other.read_other("t", "shared") == 99
+
+    def test_sharing_flavors_and_the_tier_default(self, deployment):
+        """Section 6.3's read flavors with a process boundary per hop: a
+        read-committed reader sees the committed value under an open
+        writer, a dirty reader the pending one; switching the tier-wide
+        default leaves an explicit flavor argument in charge."""
+        router = deployment.router
+        owner = router.owner_of("shared")
+        other = next(
+            tc for tc in deployment.tcs.values() if tc.name != owner.name
+        )
+        with owner.begin() as txn:
+            txn.insert("t", "shared", "committed")
+        writer = owner.begin()
+        writer.update("t", "shared", "pending")
+        writer.sync()  # the pending version reaches the DC before the reads
+        for flavor, expected in (
+            (ReadFlavor.READ_COMMITTED, "committed"),
+            (ReadFlavor.DIRTY, "pending"),
+        ):
+            for _ in range(40):
+                assert other.read_other("t", "shared", flavor=flavor) == expected
+        writer.abort()
+        deployment.set_sharing_mode("dirty")
+        writer = owner.begin()
+        writer.update("t", "shared", "pending2")
+        writer.sync()
+        assert other.read_other("t", "shared") == "committed"  # explicit default arg
+        writer.abort()
+
+
+@pytest.mark.parametrize("tc_count", [1, 2, 4])
+def test_tier_commits_every_increment(tc_count):
+    """1, 2 and 4 TC server processes over one 2-DC pool, one driver thread
+    per TC: 96 transactions of two increments and an update, split across
+    the tier, each leaving its key at exactly 2."""
+    per_tc = 96 // tc_count
+    with TcServiceDeployment(tc_count=tc_count, dc_count=2, partitions=8) as dep:
+        dep.create_table("t")
+        plans = {name: [] for name in dep.tcs}
+        key = 0
+        while any(len(keys) < per_tc for keys in plans.values()):
+            keys = plans[dep.router.owner_of(key).name]
+            if len(keys) < per_tc:
+                keys.append(key)
+            key += 1
+        for name, keys in plans.items():
+            with dep.tcs[name].begin() as txn:
+                for key in keys:
+                    txn.insert("t", key, 0)
+        drivers = list(plans.items())
+
+        def drive(index: int) -> None:
+            name, keys = drivers[index]
+            for key in keys:
+                with dep.tcs[name].begin() as txn:
+                    txn.increment("t", key, 1)
+                    txn.increment("t", key, 1)
+                    txn.update("t", key, 2)
+
+        run_in_threads(drive, len(drivers))
+        for name, keys in plans.items():
+            for key in keys[:5]:
+                assert dep.tcs[name].read_other("t", key) == 2
 
 
 class TestRouting:

@@ -13,11 +13,12 @@ properties the subsystem exists for:
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
-from repro.common.config import KernelConfig, TcConfig
+from repro.common.config import DcConfig, KernelConfig, TcConfig
 from repro.common.errors import ReproError
 from repro.common.ops import ReadFlavor
 from repro.kernel.monolithic import MonolithicEngine
@@ -31,9 +32,11 @@ from repro.obs import (
     latency_breakdown,
     percentile_block,
     validate_chrome_trace,
+    write_chrome_trace,
 )
 from repro.sim.faults import FaultAction, FaultInjector, FaultPoint, FaultRule
 from repro.sim.supervisor import Supervisor
+from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
 
 
 class TestHistogram:
@@ -272,3 +275,40 @@ class TestTracePropagationUnderFaults:
         names = tracer.descendant_names(roots[0])
         assert {"mono.commit", "tc.lock_wait"} <= names
         assert engine.metrics.dist("mono.commit_latency_ms").count == 1
+
+
+class TestTracedWorkload:
+    def test_committed_txn_links_one_span_tree(self, tmp_path):
+        """A traced YCSB-A run exports a valid Chrome trace, and some
+        committed transaction's root span links its lock waits, log forces,
+        channel sends and DC execution in one tree."""
+        tracer = Tracer()
+        kernel = UnbundledKernel(
+            KernelConfig(dc=DcConfig(page_size=1024)), tracer=tracer
+        )
+        kernel.create_table("usertable")
+        workload = YcsbWorkload(
+            kernel.begin, config=YcsbConfig(preset="A", keyspace=300, seed=7)
+        )
+        workload.load()
+        assert workload.run(200).committed > 0
+
+        path = write_chrome_trace(tmp_path / "TRACE_ycsb.json", tracer)
+        problems = validate_chrome_trace(json.loads(path.read_text()))
+        assert not problems, problems
+
+        committed_roots = [
+            span
+            for span in tracer.finished_spans()
+            if span.name == "txn" and span.tags.get("outcome") == "committed"
+        ]
+        assert committed_roots
+        required = {"tc.lock_wait", "tc.log_force", "channel.send", "dc.execute"}
+        assert any(
+            required <= tracer.descendant_names(root) for root in committed_roots
+        ), "no committed transaction trace contains all required child spans"
+
+        latency = kernel.metrics.snapshot()["distributions"]["tc.commit_latency_ms"]
+        assert latency["p50"] is not None
+        assert latency["p95"] is not None
+        assert latency["p99"] is not None

@@ -28,9 +28,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import api
-from repro.common.ops import InsertOp, OpResult, OpStatus, ReadOp, UpdateOp
-from repro.common.records import KEY_MAX, KEY_MIN, TOMBSTONE
-from repro.net import rpc, wire
+from repro.common.ops import (
+    IncrementOp,
+    InsertOp,
+    OpResult,
+    OpStatus,
+    ReadOp,
+    UpdateOp,
+)
+from repro.common.records import KEY_MAX, KEY_MIN, TOMBSTONE, RecordView
+from repro.net import rpc, tcrpc, wire
 from repro.net.wire import (
     FAST_MAGIC,
     UnknownTypeError,
@@ -82,6 +89,64 @@ def test_fast_and_tagged_decode_identically(cls):
     kind, seq, fast = decode_fast_frame(frame)
     assert (kind, seq) == (rpc.PUSH, 9)
     assert fast == tagged == value
+
+
+def _hot_vocabulary() -> list[object]:
+    """The traffic the data plane carries most, in its real shapes: 8-op
+    envelopes of 24-byte values, a 20-row scan reply, the TC tier's
+    per-transaction control messages and an RSSP hint."""
+
+    def op_for(i: int):
+        if i % 4 == 0:
+            return InsertOp(table="t", key=i, value="x" * 24)
+        if i % 4 == 1:
+            return UpdateOp(table="t", key=i, value="y" * 24)
+        if i % 4 == 2:
+            return IncrementOp(table="t", key=i, delta=1)
+        return ReadOp(table="t", key=i)
+
+    return [
+        api.BatchedPerform(
+            tc_id=1,
+            ops=tuple(
+                api.PerformOperation(tc_id=1, op_id=i, op=op_for(i), eosl=i)
+                for i in range(1, 9)
+            ),
+            eosl=8,
+        ),
+        api.BatchedReply(
+            tc_id=1,
+            replies=tuple(
+                api.OperationReply(tc_id=1, op_id=i, result=OpResult.okay("z" * 24))
+                for i in range(1, 9)
+            ),
+        ),
+        api.OperationReply(
+            tc_id=1,
+            op_id=3,
+            result=OpResult(
+                status=OpStatus.OK,
+                records=tuple(RecordView(key=i, value="v" * 24) for i in range(20)),
+            ),
+        ),
+        tcrpc.TxnWrite(
+            tc_id=1, txn_id=42, verb="insert", table="t", key=7, value="v" * 24
+        ),
+        tcrpc.TxnReadReply(tc_id=1, txn_id=42, found=True, value="v" * 24),
+        tcrpc.TxnCommit(tc_id=1, txn_id=42),
+        tcrpc.TxnAck(tc_id=1, txn_id=42),
+        rpc.RsspHint(tc_id=1, dc_name="dc1", lsn=12345),
+    ]
+
+
+def test_hot_vocabulary_round_trips_both_ways():
+    fast = _full_map()
+    assert fast, "the full vocabulary must self-negotiate"
+    scratch = bytearray()
+    for message in _hot_vocabulary():
+        tagged = rpc.unpack_frame(rpc.pack_frame(rpc.PUSH, 7, message))
+        fastrt = rpc.unpack_frame(rpc.pack_frame(rpc.PUSH, 7, message, fast, scratch))
+        assert tagged == fastrt == (rpc.PUSH, 7, message)
 
 
 def _defaults_only_types() -> list[type]:
