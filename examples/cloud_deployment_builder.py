@@ -14,8 +14,8 @@ from repro.common.errors import OwnershipError
 
 def main() -> None:
     deployment = CloudDeployment()
-    deployment.add_dc("us-east", latency_ms=1.0)
-    deployment.add_dc("eu-west", latency_ms=25.0)
+    deployment.add_dc("us-east")
+    deployment.add_dc("eu-west")
     deployment.add_tc("orders-tc")
     deployment.add_tc("analytics-tc", read_only=True)
 

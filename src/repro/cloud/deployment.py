@@ -4,8 +4,8 @@
 so applications (and experiments) can declare an arbitrary topology:
 
     deployment = CloudDeployment()
-    deployment.add_dc("dc-east", latency_ms=1.0)
-    deployment.add_dc("dc-west", latency_ms=30.0)
+    deployment.add_dc("dc-east")
+    deployment.add_dc("dc-west")
     deployment.add_tc("orders-tc")
     deployment.add_tc("analytics-tc", read_only=True)
     deployment.create_table("orders", dc="dc-east", versioned=True)
@@ -50,6 +50,7 @@ class CloudDeployment:
         self.dcs: dict[str, DataComponent] = {}
         self.tcs: dict[str, TransactionalComponent] = {}
         self._tc_read_only: dict[str, bool] = {}
+        #: Remote DCs only; an in-process DC's channel takes the defaults.
         self._channel_configs: dict[str, ChannelConfig] = {}
         self.ownership = OwnershipRegistry()
         self._grants: list[tuple[str, str, Callable[[Key], bool]]] = []
@@ -58,13 +59,7 @@ class CloudDeployment:
 
     # -- declaration ------------------------------------------------------------
 
-    def add_dc(
-        self,
-        name: str,
-        latency_ms: float = 0.0,
-        config: Optional[DcConfig] = None,
-        seed: int = 0,
-    ) -> DataComponent:
+    def add_dc(self, name: str, config: Optional[DcConfig] = None) -> DataComponent:
         if name in self.dcs:
             raise ReproError(f"DC {name!r} already declared")
         dc = DataComponent(
@@ -74,7 +69,6 @@ class CloudDeployment:
             faults=self.faults,
         )
         self.dcs[name] = dc
-        self._channel_configs[name] = ChannelConfig(latency_ms=latency_ms, seed=seed)
         return dc
 
     def add_remote_dc(
@@ -168,7 +162,7 @@ class CloudDeployment:
             raise ReproError("deployment already built")
         for tc_name, tc in self.tcs.items():
             for dc_name, dc in self.dcs.items():
-                tc.attach_dc(dc, self._channel_configs[dc_name])
+                tc.attach_dc(dc, self._channel_configs.get(dc_name))
         for tc_name, table, predicate in self._grants:
             self.ownership.grant(self.tcs[tc_name], table, predicate)
         for tc_name, tc in self.tcs.items():

@@ -178,9 +178,9 @@ class TcConfig:
 class RetryPolicy:
     """Unified resend policy: exponential backoff under a total budget.
 
-    Backoff is *simulated* (charged to channel/metrics time, never slept)
-    so retry storms are visible in experiments without slowing tests.  An
-    operation is abandoned when either bound trips: attempts or budget.
+    Backoff is *simulated* (added to the operation's ``waited_ms``, never
+    slept), so retry storms cost no wall time in tests.  An operation is
+    abandoned when either bound trips: attempts or budget.
     """
 
     max_attempts: int = MAX_RESEND_ATTEMPTS
@@ -200,22 +200,15 @@ class RetryPolicy:
 
 @dataclass
 class ChannelConfig:
-    """The TC <-> DC transport: simulated in-process, or a real pipe.
+    """The TC <-> DC transport: in-process, or a real pipe or socket.
 
-    With ``transport="process"`` each DC runs as its own OS process
-    (docs/architecture.md §10) and the misbehavior knobs below must stay
-    zero — a pipe delivers reliably in order; resend/idempotence get
-    exercised by killing the process instead.
+    Deployment settings only.  Loss, duplication and delay are not
+    configured here: on the in-process channel they come from a seeded
+    :class:`~repro.sim.faults.FaultInjector` (rate rules included), and
+    the process transport refuses one — a pipe delivers reliably in
+    order, so resend/idempotence get exercised by killing the process.
     """
 
-    #: One-way latency per message, simulated milliseconds.
-    latency_ms: float = 0.0
-    #: Probability a request or reply is dropped (exercises resends).
-    loss_rate: float = 0.0
-    #: Probability a delivered message is duplicated.
-    duplicate_rate: float = 0.0
-    #: Seed for the channel's private RNG (determinism).
-    seed: int = 0
     #: ``"inproc"`` (default) or ``"process"`` — where DCs live.
     transport: str = "inproc"
     #: Process transport: real-time bound one request waits for its reply

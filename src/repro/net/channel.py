@@ -2,23 +2,21 @@
 
 The paper treats the unbundled kernel as a distributed system: requests
 flow one way, replies the other, and the network may delay, duplicate or
-drop either.  :class:`MessageChannel` simulates that against a local
-:class:`~repro.dc.data_component.DataComponent`: requests are delivered
-inline (the "signals and shared variables ... multi-core design"
-deployment), with seeded loss and duplication exercising the
-resend/idempotence contracts end to end.  Out-of-order arrival — what the
-abLSN machinery of Section 5.1 absorbs — comes from concurrent senders: a
-transaction's envelope is logged before its ``channel.send`` yield, so
-under the deterministic scheduler another task's higher LSN can reach the
-DC first.
-
-A per-message latency cost is accumulated into simulated-time metrics so
-cloud experiments can charge round trips without real sleeping.
+drop either.  :class:`MessageChannel` delivers requests inline to a local
+:class:`~repro.dc.data_component.DataComponent` (the "signals and shared
+variables ... multi-core design" deployment).  Its only adversary is an
+attached :class:`~repro.sim.faults.FaultInjector`, consulted once per leg
+at ``channel.send`` and ``channel.recv``: scripted drops, duplicates,
+delays, partitions and crashes, or seeded rate rules for a lossy wire,
+exercise the resend/idempotence contracts end to end.  Out-of-order
+arrival — what the abLSN machinery of Section 5.1 absorbs — comes from
+concurrent senders: a transaction's envelope is logged before its
+``channel.send`` yield, so under the deterministic scheduler another
+task's higher LSN can reach the DC first.
 """
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Optional
 
 from repro.common.api import BatchedPerform, Message, OperationReply, PerformOperation
@@ -27,11 +25,15 @@ from repro.common.errors import CrashedError
 from repro.dc.data_component import DataComponent
 from repro.obs.tracing import NULL_TRACER
 from repro.sim import schedule as _sched
+from repro.sim.faults import FaultAction, FaultPoint
 from repro.sim.metrics import Metrics
 from repro.sim.schedule import YieldPoint
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.sim.faults import FaultInjector
+
+#: Fault actions that lose the message on its leg.
+_LOST = (FaultAction.DROP, FaultAction.PARTITION)
 
 
 class MessageChannel:
@@ -55,29 +57,21 @@ class MessageChannel:
         if not self.tracer.enabled and type(self).request is MessageChannel.request:
             # No tracing: requests dispatch straight to the untraced body.
             self.request = self._request
-        self._rng = random.Random(self.config.seed)
-        self.sim_time_ms = 0.0
         #: Per-channel counters (cloud experiments diff these to count how
         #: many machines a workload touched with actual data operations).
         self.requests_sent = 0
         self.ops_sent = 0
-        # Hot-path bindings: counter slots and config scalars resolved once
-        # so the per-request path does no dict/attr chains (satellite of the
-        # FIG1 fast-path work; profile with ``python -m repro trace``).
+        # Hot-path bindings: counter slots resolved once so the per-request
+        # path does no dict/attr chains (profile with ``python -m repro
+        # trace``).
         self._requests_slot = self.metrics.counter("channel.requests")
         self._batches_slot = self.metrics.counter("channel.batches")
         self._batched_ops_slot = self.metrics.counter("channel.batched_ops")
-        self._latency_ms = self.config.latency_ms
-
-    @property
-    def well_behaved(self) -> bool:
-        """True when the channel neither loses nor duplicates."""
-        return self.config.loss_rate == 0.0 and self.config.duplicate_rate == 0.0
 
     def request(self, message: Message) -> Optional[Message]:
         """Deliver one message now; returns the reply (or None).
 
-        Misbehavior still applies: a "lost" request or reply returns None,
+        Injected faults apply: a "lost" request or reply returns None,
         and the caller's resend logic takes over.  ``CrashedError`` from a
         crashed DC is surfaced as a lost message plus a flag the TC can
         inspect via :attr:`dc`.
@@ -136,32 +130,26 @@ class MessageChannel:
                 YieldPoint.CHANNEL_SEND, self.dc.name, kind=type(message).__name__
             )
         self._note_request(message)
-        self._charge_latency()
-        if self._fault_lost("send"):
-            self.metrics.incr("channel.requests_lost")
-            return None
-        if self._drop():
-            self.metrics.incr("channel.requests_lost")
-            return None
+        action = None
+        if self.faults is not None:
+            action = self._fault(FaultPoint.CHANNEL_SEND)
+            if action in _LOST:
+                self.metrics.incr("channel.requests_lost")
+                return None
         try:
             reply = self.dc.handle(message)
         except CrashedError:
             self.metrics.incr("channel.requests_to_crashed_dc")
             return None
-        if self._duplicate():
+        if action == FaultAction.DUPLICATE:  # idempotence absorbs it
             self.metrics.incr("channel.requests_duplicated")
-            self._charge_latency()  # the duplicate is its own trip on the wire
             try:
-                self.dc.handle(message)  # idempotence absorbs the duplicate
+                self.dc.handle(message)
             except CrashedError:
                 pass
         if reply is None:
             return None
-        self._charge_latency()
-        if self._fault_lost("recv"):
-            self.metrics.incr("channel.replies_lost")
-            return None
-        if self._drop():
+        if self.faults is not None and self._fault(FaultPoint.CHANNEL_RECV) in _LOST:
             self.metrics.incr("channel.replies_lost")
             return None
         if _sched.ACTIVE is not None:
@@ -170,48 +158,27 @@ class MessageChannel:
             )
         return reply
 
-    # -- misbehavior ------------------------------------------------------------------
+    def _fault(self, point: str) -> Optional[str]:
+        """Consult the fault injector for one wire leg: the action the
+        message suffers, or None when it goes through.
 
-    def _fault_lost(self, leg: str) -> bool:
-        """Consult the fault injector for one wire leg; True = message lost.
-
-        A ``delay`` outcome charges the spike to simulated time and lets the
-        message through; ``drop``/``partition`` lose it; a ``crash`` rule
-        fail-stops the target component mid-flight, which also loses the
-        message (the caller's resend logic then observes the crash).
+        A ``delay`` outcome is recorded and lets the message through;
+        ``duplicate`` delivers a request twice; ``drop``/``partition``
+        lose the message; a ``crash`` rule fail-stops the
+        target component mid-flight, which also loses the message (the
+        caller's resend logic then observes the crash).
         """
-        if self.faults is None:
-            return False
-        from repro.sim.faults import FaultAction, FaultPoint
-
-        point = FaultPoint.CHANNEL_SEND if leg == "send" else FaultPoint.CHANNEL_RECV
         try:
             outcome = self.faults.hit(point, self.dc.name)
         except CrashedError:
             self.metrics.incr("channel.requests_to_crashed_dc")
-            return True
+            return FaultAction.DROP
         if outcome is None:
-            return False
+            return None
         if outcome.action == FaultAction.DELAY:
-            self.sim_time_ms += outcome.delay_ms
             self.metrics.observe("channel.fault_delay_ms", outcome.delay_ms)
-            return False
-        return True
-
-    def _drop(self) -> bool:
-        return self.config.loss_rate > 0 and self._rng.random() < self.config.loss_rate
-
-    def _duplicate(self) -> bool:
-        return (
-            self.config.duplicate_rate > 0
-            and self._rng.random() < self.config.duplicate_rate
-        )
-
-    def _charge_latency(self) -> None:
-        latency = self._latency_ms
-        if latency:
-            self.sim_time_ms += latency
-            self.metrics.observe("channel.latency_ms", latency)
+            return None
+        return outcome.action
 
 
 def build_channel(

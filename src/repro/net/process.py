@@ -12,9 +12,9 @@ any number of TCs multiplexed over one connection; and
 over it, whose pipelined requests complete out of order — safe, since
 §4.2.1's unique request ids and DC-side idempotence assume exactly that.
 
-The simulated-misbehavior knobs (loss, duplication, fault injection) are
-local-only: a real pipe delivers reliably and in order, and the §4.2.1
-resend machinery is exercised by killing the *process* instead.
+Fault injection is local-only: a real pipe delivers reliably and in
+order, so :class:`ProcessChannel` refuses a ``FaultInjector``, and the
+§4.2.1 resend machinery is exercised by killing the *process* instead.
 """
 
 from __future__ import annotations
@@ -580,11 +580,11 @@ class ProcessChannel(MessageChannel):
         tracer=None,
     ) -> None:
         config = config or ChannelConfig()
-        if config.loss_rate or config.duplicate_rate or faults is not None:
+        if faults is not None:
             raise ReproError(
-                "simulated misbehavior and fault injection are local-only; "
-                "the process transport delivers reliably — kill the DC "
-                "process instead (docs/architecture.md §10)"
+                "fault injection is local-only; the process transport "
+                "delivers reliably — kill the DC process instead "
+                "(docs/architecture.md §10)"
             )
         super().__init__(dc, config, metrics, name=name, tracer=tracer)
         self._timeout_s = config.request_timeout_s
@@ -593,7 +593,6 @@ class ProcessChannel(MessageChannel):
 
     def _request(self, message: Message) -> Optional[Message]:
         self._note_request(message)
-        self._charge_latency()
         reply = self.dc.call(message, self._timeout_s)
         return self._accept(reply)
 
@@ -602,7 +601,6 @@ class ProcessChannel(MessageChannel):
             return None
         if isinstance(reply, RemoteError):
             raise self.dc._remote_error(reply)
-        self._charge_latency()
         return reply
 
     # -- pipelined ----------------------------------------------------------
@@ -615,7 +613,6 @@ class ProcessChannel(MessageChannel):
         next :meth:`flush` / non-deferred send — never silently dropped,
         because :meth:`finish_async` flushes first."""
         self._note_request(message)
-        self._charge_latency()
         return self.dc.submit(message, defer=defer)
 
     def finish_async(self, slot: _Slot) -> Optional[Message]:

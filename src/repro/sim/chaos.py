@@ -22,8 +22,8 @@ all pre-images means it aborted, anything else is an atomicity violation.
 Every assertion message ends with the injector's ``(seed, schedule)``
 recipe, so a failing run is reproducible with::
 
-    ChaosRunner(seed=<seed>).run()          # random mode
-    ChaosRunner(schedule=[...]).run()       # scripted mode
+    ChaosRunner(seed=<seed>).run()                   # random mode
+    ChaosRunner(seed=<seed>, schedule=[...]).run()   # scripted mode
 
 With ``channel_config=ChannelConfig(transport="process")`` the runner
 drives DC *server processes* instead.  Fault-injection hooks are
@@ -115,8 +115,10 @@ class ChaosRunner:
 
     ``schedule=None`` generates ``rules`` random fault rules from ``seed``
     once the kernel's component names are known; a scripted ``schedule``
-    is executed as given.  The *workload* is always derived from ``seed``,
-    so either way the whole run is a pure function of its arguments.
+    is executed as given (its rate rules, a lossy or duplicating wire,
+    draw from the injector's generator, seeded with ``seed`` too).  The
+    *workload* is always derived from ``seed``, so either way the whole
+    run is a pure function of its arguments.
     """
 
     TABLES = ("t", "v")  # "t" plain B-tree, "v" versioned
@@ -164,11 +166,6 @@ class ChaosRunner:
         )
         self._process_mode = process_mode
         self._tcp = process_mode and bool(channel_config.listen_host)
-        if channel_config is not None and channel_config.seed == 0:
-            # One top-level seed reproduces everything — workload, fault
-            # schedule, *and* channel misbehavior — so a failing run is a
-            # single ``--seed`` away, in process mode too.
-            channel_config.seed = seed
         self.kill_every = kill_every
         self.kill_tc_every = kill_tc_every
         #: Rate of increment-canary ops: each adds +1 to a reserved slot

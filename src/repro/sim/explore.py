@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
-from repro.common.config import ChannelConfig, KernelConfig, TcConfig
+from repro.common.config import KernelConfig, TcConfig
 from repro.common.ops import ReadFlavor
 from repro.common.errors import ReproError
 from repro.kernel.unbundled import UnbundledKernel
@@ -161,7 +161,7 @@ def run_schedule(
 
         injector = FaultInjector(seed=seed)
     kernel = UnbundledKernel(
-        config=KernelConfig(tc=tc_config, channel=ChannelConfig(seed=seed)),
+        config=KernelConfig(tc=tc_config),
         dc_count=1,
         faults=injector,
     )

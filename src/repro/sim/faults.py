@@ -38,14 +38,23 @@ matching hit.  Actions:
                  torn sector on real hardware.
 - ``drop``     — lose the message (channel points); ``count`` > 1 makes a
                  burst.
+- ``duplicate``— deliver the request twice (``channel.send``); DC-side
+                 idempotence must absorb the second copy.
 - ``partition``— lose *every* message on the channel until the supervisor
                  heals it.
-- ``delay``    — charge a latency spike of ``delay_ms`` simulated ms.
+- ``delay``    — record a latency spike of ``delay_ms`` simulated ms.
 - ``fail``     — raise :class:`~repro.common.errors.InjectedFault`.
 
+A rule with a ``rate`` is a lossy (or duplicating) wire rather than one
+event: from its ``after``-th matching hit on, it fires on each hit with
+that probability.  This is the network of §4.2.1 that "may delay,
+duplicate or drop" any message, and the only one the in-process channel
+has.
+
 Determinism: rules fire on exact hit counts and the random mode *generates
-a schedule up front* from a seed — execution itself draws no randomness,
-so every run is fully reproducible from the ``(seed, schedule)`` pair that
+a schedule up front* from a seed; during execution only rate rules draw,
+from the injector's own ``random.Random(seed)``, so every run is fully
+reproducible from the ``(seed, schedule)`` pair that
 :meth:`FaultInjector.describe` prints on failure.
 """
 
@@ -105,6 +114,7 @@ class FaultPoint:
 class FaultAction:
     CRASH = "crash"
     DROP = "drop"
+    DUPLICATE = "duplicate"
     PARTITION = "partition"
     DELAY = "delay"
     FAIL = "fail"
@@ -116,7 +126,9 @@ class FaultRule:
 
     ``count`` extends drop/delay faults over consecutive hits (a burst);
     crash/fail faults fire once.  A partition stays active from its trigger
-    until :meth:`FaultInjector.heal` lifts it.
+    until :meth:`FaultInjector.heal` lifts it.  A ``rate`` > 0 replaces the
+    burst: the rule fires on every matching hit from the ``after``-th on
+    with that probability.
     """
 
     point: str
@@ -126,6 +138,7 @@ class FaultRule:
     count: int = 1
     delay_ms: float = 5.0
     note: str = ""
+    rate: float = 0.0
 
     def describe(self) -> str:
         parts = [self.point, self.action]
@@ -134,6 +147,8 @@ class FaultRule:
         parts.append(f"after={self.after}")
         if self.count != 1:
             parts.append(f"count={self.count}")
+        if self.rate:
+            parts.append(f"rate={self.rate}")
         if self.action == FaultAction.DELAY:
             parts.append(f"delay_ms={self.delay_ms}")
         if self.note:
@@ -165,7 +180,7 @@ class _RuleState:
     def active(self) -> bool:
         if self.healed:
             return False
-        if self.rule.action == FaultAction.PARTITION:
+        if self.rule.action == FaultAction.PARTITION or self.rule.rate:
             return self.seen >= self.rule.after
         return self.rule.after <= self.seen < self.rule.after + self.rule.count
 
@@ -185,21 +200,22 @@ class FaultInjector:
         metrics: Optional[Metrics] = None,
     ) -> None:
         self.seed = seed
-        self.schedule = list(schedule)
         self.metrics = metrics or Metrics()
-        self._states = [_RuleState(rule) for rule in self.schedule]
+        self.load_schedule(schedule)
         self._components: dict[str, tuple[str, Callable[[], object]]] = {}
         #: Human-readable trace of every fired fault, in order.
         self.fired: list[str] = []
 
     def load_schedule(self, schedule: Sequence[FaultRule]) -> None:
-        """Install a schedule after construction (all hit counts reset).
+        """Install a schedule after construction (all hit counts reset,
+        and the rate rules' generator reseeded).
 
         Lets callers build the injector first, wire components through it
         (so their registered names are known), and only then generate a
         schedule targeting those names."""
         self.schedule = list(schedule)
         self._states = [_RuleState(rule) for rule in self.schedule]
+        self._rng = random.Random(self.seed)
 
     # -- wiring ------------------------------------------------------------
 
@@ -221,10 +237,13 @@ class FaultInjector:
     def hit(self, point: str, target: str = "") -> Optional[FaultOutcome]:
         """Announce one pass through a hook point; maybe inject a fault.
 
-        Returns a :class:`FaultOutcome` for drop/partition/delay faults
-        (the call site interprets it), returns None when nothing fires,
-        raises ``CrashedError`` for crash faults (after crashing the target
-        component) and :class:`InjectedFault` for fail faults.
+        Returns a :class:`FaultOutcome` for drop/duplicate/partition/delay
+        faults (the call site interprets it), returns None when nothing
+        fires, raises ``CrashedError`` for crash faults (after crashing the
+        target component) and :class:`InjectedFault` for fail faults.  The
+        first active rule fires; a rate rule is active on a hit only if
+        its draw falls under its rate, and rules behind the chosen one
+        draw nothing.
         """
         if not self._states:
             return None
@@ -233,7 +252,11 @@ class FaultInjector:
             if not state.matches(point, target):
                 continue
             state.seen += 1
-            if chosen is None and state.active():
+            if (
+                chosen is None
+                and state.active()
+                and (not state.rule.rate or self._rng.random() < state.rule.rate)
+            ):
                 chosen = state
         if chosen is None:
             return None
@@ -311,8 +334,9 @@ class FaultInjector:
     ) -> list[FaultRule]:
         """Generate a reproducible schedule of ``rules`` faults from ``seed``.
 
-        All randomness happens *here*; executing the schedule draws no
-        randomness, so ``(seed, schedule)`` fully determines a run.
+        All randomness happens *here*: the schedule holds no rate rule,
+        so executing it draws nothing and ``(seed, schedule)`` fully
+        determines a run.
         ``horizon`` bounds the hit counts at which faults trigger — scale
         it to the workload so faults actually land.
         """

@@ -141,9 +141,7 @@ class Dispatch:
             if reply is None:
                 if channel.dc.crashed:
                     raise ComponentUnavailableError(f"DC {dc_name}", attempts, waited_ms)
-                backoff = policy.backoff_ms(attempts)
-                waited_ms += backoff
-                channel.sim_time_ms += backoff
+                waited_ms += policy.backoff_ms(attempts)
                 self._metrics.incr("tc.resends")
             elif type(reply) is OpResult and reply.status is OpStatus.UNSTABLE:
                 self._await_stability(reply)

@@ -8,6 +8,7 @@ import pytest
 
 from repro import KernelConfig, Metrics, UnbundledKernel
 from repro.common.config import ChannelConfig, DcConfig, TcConfig
+from repro.sim.faults import FaultAction, FaultInjector, FaultPoint, FaultRule
 
 
 @pytest.fixture
@@ -30,6 +31,20 @@ def small_page_kernel() -> UnbundledKernel:
     kernel = UnbundledKernel(config)
     kernel.create_table("t")
     return kernel
+
+
+def lossy(seed: int = 0, loss: float = 0.0, duplicate: float = 0.0) -> FaultInjector:
+    """§4.2.1's network as a seeded fault schedule: each request and each
+    reply is lost with probability ``loss``, and each request that gets
+    through is delivered twice with probability ``duplicate``.  Pass it as
+    a kernel's ``faults``, or its ``schedule`` to a ``ChaosRunner``."""
+    send, recv = FaultPoint.CHANNEL_SEND, FaultPoint.CHANNEL_RECV
+    rules = [
+        FaultRule(send, FaultAction.DROP, rate=loss, note="loss"),
+        FaultRule(send, FaultAction.DUPLICATE, rate=duplicate, note="duplicate"),
+        FaultRule(recv, FaultAction.DROP, rate=loss, note="loss"),
+    ]
+    return FaultInjector([rule for rule in rules if rule.rate], seed=seed)
 
 
 def populate(kernel: UnbundledKernel, count: int, table: str = "t") -> None:

@@ -153,6 +153,10 @@ class TestConfig:
         assert DcConfig().snapshot_retention == 0
 
     def test_well_behaved_channel_by_default(self):
-        config = ChannelConfig()
-        assert config.loss_rate == 0.0
-        assert config.duplicate_rate == 0.0
+        """Loss and duplication come only from a fault injector, and a
+        default kernel attaches none to its channels."""
+        from repro import UnbundledKernel
+
+        kernel = UnbundledKernel()
+        assert kernel.tc.channels()
+        assert all(channel.faults is None for channel in kernel.tc.channels().values())

@@ -14,19 +14,19 @@ import pytest
 
 from repro import KernelConfig, UnbundledKernel
 from repro.common.api import BatchedPerform, BatchedReply, PerformOperation
-from repro.common.config import ChannelConfig, TcConfig
+from repro.common.config import TcConfig
 from repro.common.errors import ConfigError, TransactionAborted
 from repro.common.ops import InsertOp, OpResult, OpStatus, ReadOp
 from repro.dc.data_component import DataComponent
 from repro.net import rpc, wire
+from tests.conftest import lossy
 
 
-def batching_kernel(batch_max_ops=8, undo_cache_size=0, **channel_kwargs):
+def batching_kernel(batch_max_ops=8, undo_cache_size=0, faults=None):
     config = KernelConfig(
         tc=TcConfig(batch_max_ops=batch_max_ops, undo_cache_size=undo_cache_size),
-        channel=ChannelConfig(**channel_kwargs),
     )
-    kernel = UnbundledKernel(config)
+    kernel = UnbundledKernel(config, faults=faults)
     kernel.create_table("t")
     return kernel
 
@@ -126,7 +126,7 @@ class TestEnvelopeBasics:
 
 class TestEnvelopeFaults:
     def test_lost_envelopes_are_resent_with_same_lsns(self):
-        kernel = batching_kernel(loss_rate=0.3, seed=7)
+        kernel = batching_kernel(faults=lossy(7, loss=0.3))
         for txn_no in range(10):
             with kernel.begin() as txn:
                 for op_no in range(3):
@@ -142,7 +142,7 @@ class TestEnvelopeFaults:
     def test_duplicated_envelopes_absorbed_per_op(self):
         """A duplicated envelope re-executes every enclosed operation; the
         per-op abLSN test absorbs each one — exactly-once survives."""
-        kernel = batching_kernel(duplicate_rate=1.0, seed=11)
+        kernel = batching_kernel(faults=lossy(11, duplicate=1.0))
         with kernel.begin() as txn:
             for key in range(6):
                 txn.insert("t", key, f"v{key}")
@@ -151,7 +151,7 @@ class TestEnvelopeFaults:
             assert check.scan("t") == [(key, f"v{key}") for key in range(6)]
 
     def test_loss_duplication_and_reordering_combined(self):
-        kernel = batching_kernel(loss_rate=0.2, duplicate_rate=0.2, seed=23)
+        kernel = batching_kernel(faults=lossy(23, loss=0.2, duplicate=0.2))
         for txn_no in range(8):
             with kernel.begin() as txn:
                 for op_no in range(4):

@@ -20,6 +20,7 @@ from repro.common.config import ChannelConfig, TcConfig
 from repro.common.errors import CrashedError, InjectedFault
 from repro.sim.chaos import ChaosRunner, ChaosViolation, HistoryRecorder, _TxnEffects
 from repro.sim.faults import FaultAction, FaultInjector, FaultPoint, FaultRule
+from tests.conftest import lossy
 
 
 class _Crashable:
@@ -153,6 +154,10 @@ SMOKE_SCHEDULE = [
     FaultRule(FaultPoint.TC_CHECKPOINT, FaultAction.CRASH, after=2),
 ]
 
+#: A lossy wire as rate rules: 5 % of requests and of replies lost, 5 % of
+#: requests delivered twice, drawn from the runner's seed.
+LOSSY_WIRE = lossy(loss=0.05, duplicate=0.05).schedule
+
 
 class TestChaosRunner:
     def test_scripted_smoke_zero_violations(self):
@@ -180,6 +185,23 @@ class TestChaosRunner:
         # observable must be a pure function of the seed.
         strip = lambda report: {k: v for k, v in report.items() if k != "recipe"}
         assert strip(first) == strip(second)
+
+    def test_lossy_run_replays_from_its_recipe(self):
+        """The wire's loss and duplication are rules of the schedule, so
+        the recipe names their rates and one ``(seed, schedule)`` pair
+        replays the run: same outcomes, same fired trace."""
+        first = ChaosRunner(seed=5, schedule=LOSSY_WIRE, txns=100)
+        report = first.run()
+        assert "drop, after=1, rate=0.05" in report["recipe"]
+        assert "duplicate, after=1, rate=0.05" in report["recipe"]
+        second = ChaosRunner(seed=5, schedule=LOSSY_WIRE, txns=100)
+        again = second.run()
+        assert (again["committed"], again["aborted"]) == (
+            report["committed"],
+            report["aborted"],
+        )
+        assert any(entry.endswith("-> duplicate") for entry in first.injector.fired)
+        assert second.injector.fired == first.injector.fired
 
     def test_seed_sweep_small(self):
         for seed in range(4):
@@ -393,12 +415,9 @@ class TestChaosFastPaths:
         arrival is tests/test_out_of_order.py's.)"""
         runner = ChaosRunner(
             seed=5,
-            schedule=[],  # the channel itself is the only adversary
+            schedule=LOSSY_WIRE,  # a lossy wire is the only adversary
             txns=100,
             tc_config=TcConfig.optimized(),
-            channel_config=ChannelConfig(
-                loss_rate=0.05, duplicate_rate=0.05, seed=9
-            ),
         )
         report = runner.run()
         assert report["committed"] > 0
@@ -446,12 +465,9 @@ class TestReplyCarriedUndoChaos:
         the kept image."""
         runner = ChaosRunner(
             seed=5,
-            schedule=[],
+            schedule=LOSSY_WIRE,
             txns=100,
             tc_config=TcConfig.optimized(undo_cache_size=4),
-            channel_config=ChannelConfig(
-                loss_rate=0.05, duplicate_rate=0.05, seed=9
-            ),
             increment_rate=0.2,
         )
         report = runner.run()

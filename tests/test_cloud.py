@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.cloud.movie_site import MovieSite
@@ -24,6 +26,34 @@ def site():
     site.post_review("u2", "m1", "hated it")
     site.post_review("u1", "m2", "fine")
     return site
+
+
+def requests_per_dc(site, workload, *args):
+    """Run one workload: its result, and the requests each DC got from
+    any TC, net of the low-water-mark broadcasts that every DC gets alike
+    (which TC owns a user follows its string hash, and with it how many
+    log appends that TC had made, so the broadcasts are not a property of
+    the workload)."""
+    channels = [
+        channel
+        for tc in [*site.updaters, site.reader]
+        for channel in tc.channels().values()
+    ]
+    before = [channel.requests_sent for channel in channels]
+    broadcasts = site.metrics.get("tc.lwm_broadcasts")
+    result = workload(*args)
+    broadcasts = site.metrics.get("tc.lwm_broadcasts") - broadcasts
+    sent: Counter = Counter()
+    for channel, count in zip(channels, before):
+        sent[channel.dc.name] += channel.requests_sent - count
+    return result, {
+        name: count - broadcasts for name, count in sent.items() if count != broadcasts
+    }
+
+
+def movie_dc(site, mid) -> str:
+    """The DC holding a movie's reviews."""
+    return site.movie_dcs[site.reviews.partition_map.partition_of((mid, None))].name
 
 
 class TestPartitioningPrimitives:
@@ -73,9 +103,14 @@ class TestWorkloads:
         assert machines == 1
 
     def test_w2_two_machines_no_2pc(self, site):
-        _r, machines = site.machines_touched(site.post_review, "u3", "m1", "ok")
+        (_r, machines), sent = requests_per_dc(
+            site, site.machines_touched, site.post_review, "u3", "m1", "ok"
+        )
         assert machines == 2
-        assert site.metrics.get("twopc.messages") == 0
+        # No 2PC round: the movie's DC gets the insert's gap probe, its
+        # envelope and the versioned commit; the user DC the probe and
+        # the envelope.  Nothing else reaches either.
+        assert sent == {movie_dc(site, "m1"): 3, site.user_dc.name: 2}
 
     def test_w3_single_machine(self, site):
         _r, machines = site.machines_touched(

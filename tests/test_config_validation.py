@@ -49,7 +49,23 @@ class TestChannelConfig:
             ChannelConfig(fast_codec=False)
         with pytest.raises(TypeError):
             ChannelConfig(reorder_window=2)  # nothing queues to reorder
-        assert len(dataclasses.fields(ChannelConfig)) == 7
+        assert len(dataclasses.fields(ChannelConfig)) == 3
+
+    @pytest.mark.parametrize(
+        "removed",
+        ["latency_ms", *(f"{kind}_rate" for kind in ("loss", "duplicate")), "seed"],
+    )
+    def test_removed_fault_model_is_rejected(self, removed):
+        """Loss, duplication and delay are rules of a seeded
+        ``FaultInjector``; the channel config holds deployment settings
+        only: transport, request timeout, listen host."""
+        with pytest.raises(TypeError):
+            ChannelConfig(**{removed: 1})
+        assert [field.name for field in dataclasses.fields(ChannelConfig)] == [
+            "transport",
+            "request_timeout_s",
+            "listen_host",
+        ]
 
     def test_config_error_is_a_repro_error(self):
         with pytest.raises(ReproError):

@@ -10,8 +10,8 @@ from repro.common.errors import OwnershipError, ReproError
 
 def build_two_region():
     deployment = CloudDeployment()
-    deployment.add_dc("east", latency_ms=0.0)
-    deployment.add_dc("west", latency_ms=0.0)
+    deployment.add_dc("east")
+    deployment.add_dc("west")
     deployment.add_tc("writer")
     deployment.add_tc("reader", read_only=True)
     deployment.create_table("orders", dc="east", versioned=True)

@@ -15,7 +15,8 @@ moving a counter to a slot must not change what it counts.
 
 The second half counts Python function calls (``sys.setprofile``) on a
 warm in-process DC table: what one write of a ``BatchedPerform`` costs
-the DC, and what one ``LowWaterMark`` costs however many pages are cached.
+the DC, what one ``LowWaterMark`` costs however many pages are cached,
+and what the in-process channel adds to a request.
 The DC used to spend 33 calls per update — a closure and an outcome dict
 per operation, an ``isinstance`` ladder, both records sized in full — and
 two calls per cached page on every low-water mark.
@@ -44,6 +45,7 @@ from repro.common.ops import (
     UpdateOp,
 )
 from repro.dc.data_component import DataComponent
+from repro.net.channel import MessageChannel
 from repro.obs.tracing import Tracer
 from repro.sim.metrics import Metrics
 from repro.workloads.generator import OltpMix, WorkloadRunner
@@ -213,6 +215,21 @@ def test_single_request_calls(warm_dc):
         message = PerformOperation(tc_id=1, op_id=warm_dc.next_id(), op=op)
         calls = python_calls(warm_dc.dc.handle, message)
         assert calls <= budget, (type(op).__name__, calls)
+
+
+def test_channel_request_calls(warm_dc):
+    """The in-process channel adds at most two calls to the DC's own cost
+    of a read: with no fault injector attached it consults none (it
+    spent nine on loss, duplication and latency helpers)."""
+    channel = MessageChannel(warm_dc.dc)
+    read = ReadOp("t", 400)
+    direct = python_calls(
+        warm_dc.dc.handle, PerformOperation(tc_id=1, op_id=warm_dc.next_id(), op=read)
+    )
+    sent = python_calls(
+        channel.request, PerformOperation(tc_id=1, op_id=warm_dc.next_id(), op=read)
+    )
+    assert sent - direct <= 2, (sent, direct)
 
 
 def test_low_water_walk_calls_flat_in_cached_pages():

@@ -5,17 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro import KernelConfig, UnbundledKernel
-from repro.common.config import ChannelConfig, DcConfig, TcConfig
+from repro.common.config import DcConfig, TcConfig
 from repro.common.errors import NoSuchRecordError, ReproError
 from repro.common.ops import IncrementOp, OpResult, inverse_of
+from tests.conftest import lossy
 
 
-def kernel_with(**channel_kwargs):
-    config = KernelConfig(
-        dc=DcConfig(page_size=1024),
-        channel=ChannelConfig(**channel_kwargs) if channel_kwargs else ChannelConfig(),
-    )
-    kernel = UnbundledKernel(config)
+def kernel_with(faults=None):
+    config = KernelConfig(dc=DcConfig(page_size=1024))
+    kernel = UnbundledKernel(config, faults=faults)
     kernel.create_table("t")
     return kernel
 
@@ -96,7 +94,7 @@ class TestLogicalUndo:
 
 class TestExactlyOnce:
     def test_duplicating_channel_never_double_applies(self):
-        kernel = kernel_with(duplicate_rate=1.0, seed=3)
+        kernel = kernel_with(lossy(3, duplicate=1.0))
         with kernel.begin() as txn:
             txn.insert("t", "c", 0)
         for _ in range(20):
@@ -107,7 +105,7 @@ class TestExactlyOnce:
         assert kernel.metrics.get("dc.duplicate_ops") >= 20
 
     def test_lossy_channel_resends_exactly_once(self):
-        kernel = kernel_with(loss_rate=0.35, seed=11)
+        kernel = kernel_with(lossy(11, loss=0.35))
         with kernel.begin() as txn:
             txn.insert("t", "c", 0)
         for _ in range(25):

@@ -7,11 +7,11 @@ import threading
 import pytest
 
 from repro import KernelConfig, UnbundledKernel
-from repro.common.config import ChannelConfig, DcConfig, TcConfig
+from repro.common.config import DcConfig, TcConfig
 from repro.common.errors import ConfigError
 from repro.common.records import KEY_MAX, KEY_MIN
 from repro.tc import log as tc_log
-from tests.conftest import populate
+from tests.conftest import lossy, populate
 
 
 class TestEvictionPressure:
@@ -163,13 +163,8 @@ class TestGroupCommitDurability:
 
 class TestHostileChannel:
     def test_loss_duplication_and_reordering_together(self):
-        config = KernelConfig(
-            dc=DcConfig(page_size=512),
-            channel=ChannelConfig(
-                loss_rate=0.2, duplicate_rate=0.2, seed=99
-            ),
-        )
-        kernel = UnbundledKernel(config)
+        config = KernelConfig(dc=DcConfig(page_size=512))
+        kernel = UnbundledKernel(config, faults=lossy(99, loss=0.2, duplicate=0.2))
         kernel.create_table("t")
         for key in range(80):
             with kernel.begin() as txn:
@@ -179,11 +174,8 @@ class TestHostileChannel:
         assert rows == [(key, key * 3) for key in range(80)]
 
     def test_hostile_channel_plus_crashes(self):
-        config = KernelConfig(
-            dc=DcConfig(page_size=512),
-            channel=ChannelConfig(loss_rate=0.15, duplicate_rate=0.1, seed=4),
-        )
-        kernel = UnbundledKernel(config)
+        config = KernelConfig(dc=DcConfig(page_size=512))
+        kernel = UnbundledKernel(config, faults=lossy(4, loss=0.15, duplicate=0.1))
         kernel.create_table("t")
         populate(kernel, 60)
         kernel.crash_dc()

@@ -13,9 +13,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import KernelConfig, UnbundledKernel
-from repro.common.config import ChannelConfig, DcConfig, PageSyncStrategy
+from repro.common.config import DcConfig, PageSyncStrategy
 from repro.common.errors import DuplicateKeyError, NoSuchRecordError
 from repro.storage.buffer import ResetMode
+from tests.conftest import lossy
 
 # One transaction: a list of (action, key) steps.  A missing or duplicate
 # key raises from the call (the default envelope holds one operation), so
@@ -144,10 +145,8 @@ def test_every_reset_mode_matches_oracle(events, reset_mode):
 )
 def test_lossy_channel_and_sync_strategies_match_oracle(events, strategy, seed):
     kernel = UnbundledKernel(
-        KernelConfig(
-            dc=DcConfig(page_size=512, sync_strategy=strategy),
-            channel=ChannelConfig(loss_rate=0.15, duplicate_rate=0.1, seed=seed),
-        )
+        KernelConfig(dc=DcConfig(page_size=512, sync_strategy=strategy)),
+        faults=lossy(seed, loss=0.15, duplicate=0.1),
     )
     kernel.create_table("t")
     model = run_events(kernel, events, ResetMode.RECORD_RESET)

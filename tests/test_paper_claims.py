@@ -10,22 +10,18 @@ from __future__ import annotations
 import pytest
 
 from repro import KernelConfig, UnbundledKernel
-from repro.common.config import ChannelConfig, DcConfig, TcConfig
+from repro.common.config import DcConfig, TcConfig
 from repro.schema import Schema
 from repro.tc.log import CompensationRecord, OpRecord
 from repro.workloads.generator import OltpMix, WorkloadRunner
 from repro.workloads.photo_sharing import PhotoSharingApp
 from repro.workloads.rdf_store import TripleStore
-from tests.conftest import populate
+from tests.conftest import lossy, populate
+from tests.test_cloud import movie_dc, requests_per_dc
 
 
-def small_kernel(**channel):
-    return UnbundledKernel(
-        KernelConfig(
-            dc=DcConfig(page_size=512),
-            channel=ChannelConfig(**channel) if channel else ChannelConfig(),
-        )
-    )
+def small_kernel(faults=None):
+    return UnbundledKernel(KernelConfig(dc=DcConfig(page_size=512)), faults=faults)
 
 
 class TestSection11RdfEngineAsDc:
@@ -160,7 +156,7 @@ class TestSection42Contracts:
     def test_unique_request_ids_and_resend_reuse(self):
         """§4.2: "Resends of the request can be characterized by re-use of
         the operation identifier" — and ids never repeat otherwise."""
-        kernel = small_kernel(loss_rate=0.3, seed=9)
+        kernel = small_kernel(lossy(9, loss=0.3))
         kernel.create_table("t")
         populate(kernel, 30)
         mutation_lsns = [
@@ -277,9 +273,9 @@ class TestSection62SharingWithout2PC:
         site = MovieSite()
         site.add_movie("m", {"title": "M"})
         site.register_user("u", {})
-        msgs_before = site.metrics.get("twopc.messages")
-        site.post_review("u", "m", "spans two DCs")
-        assert site.metrics.get("twopc.messages") == msgs_before  # no 2PC
+        _r, sent = requests_per_dc(site, site.post_review, "u", "m", "spans two DCs")
+        # no 2PC: two DCs, and no prepare, vote or decision beside the writes
+        assert sent == {movie_dc(site, "m"): 3, site.user_dc.name: 2}
         # a reader during an open write: never blocked
         tc = site.owner_of("u")
         open_txn = tc.begin()

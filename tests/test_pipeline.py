@@ -4,18 +4,18 @@ envelopes of concurrent transactions execute out of LSN order end to end."""
 from __future__ import annotations
 
 from repro import KernelConfig, UnbundledKernel
-from repro.common.config import ChannelConfig, DcConfig, TcConfig
+from repro.common.config import DcConfig, TcConfig
 from repro.common.ops import InsertOp
+from tests.conftest import lossy
 from tests.test_out_of_order import run_held_at_send
 
 
-def pipelined_kernel(batch_max_ops=64, **channel_kwargs):
+def pipelined_kernel(batch_max_ops=64, faults=None):
     config = KernelConfig(
         dc=DcConfig(page_size=1024),
         tc=TcConfig(batch_max_ops=batch_max_ops, lock_timeout=60.0),
-        channel=ChannelConfig(**channel_kwargs),
     )
-    kernel = UnbundledKernel(config)
+    kernel = UnbundledKernel(config, faults=faults)
     kernel.create_table("t")
     return kernel
 
@@ -128,7 +128,7 @@ class TestPipelineUnderReordering:
             ]
 
     def test_reordering_plus_loss_falls_back_to_resend(self):
-        kernel = pipelined_kernel(loss_rate=0.3, seed=23)
+        kernel = pipelined_kernel(faults=lossy(23, loss=0.3))
         with kernel.begin() as txn:
             for key in range(30):
                 txn.insert("t", key, key)
@@ -197,22 +197,21 @@ class TestConcurrentPipelines:
 class TestPipelineThroughput:
     def test_pipelining_reduces_request_count_pressure(self):
         """An envelope of twenty sends one message where twenty envelopes
-        of one send twenty; with a latency model the saving is visible in
-        simulated time."""
-        sync_kernel = pipelined_kernel(batch_max_ops=1, latency_ms=1.0)
+        of one send twenty: every round trip saved is a request not sent."""
+        sync_kernel = pipelined_kernel(batch_max_ops=1)
         with sync_kernel.begin() as txn:
             for key in range(20):
                 txn.insert("t", key, key)
-        sync_time = sum(
-            c.sim_time_ms for c in sync_kernel.tc.channels().values()
+        sync_sent = sum(
+            c.requests_sent for c in sync_kernel.tc.channels().values()
         )
 
-        pipe_kernel = pipelined_kernel(latency_ms=1.0)
+        pipe_kernel = pipelined_kernel()
         with pipe_kernel.begin() as txn:
             for key in range(20):
                 txn.insert("t", key, key)
             txn.sync()
-        pipe_time = sum(
-            c.sim_time_ms for c in pipe_kernel.tc.channels().values()
+        pipe_sent = sum(
+            c.requests_sent for c in pipe_kernel.tc.channels().values()
         )
-        assert pipe_time < sync_time
+        assert pipe_sent < sync_sent

@@ -37,7 +37,7 @@ from repro.net.process import ProcessChannel, RemoteDc, ServerProcess
 from repro.net.tcclient import RemoteTc
 from repro.sim.faults import FaultInjector
 from repro.sim.supervisor import Supervisor
-from tests.conftest import run_in_threads
+from tests.conftest import lossy, run_in_threads
 
 
 def process_config(**tc_overrides) -> KernelConfig:
@@ -105,14 +105,20 @@ class TestProcessKernel:
             assert [txn.read("u", k) for k in range(4)] == list(range(4))
             txn.commit()
 
-    def test_deployment_mode_knobs_are_validated(self):
-        bad = KernelConfig(channel=ChannelConfig(transport="process", loss_rate=0.5))
-        with pytest.raises(ReproError):
-            UnbundledKernel(config=bad, dc_count=1)
+    def test_deployment_mode_knobs_are_validated(self, tmp_path):
+        """Fault injection is local-only: a process kernel, a
+        ``ProcessChannel`` and a deployment's remote DC each refuse an
+        injector, a lossy one included."""
         with pytest.raises(ReproError):
             UnbundledKernel(
                 config=process_config(), dc_count=1, faults=FaultInjector()
             )
+        with pytest.raises(ReproError):
+            UnbundledKernel(config=process_config(), dc_count=1, faults=lossy(loss=0.5))
+        deployment = CloudDeployment(faults=lossy(loss=0.5))
+        with pytest.raises(ReproError):
+            deployment.add_remote_dc("dcr", journal_path=str(tmp_path / "dcr.journal"))
+        assert deployment.dcs == {}
 
     def test_close_terminates_server_processes(self):
         kernel = UnbundledKernel(config=process_config(), dc_count=1)
@@ -347,16 +353,18 @@ class TestStartupFailures:
         _assert_nothing_left_since(before)
 
     def test_kernel_failing_part_way_closes_what_it_spawned(self, tmp_path):
-        """The first DC is up when attaching it raises (the process
-        transport refuses simulated loss); in TC-process mode both DCs
-        are up when the TC child dies on an unopenable journal."""
+        """The first DC is up when the second DC's child dies on an
+        unopenable journal; in TC-process mode both DCs are up when the
+        TC child dies on one."""
         gc.collect()
         before = _leftovers()
-        lossy = KernelConfig(
-            channel=ChannelConfig(transport="process", loss_rate=0.1)
+        (tmp_path / "dc2.journal").mkdir()  # open() will fail in the child
+        second_dc_less = KernelConfig(
+            channel=ChannelConfig(transport="process"), data_dir=str(tmp_path)
         )
         with pytest.raises(ReproError):
-            UnbundledKernel(config=lossy, dc_count=2)
+            UnbundledKernel(config=second_dc_less, dc_count=2)
+        (tmp_path / "dc2.journal").rmdir()
         (tmp_path / "tc1.journal").mkdir()  # open() will fail in the child
         tc_less = KernelConfig(
             channel=ChannelConfig(transport="process"),
@@ -433,9 +441,11 @@ class TestChannelAndDeployment:
         dc = RemoteDc("dcx", journal_path=str(tmp_path / "dcx.journal"))
         try:
             with pytest.raises(ReproError):
-                ProcessChannel(dc, ChannelConfig(loss_rate=0.1))
+                ProcessChannel(dc, faults=lossy(loss=0.1))
             with pytest.raises(ReproError):
-                ProcessChannel(dc, ChannelConfig(duplicate_rate=0.1))
+                ProcessChannel(dc, faults=lossy(duplicate=0.1))
+            with pytest.raises(ReproError):
+                ProcessChannel(dc, faults=FaultInjector())
         finally:
             dc.shutdown()
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro import KernelConfig, UnbundledKernel
 from repro.common.config import (
-    ChannelConfig,
     DcConfig,
     PageSyncStrategy,
     RangeLockProtocol,
@@ -31,6 +30,7 @@ from repro.common.errors import (
 )
 from repro.kernel.monolithic import MonolithicEngine
 from repro.tc.handle import TransactionState
+from tests.conftest import lossy
 
 step = st.tuples(
     st.sampled_from(["insert", "update", "delete", "scan"]),
@@ -63,9 +63,8 @@ def kernel_with(**kwargs):
     config = KernelConfig(
         dc=DcConfig(page_size=512, **kwargs.get("dc", {})),
         tc=TcConfig(**kwargs.get("tc", {})),
-        channel=ChannelConfig(**kwargs.get("channel", {})),
     )
-    kernel = UnbundledKernel(config)
+    kernel = UnbundledKernel(config, faults=kwargs.get("faults"))
     kernel.create_table("t")
     if kwargs.get("boundaries"):
         kernel.tc.protocol.set_boundaries("t", kwargs["boundaries"])
@@ -113,13 +112,7 @@ def test_sync_strategies_agree(steps):
 )
 def test_hostile_channel_agrees_with_clean(steps, seed):
     clean = kernel_with()
-    hostile = kernel_with(
-        channel={
-            "loss_rate": 0.2,
-            "duplicate_rate": 0.15,
-            "seed": seed,
-        }
-    )
+    hostile = kernel_with(faults=lossy(seed, loss=0.2, duplicate=0.15))
     assert run_workload(clean, steps) == run_workload(hostile, steps)
 
 

@@ -7,19 +7,18 @@ import random
 import pytest
 
 from repro import KernelConfig, UnbundledKernel
-from repro.common.config import ChannelConfig, DcConfig
+from repro.common.config import DcConfig
 from repro.common.errors import DuplicateKeyError, NoSuchRecordError
 from repro.storage.buffer import ResetMode
+from tests.conftest import lossy
 
 
 def test_soak_mixed_load_with_periodic_failures():
     """4 000 operations, a crash every 400, a checkpoint every 600 — the
     kernel must track a dict oracle exactly throughout."""
     kernel = UnbundledKernel(
-        KernelConfig(
-            dc=DcConfig(page_size=512, buffer_capacity=32),
-            channel=ChannelConfig(loss_rate=0.05, duplicate_rate=0.05, seed=1234),
-        )
+        KernelConfig(dc=DcConfig(page_size=512, buffer_capacity=32)),
+        faults=lossy(1234, loss=0.05, duplicate=0.05),
     )
     kernel.create_table("t")
     rng = random.Random(99)
@@ -75,10 +74,8 @@ def test_soak_counter_bank_invariant():
     total balance is invariant (increments are non-idempotent, so any
     replay defect corrupts the sum immediately)."""
     kernel = UnbundledKernel(
-        KernelConfig(
-            dc=DcConfig(page_size=512),
-            channel=ChannelConfig(duplicate_rate=0.1, seed=5),
-        )
+        KernelConfig(dc=DcConfig(page_size=512)),
+        faults=lossy(5, duplicate=0.1),
     )
     kernel.create_table("bank")
     accounts = 20

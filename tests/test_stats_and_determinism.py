@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import KernelConfig, UnbundledKernel
-from repro.common.config import ChannelConfig, DcConfig
-from tests.conftest import populate
+from repro.common.config import DcConfig
+from tests.conftest import lossy, populate
 
 
 class TestStats:
@@ -56,13 +56,8 @@ class TestStats:
 
 class TestDeterminism:
     def _run(self, seed):
-        config = KernelConfig(
-            dc=DcConfig(page_size=512),
-            channel=ChannelConfig(
-                loss_rate=0.2, duplicate_rate=0.1, seed=seed
-            ),
-        )
-        kernel = UnbundledKernel(config)
+        config = KernelConfig(dc=DcConfig(page_size=512))
+        kernel = UnbundledKernel(config, faults=lossy(seed, loss=0.2, duplicate=0.1))
         kernel.create_table("t")
         populate(kernel, 40)
         with kernel.begin() as txn:

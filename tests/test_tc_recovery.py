@@ -5,18 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro import KernelConfig, UnbundledKernel
-from repro.common.config import ChannelConfig, DcConfig
+from repro.common.config import DcConfig
 from repro.storage.buffer import ResetMode
 from repro.tc.log import CompensationRecord, TxnEndRecord
-from tests.conftest import populate
+from tests.conftest import lossy, populate
 
 
-def small_kernel(**channel_kwargs):
-    config = KernelConfig(
-        dc=DcConfig(page_size=512),
-        channel=ChannelConfig(**channel_kwargs) if channel_kwargs else ChannelConfig(),
-    )
-    kernel = UnbundledKernel(config)
+def small_kernel(faults=None):
+    config = KernelConfig(dc=DcConfig(page_size=512))
+    kernel = UnbundledKernel(config, faults=faults)
     kernel.create_table("t")
     return kernel
 
@@ -208,7 +205,7 @@ class TestResetModes:
 
 class TestRecoveryUnderLossyChannel:
     def test_restart_with_lossy_channel(self):
-        kernel = small_kernel(loss_rate=0.2, seed=13)
+        kernel = small_kernel(lossy(13, loss=0.2))
         populate(kernel, 25)
         loser = kernel.begin()
         loser.update("t", 2, "dirty")

@@ -12,9 +12,10 @@ import random
 import pytest
 
 from repro import KernelConfig, UnbundledKernel
-from repro.common.config import ChannelConfig, DcConfig, PageSyncStrategy, TcConfig
+from repro.common.config import DcConfig, PageSyncStrategy, TcConfig
 from repro.common.errors import DuplicateKeyError, NoSuchRecordError
 from repro.storage.buffer import ResetMode
+from tests.conftest import lossy
 
 
 def churn(kernel, rng, model, steps, keyspace=260):
@@ -76,12 +77,8 @@ def test_torture_churn_with_crashes(strategy, reset_mode):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_torture_chaotic_channel_plus_churn(seed):
     kernel = UnbundledKernel(
-        KernelConfig(
-            dc=DcConfig(page_size=384),
-            channel=ChannelConfig(
-                loss_rate=0.15, duplicate_rate=0.1, seed=seed
-            ),
-        )
+        KernelConfig(dc=DcConfig(page_size=384)),
+        faults=lossy(seed, loss=0.15, duplicate=0.1),
     )
     kernel.create_table("t")
     rng = random.Random(seed * 101)

@@ -14,10 +14,10 @@ from repro import (
     TransactionAborted,
     UnbundledKernel,
 )
-from repro.common.config import ChannelConfig, DcConfig, TcConfig
+from repro.common.config import DcConfig, TcConfig
 from repro.common.errors import ReproError
 from repro.tc.transactional_component import TransactionState
-from tests.conftest import populate
+from tests.conftest import lossy, populate
 
 
 class TestBasics:
@@ -288,8 +288,7 @@ class TestScans:
             assert txn.scan("t") == []
 
     def test_lossy_channel_transactions_still_exact_once(self):
-        config = KernelConfig(channel=ChannelConfig(loss_rate=0.25, seed=5))
-        kernel = UnbundledKernel(config)
+        kernel = UnbundledKernel(faults=lossy(5, loss=0.25))
         kernel.create_table("t")
         for key in range(40):
             with kernel.begin() as txn:
