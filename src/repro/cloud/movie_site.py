@@ -30,6 +30,7 @@ from repro.cloud.partitioning import (
     HashPartitionMap,
     OwnershipRegistry,
     PartitionedTable,
+    stable_key_hash,
 )
 from repro.common.config import ChannelConfig, DcConfig, TcConfig
 from repro.common.ops import ReadFlavor
@@ -91,7 +92,7 @@ class MovieSite:
         count = len(self.updaters)
         for index, tc in enumerate(self.updaters):
             owns_user = (
-                lambda uid, i=index, n=count: hash(uid) % n == i
+                lambda uid, i=index, n=count: stable_key_hash(uid) % n == i
             )
             self.ownership.grant(tc, "users", owns_user)
             self.ownership.grant(
@@ -109,7 +110,7 @@ class MovieSite:
     # -- routing --------------------------------------------------------------
 
     def owner_of(self, uid: object) -> TransactionalComponent:
-        return self.updaters[hash(uid) % len(self.updaters)]
+        return self.updaters[stable_key_hash(uid) % len(self.updaters)]
 
     # -- administration ----------------------------------------------------------
 

@@ -58,26 +58,23 @@ class HashPartitionMap:
     ``lambda key: key[0]`` routes ``(movie_id, user_id)`` by movie — the
     clustering Figure 2 needs so all reviews of one movie share a DC.
 
-    ``stable=True`` swaps the built-in ``hash()`` for
-    :func:`stable_key_hash`, which every process computes identically —
-    required whenever the map is shared across process boundaries (the TC
-    service router and the TC servers' ownership guards).
+    The hash is :func:`stable_key_hash`, which every process computes
+    identically, so a placement is a property of the key, not of the
+    interpreter's hash seed.
     """
 
     def __init__(
         self,
         partition_count: int,
         extract: Optional[Callable[[Key], object]] = None,
-        stable: bool = False,
     ) -> None:
         if partition_count < 1:
             raise ValueError("need at least one partition")
         self.partition_count = partition_count
         self._extract = extract or (lambda key: key)
-        self._hash = stable_key_hash if stable else hash
 
     def partition_of(self, key: Key) -> int:
-        return self._hash(self._extract(key)) % self.partition_count
+        return stable_key_hash(self._extract(key)) % self.partition_count
 
 
 class PartitionedTable:

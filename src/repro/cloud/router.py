@@ -53,7 +53,7 @@ class TcServiceRouter:
         self.tcs = list(tcs)
         self.by_name = {tc.name: tc for tc in self.tcs}
         self.partitions = partitions or len(self.tcs)
-        self._map = HashPartitionMap(self.partitions, extract, stable=True)
+        self._map = HashPartitionMap(self.partitions, extract)
         self.redirects_followed = 0
 
     def partition_of(self, key) -> int:

@@ -33,12 +33,12 @@ from __future__ import annotations
 import os
 import select
 import socket
-import time
 from collections import deque
 from typing import Callable, Optional
 
 from repro.net import wire
 from repro.net.rpc import FRAME_LEN, FrameReader
+from repro.sim import schedule as _sched
 from repro.sim.metrics import Metrics
 
 #: Bytes asked of one ``os.read``, all allocated before the read: below
@@ -229,10 +229,10 @@ class EventLoop:
         that does not read cannot hold it — then close everything."""
         for peer in self._peers.values():
             peer.on_close = None  # teardown, not a drop: no callbacks
-        deadline = time.monotonic() + _CLOSE_DRAIN_S
+        deadline = _sched.now() + _CLOSE_DRAIN_S
         while True:
             pending = [peer for peer in self._peers.values() if peer.pending_out]
-            left = deadline - time.monotonic()
+            left = deadline - _sched.now()
             if not pending or left <= 0:
                 break
             writable = select.poll()
@@ -269,13 +269,13 @@ class EventLoop:
         the caller's concern (they backlog), but reads, writes and
         accepts on every other connection keep flowing.
         """
-        deadline = time.monotonic() + timeout_s if timeout_s is not None else None
+        deadline = _sched.now() + timeout_s if timeout_s is not None else None
         while not self._stopped:
             if predicate():
                 return True
             remaining: Optional[float] = 0.05
             if deadline is not None:
-                remaining = deadline - time.monotonic()
+                remaining = deadline - _sched.now()
                 if remaining <= 0:
                     return False
                 remaining = min(remaining, 0.05)

@@ -45,6 +45,7 @@ from repro.net.rpc import (
     TableList,
 )
 from repro.net.transport import ReplyTimeout, Transport, _Slot
+from repro.sim import schedule as _sched
 from repro.sim.metrics import Metrics
 
 
@@ -80,12 +81,12 @@ def wait_hello(
 def connect_with_retry(address: str, who: str, timeout: float):
     """Connect to a server's listener, retrying while a just-spawned or
     healed server binds; :class:`ReproError` once ``timeout`` has passed."""
-    deadline = time.monotonic() + timeout
+    deadline = _sched.now() + timeout
     while True:
         try:
             return server.connect_any(address)
         except OSError:
-            if time.monotonic() >= deadline:
+            if _sched.now() >= deadline:
                 raise ReproError(f"{who}: cannot connect to {address}")
             time.sleep(0.05)
 

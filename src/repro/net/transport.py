@@ -18,7 +18,6 @@ import itertools
 import os
 import select
 import threading
-import time
 from queue import Empty, SimpleQueue
 from typing import Callable, Optional
 
@@ -27,6 +26,7 @@ from repro.common.errors import ReproError
 from repro.net import rpc, wire
 from repro.net.eventloop import _READ_CHUNK
 from repro.net.rpc import FRAME_LEN, FrameReader, RemoteError
+from repro.sim import schedule as _sched
 
 #: Deferred bytes auto-flush threshold; keeps a pathological pipeline from
 #: buffering unboundedly while still batching every realistic burst.
@@ -48,7 +48,7 @@ def _time_left(deadline: Optional[float]) -> Optional[float]:
     :class:`ReplyTimeout` once it has passed."""
     if deadline is None:
         return None
-    left = deadline - time.monotonic()
+    left = deadline - _sched.now()
     if left <= 0:
         raise ReplyTimeout()
     return left
@@ -283,7 +283,7 @@ class Transport:
         forgets the slot, so its late reply is dropped on arrival."""
         if self._core.pending:
             self.flush()
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = None if timeout is None else _sched.now() + timeout
         try:
             with self._lock:
                 self._activity += 1
@@ -298,12 +298,7 @@ class Transport:
                 self._reading = True
             try:
                 while not slot._filled:
-                    left = None
-                    if deadline is not None:
-                        left = deadline - time.monotonic()
-                        if left <= 0:
-                            raise ReplyTimeout()
-                    self._read_burst(left)
+                    self._read_burst(_time_left(deadline))
             finally:
                 with self._lock:
                     self._reading = False

@@ -11,7 +11,7 @@ interleaving site in the kernel's hot paths:
 yield point         site
 ==================  ====================================================
 ``lock.acquire``    :meth:`LockManager._acquire` entry (tc/lock_manager)
-``lock.blocked``    the 2PL wait loop, replacing the condition wait
+``lock.blocked``    the 2PL wait loop's :func:`wait`
 ``lock.release``    :meth:`LockManager.release` / ``release_all`` exit
 ``channel.send``    :meth:`MessageChannel._request` before delivery
 ``channel.recv``    :meth:`MessageChannel._request` before the reply
@@ -34,21 +34,24 @@ delegated to a pluggable :class:`Strategy`; each choice is appended to a
 via :class:`TraceStrategy`, and a failing trace delta-debugs down to a
 minimal reproducer with :func:`minimize_trace`.
 
-Blocking discipline.  A task that would block inside the lock manager's
-2PL wait loop must not block for real (it holds the run token); instead
-the wait loop yields ``lock.blocked`` and the scheduler marks the task
-blocked until some task releases a lock.  When every live task is blocked
-the scheduler schedules one anyway — its next wait-loop iteration runs the
-ordinary deadlock detector, which aborts the victim and un-wedges the
-rest.  Tasks must also never *park* while holding a real latch: the DC
-operation bracket marks a critical section (:func:`enter_critical`), and
-yield points hit inside it record their event but keep running.
+Blocking discipline.  :func:`wait` is the one way a TC thread blocks and
+:func:`now` the one clock its timeouts read.  A task holds the run token,
+so it must never block for real: its ``wait`` releases the condition,
+yields, and parks blocked on the wait's resource until a :func:`notify`
+(or any lock release) wakes it — step-paced runs take no timeouts.  When
+every live task is blocked the scheduler schedules one anyway; a 2PL
+waiter's next loop iteration runs the ordinary deadlock detector, which
+aborts the victim and un-wedges the rest.  Tasks must also never *park*
+while holding a real latch: the DC operation bracket marks a critical
+section (:func:`enter_critical`), and yield points hit inside it record
+their event but keep running.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+import time
 from typing import Callable, Optional, Sequence
 
 from repro.common.errors import ReproError
@@ -127,12 +130,44 @@ def notify(resource: object) -> None:
                 task.blocked_on = None
 
 
-def task_active() -> bool:
-    """True when the calling thread is a task of the installed scheduler.
+#: The one clock every timeout reads (seconds, monotonic).  A run that
+#: owns time installs its own here, as a scheduler installs :data:`ACTIVE`;
+#: the default is ``time.monotonic`` itself, so a read is one builtin call.
+now: Callable[[], float] = time.monotonic
 
-    The lock manager uses this to pick its blocking style: yield to the
-    scheduler (cooperative) versus a real condition wait (normal threads).
+
+def wait(
+    cond: threading.Condition,
+    deadline: Optional[float],
+    point: str,
+    target: str = "",
+    **detail: object,
+) -> bool:
+    """Block on ``cond`` (held by the caller) until notified; False only
+    once ``deadline`` (a :func:`now` reading, None for none) has passed.
+
+    A task of the installed scheduler instead releases ``cond``, yields
+    ``point`` and parks blocked on ``detail["resource"]``; it retakes
+    ``cond`` however the park ends and returns True.
     """
+    scheduler = ACTIVE
+    if scheduler is not None:
+        task = scheduler._current()
+        if task is not None:
+            cond.release()
+            try:
+                scheduler._park(task, point, target, detail)
+            finally:
+                cond.acquire()
+            return True
+    if deadline is None:
+        return cond.wait()
+    left = deadline - now()
+    return left > 0 and (cond.wait(left) or now() < deadline)
+
+
+def task_active() -> bool:
+    """True when the calling thread is a task of the installed scheduler."""
     scheduler = ACTIVE
     return scheduler is not None and scheduler._current() is not None
 
@@ -378,19 +413,24 @@ class DeterministicScheduler:
         self._record(point, target, task, detail)
         if task is None or task.interrupted:
             return  # setup/teardown threads and unwinding tasks never park
-        if point in (
-            YieldPoint.LOCK_BLOCKED,
-            YieldPoint.DC_REDO_WAIT,
-            YieldPoint.TC_OWED_WAIT,
-        ):
-            task.blocked_on = detail.get("resource")
-        elif point == YieldPoint.LOCK_RELEASE:
+        if point == YieldPoint.LOCK_RELEASE:
             # A release may make any blocked task grantable; wake them all
             # to re-check (the wait loop re-evaluates grantability).
             for other in self._tasks:
                 other.blocked_on = None
-        if task.critical_depth > 0 and point != YieldPoint.LOCK_BLOCKED:
+        if task.critical_depth > 0:
             return  # holding a real latch: record, but do not park
+        self._switch(task)
+
+    def _park(self, task: _Task, point: str, target: str, detail: dict) -> None:
+        """:func:`wait`'s yield: park ``task`` blocked on its resource."""
+        self._record(point, target, task, detail)
+        if not task.interrupted:
+            task.blocked_on = detail.get("resource")
+            self._switch(task)
+
+    def _switch(self, task: _Task) -> None:
+        """Hand the run token back and sleep until ``task`` is picked."""
         self._control.release()
         task.gate.acquire()
         task.blocked_on = None
@@ -418,9 +458,9 @@ class DeterministicScheduler:
                     break
                 runnable = [t for t in live if t.blocked_on is None]
                 if not runnable:
-                    # Everyone waits on a lock.  Schedule them all anyway:
-                    # the next wait-loop iteration runs deadlock detection,
-                    # aborts a victim, and the rest drain normally.
+                    # Everyone is parked in a wait.  Schedule them all
+                    # anyway: a 2PL waiter's next iteration runs deadlock
+                    # detection, aborts a victim, and the rest drain.
                     for t in live:
                         t.blocked_on = None
                     runnable = live

@@ -206,20 +206,12 @@ class Dispatch:
         if not self._dc_redo:
             return
         me = threading.get_ident()
-        if _sched.task_active():
-            # Cooperative mode: park at the scheduler (marked blocked on
-            # the redo window) instead of a real condition wait; the redo
-            # thread notifies when the window closes.
-            while True:
-                with self._redo_cv:
-                    if self._dc_redo.get(dc_name) in (None, me):
-                        return
-                _sched.maybe_yield(
-                    YieldPoint.DC_REDO_WAIT, dc_name, resource=f"redo:{dc_name}"
-                )
         with self._redo_cv:
             while self._dc_redo.get(dc_name) not in (None, me):
-                self._redo_cv.wait(timeout=1.0)
+                _sched.wait(
+                    self._redo_cv, _sched.now() + 1.0, YieldPoint.DC_REDO_WAIT,
+                    dc_name, resource=f"redo:{dc_name}",
+                )  # fmt: skip
 
     # -- sending once -----------------------------------------------------------------
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import threading
-import time
 from typing import Hashable, Optional
 
 from repro.common.errors import DeadlockError, LockTimeoutError
@@ -287,9 +286,7 @@ class LockManager:
                 self._granted_slot.value += 1
                 self._note_held(txn_id, resource)
                 return
-            deadline = time.monotonic() + (
-                timeout if timeout is not None else self.timeout
-            )
+            deadline = _sched.now() + (timeout if timeout is not None else self.timeout)
             entry.waiters.append((txn_id, mode))
             self._note_waiting(txn_id, resource)
         # Blocked.  The wait loop holds the stripe mutex only around the
@@ -301,7 +298,6 @@ class LockManager:
                 if cycle is not None:
                     self.metrics.incr("locks.deadlocks")
                     raise DeadlockError(txn_id, cycle)
-                scheduled = _sched.ACTIVE is not None and _sched.task_active()
                 with stripe.mutex:
                     if self._grantable(entry, txn_id, mode):
                         current = entry.holders.get(txn_id)
@@ -312,32 +308,18 @@ class LockManager:
                         self._note_held(txn_id, resource)
                         return
                     self.metrics.incr("locks.waits")
-                    if not scheduled:
-                        remaining = deadline - time.monotonic()
-                        woken = False
-                        if remaining > 0:
-                            stripe.parked += 1
-                            try:
-                                woken = stripe.cv.wait(timeout=remaining)
-                            finally:
-                                stripe.parked -= 1
-                        if not woken and deadline - time.monotonic() <= 0:
-                            self.metrics.incr("locks.timeouts")
-                            raise LockTimeoutError(txn_id, resource)
-                if scheduled:
-                    # Cooperative blocking: a schedule-explorer task holds
-                    # the run token, so a condition wait here would wedge
-                    # the whole schedule.  Park at the scheduler instead
-                    # (outside the stripe mutex); rescheduling re-runs the
-                    # deadlock check and the grant probe above.  Real-time
-                    # lock timeouts do not apply under step-paced runs.
-                    _sched.maybe_yield(
-                        YieldPoint.LOCK_BLOCKED,
-                        repr(resource),
-                        resource=repr(resource),
-                        mode=mode.value,
-                        txn=txn_id,
-                    )
+                    stripe.parked += 1
+                    try:
+                        name = repr(resource)
+                        woken = _sched.wait(
+                            stripe.cv, deadline, YieldPoint.LOCK_BLOCKED, name,
+                            resource=name, mode=mode.value, txn=txn_id,
+                        )  # fmt: skip
+                    finally:
+                        stripe.parked -= 1
+                    if not woken:
+                        self.metrics.incr("locks.timeouts")
+                        raise LockTimeoutError(txn_id, resource)
         finally:
             self._clear_waiting(txn_id)
             with stripe.mutex:

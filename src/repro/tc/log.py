@@ -24,7 +24,6 @@ or below it has completed (Section 5.1.2, "Establishing LSNlw").
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional
@@ -203,24 +202,9 @@ class GroupCommitCoalescer:
     on the wire — and forces again (:meth:`_force_until`).
     """
 
-    def __init__(
-        self,
-        log: "TcLog",
-        size: int,
-        deadline_ms: Optional[float] = None,
-        metrics: Optional[Metrics] = None,
-    ) -> None:
-        if deadline_ms is None:
-            deadline_ms = GROUP_COMMIT_DEADLINE_MS
-        if size < 1:
-            raise ValueError(f"group_commit_size must be >= 1, got {size}")
-        if deadline_ms < 0:
-            raise ValueError(
-                f"group_commit_deadline_ms must be >= 0, got {deadline_ms}"
-            )
+    def __init__(self, log: "TcLog", size: int, metrics: Optional[Metrics] = None) -> None:
         self.log = log
         self.size = size
-        self.deadline_ms = deadline_ms
         self.metrics = metrics or log.metrics
         # ``enter`` / ``exit`` take the plain mutex; the condition over it
         # is waited on only by a parked committer, and notified only while
@@ -270,8 +254,8 @@ class GroupCommitCoalescer:
                 self._leads_slot.value += 1
                 self._group_sizes.append(1)
             return
-        deadline_s = self.deadline_ms / 1000.0
-        start = time.monotonic()
+        deadline_s = GROUP_COMMIT_DEADLINE_MS / 1000.0
+        start = _sched.now()
         led = False
         with self._mutex:
             self._waiting += 1
@@ -280,7 +264,7 @@ class GroupCommitCoalescer:
                     lead = (
                         self._waiting >= self.size
                         or self._waiting >= self._committers
-                        or (time.monotonic() - start) >= deadline_s
+                        or (_sched.now() - start) >= deadline_s
                     )
                     if not lead:
                         self._cond.wait(timeout=deadline_s or None)
@@ -425,19 +409,17 @@ class TcLog:
     def await_fill(self, lsn: Lsn, timeout: Optional[float] = None) -> bool:
         """Block until no record at or below ``lsn`` is owed; False when
         ``timeout`` seconds pass first."""
-        if _sched.task_active():
-            # Cooperative mode: park at the scheduler until a fill notifies.
-            while self.owed_through(lsn):
-                _sched.maybe_yield(
-                    YieldPoint.TC_OWED_WAIT, "tc", resource=_OWED_RESOURCE
-                )
-            return True
+        deadline = None if timeout is None else _sched.now() + timeout
         with self._mutex:
             self._fill_waiters += 1
             try:
-                return self._filled.wait_for(
-                    lambda: not self._owed_through_locked(lsn), timeout
-                )
+                while self._owed_through_locked(lsn):
+                    if not _sched.wait(
+                        self._filled, deadline, YieldPoint.TC_OWED_WAIT, "tc",
+                        resource=_OWED_RESOURCE,
+                    ):  # fmt: skip
+                        return False
+                return True
             finally:
                 self._fill_waiters -= 1
 

@@ -136,7 +136,7 @@ class TransactionalComponent:
         self.reset_mode = ResetMode.RECORD_RESET
         #: Group commit (docs/architecture.md §9.3): committing transactions
         #: share log forces, but a commit is acknowledged only once its
-        #: record is stable — validates group_commit_size here, too.
+        #: record is stable.
         self._group_commit = GroupCommitCoalescer(
             self.log, self.config.group_commit_size, metrics=self.metrics
         )

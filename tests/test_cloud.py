@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -31,9 +35,9 @@ def site():
 def requests_per_dc(site, workload, *args):
     """Run one workload: its result, and the requests each DC got from
     any TC, net of the low-water-mark broadcasts that every DC gets alike
-    (which TC owns a user follows its string hash, and with it how many
-    log appends that TC had made, so the broadcasts are not a property of
-    the workload)."""
+    (whether one goes out depends on how many log appends the owning TC
+    had made before, so the broadcasts are not a property of the
+    workload)."""
     channels = [
         channel
         for tc in [*site.updaters, site.reader]
@@ -94,6 +98,50 @@ class TestPartitioningPrimitives:
     def test_logical_of_physical_name(self):
         assert OwnershipRegistry.logical_of("reviews@1") == "reviews"
         assert OwnershipRegistry.logical_of("users") == "users"
+
+
+#: One MovieSite script; prints who owns each user, where each movie's
+#: reviews live, and how many requests every TC sent every DC.
+_SITE_SCRIPT = """
+import json
+from repro.cloud.movie_site import MovieSite
+
+site = MovieSite()
+for mid in ("m1", "m2", "m3"):
+    site.add_movie(mid, {"title": mid.upper()})
+for uid in ("u1", "u2", "u3", "u4"):
+    site.register_user(uid, {"name": uid})
+site.post_review("u1", "m1", "loved it")
+site.post_review("u2", "m3", "fine")
+site.update_profile("u3", {"name": "U3"})
+tcs = [*site.updaters, site.reader]
+print(json.dumps({
+    "owners": {u: site.updaters.index(site.owner_of(u)) for u in ("u1", "u2", "u3", "u4")},
+    "placement": {m: site.reviews.physical_name((m, None)) for m in ("m1", "m2", "m3")},
+    "requests": [
+        [index, name, channel.requests_sent]
+        for index, tc in enumerate(tcs)
+        for name, channel in sorted(tc.channels().items())
+    ],
+}))
+"""
+
+
+def test_site_routing_does_not_follow_the_hash_seed():
+    """The same script under two string-hash seeds picks the same user
+    owners and movie DCs, so every channel carries the same requests."""
+    runs = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-c", _SITE_SCRIPT],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        runs.append(json.loads(done.stdout))
+    assert runs[0] == runs[1]
 
 
 class TestWorkloads:

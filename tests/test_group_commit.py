@@ -3,9 +3,10 @@
 These are deterministic unit tests of
 :class:`~repro.tc.log.GroupCommitCoalescer`: the test thread plays extra
 committers by calling ``enter()`` itself, so a spawned waiter provably
-parks (``waiting < committers`` and the deadline is far away) and the
-leader election is exercised without timing races.  End-to-end
-force-before-ack at every batch size lives in test_integration_stress.
+parks (``waiting < committers`` and the deadline, which each test sets
+through ``GROUP_COMMIT_DEADLINE_MS``, is far away) and the leader
+election is exercised without timing races.  End-to-end force-before-ack
+at every batch size lives in test_integration_stress.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from __future__ import annotations
 import threading
 import time
 
-import pytest
-
 from repro.sim.metrics import Metrics
+from repro.tc import log as tc_log
 from repro.tc.log import CommitRecord, GroupCommitCoalescer, TcLog
 
 
@@ -33,18 +33,19 @@ def wait_until(predicate, timeout=5.0):
 class TestCoalescerBasics:
     def test_size_one_forces_per_commit(self):
         log = TcLog(Metrics())
-        coal = GroupCommitCoalescer(log, size=1, deadline_ms=1.0)
+        coal = GroupCommitCoalescer(log, size=1)
         lsn = commit_lsn(log)
         coal.wait_stable(lsn, log.force)
         assert log.eosl >= lsn
         assert log.metrics.get("tclog.forces") == 1
 
-    def test_single_committer_never_sleeps(self):
+    def test_single_committer_never_sleeps(self, monkeypatch):
         """waiting >= committers holds immediately for a lone committer, so
         even an hour-long deadline costs nothing (the zero-overhead-when-
         unused property of the knob)."""
         log = TcLog(Metrics())
-        coal = GroupCommitCoalescer(log, size=8, deadline_ms=3_600_000.0)
+        monkeypatch.setattr(tc_log, "GROUP_COMMIT_DEADLINE_MS", 3_600_000.0)
+        coal = GroupCommitCoalescer(log, size=8)
         coal.enter()
         lsn = commit_lsn(log)
         start = time.monotonic()
@@ -57,7 +58,7 @@ class TestCoalescerBasics:
 
     def test_already_stable_lsn_skips_the_force(self):
         log = TcLog(Metrics())
-        coal = GroupCommitCoalescer(log, size=4, deadline_ms=1.0)
+        coal = GroupCommitCoalescer(log, size=4)
         lsn = commit_lsn(log)
         log.force()
         before = log.metrics.get("tclog.forces")
@@ -66,21 +67,15 @@ class TestCoalescerBasics:
         coal.exit()
         assert log.metrics.get("tclog.forces") == before
 
-    def test_rejects_invalid_parameters(self):
-        log = TcLog(Metrics())
-        with pytest.raises(ValueError):
-            GroupCommitCoalescer(log, size=0, deadline_ms=1.0)
-        with pytest.raises(ValueError):
-            GroupCommitCoalescer(log, size=2, deadline_ms=-1.0)
-
 
 class TestLeaderElection:
-    def test_two_committers_share_one_force(self):
+    def test_two_committers_share_one_force(self, monkeypatch):
         """The second committer to park leads (waiting == committers) and
         its single force covers the first, who rides."""
         metrics = Metrics()
         log = TcLog(metrics)
-        coal = GroupCommitCoalescer(log, size=8, deadline_ms=30_000.0)
+        monkeypatch.setattr(tc_log, "GROUP_COMMIT_DEADLINE_MS", 30_000.0)
+        coal = GroupCommitCoalescer(log, size=8)
         coal.enter()  # the rider
         coal.enter()  # this thread, still "running"
         rider_lsn = commit_lsn(log, txn_id=1)
@@ -102,12 +97,13 @@ class TestLeaderElection:
         assert metrics.get("tclog.group_commit_leads") == 1
         assert metrics.get("tclog.group_commit_riders") == 1
 
-    def test_full_group_leads_without_waiting_for_stragglers(self):
+    def test_full_group_leads_without_waiting_for_stragglers(self, monkeypatch):
         """waiting >= size elects a leader even while other committers are
         still running their transactions."""
         metrics = Metrics()
         log = TcLog(metrics)
-        coal = GroupCommitCoalescer(log, size=2, deadline_ms=30_000.0)
+        monkeypatch.setattr(tc_log, "GROUP_COMMIT_DEADLINE_MS", 30_000.0)
+        coal = GroupCommitCoalescer(log, size=2)
         for _ in range(3):  # a third committer never reaches wait_stable
             coal.enter()
         lsns = [commit_lsn(log, txn_id=i) for i in (1, 2)]
@@ -125,11 +121,12 @@ class TestLeaderElection:
         assert log.eosl >= max(lsns)
         assert metrics.get("tclog.forces") == 1
 
-    def test_deadline_bounds_commit_latency(self):
+    def test_deadline_bounds_commit_latency(self, monkeypatch):
         """A parked waiter whose group never fills elects itself once the
         flush deadline elapses — latency is bounded, not best-effort."""
         log = TcLog(Metrics())
-        coal = GroupCommitCoalescer(log, size=8, deadline_ms=25.0)
+        monkeypatch.setattr(tc_log, "GROUP_COMMIT_DEADLINE_MS", 25.0)
+        coal = GroupCommitCoalescer(log, size=8)
         coal.enter()
         coal.enter()  # a phantom committer that never commits
         lsn = commit_lsn(log)
@@ -142,12 +139,13 @@ class TestLeaderElection:
         assert elapsed >= 0.02  # it did wait for the deadline...
         assert elapsed < 5.0  # ...but not forever
 
-    def test_departing_committer_promotes_the_waiter(self):
+    def test_departing_committer_promotes_the_waiter(self, monkeypatch):
         """exit() re-evaluates the election: when the other in-flight
         committer aborts instead of committing, the parked waiter must not
         sit out its whole deadline."""
         log = TcLog(Metrics())
-        coal = GroupCommitCoalescer(log, size=8, deadline_ms=30_000.0)
+        monkeypatch.setattr(tc_log, "GROUP_COMMIT_DEADLINE_MS", 30_000.0)
+        coal = GroupCommitCoalescer(log, size=8)
         coal.enter()  # the waiter
         coal.enter()  # the aborter
         lsn = commit_lsn(log)
@@ -160,12 +158,13 @@ class TestLeaderElection:
         coal.exit()
         assert log.eosl >= lsn
 
-    def test_exit_releases_a_rider_parked_for_the_whole_deadline(self):
+    def test_exit_releases_a_rider_parked_for_the_whole_deadline(self, monkeypatch):
         """The rider's deadline is ten seconds, so only the departing
         committer's notify can release it in under one: ``exit()`` must
         notify whenever someone is parked."""
         log = TcLog(Metrics())
-        coal = GroupCommitCoalescer(log, size=8, deadline_ms=10_000.0)
+        monkeypatch.setattr(tc_log, "GROUP_COMMIT_DEADLINE_MS", 10_000.0)
+        coal = GroupCommitCoalescer(log, size=8)
         coal.enter()  # the rider
         coal.enter()  # the other committer, which leaves without committing
         lsn = commit_lsn(log)

@@ -20,6 +20,9 @@ and what the in-process channel adds to a request.
 The DC used to spend 33 calls per update — a closure and an outcome dict
 per operation, an ``isinstance`` ladder, both records sized in full — and
 two calls per cached page on every low-water mark.
+
+The last part counts clock reads: every timeout reads
+``repro.sim.schedule.now``, so wrapping that one attribute counts them all.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import pytest
 
 from repro import KernelConfig, UnbundledKernel
 from repro.common.api import BatchedPerform, LowWaterMark, PerformOperation
-from repro.common.config import DcConfig, TcConfig
+from repro.common.config import ChannelConfig, DcConfig, TcConfig
 from repro.common.ops import (
     DeleteOp,
     IncrementOp,
@@ -47,6 +50,7 @@ from repro.common.ops import (
 from repro.dc.data_component import DataComponent
 from repro.net.channel import MessageChannel
 from repro.obs.tracing import Tracer
+from repro.sim import schedule
 from repro.sim.metrics import Metrics
 from repro.workloads.generator import OltpMix, WorkloadRunner
 
@@ -350,3 +354,44 @@ def test_traced_and_shadowed_dcs_run_the_one_executor():
     ]
     assert spans["dc.batch"] == len(envelopes)
     assert spans["dc.execute"] == len(hosted)
+
+
+# -- clock reads per transaction ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "transport, budget",
+    # In process nothing waits and nothing times out.  Over the pipe each
+    # request reads the clock for its reply deadline and once per read
+    # burst; a wait or a request that adds a read exceeds the pin.
+    [("inproc", 0.0), ("process", 2.25)],
+)
+def test_clock_reads_per_transaction(monkeypatch, transport, budget):
+    """Clock reads per warm transaction of one read and one update, over
+    1 000 transactions."""
+    config = KernelConfig(channel=ChannelConfig(transport=transport))
+    with UnbundledKernel(config) as kernel:
+        kernel.create_table("t")
+        with kernel.begin() as txn:
+            for key in range(100):
+                txn.insert("t", key, "v")
+
+        def run(txns):
+            for i in range(txns):
+                with kernel.begin() as txn:
+                    txn.read("t", i % 100)
+                    txn.update("t", (i + 1) % 100, f"w{i}")
+
+        run(200)
+        reads = 0
+        clock = schedule.now
+
+        def counting():
+            nonlocal reads
+            reads += 1
+            return clock()
+
+        monkeypatch.setattr(schedule, "now", counting)
+        run(1_000)
+        per_txn = reads / 1_000
+    assert per_txn <= budget, per_txn
