@@ -256,13 +256,20 @@ class BTree:
                         f"record of {extra_bytes} bytes cannot fit on an empty "
                         f"page of {self.config.page_size} bytes"
                     )
-                self._split_leaf(leaf, path)
+                self._split_leaf(leaf, path, key)
 
-    def _split_leaf(self, leaf: LeafPage, path: list[InnerPage]) -> None:
-        """Split ``leaf``; one system transaction (Section 5.2.2, Page Splits)."""
+    def _split_leaf(self, leaf: LeafPage, path: list[InnerPage], key: Key) -> None:
+        """Split ``leaf`` to make room for ``key``; one system transaction
+        (Section 5.2.2, Page Splits).
+
+        A ``key`` above every key on the leaf is an append: the leaf keeps
+        all but its last record, which starts the new page, so an ascending
+        insert stream leaves full leaves behind it.  Any other key splits
+        the leaf in the middle by bytes."""
         txn = self._begin_smo("split")
         txn.gate(leaf)  # before any page changes: a refusal splits nothing
-        split_key = leaf.choose_split_key()
+        last = leaf.max_key()
+        split_key = last if key > last else leaf.choose_split_key()
         new_leaf = LeafPage(self._storage.allocate_page_id())
         new_leaf.absorb(leaf.extract_from(split_key))
         # The new page inherits the abLSNs: every operation covered by the

@@ -259,7 +259,10 @@ class TestKillAndRecover:
         """Every page but a handful lives only as a journal page frame or
         a DC-log image when the kill lands; restart rebuilds each from its
         frame (and the split pages never flushed from the log's page-id
-        index), before and after a compaction rewrote all of them."""
+        index), before and after a compaction rewrote all of them.  An
+        ascending load leaves full leaves: its 750 keys fill about 45 pages
+        against the pool's 6."""
+        span = 1_500
         config = process_config()
         config.dc = DcConfig(page_size=512, buffer_capacity=6)
         with UnbundledKernel(config=config, dc_count=1) as kernel:
@@ -282,13 +285,13 @@ class TestKillAndRecover:
                     )
 
             def read_back():
-                for start in range(0, 600, 100):
+                for start in range(0, span, 100):
                     txn = kernel.begin()
                     for key in range(start, start + 100):
                         assert txn.read("t", key) == committed.get(key), key
                     txn.commit()
 
-            run(list(range(0, 600, 2)), lambda key: f"first-{key:05d}")
+            run(list(range(0, span, 2)), lambda key: f"first-{key:05d}")
             counters = kernel.dc.stats()["counters"]
             assert counters["buffer.evictions"] > 0
             assert counters["btree.leaf_splits"] > 0
@@ -297,10 +300,10 @@ class TestKillAndRecover:
             assert supervisor.heal().dc_restarts == 1
             read_back()
 
-            run(list(range(0, 600, 3)), lambda key: f"second-{key:05d}")
+            run(list(range(0, span, 3)), lambda key: f"second-{key:05d}")
             assert kernel.checkpoint()
             assert kernel.dc.checkpoint_dc_log()  # compacts: every page re-framed
-            run(list(range(1, 600, 7)), lambda key: f"third-{key:05d}")
+            run(list(range(1, span, 7)), lambda key: f"third-{key:05d}")
             kill_dc(kernel.dc)
             assert supervisor.heal().dc_restarts == 1
             read_back()
