@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 #: LSNs are plain integers; 0 is the null LSN ("before everything").
 Lsn = int
@@ -89,15 +89,24 @@ class AbstractLsn:
         if lsn > self._low_water:
             self._included.add(lsn)
 
-    def advance_low_water(self, lwm: Lsn) -> None:
-        """Raise LSNlw to the TC-supplied low-water mark and prune {LSNin}.
+    def advance_low_water(self, lwm: Lsn) -> bool:
+        """Raise LSNlw to the TC-supplied low-water mark and prune {LSNin};
+        True when it rose.
 
         The TC guarantees it has received replies for every operation with
         LSN <= ``lwm``, so there are no gaps below it: any such operation
         applicable to this page has been applied (Section 5.1.2,
-        "Establishing LSNlw").
+        "Establishing LSNlw").  {LSNin} is pruned in place from a snapshot
+        taken in one C call: the caller need not hold the page latch, and
+        an LSN included meanwhile must not be lost.
         """
-        advance_low_waters((self,), lwm)
+        if lwm <= self._low_water:
+            return False
+        self._low_water = lwm
+        included = self._included
+        if included:
+            included.difference_update(filter(lwm.__ge__, tuple(included)))
+        return True
 
     def merge(self, other: "AbstractLsn") -> "AbstractLsn":
         """Combine two abLSNs for a page consolidation (Section 5.2.2).
@@ -109,7 +118,9 @@ class AbstractLsn:
 
         CAVEAT: taking the *max* low water is only sound when both pages
         are at the same operation horizon (true in normal execution, where
-        LWM broadcasts keep all cached pages aligned).  Merging pages with
+        every cached page catches up to each LWM broadcast when it is next
+        observed, so both inputs, read through ``Page.ablsns``, are at the
+        latest mark).  Merging pages with
         *unequal* low waters — which happens exactly when redo is replaying
         onto asymmetric stable baselines — would let the higher low water
         falsely claim the other range's still-unreplayed operations.  The
@@ -190,18 +201,3 @@ class AbstractLsn:
         inc = ",".join(map(str, sorted(self._included)))
         return f"abLSN<lw={self._low_water},{{{inc}}}>"
 
-
-def advance_low_waters(ablsns: Iterable[Optional[AbstractLsn]], lwm: Lsn) -> None:
-    """:meth:`AbstractLsn.advance_low_water` on each abLSN (``None``
-    skipped) with no Python call per abLSN, so the DC's walk over every
-    cached page costs the same at any pool size.  {LSNin} is pruned in
-    place from a snapshot taken in one C call: the walk holds no page
-    latch, and an LSN included meanwhile must not be lost."""
-    at_or_below = lwm.__ge__
-    for ablsn in ablsns:
-        if ablsn is None or lwm <= ablsn._low_water:
-            continue
-        ablsn._low_water = lwm
-        included = ablsn._included
-        if included:
-            included.difference_update(filter(at_or_below, tuple(included)))

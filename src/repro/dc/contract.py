@@ -83,8 +83,7 @@ class Contract:
     # -- the calls -------------------------------------------------------------------
 
     def low_water_mark(self, tc_id: int, lwm: Lsn) -> None:
-        with self._buffer.operation():
-            self._buffer.note_lwm(tc_id, lwm)
+        self._buffer.note_lwm(tc_id, lwm)
         self._dc.writes.prune(tc_id, lwm)
 
     def checkpoint(self, tc_id: int, new_rssp: Lsn) -> Lsn:

@@ -196,7 +196,11 @@ class Writes:
         leaf = structure.find_leaf(key)
         with leaf.latch:
             if op_id:
-                ablsn = leaf.ablsns.get(tc_id)
+                # ``leaf.ablsns`` inlined (a call less per write): catch up
+                # to the low-water marks that arrived since it was observed.
+                if leaf.marks_seen != leaf.marks.seq:
+                    leaf.marks.catch_up(leaf)
+                ablsn = leaf._ablsns.get(tc_id)
                 if ablsn is None:
                     ablsn = leaf.ablsn_for(tc_id)  # new here: holds nothing
                 elif ablsn.contains(op_id):

@@ -165,6 +165,14 @@ LEDGER: tuple[Row, ...] = (
         "TC's resend meet an operation the DC already holds",
     ),
     Row(
+        "buffer.lwm_catchups",
+        "§5.1.2 establishing LSNlw: a cached page's abLSN catches up to the "
+        "TC's low-water mark when the page is next observed, not when the "
+        "mark arrives",
+        ("explore-crash", "chaos-tcp", "tests/test_lwm_catchup.py"),
+        "any lane whose TC sends a mark and then touches a page reaches it",
+    ),
+    Row(
         "dc.stale_incarnation_ops",
         "§5.3 DC crash: a request in flight across a DC crash and recover "
         "is lost, not executed against the rebuilt state",
@@ -203,6 +211,15 @@ LEDGER: tuple[Row, ...] = (
             "explore-optimized",
             "tests/test_zombie_rollbacks.py",
         ),
+    ),
+    Row(
+        "tc.redo_rejected",
+        "§5.3.2 TC restart: redo resends an operation its DC had rejected "
+        "when the cancel marker was lost with the volatile log tail, and "
+        "the DC rejects it again",
+        ("tests/test_redo_rejected.py",),
+        "needs a split's force prompt to make the rejected operation's "
+        "record stable in the envelope that carried it, then a TC crash",
     ),
     Row(
         "tc.fetch_ahead_retries",

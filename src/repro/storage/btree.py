@@ -371,8 +371,8 @@ class BTree:
                 # asymmetric stable baselines.  Merging then would let the
                 # higher low-water falsely claim coverage of the other
                 # range's still-unreplayed operations (a lost-update bug
-                # this guard was added for).  Defer; the next LWM broadcast
-                # re-equalizes horizons and merges resume.
+                # this guard was added for).  Defer; once redo ends, the
+                # next LWM broadcast re-equalizes horizons and merges resume.
                 self.metrics.incr("btree.consolidation_skipped_horizon")
                 return False
             try:
@@ -389,9 +389,11 @@ class BTree:
     def _horizons_compatible(target: LeafPage, victim: LeafPage) -> bool:
         """True when every TC's low water agrees on both pages.
 
-        In normal execution ``low_water_mark`` broadcasts keep all cached
-        pages at one horizon per TC, so this is almost always true; during
-        redo, historical baselines disagree and the merge must wait.
+        Both pages are read through ``Page.ablsns``, so each has caught up
+        to every ``low_water_mark`` broadcast that arrived while it was
+        cached: in normal execution that puts all cached pages at one
+        horizon per TC, so this is almost always true; during redo,
+        historical baselines disagree and the merge must wait.
         Explicitly *included* LSNs are never a problem — each one is
         genuinely reflected in its page's records, so their union is
         genuinely reflected in the merged records.

@@ -27,12 +27,12 @@ from typing import Callable, Optional
 
 from repro.common.config import DcConfig, PageSyncStrategy
 from repro.common.errors import WriteAheadViolation
-from repro.common.lsn import Lsn, NULL_LSN, advance_low_waters
+from repro.common.lsn import Lsn, NULL_LSN
 from repro.obs.tracing import NULL_TRACER
 from repro.sim import schedule as _sched
 from repro.sim.metrics import Metrics
 from repro.storage.disk import StableStorage
-from repro.storage.page import LeafPage, Page, PageImage, PageKind
+from repro.storage.page import LeafPage, LowWaterMarks, Page, PageImage, PageKind
 
 
 #: The :meth:`BufferPool.note_eosl` slot of the log a page's ``page_lsn``
@@ -134,8 +134,8 @@ class BufferPool:
         self._misses = self.metrics.counter("buffer.misses")
         #: End of stable TC log, per TC (causality bound for flushes).
         self._eosl: dict[int, Lsn] = {}
-        #: Last gap-free LSN, per TC (prunes {LSNin} sets).
-        self._lwm: dict[int, Lsn] = {}
+        #: Last gap-free LSN, per TC (prunes {LSNin} sets as pages catch up).
+        self.marks = LowWaterMarks(self.metrics.counter("buffer.lwm_catchups"))
 
     # -- contract state from the TC -------------------------------------------
 
@@ -144,21 +144,16 @@ class BufferPool:
             self._eosl[tc_id] = eosl
 
     def note_lwm(self, tc_id: int, lwm: Lsn) -> None:
-        if lwm <= self._lwm.get(tc_id, NULL_LSN):
-            return
-        self._lwm[tc_id] = lwm
-        # snapshot the page list: concurrent operations on other tables
-        # may admit pages while we walk (pruning them is not required for
-        # correctness — the next LWM catches them)
-        advance_low_waters(
-            [page.ablsns.get(tc_id) for page in list(self._pages.values())], lwm
-        )
+        """Record the TC's low-water mark.  No cached page is touched: each
+        catches up to it when next observed (``Page.ablsns``), so a mark
+        costs the same however many pages are cached."""
+        self.marks.note(tc_id, lwm)
 
     def eosl_for(self, tc_id: int) -> Lsn:
         return self._eosl.get(tc_id, NULL_LSN)
 
     def lwm_for(self, tc_id: int) -> Lsn:
-        return self._lwm.get(tc_id, NULL_LSN)
+        return self.marks.lwm_for(tc_id)
 
     # -- cache access ------------------------------------------------------------
 
@@ -195,7 +190,9 @@ class BufferPool:
 
     def discard(self, page_id: int) -> None:
         """Remove a page from the cache without flushing (reset/free)."""
-        self._pages.pop(page_id, None)
+        page = self._pages.pop(page_id, None)
+        if page is not None:
+            page.uncache()
 
     def cached_ids(self) -> list[int]:
         return list(self._pages)
@@ -215,6 +212,8 @@ class BufferPool:
         return self._bracket
 
     def _admit(self, page: Page) -> None:
+        page.marks = marks = self.marks
+        page.marks_seen = marks.seq  # it takes no mark that came before
         self._pages[page.page_id] = page
         self._pages.move_to_end(page.page_id)
         if self._active_ops == 0:
@@ -231,6 +230,7 @@ class BufferPool:
                 self.metrics.incr("buffer.eviction_blocked")
                 return
             del self._pages[victim_id]
+            victim.uncache()
             self.metrics.incr("buffer.evictions")
 
     def _pick_victim(self) -> Optional[int]:
@@ -244,8 +244,8 @@ class BufferPool:
 
     def _wal_satisfied(self, page: Page) -> bool:
         return page.page_lsn <= self._eosl.get(PAGE_LSN_LOG, NULL_LSN) and all(
-            page.max_lsn(tc_id) <= self._eosl.get(tc_id, NULL_LSN)
-            for tc_id in page.ablsns
+            ablsn.max_lsn() <= self._eosl.get(tc_id, NULL_LSN)
+            for tc_id, ablsn in page.ablsns.items()
         )
 
     def _sync_ready(self, page: Page) -> bool:
@@ -343,9 +343,14 @@ class BufferPool:
 
     def crash(self) -> None:
         """Lose all volatile state (the DC failed)."""
-        self._pages.clear()
+        self._drop_all()
         self._eosl.clear()
-        self._lwm.clear()
+        self.marks.clear()
+
+    def _drop_all(self) -> None:
+        for page in self._pages.values():
+            page.uncache()
+        self._pages.clear()
 
     def reset_after_tc_crash(
         self, tc_id: int, stable_lsn: Lsn, mode: ResetMode = ResetMode.RECORD_RESET
@@ -362,7 +367,7 @@ class BufferPool:
         if mode is ResetMode.FULL_DROP:
             stats["examined"] = len(self._pages)
             stats["dropped"] = len(self._pages)
-            self._pages.clear()
+            self._drop_all()
             self.metrics.incr("buffer.reset_pages_dropped", stats["dropped"])
             return stats
         for page_id in list(self._pages):
@@ -384,6 +389,7 @@ class BufferPool:
                 self.metrics.incr("buffer.reset_pages_record_level")
             else:
                 del self._pages[page_id]
+                page.uncache()
                 stats["dropped"] += 1
                 self.metrics.incr("buffer.reset_pages_dropped")
         return stats

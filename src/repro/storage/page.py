@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from repro.common.lsn import AbstractLsn, Lsn, NULL_LSN
 from repro.common.records import Key, VersionedRecord, sizeof_key
+from repro.sim.metrics import CounterSlot
 
 #: Fixed header bytes per page in the space model.
 PAGE_HEADER_BYTES = 64
@@ -39,6 +40,63 @@ class PageKind(enum.Enum):
     INNER = "inner"
 
 
+class LowWaterMarks:
+    """The TCs' low-water marks one buffer pool has received (Section 5.1.2).
+
+    A mark is recorded here, not walked over the cache: ``seq`` counts the
+    marks received and ``latest[tc]`` is ``(seq, lwm)`` of the TC's latest
+    one.  A cached page remembers the ``seq`` its abLSNs reflect
+    (``Page.marks_seen``, taken on admission), and the first observation
+    after a newer mark catches each of its abLSNs up to its TC's latest
+    mark that arrived while the page was cached — what walking every
+    cached page at each mark would have left there, since raising a low
+    water to a higher mark covers every lower one.  A page admitted (or an
+    abLSN created) after a mark never catches up to that mark."""
+
+    __slots__ = ("seq", "latest", "_catchups", "_lock")
+
+    def __init__(self, catchups: CounterSlot) -> None:
+        self.seq = 0
+        self.latest: dict[int, tuple[int, Lsn]] = {}
+        self._catchups = catchups
+        self._lock = threading.Lock()
+
+    def lwm_for(self, tc_id: int) -> Lsn:
+        mark = self.latest.get(tc_id)
+        return mark[1] if mark is not None else NULL_LSN
+
+    def note(self, tc_id: int, lwm: Lsn) -> None:
+        """Record a mark; one that does not raise the TC's is ignored."""
+        with self._lock:
+            if lwm > self.lwm_for(tc_id):
+                self.seq += 1
+                self.latest[tc_id] = (self.seq, lwm)
+
+    def clear(self) -> None:
+        with self._lock:
+            self.latest.clear()
+
+    def catch_up(self, page: "Page") -> None:
+        """Raise ``page``'s abLSNs to the marks it has not seen yet.  Under
+        the lock, so two observers cannot lower a low water the other
+        raised; an LSN included meanwhile is kept (see
+        :meth:`AbstractLsn.advance_low_water`)."""
+        with self._lock:
+            seen = page.marks_seen
+            latest = self.latest
+            for tc_id, ablsn in page._ablsns.items():
+                mark = latest.get(tc_id)
+                if mark is None or mark[0] <= seen:
+                    continue
+                if ablsn.advance_low_water(mark[1]):
+                    self._catchups.value += 1
+            page.marks_seen = self.seq
+
+
+#: The marks of a page no pool caches: none ever arrives.
+NO_MARKS = LowWaterMarks(CounterSlot())
+
+
 class Page:
     """State common to leaf and inner pages."""
 
@@ -48,8 +106,12 @@ class Page:
         self.page_id = page_id
         #: DC-log LSN of the last SMO applied to this page.
         self.dlsn: Lsn = NULL_LSN
-        #: Per-TC abstract LSNs (Section 6.1.1).
-        self.ablsns: dict[int, AbstractLsn] = {}
+        #: Per-TC abstract LSNs (Section 6.1.1), as last caught up: read
+        #: them through :attr:`ablsns`.
+        self._ablsns: dict[int, AbstractLsn] = {}
+        #: The caching pool's marks, and how many of them the abLSNs reflect.
+        self.marks = NO_MARKS
+        self.marks_seen = 0
         #: Classic single page LSN — used only by the monolithic baseline
         #: engine (the unbundled DC never stores one; that is the point).
         self.page_lsn: Lsn = NULL_LSN
@@ -59,17 +121,33 @@ class Page:
 
     # -- abLSN management -------------------------------------------------
 
+    @property
+    def ablsns(self) -> dict[int, AbstractLsn]:
+        """The per-TC abLSNs, caught up to every low-water mark that
+        arrived while the page was cached."""
+        if self.marks_seen != self.marks.seq:
+            self.marks.catch_up(self)
+        return self._ablsns
+
+    @ablsns.setter
+    def ablsns(self, ablsns: dict[int, AbstractLsn]) -> None:
+        self._ablsns = ablsns
+
+    def uncache(self) -> None:
+        """The page leaves its pool: it keeps the marks that arrived while
+        it was cached and sees no later one."""
+        if self.marks_seen != self.marks.seq:
+            self.marks.catch_up(self)
+        self.marks = NO_MARKS
+        self.marks_seen = 0
+
     def ablsn_for(self, tc_id: int) -> AbstractLsn:
         """The abLSN tracking this TC's operations, created on demand."""
-        ablsn = self.ablsns.get(tc_id)
+        ablsns = self.ablsns
+        ablsn = ablsns.get(tc_id)
         if ablsn is None:
-            ablsn = AbstractLsn()
-            self.ablsns[tc_id] = ablsn
+            ablsn = ablsns[tc_id] = AbstractLsn()
         return ablsn
-
-    def max_lsn(self, tc_id: int) -> Lsn:
-        ablsn = self.ablsns.get(tc_id)
-        return ablsn.max_lsn() if ablsn is not None else NULL_LSN
 
     def reflects_loss(self, tc_id: int, stable_lsn: Lsn) -> bool:
         """Does this page include effects of the TC's *lost* operations?
@@ -438,7 +516,7 @@ class PageImage:
             )
             page = inner
         page.dlsn = self.dlsn
-        page.ablsns = {tc: ab.snapshot() for tc, ab in self.ablsns.items()}
+        page._ablsns = {tc: ab.snapshot() for tc, ab in self.ablsns.items()}
         page.page_lsn = self.page_lsn
         return page
 

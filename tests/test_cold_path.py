@@ -546,8 +546,8 @@ class TestByteTotalsNeverDrift:
                     dc.buffer.flush_all()
             elif action == "drop":
                 cached = dc.buffer.cached_ids()
-                victim = dc.buffer.cached_page(cached[key % len(cached)])
-                if not victim.dirty:
+                victim = cached and dc.buffer.cached_page(cached[key % len(cached)])
+                if victim and not victim.dirty:
                     dc.buffer.discard(victim.page_id)
             else:
                 dc.checkpoint_dc_log()

@@ -262,6 +262,27 @@ def test_low_water_walk_calls_flat_in_cached_pages():
     assert calls[large] == calls[small], calls
 
 
+def test_low_water_mark_advances_no_cached_ablsn():
+    """Handling one low-water mark raises no cached page's abLSN, at 7
+    cached pages as at 60: the pool records the mark and each page catches
+    up when next observed.  The walk it replaced raised 6, then 59 (every
+    page holding an abLSN of the TC)."""
+    advanced = {}
+    for keys in (200, 2_000):
+        table = _Dc(keys)
+        pages = list(map(table.dc.buffer.cached_page, table.dc.buffer.cached_ids()))
+        ablsns = [ablsn for page in pages for ablsn in page.ablsns.values()]
+        before = [ablsn.low_water for ablsn in ablsns]
+        table.dc.handle(LowWaterMark(tc_id=1, lwm=table.lsn))
+        advanced[len(pages)] = sum(
+            ablsn.low_water != low for ablsn, low in zip(ablsns, before)
+        )
+        assert table.dc.metrics.get("buffer.lwm_catchups") == 0
+    small, large = sorted(advanced)
+    assert large >= 8 * small, advanced
+    assert advanced == {small: 0, large: 0}, advanced
+
+
 # -- one executor, however the DC is observed ------------------------------------
 
 

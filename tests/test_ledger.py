@@ -37,6 +37,8 @@ def test_covers_the_branches_it_was_started_for():
         "dc.bounced_in_redo_window",
         "dc.lwm_dropped_in_redo_window",
         "dc.checkpoint_refused_in_redo_window",
+        "buffer.lwm_catchups",
+        "tc.redo_rejected",
     }
 
 
@@ -66,7 +68,11 @@ def test_every_lane_is_a_command_ci_runs():
 
 def test_zero_in_every_lane_that_ran_fails():
     totals = {
-        "chaos-tcp": {"dc.log_truncations": 2, "dc.duplicate_ops": 14},
+        "chaos-tcp": {
+            "dc.log_truncations": 2,
+            "dc.duplicate_ops": 14,
+            "buffer.lwm_catchups": 31,
+        },
         "chaos-tc-process": {"tcserver.oneway_commits": 0, "journal.compactions": 4},
     }
     lines, failures = check(totals)
